@@ -18,10 +18,6 @@ import (
 	"time"
 
 	"nba/internal/bench"
-
-	// Register the perf-trajectory experiment (lives outside internal/bench
-	// because it drives internal/chaos, which itself imports bench).
-	_ "nba/internal/perf"
 )
 
 func main() {

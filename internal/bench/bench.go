@@ -68,11 +68,6 @@ var experiments []Experiment
 
 func register(e Experiment) { experiments = append(experiments, e) }
 
-// Register adds an externally-defined experiment. internal/perf uses it: the
-// perf-trajectory experiment drives internal/chaos, which itself imports
-// bench, so it cannot live in this package.
-func Register(e Experiment) { register(e) }
-
 // All returns every registered experiment, sorted by ID.
 func All() []Experiment {
 	out := append([]Experiment(nil), experiments...)
@@ -290,8 +285,8 @@ func ExecuteConfig(cfgText string, spec RunSpec) (*core.Report, error) {
 // simAccount accumulates the virtual time simulated by Execute/ExecuteConfig
 // since the last ResetSimSeconds, atomically so concurrent grid points can
 // add to it. It feeds the sim-seconds-per-second trajectory metric reported
-// by the repository benchmarks and the perf snapshot (sums are commutative,
-// so the total stays deterministic under any parallelism).
+// by the root bench_test.go benchmarks (sums are commutative, so the total
+// stays deterministic under any parallelism).
 var simAccount atomic.Int64
 
 // ResetSimSeconds zeroes the simulated-time account.

@@ -97,9 +97,9 @@ func runReconfig(o Options, w io.Writer) error {
 	ct := churned.Tenants[1]
 	// No tracer is attached here, so the sealed Digest is legitimately empty;
 	// the digest-sealing contract is pinned by the core and chaos tests.
-	ok := ct.Evicted && ct.RxDelivered == ct.TxPackets+ct.GraphDrops+ct.ShedPackets
-	fmt.Fprintf(w, "\nchurned tenant sealed at evict: %s (evicted %v, conservation %d = %d+%d+%d)\n",
-		passFail(ok), ct.EvictedAt, ct.RxDelivered, ct.TxPackets, ct.GraphDrops, ct.ShedPackets)
+	ok := ct.Evicted && ct.Conserved()
+	fmt.Fprintf(w, "\nchurned tenant sealed at evict: %s (evicted %v, conservation %d = %d+%d+%d+%d)\n",
+		passFail(ok), ct.EvictedAt, ct.RxDelivered, ct.TxPackets, ct.GraphDrops, ct.ShedPackets, ct.QuarantinedPackets)
 
 	vSteady := steady.Tenants[0].Latency.Percentile(99.9)
 	vChurn := churned.Tenants[0].Latency.Percentile(99.9)

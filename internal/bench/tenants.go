@@ -97,8 +97,7 @@ func runTenants(o Options, w io.Writer) error {
 	for i, rep := range reps {
 		cells := ""
 		for _, tr := range rep.Tenants {
-			ok := tr.RxDelivered == tr.TxPackets+tr.GraphDrops+tr.ShedPackets
-			cells += fmt.Sprintf("  %s %.2f (%s)", tr.Name, tr.TxGbps, passFail(ok))
+			cells += fmt.Sprintf("  %s %.2f (%s)", tr.Name, tr.TxGbps, passFail(tr.Conserved()))
 		}
 		viol := len(specs[i].Checker.Violations())
 		if viol > 0 {

@@ -48,12 +48,6 @@ type Tenant struct {
 	SLOP999 simtime.Time
 }
 
-// RateChange alters the offered load mid-run (workload-shift experiments).
-type RateChange struct {
-	At         simtime.Time
-	BpsPerPort float64
-}
-
 // GeneratorChange swaps the traffic generator mid-run (the paper's §3.4
 // scenario: the adaptive balancer must find a new convergence point when
 // the workload changes). The offered wire rate is preserved: the packet
@@ -94,8 +88,6 @@ type Config struct {
 	Generator netio.Generator
 	// OfferedBpsPerPort is the offered wire rate per port.
 	OfferedBpsPerPort float64
-	// RateChanges optionally shift the offered load mid-run.
-	RateChanges []RateChange
 	// GeneratorChanges optionally swap the traffic mix mid-run.
 	// Single-tenant runs only: with multiple tenants each tenant owns its
 	// generator and a global swap would be ambiguous.

@@ -7,6 +7,7 @@ import (
 	_ "nba/internal/apps/ipsec"
 	_ "nba/internal/apps/ipv4"
 	_ "nba/internal/apps/ipv6"
+	"nba/internal/fault"
 	"nba/internal/gen"
 	"nba/internal/graph"
 	"nba/internal/simtime"
@@ -188,8 +189,9 @@ func TestLatencyRecorded(t *testing.T) {
 }
 
 func TestWorkloadRateChange(t *testing.T) {
+	// 1 -> 4 Gb/s per port at 5 ms, held to the end of arrivals (10 ms).
 	cfg := quickCfg(l2Config, 1e9, 64)
-	cfg.RateChanges = []RateChange{{At: 5 * simtime.Millisecond, BpsPerPort: 4e9}}
+	cfg.FaultPlan = &fault.Plan{Events: fault.Burst(5*simtime.Millisecond, 5*simtime.Millisecond, 4)}
 	r := run(t, cfg)
 	// Average over the window must sit between the two rates.
 	if r.TxGbps < 2.1 || r.TxGbps > 7.9 {

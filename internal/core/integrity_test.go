@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"nba/internal/fault"
+	"nba/internal/gen"
 	"nba/internal/integrity"
 	"nba/internal/invariant"
 	"nba/internal/simtime"
+	"nba/internal/stats"
 	"nba/internal/trace"
 )
 
@@ -129,5 +131,52 @@ func TestIntegrityArmedCleanRunStable(t *testing.T) {
 	if r1.CorruptionDetected != 0 || r1.QuarantinedPackets != 0 {
 		t.Errorf("clean run flagged corruption: %d detected, %d quarantined",
 			r1.CorruptionDetected, r1.QuarantinedPackets)
+	}
+}
+
+// TestTenantCountersSumToReportUnderQuarantine checks the derivation lane →
+// tenant → report on the one drop class the per-tenant sum had never been
+// exercised with: two tenants share the device through a corruption window,
+// so the offloading tenant quarantines packets while its co-tenant does not.
+// The report's table must equal the sum of the tenant tables field by field,
+// and each table must satisfy the five-term identity on its own.
+func TestTenantCountersSumToReportUnderQuarantine(t *testing.T) {
+	ck := invariant.New()
+	cfg := corruptionCfg()
+	cfg.GraphConfig, cfg.Generator = "", nil
+	cfg.Tenants = []Tenant{
+		{Name: "ipv4", GraphConfig: ipv4Config, Share: 1,
+			Generator: &gen.UDP4{FrameLen: 64, Flows: 1024, Seed: 1}},
+		{Name: "ipsec", GraphConfig: sprintfConfig(ipsecConfigTpl, "fixed=0.8"), Share: 1,
+			Generator: &gen.UDP4{FrameLen: 64, Flows: 1024, Seed: 3}},
+	}
+	cfg.Checker = ck
+	r := run(t, cfg)
+
+	if r.QuarantinedPackets == 0 {
+		t.Fatal("corruption window quarantined nothing; the fifth term is not exercised")
+	}
+	var sum stats.Counters
+	for _, tr := range r.Tenants {
+		if !tr.Conserved() {
+			t.Errorf("tenant %s not conserved: delivered %d, accounted %d (%+v)",
+				tr.Name, tr.RxDelivered, tr.Accounted(), tr.Counters)
+		}
+		sum.Add(tr.Counters)
+	}
+	if sum != r.Counters {
+		t.Errorf("sum of tenant tables %+v != report table %+v", sum, r.Counters)
+	}
+	if !r.Conserved() {
+		t.Errorf("report not conserved: delivered %d, accounted %d", r.RxDelivered, r.Accounted())
+	}
+	if q := r.Tenants[0].QuarantinedPackets; q != 0 {
+		t.Errorf("CPU-only tenant quarantined %d packets", q)
+	}
+	if r.Tenants[1].QuarantinedPackets != r.QuarantinedPackets {
+		t.Errorf("ipsec tenant quarantined %d, report says %d", r.Tenants[1].QuarantinedPackets, r.QuarantinedPackets)
+	}
+	for _, v := range ck.Violations() {
+		t.Errorf("invariant violated: %s", v)
 	}
 }

@@ -85,9 +85,8 @@ func TestOverloadBoundsDeviceQueueDuringHang(t *testing.T) {
 
 func TestOverloadConservationWithShedAllApps(t *testing.T) {
 	// Fault-free guard over every sample application: with overload control
-	// armed and shedding active, RxDelivered == TxPackets + GraphDrops +
-	// ShedPackets must hold exactly after drain, the oracle must stay silent,
-	// and nothing may leak.
+	// armed and shedding active, the conservation identity must hold exactly
+	// after drain, the oracle must stay silent, and nothing may leak.
 	apps := []struct {
 		name, cfgText string
 		v6            bool
@@ -108,9 +107,8 @@ func TestOverloadConservationWithShedAllApps(t *testing.T) {
 			cfg.Checker = ck
 			r := run(t, cfg)
 
-			if got := r.TxPackets + r.GraphDrops + r.ShedPackets; r.RxDelivered != got {
-				t.Errorf("conservation: delivered %d != tx %d + graph drops %d + shed %d",
-					r.RxDelivered, r.TxPackets, r.GraphDrops, r.ShedPackets)
+			if !r.Conserved() {
+				t.Errorf("conservation broken: %+v", r.Counters)
 			}
 			if r.PoolOutstanding != 0 {
 				t.Errorf("%d packets leaked", r.PoolOutstanding)

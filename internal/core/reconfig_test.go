@@ -96,14 +96,12 @@ func TestReconfigChurnConservationAcrossApps(t *testing.T) {
 			}
 			// Per-tenant and global conservation, sealed section included.
 			for _, tr := range r.Tenants {
-				if tr.RxDelivered != tr.TxPackets+tr.GraphDrops+tr.ShedPackets {
-					t.Errorf("tenant %s conservation broken: delivered %d != tx %d + graph %d + shed %d",
-						tr.Name, tr.RxDelivered, tr.TxPackets, tr.GraphDrops, tr.ShedPackets)
+				if !tr.Conserved() {
+					t.Errorf("tenant %s conservation broken: %+v", tr.Name, tr.Counters)
 				}
 			}
-			if r.RxDelivered != r.TxPackets+r.GraphDrops+r.ShedPackets {
-				t.Errorf("global conservation broken: delivered %d != tx %d + graph %d + shed %d",
-					r.RxDelivered, r.TxPackets, r.GraphDrops, r.ShedPackets)
+			if !r.Conserved() {
+				t.Errorf("global conservation broken: %+v", r.Counters)
 			}
 			if r.PoolOutstanding != 0 {
 				t.Errorf("leak: %d packets outstanding after evict", r.PoolOutstanding)
@@ -154,11 +152,8 @@ func TestReconfigEmptyPlanGoldensUnchanged(t *testing.T) {
 	if d := emptyCfg.Tracer.Digest(); d != nilDigest {
 		t.Errorf("empty reconfig plan perturbed the trace digest:\nnil   %s\nempty %s", nilDigest, d)
 	}
-	if nilR.RxDelivered != emptyR.RxDelivered || nilR.TxPackets != emptyR.TxPackets ||
-		nilR.GraphDrops != emptyR.GraphDrops || nilR.ShedPackets != emptyR.ShedPackets {
-		t.Errorf("empty plan perturbed counters: nil %d/%d/%d/%d, empty %d/%d/%d/%d",
-			nilR.RxDelivered, nilR.TxPackets, nilR.GraphDrops, nilR.ShedPackets,
-			emptyR.RxDelivered, emptyR.TxPackets, emptyR.GraphDrops, emptyR.ShedPackets)
+	if nilR.Counters != emptyR.Counters {
+		t.Errorf("empty plan perturbed counters: nil %+v, empty %+v", nilR.Counters, emptyR.Counters)
 	}
 	for i := range nilR.Tenants {
 		if nilR.Tenants[i].Digest != emptyR.Tenants[i].Digest {

@@ -11,6 +11,7 @@ import (
 	"nba/internal/gpu"
 	"nba/internal/graph"
 	"nba/internal/integrity"
+	"nba/internal/invariant"
 	"nba/internal/lb"
 	"nba/internal/netio"
 	"nba/internal/overload"
@@ -30,8 +31,9 @@ type System struct {
 	cfg Config
 	eng *simtime.Engine
 
-	// tenants is the resolved tenant set: the configured Tenants slice, or
-	// one implicit tenant (Name "") synthesized from GraphConfig/Generator.
+	// tenants is the installed tenant set, in slot order: the configured
+	// Tenants (or the one implicit tenant, Name "", synthesized from
+	// GraphConfig/Generator), then every tenant admitted mid-run.
 	tenants   []Tenant
 	shareFrac []float64 // tenant Share normalised to fractions
 	placement sched.PlacementPolicy
@@ -45,8 +47,6 @@ type System struct {
 	// congestion escalates trim → bias → shed for that tenant alone.
 	controllers [][]*lb.Controller
 	governors   [][]*overload.Governor // empty when Overload is nil
-
-	parsed []*conflang.Config // per tenant
 
 	// Runtime-reconfiguration state. Tenant slots are grow-only: an evicted
 	// tenant's lanes and queues stay in place (inactive) so tenant-major
@@ -74,9 +74,8 @@ type System struct {
 	stopTime  simtime.Time // warmup + duration
 	measuring bool
 
-	// Current offered-load state, composed by rate changes, generator
-	// changes and fault-injected rate bursts (factor over the nominal rate).
-	curBps     float64
+	// Current offered-load state, composed by generator changes and
+	// fault-injected rate bursts (factor over the nominal rate).
 	curGens    []netio.Generator // per tenant
 	rateFactor float64
 
@@ -119,39 +118,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.tailMarkBytes = make([]uint64, len(cfg.Topology.Ports))
 	s.tailEndBytes = make([]uint64, len(cfg.Topology.Ports))
-
-	if len(cfg.Tenants) > 0 {
-		s.tenants = cfg.Tenants
-		// Per-tenant trace digests are armed only for explicit tenant
-		// configurations; legacy runs keep an unarmed tracer.
-		cfg.Tracer.ArmTenantDigests(len(s.tenants))
-	} else {
-		s.tenants = []Tenant{{
-			GraphConfig: cfg.GraphConfig,
-			Share:       1,
-			RateScale:   1,
-			Generator:   cfg.Generator,
-		}}
-	}
-	var shareSum float64
-	for _, t := range s.tenants {
-		shareSum += t.Share
-	}
-	for _, t := range s.tenants {
-		s.shareFrac = append(s.shareFrac, t.Share/shareSum)
-	}
-
-	for i, t := range s.tenants {
-		p, err := conflang.Parse(t.GraphConfig)
-		if err != nil {
-			return nil, fmt.Errorf("core: tenant %d (%s): %w", i, t.Name, err)
-		}
-		s.parsed = append(s.parsed, p)
-	}
-	s.tstate = make([]tenantLifecycle, len(s.tenants))
-	for t := range s.tstate {
-		s.tstate[t].active = true
-	}
+	s.rateFactor = 1
 
 	// Latent tenants (admittable by the reconfig plan): parse and trial-build
 	// their graphs now, against throwaway state, so a broken latent config
@@ -175,16 +142,10 @@ func NewSystem(cfg Config) (*System, error) {
 		s.latentIdx[t.Name] = i
 	}
 
+	// The tenant-less machine: devices (one device thread per device, on a
+	// dedicated core), queue-less ports, lane-less workers and empty
+	// per-socket control-plane rows. installTenant fills all of them.
 	top := cfg.Topology
-	for socket := 0; socket < top.Sockets; socket++ {
-		row := make([]*element.NodeLocal, len(s.tenants))
-		for t := range row {
-			row[t] = element.NewNodeLocal()
-		}
-		s.nodeLocals = append(s.nodeLocals, row)
-	}
-
-	// Devices (one device thread per device, on a dedicated core).
 	for i, d := range top.Devices {
 		dev, err := gpu.New(d.Name, d.Kind, s.eng, cfg.CostModel, top.CoreFreqHz, cfg.WorkersPerSocket)
 		if err != nil {
@@ -205,79 +166,104 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Integrity != nil {
 		s.integrityTracker = integrity.NewTracker(cfg.Integrity, len(s.devices))
 	}
-
-	// Ports, carved tenant-major: tenant t's queue for same-socket worker w
-	// is index t*WorkersPerSocket+w, each owning 1/WorkersPerSocket of the
-	// tenant's share of the port rate (RSS within a tenant's queue set).
 	for _, hw := range top.Ports {
-		specs := make([]netio.QueueSpec, 0, len(s.tenants)*cfg.WorkersPerSocket)
-		for t := range s.tenants {
-			pps := netio.OfferedPPS(cfg.OfferedBpsPerPort*s.shareFrac[t]*s.tenants[t].RateScale, s.tenants[t].Generator)
-			for wi := 0; wi < cfg.WorkersPerSocket; wi++ {
-				specs = append(specs, netio.QueueSpec{
-					Tenant: int32(t),
-					Gen:    s.tenants[t].Generator,
-					PPS:    pps / float64(cfg.WorkersPerSocket),
-				})
-			}
-		}
-		port := netio.NewPortWithQueues(hw, specs, top.RxQueueCapacity)
-		for _, q := range port.Rx {
-			q.SetStop(s.stopTime)
-			q.Tracer = cfg.Tracer
-			q.Checker = cfg.Checker
-		}
-		s.ports = append(s.ports, port)
+		s.ports = append(s.ports, &netio.Port{HW: hw})
 	}
-
-	// Workers: WorkersPerSocket per socket, each hosting one lane (graph
-	// replica + aggregator + queue set) per tenant.
-	id := 0
 	for socket := 0; socket < top.Sockets; socket++ {
-		localPorts := top.PortsOnSocket(socket)
-		localDevs := top.DevicesOnSocket(socket)
 		for wi := 0; wi < cfg.WorkersPerSocket; wi++ {
-			w, err := newWorker(s, id, socket, wi, localPorts, localDevs)
-			if err != nil {
-				return nil, err
-			}
-			s.workers = append(s.workers, w)
-			id++
+			s.workers = append(s.workers, newWorker(s, len(s.workers), socket, wi,
+				top.PortsOnSocket(socket), top.DevicesOnSocket(socket)))
 		}
 	}
-
-	// Adaptive load balancer controllers, one per (socket, tenant) that has
-	// shared LB state (created by LoadBalance elements during Configure).
-	for socket := 0; socket < top.Sockets; socket++ {
-		row := make([]*lb.Controller, len(s.tenants))
-		for t := range s.tenants {
-			if st, ok := s.nodeLocals[socket][t].Get(lb.StateKey).(*lb.State); ok && st.AdaptiveUsers > 0 {
-				ctl := lb.NewController(st)
-				ctl.Bound = cfg.ALBLatencyBound
-				ctl.Tracer = cfg.Tracer
-				ctl.TraceNow = s.eng.Now
-				ctl.TraceActor = int32(socket)
-				ctl.TraceTenant = int32(t)
-				ctl.Checker = cfg.Checker
-				row[t] = ctl
-			}
-		}
-		s.controllers = append(s.controllers, row)
-	}
-
-	// Overload governors, one per (socket, tenant) when overload control is
-	// armed: each tenant degrades (trim → bias → shed) on its own signals.
+	s.nodeLocals = make([][]*element.NodeLocal, top.Sockets)
+	s.controllers = make([][]*lb.Controller, top.Sockets)
 	if cfg.Overload != nil {
-		for socket := 0; socket < top.Sockets; socket++ {
-			row := make([]*overload.Governor, len(s.tenants))
-			for t := range row {
-				row[t] = overload.NewGovernor(*cfg.Overload)
-			}
-			s.governors = append(s.governors, row)
-		}
+		s.governors = make([][]*overload.Governor, top.Sockets)
 	}
 
+	// Boot-time tenants go through the same install path a mid-run admit
+	// commit uses; the classic single app is the one implicit tenant.
+	boot := cfg.Tenants
+	if len(boot) == 0 {
+		boot = []Tenant{{GraphConfig: cfg.GraphConfig, Share: 1, RateScale: 1, Generator: cfg.Generator}}
+	}
+	for i, tn := range boot {
+		p, err := conflang.Parse(tn.GraphConfig)
+		if err != nil {
+			return nil, fmt.Errorf("core: tenant %d (%s): %w", i, tn.Name, err)
+		}
+		if _, err := s.installTenant(tn, p, 0); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
+}
+
+// installTenant puts one tenant into service in the next slot (tenant slots
+// are grow-only), at construction (now = 0) and at an admit commit alike:
+// NodeLocal row → tenant-major RX queues → one lane per worker → a
+// controller and governor per socket → a per-tenant trace digest → the share
+// re-split. Because there is no other way to get a tenant, a lane admitted
+// mid-run is indistinguishable from a construction-time one. The tenant's
+// control loops are armed separately (startControlLoops) — at Run start for
+// boot-time tenants, at once for an admitted one.
+func (s *System) installTenant(tn Tenant, parsed *conflang.Config, now simtime.Time) (int, error) {
+	t := len(s.tenants)
+	s.tenants = append(s.tenants, tn)
+	s.tstate = append(s.tstate, tenantLifecycle{active: true, admitted: now})
+	s.shareFrac = append(s.shareFrac, 0)
+	s.curGens = append(s.curGens, tn.Generator)
+	for socket := range s.nodeLocals {
+		s.nodeLocals[socket] = append(s.nodeLocals[socket], element.NewNodeLocal())
+	}
+	// Queues before lanes: the tenant-major append puts the new tenant's
+	// queue for local worker wi at index t*WorkersPerSocket+wi on every
+	// port, exactly where buildLane looks. Each is born at zero rate; the
+	// re-split below gives it 1/WorkersPerSocket of the tenant's share of
+	// the port rate (RSS within a tenant's queue set).
+	for _, port := range s.ports {
+		for wi := 0; wi < s.cfg.WorkersPerSocket; wi++ {
+			q := port.AddQueue(now, int32(t), tn.Generator, s.cfg.Topology.RxQueueCapacity)
+			q.SetStop(s.stopTime)
+			q.Tracer = s.cfg.Tracer
+			q.Checker = s.cfg.Checker
+		}
+	}
+	for _, w := range s.workers {
+		ln, err := w.buildLane(t, parsed)
+		if err != nil {
+			return t, err
+		}
+		w.lanes = append(w.lanes, ln)
+	}
+	// One adaptive controller per socket whose lanes created shared LB state
+	// (LoadBalance elements do, during Configure), and one governor per
+	// socket when overload control is armed, so the tenant degrades (trim →
+	// bias → shed) on its own signals.
+	for socket := range s.controllers {
+		var ctl *lb.Controller
+		if st, ok := s.nodeLocals[socket][t].Get(lb.StateKey).(*lb.State); ok && st.AdaptiveUsers > 0 {
+			ctl = lb.NewController(st)
+			ctl.Bound = s.cfg.ALBLatencyBound
+			ctl.Tracer = s.cfg.Tracer
+			ctl.TraceNow = s.eng.Now
+			ctl.TraceActor = int32(socket)
+			ctl.TraceTenant = int32(t)
+			ctl.Checker = s.cfg.Checker
+		}
+		s.controllers[socket] = append(s.controllers[socket], ctl)
+	}
+	for socket := range s.governors {
+		s.governors[socket] = append(s.governors[socket], overload.NewGovernor(*s.cfg.Overload))
+	}
+	if len(s.cfg.Tenants) > 0 {
+		// Per-tenant trace digests exist only for explicit tenant
+		// configurations; a classic single-app run keeps an unarmed tracer.
+		s.cfg.Tracer.EnsureTenantDigests(len(s.tenants))
+	}
+	s.recomputeShares()
+	s.applyRate()
+	return t, nil
 }
 
 // overloadLevel returns a tenant's current governor level on a socket,
@@ -334,7 +320,7 @@ func (s *System) applyRate() {
 	for _, p := range s.ports {
 		for _, q := range p.Rx {
 			t := int(q.Tenant)
-			pps := netio.OfferedPPS(s.curBps*s.rateFactor*s.shareFrac[t]*s.tenants[t].RateScale, s.curGens[t])
+			pps := netio.OfferedPPS(s.cfg.OfferedBpsPerPort*s.rateFactor*s.shareFrac[t]*s.tenants[t].RateScale, s.curGens[t])
 			q.SetRate(now, pps/nq)
 		}
 	}
@@ -368,33 +354,24 @@ func (s *System) applyFault(ev fault.Event) {
 	case fault.CorruptRecover:
 		s.devices[ev.Device].ClearCorrupt()
 	}
-	if tr := s.cfg.Tracer; tr != nil {
-		kind := trace.KindFaultInject
-		if ev.Kind.IsRecovery() {
-			kind = trace.KindFaultRecover
-		}
-		target, queue := int64(ev.Device), int64(0)
-		switch ev.Kind {
-		case fault.RxQueueDown, fault.RxQueueUp:
-			target, queue = int64(ev.Port), int64(ev.Queue)
-		case fault.RateBurst:
-			target = int64(math.Float64bits(ev.RateFactor))
-		case fault.DeviceCorrupt:
-			queue = int64(math.Float64bits(ev.CorruptProb))
-		}
-		tr.Emit(s.eng.Now(), kind, -1, ev.Kind.String(), int64(ev.Kind), target, queue, 0)
+	kind := trace.KindFaultInject
+	if ev.Kind.IsRecovery() {
+		kind = trace.KindFaultRecover
 	}
+	target, queue := int64(ev.Device), int64(0)
+	switch ev.Kind {
+	case fault.RxQueueDown, fault.RxQueueUp:
+		target, queue = int64(ev.Port), int64(ev.Queue)
+	case fault.RateBurst:
+		target = int64(math.Float64bits(ev.RateFactor))
+	case fault.DeviceCorrupt:
+		queue = int64(math.Float64bits(ev.CorruptProb))
+	}
+	s.cfg.Tracer.Emit(s.eng.Now(), kind, -1, ev.Kind.String(), int64(ev.Kind), target, queue, 0)
 }
 
 // Run executes the configured workload and returns the measurement report.
 func (s *System) Run() (*Report, error) {
-	s.curBps = s.cfg.OfferedBpsPerPort
-	s.curGens = make([]netio.Generator, len(s.tenants))
-	for t := range s.tenants {
-		s.curGens[t] = s.tenants[t].Generator
-	}
-	s.rateFactor = 1
-
 	// Stagger worker start times by one cycle each so their first events
 	// interleave deterministically.
 	for i, w := range s.workers {
@@ -448,18 +425,6 @@ func (s *System) Run() (*Report, error) {
 		})
 	}
 
-	// Offered-load changes.
-	for _, rc := range s.cfg.RateChanges {
-		rc := rc
-		if rc.At > s.stopTime {
-			continue
-		}
-		s.eng.At(rc.At, func() {
-			s.curBps = rc.BpsPerPort
-			s.applyRate()
-		})
-	}
-
 	// Scripted fault timeline. Sorted() fixes the application order for
 	// same-time events (stable in plan order), and the engine's scheduling
 	// sequence breaks ties against other events deterministically.
@@ -489,29 +454,7 @@ func (s *System) Run() (*Report, error) {
 		}
 	}
 
-	// ALB control loops: observe each tenant's socket throughput, update
-	// that tenant's shared W. Socket-major, tenant-minor registration keeps
-	// the single-tenant event timeline identical to the pre-tenancy code.
-	for socket := range s.controllers {
-		for tenant, ctl := range s.controllers[socket] {
-			if ctl == nil {
-				continue
-			}
-			s.startALBLoops(socket, tenant, ctl)
-		}
-	}
-
-	// Overload governor loops: once per window per (socket, tenant), fold a
-	// saturation observation and apply the resulting degradation level.
-	// Armed only when overload control is configured, so ordinary runs keep
-	// their exact event timeline (and their golden trace digests).
-	if s.cfg.Overload != nil {
-		for socket := range s.governors {
-			for tenant := range s.governors[socket] {
-				s.startGovernorLoop(socket, tenant)
-			}
-		}
-	}
+	s.startControlLoops(0)
 
 	// Drain watchdog: after arrivals stop, the run should drain within the
 	// grace window. A worker that can never retire (a hung device with the
@@ -540,71 +483,78 @@ func (s *System) Run() (*Report, error) {
 	return s.report(), nil
 }
 
-// startALBLoops registers one (socket, tenant) controller's observe and
-// update loops. Used at Run start for the initial tenant set and at admit
-// commit for the new tenant; both loops stop rescheduling once the tenant is
-// evicted (tenants present at construction are active for the whole run, so
-// plan-free timelines are untouched).
-func (s *System) startALBLoops(socket, tenant int, ctl *lb.Controller) {
-	var lastPkts uint64
-	var lastT simtime.Time
-	var observe func()
-	observe = func() {
-		if !s.tstate[tenant].active {
-			return
-		}
-		now := s.eng.Now()
-		pkts := s.tenantTxPackets(socket, tenant)
-		if now > lastT {
-			ctl.Observe(float64(pkts-lastPkts) / (now - lastT).Seconds())
-		}
-		lastPkts, lastT = pkts, now
-		if now < s.stopTime {
-			s.eng.After(s.cfg.ALBObserve, observe)
+// startControlLoops arms the ALB and governor loops of tenants [from,
+// len(tenants)): every boot-time tenant at Run start, the new tenant at an
+// admit commit. Socket-major, tenant-minor registration — ALB loops first,
+// governor loops after, the latter only when overload control is armed —
+// fixes the same-tick firing order, so runs without those planes keep their
+// exact event timeline (and their golden trace digests).
+func (s *System) startControlLoops(from int) {
+	for socket := range s.controllers {
+		for tenant := from; tenant < len(s.tenants); tenant++ {
+			if ctl := s.controllers[socket][tenant]; ctl != nil {
+				s.startALBLoops(socket, tenant, ctl)
+			}
 		}
 	}
-	s.eng.After(s.cfg.ALBObserve, observe)
-
-	var lastFails uint64
-	var update func()
-	update = func() {
-		if !s.tstate[tenant].active {
-			return
-		}
-		// Completion failures since the last step steer the controller:
-		// a failing device forces W toward the CPU regardless of the
-		// throughput signal.
-		fails := s.tenantTaskFailures(socket, tenant)
-		ctl.NoteTaskFailures(int(fails - lastFails))
-		lastFails = fails
-		if ctl.Bound > 0 {
-			ctl.UpdateWithLatency(s.tenantRecentP99(socket, tenant))
-		} else {
-			ctl.Update()
-		}
-		if s.eng.Now() < s.stopTime {
-			s.eng.After(s.cfg.ALBUpdate, update)
+	for socket := range s.governors {
+		for tenant := from; tenant < len(s.tenants); tenant++ {
+			var prev stats.Counters
+			s.tenantLoop(tenant, s.cfg.Overload.GovernorWindow, func() {
+				s.governorTick(socket, tenant, &prev)
+			})
 		}
 	}
-	s.eng.After(s.cfg.ALBUpdate, update)
 }
 
-// startGovernorLoop registers one (socket, tenant) overload-governor tick
-// loop (see startALBLoops for the lifecycle gating).
-func (s *System) startGovernorLoop(socket, tenant int) {
-	oc := s.cfg.Overload
-	var prevDrops, prevShed uint64
+// tenantLoop runs fn every period for as long as the tenant is in service
+// and arrivals continue: it stops re-arming once the tenant is evicted
+// (boot-time tenants of plan-free runs are active throughout) or the run
+// reaches stopTime.
+func (s *System) tenantLoop(tenant int, period simtime.Time, fn func()) {
 	var tick func()
 	tick = func() {
 		if !s.tstate[tenant].active {
 			return
 		}
-		s.governorTick(socket, tenant, &prevDrops, &prevShed)
+		fn()
 		if s.eng.Now() < s.stopTime {
-			s.eng.After(oc.GovernorWindow, tick)
+			s.eng.After(period, tick)
 		}
 	}
-	s.eng.After(oc.GovernorWindow, tick)
+	s.eng.After(period, tick)
+}
+
+// startALBLoops registers one (socket, tenant) controller's loops: observe
+// the tenant's socket throughput, and update its shared W.
+func (s *System) startALBLoops(socket, tenant int, ctl *lb.Controller) {
+	// What the previous firing of each loop saw.
+	var last struct {
+		pkts, fails uint64
+		at          simtime.Time
+	}
+	s.tenantLoop(tenant, s.cfg.ALBObserve, func() {
+		now := s.eng.Now()
+		pkts := s.tenantCounters(socket, tenant).TxPackets
+		if now > last.at {
+			ctl.Observe(float64(pkts-last.pkts) / (now - last.at).Seconds())
+		}
+		last.pkts, last.at = pkts, now
+	})
+	s.tenantLoop(tenant, s.cfg.ALBUpdate, func() {
+		// Completion failures since the last step steer the controller:
+		// a failing device forces W toward the CPU regardless of the
+		// throughput signal.
+		c := s.tenantCounters(socket, tenant)
+		fails := c.FailedTasks + c.TimedOutTasks
+		ctl.NoteTaskFailures(int(fails - last.fails))
+		last.fails = fails
+		if ctl.Bound > 0 {
+			ctl.UpdateWithLatency(s.tenantRecentP99(socket, tenant))
+		} else {
+			ctl.Update()
+		}
+	})
 }
 
 // reconfigDrainPoll is the cadence at which an in-flight epoch re-evaluates
@@ -666,10 +616,8 @@ func (s *System) beginEpoch(ev reconfig.Event) {
 		target = int64(ev.Port)
 		payload = int64(ev.Capacity)
 	}
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.EmitT(now, trace.KindReconfigBegin, -1, tenant, ev.Kind.String(),
-			int64(s.rcEpoch), int64(ev.Kind), target, payload)
-	}
+	s.cfg.Tracer.EmitT(now, trace.KindReconfigBegin, -1, tenant, ev.Kind.String(),
+		int64(s.rcEpoch), int64(ev.Kind), target, payload)
 	s.pollEpochDrain()
 }
 
@@ -821,21 +769,20 @@ func (s *System) commitEpoch() {
 	if s.rcForced {
 		forced = 1
 	}
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.Emit(now, trace.KindReconfigDrain, -1, ev.Kind.String(),
-			int64(s.rcEpoch), int64(now-s.rcBegin), int64(s.rcRescued), forced)
-		tr.EmitT(now, trace.KindReconfigCommit, -1, tenant, ev.Kind.String(),
-			int64(s.rcEpoch), int64(ev.Kind), target, int64(reseated))
-	}
+	s.cfg.Tracer.Emit(now, trace.KindReconfigDrain, -1, ev.Kind.String(),
+		int64(s.rcEpoch), int64(now-s.rcBegin), int64(s.rcRescued), forced)
+	s.cfg.Tracer.EmitT(now, trace.KindReconfigCommit, -1, tenant, ev.Kind.String(),
+		int64(s.rcEpoch), int64(ev.Kind), target, int64(reseated))
 	if sealTenant >= 0 {
 		s.cfg.Tracer.SealTenantDigest(sealTenant)
 		if !s.rcOrphaned {
 			// Epoch-boundary conservation: with the tenant's lanes and
-			// queues drained, every packet its queues ever delivered is
-			// already transmitted, dropped or shed — the evicted tenant's
-			// mempool footprint is provably returned.
-			d, tx, dr, sh, qr := s.tenantTotals(sealTenant)
-			s.cfg.Checker.EpochConservation(now, s.rcEpoch, s.tenants[sealTenant].Name, d, tx, dr, sh, qr)
+			// queues drained, every packet its queues ever delivered has
+			// met its disposition — the evicted tenant's mempool footprint
+			// is provably returned.
+			s.cfg.Checker.Conservation(now, invariant.CheckEpochConservation,
+				fmt.Sprintf("epoch %d tenant %s: ", s.rcEpoch, s.tenants[sealTenant].Name),
+				s.tenantCounters(-1, sealTenant))
 		}
 	}
 	s.rcActive = false
@@ -850,11 +797,8 @@ func (s *System) commitEpoch() {
 	}
 }
 
-// admitTenant installs a latent tenant into slot len(tenants) at admit
-// commit: NodeLocal rows, tenant-major RX queues, one lane per worker, a
-// controller and governor per socket, a fresh per-tenant trace digest, a
-// re-split share vector and its own control loops — everything a
-// construction-time tenant gets, in the same order.
+// admitTenant puts a latent tenant into service at admit commit and arms
+// its control loops.
 func (s *System) admitTenant(ev reconfig.Event, now simtime.Time) int {
 	li, ok := s.latentIdx[ev.Tenant]
 	if !ok {
@@ -864,71 +808,13 @@ func (s *System) admitTenant(ev reconfig.Event, now simtime.Time) int {
 	if ev.Share > 0 {
 		tn.Share = ev.Share
 	}
-	t := len(s.tenants)
-	s.tenants = append(s.tenants, tn)
-	s.tstate = append(s.tstate, tenantLifecycle{active: true, admitted: now})
-	s.shareFrac = append(s.shareFrac, 0)
-	s.parsed = append(s.parsed, s.latentParsed[li])
-	s.curGens = append(s.curGens, tn.Generator)
-	for socket := range s.nodeLocals {
-		s.nodeLocals[socket] = append(s.nodeLocals[socket], element.NewNodeLocal())
+	t, err := s.installTenant(tn, s.latentParsed[li], now)
+	if err != nil {
+		// Latent graphs are trial-built at construction; failing here is
+		// a programming bug, not a plan-authoring error.
+		panic(fmt.Sprintf("core: admit %q: %v", ev.Tenant, err))
 	}
-	// Queues before lanes: the tenant-major append puts the new tenant's
-	// queue for local worker wi at index t*WorkersPerSocket+wi on every
-	// port, exactly where buildLane looks.
-	for _, port := range s.ports {
-		for wi := 0; wi < s.cfg.WorkersPerSocket; wi++ {
-			q := port.AddQueue(now, netio.QueueSpec{Tenant: int32(t), Gen: tn.Generator}, s.cfg.Topology.RxQueueCapacity)
-			q.SetStop(s.stopTime)
-			//nbalint:allow sharedstate admit-epoch wiring of a queue born on the serial engine; NewSystem's writes ran before Run started
-			q.Tracer = s.cfg.Tracer
-			//nbalint:allow sharedstate admit-epoch wiring of a queue born on the serial engine; NewSystem's writes ran before Run started
-			q.Checker = s.cfg.Checker
-		}
-	}
-	for _, w := range s.workers {
-		ln, err := w.buildLane(t)
-		if err != nil {
-			// Latent graphs are trial-built at construction; failing here is
-			// a programming bug, not a plan-authoring error.
-			panic(fmt.Sprintf("core: admit %q: %v", ev.Tenant, err))
-		}
-		w.lanes = append(w.lanes, ln)
-	}
-	for socket := range s.controllers {
-		var ctl *lb.Controller
-		if st, ok := s.nodeLocals[socket][t].Get(lb.StateKey).(*lb.State); ok && st.AdaptiveUsers > 0 {
-			ctl = lb.NewController(st)
-			// The controller is born on the serial engine during an admit
-			// epoch; NewSystem wires the same fields for boot-time tenants,
-			// but those writes ran before Run started — never concurrently.
-			ctl.Bound = s.cfg.ALBLatencyBound //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.Tracer = s.cfg.Tracer         //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.TraceNow = s.eng.Now          //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.TraceActor = int32(socket)    //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.TraceTenant = int32(t)        //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.Checker = s.cfg.Checker       //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-		}
-		s.controllers[socket] = append(s.controllers[socket], ctl)
-	}
-	if s.cfg.Overload != nil {
-		for socket := range s.governors {
-			s.governors[socket] = append(s.governors[socket], overload.NewGovernor(*s.cfg.Overload))
-		}
-	}
-	s.cfg.Tracer.EnsureTenantDigests(len(s.tenants))
-	s.recomputeShares()
-	s.applyRate()
-	for socket := range s.controllers {
-		if ctl := s.controllers[socket][t]; ctl != nil {
-			s.startALBLoops(socket, t, ctl)
-		}
-	}
-	if s.cfg.Overload != nil {
-		for socket := range s.governors {
-			s.startGovernorLoop(socket, t)
-		}
-	}
+	s.startControlLoops(t)
 	return t
 }
 
@@ -975,33 +861,24 @@ func (s *System) socketHasPluggedDevice(socket int) bool {
 	return false
 }
 
-// tenantTotals sums one tenant's sides of the conservation identity across
-// all its queues and lanes (cumulative over the run so far).
-func (s *System) tenantTotals(t int) (delivered, tx, drops, shed, quarantined uint64) {
-	for _, p := range s.ports {
-		for _, q := range p.Rx {
-			if int(q.Tenant) != t {
-				continue
-			}
-			d, _, _ := q.Stats()
-			delivered += d
+// tenantCounters sums one tenant's lane accounting views (cumulative over
+// the run so far) on one socket, or on every socket when socket < 0.
+func (s *System) tenantCounters(socket, tenant int) stats.Counters {
+	var c stats.Counters
+	for _, w := range s.workers {
+		if socket < 0 || w.socket == socket {
+			c.Add(w.lanes[tenant].counters())
 		}
 	}
-	for _, w := range s.workers {
-		ln := w.lanes[t]
-		tx += ln.txPackets
-		drops += ln.graphDrops()
-		shed += ln.shedPkts
-		quarantined += ln.quarantinedPkts
-	}
-	return delivered, tx, drops, shed, quarantined
+	return c
 }
 
 // governorTick runs one overload-governor window for a (socket, tenant):
 // observe saturation (bounded device queue full or backlogged = device-side,
 // shared across tenants; that tenant's RX drops or sheds still accruing =
 // CPU-side) and apply the resulting degradation level to the tenant alone.
-func (s *System) governorTick(socket, tenant int, prevDrops, prevShed *uint64) {
+// prev is the tenant's accounting table as of the previous window.
+func (s *System) governorTick(socket, tenant int, prev *stats.Counters) {
 	oc := s.cfg.Overload
 	g := s.governors[socket][tenant]
 	now := s.eng.Now()
@@ -1018,10 +895,10 @@ func (s *System) governorTick(socket, tenant int, prevDrops, prevShed *uint64) {
 			break
 		}
 	}
-	drops := s.tenantRxDropped(socket, tenant)
-	shed := s.tenantShed(socket, tenant)
-	cpuSat := drops > *prevDrops || shed > *prevShed
-	*prevDrops, *prevShed = drops, shed
+	cur := s.tenantCounters(socket, tenant)
+	cpuSat := cur.RxDropped > prev.RxDropped ||
+		cur.ShedPackets+cur.RejectedTasks > prev.ShedPackets+prev.RejectedTasks
+	*prev = cur
 
 	old := g.Level()
 	lvl, changed := g.Observe(devSat || cpuSat)
@@ -1045,10 +922,8 @@ func (s *System) governorTick(socket, tenant int, prevDrops, prevShed *uint64) {
 				s.emitBias(socket, tenant, 0, 1, devSat, cpuSat)
 			}
 		}
-		if tr := s.cfg.Tracer; tr != nil {
-			tr.EmitT(now, trace.KindOverloadLevel, int32(socket), int32(tenant), lvl.String(),
-				int64(lvl), int64(old), b2i(devSat), b2i(cpuSat))
-		}
+		s.cfg.Tracer.EmitT(now, trace.KindOverloadLevel, int32(socket), int32(tenant), lvl.String(),
+			int64(lvl), int64(old), b2i(devSat), b2i(cpuSat))
 	}
 	// Bias ratchet: each saturated window at LevelBias and above with an
 	// unambiguous direction moves the weight bound one step toward the
@@ -1076,21 +951,17 @@ func (s *System) noteIntegrity(w *worker, it *inflightTask, match bool) {
 	dev := it.dev
 	devIdx := int(dev.TraceActor)
 	mismatch := !match
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.EmitT(now, trace.KindIntegrityCheck, int32(w.id), it.ln.tenant, dev.Name,
-			int64(it.task.ID), int64(it.pending.NPkts), b2i(mismatch), int64(devIdx))
-	}
+	s.cfg.Tracer.EmitT(now, trace.KindIntegrityCheck, int32(w.id), it.ln.tenant, dev.Name,
+		int64(it.task.ID), int64(it.pending.NPkts), b2i(mismatch), int64(devIdx))
 	action := s.integrityTracker.Observe(devIdx, mismatch)
 	if mismatch {
 		if !s.mismatchSeen {
 			s.mismatchSeen = true
 			s.firstMismatchAt = now
 		}
-		if tr := s.cfg.Tracer; tr != nil {
-			tr.EmitT(now, trace.KindIntegrityMismatch, int32(w.id), it.ln.tenant, dev.Name,
-				int64(it.task.ID), int64(it.pending.NPkts),
-				int64(math.Float64bits(s.integrityTracker.Score(devIdx))), int64(devIdx))
-		}
+		s.cfg.Tracer.EmitT(now, trace.KindIntegrityMismatch, int32(w.id), it.ln.tenant, dev.Name,
+			int64(it.task.ID), int64(it.pending.NPkts),
+			int64(math.Float64bits(s.integrityTracker.Score(devIdx))), int64(devIdx))
 	}
 	switch action {
 	case integrity.ActionDemote:
@@ -1149,22 +1020,16 @@ func (s *System) probeDevice(devIdx int) {
 // emitIntegrityEscalation emits one integrity.demote trace record (phase 0 =
 // ALB demotion, 1 = fail-stop, 2 = probe re-admit).
 func (s *System) emitIntegrityEscalation(now simtime.Time, devIdx int, phase int64) {
-	tr := s.cfg.Tracer
-	if tr == nil {
-		return
-	}
 	socket := s.cfg.Topology.Devices[devIdx].Socket
-	tr.Emit(now, trace.KindIntegrityDemote, int32(socket), s.devices[devIdx].Name,
+	s.cfg.Tracer.Emit(now, trace.KindIntegrityDemote, int32(socket), s.devices[devIdx].Name,
 		phase, int64(math.Float64bits(s.integrityTracker.Score(devIdx))),
 		int64(s.integrityTracker.Consecutive(devIdx)), int64(devIdx))
 }
 
 func (s *System) emitBias(socket, tenant int, lo, hi float64, devSat, cpuSat bool) {
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.EmitT(s.eng.Now(), trace.KindOverloadBias, int32(socket), int32(tenant), "bias",
-			int64(math.Float64bits(lo)), int64(math.Float64bits(hi)),
-			b2i(devSat), b2i(cpuSat))
-	}
+	s.cfg.Tracer.EmitT(s.eng.Now(), trace.KindOverloadBias, int32(socket), int32(tenant), "bias",
+		int64(math.Float64bits(lo)), int64(math.Float64bits(hi)),
+		b2i(devSat), b2i(cpuSat))
 }
 
 func b2i(b bool) int64 {
@@ -1172,35 +1037,6 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// tenantRxDropped sums cumulative RX overflow + alloc-failure drops over one
-// tenant's queues on the socket's ports.
-func (s *System) tenantRxDropped(socket, tenant int) uint64 {
-	var total uint64
-	for _, pid := range s.cfg.Topology.PortsOnSocket(socket) {
-		for _, q := range s.ports[pid].Rx {
-			if int(q.Tenant) != tenant {
-				continue
-			}
-			_, dr, af := q.Stats()
-			total += dr + af
-		}
-	}
-	return total
-}
-
-// tenantShed sums cumulative overload-control activity (shed packets plus
-// admission rejections) over one tenant's lanes on a socket.
-func (s *System) tenantShed(socket, tenant int) uint64 {
-	var total uint64
-	for _, w := range s.workers {
-		if w.socket == socket {
-			ln := w.lanes[tenant]
-			total += ln.shedPkts + ln.rejectedTasks
-		}
-	}
-	return total
 }
 
 // tenantRecentP99 merges and resets one tenant's per-lane latency windows on
@@ -1217,57 +1053,19 @@ func (s *System) tenantRecentP99(socket, tenant int) simtime.Time {
 	return merged.Percentile(99)
 }
 
-func (s *System) tenantTxPackets(socket, tenant int) uint64 {
-	var total uint64
-	for _, w := range s.workers {
-		if w.socket == socket {
-			total += w.lanes[tenant].txPackets
-		}
-	}
-	return total
-}
-
-// tenantTaskFailures counts failed plus timed-out offload tasks across one
-// tenant's lanes on a socket (cumulative).
-func (s *System) tenantTaskFailures(socket, tenant int) uint64 {
-	var total uint64
-	for _, w := range s.workers {
-		if w.socket == socket {
-			ln := w.lanes[tenant]
-			total += ln.failedTasks + ln.timedOutTasks
-		}
-	}
-	return total
-}
-
-// TenantReport is one tenant's slice of a run: the per-tenant sides of the
-// conservation identity, its latency distribution, its replay-stable trace
+// TenantReport is one tenant's slice of a run: its accounting table (the sum
+// of its lanes), its latency distribution, its replay-stable trace
 // sub-digest and its SLO verdict.
 type TenantReport struct {
 	// Name is the tenant's configured name ("" for the implicit tenant of
 	// a single-app run).
 	Name string
-	// RxDelivered / RxDropped / AllocFailed aggregate the tenant's queues
-	// over the whole run.
-	RxDelivered uint64
-	RxDropped   uint64
-	AllocFailed uint64
-	// TxPackets + GraphDrops + ShedPackets + QuarantinedPackets must equal
-	// RxDelivered for a drained run (the per-tenant conservation identity).
-	TxPackets          uint64
-	GraphDrops         uint64
-	ShedPackets        uint64
-	QuarantinedPackets uint64
+	// Counters is the tenant's packet accounting over the whole run; a
+	// drained run satisfies Conserved() per tenant.
+	stats.Counters
 	// TxGbps is the tenant's transmitted wire throughput over the
 	// measurement window.
 	TxGbps float64
-	// OffloadedPackets / FallbackPackets / FailedTasks / TimedOutTasks /
-	// RejectedTasks are the tenant's offload-path counters.
-	OffloadedPackets uint64
-	FallbackPackets  uint64
-	FailedTasks      uint64
-	TimedOutTasks    uint64
-	RejectedTasks    uint64
 	// Latency is the tenant's end-to-end latency distribution over the
 	// measurement window.
 	Latency stats.Hist
@@ -1301,11 +1099,10 @@ type Report struct {
 	TxPPS float64
 	// PerPortGbps is the per-port TX breakdown.
 	PerPortGbps []float64
-	// RxDelivered / RxDropped / AllocFailed aggregate NIC statistics over
-	// the whole run (including warmup).
-	RxDelivered uint64
-	RxDropped   uint64
-	AllocFailed uint64
+	// Counters is the run's packet accounting (the sum of Tenants[i].Counters)
+	// over the whole run including warmup; a drained run satisfies
+	// Conserved().
+	stats.Counters
 	// Latency is the end-to-end latency distribution of packets
 	// transmitted during the measurement window.
 	Latency stats.Hist
@@ -1316,31 +1113,6 @@ type Report struct {
 	LBTrace []lb.TracePoint
 	// DeviceStats snapshots each accelerator.
 	DeviceStats []gpu.Stats
-	// GraphDrops counts packets dropped inside pipelines (all workers).
-	GraphDrops uint64
-	// TxPackets counts packets transmitted over the whole run (including
-	// warmup), the TX side of the conservation identity
-	// RxDelivered == TxPackets + GraphDrops + ShedPackets.
-	TxPackets uint64
-	// OffloadedPackets counts packets processed via accelerators.
-	OffloadedPackets uint64
-	// FallbackPackets counts packets rescued onto the CPU after their
-	// offload task failed or timed out (subset of OffloadedPackets).
-	FallbackPackets uint64
-	// FailedTasks / TimedOutTasks count the worker-observed offload-task
-	// failures behind those rescues.
-	FailedTasks   uint64
-	TimedOutTasks uint64
-	// ShedPackets counts packets dropped by overload control (CoDel sojourn
-	// shedding plus admission-rejected aggregates at LevelShed). Part of the
-	// conservation identity RxDelivered == TxPackets + GraphDrops + Shed +
-	// Quarantined.
-	ShedPackets uint64
-	// QuarantinedPackets counts packets discarded because sentinel
-	// re-execution disagreed with the device's results (never transmitted,
-	// never resumed). Part of the conservation identity; zero when
-	// Config.Integrity is nil.
-	QuarantinedPackets uint64
 	// IntegrityChecks / CorruptionDetected count sentinel re-executions and
 	// the mismatches among them across all workers.
 	IntegrityChecks    uint64
@@ -1352,9 +1124,6 @@ type Report struct {
 	// (detection latency relative to the corruption window's start); zero
 	// when CorruptionDetected is zero.
 	FirstMismatchAt simtime.Time
-	// RejectedTasks counts device submissions refused by admission control
-	// (the bounded task queue was full), whether rescued or shed.
-	RejectedTasks uint64
 	// RxBacklogHWM is the deepest RX-ring backlog observed on any queue.
 	RxBacklogHWM uint64
 	// WorkerInflightHWM is the most outstanding device tasks any worker had.
@@ -1407,29 +1176,14 @@ func (s *System) report() *Report {
 		r.TxGbps += stats.Gbps(bps)
 		r.TxPPS += pps
 		r.PerPortGbps = append(r.PerPortGbps, stats.Gbps(bps))
-		d, dr, af := p.RxStats()
-		r.RxDelivered += d
-		r.RxDropped += dr
-		r.AllocFailed += af
 		for _, q := range p.Rx {
 			if h := q.HighWatermark(); h > r.RxBacklogHWM {
 				r.RxBacklogHWM = h
 			}
 		}
 	}
+	s.tenantReports(r)
 	for _, w := range s.workers {
-		for _, ln := range w.lanes {
-			r.Latency.Merge(&ln.latency)
-			r.GraphDrops += ln.graphDrops()
-			r.TxPackets += ln.txPackets
-			r.OffloadedPackets += ln.offloadedPkts
-			r.FallbackPackets += ln.fallbackPkts
-			r.FailedTasks += ln.failedTasks
-			r.TimedOutTasks += ln.timedOutTasks
-			r.ShedPackets += ln.shedPkts
-			r.RejectedTasks += ln.rejectedTasks
-			r.QuarantinedPackets += ln.quarantinedPkts
-		}
 		if w.sentinel != nil {
 			r.IntegrityChecks += w.sentinel.Checks
 			r.CorruptionDetected += w.sentinel.Mismatches
@@ -1492,12 +1246,13 @@ func (s *System) report() *Report {
 			}
 		}
 	}
-	s.tenantReports(r)
 	s.endOfRunChecks(r)
 	return r
 }
 
-// tenantReports fills the per-tenant breakdown.
+// tenantReports fills the per-tenant breakdown — each tenant's accounting
+// table is the sum of its lanes' views — and from it the run-level table and
+// latency distribution: the report is derived lane → tenant → run.
 func (s *System) tenantReports(r *Report) {
 	r.Tenants = make([]TenantReport, len(s.tenants))
 	measured := r.Measured.Seconds()
@@ -1505,29 +1260,10 @@ func (s *System) tenantReports(r *Report) {
 		tr := &r.Tenants[t]
 		tr.Name = s.tenants[t].Name
 		tr.SLOP999 = s.tenants[t].SLOP999
-		for _, p := range s.ports {
-			for _, q := range p.Rx {
-				if int(q.Tenant) != t {
-					continue
-				}
-				d, dr, af := q.Stats()
-				tr.RxDelivered += d
-				tr.RxDropped += dr
-				tr.AllocFailed += af
-			}
-		}
+		tr.Counters = s.tenantCounters(-1, t)
 		var wireBytes uint64
 		for _, w := range s.workers {
 			ln := w.lanes[t]
-			tr.TxPackets += ln.txPackets
-			tr.GraphDrops += ln.graphDrops()
-			tr.ShedPackets += ln.shedPkts
-			tr.QuarantinedPackets += ln.quarantinedPkts
-			tr.OffloadedPackets += ln.offloadedPkts
-			tr.FallbackPackets += ln.fallbackPkts
-			tr.FailedTasks += ln.failedTasks
-			tr.TimedOutTasks += ln.timedOutTasks
-			tr.RejectedTasks += ln.rejectedTasks
 			tr.Latency.Merge(&ln.latency)
 			wireBytes += ln.txWireBytesMeasured
 		}
@@ -1546,6 +1282,8 @@ func (s *System) tenantReports(r *Report) {
 		tr.Evicted = s.tstate[t].evicted
 		tr.EvictedAt = s.tstate[t].evictedAt
 		tr.Digest = s.cfg.Tracer.TenantDigest(t)
+		r.Counters.Add(tr.Counters)
+		r.Latency.Merge(&tr.Latency)
 	}
 }
 
@@ -1599,13 +1337,13 @@ func (s *System) endOfRunChecks(r *Report) {
 	// globally and within each tenant, so no tenant's loss can hide behind a
 	// co-tenant's surplus.
 	if drained {
-		ck.Conservation(now, r.RxDelivered, r.TxPackets, r.GraphDrops, r.ShedPackets, r.QuarantinedPackets)
+		ck.Conservation(now, invariant.CheckConservation, "", r.Counters)
 		for _, tr := range r.Tenants {
 			name := tr.Name
 			if name == "" {
 				name = "t0"
 			}
-			ck.TenantConservation(now, name, tr.RxDelivered, tr.TxPackets, tr.GraphDrops, tr.ShedPackets, tr.QuarantinedPackets)
+			ck.Conservation(now, invariant.CheckTenantConservation, "tenant "+name+": ", tr.Counters)
 		}
 	}
 	for i, d := range s.devices {

@@ -7,6 +7,7 @@ import (
 	"nba/internal/invariant"
 	"nba/internal/par"
 	"nba/internal/simtime"
+	"nba/internal/stats"
 	"nba/internal/sysinfo"
 	"nba/internal/trace"
 )
@@ -56,11 +57,10 @@ func TestMultiTenantConservationAcrossApps(t *testing.T) {
 	if len(r.Tenants) != 4 {
 		t.Fatalf("got %d tenant reports, want 4", len(r.Tenants))
 	}
-	if r.RxDelivered != r.TxPackets+r.GraphDrops+r.ShedPackets {
-		t.Errorf("global conservation broken: delivered %d != tx %d + graph %d + shed %d",
-			r.RxDelivered, r.TxPackets, r.GraphDrops, r.ShedPackets)
+	if !r.Conserved() {
+		t.Errorf("global conservation broken: %+v", r.Counters)
 	}
-	var sumRx, sumTx, sumDrop, sumShed uint64
+	var sum stats.Counters
 	for i, tr := range r.Tenants {
 		if tr.Name != fourTenants()[i].Name {
 			t.Errorf("tenant %d: name %q, want %q", i, tr.Name, fourTenants()[i].Name)
@@ -68,21 +68,16 @@ func TestMultiTenantConservationAcrossApps(t *testing.T) {
 		if tr.RxDelivered == 0 || tr.TxPackets == 0 {
 			t.Errorf("tenant %s: no traffic (delivered %d, tx %d)", tr.Name, tr.RxDelivered, tr.TxPackets)
 		}
-		if tr.RxDelivered != tr.TxPackets+tr.GraphDrops+tr.ShedPackets {
-			t.Errorf("tenant %s conservation broken: delivered %d != tx %d + graph %d + shed %d",
-				tr.Name, tr.RxDelivered, tr.TxPackets, tr.GraphDrops, tr.ShedPackets)
+		if !tr.Conserved() {
+			t.Errorf("tenant %s conservation broken: %+v", tr.Name, tr.Counters)
 		}
 		if tr.Digest == "" {
 			t.Errorf("tenant %s: empty trace digest despite an attached tracer", tr.Name)
 		}
-		sumRx += tr.RxDelivered
-		sumTx += tr.TxPackets
-		sumDrop += tr.GraphDrops
-		sumShed += tr.ShedPackets
+		sum.Add(tr.Counters)
 	}
-	if sumRx != r.RxDelivered || sumTx != r.TxPackets || sumDrop != r.GraphDrops || sumShed != r.ShedPackets {
-		t.Errorf("tenant sums (%d/%d/%d/%d) != global (%d/%d/%d/%d): packets changed tenant mid-flight",
-			sumRx, sumTx, sumDrop, sumShed, r.RxDelivered, r.TxPackets, r.GraphDrops, r.ShedPackets)
+	if sum != r.Counters {
+		t.Errorf("tenant sums %+v != global %+v: packets changed tenant mid-flight", sum, r.Counters)
 	}
 	// The higher-share tenants carry higher offered load: ipv4 (share 2)
 	// must see roughly 4x the arrivals of ids (share 0.5).
@@ -190,11 +185,8 @@ func TestSingleTenantMatchesLegacyRun(t *testing.T) {
 	if a, b := legacy.Tracer.Digest(), tenant.Tracer.Digest(); a != b {
 		t.Errorf("single-tenant run diverged from legacy run:\nlegacy %s\ntenant %s", a, b)
 	}
-	if lr.RxDelivered != tr.RxDelivered || lr.TxPackets != tr.TxPackets ||
-		lr.GraphDrops != tr.GraphDrops || lr.ShedPackets != tr.ShedPackets {
-		t.Errorf("report counters diverged: legacy %d/%d/%d/%d, tenant %d/%d/%d/%d",
-			lr.RxDelivered, lr.TxPackets, lr.GraphDrops, lr.ShedPackets,
-			tr.RxDelivered, tr.TxPackets, tr.GraphDrops, tr.ShedPackets)
+	if lr.Counters != tr.Counters {
+		t.Errorf("report counters diverged: legacy %+v, tenant %+v", lr.Counters, tr.Counters)
 	}
 	if len(tr.Tenants) != 1 || tr.Tenants[0].RxDelivered != tr.RxDelivered {
 		t.Errorf("single-tenant report section wrong: %+v", tr.Tenants)

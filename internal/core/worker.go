@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nba/internal/batch"
+	"nba/internal/conflang"
 	"nba/internal/element"
 	"nba/internal/gpu"
 	"nba/internal/graph"
@@ -79,29 +80,34 @@ type lane struct {
 	codel   overload.CoDel
 	codelOn bool
 
-	// Stats.
-	txPackets           uint64
+	// ctr is the lane's own slice of the accounting table: everything except
+	// the RX-queue statistics and the per-node drop counts, which counters()
+	// folds in. Its GraphDrops holds only packets the framework dropped
+	// outside any element (batch alloc failure, offload misconfiguration).
+	ctr                 stats.Counters
 	txWireBytesMeasured uint64 // wire bytes transmitted inside the measurement window
 	latency             stats.Hist
 	recentLat           stats.Hist // since the last ALB update (bounded-latency LB)
 	latencySkip         int
-	offloadedPkts       uint64
-	splitDropped        uint64 // packets dropped by the framework outside any element (batch alloc failure, offload misconfig)
-	fallbackPkts        uint64 // packets rescued onto the CPU after a task failure/timeout
-	failedTasks         uint64 // tasks completed by the device as failed
-	timedOutTasks       uint64 // tasks rescued by the completion timeout
-	shedPkts            uint64 // packets dropped by overload control (CoDel or admission shed)
-	rejectedTasks       uint64 // device submissions refused by admission control
-	quarantinedPkts     uint64 // packets discarded because sentinel re-execution disagreed with the device
 }
 
-// graphDrops sums packets dropped inside this lane's pipeline.
-func (ln *lane) graphDrops() uint64 {
-	total := ln.splitDropped + ln.g.DropUnrouted
-	for _, n := range ln.g.Nodes {
-		total += n.Dropped
+// counters returns the lane's full accounting view: its own table plus its
+// RX queues' NIC statistics and its pipeline's node drops. Each queue and
+// each graph replica belongs to exactly one lane, so summing lane views
+// never double-counts.
+func (ln *lane) counters() stats.Counters {
+	c := ln.ctr
+	for _, q := range ln.rxqs {
+		d, dr, af := q.Stats()
+		c.RxDelivered += d
+		c.RxDropped += dr
+		c.AllocFailed += af
 	}
-	return total
+	c.GraphDrops += ln.g.DropUnrouted
+	for _, n := range ln.g.Nodes {
+		c.GraphDrops += n.Dropped
+	}
+	return c
 }
 
 // worker is one worker thread: a replicated pipeline per tenant on its own
@@ -114,9 +120,7 @@ type worker struct {
 	id     int // global worker ID
 	socket int
 	local  int // index among the socket's workers (selects RX queues)
-	// localPorts / localDevs are the socket's port and device index sets,
-	// kept so lanes admitted at runtime build exactly like construction-time
-	// ones.
+	// localPorts / localDevs are the socket's port and device index sets.
 	localPorts []int
 	localDevs  []int
 
@@ -157,7 +161,9 @@ type worker struct {
 	iterateFn func()
 }
 
-func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) (*worker, error) {
+// newWorker builds a lane-less worker; System.installTenant adds one lane per
+// tenant.
+func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *worker {
 	w := &worker{
 		sys:        s,
 		id:         id,
@@ -166,15 +172,7 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) (*
 		localPorts: localPorts,
 		localDevs:  localDevs,
 	}
-	for t := range s.tenants {
-		ln, err := w.buildLane(t)
-		if err != nil {
-			return nil, err
-		}
-		w.lanes = append(w.lanes, ln)
-	}
-	w.cur = w.lanes[0]
-	w.wrr = sched.NewWRR(s.shareFrac)
+	w.wrr = sched.NewWRR(nil) // installTenant re-splits it as lanes arrive
 	if len(localDevs) > 0 {
 		w.sockDev = s.devices[localDevs[0]]
 	}
@@ -185,15 +183,13 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) (*
 		w.sentinel = integrity.NewSentinel(s.cfg.Integrity, s.newSentinelRand(id))
 	}
 	w.iterateFn = w.iterate
-	return w, nil
+	return w
 }
 
-// buildLane constructs one tenant lane exactly as construction time does, so
-// a lane admitted mid-run (tenant.admit epoch commit) is indistinguishable
-// from one a fresh run with that tenant set would have built. The tenant's
-// parsed graph, NodeLocal rows and tenant-major RX queues must already be in
-// place at index t.
-func (w *worker) buildLane(t int) (*lane, error) {
+// buildLane constructs tenant t's lane on this worker from the tenant's
+// parsed graph. The tenant's NodeLocal rows and tenant-major RX queues must
+// already be in place at index t.
+func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 	s := w.sys
 	ln := &lane{tenant: int32(t), active: true}
 	cctx := &element.ConfigContext{
@@ -204,7 +200,7 @@ func (w *worker) buildLane(t int) (*lane, error) {
 		NumDevices: len(w.localDevs),
 		Rand:       s.newLaneRand(w.id, int32(t)),
 	}
-	g, err := graph.Build(s.parsed[t], cctx, s.cfg.CostModel, *s.cfg.GraphOpts)
+	g, err := graph.Build(parsed, cctx, s.cfg.CostModel, *s.cfg.GraphOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: worker %d tenant %d: %w", w.id, t, err)
 	}
@@ -370,15 +366,17 @@ func (w *worker) iterate() {
 	w.sys.eng.After(next, w.iterateFn)
 }
 
-// laneDrained is the epoch drain predicate for one lane: no outstanding
-// device tasks or unprocessed completions, no pending aggregates, and every
-// live RX queue empty. It intentionally mirrors done()'s per-lane terms.
+// laneDrained is the drain predicate for one lane, shared by worker
+// retirement and the evict epoch: no outstanding device tasks, no pending
+// aggregates, and every live RX queue empty.
 func (w *worker) laneDrained(t int, now simtime.Time) bool {
 	ln := w.lanes[t]
 	if ln.inflightTasks > 0 || ln.agg.PendingCount() > 0 {
 		return false
 	}
 	for _, q := range ln.rxqs {
+		// A queue still flapped down can never drain; its backlog is stranded
+		// (the packets were never materialised), so it must not hold the lane.
 		if q.Down() {
 			continue
 		}
@@ -389,35 +387,19 @@ func (w *worker) laneDrained(t int, now simtime.Time) bool {
 	return true
 }
 
-// done reports whether the worker can retire: arrivals stopped, queues
-// drained, no pending aggregates or outstanding tasks on any lane.
+// done reports whether the worker can retire: arrivals stopped, no
+// outstanding tasks or unprocessed completions, every active lane drained.
 func (w *worker) done() bool {
-	if w.sys.eng.Now() < w.sys.stopTime {
+	now := w.sys.eng.Now()
+	if now < w.sys.stopTime || w.inflight > 0 || w.completions.Len() > 0 {
 		return false
 	}
-	if w.inflight > 0 || w.completions.Len() > 0 {
-		return false
-	}
-	for _, ln := range w.lanes {
+	for t, ln := range w.lanes {
 		// An evicted lane was drained by its epoch; stranded backlog on its
 		// zero-rated queues is finalized into drop accounting at report time
 		// and must not keep the worker alive.
-		if !ln.active {
-			continue
-		}
-		if ln.agg.PendingCount() > 0 {
+		if ln.active && !w.laneDrained(t, now) {
 			return false
-		}
-		for _, q := range ln.rxqs {
-			// A queue still flapped down at the end of the run can never drain;
-			// its backlog is stranded (the packets were never materialised), so
-			// it must not keep the worker alive forever.
-			if q.Down() {
-				continue
-			}
-			if q.Backlog(w.sys.eng.Now()) > 0 {
-				return false
-			}
 		}
 	}
 	return true
@@ -440,7 +422,7 @@ func (w *worker) injectPackets(pkts []*packet.Packet) {
 			// Batch pool exhausted: the frames are already materialised,
 			// so they are dropped here (counted separately from NIC drops).
 			for _, p := range pkts[off:end] {
-				ln.splitDropped++
+				ln.ctr.GraphDrops++
 				w.pktPool.Put(p)
 			}
 			continue
@@ -462,26 +444,22 @@ func (w *worker) flush(p *offload.Pending) {
 	if err == errNoPluggedDevice {
 		// Every local device is hot-unplugged: the aggregate is rescued on
 		// the CPU (the hitless path), not dropped — unplug is a planned
-		// reconfiguration, not a misconfiguration.
-		w.rescueUnplugged(p)
+		// reconfiguration, not a misconfiguration. The device never saw the
+		// task, so only the rescue is charged.
+		w.rescueOnCPU(ln, p, 0, rescueUnplugged, 0, false)
 		return
 	}
 	if err != nil {
 		// No such device: treat as a misconfiguration drop of the whole
 		// aggregate (exercised by failure-injection tests).
 		for _, b := range p.Batches {
-			b.ForEachLive(func(i int, pkt *packet.Packet) {
-				ln.splitDropped++
-				w.pktPool.Put(pkt)
-			})
-			b.Reset()
-			w.batchPool.Put(b)
+			w.dropBatch(b, &ln.ctr.GraphDrops)
 		}
 		return
 	}
 	w.inflight++
 	w.inflightPkts += p.NPkts
-	ln.offloadedPkts += uint64(p.NPkts)
+	ln.ctr.OffloadedPackets += uint64(p.NPkts)
 	task := &gpu.Task{
 		Worker:     w.id,
 		NPkts:      p.NPkts,
@@ -522,24 +500,12 @@ func (w *worker) flush(p *offload.Pending) {
 		}
 	}
 	task.Complete = func(finish simtime.Time, t *gpu.Task) {
-		if it.done {
-			return // a late device completion after the timeout rescued it
-		}
-		if !w.completions.Push(completion{it: it}) {
-			panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-		}
+		w.pushCompletion(it, false)
 	}
 	if tt := w.sys.cfg.TaskTimeout; tt > 0 {
 		// The timeout only enqueues a rescue completion: the fallback runs
 		// inside the next iterate, where cycle accounting lives.
-		it.timer = w.sys.eng.After(tt, func() {
-			if it.done {
-				return
-			}
-			if !w.completions.Push(completion{it: it, timedOut: true}) {
-				panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-			}
-		})
+		it.timer = w.sys.eng.After(tt, func() { w.pushCompletion(it, true) })
 	}
 	if !dev.Submit(task) {
 		// Admission control refused the task (bounded queue full). Undo the
@@ -549,17 +515,17 @@ func (w *worker) flush(p *offload.Pending) {
 		it.done = true
 		w.inflight--
 		w.inflightPkts -= p.NPkts
-		ln.offloadedPkts -= uint64(p.NPkts)
-		ln.rejectedTasks++
+		ln.ctr.OffloadedPackets -= uint64(p.NPkts)
+		ln.ctr.RejectedTasks++
 		lvl := w.sys.overloadLevel(w.socket, ln.tenant)
 		if lvl >= overload.LevelShed {
-			if tr := w.sys.cfg.Tracer; tr != nil {
-				tr.EmitT(w.now(), trace.KindOverloadShed, int32(w.id), ln.tenant, "admission",
-					int64(p.NPkts), 1, int64(dev.Queued()), int64(lvl))
+			w.sys.cfg.Tracer.EmitT(w.now(), trace.KindOverloadShed, int32(w.id), ln.tenant, "admission",
+				int64(p.NPkts), 1, int64(dev.Queued()), int64(lvl))
+			for _, b := range p.Batches {
+				w.dropBatch(b, &ln.ctr.ShedPackets)
 			}
-			w.shedAggregate(p)
 		} else {
-			w.rescueRejected(it, lvl)
+			w.rescueOnCPU(ln, p, 0, rescueRejected, int64(lvl), false)
 		}
 		return
 	}
@@ -576,18 +542,17 @@ func (w *worker) flush(p *offload.Pending) {
 	}
 }
 
-// rescueUnplugged runs an aggregate on the CPU because its socket has no
-// plugged device left (hot-unplug re-route of last resort). The device never
-// saw the task, so only the rescue is charged.
-func (w *worker) rescueUnplugged(p *offload.Pending) {
-	ln := w.cur
-	ln.fallbackPkts += uint64(p.NPkts)
-	if tr := w.sys.cfg.Tracer; tr != nil {
-		tr.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
-			0, int64(p.NPkts), 3, 0)
+// pushCompletion hands a finished (or, with timedOut, a to-be-rescued) task
+// to the worker's IO loop; the postprocessing runs inside the next iterate,
+// where cycle accounting lives. A task already resumed through another path
+// is left alone.
+func (w *worker) pushCompletion(it *inflightTask, timedOut bool) {
+	if it.done {
+		return
 	}
-	w.execChainOnCPU(p)
-	w.resumeAggregate(p)
+	if !w.completions.Push(completion{it: it, timedOut: timedOut}) {
+		panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
+	}
 }
 
 // rescueLane force-drains one lane at the epoch grace deadline: every
@@ -604,9 +569,7 @@ func (w *worker) rescueLane(ln *lane) int {
 			continue
 		}
 		rescued++
-		if !w.completions.Push(completion{it: it, timedOut: true}) {
-			panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-		}
+		w.pushCompletion(it, true)
 	}
 	for _, p := range ln.agg.TakeAll() {
 		rescued++
@@ -617,41 +580,22 @@ func (w *worker) rescueLane(ln *lane) int {
 		w.inflight++
 		w.inflightPkts += p.NPkts
 		ln.inflightTasks++
-		if !w.completions.Push(completion{it: it, timedOut: true}) {
-			panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-		}
+		w.pushCompletion(it, true)
 	}
 	return rescued
 }
 
-// rescueRejected runs an admission-rejected aggregate on the CPU immediately
-// (the refused device never saw it) and resumes its batches in the pipeline.
-func (w *worker) rescueRejected(it *inflightTask, lvl overload.Level) {
-	p := it.pending
-	w.cur = it.ln
-	it.ln.fallbackPkts += uint64(p.NPkts)
-	if tr := w.sys.cfg.Tracer; tr != nil {
-		tr.EmitT(w.now(), trace.KindFallback, int32(w.id), it.ln.tenant, "fallback",
-			0, int64(p.NPkts), 2, int64(lvl))
-	}
-	w.execChainOnCPU(p)
-	it.executed = true
-	w.resumeAggregate(p)
-}
-
-// shedAggregate drops every live packet of a refused aggregate (overload
-// shedding at LevelShed) and recycles its batches, charging the current
-// lane.
-func (w *worker) shedAggregate(p *offload.Pending) {
-	ln := w.cur
-	for _, b := range p.Batches {
-		b.ForEachLive(func(i int, pkt *packet.Packet) {
-			ln.shedPkts++
-			w.pktPool.Put(pkt)
-		})
-		b.Reset()
-		w.batchPool.Put(b)
-	}
+// dropBatch is the one framework drop path (offload misconfiguration,
+// admission shed at LevelShed, quarantine): every live packet of b returns to
+// the pool charged to the drop class counter, and the batch is recycled.
+//
+//nba:hotpath
+func (w *worker) dropBatch(b *batch.Batch, class *uint64) {
+	b.ForEachLive(func(i int, pkt *packet.Packet) {
+		*class++
+		w.pktPool.Put(pkt)
+	})
+	w.PutBatch(b)
 }
 
 // shedSojourn applies the current lane's CoDel shedder to one polled RX
@@ -675,7 +619,7 @@ func (w *worker) shedSojourn(pkts []*packet.Packet) []*packet.Packet {
 		}
 		if ln.codel.ShouldDrop(now, sojourn) {
 			shed++
-			ln.shedPkts++
+			ln.ctr.ShedPackets++
 			w.pktPool.Put(p)
 			continue
 		}
@@ -730,10 +674,16 @@ func (w *worker) handleCompletion(c completion) {
 			return
 		}
 	}
-	if c.timedOut || it.task.Failed {
-		w.fallback(it, c.timedOut)
+	switch {
+	case c.timedOut:
+		it.ln.ctr.TimedOutTasks++
+		w.rescueOnCPU(it.ln, p, it.task.ID, rescueTimedOut, 0, it.executed)
+	case it.task.Failed:
+		it.ln.ctr.FailedTasks++
+		w.rescueOnCPU(it.ln, p, it.task.ID, rescueFailed, 0, it.executed)
+	default:
+		w.resumeAggregate(p)
 	}
-	w.resumeAggregate(p)
 }
 
 // verifyAggregate re-executes a sampled aggregate's device-side computation
@@ -773,22 +723,13 @@ func (w *worker) verifyAggregate(it *inflightTask, sh *integrity.Shadow) bool {
 // may reach TX or the resumed pipeline. The packets land in a dedicated
 // counted drop class so end-to-end conservation still balances.
 func (w *worker) quarantineAggregate(it *inflightTask) {
-	p := it.pending
 	ln := it.ln
-	var n int64
-	for _, b := range p.Batches {
-		b.ForEachLive(func(i int, pkt *packet.Packet) {
-			n++
-			ln.quarantinedPkts++
-			w.pktPool.Put(pkt)
-		})
-		b.Reset()
-		w.batchPool.Put(b)
+	before := ln.ctr.QuarantinedPackets
+	for _, b := range it.pending.Batches {
+		w.dropBatch(b, &ln.ctr.QuarantinedPackets)
 	}
-	if tr := w.sys.cfg.Tracer; tr != nil {
-		tr.EmitT(w.now(), trace.KindIntegrityQuarantine, int32(w.id), ln.tenant, it.dev.Name,
-			int64(it.task.ID), n, 0, int64(it.dev.TraceActor))
-	}
+	w.sys.cfg.Tracer.EmitT(w.now(), trace.KindIntegrityQuarantine, int32(w.id), ln.tenant, it.dev.Name,
+		int64(it.task.ID), int64(ln.ctr.QuarantinedPackets-before), 0, int64(it.dev.TraceActor))
 }
 
 // resumeAggregate postprocesses a completed aggregate and resumes its
@@ -820,34 +761,31 @@ func (w *worker) resumeAggregate(p *offload.Pending) {
 	}
 }
 
-// fallback rescues an aggregate whose device task failed or timed out: the
-// chain's device-side computation is re-executed on the CPU via the same
-// ProcessOffloaded host closures, charged at the honest CPU per-packet
-// element cost. If the device already ran the computation (it failed after
-// the kernel, or a hung task's kernel had finished), the results are valid
-// and only the rescue is counted.
-func (w *worker) fallback(it *inflightTask, timedOut bool) {
-	p := it.pending
-	ln := it.ln
-	if timedOut {
-		ln.timedOutTasks++
-	} else {
-		ln.failedTasks++
+// Reason codes carried by KindFallback trace events.
+const (
+	rescueFailed    = 0 // the device completed the task as failed
+	rescueTimedOut  = 1 // the completion timeout (or an epoch force-rescue) fired
+	rescueRejected  = 2 // admission control refused the submission
+	rescueUnplugged = 3 // the socket has no plugged device left
+)
+
+// rescueOnCPU is the one CPU-rescue path: count the rescue, emit the
+// fallback event (taskID 0 when the device never saw a task; detail carries
+// the governor level for rejections), re-execute the chain's device-side
+// computation on the CPU, and resume the aggregate in its lane's pipeline.
+// If the device already ran the computation (it failed after the kernel, or a
+// hung task's kernel had finished) the results are valid — executed skips
+// the re-run, which for IPsec would corrupt the packets — and only the rescue
+// is counted.
+func (w *worker) rescueOnCPU(ln *lane, p *offload.Pending, taskID uint64, reason, detail int64, executed bool) {
+	w.cur = ln
+	ln.ctr.FallbackPackets += uint64(p.NPkts)
+	w.sys.cfg.Tracer.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
+		int64(taskID), int64(p.NPkts), reason, detail)
+	if !executed {
+		w.execChainOnCPU(p)
 	}
-	ln.fallbackPkts += uint64(p.NPkts)
-	if tr := w.sys.cfg.Tracer; tr != nil {
-		reason := int64(0)
-		if timedOut {
-			reason = 1
-		}
-		tr.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
-			int64(it.task.ID), int64(p.NPkts), reason, 0)
-	}
-	if it.executed {
-		return
-	}
-	it.executed = true
-	w.execChainOnCPU(p)
+	w.resumeAggregate(p)
 }
 
 // execChainOnCPU re-executes an aggregate's device-side computation on the
@@ -900,7 +838,7 @@ func (w *worker) Transmit(pkt *packet.Packet) {
 		flen = pkt.Length()
 	}
 	w.sys.ports[port].Transmit(flen)
-	ln.txPackets++
+	ln.ctr.TxPackets++
 	if w.sys.measuring {
 		// Wire bytes stop accruing when arrivals stop (mirroring the port
 		// meter's Mark..End window) so drain traffic never inflates the
@@ -949,13 +887,9 @@ func (w *worker) Offload(head *graph.Node, chain []*graph.Node, resume int, b *b
 	ln := w.cur
 	full, err := ln.agg.Add(w.iterStart, head, chain, resume, b)
 	if err != nil {
-		// Inconsistent aggregate (mixed devices): drop the batch. Counted
-		// into splitDropped so conservation still balances.
-		b.ForEachLive(func(i int, pkt *packet.Packet) {
-			ln.splitDropped++
-			w.pktPool.Put(pkt)
-		})
-		w.PutBatch(b)
+		// Inconsistent aggregate (mixed devices): drop the batch, counted as
+		// a framework graph drop so conservation still balances.
+		w.dropBatch(b, &ln.ctr.GraphDrops)
 		return
 	}
 	if full != nil {

@@ -48,6 +48,7 @@ import (
 	"strings"
 
 	"nba/internal/simtime"
+	"nba/internal/stats"
 )
 
 // Check names, as recorded in Violation.Check.
@@ -61,16 +62,15 @@ const (
 	CheckPoolDrained   = "pool.drained"
 	CheckConservation  = "conservation"
 	// CheckTenantConservation is the per-tenant slice of the conservation
-	// identity: each tenant's delivered packets must individually equal its
-	// transmitted + dropped + shed, so no tenant's loss can hide behind a
-	// co-tenant's surplus in the global sum.
+	// identity (stats.Counters.Conserved on the tenant's own table), so no
+	// tenant's loss can hide behind a co-tenant's surplus in the global sum.
 	CheckTenantConservation = "conservation.tenant"
 	CheckDrainStuck         = "drain.stuck"
 	CheckQueueBound         = "queue.bound"
 	// CheckEpochConservation is the conservation identity evaluated at a
 	// reconfiguration epoch boundary (tenant evict commit): everything the
-	// evicted tenant's lanes were ever handed must be fully accounted —
-	// transmitted, dropped or shed — before the handoff seals its digest.
+	// evicted tenant's lanes were ever handed must be fully accounted before
+	// the handoff seals its digest.
 	// A non-zero residue is a leaked (still-outstanding) pooled packet,
 	// which is also how an evicted-tenant mempool leak manifests.
 	CheckEpochConservation = "conservation.epoch"
@@ -341,38 +341,28 @@ func (c *Checker) PoolDrained(at simtime.Time, err error) {
 	c.Violatef(at, CheckPoolDrained, "%v", err)
 }
 
-// Conservation checks end-of-run packet conservation: every buffer the NIC
-// layer materialised was either transmitted, dropped in the graph, shed by
-// overload control, or quarantined by the integrity sentinel — each exactly
-// once. (Double accounting shows up as the accounted sum exceeding
-// delivered; a leak shows up as the opposite plus a pool.drained breach.)
-func (c *Checker) Conservation(at simtime.Time, delivered, transmitted, dropped, shed, quarantined uint64) {
-	if c == nil {
+// Conservation checks the packet-conservation identity over one scope's
+// accounting table: every buffer the NIC layer materialised was transmitted,
+// dropped in the graph, shed by overload control, or quarantined by the
+// integrity sentinel — each exactly once. (Double accounting shows up as the
+// accounted sum exceeding delivered; a leak shows up as the opposite plus a
+// pool.drained breach.) check selects which identity is recorded — the whole
+// run (CheckConservation), one tenant's slice (CheckTenantConservation) or
+// an evicted tenant's lanes at its epoch boundary (CheckEpochConservation,
+// where a positive residue is a leaked pooled packet) — and scope prefixes
+// the message with the tenant / epoch it covers.
+func (c *Checker) Conservation(at simtime.Time, check, scope string, n stats.Counters) {
+	if c == nil || n.Conserved() {
 		return
 	}
-	if delivered != transmitted+dropped+shed+quarantined {
-		c.Violatef(at, CheckConservation,
-			"delivered %d != transmitted %d + dropped %d + shed %d + quarantined %d (diff %+d)",
-			delivered, transmitted, dropped, shed, quarantined,
-			int64(transmitted+dropped+shed+quarantined)-int64(delivered))
+	diff := int64(n.Accounted()) - int64(n.RxDelivered)
+	tail := fmt.Sprintf("(diff %+d)", diff)
+	if check == CheckEpochConservation {
+		tail = fmt.Sprintf("at evict seal (residue %+d)", -diff)
 	}
-}
-
-// EpochConservation checks the conservation identity at a reconfiguration
-// epoch boundary: an evicted tenant's handoff may only seal once everything
-// its lanes were handed is accounted. epoch and name identify the boundary
-// in the violation message; a positive residue (delivered minus the
-// accounted sum) is a leaked pooled packet.
-func (c *Checker) EpochConservation(at simtime.Time, epoch int, name string, delivered, transmitted, dropped, shed, quarantined uint64) {
-	if c == nil {
-		return
-	}
-	if delivered != transmitted+dropped+shed+quarantined {
-		c.Violatef(at, CheckEpochConservation,
-			"epoch %d tenant %s: delivered %d != transmitted %d + dropped %d + shed %d + quarantined %d at evict seal (residue %+d)",
-			epoch, name, delivered, transmitted, dropped, shed, quarantined,
-			int64(delivered)-int64(transmitted+dropped+shed+quarantined))
-	}
+	c.Violatef(at, check,
+		"%sdelivered %d != transmitted %d + dropped %d + shed %d + quarantined %d %s",
+		scope, n.RxDelivered, n.TxPackets, n.GraphDrops, n.ShedPackets, n.QuarantinedPackets, tail)
 }
 
 // OrphanLane records a reconfiguration orphan: an epoch that began but
@@ -383,21 +373,6 @@ func (c *Checker) OrphanLane(at simtime.Time, epoch int, detail string) {
 		return
 	}
 	c.Violatef(at, CheckReconfigOrphan, "epoch %d: %s", epoch, detail)
-}
-
-// TenantConservation checks one tenant's slice of the conservation identity
-// at end of run (same caveats as Conservation). name identifies the tenant
-// in the violation message.
-func (c *Checker) TenantConservation(at simtime.Time, name string, delivered, transmitted, dropped, shed, quarantined uint64) {
-	if c == nil {
-		return
-	}
-	if delivered != transmitted+dropped+shed+quarantined {
-		c.Violatef(at, CheckTenantConservation,
-			"tenant %s: delivered %d != transmitted %d + dropped %d + shed %d + quarantined %d (diff %+d)",
-			name, delivered, transmitted, dropped, shed, quarantined,
-			int64(transmitted+dropped+shed+quarantined)-int64(delivered))
-	}
 }
 
 // CorruptLeak records a corruption-containment breach: a packet whose

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nba/internal/simtime"
+	"nba/internal/stats"
 )
 
 const ms = simtime.Millisecond
@@ -36,7 +37,7 @@ func TestNilCheckerIsSafe(t *testing.T) {
 	c.RxQueue(ms, 0, 0, 10, 5, 1, 64)
 	c.DeviceUtil(ms, "g", ms, ms, 2*ms)
 	c.PoolDrained(ms, nil)
-	c.Conservation(ms, 1, 1, 0, 0, 0)
+	c.Conservation(ms, CheckConservation, "", stats.Counters{RxDelivered: 1})
 	c.CorruptLeak(ms, 0, 1)
 	c.DeviceQueue(ms, "g", 5, 4)
 	c.StuckDrain(ms, 1)
@@ -123,20 +124,49 @@ func TestDeviceUtil(t *testing.T) {
 	wantCheck(t, c, CheckGPUUtil, "copy engine busy")
 }
 
+// counters builds an accounting table from the five sides of the identity.
+func counters(delivered, tx, dropped, shed, quarantined uint64) stats.Counters {
+	return stats.Counters{RxDelivered: delivered, TxPackets: tx, GraphDrops: dropped,
+		ShedPackets: shed, QuarantinedPackets: quarantined}
+}
+
 func TestConservation(t *testing.T) {
 	c := New()
-	c.Conservation(ms, 100, 90, 10, 0, 0)
-	c.Conservation(ms, 100, 80, 10, 10, 0) // shed packets balance the identity
-	c.Conservation(ms, 100, 80, 10, 5, 5)  // quarantined packets balance it too
+	c.Conservation(ms, CheckConservation, "", counters(100, 90, 10, 0, 0))
+	c.Conservation(ms, CheckConservation, "", counters(100, 80, 10, 10, 0)) // shed packets balance the identity
+	c.Conservation(ms, CheckConservation, "", counters(100, 80, 10, 5, 5))  // quarantined packets balance it too
 	wantClean(t, c)
-	c.Conservation(2*ms, 100, 95, 10, 0, 0) // double account
+	c.Conservation(2*ms, CheckConservation, "", counters(100, 95, 10, 0, 0)) // double account
 	wantCheck(t, c, CheckConservation, "diff +5")
-	c.Conservation(3*ms, 100, 90, 5, 0, 0) // leak
+	c.Conservation(3*ms, CheckConservation, "", counters(100, 90, 5, 0, 0)) // leak
 	wantCheck(t, c, CheckConservation, "diff -5")
-	c.Conservation(4*ms, 100, 90, 5, 15, 0) // shed over-account
+	c.Conservation(4*ms, CheckConservation, "", counters(100, 90, 5, 15, 0)) // shed over-account
 	wantCheck(t, c, CheckConservation, "shed 15")
-	c.Conservation(5*ms, 100, 90, 5, 0, 10) // quarantine over-account
+	c.Conservation(5*ms, CheckConservation, "", counters(100, 90, 5, 0, 10)) // quarantine over-account
 	wantCheck(t, c, CheckConservation, "diff +5")
+}
+
+// TestConservationMessages pins the full wording of all three identities:
+// chaos reproducers and shrink logs quote these messages, so folding the
+// three checks into one must not have changed them.
+func TestConservationMessages(t *testing.T) {
+	leak := counters(100, 80, 5, 3, 2)
+	cases := []struct{ check, scope, want string }{
+		{CheckConservation, "",
+			"delivered 100 != transmitted 80 + dropped 5 + shed 3 + quarantined 2 (diff -10)"},
+		{CheckTenantConservation, "tenant ipsec: ",
+			"tenant ipsec: delivered 100 != transmitted 80 + dropped 5 + shed 3 + quarantined 2 (diff -10)"},
+		{CheckEpochConservation, "epoch 3 tenant churn: ",
+			"epoch 3 tenant churn: delivered 100 != transmitted 80 + dropped 5 + shed 3 + quarantined 2 at evict seal (residue +10)"},
+	}
+	for _, tc := range cases {
+		c := New()
+		c.Conservation(ms, tc.check, tc.scope, leak)
+		vs := c.Violations()
+		if len(vs) != 1 || vs[0].Check != tc.check || vs[0].Msg != tc.want {
+			t.Errorf("%s: got %v, want one violation %q", tc.check, vs, tc.want)
+		}
+	}
 }
 
 func TestCorruptLeak(t *testing.T) {

@@ -101,7 +101,7 @@ func (e *LoadBalance) Configure(ctx *element.ConfigContext, args []string) error
 		e.Alg = GPUOnly
 	case arg == "adaptive":
 		e.Alg = Adaptive
-		e.state.AdaptiveUsers++ //nbalint:allow sharedstate parse-time count; admit-epoch parses run on the serial engine and NewSystem's read ran before Run started
+		e.state.AdaptiveUsers++
 	case strings.HasPrefix(arg, "fixed="):
 		f, err := strconv.ParseFloat(strings.TrimPrefix(arg, "fixed="), 64)
 		if err != nil || f < 0 || f > 1 {

@@ -275,72 +275,32 @@ func (q *RxQueue) Stats() (delivered, dropped, allocFailed uint64) {
 	return q.delivered, q.dropped, q.allocFailed
 }
 
-// Port is one simulated NIC port: RX queues plus TX accounting.
+// Port is one simulated NIC port: RX queues plus TX accounting. A port is
+// born queue-less (&Port{HW: hw}); AddQueue carves its RX side.
 type Port struct {
 	HW  sysinfo.Port
 	Rx  []*RxQueue
 	TxM stats.Meter
 }
 
-// NewPort creates a port with one RX queue per worker on its socket,
-// splitting offeredPPS evenly (the RSS model).
-func NewPort(hw sysinfo.Port, nqueues int, gen Generator, offeredPPS float64, queueCap int) *Port {
-	p := &Port{HW: hw}
-	for qi := 0; qi < nqueues; qi++ {
-		p.Rx = append(p.Rx, NewRxQueue(hw.ID, qi, gen, offeredPPS/float64(nqueues), queueCap))
-	}
-	return p
-}
-
-// QueueSpec describes one RX queue of a multi-tenant port: the tenant it
-// serves, that tenant's traffic generator and the queue's share of the
-// port's offered rate.
-type QueueSpec struct {
-	Tenant int32
-	Gen    Generator
-	PPS    float64
-}
-
-// NewPortWithQueues creates a port with one RX queue per spec, in spec
-// order. Multi-tenant core lays queues out tenant-major (tenant t's queue
-// for same-socket worker w is index t*nworkers+w), so NewPort remains the
-// single-tenant RSS special case of this constructor.
-func NewPortWithQueues(hw sysinfo.Port, specs []QueueSpec, queueCap int) *Port {
-	p := &Port{HW: hw}
-	for qi, sp := range specs {
-		q := NewRxQueue(hw.ID, qi, sp.Gen, sp.PPS, queueCap)
-		q.Tenant = sp.Tenant
-		p.Rx = append(p.Rx, q)
-	}
-	return p
-}
-
-// AddQueue appends one RX queue to the port mid-run (tenant admission).
-// The queue starts with zero rate — the caller re-splits per-queue rates
-// after the admit commit — and no arrivals accrue before `now` because the
-// rate segment's base is anchored there.
-func (p *Port) AddQueue(now simtime.Time, sp QueueSpec, queueCap int) *RxQueue {
-	q := NewRxQueue(p.HW.ID, len(p.Rx), sp.Gen, 0, queueCap)
-	q.Tenant = sp.Tenant //nbalint:allow sharedstate admit-epoch queue add on the serial engine; boot-time writes ran before Run started
+// AddQueue appends one RX queue feeding tenant from gen — the one way a port
+// gets queues, at construction (now = 0) and at a mid-run tenant admission
+// alike. Core lays queues out tenant-major (tenant t's queue for same-socket
+// worker w is index t*nworkers+w). The queue starts with zero rate — the
+// caller splits per-queue rates with SetRate once the tenant set is known —
+// and no arrivals accrue before `now` because the rate segment's base is
+// anchored there.
+func (p *Port) AddQueue(now simtime.Time, tenant int32, gen Generator, queueCap int) *RxQueue {
+	q := NewRxQueue(p.HW.ID, len(p.Rx), gen, 0, queueCap)
+	q.Tenant = tenant
 	q.baseTime = now
-	p.Rx = append(p.Rx, q) //nbalint:allow sharedstate admit-epoch queue add on the serial engine; NewSystem's reads ran before Run started and report's after it drains
+	p.Rx = append(p.Rx, q) //nbalint:allow sharedstate admit-epoch queue add on the serial engine; report reads Rx after the event loop drains
 	return q
 }
 
 // Transmit accounts one outgoing frame.
 func (p *Port) Transmit(frameLen int) {
 	p.TxM.Counter.Add(1, frameLen+sysinfo.WireOverheadBytes)
-}
-
-// RxStats sums the port's queue statistics.
-func (p *Port) RxStats() (delivered, dropped, allocFailed uint64) {
-	for _, q := range p.Rx {
-		d, dr, af := q.Stats()
-		delivered += d
-		dropped += dr
-		allocFailed += af
-	}
-	return
 }
 
 // OfferedPPS converts an offered wire-rate (bits per second) into packets

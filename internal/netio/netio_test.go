@@ -129,7 +129,10 @@ func TestRxQueueZeroRate(t *testing.T) {
 func TestPortQueueSplit(t *testing.T) {
 	g := &gen.UDP4{FrameLen: 64, Seed: 2}
 	hw := sysinfo.Port{ID: 3, Socket: 0, LineRateBps: 10e9}
-	p := NewPort(hw, 7, g, 14e6, 4096)
+	p := &Port{HW: hw}
+	for qi := 0; qi < 7; qi++ {
+		p.AddQueue(0, 0, g, 4096).SetRate(0, 14e6/7) // the RSS model: an even split
+	}
 	if len(p.Rx) != 7 {
 		t.Fatalf("%d queues, want 7", len(p.Rx))
 	}
@@ -149,7 +152,7 @@ func TestPortQueueSplit(t *testing.T) {
 
 func TestPortTransmitAccounting(t *testing.T) {
 	hw := sysinfo.Port{ID: 0, Socket: 0, LineRateBps: 10e9}
-	p := NewPort(hw, 1, &gen.UDP4{FrameLen: 64, Seed: 1}, 0, 64)
+	p := &Port{HW: hw}
 	p.TxM.Mark(0)
 	for i := 0; i < 1000; i++ {
 		p.Transmit(64)

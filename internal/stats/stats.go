@@ -25,6 +25,71 @@ func (c *TrafficCounter) Add(pkts int, wireBytes int) {
 	c.WireBytes += uint64(wireBytes)
 }
 
+// Counters is the packet-accounting table of one scope: a worker lane, a
+// tenant (the sum of its lanes) or a whole run (the sum of its tenants).
+// Every packet an RX queue delivers ends in exactly one of the four
+// dispositions Accounted sums, so a drained scope satisfies Conserved; the
+// offload-path counters below the identity are informational.
+type Counters struct {
+	// RxDelivered / RxDropped / AllocFailed are the scope's NIC queue
+	// statistics over the whole run including warmup: packets handed to the
+	// pipeline, overflow plus buffer-exhaustion drops, and the
+	// buffer-exhaustion subset of those drops.
+	RxDelivered uint64
+	RxDropped   uint64
+	AllocFailed uint64
+	// TxPackets counts packets transmitted over the whole run.
+	TxPackets uint64
+	// GraphDrops counts packets dropped inside pipelines (by an element, as
+	// unrouted, or by the framework outside any element).
+	GraphDrops uint64
+	// ShedPackets counts packets dropped by overload control (CoDel sojourn
+	// shedding plus admission-rejected aggregates at LevelShed).
+	ShedPackets uint64
+	// QuarantinedPackets counts packets discarded because sentinel
+	// re-execution disagreed with the device's results (never transmitted,
+	// never resumed); zero when the integrity subsystem is off.
+	QuarantinedPackets uint64
+	// OffloadedPackets counts packets submitted to accelerators;
+	// FallbackPackets counts packets rescued onto the CPU because their task
+	// failed, timed out, was refused or found its device unplugged.
+	OffloadedPackets uint64
+	FallbackPackets  uint64
+	// FailedTasks / TimedOutTasks count the worker-observed offload-task
+	// failures behind those rescues; RejectedTasks counts device submissions
+	// refused by admission control, whether rescued or shed.
+	FailedTasks   uint64
+	TimedOutTasks uint64
+	RejectedTasks uint64
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.RxDelivered += o.RxDelivered
+	c.RxDropped += o.RxDropped
+	c.AllocFailed += o.AllocFailed
+	c.TxPackets += o.TxPackets
+	c.GraphDrops += o.GraphDrops
+	c.ShedPackets += o.ShedPackets
+	c.QuarantinedPackets += o.QuarantinedPackets
+	c.OffloadedPackets += o.OffloadedPackets
+	c.FallbackPackets += o.FallbackPackets
+	c.FailedTasks += o.FailedTasks
+	c.TimedOutTasks += o.TimedOutTasks
+	c.RejectedTasks += o.RejectedTasks
+}
+
+// Accounted returns how many delivered packets have met their disposition:
+// transmitted, dropped in a pipeline, shed or quarantined. A new drop class
+// is one field above plus one term here.
+func (c Counters) Accounted() uint64 {
+	return c.TxPackets + c.GraphDrops + c.ShedPackets + c.QuarantinedPackets
+}
+
+// Conserved reports the conservation identity RxDelivered == Accounted(),
+// which holds for any drained scope.
+func (c Counters) Conserved() bool { return c.RxDelivered == c.Accounted() }
+
 // Meter measures throughput over an interval of virtual time.
 type Meter struct {
 	Counter   TrafficCounter

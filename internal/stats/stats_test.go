@@ -190,3 +190,47 @@ func BenchmarkHistRecord(b *testing.B) {
 		h.Record(simtime.Time(i%10000) * simtime.Microsecond)
 	}
 }
+
+func TestCountersAddAccountedConserved(t *testing.T) {
+	a := Counters{RxDelivered: 100, RxDropped: 7, AllocFailed: 2, TxPackets: 80, GraphDrops: 10,
+		ShedPackets: 6, QuarantinedPackets: 4, OffloadedPackets: 50, FallbackPackets: 5,
+		FailedTasks: 1, TimedOutTasks: 2, RejectedTasks: 3}
+	if got := a.Accounted(); got != 100 {
+		t.Errorf("Accounted = %d, want 80+10+6+4 = 100", got)
+	}
+	if !a.Conserved() {
+		t.Error("balanced table reported as not conserved")
+	}
+	if !(Counters{}).Conserved() {
+		t.Error("zero table reported as not conserved")
+	}
+
+	// Each disposition is a term of the identity: dropping any one of them
+	// unbalances the table, and so does a packet accounted twice.
+	for name, c := range map[string]Counters{
+		"missing tx":          {RxDelivered: 100, GraphDrops: 10, ShedPackets: 6, QuarantinedPackets: 4},
+		"missing graph drops": {RxDelivered: 100, TxPackets: 80, ShedPackets: 6, QuarantinedPackets: 4},
+		"missing shed":        {RxDelivered: 100, TxPackets: 80, GraphDrops: 10, QuarantinedPackets: 4},
+		"missing quarantined": {RxDelivered: 100, TxPackets: 80, GraphDrops: 10, ShedPackets: 6},
+		"double accounted":    {RxDelivered: 100, TxPackets: 81, GraphDrops: 10, ShedPackets: 6, QuarantinedPackets: 4},
+	} {
+		if c.Conserved() {
+			t.Errorf("%s: unbalanced table %+v reported as conserved", name, c)
+		}
+	}
+
+	// Add is field-wise: the sum of two scopes is conserved when both are,
+	// and every one of the twelve fields doubles when a table is added to
+	// itself.
+	sum := a
+	sum.Add(a)
+	want := Counters{RxDelivered: 200, RxDropped: 14, AllocFailed: 4, TxPackets: 160, GraphDrops: 20,
+		ShedPackets: 12, QuarantinedPackets: 8, OffloadedPackets: 100, FallbackPackets: 10,
+		FailedTasks: 2, TimedOutTasks: 4, RejectedTasks: 6}
+	if sum != want {
+		t.Errorf("a+a = %+v, want %+v", sum, want)
+	}
+	if !sum.Conserved() {
+		t.Error("sum of two conserved tables is not conserved")
+	}
+}

@@ -351,26 +351,14 @@ func (t *Tracer) EmitT(at simtime.Time, k Kind, actor, tenant int32, name string
 	}
 }
 
-// ArmTenantDigests allocates n per-tenant sub-digests. Events emitted via
-// EmitT with tenant in [0, n) additionally feed that tenant's digest. Arming
-// has no effect on the global digest. Safe on a nil tracer.
-func (t *Tracer) ArmTenantDigests(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.tenantHash = make([]hash.Hash, n)
-	t.tenantFinal = make([]string, n)
-	for i := range t.tenantHash {
-		t.tenantHash[i] = sha256.New()
-	}
-}
-
-// EnsureTenantDigests grows the armed per-tenant digest set to n slots,
-// opening a fresh sub-digest for each new slot (tenant admission). Existing
-// slots — their accumulated state and any seals — are untouched. A no-op
-// when n slots already exist; safe on a nil tracer.
+// EnsureTenantDigests grows the per-tenant sub-digest set to n slots,
+// opening a fresh sub-digest for each new slot (a tenant entering service,
+// at construction or by admission). Events emitted via EmitT with tenant in
+// [0, n) additionally feed that tenant's digest; the global digest is
+// unaffected. Existing slots — their accumulated state and any seals — are
+// untouched. A no-op when n slots already exist; safe on a nil tracer.
 func (t *Tracer) EnsureTenantDigests(n int) {
-	if t == nil || n <= len(t.tenantHash) {
+	if t == nil {
 		return
 	}
 	for len(t.tenantHash) < n {

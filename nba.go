@@ -56,9 +56,6 @@ type System = core.System
 // Report is the outcome of a run.
 type Report = core.Report
 
-// RateChange alters the offered load mid-run.
-type RateChange = core.RateChange
-
 // NewSystem builds a system from the configuration.
 func NewSystem(cfg Config) (*System, error) { return core.NewSystem(cfg) }
 

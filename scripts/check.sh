@@ -43,10 +43,6 @@
 #                         print byte-identical combined digests (internal/par
 #                         determinism contract; the tenant sweep also folds
 #                         every per-tenant sub-digest into the combined one)
-#  10. perf gate          opt-in via PERF_GATE=1: scripts/perf_gate.sh
-#                         compares a fresh quick-mode perf snapshot against
-#                         the newest committed BENCH_<date>.json (±15% on the
-#                         sim-seconds/sec headline)
 #
 # The race run doubles as the regression tripwire for future parallel-worker
 # PRs: the engine is single-threaded by design, so any data race is new code
@@ -171,12 +167,5 @@ if [[ "$t1" != "$t8" ]]; then
     exit 1
 fi
 echo "tenant chaos digest stable at parallelism 1 and 8: $t1"
-
-if [[ "${PERF_GATE:-0}" == "1" ]]; then
-    echo "==> perf gate (PERF_GATE=1: sim-sec/s vs committed BENCH_*.json baseline)"
-    scripts/perf_gate.sh
-else
-    echo "==> perf gate skipped (set PERF_GATE=1 to compare against the committed baseline)"
-fi
 
 echo "check.sh: all gates passed"
