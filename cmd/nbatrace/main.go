@@ -53,7 +53,9 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "record":
-		record(os.Args[2:])
+		if err := record(os.Args[2:]); err != nil {
+			fatal(err)
+		}
 	case "summary":
 		summary(os.Args[2:])
 	case "diff":
@@ -71,7 +73,7 @@ func usage() {
 	os.Exit(2)
 }
 
-func record(args []string) {
+func record(args []string) error {
 	fs := flag.NewFlagSet("nbatrace record", flag.ExitOnError)
 	var (
 		app      = fs.String("app", "ipv4", "built-in app: l2fwd, echo, ipv4, ipv6, ipsec, ids")
@@ -118,7 +120,7 @@ func record(args []string) {
 			name = strings.TrimSpace(name)
 			cfgText, err := bench.AppConfig(name, *lbAlg)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			spec.Tenants = append(spec.Tenants, core.Tenant{
 				Name:        name,
@@ -134,11 +136,11 @@ func record(args []string) {
 		// epoch begin/drain/commit protocol and the churned tenant's whole
 		// lifecycle (admit, retune, evict, digest seal) on the timeline.
 		if *tenants == "" {
-			fatal(fmt.Errorf("-reconfig requires -tenants (the churn plan admits a tenant into a running mix)"))
+			return fmt.Errorf("-reconfig requires -tenants (the churn plan admits a tenant into a running mix)")
 		}
 		churnCfg, err := bench.AppConfig("ipsec", *lbAlg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		spec.LatentTenants = []core.Tenant{{
 			Name:        "churn",
@@ -161,7 +163,7 @@ func record(args []string) {
 		// sampling coins and escalation are all part of the run identity, so
 		// -corrupt recordings are byte-identical across records too.
 		if spec.FaultPlan != nil {
-			fatal(fmt.Errorf("-corrupt and -faults are mutually exclusive"))
+			return fmt.Errorf("-corrupt and -faults are mutually exclusive")
 		}
 		span := spec.Warmup + spec.Duration
 		spec.FaultPlan = fault.Corruption(span/4, span/2, 0, 1, 0x5a)
@@ -172,14 +174,14 @@ func record(args []string) {
 		// transitions and bias updates are ordinary trace events, so armed
 		// recordings replay and diff exactly like the rest.
 		if spec.FaultPlan != nil {
-			fatal(fmt.Errorf("-overload and -faults/-corrupt are mutually exclusive"))
+			return fmt.Errorf("-overload and -faults/-corrupt are mutually exclusive")
 		}
 		span := spec.Warmup + spec.Duration
 		spec.Overload = overload.Defaults()
 		spec.FaultPlan = &fault.Plan{Events: fault.Burst(span/4, span/2, 2.5)}
 	}
 	if _, err := bench.Execute(spec); err != nil {
-		fatal(err)
+		return err
 	}
 
 	appLabel := *app
@@ -190,14 +192,14 @@ func record(args []string) {
 		appLabel, *lbAlg, *gbps, *size, *workers, *seed, *faults, *corrupt, *overl, *rc)
 	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := tr.WriteJSONL(f, label); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("recorded %d events (%d retained) to %s\n", tr.Total(), tr.Total()-tr.Dropped(), *out)
 	fmt.Printf("digest: %s\n", tr.Digest())
@@ -205,17 +207,18 @@ func record(args []string) {
 	if *chrome != "" {
 		cf, err := os.Create(*chrome)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := trace.WriteChrome(cf, tr.Events()); err != nil {
 			cf.Close()
-			fatal(err)
+			return err
 		}
 		if err := cf.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("chrome trace: %s (load in chrome://tracing or ui.perfetto.dev)\n", *chrome)
 	}
+	return nil
 }
 
 func summary(args []string) {

@@ -17,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig11", "fig12", "fig13", "fig14",
 		"ablation-datablock", "ablation-aggsize", "ablation-phi",
 		"ablation-numa", "ablation-boundedlat", "alb-reconverge",
-		"faults", "overload",
+		"faults", "overload", "tenants", "reconfig", "integrity",
 	}
 	for _, id := range want {
 		e, err := ByID(id)

@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"nba/internal/fault"
@@ -185,6 +188,72 @@ func TestReproRoundTrip(t *testing.T) {
 	for i := range c.Plan.Events {
 		if got.Plan.Events[i] != c.Plan.Events[i] {
 			t.Fatalf("event %d mismatch: %+v vs %+v", i, got.Plan.Events[i], c.Plan.Events[i])
+		}
+	}
+}
+
+// TestReproGolden pins the reproducer file format byte for byte: files
+// attached to old bug reports must keep replaying, and WriteRepro must keep
+// writing what ReadRepro of any earlier build accepts.
+func TestReproGolden(t *testing.T) {
+	const us = simtime.Microsecond
+	cases := []struct {
+		file string
+		c    Case
+	}{
+		{"repro-fault.json", Case{
+			App: "ipsec", Seed: 17, TaskTimeout: -1,
+			Plan: &fault.Plan{Events: []fault.Event{
+				{At: 1 * ms, Kind: fault.DeviceHang, Device: 0},
+				{At: 1200 * us, Kind: fault.RxQueueDown, Port: 1, Queue: -1},
+				{At: 1500 * us, Kind: fault.RateBurst, RateFactor: 2.5},
+				{At: 2 * ms, Kind: fault.DeviceRecover, Device: 0},
+				{At: 2500 * us, Kind: fault.DeviceSlowdown, Device: 0, KernelFactor: 2.5, CopyFactor: 1.5},
+			}},
+		}},
+		{"repro-corrupt.json", Case{
+			App: "ipv4", Seed: 3, DisarmSampling: true,
+			Plan: fault.Corruption(300*us, 2*ms, 0, 0.5, 0xa5),
+		}},
+		{"repro-reconfig.json", Case{
+			Tenants: []string{"ipv4", "ids"}, Latent: []string{"ipv6"}, Seed: 31,
+			Plan: &fault.Plan{Events: []fault.Event{
+				{At: 500 * us, Kind: fault.RxQueueDown, Port: 0, Queue: 3},
+				{At: 900 * us, Kind: fault.RxQueueUp, Port: 0, Queue: 3},
+			}},
+			Reconfig: &reconfig.Plan{Events: []reconfig.Event{
+				{At: 200 * us, Kind: reconfig.TenantAdmit, Tenant: "l0-ipv6", Share: 0.5},
+				{At: 400 * us, Kind: reconfig.ShareRetune, Tenant: "t1-ids", Share: 2},
+				{At: 600 * us, Kind: reconfig.DeviceUnplug, Device: 0},
+				{At: 800 * us, Kind: reconfig.DevicePlug, Device: 0},
+				{At: 1 * ms, Kind: reconfig.TenantEvict, Tenant: "t0-ipv4"},
+				{At: 1400 * us, Kind: reconfig.QueueResize, Port: -1, Capacity: 64},
+			}},
+		}},
+	}
+	for _, tc := range cases {
+		golden := filepath.Join("testdata", tc.file)
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), tc.file)
+		if err := WriteRepro(path, tc.c); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: WriteRepro wrote\n%s\nwant\n%s", tc.file, got, want)
+		}
+		back, err := ReadRepro(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, tc.c) {
+			t.Errorf("%s: ReadRepro = %+v, want %+v", tc.file, back, tc.c)
 		}
 	}
 }
