@@ -26,7 +26,6 @@ func runExperiment(b *testing.B, id string) {
 	}
 	opts := bench.Options{Quick: true, Seed: 42}
 	b.ReportAllocs()
-	bench.ResetSimSeconds()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		if err := e.Run(opts, &buf); err != nil {
@@ -35,11 +34,6 @@ func runExperiment(b *testing.B, id string) {
 		if buf.Len() == 0 {
 			b.Fatalf("%s produced no output", id)
 		}
-	}
-	// sim-sec/s is the trajectory headline: virtual seconds simulated per
-	// wall second across every run the experiment executed.
-	if wall := b.Elapsed().Seconds(); wall > 0 {
-		b.ReportMetric(bench.SimSeconds()/wall, "sim-sec/s")
 	}
 }
 
@@ -67,33 +61,27 @@ func BenchmarkALBReconverge(b *testing.B)      { runExperiment(b, "alb-reconverg
 // metrics, so regressions in the simulation's performance model show up in
 // benchmark diffs.
 func BenchmarkHeadline(b *testing.B) {
-	cases := []struct {
-		name string
-		spec bench.RunSpec
-	}{
-		{"ipv4-64B-cpu", bench.RunSpec{App: "ipv4", LB: "cpu", Size: 64, OfferedBps: 10e9}},
-		{"ipsec-64B-gpu", bench.RunSpec{App: "ipsec", LB: "gpu", Size: 64, OfferedBps: 10e9}},
-	}
-	for _, c := range cases {
+	for _, c := range []struct{ name, app, lb string }{
+		{"ipv4-64B-cpu", "ipv4", "cpu"},
+		{"ipsec-64B-gpu", "ipsec", "gpu"},
+	} {
 		b.Run(c.name, func(b *testing.B) {
-			spec := c.spec
-			spec.Warmup = 2 * simtime.Millisecond
-			spec.Duration = 8 * simtime.Millisecond
-			spec.Seed = 42
+			cfg, err := bench.AppRun(c.app, c.lb, 64, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.OfferedBpsPerPort = 10e9
+			cfg.Warmup, cfg.Duration = 2*simtime.Millisecond, 8*simtime.Millisecond
 			b.ReportAllocs()
-			bench.ResetSimSeconds()
 			var gbps float64
 			for i := 0; i < b.N; i++ {
-				r, err := bench.Execute(spec)
+				r, err := bench.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				gbps = r.TxGbps
 			}
 			b.ReportMetric(gbps, "virtGbps")
-			if wall := b.Elapsed().Seconds(); wall > 0 {
-				b.ReportMetric(bench.SimSeconds()/wall, "sim-sec/s")
-			}
 		})
 	}
 }

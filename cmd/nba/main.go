@@ -44,42 +44,40 @@ func main() {
 	)
 	flag.Parse()
 
-	spec := bench.RunSpec{
-		App:        *app,
-		LB:         *lbAlg,
-		Size:       *size,
-		OfferedBps: *gbps * 1e9,
-		Workers:    *workers,
-		Warmup:     simtime.Time(warmup.Nanoseconds()) * simtime.Nanosecond,
-		Duration:   simtime.Time(duration.Nanoseconds()) * simtime.Nanosecond,
-		Seed:       *seed,
-	}
-
-	var cfgText string
+	var cfg core.Config
 	switch {
 	case *tenants != "":
+		if *trace != "" {
+			fatal(fmt.Errorf("-trace cannot be combined with -tenants (every tenant brings its own generator)"))
+		}
 		ts, err := parseTenants(*tenants, *lbAlg, *size, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		spec.Tenants = ts
+		cfg.Tenants = ts
 	case *configPath != "":
 		data, err := os.ReadFile(*configPath)
 		if err != nil {
 			fatal(err)
 		}
-		cfgText = string(data)
+		cfg.GraphConfig = string(data)
+		cfg.Generator = bench.GeneratorFor(*app, *size, *seed+1)
 	case *app != "":
-		text, err := bench.AppConfig(*app, *lbAlg)
+		c, err := bench.AppRun(*app, *lbAlg, *size, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		cfgText = text
+		cfg = c
 	default:
 		fmt.Fprintln(os.Stderr, "nba: need -config or -app")
 		flag.Usage()
 		os.Exit(2)
 	}
+	cfg.Seed = *seed
+	cfg.OfferedBpsPerPort = *gbps * 1e9
+	cfg.WorkersPerSocket = *workers
+	cfg.Warmup = simtime.Time(warmup.Nanoseconds()) * simtime.Nanosecond
+	cfg.Duration = simtime.Time(duration.Nanoseconds()) * simtime.Nanosecond
 
 	if *trace != "" {
 		f, err := os.Open(*trace)
@@ -92,13 +90,13 @@ func main() {
 			fatal(err)
 		}
 		tr.Seed = *seed
-		spec.Generator = tr
+		cfg.Generator = tr
 	}
 
 	if *pcapOut != "" {
-		spec.CaptureTx = 1000
+		cfg.CaptureTx = 1000
 	}
-	r, err := bench.ExecuteConfig(cfgText, spec)
+	r, err := bench.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -175,16 +173,12 @@ func parseTenants(list, lbAlg string, size int, seed uint64) ([]core.Tenant, err
 			}
 			share = f
 		}
-		cfgText, err := bench.AppConfig(name, lbAlg)
+		t, err := bench.AppTenant(name, name, lbAlg, size, seed+1+uint64(i))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, core.Tenant{
-			Name:        name,
-			GraphConfig: cfgText,
-			Share:       share,
-			Generator:   bench.GeneratorFor(name, size, seed+1+uint64(i)),
-		})
+		t.Share = share
+		out = append(out, t)
 	}
 	return out, nil
 }

@@ -5,14 +5,18 @@ import (
 	"go/types"
 )
 
-// aliasflowAnalyzer is the interprocedural extension of batchalias: a pooled
-// *packet.Packet that is passed through helper functions and stashed into a
-// struct field, package-level variable or channel is flagged at the escape
-// site, with the path from the pool access to the store. batchalias only sees
-// escapes inside the function that obtained the packet; aliasflow summarizes
-// which parameters of every module function escape and propagates pool taint
-// through call chains. Purely local escapes stay batchalias findings (the
-// trail must cross a function boundary here).
+const batchPkgPath = "nba/internal/batch"
+
+// aliasflowAnalyzer flags a pooled *packet.Packet — from batch.Batch.Packet
+// or a ForEachLive callback — stashed into a struct field, package-level
+// variable or channel, in the function that obtained it or through any chain
+// of helpers (it summarizes which parameters of every module function
+// escape). The finding sits at the escape site and carries the path from the
+// pool access to the store. Batches and packets are pooled: after the batch
+// is Put back, Reset() clears the slots and the pointer dangles into memory
+// the pool will hand to someone else — the Go analogue of use-after-free on
+// DPDK mbufs. Elements that need per-flow state must copy the bytes they
+// need, not retain the packet.
 var aliasflowAnalyzer = &modAnalyzer{
 	name: "aliasflow",
 	doc:  "flag pooled *packet.Packet values escaping through helpers into fields, globals or channels",
@@ -27,7 +31,6 @@ var aliasflowSpec = &flowSpec{
 	sendSink:          "sent on a channel",
 	typeOK:            packetCarrier,
 	skipPkg:           aliasflowSkipPkg,
-	interOnly:         true,
 	reportAtSink:      true,
 }
 
@@ -37,7 +40,7 @@ func runAliasflow(m *module) []finding {
 		out = append(out, finding{
 			pos:  ff.pos,
 			rule: "aliasflow",
-			msg: "pooled *packet.Packet escapes into long-lived storage through a helper " +
+			msg: "pooled *packet.Packet escapes into long-lived storage " +
 				"(aliases memory reclaimed on Reset; copy the bytes you need); path: " +
 				renderPath(ff.path),
 			path: ff.path,
@@ -82,6 +85,44 @@ func aliasflowSeedForEachLive(p *lintPackage, call *ast.CallExpr) ([]*ast.Ident,
 
 func aliasflowSinkStore(p *lintPackage, lhs ast.Expr) string {
 	return escapeKind(p.Info, lhs)
+}
+
+// escapeKind classifies an lvalue as a long-lived destination: "struct
+// field" for selector stores (possibly through indexing), "package-level
+// variable" for globals. Local destinations return "".
+func escapeKind(info *types.Info, lhs ast.Expr) string {
+	switch x := ast.Unparen(lhs).(type) {
+	case *ast.SelectorExpr:
+		if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+			return "struct field"
+		}
+	case *ast.Ident:
+		obj := info.Uses[x]
+		if obj == nil {
+			obj = info.Defs[x]
+		}
+		if v, ok := obj.(*types.Var); ok {
+			if pkg := v.Pkg(); pkg != nil && v.Parent() == pkg.Scope() {
+				return "package-level variable"
+			}
+		}
+	case *ast.IndexExpr:
+		// Indexed stores escape if the indexed container itself does
+		// (s.pkts[i] = p, globalSlice[i] = p).
+		return escapeKind(info, x.X)
+	}
+	return ""
+}
+
+func isLocalVar(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	if !ok || v.IsField() {
+		return false
+	}
+	if pkg := v.Pkg(); pkg != nil && v.Parent() == pkg.Scope() {
+		return false
+	}
+	return true
 }
 
 // packetCarrier reports whether a type can carry a pooled packet reference:

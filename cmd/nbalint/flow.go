@@ -7,9 +7,8 @@
 // static call graph, then a final report pass walks every function once and
 // emits findings with the full source→sink trail.
 //
-// The intra-function transfer is deliberately flow-insensitive (like the
-// original batchalias pass): a value is tainted if any assignment anywhere in
-// the function taints it. Dynamic calls (interface methods, func values) do
+// The intra-function transfer is deliberately flow-insensitive: a value is
+// tainted if any assignment anywhere in the function taints it. Dynamic calls (interface methods, func values) do
 // not propagate taint unless the spec opts into receiver/argument
 // pass-through; this trades a little soundness for a usable signal, and the
 // self-lint gate keeps the real tree at zero findings either way.
@@ -26,9 +25,8 @@ import (
 
 // flowStep is one hop of a source→sink trail.
 type flowStep struct {
-	pos   token.Position
-	desc  string
-	inter bool // the step crosses a function boundary
+	pos  token.Position
+	desc string
 }
 
 func (s flowStep) String() string {
@@ -59,15 +57,6 @@ func (t *trail) join(rest []flowStep) *trail {
 		out = out.extend(s)
 	}
 	return out
-}
-
-func (t *trail) crossesFunctions() bool {
-	for _, s := range t.steps {
-		if s.inter {
-			return true
-		}
-	}
-	return false
 }
 
 // tval is the taint of one value: the seed trails that reach it, plus the
@@ -169,9 +158,6 @@ type flowSpec struct {
 	// receiver/argument taint to their results (laundering through stdlib
 	// helpers like time.Time.UnixNano or fmt.Sprintf).
 	unknownCallPropagates bool
-	// interOnly drops findings whose trail never crosses a function boundary
-	// (those are the local rule's jurisdiction).
-	interOnly bool
 	// reportAtSink positions findings at the final sink step instead of the
 	// call site in the currently analyzed function.
 	reportAtSink bool
@@ -263,9 +249,6 @@ func (fa *flowAnalysis) typeCarries(t types.Type) bool {
 }
 
 func (fa *flowAnalysis) emit(pos token.Pos, t *trail) {
-	if fa.spec.interOnly && !t.crossesFunctions() {
-		return
-	}
 	anchor := fa.position(pos)
 	if fa.spec.reportAtSink && len(t.steps) > 0 && t.steps[len(t.steps)-1].pos.IsValid() {
 		anchor = t.steps[len(t.steps)-1].pos
@@ -471,7 +454,7 @@ func (ev *funcEval) recordCarrier(m map[*types.Var]*trail, v *types.Var, tv tval
 	if len(tv.seeds) == 0 || m[v] != nil {
 		return
 	}
-	m[v] = tv.seeds[0].extend(flowStep{pos: ev.fa.position(pos), desc: desc, inter: true})
+	m[v] = tv.seeds[0].extend(flowStep{pos: ev.fa.position(pos), desc: desc})
 	ev.fa.dirty = true
 	ev.changed = true
 }
@@ -588,7 +571,7 @@ func (ev *funcEval) recordReturn(i int, v tval, pos token.Pos) {
 	}
 	if len(v.seeds) > 0 && ev.flow.retTaint[i] == nil {
 		ev.flow.retTaint[i] = v.seeds[0].extend(flowStep{
-			pos: ev.fa.position(pos), desc: "returned by " + funcDisplayName(ev.fi.obj), inter: true,
+			pos: ev.fa.position(pos), desc: "returned by " + funcDisplayName(ev.fi.obj),
 		})
 		ev.fa.dirty = true
 	}
@@ -698,11 +681,7 @@ func (ev *funcEval) evalCallEffects(call *ast.CallExpr, emit bool) {
 		if v.empty() {
 			continue
 		}
-		step := flowStep{
-			pos:   ev.fa.position(call.Pos()),
-			desc:  "passed to " + funcDisplayName(callee),
-			inter: true,
-		}
+		step := flowStep{pos: ev.fa.position(call.Pos()), desc: "passed to " + funcDisplayName(callee)}
 		if emit {
 			for _, seed := range v.seeds {
 				ev.fa.emit(call.Pos(), seed.extend(step).join(ps.steps))
@@ -868,7 +847,7 @@ func (ev *funcEval) callTaint(call *ast.CallExpr, idx int) tval {
 	out := tval{}
 	if t := cflow.retTaint[idx]; t != nil {
 		out = mergeTval(out, tval{seeds: []*trail{t.extend(flowStep{
-			pos: ev.fa.position(call.Pos()), desc: "call to " + funcDisplayName(callee), inter: true,
+			pos: ev.fa.position(call.Pos()), desc: "call to " + funcDisplayName(callee),
 		})}})
 	}
 	args := ev.normalizedArgs(call)
@@ -883,11 +862,7 @@ func (ev *funcEval) callTaint(call *ast.CallExpr, idx int) tval {
 		if v.empty() {
 			continue
 		}
-		step := flowStep{
-			pos:   ev.fa.position(call.Pos()),
-			desc:  "through " + funcDisplayName(callee),
-			inter: true,
-		}
+		step := flowStep{pos: ev.fa.position(call.Pos()), desc: "through " + funcDisplayName(callee)}
 		moved := tval{params: v.params}
 		for _, seed := range v.seeds {
 			moved.seeds = append(moved.seeds, seed.extend(step))

@@ -94,7 +94,7 @@ func TestAnalyzers(t *testing.T) {
 		{"nondeterminism", []string{"nba/internal/core/nondetfix"}},
 		{"nondeterminism-scope", []string{"nba/internal/wallclockok"}},
 		{"maprange", []string{"nba/internal/stats/maprangefix"}},
-		{"batchalias", []string{"nba/internal/apps/aliasfix"}},
+		{"aliasflow-local", []string{"nba/internal/apps/aliasfix"}},
 		{"mempoolerr", []string{"nba/internal/poolfix"}},
 		{"mempoolerr-cmd-exempt", []string{"nba/cmd/poolcmdfix"}},
 		{"printban", []string{"nba/internal/printfix"}},
@@ -139,7 +139,7 @@ func TestFixtureAllowsAreUsed(t *testing.T) {
 	l := testLoader(t)
 	targets := loadTargets(t, l,
 		"nba/internal/detutil", "nba/internal/core/detflowfix",
-		"nba/internal/apps/aliasflowfix", "nba/internal/hotfix",
+		"nba/internal/apps/aliasfix", "nba/internal/apps/aliasflowfix", "nba/internal/hotfix",
 		"nba/internal/core/sharedfix", "nba/internal/core/parfix")
 	res := lintPackages(l, targets, true)
 	for _, rule := range []string{"detflow", "aliasflow", "hotalloc", "sharedstate"} {

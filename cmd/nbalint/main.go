@@ -11,8 +11,6 @@
 //	nondeterminism  wall-clock time, global math/rand, go statements and
 //	                select in simulation packages
 //	maprange        unordered iteration over maps in internal packages
-//	batchalias      *packet.Packet values from Batch.Packet/ForEachLive
-//	                escaping into struct fields or globals (use-after-Reset)
 //	mempoolerr      discarded mempool.Pool.Get errors; MustGet outside cmd/
 //	printban        fmt.Print* and builtin print/println in internal/
 //
@@ -22,8 +20,9 @@
 //	detflow      nondeterminism sources laundered through call chains,
 //	             fields or globals into trace digest / hash sinks, with the
 //	             full source→sink path in the finding
-//	aliasflow    pooled *packet.Packet escaping through helper functions
-//	             into fields, globals or channels
+//	aliasflow    pooled *packet.Packet (Batch.Packet / ForEachLive) escaping
+//	             into fields, globals or channels, locally or through
+//	             helper functions (use-after-Reset)
 //	hotalloc     allocation constructs in //nba:hotpath-annotated functions
 //	sharedstate  state written from simtime.Engine callback context and
 //	             read outside it without synchronization
@@ -142,7 +141,6 @@ func isCmdPackage(path string) bool { return hasPathPrefix(path, "nba/cmd") }
 var analyzers = []*analyzer{
 	nondeterminismAnalyzer,
 	maprangeAnalyzer,
-	batchaliasAnalyzer,
 	mempoolerrAnalyzer,
 	printbanAnalyzer,
 }

@@ -1,4 +1,4 @@
-// Package aliasfix is an nbalint test fixture for the batchalias rule.
+// Package aliasfix is an nbalint test fixture for aliasflow's same-function escapes.
 package aliasfix
 
 import (
@@ -14,13 +14,13 @@ type keeper struct {
 var global *packet.Packet
 
 func (k *keeper) store(b *batch.Batch) {
-	k.last = b.Packet(0) // want batchalias
+	k.last = b.Packet(0) // want aliasflow
 	b.ForEachLive(func(i int, p *packet.Packet) {
-		global = p // want batchalias
+		global = p // want aliasflow
 	})
 	pkt := b.Packet(1)
-	k.last = pkt    // want batchalias
-	k.ring[0] = pkt // want batchalias
+	k.last = pkt    // want aliasflow
+	k.ring[0] = pkt // want aliasflow
 }
 
 func localUseIsFine(b *batch.Batch) int {
@@ -37,5 +37,5 @@ func localUseIsFine(b *batch.Batch) int {
 }
 
 func (k *keeper) annotated(b *batch.Batch) {
-	k.last = b.Packet(0) //nbalint:allow batchalias fixture exercising suppression
+	k.last = b.Packet(0) //nbalint:allow aliasflow fixture exercising suppression
 }

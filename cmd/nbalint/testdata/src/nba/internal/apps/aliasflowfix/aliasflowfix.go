@@ -1,9 +1,9 @@
-// Package aliasflowfix exercises the aliasflow rule: pooled *packet.Packet
-// values escaping through helper functions into long-lived storage. The
-// per-file batchalias rule only sees escapes inside the function that
-// obtained the packet; every positive here routes the packet through a
-// helper first, so batchalias provably misses them. Findings anchor at the
-// escape site (the store in the helper), not the pool access.
+// Package aliasflowfix exercises the aliasflow rule across function
+// boundaries: pooled *packet.Packet values escaping through helper functions
+// into long-lived storage. Every positive here routes the packet through a
+// helper first, so a per-function pass provably misses them (aliasfix holds
+// the same-function cases). Findings anchor at the escape site (the store in
+// the helper), not the pool access.
 package aliasflowfix
 
 import (

@@ -101,35 +101,31 @@ func record(args []string) error {
 	}
 
 	tr := trace.New(trace.Options{Capacity: *events})
-	spec := bench.RunSpec{
-		App:        *app,
-		LB:         *lbAlg,
-		Size:       *size,
-		OfferedBps: *gbps * 1e9,
-		Workers:    *workers,
-		Warmup:     simtime.Time(warmup.Nanoseconds()) * simtime.Nanosecond,
-		Duration:   simtime.Time(duration.Nanoseconds()) * simtime.Nanosecond,
-		Seed:       *seed,
-		Tracer:     tr,
-	}
+	var spec core.Config
 	if *tenants != "" {
 		// Tenant recordings carry every tenant's events on one timeline
 		// (each tagged with its tenant index), so multi-tenant runs diff
 		// and replay exactly like single-app ones.
 		for i, name := range strings.Split(*tenants, ",") {
 			name = strings.TrimSpace(name)
-			cfgText, err := bench.AppConfig(name, *lbAlg)
+			t, err := bench.AppTenant(name, name, *lbAlg, *size, *seed+1+uint64(i))
 			if err != nil {
 				return err
 			}
-			spec.Tenants = append(spec.Tenants, core.Tenant{
-				Name:        name,
-				GraphConfig: cfgText,
-				Share:       1,
-				Generator:   bench.GeneratorFor(name, *size, *seed+1+uint64(i)),
-			})
+			spec.Tenants = append(spec.Tenants, t)
+		}
+	} else {
+		var err error
+		if spec, err = bench.AppRun(*app, *lbAlg, *size, *seed); err != nil {
+			return err
 		}
 	}
+	spec.Seed = *seed
+	spec.OfferedBpsPerPort = *gbps * 1e9
+	spec.WorkersPerSocket = *workers
+	spec.Warmup = simtime.Time(warmup.Nanoseconds()) * simtime.Nanosecond
+	spec.Duration = simtime.Time(duration.Nanoseconds()) * simtime.Nanosecond
+	spec.Tracer = tr
 	if *rc {
 		// The reconfig plan is part of the run identity too: recording twice
 		// with -reconfig must still produce byte-identical traces, with the
@@ -138,16 +134,11 @@ func record(args []string) error {
 		if *tenants == "" {
 			return fmt.Errorf("-reconfig requires -tenants (the churn plan admits a tenant into a running mix)")
 		}
-		churnCfg, err := bench.AppConfig("ipsec", *lbAlg)
+		churn, err := bench.AppTenant("churn", "ipsec", *lbAlg, *size, *seed+101)
 		if err != nil {
 			return err
 		}
-		spec.LatentTenants = []core.Tenant{{
-			Name:        "churn",
-			GraphConfig: churnCfg,
-			Share:       1,
-			Generator:   bench.GeneratorFor("ipsec", *size, *seed+101),
-		}}
+		spec.LatentTenants = []core.Tenant{churn}
 		spec.Reconfig = reconfig.Churn(spec.Warmup+spec.Duration, "churn")
 	}
 	if *faults {
@@ -180,7 +171,7 @@ func record(args []string) error {
 		spec.Overload = overload.Defaults()
 		spec.FaultPlan = &fault.Plan{Events: fault.Burst(span/4, span/2, 2.5)}
 	}
-	if _, err := bench.Execute(spec); err != nil {
+	if _, err := bench.Run(spec); err != nil {
 		return err
 	}
 

@@ -9,21 +9,12 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"nba/internal/core"
-	"nba/internal/fault"
 	"nba/internal/gen"
-	"nba/internal/graph"
-	"nba/internal/integrity"
-	"nba/internal/invariant"
 	"nba/internal/netio"
-	"nba/internal/overload"
 	"nba/internal/packet"
-	"nba/internal/reconfig"
 	"nba/internal/simtime"
-	"nba/internal/sysinfo"
-	"nba/internal/trace"
 
 	"nba/internal/apps/ipv6"
 
@@ -162,138 +153,30 @@ func ipv6Dsts() []packet.IPv6Addr {
 	return cachedIPv6Dsts
 }
 
-// RunSpec describes one system run for the harness.
-type RunSpec struct {
-	App           string
-	LB            string  // LoadBalance parameter
-	Size          int     // frame bytes; <=0 = CAIDA mix
-	OfferedBps    float64 // per port
-	Workers       int     // per socket; 0 = max
-	CompBatch     int     // 0 = 64
-	IOBatch       int     // 0 = 64
-	Opts          *graph.Options
-	Warmup        simtime.Time
-	Duration      simtime.Time
-	ALBObserve    simtime.Time
-	ALBUpdate     simtime.Time
-	Topology      *sysinfo.Topology
-	CostModel     *sysinfo.CostModel
-	Seed          uint64
-	LatencySample int
-	// ForceRemote emulates remote-socket memory placement (NUMA ablation).
-	ForceRemote bool
-	// Generator overrides the standard generator (e.g. trace replay).
-	Generator netio.Generator
-	// LatencyBound switches adaptive balancing to the bounded-latency
-	// controller (paper §7 extension).
-	LatencyBound simtime.Time
-	// CaptureTx records the first N transmitted frames for pcap export.
-	CaptureTx int
-	// GeneratorChanges swap the traffic mix mid-run.
-	GeneratorChanges []core.GeneratorChange
-	// Tracer, when non-nil, records the run's structured event stream.
-	Tracer *trace.Tracer
-	// FaultPlan, when non-nil, injects the scripted fault timeline.
-	FaultPlan *fault.Plan
-	// TaskTimeout overrides the worker-side offload completion timeout
-	// (0 = framework default, negative = disabled).
-	TaskTimeout simtime.Time
-	// Overload, when non-nil, arms the overload-control subsystem
-	// (bounded device queue, backpressure, CoDel shedder, governor).
-	Overload *overload.Config
-	// Integrity, when non-nil, arms the silent-corruption sentinel
-	// (sampled re-execution, quarantine, device escalation).
-	Integrity *integrity.Config
-	// Checker, when non-nil, attaches the invariant oracle to the run.
-	Checker *invariant.Checker
-	// Tenants, when non-empty, co-hosts several app graphs as tenants on
-	// one system; App, LB, Size and Generator are then ignored (each
-	// tenant carries its own graph and generator).
-	Tenants []core.Tenant
-	// LatentTenants are admittable mid-run by the Reconfig plan; Reconfig,
-	// when non-nil, applies the scripted runtime-reconfiguration timeline
-	// (requires Tenants).
-	LatentTenants []core.Tenant
-	Reconfig      *reconfig.Plan
+// AppRun starts the description of a single-app run: a core.Config with the
+// app's pipeline, its standard generator (seeded seed+1, so traffic and
+// framework randomness draw from different streams) and the seed filled in.
+// The caller sets load, window and whatever else the run needs on the result.
+func AppRun(app, lbAlg string, size int, seed uint64) (core.Config, error) {
+	cfgText, err := AppConfig(app, lbAlg)
+	return core.Config{GraphConfig: cfgText, Generator: GeneratorFor(app, size, seed+1), Seed: seed}, err
 }
 
-// Execute assembles and runs one system.
-func Execute(spec RunSpec) (*core.Report, error) {
-	if len(spec.Tenants) > 0 {
-		return ExecuteConfig("", spec)
-	}
-	cfgText, err := AppConfig(spec.App, spec.LB)
-	if err != nil {
-		return nil, err
-	}
-	return ExecuteConfig(cfgText, spec)
+// AppTenant hosts a sample application as an equal-share tenant under the
+// given name, with its own generator stream.
+func AppTenant(name, app, lbAlg string, size int, genSeed uint64) (core.Tenant, error) {
+	cfgText, err := AppConfig(app, lbAlg)
+	return core.Tenant{Name: name, GraphConfig: cfgText, Share: 1, Generator: GeneratorFor(app, size, genSeed)}, err
 }
 
-// ExecuteConfig runs an explicit pipeline text with the spec's workload.
-func ExecuteConfig(cfgText string, spec RunSpec) (*core.Report, error) {
-	if spec.Warmup == 0 {
-		spec.Warmup = 5 * simtime.Millisecond
-	}
-	if spec.Duration == 0 {
-		spec.Duration = 25 * simtime.Millisecond
-	}
-	generator := spec.Generator
-	if generator == nil && len(spec.Tenants) == 0 {
-		generator = GeneratorFor(spec.App, spec.Size, spec.Seed+1)
-	}
-	cfg := core.Config{
-		Topology:          spec.Topology,
-		CostModel:         spec.CostModel,
-		GraphConfig:       cfgText,
-		GraphOpts:         spec.Opts,
-		WorkersPerSocket:  spec.Workers,
-		Generator:         generator,
-		OfferedBpsPerPort: spec.OfferedBps,
-		IOBatchSize:       spec.IOBatch,
-		CompBatchSize:     spec.CompBatch,
-		Warmup:            spec.Warmup,
-		Duration:          spec.Duration,
-		Seed:              spec.Seed,
-		ALBObserve:        spec.ALBObserve,
-		ALBUpdate:         spec.ALBUpdate,
-		LatencySample:     spec.LatencySample,
-		ForceRemoteMemory: spec.ForceRemote,
-		ALBLatencyBound:   spec.LatencyBound,
-		CaptureTx:         spec.CaptureTx,
-		GeneratorChanges:  spec.GeneratorChanges,
-		Tracer:            spec.Tracer,
-		FaultPlan:         spec.FaultPlan,
-		TaskTimeout:       spec.TaskTimeout,
-		Overload:          spec.Overload,
-		Integrity:         spec.Integrity,
-		Checker:           spec.Checker,
-		Tenants:           spec.Tenants,
-		LatentTenants:     spec.LatentTenants,
-		Reconfig:          spec.Reconfig,
-	}
+// Run assembles and runs one system.
+func Run(cfg core.Config) (*core.Report, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sys.Run()
-	if err == nil {
-		simAccount.Add(int64(spec.Warmup + spec.Duration))
-	}
-	return rep, err
+	return sys.Run()
 }
-
-// simAccount accumulates the virtual time simulated by Execute/ExecuteConfig
-// since the last ResetSimSeconds, atomically so concurrent grid points can
-// add to it. It feeds the sim-seconds-per-second trajectory metric reported
-// by the root bench_test.go benchmarks (sums are commutative, so the total
-// stays deterministic under any parallelism).
-var simAccount atomic.Int64
-
-// ResetSimSeconds zeroes the simulated-time account.
-func ResetSimSeconds() { simAccount.Store(0) }
-
-// SimSeconds returns the virtual seconds simulated since the last reset.
-func SimSeconds() float64 { return simtime.Time(simAccount.Load()).Seconds() }
 
 // durations returns (warmup, duration) honouring Quick mode.
 func (o Options) durations(warm, dur simtime.Time) (simtime.Time, simtime.Time) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"nba/internal/core"
 	"nba/internal/fault"
 	"nba/internal/simtime"
 )
@@ -18,11 +19,13 @@ func init() {
 }
 
 // FaultsScenario is the canonical fault-injection run shared by the bench
-// experiment, its regression test and the nbatrace self-check: 64 B IPsec
-// under the adaptive balancer while device 0 suffers a scripted outage.
-// The returned spec carries the plan; failAt/recoverAt locate the outage on
+// experiment and its regression test: 64 B IPsec under the adaptive balancer
+// while device 0 suffers a scripted outage. (`nbatrace record -faults` builds
+// its own outage over span/4..span/2 under the -lb it was given; its seeds
+// and LB string differ, so the two stay separate rather than move a digest.)
+// The returned config carries the plan; failAt/recoverAt locate the outage on
 // the virtual clock for assertions and output.
-func FaultsScenario(o Options) (spec RunSpec, failAt, recoverAt simtime.Time) {
+func FaultsScenario(o Options) (cfg core.Config, failAt, recoverAt simtime.Time) {
 	warm := 5 * simtime.Millisecond
 	dur := 250 * simtime.Millisecond
 	failAt = 40 * simtime.Millisecond
@@ -32,19 +35,15 @@ func FaultsScenario(o Options) (spec RunSpec, failAt, recoverAt simtime.Time) {
 		failAt = 12 * simtime.Millisecond
 		recoverAt = 26 * simtime.Millisecond
 	}
-	spec = RunSpec{
-		App: "ipsec", LB: "adaptive", Size: 64, OfferedBps: offeredPerPort,
-		Warmup: warm, Duration: dur, Seed: o.Seed,
-		// A 2 ms control period fills the controller's 16-sample smoothing
-		// window every step; with shorter periods the boundary perturbations
-		// that escape the post-outage collapse are judged on too few
-		// batch-quantised samples.
-		ALBObserve:    250 * simtime.Microsecond,
-		ALBUpdate:     2 * simtime.Millisecond,
-		LatencySample: 64,
-		FaultPlan:     fault.GPUOutage(failAt, recoverAt, 0),
-	}
-	return spec, failAt, recoverAt
+	cfg = o.appRun("ipsec", "adaptive", 64, offeredPerPort, warm, dur)
+	// A 2 ms control period fills the controller's 16-sample smoothing
+	// window every step; with shorter periods the boundary perturbations
+	// that escape the post-outage collapse are judged on too few
+	// batch-quantised samples.
+	cfg.ALBObserve, cfg.ALBUpdate = 250*simtime.Microsecond, 2*simtime.Millisecond
+	cfg.LatencySample = 64
+	cfg.FaultPlan = fault.GPUOutage(failAt, recoverAt, 0)
+	return cfg, failAt, recoverAt
 }
 
 // runFaults executes the outage scenario next to a fault-free twin and
@@ -52,14 +51,13 @@ func FaultsScenario(o Options) (spec RunSpec, failAt, recoverAt simtime.Time) {
 // while offload tasks fail, CPU fallback carrying the load, and the
 // re-climb toward the twin's optimum after recovery.
 func runFaults(o Options, w io.Writer) error {
-	spec, failAt, recoverAt := FaultsScenario(o)
-	faulted, err := Execute(spec)
+	cfg, failAt, recoverAt := FaultsScenario(o)
+	faulted, err := Run(cfg)
 	if err != nil {
 		return err
 	}
-	clean := spec
-	clean.FaultPlan = nil
-	baseline, err := Execute(clean)
+	cfg.FaultPlan = nil
+	baseline, err := Run(cfg)
 	if err != nil {
 		return err
 	}

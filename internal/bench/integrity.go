@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"nba/internal/core"
 	"nba/internal/fault"
 	"nba/internal/integrity"
 	"nba/internal/simtime"
@@ -27,17 +28,14 @@ var integritySampleRates = []float64{0, 0.05, 0.25, 0.5, 1}
 // bench experiment and its regression test: 64 B IPsec at 80% fixed offload
 // while device 0 flips bits in every aggregate over a scripted window.
 // corruptAt/corruptUntil locate the window on the virtual clock.
-func IntegrityScenario(o Options, rate float64) (spec RunSpec, corruptAt, corruptUntil simtime.Time) {
+func IntegrityScenario(o Options, rate float64) (cfg core.Config, corruptAt, corruptUntil simtime.Time) {
 	warm, dur := o.durations(2*simtime.Millisecond, 40*simtime.Millisecond)
 	span := warm + dur
 	corruptAt, corruptUntil = span/4, span/2
-	spec = RunSpec{
-		App: "ipsec", LB: "fixed=0.8", Size: 64, OfferedBps: offeredPerPort,
-		Warmup: warm, Duration: dur, Seed: o.Seed,
-		FaultPlan: fault.Corruption(corruptAt, corruptUntil, 0, 1, 0x5a),
-		Integrity: &integrity.Config{SampleRate: rate},
-	}
-	return spec, corruptAt, corruptUntil
+	cfg = o.appRun("ipsec", "fixed=0.8", 64, offeredPerPort, warm, dur)
+	cfg.FaultPlan = fault.Corruption(corruptAt, corruptUntil, 0, 1, 0x5a)
+	cfg.Integrity = &integrity.Config{SampleRate: rate}
+	return cfg, corruptAt, corruptUntil
 }
 
 // runIntegrity sweeps the sentinel sampling rate. For each rate it runs a
@@ -46,14 +44,14 @@ func IntegrityScenario(o Options, rate float64) (spec RunSpec, corruptAt, corrup
 // the window opening to the first mismatch, quarantine volume, escalation).
 func runIntegrity(o Options, w io.Writer) error {
 	// Slots 2i are clean twins, 2i+1 the corrupted runs, all independent.
-	jobs := make([]gridJob, 0, 2*len(integritySampleRates))
+	jobs := make([]core.Config, 0, 2*len(integritySampleRates))
 	var corruptAt, corruptUntil simtime.Time
 	for _, rate := range integritySampleRates {
-		spec, at, until := IntegrityScenario(o, rate)
+		cfg, at, until := IntegrityScenario(o, rate)
 		corruptAt, corruptUntil = at, until
-		clean := spec
+		clean, _, _ := IntegrityScenario(o, rate)
 		clean.FaultPlan = nil
-		jobs = append(jobs, gridJob{spec: clean}, gridJob{spec: spec})
+		jobs = append(jobs, clean, cfg)
 	}
 	reps, err := runGrid(o, jobs)
 	if err != nil {

@@ -34,15 +34,11 @@ var overloadMults = []float64{0.5, 0.8, 1, 1.5, 2, 3}
 // overloadSpec is one arm of the sweep: IPsec 64 B under the static
 // fixed=0.8 balancer (so every latency change is the overload machinery's,
 // not the ALB's) on a 4-core, 2-port, 1-GPU socket.
-func overloadSpec(o Options, mult float64, shed bool) RunSpec {
+func overloadSpec(o Options, mult float64, shed bool) core.Config {
 	warm, dur := o.durations(2*simtime.Millisecond, 20*simtime.Millisecond)
-	spec := RunSpec{
-		App: "ipsec", LB: "fixed=0.8", Size: 64,
-		OfferedBps: overloadBaseBps * mult,
-		Warmup:     warm, Duration: dur, Seed: o.Seed,
-		Topology:      sysinfo.SingleSocketTopology(4, 2),
-		LatencySample: 4,
-	}
+	spec := o.appRun("ipsec", "fixed=0.8", 64, overloadBaseBps*mult, warm, dur)
+	spec.Topology = sysinfo.SingleSocketTopology(4, 2)
+	spec.LatencySample = 4
 	if shed {
 		// CoDel's convergence clock must fit the run: the default 500 us
 		// interval is sized for long-lived service, while this sweep measures
@@ -71,13 +67,11 @@ func runOverload(o Options, w io.Writer) error {
 	// Flatten the (multiplier, arm) grid: even slots armed, odd slots
 	// disarmed. Each armed spec carries its own invariant.Checker, so the
 	// violation counts stay per-run even when the runs execute concurrently.
-	specs := make([]RunSpec, 0, 2*len(overloadMults))
+	specs := make([]core.Config, 0, 2*len(overloadMults))
 	for _, m := range overloadMults {
 		specs = append(specs, overloadSpec(o, m, true), overloadSpec(o, m, false))
 	}
-	reps, err := par.MapErr(len(specs), o.workers(), func(i int) (*core.Report, error) {
-		return Execute(specs[i])
-	})
+	reps, err := runGrid(o, specs)
 	if err != nil {
 		return err
 	}
@@ -133,7 +127,7 @@ func runOverload(o Options, w io.Writer) error {
 	digests, err := par.MapErr(2, o.workers(), func(int) (string, error) {
 		spec := overloadSpec(o, 2, true)
 		spec.Tracer = trace.New(trace.Options{Capacity: 1, CheckpointInterval: -1})
-		if _, err := Execute(spec); err != nil {
+		if _, err := Run(spec); err != nil {
 			return "", err
 		}
 		return spec.Tracer.Digest(), nil

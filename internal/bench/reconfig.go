@@ -5,12 +5,8 @@ import (
 	"io"
 
 	"nba/internal/core"
-	"nba/internal/invariant"
-	"nba/internal/overload"
-	"nba/internal/par"
 	"nba/internal/reconfig"
 	"nba/internal/simtime"
-	"nba/internal/sysinfo"
 )
 
 func init() {
@@ -31,31 +27,18 @@ func runReconfig(o Options, w io.Writer) error {
 	warm, dur := o.durations(2*simtime.Millisecond, 20*simtime.Millisecond)
 	span := warm + dur
 
-	churnCfg, err := AppConfig("ipsec", "adaptive")
-	if err != nil {
-		return err
-	}
-	mkSpec := func(churn bool) (RunSpec, error) {
+	mkSpec := func(churn bool) (core.Config, error) {
 		ts, err := tenantsFor(1, o.Seed) // the ipv4 victim
 		if err != nil {
-			return RunSpec{}, err
+			return core.Config{}, err
 		}
-		spec := RunSpec{
-			Tenants:    ts,
-			OfferedBps: tenantBaseBps,
-			Warmup:     warm, Duration: dur, Seed: o.Seed,
-			Topology:      sysinfo.SingleSocketTopology(4, 2),
-			LatencySample: 4,
-			Checker:       invariant.New(),
-			Overload:      overload.Defaults(),
-		}
+		spec := tenantSpec(o, ts, true)
 		if churn {
-			spec.LatentTenants = []core.Tenant{{
-				Name:        "churn",
-				GraphConfig: churnCfg,
-				Share:       1,
-				Generator:   GeneratorFor("ipsec", 64, o.Seed+2),
-			}}
+			latent, err := AppTenant("churn", "ipsec", "adaptive", 64, o.Seed+2)
+			if err != nil {
+				return core.Config{}, err
+			}
+			spec.LatentTenants = []core.Tenant{latent}
 			spec.Reconfig = reconfig.Churn(span, "churn")
 		}
 		return spec, nil
@@ -69,10 +52,8 @@ func runReconfig(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	specs := []RunSpec{steadySpec, churnSpec}
-	reps, err := par.MapErr(len(specs), o.workers(), func(i int) (*core.Report, error) {
-		return Execute(specs[i])
-	})
+	specs := []core.Config{steadySpec, churnSpec}
+	reps, err := runGrid(o, specs)
 	if err != nil {
 		return err
 	}

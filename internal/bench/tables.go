@@ -95,17 +95,14 @@ func runAblationDatablock(o Options, w io.Writer) error {
 	for _, size := range []int{64, 256, 1024} {
 		on := graph.DefaultOptions()
 		off := graph.Options{BranchPrediction: true, OffloadChaining: false}
-		base := RunSpec{App: "ipsec", LB: "gpu", Size: size, OfferedBps: offeredPerPort,
-			Warmup: warm, Duration: dur, Seed: o.Seed}
-		specOn := base
-		specOn.Opts = &on
-		rOn, err := Execute(specOn)
+		cfg := o.appRun("ipsec", "gpu", size, offeredPerPort, warm, dur)
+		cfg.GraphOpts = &on
+		rOn, err := Run(cfg)
 		if err != nil {
 			return err
 		}
-		specOff := base
-		specOff.Opts = &off
-		rOff, err := Execute(specOff)
+		cfg.GraphOpts = &off
+		rOff, err := Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -139,9 +136,9 @@ func runAblationAggSize(o Options, w io.Writer) error {
 	for _, agg := range []int{4, 8, 16, 32, 64} {
 		cm := cloneCostModel()
 		cm.MaxAggBatches = agg
-		spec := RunSpec{App: "ipsec", LB: "gpu", Size: 64, OfferedBps: offeredPerPort,
-			CostModel: cm, Warmup: warm, Duration: dur, Seed: o.Seed}
-		r, err := Execute(spec)
+		cfg := o.appRun("ipsec", "gpu", 64, offeredPerPort, warm, dur)
+		cfg.CostModel = cm
+		r, err := Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -158,9 +155,8 @@ func runAblationPhi(o Options, w io.Writer) error {
 		app  string
 		size int
 	}{{"ipsec", 64}, {"ipsec", 1024}, {"ids", 64}, {"ipv6", 64}} {
-		base := RunSpec{App: c.app, LB: "gpu", Size: c.size, OfferedBps: offeredPerPort,
-			Warmup: warm, Duration: dur, Seed: o.Seed}
-		rGPU, err := Execute(base)
+		cfg := o.appRun(c.app, "gpu", c.size, offeredPerPort, warm, dur)
+		rGPU, err := Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -170,9 +166,8 @@ func runAblationPhi(o Options, w io.Writer) error {
 			phiTop.Devices[i].Name = fmt.Sprintf("phi%d", i)
 			phiTop.Devices[i].Cores = 61
 		}
-		specPhi := base
-		specPhi.Topology = phiTop
-		rPhi, err := Execute(specPhi)
+		cfg.Topology = phiTop
+		rPhi, err := Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -186,9 +181,9 @@ func runAblationNUMA(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-12s %-12s %-10s\n", "app", "local", "remote", "loss(%)")
 	for _, app := range []string{"ipv4", "ipv6", "ipsec"} {
 		mk := func(remote bool) (float64, error) {
-			spec := RunSpec{App: app, LB: "cpu", Size: 64, OfferedBps: offeredPerPort,
-				Warmup: warm, Duration: dur, Seed: o.Seed, ForceRemote: remote}
-			r, err := Execute(spec)
+			cfg := o.appRun(app, "cpu", 64, offeredPerPort, warm, dur)
+			cfg.ForceRemoteMemory = remote
+			r, err := Run(cfg)
 			if err != nil {
 				return 0, err
 			}
@@ -222,9 +217,8 @@ func runAblationBoundedLatency(o Options, w io.Writer) error {
 		// Offered load sits between CPU-only (~8 Gbps) and GPU-only
 		// (~14 Gbps) capacity, so tight latency bounds (CPU territory) and
 		// high throughput (GPU territory) genuinely conflict.
-		spec := RunSpec{App: "ipsec", LB: fmt.Sprintf("fixed=%.2f", float64(frac)/100),
-			Size: 64, OfferedBps: 12e9 / 8, Warmup: warm, Duration: dur, Seed: o.Seed}
-		r, err := Execute(spec)
+		r, err := Run(o.appRun("ipsec", fmt.Sprintf("fixed=%.2f", float64(frac)/100),
+			64, 12e9/8, warm, dur))
 		if err != nil {
 			return err
 		}
@@ -254,14 +248,13 @@ func runAblationBoundedLatency(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "\nlive bounded controller (0.5 Gbps/port; p99 includes the convergence transient):\n")
 	fmt.Fprintf(w, "%-16s %-10s %-14s %-8s\n", "p99 bound(us)", "Gbps", "p99-all(us)", "finalW")
 	for _, bound := range []simtime.Time{100 * simtime.Microsecond, 0} {
-		spec := RunSpec{App: "ipsec", LB: "adaptive", Size: 64, OfferedBps: 0.5e9,
-			Warmup: 5 * simtime.Millisecond, Duration: 100 * simtime.Millisecond,
-			ALBObserve: 250 * simtime.Microsecond, ALBUpdate: simtime.Millisecond,
-			LatencyBound: bound, Seed: o.Seed}
+		cfg := o.appRun("ipsec", "adaptive", 64, 0.5e9, 5*simtime.Millisecond, 100*simtime.Millisecond)
+		cfg.ALBObserve, cfg.ALBUpdate = 250*simtime.Microsecond, simtime.Millisecond
+		cfg.ALBLatencyBound = bound
 		if o.Quick {
-			spec.Duration = 40 * simtime.Millisecond
+			cfg.Duration = 40 * simtime.Millisecond
 		}
-		r, err := Execute(spec)
+		r, err := Run(cfg)
 		if err != nil {
 			return err
 		}

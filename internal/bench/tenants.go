@@ -7,7 +7,6 @@ import (
 	"nba/internal/core"
 	"nba/internal/invariant"
 	"nba/internal/overload"
-	"nba/internal/par"
 	"nba/internal/simtime"
 	"nba/internal/sysinfo"
 )
@@ -32,28 +31,22 @@ var tenantApps = []string{"ipv4", "ipsec", "ipv6", "ids"}
 func tenantsFor(n int, seed uint64) ([]core.Tenant, error) {
 	out := make([]core.Tenant, 0, n)
 	for i := 0; i < n; i++ {
-		app := tenantApps[i]
-		cfgText, err := AppConfig(app, "adaptive")
+		t, err := AppTenant(tenantApps[i], tenantApps[i], "adaptive", 64, seed+1+uint64(i))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, core.Tenant{
-			Name:        app,
-			GraphConfig: cfgText,
-			Share:       1,
-			Generator:   GeneratorFor(app, 64, seed+1+uint64(i)),
-		})
+		out = append(out, t)
 	}
 	return out, nil
 }
 
 // tenantSpec is one co-residency run on the canonical small socket.
-func tenantSpec(o Options, tenants []core.Tenant, armed bool) RunSpec {
+func tenantSpec(o Options, tenants []core.Tenant, armed bool) core.Config {
 	warm, dur := o.durations(2*simtime.Millisecond, 20*simtime.Millisecond)
-	spec := RunSpec{
-		Tenants:    tenants,
-		OfferedBps: tenantBaseBps,
-		Warmup:     warm, Duration: dur, Seed: o.Seed,
+	spec := core.Config{
+		Tenants:           tenants,
+		OfferedBpsPerPort: tenantBaseBps,
+		Warmup:            warm, Duration: dur, Seed: o.Seed,
 		Topology:      sysinfo.SingleSocketTopology(4, 2),
 		LatencySample: 4,
 		Checker:       invariant.New(),
@@ -81,13 +74,11 @@ func runTenants(o Options, w io.Writer) error {
 		}
 		mixes = append(mixes, ts)
 	}
-	specs := make([]RunSpec, len(mixes))
+	specs := make([]core.Config, len(mixes))
 	for i := range mixes {
 		specs[i] = tenantSpec(o, mixes[i], true)
 	}
-	reps, err := par.MapErr(len(specs), o.workers(), func(i int) (*core.Report, error) {
-		return Execute(specs[i])
-	})
+	reps, err := runGrid(o, specs)
 	if err != nil {
 		return err
 	}
@@ -109,10 +100,10 @@ func runTenants(o Options, w io.Writer) error {
 
 	// Part 2: noisy neighbour. The aggressor's RateScale 2 offers it twice
 	// its fair share, saturating the shared socket.
-	noisy := func(armed bool) (RunSpec, error) {
+	noisy := func(armed bool) (core.Config, error) {
 		ts, err := tenantsFor(2, o.Seed) // ipv4 victim + ipsec aggressor
 		if err != nil {
-			return RunSpec{}, err
+			return core.Config{}, err
 		}
 		ts[1].RateScale = 2
 		return tenantSpec(o, ts, armed), nil
@@ -125,10 +116,7 @@ func runTenants(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	nspecs := []RunSpec{armedSpec, disarmedSpec}
-	nreps, err := par.MapErr(2, o.workers(), func(i int) (*core.Report, error) {
-		return Execute(nspecs[i])
-	})
+	nreps, err := runGrid(o, []core.Config{armedSpec, disarmedSpec})
 	if err != nil {
 		return err
 	}

@@ -250,31 +250,21 @@ func Run(c Case) (*Outcome, error) {
 	}
 	if len(c.Tenants) > 0 {
 		for i, app := range c.Tenants {
-			cfgText, err := bench.AppConfig(app, "adaptive")
+			// Index prefix keeps names unique when a mix repeats an app.
+			t, err := bench.AppTenant(tenantName(i, app), app, "adaptive", 64, c.Seed+1+uint64(i))
 			if err != nil {
 				return nil, err
 			}
-			cfg.Tenants = append(cfg.Tenants, core.Tenant{
-				// Index prefix keeps names unique when a mix repeats an app.
-				Name:        tenantName(i, app),
-				GraphConfig: cfgText,
-				Share:       1,
-				Generator:   bench.GeneratorFor(app, 64, c.Seed+1+uint64(i)),
-			})
+			cfg.Tenants = append(cfg.Tenants, t)
 		}
 		for i, app := range c.Latent {
-			cfgText, err := bench.AppConfig(app, "adaptive")
+			// The generator seed stream continues past the active tenants
+			// so an admitted tenant's traffic is independent of the mix.
+			t, err := bench.AppTenant(latentName(i, app), app, "adaptive", 64, c.Seed+1+uint64(len(c.Tenants)+i))
 			if err != nil {
 				return nil, err
 			}
-			cfg.LatentTenants = append(cfg.LatentTenants, core.Tenant{
-				Name:        latentName(i, app),
-				GraphConfig: cfgText,
-				Share:       1,
-				// The generator seed stream continues past the active tenants
-				// so an admitted tenant's traffic is independent of the mix.
-				Generator: bench.GeneratorFor(app, 64, c.Seed+1+uint64(len(c.Tenants)+i)),
-			})
+			cfg.LatentTenants = append(cfg.LatentTenants, t)
 		}
 		cfg.Reconfig = c.Reconfig
 	} else {
@@ -285,11 +275,7 @@ func Run(c Case) (*Outcome, error) {
 		cfg.GraphConfig = cfgText
 		cfg.Generator = bench.GeneratorFor(c.App, 64, c.Seed+1)
 	}
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sys.Run()
+	rep, err := bench.Run(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,8 @@ import (
 )
 
 // Reproducer files are plain JSON so a failing case can be attached to a
-// bug report and replayed with `nbachaos replay <file>`. Times are
-// picoseconds of virtual time (simtime.Time's unit); fault kinds use their
-// String form.
+// bug report and replayed with `nbachaos replay <file>`. The event format
+// (picosecond times, kinds by name) belongs to fault.Event / reconfig.Event.
 
 type reproFile struct {
 	App string `json:"app"`
@@ -23,39 +22,16 @@ type reproFile struct {
 	Seed uint64 `json:"seed"`
 	// TaskTimeoutPs overrides the rescue timeout; omitted = framework
 	// default, negative = disabled.
-	TaskTimeoutPs int64        `json:"task_timeout_ps,omitempty"`
-	Events        []reproEvent `json:"events"`
+	TaskTimeoutPs int64         `json:"task_timeout_ps,omitempty"`
+	Events        []fault.Event `json:"events"`
 	// Latent / ReconfigEvents replay control-plane churn cases: the latent
-	// app pool and the reconfiguration timeline (kinds in their String
-	// form, tenants by their in-run names).
-	Latent         []string             `json:"latent,omitempty"`
-	ReconfigEvents []reproReconfigEvent `json:"reconfig_events,omitempty"`
+	// app pool and the reconfiguration timeline (tenants by their in-run
+	// names).
+	Latent         []string         `json:"latent,omitempty"`
+	ReconfigEvents []reconfig.Event `json:"reconfig_events,omitempty"`
 	// DisarmSampling replays the case with the integrity sentinel armed but
 	// not sampling (the seeded corruption-leak configuration).
 	DisarmSampling bool `json:"disarm_sampling,omitempty"`
-}
-
-type reproEvent struct {
-	AtPs         int64   `json:"at_ps"`
-	Kind         string  `json:"kind"`
-	Device       int     `json:"device,omitempty"`
-	Port         int     `json:"port,omitempty"`
-	Queue        int     `json:"queue,omitempty"`
-	KernelFactor float64 `json:"kernel_factor,omitempty"`
-	CopyFactor   float64 `json:"copy_factor,omitempty"`
-	RateFactor   float64 `json:"rate_factor,omitempty"`
-	CorruptProb  float64 `json:"corrupt_prob,omitempty"`
-	FlipPattern  byte    `json:"flip_pattern,omitempty"`
-}
-
-type reproReconfigEvent struct {
-	AtPs     int64   `json:"at_ps"`
-	Kind     string  `json:"kind"`
-	Tenant   string  `json:"tenant,omitempty"`
-	Share    float64 `json:"share,omitempty"`
-	Device   int     `json:"device,omitempty"`
-	Port     int     `json:"port,omitempty"`
-	Capacity int     `json:"capacity,omitempty"`
 }
 
 // WriteRepro writes the case as a replayable reproducer file.
@@ -66,24 +42,12 @@ func WriteRepro(path string, c Case) error {
 		DisarmSampling: c.DisarmSampling,
 	}
 	if c.Plan != nil {
-		for _, ev := range c.Plan.Events {
-			rf.Events = append(rf.Events, reproEvent{
-				AtPs: int64(ev.At), Kind: ev.Kind.String(),
-				Device: ev.Device, Port: ev.Port, Queue: ev.Queue,
-				KernelFactor: ev.KernelFactor, CopyFactor: ev.CopyFactor,
-				RateFactor:  ev.RateFactor,
-				CorruptProb: ev.CorruptProb, FlipPattern: ev.FlipPattern,
-			})
-		}
+		// append, here and in ReadRepro: an empty plan is null in the file and
+		// nil in the case however it was spelled, so round trips are fixed points.
+		rf.Events = append(rf.Events, c.Plan.Events...)
 	}
 	if c.Reconfig != nil {
-		for _, ev := range c.Reconfig.Events {
-			rf.ReconfigEvents = append(rf.ReconfigEvents, reproReconfigEvent{
-				AtPs: int64(ev.At), Kind: ev.Kind.String(),
-				Tenant: ev.Tenant, Share: ev.Share,
-				Device: ev.Device, Port: ev.Port, Capacity: ev.Capacity,
-			})
-		}
+		rf.ReconfigEvents = c.Reconfig.Events
 	}
 	data, err := json.MarshalIndent(rf, "", "  ")
 	if err != nil {
@@ -107,36 +71,12 @@ func ReadRepro(path string) (Case, error) {
 		Tenants:        rf.Tenants,
 		Seed:           rf.Seed,
 		TaskTimeout:    simtime.Time(rf.TaskTimeoutPs),
-		Plan:           &fault.Plan{},
+		Plan:           &fault.Plan{Events: append([]fault.Event(nil), rf.Events...)},
 		Latent:         rf.Latent,
 		DisarmSampling: rf.DisarmSampling,
 	}
-	for i, ev := range rf.Events {
-		kind, err := fault.KindFromString(ev.Kind)
-		if err != nil {
-			return Case{}, fmt.Errorf("chaos: %s: event %d: %w", path, i, err)
-		}
-		c.Plan.Events = append(c.Plan.Events, fault.Event{
-			At: simtime.Time(ev.AtPs), Kind: kind,
-			Device: ev.Device, Port: ev.Port, Queue: ev.Queue,
-			KernelFactor: ev.KernelFactor, CopyFactor: ev.CopyFactor,
-			RateFactor:  ev.RateFactor,
-			CorruptProb: ev.CorruptProb, FlipPattern: ev.FlipPattern,
-		})
-	}
 	if len(rf.ReconfigEvents) > 0 {
-		c.Reconfig = &reconfig.Plan{}
-		for i, ev := range rf.ReconfigEvents {
-			kind, err := reconfig.KindFromString(ev.Kind)
-			if err != nil {
-				return Case{}, fmt.Errorf("chaos: %s: reconfig event %d: %w", path, i, err)
-			}
-			c.Reconfig.Events = append(c.Reconfig.Events, reconfig.Event{
-				At: simtime.Time(ev.AtPs), Kind: kind,
-				Tenant: ev.Tenant, Share: ev.Share,
-				Device: ev.Device, Port: ev.Port, Capacity: ev.Capacity,
-			})
-		}
+		c.Reconfig = &reconfig.Plan{Events: rf.ReconfigEvents}
 	}
 	return c, nil
 }

@@ -24,52 +24,100 @@ const shrinkGrid = 10 * simtime.Microsecond
 // best plan found so far is returned when the budget runs out, along with
 // the number of probes spent.
 func Shrink(plan *fault.Plan, stillFails func(*fault.Plan) bool, valid func(*fault.Plan) bool, maxRuns int) (*fault.Plan, int) {
-	cur := clonePlan(plan)
+	on := func(f func(*fault.Plan) bool) func([]fault.Event) bool {
+		return func(evs []fault.Event) bool { return f(&fault.Plan{Events: evs}) }
+	}
+	evs, runs := shrink(plan.Events, on(stillFails), on(valid), maxRuns, sameTarget, weakenOnce)
+	return &fault.Plan{Events: evs}, runs
+}
+
+// ShrinkReconfig reduces a failing reconfiguration plan the same way Shrink
+// reduces a fault plan, with the two removal passes only: a pair is an
+// admit+evict of one tenant or an unplug+plug of one device, whose single
+// removals the timeline validator rejects.
+func ShrinkReconfig(plan *reconfig.Plan, stillFails func(*reconfig.Plan) bool, valid func(*reconfig.Plan) bool, maxRuns int) (*reconfig.Plan, int) {
+	on := func(f func(*reconfig.Plan) bool) func([]reconfig.Event) bool {
+		return func(evs []reconfig.Event) bool { return f(&reconfig.Plan{Events: evs}) }
+	}
+	evs, runs := shrink(plan.Events, on(stillFails), on(valid), maxRuns, sameReconfigTarget, nil)
+	return &reconfig.Plan{Events: evs}, runs
+}
+
+// shrink is the fixed-point driver: it tries every candidate transformation
+// of the current timeline in deterministic order — the removal passes, then
+// the caller's own (more, may be nil) — and restarts from the first one that
+// is valid and still fails, until none is or the probe budget is spent.
+func shrink[E any](events []E, stillFails, valid func([]E) bool, maxRuns int,
+	sameTarget func(a, b E) bool, more func(cur []E, try func([]E) bool) ([]E, bool)) ([]E, int) {
+	cur := append([]E(nil), events...)
 	runs := 0
-	try := func(cand *fault.Plan) bool {
+	try := func(cand []E) bool {
 		if runs >= maxRuns || !valid(cand) {
 			return false
 		}
 		runs++
 		return stillFails(cand)
 	}
-
 	for {
-		if cand, ok := shrinkOnce(cur, try); ok {
-			cur = cand
-			continue
+		cand, ok := removeOnce(cur, try, sameTarget)
+		if !ok && more != nil {
+			cand, ok = more(cur, try)
 		}
-		return cur, runs
+		if !ok {
+			return cur, runs
+		}
+		cur = cand
 	}
 }
 
-// shrinkOnce tries every candidate transformation of cur in deterministic
-// order, returning the first one that still fails.
-func shrinkOnce(cur *fault.Plan, try func(*fault.Plan) bool) (*fault.Plan, bool) {
+func removeOnce[E any](cur []E, try func([]E) bool, sameTarget func(a, b E) bool) ([]E, bool) {
 	// 1. Remove a single event. Scanning from the end first tends to strip
-	// trailing recovery events (whose windows then extend to the horizon)
-	// before touching the fault that matters.
-	for i := len(cur.Events) - 1; i >= 0; i-- {
-		if cand := removeEvents(cur, i, -1); try(cand) {
+	// trailing recovery events (whose windows then extend to the horizon),
+	// late evicts and replugs before touching the event that matters.
+	for i := len(cur) - 1; i >= 0; i-- {
+		if cand := without(cur, i, -1); try(cand) {
 			return cand, true
 		}
 	}
-	// 2. Remove a same-target pair (a whole fault window at once: the
-	// single removals above may both fail while removing the pair works,
-	// e.g. dropping an unrelated fail+recover window whose recover alone
-	// would make the plan invalid).
-	for i := 0; i < len(cur.Events); i++ {
-		for j := i + 1; j < len(cur.Events); j++ {
-			if !sameTarget(cur.Events[i], cur.Events[j]) {
+	// 2. Remove a same-target pair (a whole fault window or tenant/device
+	// lifecycle at once: the single removals above may both fail while
+	// removing the pair works, e.g. dropping an unrelated fail+recover window
+	// whose recover alone would make the plan invalid).
+	for i := 0; i < len(cur); i++ {
+		for j := i + 1; j < len(cur); j++ {
+			if !sameTarget(cur[i], cur[j]) {
 				continue
 			}
-			if cand := removeEvents(cur, i, j); try(cand) {
+			if cand := without(cur, i, j); try(cand) {
 				return cand, true
 			}
 		}
 	}
+	return nil, false
+}
+
+// without copies the events minus index i (and j, when >= 0).
+func without[E any](events []E, i, j int) []E {
+	out := make([]E, 0, len(events))
+	for k, ev := range events {
+		if k != i && k != j {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// weakenOnce holds the fault-only passes: magnitudes, then windows.
+func weakenOnce(cur []fault.Event, try func([]fault.Event) bool) ([]fault.Event, bool) {
+	// edit returns a copy of cur with event i passed through set.
+	edit := func(i int, set func(*fault.Event)) []fault.Event {
+		cand := append([]fault.Event(nil), cur...)
+		set(&cand[i])
+		return cand
+	}
 	// 3. Halve fault magnitudes toward nominal (factor 1).
-	for i, ev := range cur.Events {
+	for i, ev := range cur {
+		var cand []fault.Event
 		switch ev.Kind {
 		case fault.DeviceSlowdown:
 			k, kok := halveFactor(ev.KernelFactor)
@@ -77,38 +125,30 @@ func shrinkOnce(cur *fault.Plan, try func(*fault.Plan) bool) (*fault.Plan, bool)
 			if !kok && !cok {
 				continue
 			}
-			cand := clonePlan(cur)
-			cand.Events[i].KernelFactor = k
-			cand.Events[i].CopyFactor = c
-			if try(cand) {
-				return cand, true
-			}
+			cand = edit(i, func(e *fault.Event) { e.KernelFactor, e.CopyFactor = k, c })
 		case fault.RateBurst:
 			f, ok := halveFactor(ev.RateFactor)
 			if !ok {
 				continue
 			}
-			cand := clonePlan(cur)
-			cand.Events[i].RateFactor = f
-			if try(cand) {
-				return cand, true
-			}
+			cand = edit(i, func(e *fault.Event) { e.RateFactor = f })
 		case fault.DeviceCorrupt:
 			// Halve the corruption probability toward zero (the validator
 			// rejects 0, so the halving bottoms out on its own).
 			if ev.CorruptProb <= 0.05 {
 				continue
 			}
-			cand := clonePlan(cur)
-			cand.Events[i].CorruptProb = ev.CorruptProb / 2
-			if try(cand) {
-				return cand, true
-			}
+			cand = edit(i, func(e *fault.Event) { e.CorruptProb /= 2 })
+		default:
+			continue
+		}
+		if try(cand) {
+			return cand, true
 		}
 	}
 	// 4. Halve fault windows: move each closing event halfway toward its
 	// opener.
-	for i, ev := range cur.Events {
+	for i, ev := range cur {
 		if !closesWindow(ev) {
 			continue
 		}
@@ -116,83 +156,15 @@ func shrinkOnce(cur *fault.Plan, try func(*fault.Plan) bool) (*fault.Plan, bool)
 		if j < 0 {
 			continue
 		}
-		mid := midpoint(cur.Events[j].At, ev.At)
-		if mid <= cur.Events[j].At || mid >= ev.At {
+		mid := midpoint(cur[j].At, ev.At)
+		if mid <= cur[j].At || mid >= ev.At {
 			continue
 		}
-		cand := clonePlan(cur)
-		cand.Events[i].At = mid
-		if try(cand) {
+		if cand := edit(i, func(e *fault.Event) { e.At = mid }); try(cand) {
 			return cand, true
 		}
 	}
 	return nil, false
-}
-
-// ShrinkReconfig reduces a failing reconfiguration plan the same way Shrink
-// reduces a fault plan: greedy delta debugging over candidate
-// transformations (single event removal, then same-target pair removal —
-// an admit+evict of one tenant or an unplug+plug of one device, whose
-// single removals the timeline validator rejects), restarting the scan on
-// every success until a fixed point or the probe budget runs out.
-func ShrinkReconfig(plan *reconfig.Plan, stillFails func(*reconfig.Plan) bool, valid func(*reconfig.Plan) bool, maxRuns int) (*reconfig.Plan, int) {
-	cur := cloneReconfigPlan(plan)
-	runs := 0
-	try := func(cand *reconfig.Plan) bool {
-		if runs >= maxRuns || !valid(cand) {
-			return false
-		}
-		runs++
-		return stillFails(cand)
-	}
-
-	for {
-		if cand, ok := shrinkReconfigOnce(cur, try); ok {
-			cur = cand
-			continue
-		}
-		return cur, runs
-	}
-}
-
-func shrinkReconfigOnce(cur *reconfig.Plan, try func(*reconfig.Plan) bool) (*reconfig.Plan, bool) {
-	// 1. Remove a single event, scanning from the end (evicts and replugs
-	// tend to sit late; stripping them first leaves the opening event whose
-	// epoch is usually what matters).
-	for i := len(cur.Events) - 1; i >= 0; i-- {
-		if cand := removeReconfigEvents(cur, i, -1); try(cand) {
-			return cand, true
-		}
-	}
-	// 2. Remove a same-target pair: the lifecycle validator rejects many
-	// single removals (an evict without its admit, a plug without its
-	// unplug), but dropping the whole pair keeps the timeline legal.
-	for i := 0; i < len(cur.Events); i++ {
-		for j := i + 1; j < len(cur.Events); j++ {
-			if !sameReconfigTarget(cur.Events[i], cur.Events[j]) {
-				continue
-			}
-			if cand := removeReconfigEvents(cur, i, j); try(cand) {
-				return cand, true
-			}
-		}
-	}
-	return nil, false
-}
-
-func cloneReconfigPlan(p *reconfig.Plan) *reconfig.Plan {
-	return &reconfig.Plan{Events: append([]reconfig.Event(nil), p.Events...)}
-}
-
-func removeReconfigEvents(p *reconfig.Plan, i, j int) *reconfig.Plan {
-	out := &reconfig.Plan{Events: make([]reconfig.Event, 0, len(p.Events))}
-	for k, ev := range p.Events {
-		if k == i || k == j {
-			continue
-		}
-		out.Events = append(out.Events, ev)
-	}
-	return out
 }
 
 // sameReconfigTarget reports whether two reconfig events act on the same
@@ -217,22 +189,6 @@ func tenantReconfigKind(k reconfig.Kind) bool {
 
 func deviceReconfigKind(k reconfig.Kind) bool {
 	return k == reconfig.DeviceUnplug || k == reconfig.DevicePlug
-}
-
-func clonePlan(p *fault.Plan) *fault.Plan {
-	return &fault.Plan{Events: append([]fault.Event(nil), p.Events...)}
-}
-
-// removeEvents drops index i (and j, when >= 0) from the plan.
-func removeEvents(p *fault.Plan, i, j int) *fault.Plan {
-	out := &fault.Plan{Events: make([]fault.Event, 0, len(p.Events))}
-	for k, ev := range p.Events {
-		if k == i || k == j {
-			continue
-		}
-		out.Events = append(out.Events, ev)
-	}
-	return out
 }
 
 // sameTarget reports whether two events act on the same fault target, so
@@ -268,14 +224,14 @@ func closesWindow(ev fault.Event) bool {
 
 // openerOf finds the latest earlier same-target non-closing event — the
 // start of the window that event i closes. Returns -1 when there is none.
-func openerOf(p *fault.Plan, i int) int {
-	ev := p.Events[i]
+func openerOf(events []fault.Event, i int) int {
+	ev := events[i]
 	best := -1
-	for j, o := range p.Events {
+	for j, o := range events {
 		if j == i || closesWindow(o) || !sameTarget(o, ev) || o.At >= ev.At {
 			continue
 		}
-		if best < 0 || o.At > p.Events[best].At {
+		if best < 0 || o.At > events[best].At {
 			best = j
 		}
 	}

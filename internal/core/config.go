@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"nba/internal/batch"
 	"nba/internal/fault"
@@ -206,6 +207,9 @@ type Config struct {
 	ForceRemoteMemory bool
 }
 
+// finite rejects NaN and ±Inf, which pass every ordered comparison below.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // withDefaults validates and fills defaults, returning a copy.
 func (c Config) withDefaults() (Config, error) {
 	if c.Topology == nil {
@@ -242,14 +246,14 @@ func (c Config) withDefaults() (Config, error) {
 				return fmt.Errorf("core: duplicate tenant name %q", t.Name)
 			}
 			names[t.Name] = true
-			if t.Share < 0 {
-				return fmt.Errorf("core: tenant %s: negative Share", t.Name)
+			if t.Share < 0 || !finite(t.Share) {
+				return fmt.Errorf("core: tenant %s: Share %v must be finite and non-negative", t.Name, t.Share)
 			}
 			if t.Share == 0 {
 				t.Share = 1
 			}
-			if t.RateScale < 0 {
-				return fmt.Errorf("core: tenant %s: negative RateScale", t.Name)
+			if t.RateScale < 0 || !finite(t.RateScale) {
+				return fmt.Errorf("core: tenant %s: RateScale %v must be finite and non-negative", t.Name, t.RateScale)
 			}
 			if t.RateScale == 0 {
 				t.RateScale = 1
@@ -326,8 +330,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.LatencySample == 0 {
 		c.LatencySample = 1
 	}
-	if c.OfferedBpsPerPort <= 0 {
-		return c, fmt.Errorf("core: OfferedBpsPerPort must be positive")
+	if c.OfferedBpsPerPort <= 0 || !finite(c.OfferedBpsPerPort) {
+		return c, fmt.Errorf("core: OfferedBpsPerPort %v must be finite and positive", c.OfferedBpsPerPort)
 	}
 	if c.GraphOpts == nil {
 		opts := graph.DefaultOptions()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	_ "nba/internal/apps/ids"
@@ -209,6 +210,8 @@ func TestConfigValidation(t *testing.T) {
 		{"no generator", func(c *Config) { c.Generator = nil }},
 		{"too many workers", func(c *Config) { c.WorkersPerSocket = 99 }},
 		{"zero offered", func(c *Config) { c.OfferedBpsPerPort = 0 }},
+		{"NaN offered", func(c *Config) { c.OfferedBpsPerPort = math.NaN() }},
+		{"infinite offered", func(c *Config) { c.OfferedBpsPerPort = math.Inf(1) }},
 		{"huge batch", func(c *Config) { c.CompBatchSize = 10000 }},
 		{"bad graph", func(c *Config) { c.GraphConfig = "FromInput() -> Nope();" }},
 		{"parse error", func(c *Config) { c.GraphConfig = "@@@" }},

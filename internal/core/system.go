@@ -724,7 +724,7 @@ func (s *System) commitEpoch() {
 	case reconfig.ShareRetune:
 		t := s.tenantIndex(ev.Tenant)
 		tenant, target = int32(t), int64(t)
-		s.tenants[t].Share = ev.Share //nbalint:allow sharedstate retune commits on the serial engine; any outside write to Share builds the config before Run starts
+		s.tenants[t].Share = ev.Share
 		reseated = len(s.workers)
 		s.recomputeShares()
 		s.applyRate()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"nba/internal/gen"
@@ -212,6 +213,10 @@ func TestTenantConfigValidation(t *testing.T) {
 		{"duplicate tenant names", func(c *Config) { c.Tenants[1].Name = "ipv4" }},
 		{"negative share", func(c *Config) { c.Tenants[0].Share = -1 }},
 		{"negative rate scale", func(c *Config) { c.Tenants[0].RateScale = -0.5 }},
+		{"NaN share", func(c *Config) { c.Tenants[0].Share = math.NaN() }},
+		{"infinite share", func(c *Config) { c.Tenants[0].Share = math.Inf(1) }},
+		{"NaN rate scale", func(c *Config) { c.Tenants[0].RateScale = math.NaN() }},
+		{"infinite rate scale", func(c *Config) { c.Tenants[0].RateScale = math.Inf(1) }},
 		{"missing generator", func(c *Config) {
 			c.Tenants[2].Generator = nil
 			c.Generator = nil

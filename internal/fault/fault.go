@@ -104,6 +104,15 @@ func KindFromString(s string) (Kind, error) {
 	return 0, fmt.Errorf("fault: unknown kind %q", s)
 }
 
+// MarshalText / UnmarshalText make a Kind travel as its String form in plan
+// files (JSON reproducers), rejecting names KindFromString does not know.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *Kind) UnmarshalText(text []byte) (err error) {
+	*k, err = KindFromString(string(text))
+	return err
+}
+
 // IsRecovery reports whether the kind restores capacity rather than taking
 // it away (used to pick the trace event kind).
 func (k Kind) IsRecovery() bool {
@@ -111,33 +120,34 @@ func (k Kind) IsRecovery() bool {
 }
 
 // Event is one scheduled fault. Only the fields relevant to the Kind are
-// read; the rest stay zero.
+// read; the rest stay zero. The json tags are the plan-file format
+// (reproducers): times in picoseconds, kinds by name, zero fields omitted.
 type Event struct {
 	// At is the virtual time the fault is applied.
-	At   simtime.Time
-	Kind Kind
+	At   simtime.Time `json:"at_ps"`
+	Kind Kind         `json:"kind"`
 
 	// Device indexes Topology.Devices (device events).
-	Device int
+	Device int `json:"device,omitempty"`
 	// Port indexes Topology.Ports and Queue the port's RX queues (RX-queue
 	// events). Queue -1 targets every queue of the port.
-	Port  int
-	Queue int
+	Port  int `json:"port,omitempty"`
+	Queue int `json:"queue,omitempty"`
 
 	// KernelFactor / CopyFactor scale kernel and copy times (DeviceSlowdown;
 	// >= 1 slows the device, 1 is nominal; 0 means "leave unchanged").
-	KernelFactor float64
-	CopyFactor   float64
+	KernelFactor float64 `json:"kernel_factor,omitempty"`
+	CopyFactor   float64 `json:"copy_factor,omitempty"`
 
 	// RateFactor scales the offered load (RateBurst; must be >= 0).
-	RateFactor float64
+	RateFactor float64 `json:"rate_factor,omitempty"`
 
 	// CorruptProb is the per-aggregate corruption probability of a
 	// DeviceCorrupt window (must be in (0, 1]).
-	CorruptProb float64
+	CorruptProb float64 `json:"corrupt_prob,omitempty"`
 	// FlipPattern is the byte XORed into corrupted payloads (DeviceCorrupt;
 	// must be nonzero — a zero XOR would be a no-op window).
-	FlipPattern byte
+	FlipPattern byte `json:"flip_pattern,omitempty"`
 }
 
 // Plan is a scripted fault timeline. The zero value is an empty plan.
@@ -325,8 +335,9 @@ func (p *Plan) Sorted() []Event {
 }
 
 // GPUOutage is the canonical outage scenario: device dev fails at failAt and
-// recovers at recoverAt. It is the plan behind the `faults` bench scenario
-// and the nbatrace record -faults self-check.
+// recovers at recoverAt. The `faults` bench scenario and nbatrace record
+// -faults each build their plan with it over their own window, seeds and LB
+// (nbatrace: span/4..span/2); they are two runs, not one shared scenario.
 func GPUOutage(failAt, recoverAt simtime.Time, dev int) *Plan {
 	return &Plan{Events: []Event{
 		{At: failAt, Kind: DeviceFail, Device: dev},
@@ -336,8 +347,9 @@ func GPUOutage(failAt, recoverAt simtime.Time, dev int) *Plan {
 
 // Corruption is the canonical silent-corruption scenario: device dev starts
 // flipping bits at `at` (per-aggregate probability prob, XOR pattern) and
-// stops at recoverAt. It is the plan behind the `integrity` bench scenario
-// and the nbatrace record -corrupt self-check.
+// stops at recoverAt. The `integrity` bench scenario and nbatrace record
+// -corrupt each build their plan with it (both over span/4..span/2, but with
+// their own seeds, LB and sampling rate); they are two runs, not one.
 func Corruption(at, recoverAt simtime.Time, dev int, prob float64, pattern byte) *Plan {
 	return &Plan{Events: []Event{
 		{At: at, Kind: DeviceCorrupt, Device: dev, CorruptProb: prob, FlipPattern: pattern},

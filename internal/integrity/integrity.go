@@ -221,7 +221,7 @@ func (s *Sentinel) Release(sh *Shadow) {
 		for i := 0; i < b.Count(); i++ {
 			p := b.Packet(i)
 			p.Reset()
-			s.freeP = append(s.freeP, p)
+			s.freeP = append(s.freeP, p) //nbalint:allow aliasflow shadow batches hold the sentinel's own heap packets (getPacket), never mempool ones; this is their free-list
 		}
 		b.Reset()
 		s.freeB = append(s.freeB, b)

@@ -27,6 +27,7 @@ package reconfig
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"nba/internal/simtime"
@@ -87,29 +88,39 @@ func KindFromString(s string) (Kind, error) {
 	return 0, fmt.Errorf("reconfig: unknown kind %q", s)
 }
 
+// MarshalText / UnmarshalText make a Kind travel as its String form in plan
+// files (JSON reproducers), rejecting names KindFromString does not know.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *Kind) UnmarshalText(text []byte) (err error) {
+	*k, err = KindFromString(string(text))
+	return err
+}
+
 // Event is one scheduled reconfiguration. Only the fields relevant to the
-// Kind are read; the rest stay zero.
+// Kind are read; the rest stay zero. The json tags are the plan-file format
+// (reproducers): times in picoseconds, kinds by name, zero fields omitted.
 type Event struct {
 	// At is the virtual time the epoch begins.
-	At   simtime.Time
-	Kind Kind
+	At   simtime.Time `json:"at_ps"`
+	Kind Kind         `json:"kind"`
 
 	// Tenant names the target of tenant events. Admit targets must name a
 	// latent tenant from core.Config.LatentTenants; evict and retune
 	// targets must name a tenant active at Event.At.
-	Tenant string
+	Tenant string `json:"tenant,omitempty"`
 	// Share is the new traffic share (ShareRetune, required > 0) or an
 	// override of the latent tenant's configured share (TenantAdmit,
 	// 0 = keep the configured share).
-	Share float64
+	Share float64 `json:"share,omitempty"`
 
 	// Device indexes Topology.Devices (plug/unplug events).
-	Device int
+	Device int `json:"device,omitempty"`
 
 	// Port indexes Topology.Ports (QueueResize; -1 targets every port) and
 	// Capacity is the new per-ring capacity in packets (required >= 1).
-	Port     int
-	Capacity int
+	Port     int `json:"port,omitempty"`
+	Capacity int `json:"capacity,omitempty"`
 }
 
 // Plan is a scripted reconfiguration timeline. The zero value is an empty
@@ -145,6 +156,9 @@ func (p *Plan) Validate(initial, latent []string, ndev, nports int) error {
 	for i, ev := range p.Events {
 		if ev.At < 0 {
 			return fmt.Errorf("reconfig: event %d (%s) at negative time %v", i, ev.Kind, ev.At)
+		}
+		if math.IsNaN(ev.Share) || math.IsInf(ev.Share, 0) {
+			return fmt.Errorf("reconfig: event %d (%s) has non-finite share %v", i, ev.Kind, ev.Share)
 		}
 		switch ev.Kind {
 		case TenantAdmit:

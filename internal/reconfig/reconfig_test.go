@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,6 +86,12 @@ func TestPlanValidate(t *testing.T) {
 		{"negative admit share", []Event{
 			{At: ms(1), Kind: TenantAdmit, Tenant: "l1", Share: -1},
 		}, "negative share"},
+		{"NaN retune share", []Event{
+			{At: ms(1), Kind: ShareRetune, Tenant: "a", Share: math.NaN()},
+		}, "non-finite share"},
+		{"infinite admit share", []Event{
+			{At: ms(1), Kind: TenantAdmit, Tenant: "l1", Share: math.Inf(1)},
+		}, "non-finite share"},
 		{"device out of range", []Event{
 			{At: ms(1), Kind: DeviceUnplug, Device: 2},
 		}, "targets device"},

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nba/internal/bench"
+	"nba/internal/core"
 	"nba/internal/reconfig"
 	"nba/internal/simtime"
 	"nba/internal/sysinfo"
@@ -20,26 +21,25 @@ var update = flag.Bool("update", false, "rewrite golden trace digests from the c
 // goldenSpec returns the canonical short run every golden trace pins: small
 // frame, one worker, modest load, fixed seed. Short enough that all eight
 // app×variant runs finish in well under a second each.
-func goldenSpec(app, lb string) bench.RunSpec {
-	return bench.RunSpec{
-		App:        app,
-		LB:         lb,
-		Size:       64,
-		OfferedBps: 1e9,
-		Workers:    1,
-		Warmup:     200 * simtime.Microsecond,
-		Duration:   2 * simtime.Millisecond,
-		Seed:       42,
+func goldenSpec(t *testing.T, app, lb string) core.Config {
+	t.Helper()
+	cfg, err := bench.AppRun(app, lb, 64, 42)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.OfferedBpsPerPort = 1e9
+	cfg.WorkersPerSocket = 1
+	cfg.Warmup, cfg.Duration = 200*simtime.Microsecond, 2*simtime.Millisecond
+	return cfg
 }
 
 // runTraced executes the spec with a fresh tracer attached and returns it.
-func runTraced(t *testing.T, spec bench.RunSpec) *trace.Tracer {
+func runTraced(t *testing.T, spec core.Config) *trace.Tracer {
 	t.Helper()
 	tr := trace.New(trace.Options{})
 	spec.Tracer = tr
-	if _, err := bench.Execute(spec); err != nil {
-		t.Fatalf("%s/%s: %v", spec.App, spec.LB, err)
+	if _, err := bench.Run(spec); err != nil {
+		t.Fatal(err)
 	}
 	return tr
 }
@@ -127,7 +127,7 @@ func TestGoldenTraces(t *testing.T) {
 	for _, c := range goldenCases {
 		c := c
 		t.Run(caseName(c.app, c.lb), func(t *testing.T) {
-			tr := runTraced(t, goldenSpec(c.app, c.lb))
+			tr := runTraced(t, goldenSpec(t, c.app, c.lb))
 			name := caseName(c.app, c.lb)
 			if *update {
 				writeGolden(t, name, tr)
@@ -170,7 +170,7 @@ func TestGoldenTracesUnchangedByEmptyReconfigPlan(t *testing.T) {
 	for _, c := range goldenCases {
 		c := c
 		t.Run(caseName(c.app, c.lb), func(t *testing.T) {
-			spec := goldenSpec(c.app, c.lb)
+			spec := goldenSpec(t, c.app, c.lb)
 			spec.Reconfig = &reconfig.Plan{}
 			tr := runTraced(t, spec)
 			g := readGolden(t, caseName(c.app, c.lb))
@@ -186,8 +186,8 @@ func TestGoldenTracesUnchangedByEmptyReconfigPlan(t *testing.T) {
 // bit-identical stream — the dynamic counterpart of cmd/nbalint's static
 // determinism rules.
 func TestGoldenRunsAreDeterministic(t *testing.T) {
-	a := runTraced(t, goldenSpec("ipv4", "fixed=0.8"))
-	b := runTraced(t, goldenSpec("ipv4", "fixed=0.8"))
+	a := runTraced(t, goldenSpec(t, "ipv4", "fixed=0.8"))
+	b := runTraced(t, goldenSpec(t, "ipv4", "fixed=0.8"))
 	if a.Digest() != b.Digest() {
 		d := trace.Diff(a.Events(), b.Events())
 		t.Fatalf("same config+seed diverged: %v", d)
@@ -198,13 +198,13 @@ func TestGoldenRunsAreDeterministic(t *testing.T) {
 // element's cycle cost must change the digest and produce a first-divergence
 // report naming that element.
 func TestCostChangeBreaksGolden(t *testing.T) {
-	base := runTraced(t, goldenSpec("ipv4", "cpu"))
+	base := runTraced(t, goldenSpec(t, "ipv4", "cpu"))
 
 	cm := sysinfo.Default()
 	ec := cm.Elements["IPLookup"]
 	ec.Fixed++ // one cycle more per batch
 	cm.Elements["IPLookup"] = ec
-	spec := goldenSpec("ipv4", "cpu")
+	spec := goldenSpec(t, "ipv4", "cpu")
 	spec.CostModel = cm
 	mod := runTraced(t, spec)
 

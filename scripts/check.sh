@@ -6,11 +6,12 @@
 #   2. go vet ./...       stdlib vet analyzers
 #   3. go build ./...     everything compiles
 #   4. nbalint ./...      framework determinism & invariant lint (cmd/nbalint):
-#                         per-file rules plus the interprocedural detflow /
-#                         aliasflow / hotalloc / sharedstate rules over one
-#                         shared type-checked module. Runs with -audit-allows
-#                         (stale or misspelled //nbalint:allow escapes fail
-#                         the gate), a per-rule wall-clock budget, and
+#                         the per-file rules (nondeterminism, maprange,
+#                         mempoolerr, printban) plus the interprocedural
+#                         detflow / aliasflow / hotalloc / sharedstate rules
+#                         over one shared type-checked module. Runs with
+#                         -audit-allows (stale or misspelled //nbalint:allow
+#                         escapes fail the gate), a per-rule wall-clock budget, and
 #                         -format json so the machine-readable findings /
 #                         allow counts / timings land in an artifact file
 #                         ($NBALINT_JSON, default nbalint.json under mktemp)
@@ -86,33 +87,27 @@ go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
 echo "==> nbatrace determinism self-check"
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
-go run ./cmd/nbatrace record -app ipv4 -lb fixed=0.8 -o "$tracedir/a.jsonl" >/dev/null
-go run ./cmd/nbatrace record -app ipv4 -lb fixed=0.8 -o "$tracedir/b.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/a.jsonl" "$tracedir/b.jsonl"
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -faults -o "$tracedir/fa.jsonl" >/dev/null
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -faults -o "$tracedir/fb.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/fa.jsonl" "$tracedir/fb.jsonl"
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -gbps 3 -overload -o "$tracedir/oa.jsonl" >/dev/null
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -gbps 3 -overload -o "$tracedir/ob.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/oa.jsonl" "$tracedir/ob.jsonl"
-# Silent corruption with the integrity sentinel armed: the corruption stream,
-# sampling coins, quarantines and device escalation are all part of the run
-# identity, so -corrupt recordings must be byte-identical too.
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -corrupt -o "$tracedir/ca.jsonl" >/dev/null
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -corrupt -o "$tracedir/cb.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/ca.jsonl" "$tracedir/cb.jsonl"
-# Multi-tenant: two co-resident app graphs share the workers and queues;
-# the merged timeline (every event tagged with its tenant) must still be
-# byte-identical across recordings.
-go run ./cmd/nbatrace record -tenants ipv4,ipsec -o "$tracedir/ta.jsonl" >/dev/null
-go run ./cmd/nbatrace record -tenants ipv4,ipsec -o "$tracedir/tb.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/ta.jsonl" "$tracedir/tb.jsonl"
-# Runtime reconfiguration: the canonical churn plan (admit/retune/evict via
-# epoch drain-and-handoff) is part of the run identity, so armed recordings
-# must also be byte-identical across recordings.
-go run ./cmd/nbatrace record -tenants ipv4,ids -reconfig -o "$tracedir/ra.jsonl" >/dev/null
-go run ./cmd/nbatrace record -tenants ipv4,ids -reconfig -o "$tracedir/rb.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/ra.jsonl" "$tracedir/rb.jsonl"
+go build -o "$tracedir/nbatrace" ./cmd/nbatrace
+# Each flag set is recorded twice and diffed: fault-free; the injected outage;
+# overload control under a sustained burst; silent corruption with the
+# sentinel armed (corruption stream, sampling coins, quarantines, escalation);
+# two co-resident tenants (one merged, tenant-tagged timeline); and the churn
+# plan (admit/retune/evict via epoch drain-and-handoff). Plans, coins and
+# tenant tags are all part of the run identity, so every pair must be
+# byte-identical.
+for flags in \
+    "-app ipv4 -lb fixed=0.8" \
+    "-app ipsec -lb fixed=0.8 -faults" \
+    "-app ipsec -lb fixed=0.8 -gbps 3 -overload" \
+    "-app ipsec -lb fixed=0.8 -corrupt" \
+    "-tenants ipv4,ipsec" \
+    "-tenants ipv4,ids -reconfig"
+do
+    # $flags is a word list: unquoted on purpose.
+    "$tracedir/nbatrace" record $flags -o "$tracedir/a.jsonl" >/dev/null
+    "$tracedir/nbatrace" record $flags -o "$tracedir/b.jsonl" >/dev/null
+    "$tracedir/nbatrace" diff "$tracedir/a.jsonl" "$tracedir/b.jsonl"
+done
 
 echo "==> chaos smoke (fixed-seed fault sweep under the invariant oracle)"
 go run ./cmd/nbachaos sweep -seeds 2 -base 1
