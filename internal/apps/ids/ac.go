@@ -14,8 +14,8 @@ import (
 // precomputed transition for every input byte (failure links are folded in
 // at build time), so scanning is one table access per byte.
 type AC struct {
-	next     [][256]int32
-	out      [][]int32 // pattern IDs ending at each state
+	scanTable
+	out      [][]int32 // pattern IDs ending at each state, ascending
 	patterns []string
 }
 
@@ -25,8 +25,9 @@ func BuildAC(patterns []string) (*AC, error) {
 		return nil, fmt.Errorf("ids: empty pattern set")
 	}
 	a := &AC{patterns: patterns}
-	// State 0 is the root.
-	a.next = append(a.next, [256]int32{})
+	// State 0 is the root. next is the construction-time table; only its
+	// flattened form is kept.
+	next := [][256]int32{{}}
 	a.out = append(a.out, nil)
 	goto_ := []map[byte]int32{{}}
 
@@ -41,7 +42,7 @@ func BuildAC(patterns []string) (*AC, error) {
 			if !ok {
 				nxt = int32(len(goto_))
 				goto_ = append(goto_, map[byte]int32{})
-				a.next = append(a.next, [256]int32{})
+				next = append(next, [256]int32{})
 				a.out = append(a.out, nil)
 				goto_[s][c] = nxt
 			}
@@ -55,10 +56,10 @@ func BuildAC(patterns []string) (*AC, error) {
 	queue := make([]int32, 0, len(goto_))
 	for c := 0; c < 256; c++ {
 		if nxt, ok := goto_[0][byte(c)]; ok {
-			a.next[0][c] = nxt
+			next[0][c] = nxt
 			queue = append(queue, nxt)
 		} else {
-			a.next[0][c] = 0
+			next[0][c] = 0
 		}
 	}
 	for len(queue) > 0 {
@@ -67,49 +68,45 @@ func BuildAC(patterns []string) (*AC, error) {
 		a.out[s] = append(a.out[s], a.out[fail[s]]...)
 		for c := 0; c < 256; c++ {
 			if nxt, ok := goto_[s][byte(c)]; ok {
-				a.next[s][c] = nxt
-				fail[nxt] = a.next[fail[s]][c]
+				next[s][c] = nxt
+				fail[nxt] = next[fail[s]][c]
 				queue = append(queue, nxt)
 			} else {
-				a.next[s][c] = a.next[fail[s]][c]
+				next[s][c] = next[fail[s]][c]
 			}
 		}
 	}
+	first := make([]int32, len(a.out))
 	for s := range a.out {
 		sort.Slice(a.out[s], func(i, j int) bool { return a.out[s][i] < a.out[s][j] })
+		first[s] = -1
+		if len(a.out[s]) > 0 {
+			first[s] = a.out[s][0]
+		}
 	}
+	a.scanTable = newScanTable(next, first)
 	return a, nil
 }
 
 // States returns the automaton size.
-func (a *AC) States() int { return len(a.next) }
+func (a *AC) States() int { return a.states() }
 
 // Patterns returns the compiled pattern set.
 func (a *AC) Patterns() []string { return a.patterns }
 
 // Match reports the lowest pattern ID found in data, or -1.
-func (a *AC) Match(data []byte) int {
-	best := int32(-1)
-	s := int32(0)
-	for _, c := range data {
-		s = a.next[s][c]
-		for _, id := range a.out[s] {
-			if best == -1 || id < best {
-				best = id
-			}
-			break // out lists are sorted; first is smallest
-		}
-	}
-	return int(best)
-}
+func (a *AC) Match(data []byte) int { return int(a.match(data)) }
 
 // Scan invokes visit for every match occurrence (pattern ID, end offset).
 // Returning false from visit stops the scan.
 func (a *AC) Scan(data []byte, visit func(id, end int) bool) {
-	s := int32(0)
+	e := a.entry(0)
 	for pos, c := range data {
-		s = a.next[s][c]
-		for _, id := range a.out[s] {
+		e = a.next[e&^1+uint32(c)]
+		if e&1 == 0 {
+			continue
+		}
+		for _, id := range a.out[e>>8] {
 			if !visit(int(id), pos+1) {
 				return
 			}

@@ -118,10 +118,15 @@ func (e *MatchAC) Datablocks() []element.Datablock {
 	}
 }
 
-// ProcessOffloaded implements the device-side function.
+// ProcessOffloaded implements the device-side function: one batch kernel
+// over all live packets, then the per-packet verdicts in slot order.
+//
+//nba:hotpath
 func (e *MatchAC) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {
+	var ids [batch.MaxBatchSize]int32
+	e.ac.matchBatch(b, &ids)
 	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		if e.handle(pkt, e.ac.Match(payloadOf(pkt))) == element.Drop {
+		if e.handle(pkt, int(ids[i])) == element.Drop {
 			b.SetResult(i, batch.ResultDrop)
 		}
 	})
@@ -194,10 +199,14 @@ func (e *MatchRE) Datablocks() []element.Datablock {
 	}
 }
 
-// ProcessOffloaded implements the device-side function.
+// ProcessOffloaded implements the device-side function (see MatchAC).
+//
+//nba:hotpath
 func (e *MatchRE) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {
+	var ids [batch.MaxBatchSize]int32
+	e.dfa.matchBatch(b, &ids)
 	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		if e.handle(pkt, e.dfa.Match(payloadOf(pkt))) == element.Drop {
+		if e.handle(pkt, int(ids[i])) == element.Drop {
 			b.SetResult(i, batch.ResultDrop)
 		}
 	})

@@ -296,33 +296,80 @@ func TestElementsShareCompiledAutomata(t *testing.T) {
 	}
 }
 
+// TestCPUAndGPUPathsAgree: for both matchers in both modes, the device-side
+// batch kernel leaves every packet with the annotation, the element with the
+// Matches count and, in drop mode, exactly the slots with ResultDrop that the
+// per-packet CPU path produces. The batch mixes sizes (so groups have ragged
+// tails), has masked slots and ends in a partial group.
 func TestCPUAndGPUPathsAgree(t *testing.T) {
-	cc, pc := elemCtx()
-	e := &MatchAC{}
-	if err := e.Configure(cc, nil); err != nil {
-		t.Fatal(err)
-	}
 	payloads := []string{
 		"innocuous", "/bin/sh", "xp_cmdshell", "fine", "DROP TABLE students",
+		"GET /a.php?id=123", strings.Repeat("x", 1000) + "wget http://evil", "",
+		strings.Repeat("y", 400) + "admin:hunter2@" + strings.Repeat("y", 400), "curl  https://a.b/c.sh",
+		"uid=0(root)", strings.Repeat("z", 1400), "session=QUJD==", "ok",
 	}
-	var annoCPU []uint64
-	for _, pl := range payloads {
-		p := mkPayloadPkt(t, pl)
-		e.Process(pc, p)
-		annoCPU = append(annoCPU, p.Anno[packet.AnnoMatchResult])
+	masked := map[int]bool{0: true, 6: true, 13: true}
+	type matcher interface {
+		element.Offloadable
+		Configure(*element.ConfigContext, []string) error
 	}
-	// GPU path over a batch.
-	var bt batch.Batch
-	var pkts []*packet.Packet
-	for _, pl := range payloads {
-		p := mkPayloadPkt(t, pl)
-		pkts = append(pkts, p)
-		bt.Add(p)
-	}
-	e.ProcessOffloaded(pc, &bt)
-	for i := range payloads {
-		if pkts[i].Anno[packet.AnnoMatchResult] != annoCPU[i] {
-			t.Errorf("payload %q: CPU anno %d, GPU anno %d", payloads[i], annoCPU[i], pkts[i].Anno[packet.AnnoMatchResult])
+	for _, c := range []struct {
+		name    string
+		mk      func() matcher
+		matches func(matcher) uint64
+	}{
+		{"IDSMatchAC", func() matcher { return &MatchAC{} }, func(m matcher) uint64 { return m.(*MatchAC).Matches }},
+		{"IDSMatchRE", func() matcher { return &MatchRE{} }, func(m matcher) uint64 { return m.(*MatchRE).Matches }},
+	} {
+		for _, mode := range []string{"alert", "drop"} {
+			cc, pc := elemCtx()
+			cpu, gpu := c.mk(), c.mk()
+			for _, e := range []matcher{cpu, gpu} {
+				if err := e.Configure(cc, []string{mode}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var bt batch.Batch
+			var want []*packet.Packet
+			var wantRes []int
+			for i, pl := range payloads {
+				bt.Add(mkPayloadPkt(t, pl))
+				if masked[i] {
+					bt.Mask(i)
+					want, wantRes = append(want, nil), append(wantRes, 0)
+					continue
+				}
+				p := mkPayloadPkt(t, pl)
+				wantRes = append(wantRes, cpu.Process(pc, p))
+				want = append(want, p)
+			}
+			gpu.ProcessOffloaded(pc, &bt)
+			hits := 0
+			for i, pl := range payloads {
+				got := bt.Packet(i)
+				if masked[i] {
+					if got.Anno[packet.AnnoMatchResult] != 0 || bt.Result(i) != 0 {
+						t.Errorf("%s %s: masked slot %d touched", c.name, mode, i)
+					}
+					continue
+				}
+				if got.Anno[packet.AnnoMatchResult] != want[i].Anno[packet.AnnoMatchResult] {
+					t.Errorf("%s %s payload %.20q: CPU anno %d, GPU anno %d", c.name, mode, pl,
+						want[i].Anno[packet.AnnoMatchResult], got.Anno[packet.AnnoMatchResult])
+				}
+				if (bt.Result(i) == batch.ResultDrop) != (wantRes[i] == element.Drop) {
+					t.Errorf("%s %s payload %.20q: CPU result %d, GPU result %d", c.name, mode, pl, wantRes[i], bt.Result(i))
+				}
+				if wantRes[i] == element.Drop {
+					hits++
+				}
+			}
+			if c.matches(gpu) != c.matches(cpu) || c.matches(cpu) == 0 {
+				t.Errorf("%s %s: CPU Matches %d, GPU Matches %d", c.name, mode, c.matches(cpu), c.matches(gpu))
+			}
+			if mode == "drop" && uint64(hits) != c.matches(cpu) {
+				t.Errorf("%s drop: %d slots dropped, %d matches", c.name, hits, c.matches(cpu))
+			}
 		}
 	}
 }
@@ -366,5 +413,38 @@ func BenchmarkDFAScan1500(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Match(data)
+	}
+}
+
+// BenchmarkScanBatch64x1024 is the device-side form: 64 live 1024 B frames
+// through both batch kernels, as one ids-1024B-gpu aggregate member sees it.
+func BenchmarkScanBatch64x1024(b *testing.B) {
+	ac, _ := BuildAC(DefaultSignatures)
+	d, err := CompileRules(DefaultRegexRules)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bt batch.Batch
+	r := rng.New(1)
+	for i := 0; i < 64; i++ {
+		p := &packet.Packet{}
+		p.SetLength(1024)
+		for j := range p.Data() {
+			p.Data()[j] = 'a' + byte(r.Uint64()%26)
+		}
+		bt.Add(p)
+	}
+	var ids [batch.MaxBatchSize]int32
+	for _, k := range []struct {
+		name string
+		t    *scanTable
+	}{{"AC", &ac.scanTable}, {"DFA", &d.scanTable}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(64 * (1024 - packet.EthHdrLen))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.t.matchBatch(&bt, &ids)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -352,12 +353,11 @@ func (n *nfa) build(node reNode) (int, int) {
 // MaxDFAStates bounds subset construction; exceeding it is a compile error.
 const MaxDFAStates = 65536
 
-// DFA is a scanning automaton over rules: Accept[s] is the lowest rule ID
-// accepted at state s, or -1.
+// DFA is a scanning automaton over rules: a state's output is the lowest
+// rule ID accepted there, or -1.
 type DFA struct {
-	next   [][256]int32
-	accept []int32
-	rules  []string
+	scanTable
+	rules []string
 }
 
 // CompileRules builds one scanning DFA matching any of the rules anywhere
@@ -378,18 +378,24 @@ func CompileRules(rules []string) (*DFA, error) {
 		n.states[out].accept = id
 	}
 
+	// closure replaces set with its sorted epsilon closure and returns it
+	// (in set's storage, grown as needed). seen and stack are scratch reused
+	// across the ~states*256 calls; seen is left all-false.
+	seen := make([]bool, len(n.states))
+	var stack []int
 	closure := func(set []int) []int {
-		seen := map[int]bool{}
-		var stack []int
+		stack = stack[:0]
 		for _, s := range set {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)
 			}
 		}
+		set = set[:0]
 		for len(stack) > 0 {
 			s := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			set = append(set, s)
 			for _, e := range n.states[s].eps {
 				if !seen[e] {
 					seen[e] = true
@@ -397,61 +403,68 @@ func CompileRules(rules []string) (*DFA, error) {
 				}
 			}
 		}
-		out := make([]int, 0, len(seen))
-		for s := range seen {
-			out = append(out, s)
-		}
-		sort.Ints(out)
-		return out
-	}
-
-	key := func(set []int) string {
-		var sb strings.Builder
 		for _, s := range set {
-			fmt.Fprintf(&sb, "%d,", s)
+			seen[s] = false
 		}
-		return sb.String()
+		sort.Ints(set)
+		return set
 	}
 
-	d := &DFA{rules: rules}
+	// key encodes a sorted subset as bytes (uvarints are prefix-free, so the
+	// encoding is injective); string(kbuf) in a map index does not allocate.
+	var kbuf []byte
+	key := func(set []int) []byte {
+		kbuf = kbuf[:0]
+		for _, s := range set {
+			kbuf = binary.AppendUvarint(kbuf, uint64(s))
+		}
+		return kbuf
+	}
+
+	// next and accept are the construction-time tables; only their
+	// flattened form is kept.
+	var next [][256]int32
+	var accept []int32
 	ids := map[string]int32{}
 	var sets [][]int
+	// addState numbers a new subset; it copies set, which is scratch.
+	addState := func(set []int, k []byte) int32 {
+		id := int32(len(sets))
+		ids[string(k)] = id
+		sets = append(sets, append([]int(nil), set...))
+		next = append(next, [256]int32{})
+		accept = append(accept, acceptOf(n, set))
+		return id
+	}
 	// Scanning semantics: every subset implicitly contains the NFA start
 	// (the ".*" self-loop).
 	start := closure([]int{n.start})
-	ids[key(start)] = 0
-	sets = append(sets, start)
-	d.next = append(d.next, [256]int32{})
-	d.accept = append(d.accept, acceptOf(n, start))
+	addState(start, key(start))
 
+	var moved []int
 	for si := 0; si < len(sets); si++ {
-		set := sets[si]
 		for c := 0; c < 256; c++ {
-			var moved []int
-			for _, s := range set {
+			moved = moved[:0]
+			for _, s := range sets[si] {
 				st := &n.states[s]
 				if st.hasByte && st.set.has(byte(c)) {
 					moved = append(moved, st.to)
 				}
 			}
 			moved = append(moved, n.start) // implicit .* restart
-			nextSet := closure(moved)
-			k := key(nextSet)
-			id, ok := ids[k]
+			moved = closure(moved)
+			k := key(moved)
+			id, ok := ids[string(k)]
 			if !ok {
 				if len(sets) >= MaxDFAStates {
 					return nil, fmt.Errorf("ids: DFA exceeds %d states", MaxDFAStates)
 				}
-				id = int32(len(sets))
-				ids[k] = id
-				sets = append(sets, nextSet)
-				d.next = append(d.next, [256]int32{})
-				d.accept = append(d.accept, acceptOf(n, nextSet))
+				id = addState(moved, k)
 			}
-			d.next[si][c] = id
+			next[si][c] = id
 		}
 	}
-	return d, nil
+	return &DFA{scanTable: newScanTable(next, accept), rules: rules}, nil
 }
 
 func acceptOf(n *nfa, set []int) int32 {
@@ -467,24 +480,11 @@ func acceptOf(n *nfa, set []int) int32 {
 }
 
 // States returns the DFA size.
-func (d *DFA) States() int { return len(d.next) }
+func (d *DFA) States() int { return d.states() }
 
 // Rules returns the compiled rule set.
 func (d *DFA) Rules() []string { return d.rules }
 
 // Match scans data and returns the lowest rule ID that matches anywhere,
 // or -1.
-func (d *DFA) Match(data []byte) int {
-	best := int32(-1)
-	s := int32(0)
-	if a := d.accept[0]; a >= 0 {
-		best = a
-	}
-	for _, c := range data {
-		s = d.next[s][c]
-		if a := d.accept[s]; a >= 0 && (best == -1 || a < best) {
-			best = a
-		}
-	}
-	return int(best)
-}
+func (d *DFA) Match(data []byte) int { return int(d.match(data)) }

@@ -42,6 +42,7 @@ type SA struct {
 	Seq    uint32
 	block  cipher.Block // created once, reused (AES-NI envelope trick)
 	mac    hash.Hash    // reused via Reset; single-threaded by design
+	sum    [sha1.Size]byte
 }
 
 // SADB is the security association database, shared per socket.
@@ -125,7 +126,8 @@ func Encap(pkt *packet.Packet, db *SADB) (int, error) {
 	binary.BigEndian.PutUint32(buf[ESPOff+4:], sa.Seq)
 
 	// Deterministic IV derived from (SPI, seq).
-	ivr := rng.New(uint64(sa.SPI)<<32 | uint64(sa.Seq))
+	var ivr rng.Rand
+	ivr.Seed(uint64(sa.SPI)<<32 | uint64(sa.Seq))
 	binary.LittleEndian.PutUint64(buf[IVOff:], ivr.Uint64())
 	binary.LittleEndian.PutUint64(buf[IVOff+8:], ivr.Uint64())
 
@@ -161,19 +163,22 @@ func Encrypt(pkt *packet.Packet, db *SADB) error {
 // Decrypt is Encrypt (CTR mode is symmetric); exported for clarity.
 func Decrypt(pkt *packet.Packet, db *SADB) error { return Encrypt(pkt, db) }
 
-// Authenticate computes the HMAC-SHA1-96 ICV over ESP header + IV +
-// ciphertext and writes it to the frame's trailer.
+// icv computes the HMAC-SHA1-96 ICV over ESP header + IV + ciphertext into
+// the SA's own sum buffer (Sum appends, so no per-packet slice).
+func (sa *SA) icv(pkt *packet.Packet) []byte {
+	sa.mac.Reset()
+	sa.mac.Write(pkt.Buf()[ESPOff : pkt.Length()-ICVLen])
+	return sa.mac.Sum(sa.sum[:0])[:ICVLen]
+}
+
+// Authenticate computes the ICV and writes it to the frame's trailer.
 func Authenticate(pkt *packet.Packet, db *SADB) error {
 	sa, _, err := saAndPayload(pkt, db)
 	if err != nil {
 		return err
 	}
-	buf := pkt.Buf()
 	end := pkt.Length()
-	sa.mac.Reset()
-	sa.mac.Write(buf[ESPOff : end-ICVLen])
-	sum := sa.mac.Sum(nil)
-	copy(buf[end-ICVLen:end], sum[:ICVLen])
+	copy(pkt.Buf()[end-ICVLen:end], sa.icv(pkt))
 	return nil
 }
 
@@ -183,12 +188,8 @@ func Verify(pkt *packet.Packet, db *SADB) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	buf := pkt.Buf()
 	end := pkt.Length()
-	sa.mac.Reset()
-	sa.mac.Write(buf[ESPOff : end-ICVLen])
-	sum := sa.mac.Sum(nil)
-	return hmac.Equal(sum[:ICVLen], buf[end-ICVLen:end]), nil
+	return hmac.Equal(sa.icv(pkt), pkt.Buf()[end-ICVLen:end]), nil
 }
 
 // Decap reverses Encap on a decrypted frame, restoring the inner packet

@@ -109,6 +109,29 @@ func TestAuthenticateAndVerify(t *testing.T) {
 	}
 }
 
+// TestEncapAuthenticateVerifyDoNotAllocate gates the per-packet paths that
+// need no allocation: the IV stream is a stack Rand and the ICV is summed
+// into the SA's own buffer. (Encrypt keeps the stdlib CTR stream, one
+// allocation per packet.)
+func TestEncapAuthenticateVerifyDoNotAllocate(t *testing.T) {
+	db := newDB(t)
+	p := mkPkt(t, 128)
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.SetLength(128)
+		if _, err := Encap(p, db); err != nil {
+			t.Fatal(err)
+		}
+		if err := Authenticate(p, db); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := Verify(p, db); err != nil || !ok {
+			t.Fatalf("Verify = %v, %v; want true", ok, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Encap+Authenticate+Verify allocate %.1f times per packet, want 0", allocs)
+	}
+}
+
 func TestFullGatewayRoundTripProperty(t *testing.T) {
 	// encap → encrypt → authenticate → verify → decrypt → decap must
 	// restore the original frame for any size and payload.

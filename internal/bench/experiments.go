@@ -13,10 +13,9 @@ import (
 
 const offeredPerPort = 10e9 // the paper offers 80 Gbps over 8 ports
 
-// appRun is AppRun at the experiment's seed, offered load and window. Every
-// grid point gets its own call (and so its own generator): points run
-// concurrently and a generator may cache state. The experiments name their
-// apps with literals, so an error here is a typo in this package.
+// appRun is AppRun at the experiment's seed, offered load and window. The
+// experiments name their apps with literals, so an error here is a typo in
+// this package.
 func (o Options) appRun(app, lbAlg string, size int, bps float64, warm, dur simtime.Time) core.Config {
 	cfg, err := AppRun(app, lbAlg, size, o.Seed)
 	if err != nil {

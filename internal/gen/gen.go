@@ -19,9 +19,12 @@ var (
 	GenDstMAC = [6]byte{0x02, 0x11, 0x22, 0x33, 0x44, 0x02}
 )
 
-// perPacket derives a deterministic PRNG for one (port, seq) pair.
-func perPacket(seed uint64, port int, seq uint64) *rng.Rand {
-	return rng.New(seed ^ uint64(port)<<48 ^ seq*0x9E3779B97F4A7C15)
+// perPacket derives the deterministic PRNG of one (port, seq) pair. It is
+// returned by value so it lives on the caller's stack: Fill runs once per
+// generated packet and must not allocate.
+func perPacket(seed uint64, port int, seq uint64) (r rng.Rand) {
+	r.Seed(seed ^ uint64(port)<<48 ^ seq*0x9E3779B97F4A7C15)
+	return r
 }
 
 // UDP4 generates fixed-size random IPv4/UDP traffic. A configurable
@@ -46,10 +49,10 @@ func (g *UDP4) MeanFrameLen() float64 { return float64(g.FrameLen) }
 // Fill implements netio.Generator.
 func (g *UDP4) Fill(p *packet.Packet, port int, seq uint64) {
 	r := perPacket(g.Seed, port, seq)
-	src, dst, sport, dport := g.tuple(r)
+	src, dst, sport, dport := g.tuple(&r)
 	n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst, sport, dport, g.FrameLen)
 	p.SetLength(n)
-	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, r, g.AttackFrac, g.AttackPattern)
+	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, &r, g.AttackFrac, g.AttackPattern)
 }
 
 func (g *UDP4) tuple(r *rng.Rand) (src, dst uint32, sport, dport uint16) {
@@ -99,7 +102,7 @@ func (g *UDP6) Fill(p *packet.Packet, port int, seq uint64) {
 	n := packet.BuildUDP6(p.Buf(), GenSrcMAC, GenDstMAC, src, dst,
 		uint16(r.Intn(65535)+1), uint16(r.Intn(65535)+1), g.FrameLen)
 	p.SetLength(n)
-	fillPayload(p, packet.EthHdrLen+packet.IPv6HdrLen+packet.UDPHdrLen, r, 0, nil)
+	fillPayload(p, packet.EthHdrLen+packet.IPv6HdrLen+packet.UDPHdrLen, &r, 0, nil)
 }
 
 // sizeBucket is one step of an empirical frame-size CDF.
@@ -127,21 +130,22 @@ var caidaBuckets = []sizeBucket{
 type SyntheticCAIDA struct {
 	Flows int
 	Seed  uint64
-
-	mean float64 // cached
 }
+
+// caidaMean is the mean frame length of caidaBuckets. It is computed once
+// here, not cached in the generator, so a SyntheticCAIDA is read-only after
+// construction and concurrent runs may share one.
+var caidaMean = func() float64 {
+	mean, prev := 0.0, 0.0
+	for _, b := range caidaBuckets {
+		mean += float64(b.len) * (b.frac - prev)
+		prev = b.frac
+	}
+	return mean
+}()
 
 // MeanFrameLen implements netio.Generator.
-func (g *SyntheticCAIDA) MeanFrameLen() float64 {
-	if g.mean == 0 {
-		prev := 0.0
-		for _, b := range caidaBuckets {
-			g.mean += float64(b.len) * (b.frac - prev)
-			prev = b.frac
-		}
-	}
-	return g.mean
-}
+func (g *SyntheticCAIDA) MeanFrameLen() float64 { return caidaMean }
 
 // Fill implements netio.Generator.
 func (g *SyntheticCAIDA) Fill(p *packet.Packet, port int, seq uint64) {
@@ -167,7 +171,7 @@ func (g *SyntheticCAIDA) Fill(p *packet.Packet, port int, seq uint64) {
 	n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst,
 		uint16(1024+flow%40000), uint16(53+flow%11), frameLen)
 	p.SetLength(n)
-	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, r, 0, nil)
+	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, &r, 0, nil)
 }
 
 // fillPayload writes deterministic payload bytes, optionally embedding an
@@ -253,5 +257,5 @@ func (g *MixedL4) Fill(p *packet.Packet, port int, seq uint64) {
 		p.SetLength(n)
 		off = packet.EthHdrLen + packet.IPv4HdrLen + packet.UDPHdrLen
 	}
-	fillPayload(p, off, r, g.AttackFrac, g.AttackPattern)
+	fillPayload(p, off, &r, g.AttackFrac, g.AttackPattern)
 }

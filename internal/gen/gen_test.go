@@ -3,6 +3,7 @@ package gen
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"nba/internal/packet"
@@ -239,4 +240,54 @@ func TestMixedL4ProtocolFractions(t *testing.T) {
 	if frac < 0.37 || frac > 0.43 {
 		t.Errorf("tcp fraction = %v, want ~0.4", frac)
 	}
+}
+
+// TestFillDoesNotAllocate gates the per-packet path of every generator: the
+// per-packet PRNG lives on Fill's stack.
+func TestFillDoesNotAllocate(t *testing.T) {
+	gens := map[string]interface {
+		Fill(*packet.Packet, int, uint64)
+	}{
+		"UDP4":           &UDP4{FrameLen: 64, Flows: 100, Seed: 1, AttackFrac: 0.5, AttackPattern: []byte("/bin/sh")},
+		"UDP6":           &UDP6{FrameLen: 128, Seed: 2, Dsts: []packet.IPv6Addr{{Hi: 1}}},
+		"SyntheticCAIDA": &SyntheticCAIDA{Flows: 1000, Seed: 3},
+		"MixedL4":        &MixedL4{FrameLen: 256, Seed: 4, TCPFrac: 0.5},
+		"Trace":          &Trace{Records: SynthesizeTrace(16, 5), Seed: 5},
+	}
+	var p packet.Packet
+	for name, g := range gens {
+		seq := uint64(0)
+		if allocs := testing.AllocsPerRun(200, func() {
+			g.Fill(&p, 1, seq)
+			seq++
+		}); allocs != 0 {
+			t.Errorf("%s.Fill allocates %.1f times per packet, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSyntheticCAIDASharedAcrossGoroutines runs under -race in check.sh: a
+// generator is read-only after construction, so concurrent runs may share it.
+func TestSyntheticCAIDASharedAcrossGoroutines(t *testing.T) {
+	g := &SyntheticCAIDA{Flows: 1000, Seed: 9}
+	var want packet.Packet
+	g.Fill(&want, 0, 7)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var p packet.Packet
+			for i := 0; i < 100; i++ {
+				if m := g.MeanFrameLen(); m < 64 || m > 1500 {
+					t.Errorf("mean frame length %g", m)
+				}
+				g.Fill(&p, 0, 7)
+				if !bytes.Equal(p.Data(), want.Data()) {
+					t.Error("shared generator produced a different frame")
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

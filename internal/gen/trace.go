@@ -103,7 +103,8 @@ func (t *Trace) Fill(p *packet.Packet, port int, seq uint64) {
 	rec := t.Records[seq%uint64(len(t.Records))]
 	n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, rec.Src, rec.Dst, rec.SPort, rec.DPort, int(rec.FrameLen))
 	p.SetLength(n)
-	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, perPacket(t.Seed, port, seq), 0, nil)
+	r := perPacket(t.Seed, port, seq)
+	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, &r, 0, nil)
 }
 
 // SynthesizeTrace produces a trace with the synthetic-CAIDA mix, for

@@ -39,8 +39,12 @@ type Pending struct {
 
 	FirstAdd simtime.Time
 
-	// datablocks is the chain's deduplicated datablock set.
+	// datablocks is the chain's deduplicated datablock set; kernelIn holds,
+	// per chain element, the H2D datablocks its kernel reads. Both are
+	// resolved once when the aggregate opens: Datablocks() returns a fresh
+	// slice per call, and account runs per packet.
 	datablocks []element.Datablock
+	kernelIn   [][]element.Datablock
 }
 
 // KernelTime returns the summed kernel execution time for the aggregate.
@@ -80,14 +84,19 @@ func (a *Aggregator) Add(now simtime.Time, head *graph.Node, chain []*graph.Node
 		p = &Pending{
 			Head: head, Chain: chain, Resume: resume, Device: dev,
 			FirstAdd: now, KernelBytes: make([]int, len(chain)),
+			Batches:  make([]*batch.Batch, 0, a.cm.MaxAggBatches),
+			kernelIn: make([][]element.Datablock, len(chain)),
 		}
 		seen := map[string]element.Datablock{}
-		for _, n := range chain {
+		for i, n := range chain {
 			off := n.Offloadable()
 			if off == nil {
 				return nil, fmt.Errorf("offload: node %s in chain is not offloadable", n.Name)
 			}
 			for _, db := range off.Datablocks() {
+				if db.H2D {
+					p.kernelIn[i] = append(p.kernelIn[i], db)
+				}
 				if prev, dup := seen[db.Name]; dup {
 					// Shared datablock: widen directions, copy bytes once.
 					prev.H2D = prev.H2D || db.H2D
@@ -130,11 +139,9 @@ func (a *Aggregator) account(p *Pending, b *batch.Batch) *Pending {
 				p.D2HBytes += n
 			}
 		}
-		for i, node := range p.Chain {
-			for _, db := range node.Offloadable().Datablocks() {
-				if db.H2D {
-					p.KernelBytes[i] += db.BytesFor(frameLen)
-				}
+		for i, in := range p.kernelIn {
+			for _, db := range in {
+				p.KernelBytes[i] += db.BytesFor(frameLen)
 			}
 		}
 	})

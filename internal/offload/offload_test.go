@@ -112,8 +112,37 @@ func TestAggregatorByteAccounting(t *testing.T) {
 	if p.D2HBytes != wantD2H {
 		t.Errorf("D2HBytes = %d, want %d", p.D2HBytes, wantD2H)
 	}
+	// Per-kernel input bytes are not deduplicated: each kernel reads its own
+	// H2D datablocks (OffA payload+hdr, OffB payload).
+	if p.KernelBytes[0] != 10*(50+20) || p.KernelBytes[1] != 10*50 {
+		t.Errorf("KernelBytes = %v, want [700 500]", p.KernelBytes)
+	}
 	if p.KernelTime(sysinfo.Default()) <= 0 {
 		t.Error("kernel time not positive")
+	}
+}
+
+// TestAddToOpenAggregateDoesNotAllocate gates the per-packet accounting:
+// the chain's datablocks are resolved when the aggregate opens, not per
+// packet (Datablocks() returns a fresh slice on every call).
+func TestAddToOpenAggregateDoesNotAllocate(t *testing.T) {
+	_, head, chain, resume := buildChain(t)
+	cm := sysinfo.Default()
+	agg := NewAggregator(cm)
+	b := mkDevBatch(64, 128)
+	if _, err := agg.Add(0, head, chain, resume, b); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10 // plus AllocsPerRun's warm-up call: stays below the flush limit
+	if runs+2 >= cm.MaxAggBatches {
+		t.Fatalf("MaxAggBatches = %d too small for this test", cm.MaxAggBatches)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if full, err := agg.Add(0, head, chain, resume, b); err != nil || full != nil {
+			t.Fatalf("Add = %v, %v", full, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Add to an open aggregate allocates %.1f times per batch, want 0", allocs)
 	}
 }
 

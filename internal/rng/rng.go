@@ -12,23 +12,25 @@ type Rand struct {
 // New returns a generator seeded from seed via SplitMix64.
 func New(seed uint64) *Rand {
 	r := &Rand{}
-	sm := seed
-	next := func() uint64 {
-		sm += 0x9E3779B97F4A7C15
-		z := sm
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream New(seed) starts. Per-packet streams seed a
+// stack Rand with it instead of allocating one.
+func (r *Rand) Seed(seed uint64) {
+	for i := range r.s {
+		seed += 0x9E3779B97F4A7C15
+		z := seed
 		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := range r.s {
-		r.s[i] = next()
+		r.s[i] = z ^ (z >> 31)
 	}
 	// xoshiro must not be seeded all-zero; SplitMix64 never yields four
 	// zeros in a row, but guard anyway.
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

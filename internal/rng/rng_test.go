@@ -81,3 +81,22 @@ func BenchmarkUint64(b *testing.B) {
 		r.Uint64()
 	}
 }
+
+// TestSeedMatchesNew pins the stream (values recorded before Seed was split
+// out of New) and checks that re-seeding a used Rand restarts it.
+func TestSeedMatchesNew(t *testing.T) {
+	want := []uint64{0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1}
+	var r Rand
+	r.Seed(7)
+	r.Uint64()
+	r.Seed(42)
+	n := New(42)
+	for i, w := range want {
+		if a, b := r.Uint64(), n.Uint64(); a != w || b != w {
+			t.Errorf("value %d: Seed %#x, New %#x, want %#x", i, a, b, w)
+		}
+	}
+	if got := New(0).Uint64(); got != 0x99ec5f36cb75f2b4 {
+		t.Errorf("New(0) first value %#x", got)
+	}
+}

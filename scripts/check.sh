@@ -17,7 +17,10 @@
 #                         ($NBALINT_JSON, default nbalint.json under mktemp)
 #   5. go test -race ...  full test suite under the race detector
 #   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
-#                         packet header parsing) to catch shallow regressions
+#                         packet header parsing, IDS batch scan kernel vs its
+#                         single stream) to catch shallow regressions; then
+#                         one iteration of the IDS scan benchmarks, so the
+#                         kernels' benchmarks cannot rot
 #   7. nbatrace self-check the same config+seed recorded twice must diff to
 #                         zero divergence (dynamic determinism gate):
 #                         fault-free, with the canonical injected GPU outage
@@ -83,6 +86,10 @@ echo "==> fuzz smoke (a few seconds per target)"
 go test -fuzz='^FuzzParsePrint$' -fuzztime=5s -run '^$' ./internal/conflang
 go test -fuzz='^FuzzHeaderParse$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
+go test -fuzz='^FuzzScanBatchAgrees$' -fuzztime=5s -run '^$' ./internal/apps/ids
+
+echo "==> scan kernel benchmark smoke (one iteration each)"
+go test -run '^$' -bench 'Scan' -benchtime 1x ./internal/apps/ids
 
 echo "==> nbatrace determinism self-check"
 tracedir=$(mktemp -d)
