@@ -1,8 +1,6 @@
 package ids
 
-import (
-	"nba/internal/batch"
-)
+import "nba/internal/batch"
 
 // scanTable is the one scan representation of both automata (AC and the
 // regex DFA): a flat transition table plus, per state, the lowest output ID.
@@ -28,6 +26,8 @@ func newScanTable(rows [][256]int32, first []int32) scanTable {
 	return t
 }
 
+// entry encodes state s as a table entry (and as the stream's start value
+// for s = 0).
 func (t *scanTable) entry(s int32) uint32 {
 	e := uint32(s) << 8
 	if t.first[s] >= 0 {
@@ -71,8 +71,9 @@ func (t *scanTable) match(data []byte) int32 {
 // Each stream is a serial load chain (the next index depends on the loaded
 // entry), so one stream leaves the load ports idle for the whole L1/L2
 // latency; independent streams overlap. Four fits the amd64 register file
-// (4 entries + 4 data pointers + table + index); eight spills and measured
-// slower.
+// (4 entries + 4 data pointers + table + index); eight spills the entries
+// into the chains and measured no faster (64 x 1010 B: 0.6 ns/B either way,
+// against 2.2 ns/B single-stream).
 const scanWidth = 4
 
 // matchBatch is the batch kernel: for every live slot i of b it stores in

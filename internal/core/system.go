@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"nba/internal/batch"
 	"nba/internal/conflang"
 	"nba/internal/element"
 	"nba/internal/fault"
@@ -15,6 +16,7 @@ import (
 	"nba/internal/lb"
 	"nba/internal/netio"
 	"nba/internal/overload"
+	"nba/internal/packet"
 	"nba/internal/reconfig"
 	"nba/internal/rng"
 	"nba/internal/sched"
@@ -106,6 +108,17 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The mempools' storage (hundreds of MB) is allocated first and in one
+	// piece per type, then carved per worker. A System is usually built
+	// right after its predecessor became garbage, when the Go scavenger is
+	// busy handing that free memory back to the OS top-down; pages of an
+	// allocated span are out of its reach, so one early allocation is
+	// zeroed in resident memory, where a sequence of per-worker ones would
+	// each fault theirs back in.
+	nw := cfg.Topology.Sockets * cfg.WorkersPerSocket
+	pktSlab := make([]packet.Packet, nw*cfg.PacketPoolPerWorker)
+	batchSlab := make([]batch.Batch, nw*cfg.BatchPoolPerWorker)
+
 	s := &System{cfg: cfg, eng: simtime.NewEngine(), placement: cfg.Placement}
 	s.stopTime = cfg.Warmup + cfg.Duration
 	if tr, ck := cfg.Tracer, cfg.Checker; tr != nil || ck != nil {
@@ -171,8 +184,11 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	for socket := 0; socket < top.Sockets; socket++ {
 		for wi := 0; wi < cfg.WorkersPerSocket; wi++ {
-			s.workers = append(s.workers, newWorker(s, len(s.workers), socket, wi,
-				top.PortsOnSocket(socket), top.DevicesOnSocket(socket)))
+			id := len(s.workers)
+			s.workers = append(s.workers, newWorker(s, id, socket, wi,
+				top.PortsOnSocket(socket), top.DevicesOnSocket(socket),
+				pktSlab[id*cfg.PacketPoolPerWorker:(id+1)*cfg.PacketPoolPerWorker],
+				batchSlab[id*cfg.BatchPoolPerWorker:(id+1)*cfg.BatchPoolPerWorker]))
 		}
 	}
 	s.nodeLocals = make([][]*element.NodeLocal, top.Sockets)

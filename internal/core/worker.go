@@ -163,7 +163,7 @@ type worker struct {
 
 // newWorker builds a lane-less worker; System.installTenant adds one lane per
 // tenant.
-func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *worker {
+func newWorker(s *System, id, socket, local int, localPorts, localDevs []int, pkts []packet.Packet, batches []batch.Batch) *worker {
 	w := &worker{
 		sys:        s,
 		id:         id,
@@ -176,8 +176,8 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *w
 	if len(localDevs) > 0 {
 		w.sockDev = s.devices[localDevs[0]]
 	}
-	w.pktPool = netio.NewPacketPool(fmt.Sprintf("pkt.w%d", id), s.cfg.PacketPoolPerWorker)
-	w.batchPool = batch.NewPool(fmt.Sprintf("batch.w%d", id), s.cfg.BatchPoolPerWorker)
+	w.pktPool = mempool.NewOver(fmt.Sprintf("pkt.w%d", id), pkts, nil)
+	w.batchPool = mempool.NewOver(fmt.Sprintf("batch.w%d", id), batches, nil)
 	w.completions = mempool.NewRing[completion](256)
 	if s.cfg.Integrity != nil {
 		w.sentinel = integrity.NewSentinel(s.cfg.Integrity, s.newSentinelRand(id))

@@ -52,12 +52,22 @@ func New[T any](name string, n int, construct func(*T)) *Pool[T] {
 	if n <= 0 {
 		panic(fmt.Sprintf("mempool %q: capacity must be positive, got %d", name, n))
 	}
+	return NewOver(name, make([]T, n), construct)
+}
+
+// NewOver is New over caller-provided zeroed storage, one object per
+// element: the owner of several pools carves them from one slab (DPDK's one
+// memzone, many mempools).
+func NewOver[T any](name string, backing []T, construct func(*T)) *Pool[T] {
+	n := len(backing)
+	if n == 0 {
+		panic(fmt.Sprintf("mempool %q: empty backing storage", name))
+	}
 	p := &Pool[T]{
 		free: make([]*T, 0, n),
 		name: name,
 	}
 	p.stats.Capacity = n
-	backing := make([]T, n)
 	for i := n - 1; i >= 0; i-- {
 		obj := &backing[i]
 		if construct != nil {

@@ -226,3 +226,33 @@ func TestAssertDrained(t *testing.T) {
 		t.Fatalf("drained pool still errors: %v", err)
 	}
 }
+
+// TestNewOverCarvesSlab: pools carved from one slab hand out exactly their
+// own elements, in the order New would.
+func TestNewOverCarvesSlab(t *testing.T) {
+	slab := make([]thing, 6)
+	a := NewOver("a", slab[:4], func(th *thing) { th.n = 1 })
+	b := NewOver("b", slab[4:], nil)
+	if a.Stats().Capacity != 4 || b.Stats().Capacity != 2 {
+		t.Fatalf("capacities %d, %d; want 4, 2", a.Stats().Capacity, b.Stats().Capacity)
+	}
+	for i := 0; i < 4; i++ {
+		if got := a.MustGet(); got != &slab[i] || got.n != 1 {
+			t.Errorf("pool a object %d is not slab[%d] constructed", i, i)
+		}
+	}
+	for i := 4; i < 6; i++ {
+		if got := b.MustGet(); got != &slab[i] {
+			t.Errorf("pool b object %d is not slab[%d]", i-4, i)
+		}
+	}
+	if _, err := a.Get(); err != ErrExhausted {
+		t.Errorf("pool a reached past its carve: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("empty backing accepted")
+		}
+	}()
+	NewOver[thing]("empty", nil, nil)
+}
