@@ -12,7 +12,8 @@ import (
 
 // AC is an Aho-Corasick automaton in full-DFA form: every state has a
 // precomputed transition for every input byte (failure links are folded in
-// at build time), so scanning is one table access per byte.
+// at build time), so scanning is one table access per byte. States and
+// Match (lowest pattern ID in data, or -1) come from the embedded table.
 type AC struct {
 	scanTable
 	out      [][]int32 // pattern IDs ending at each state, ascending
@@ -88,14 +89,8 @@ func BuildAC(patterns []string) (*AC, error) {
 	return a, nil
 }
 
-// States returns the automaton size.
-func (a *AC) States() int { return a.states() }
-
 // Patterns returns the compiled pattern set.
 func (a *AC) Patterns() []string { return a.patterns }
-
-// Match reports the lowest pattern ID found in data, or -1.
-func (a *AC) Match(data []byte) int { return int(a.match(data)) }
 
 // Scan invokes visit for every match occurrence (pattern ID, end offset).
 // Returning false from visit stops the scan.

@@ -10,10 +10,11 @@ import (
 
 // The automata of the built-in rule sets are pinned by state count and by a
 // digest of the flat table's logical content: for every state in numbering
-// order, the 256 successor states, then the output (AC: the sorted pattern-ID list;
-// DFA: the lowest accepted rule ID or -1). State numbering feeds every
-// golden trace digest and benchmark fingerprint through the match results,
-// so a construction change must reproduce these values exactly.
+// order, the 256 successor states, then the output (AC: the sorted
+// pattern-ID list; DFA: the lowest accepted rule ID or -1). State numbering
+// feeds every golden trace digest and benchmark fingerprint through the
+// match results, so a construction change must reproduce these values
+// exactly.
 
 func putI32(h hash.Hash, v int32) {
 	var b [4]byte

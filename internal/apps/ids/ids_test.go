@@ -383,13 +383,18 @@ func TestStringsHelperCoverage(t *testing.T) {
 	}
 }
 
-func BenchmarkACScan1500(b *testing.B) {
-	ac, _ := BuildAC(DefaultSignatures)
-	data := make([]byte, 1500)
-	r := rng.New(1)
+// fillLower fills data with random lowercase letters, the generators'
+// filler alphabet (no built-in rule matches it).
+func fillLower(r *rng.Rand, data []byte) {
 	for i := range data {
 		data[i] = 'a' + byte(r.Uint64()%26)
 	}
+}
+
+func BenchmarkACScan1500(b *testing.B) {
+	ac, _ := BuildAC(DefaultSignatures)
+	data := make([]byte, 1500)
+	fillLower(rng.New(1), data)
 	b.SetBytes(1500)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -404,10 +409,7 @@ func BenchmarkDFAScan1500(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := make([]byte, 1500)
-	r := rng.New(1)
-	for i := range data {
-		data[i] = 'a' + byte(r.Uint64()%26)
-	}
+	fillLower(rng.New(1), data)
 	b.SetBytes(1500)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -429,9 +431,7 @@ func BenchmarkScanBatch64x1024(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		p := &packet.Packet{}
 		p.SetLength(1024)
-		for j := range p.Data() {
-			p.Data()[j] = 'a' + byte(r.Uint64()%26)
-		}
+		fillLower(r, p.Data())
 		bt.Add(p)
 	}
 	var ids [batch.MaxBatchSize]int32

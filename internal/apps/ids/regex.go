@@ -354,7 +354,8 @@ func (n *nfa) build(node reNode) (int, int) {
 const MaxDFAStates = 65536
 
 // DFA is a scanning automaton over rules: a state's output is the lowest
-// rule ID accepted there, or -1.
+// rule ID accepted there, or -1. States and Match (lowest rule ID matching
+// anywhere in data, or -1) come from the embedded table.
 type DFA struct {
 	scanTable
 	rules []string
@@ -479,12 +480,5 @@ func acceptOf(n *nfa, set []int) int32 {
 	return best
 }
 
-// States returns the DFA size.
-func (d *DFA) States() int { return d.states() }
-
 // Rules returns the compiled rule set.
 func (d *DFA) Rules() []string { return d.rules }
-
-// Match scans data and returns the lowest rule ID that matches anywhere,
-// or -1.
-func (d *DFA) Match(data []byte) int { return int(d.match(data)) }

@@ -36,8 +36,8 @@ func (t *scanTable) entry(s int32) uint32 {
 	return e
 }
 
-// states returns the automaton size.
-func (t *scanTable) states() int { return len(t.first) }
+// States returns the automaton size.
+func (t *scanTable) States() int { return len(t.first) }
 
 // lower folds the output of flagged entry e into best (lowest ID wins).
 func (t *scanTable) lower(best int32, e uint32) int32 {
@@ -62,9 +62,10 @@ func (t *scanTable) scan(e uint32, best int32, data []byte) int32 {
 	return best
 }
 
-// match returns the lowest output ID found anywhere in data, or -1.
-func (t *scanTable) match(data []byte) int32 {
-	return t.scan(t.entry(0), t.first[0], data)
+// Match returns the lowest output ID (AC: pattern ID, DFA: rule ID) found
+// anywhere in data, or -1.
+func (t *scanTable) Match(data []byte) int {
+	return int(t.scan(t.entry(0), t.first[0], data))
 }
 
 // scanWidth is the number of packets the batch kernel advances in lockstep.
@@ -77,7 +78,7 @@ func (t *scanTable) match(data []byte) int32 {
 const scanWidth = 4
 
 // matchBatch is the batch kernel: for every live slot i of b it stores in
-// ids[i] what match would return for the packet's payload. Live packets are
+// ids[i] what Match would return for the packet's payload. Live packets are
 // taken scanWidth at a time in slot order; a trailing partial group goes
 // through the single stream.
 //
@@ -97,7 +98,7 @@ func (t *scanTable) matchBatch(b *batch.Batch, ids *[batch.MaxBatchSize]int32) {
 		}
 	}
 	for k := 0; k < n; k++ {
-		ids[slot[k]] = t.match(data[k])
+		ids[slot[k]] = int32(t.Match(data[k]))
 	}
 }
 

@@ -212,7 +212,7 @@ func FuzzScanBatchAgrees(f *testing.F) {
 				if b.IsMasked(i) {
 					continue
 				}
-				if want := tab.match(payloadOf(b.Packet(i))); ids[i] != want {
+				if want := tab.Match(payloadOf(b.Packet(i))); int(ids[i]) != want {
 					t.Errorf("slot %d of %d: batch %d, single stream %d", i, b.Count(), ids[i], want)
 				}
 			}
