@@ -52,6 +52,44 @@ func TestInternetChecksumMatchesNaiveOracle(t *testing.T) {
 		}
 	}
 
+	// The sum runs over 64-, 32-, 16- and 8-bit pieces: every length that
+	// combines them (0..64) and the MTU-sized ones, at every alignment of a
+	// shared buffer, with random bytes, with all-0xFF bytes (every addition
+	// carries) and with all-zero bytes (the sum that must stay 0).
+	shared := make([]byte, 1514+8)
+	fills := map[string]func(i int) byte{
+		"random": func(int) byte { return byte(r.Uint64()) },
+		"0xFF":   func(int) byte { return 0xff },
+		"zero":   func(int) byte { return 0 },
+	}
+	for _, name := range []string{"random", "0xFF", "zero"} {
+		for i := range shared {
+			shared[i] = fills[name](i)
+		}
+		for off := 0; off < 8; off++ {
+			for n := 0; n <= 1514; n++ {
+				if n > 64 && n != 1499 && n != 1500 && n != 1514 {
+					continue
+				}
+				b := shared[off : off+n]
+				if got, want := packet.InternetChecksum(b), naiveRFC1071(b); got != want {
+					t.Fatalf("%s bytes, offset %d, len %d: InternetChecksum %#04x, oracle %#04x", name, off, n, got, want)
+				}
+			}
+		}
+	}
+	// The zero-checksum edge: a buffer whose words sum to 0xFFFF checksums to
+	// 0, not to the other one's-complement zero, wherever the odd word sits.
+	for n := 2; n <= 64; n += 2 {
+		for at := 0; at < n; at += 2 {
+			b := make([]byte, n)
+			b[at], b[at+1] = 0xff, 0xff
+			if got := packet.InternetChecksum(b); got != 0 || naiveRFC1071(b) != 0 {
+				t.Fatalf("len %d, 0xFFFF at %d: InternetChecksum %#04x, oracle %#04x, want 0", n, at, got, naiveRFC1071(b))
+			}
+		}
+	}
+
 	// Fixed edge vectors: empty, single byte, all-zero, all-ones.
 	for _, b := range [][]byte{{}, {0x01}, {0x00, 0x00, 0x00}, {0xff, 0xff, 0xff, 0xff}} {
 		if got, want := packet.InternetChecksum(b), naiveRFC1071(b); got != want {

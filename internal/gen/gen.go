@@ -2,8 +2,11 @@
 // random UDP traffic used in most of the paper's experiments, and a
 // synthetic stand-in for the CAIDA 2013 July trace used by Figures 2 and 13.
 //
-// Every generator is a pure function of (port, seq, seed), so any run is
-// reproducible and RX queues can materialise packets lazily.
+// Every generator is a pure, read-only function of (seed, port, seq), so any
+// run is reproducible, RX queues can materialise packets lazily and
+// concurrent runs may share one generator. Each has two faces over the same
+// bytes: Fill for one packet, and FillBurst for the packets of one RX burst,
+// which interleaves their payload fillers (payload.go).
 package gen
 
 import (
@@ -18,6 +21,9 @@ var (
 	GenSrcMAC = [6]byte{0x02, 0x11, 0x22, 0x33, 0x44, 0x01}
 	GenDstMAC = [6]byte{0x02, 0x11, 0x22, 0x33, 0x44, 0x02}
 )
+
+// udp4Payload is the payload offset of an Ethernet/IPv4/UDP frame.
+const udp4Payload = packet.EthHdrLen + packet.IPv4HdrLen + packet.UDPHdrLen
 
 // perPacket derives the deterministic PRNG of one (port, seq) pair. It is
 // returned by value so it lives on the caller's stack: Fill runs once per
@@ -48,11 +54,23 @@ func (g *UDP4) MeanFrameLen() float64 { return float64(g.FrameLen) }
 
 // Fill implements netio.Generator.
 func (g *UDP4) Fill(p *packet.Packet, port int, seq uint64) {
+	r, off := g.header(p, port, seq)
+	fillOne(p, r, off, attack{g.AttackFrac, g.AttackPattern})
+}
+
+// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
+//
+//nba:hotpath
+func (g *UDP4) FillBurst(pkts []*packet.Packet, port int) {
+	fillBurst(g, pkts, port, attack{g.AttackFrac, g.AttackPattern})
+}
+
+func (g *UDP4) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {
 	r := perPacket(g.Seed, port, seq)
 	src, dst, sport, dport := g.tuple(&r)
 	n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst, sport, dport, g.FrameLen)
 	p.SetLength(n)
-	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, &r, g.AttackFrac, g.AttackPattern)
+	return r, udp4Payload
 }
 
 func (g *UDP4) tuple(r *rng.Rand) (src, dst uint32, sport, dport uint16) {
@@ -85,6 +103,18 @@ func (g *UDP6) MeanFrameLen() float64 { return float64(g.FrameLen) }
 
 // Fill implements netio.Generator.
 func (g *UDP6) Fill(p *packet.Packet, port int, seq uint64) {
+	r, off := g.header(p, port, seq)
+	fillOne(p, r, off, attack{})
+}
+
+// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
+//
+//nba:hotpath
+func (g *UDP6) FillBurst(pkts []*packet.Packet, port int) {
+	fillBurst(g, pkts, port, attack{})
+}
+
+func (g *UDP6) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {
 	r := perPacket(g.Seed, port, seq)
 	var src, dst packet.IPv6Addr
 	if g.Flows > 0 {
@@ -102,7 +132,7 @@ func (g *UDP6) Fill(p *packet.Packet, port int, seq uint64) {
 	n := packet.BuildUDP6(p.Buf(), GenSrcMAC, GenDstMAC, src, dst,
 		uint16(r.Intn(65535)+1), uint16(r.Intn(65535)+1), g.FrameLen)
 	p.SetLength(n)
-	fillPayload(p, packet.EthHdrLen+packet.IPv6HdrLen+packet.UDPHdrLen, &r, 0, nil)
+	return r, packet.EthHdrLen + packet.IPv6HdrLen + packet.UDPHdrLen
 }
 
 // sizeBucket is one step of an empirical frame-size CDF.
@@ -149,6 +179,18 @@ func (g *SyntheticCAIDA) MeanFrameLen() float64 { return caidaMean }
 
 // Fill implements netio.Generator.
 func (g *SyntheticCAIDA) Fill(p *packet.Packet, port int, seq uint64) {
+	r, off := g.header(p, port, seq)
+	fillOne(p, r, off, attack{})
+}
+
+// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
+//
+//nba:hotpath
+func (g *SyntheticCAIDA) FillBurst(pkts []*packet.Packet, port int) {
+	fillBurst(g, pkts, port, attack{})
+}
+
+func (g *SyntheticCAIDA) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {
 	r := perPacket(g.Seed, port, seq)
 	u := r.Float64()
 	frameLen := caidaBuckets[len(caidaBuckets)-1].len
@@ -171,29 +213,7 @@ func (g *SyntheticCAIDA) Fill(p *packet.Packet, port int, seq uint64) {
 	n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst,
 		uint16(1024+flow%40000), uint16(53+flow%11), frameLen)
 	p.SetLength(n)
-	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, &r, 0, nil)
-}
-
-// fillPayload writes deterministic payload bytes, optionally embedding an
-// attack pattern with the given probability.
-func fillPayload(p *packet.Packet, off int, r *rng.Rand, attackFrac float64, pattern []byte) {
-	data := p.Data()
-	if off >= len(data) {
-		return
-	}
-	payload := data[off:]
-	// Cheap deterministic filler: xorshift bytes. Avoid accidental pattern
-	// matches by restricting to lowercase letters.
-	x := r.Uint64() | 1
-	for i := range payload {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		payload[i] = 'a' + byte(x%26)
-	}
-	if len(pattern) > 0 && attackFrac > 0 && r.Bool(attackFrac) && len(payload) >= len(pattern) {
-		copy(payload[r.Intn(len(payload)-len(pattern)+1):], pattern)
-	}
+	return r, udp4Payload
 }
 
 // Validate checks generator parameters.
@@ -236,6 +256,18 @@ func (g *MixedL4) MeanFrameLen() float64 { return float64(g.FrameLen) }
 
 // Fill implements netio.Generator.
 func (g *MixedL4) Fill(p *packet.Packet, port int, seq uint64) {
+	r, off := g.header(p, port, seq)
+	fillOne(p, r, off, attack{g.AttackFrac, g.AttackPattern})
+}
+
+// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
+//
+//nba:hotpath
+func (g *MixedL4) FillBurst(pkts []*packet.Packet, port int) {
+	fillBurst(g, pkts, port, attack{g.AttackFrac, g.AttackPattern})
+}
+
+func (g *MixedL4) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {
 	r := perPacket(g.Seed^0x4D495845, port, seq)
 	flows := g.Flows
 	if flows <= 0 {
@@ -246,16 +278,13 @@ func (g *MixedL4) Fill(p *packet.Packet, port int, seq uint64) {
 	dst := flow * 2654435761
 	sport := uint16(1024 + flow%50000)
 	dport := uint16(53 + flow%7)
-	var off int
 	if r.Bool(g.TCPFrac) {
 		n := packet.BuildTCP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst, sport, 80,
 			uint32(seq), packet.TCPPsh|packet.TCPAck, g.FrameLen)
 		p.SetLength(n)
-		off = packet.EthHdrLen + packet.IPv4HdrLen + packet.TCPHdrLen
-	} else {
-		n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst, sport, dport, g.FrameLen)
-		p.SetLength(n)
-		off = packet.EthHdrLen + packet.IPv4HdrLen + packet.UDPHdrLen
+		return r, packet.EthHdrLen + packet.IPv4HdrLen + packet.TCPHdrLen
 	}
-	fillPayload(p, off, &r, g.AttackFrac, g.AttackPattern)
+	n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst, sport, dport, g.FrameLen)
+	p.SetLength(n)
+	return r, udp4Payload
 }

@@ -267,27 +267,69 @@ func TestFillDoesNotAllocate(t *testing.T) {
 }
 
 // TestSyntheticCAIDASharedAcrossGoroutines runs under -race in check.sh: a
-// generator is read-only after construction, so concurrent runs may share it.
+// generator is read-only after construction, so concurrent runs may share
+// it — through MeanFrameLen (which used to cache on first read), Fill and
+// FillBurst alike. The Trace literal has no precomputed mean.
 func TestSyntheticCAIDASharedAcrossGoroutines(t *testing.T) {
-	g := &SyntheticCAIDA{Flows: 1000, Seed: 9}
-	var want packet.Packet
-	g.Fill(&want, 0, 7)
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var p packet.Packet
-			for i := 0; i < 100; i++ {
-				if m := g.MeanFrameLen(); m < 64 || m > 1500 {
-					t.Errorf("mean frame length %g", m)
-				}
-				g.Fill(&p, 0, 7)
-				if !bytes.Equal(p.Data(), want.Data()) {
-					t.Error("shared generator produced a different frame")
-				}
-			}
-		}()
+	records := SynthesizeTrace(64, 9)
+	shared := map[string]interface {
+		burstFiller
+		MeanFrameLen() float64
+	}{
+		"SyntheticCAIDA": &SyntheticCAIDA{Flows: 1000, Seed: 9},
+		"Trace literal":  &Trace{Records: records, Seed: 9},
+		"NewTrace":       NewTrace(records, 9),
 	}
-	wg.Wait()
+	for name, g := range shared {
+		var want packet.Packet
+		g.Fill(&want, 0, 7)
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var p packet.Packet
+				burst := make([]*packet.Packet, 6)
+				for i := range burst {
+					burst[i] = &packet.Packet{Seq: uint64(2 + i)}
+				}
+				for i := 0; i < 100; i++ {
+					if m := g.MeanFrameLen(); m < 64 || m > 1500 {
+						t.Errorf("%s: mean frame length %g", name, m)
+					}
+					g.Fill(&p, 0, 7)
+					g.FillBurst(burst, 0)
+					if !bytes.Equal(p.Data(), want.Data()) || !bytes.Equal(burst[5].Data(), want.Data()) {
+						t.Errorf("%s: shared generator produced a different frame", name)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+func TestTraceMeanFrameLen(t *testing.T) {
+	records := []TraceRecord{{FrameLen: 64}, {FrameLen: 128}, {FrameLen: 1500}}
+	want := float64(64+128+1500) / 3
+	if got := NewTrace(records, 1).MeanFrameLen(); got != want {
+		t.Errorf("NewTrace mean = %v, want %v", got, want)
+	}
+	if got := (&Trace{Records: records}).MeanFrameLen(); got != want {
+		t.Errorf("literal mean = %v, want %v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, records); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.MeanFrameLen(); got != want {
+		t.Errorf("ReadTrace mean = %v, want %v", got, want)
+	}
+	if got := (&Trace{}).MeanFrameLen(); got != 0 {
+		t.Errorf("empty trace mean = %v, want 0", got)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"nba/internal/packet"
+	"nba/internal/rng"
 )
 
 // TraceRecord is one packet of a recorded trace.
@@ -19,12 +20,30 @@ type TraceRecord struct {
 
 // Trace replays a recorded packet sequence (the stand-in for feeding a
 // pcap of the CAIDA dataset to the packet generators). Replay loops over
-// the records.
+// the records. Like every generator it is read-only once built; NewTrace
+// and ReadTrace compute the mean frame length once, and a Trace written as
+// a literal recomputes it on every MeanFrameLen.
 type Trace struct {
 	Records []TraceRecord
 	Seed    uint64
 
-	mean float64
+	mean float64 // 0: not precomputed
+}
+
+// NewTrace returns a Trace over records with its mean frame length computed.
+func NewTrace(records []TraceRecord, seed uint64) *Trace {
+	return &Trace{Records: records, Seed: seed, mean: meanFrameLen(records)}
+}
+
+func meanFrameLen(records []TraceRecord) float64 {
+	if len(records) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, r := range records {
+		sum += float64(r.FrameLen)
+	}
+	return sum / float64(len(records))
 }
 
 // traceMagic identifies the trace file format.
@@ -64,13 +83,13 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("gen: not a trace file (bad magic)")
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:8])
-	t := &Trace{Records: make([]TraceRecord, 0, n)}
+	records := make([]TraceRecord, 0, n)
 	var rec [14]byte
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("gen: trace truncated at record %d: %w", i, err)
 		}
-		t.Records = append(t.Records, TraceRecord{
+		records = append(records, TraceRecord{
 			FrameLen: binary.LittleEndian.Uint16(rec[0:2]),
 			Src:      binary.LittleEndian.Uint32(rec[2:6]),
 			Dst:      binary.LittleEndian.Uint32(rec[6:10]),
@@ -78,33 +97,39 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			DPort:    binary.LittleEndian.Uint16(rec[12:14]),
 		})
 	}
-	return t, nil
+	return NewTrace(records, 0), nil
 }
 
-// MeanFrameLen implements netio.Generator.
+// MeanFrameLen implements netio.Generator. It never writes t: queues of
+// concurrent runs may share one Trace.
 func (t *Trace) MeanFrameLen() float64 {
-	if t.mean == 0 {
-		var sum float64
-		for _, r := range t.Records {
-			sum += float64(r.FrameLen)
-		}
-		if len(t.Records) > 0 {
-			t.mean = sum / float64(len(t.Records))
-		}
+	if t.mean != 0 {
+		return t.mean
 	}
-	return t.mean
+	return meanFrameLen(t.Records)
 }
 
 // Fill implements netio.Generator by replaying records cyclically.
 func (t *Trace) Fill(p *packet.Packet, port int, seq uint64) {
+	r, off := t.header(p, port, seq)
+	fillOne(p, r, off, attack{})
+}
+
+// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
+//
+//nba:hotpath
+func (t *Trace) FillBurst(pkts []*packet.Packet, port int) {
+	fillBurst(t, pkts, port, attack{})
+}
+
+func (t *Trace) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {
 	if len(t.Records) == 0 {
 		panic("gen: replay of empty trace")
 	}
 	rec := t.Records[seq%uint64(len(t.Records))]
 	n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, rec.Src, rec.Dst, rec.SPort, rec.DPort, int(rec.FrameLen))
 	p.SetLength(n)
-	r := perPacket(t.Seed, port, seq)
-	fillPayload(p, packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen, &r, 0, nil)
+	return perPacket(t.Seed, port, seq), udp4Payload
 }
 
 // SynthesizeTrace produces a trace with the synthetic-CAIDA mix, for

@@ -76,3 +76,27 @@ func TestTracerAddsNoAllocsOnHotPath(t *testing.T) {
 		t.Fatal("enabled tracer recorded nothing; the measurement is vacuous")
 	}
 }
+
+// TestOffloadInterceptionDoesNotAllocate gates the offload hand-off: the
+// chain of an offloadable head is computed once at Build, so intercepting a
+// device-annotated batch builds nothing (allocEnv.Offload drops the batch on
+// the floor, so a fresh one is made outside the measured function).
+func TestOffloadInterceptionDoesNotAllocate(t *testing.T) {
+	g := buildGraph(t, `FromInput() -> TestOffloadA() -> TestOffloadB() -> ToOutput();`, DefaultOptions())
+	head := g.Nodes[g.Source.out[0]]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if chain, resume := g.OffloadChainAt(head); len(chain) != 2 || !g.Nodes[resume].isSink {
+			t.Fatalf("chain of %d nodes resuming at %d", len(chain), resume)
+		}
+	}); allocs != 0 {
+		t.Errorf("OffloadChainAt allocates %.1f times per call, want 0", allocs)
+	}
+	env := &allocEnv{batchPool: batch.NewPool("alloc", 8)}
+	ctx := pctx()
+	b := &batch.Batch{}
+	b.Add(&packet.Packet{})
+	b.Anno[batch.AnnoDevice] = 1
+	if allocs := testing.AllocsPerRun(100, func() { g.Inject(env, ctx, b) }); allocs != 0 {
+		t.Errorf("intercepting an offloaded batch allocates %.1f times, want 0", allocs)
+	}
+}

@@ -43,6 +43,11 @@ type Node struct {
 	isSink      bool
 	isSource    bool
 
+	// chain and resume are OffloadChainAt's answer for an offloadable node,
+	// fixed once Build has wired the graph.
+	chain  []*Node
+	resume int
+
 	cost sysinfo.ElementCost
 
 	// predCount tracks, per output port, how many packets took that port
@@ -204,7 +209,15 @@ func Build(cfg *conflang.Config, cctx *element.ConfigContext, cm *sysinfo.CostMo
 	g.histScratch = make([]int, maxPorts+2)
 	g.splitScratch = make([]*batch.Batch, maxPorts)
 
-	return g, g.validate()
+	if err := g.validate(); err != nil {
+		return g, err
+	}
+	for _, n := range g.Nodes { // after validate: the walk needs a DAG
+		if n.offloadable != nil {
+			n.chain, n.resume = g.offloadChain(n)
+		}
+	}
+	return g, nil
 }
 
 func (g *Graph) validate() error {
@@ -288,10 +301,18 @@ func (g *Graph) NodeByName(name string) *Node {
 	return nil
 }
 
-// OffloadChainAt computes the maximal run of consecutive offloadable nodes
-// beginning at head (following single output edges), honouring the
-// OffloadChaining option, and the node ID processing resumes at afterwards.
+// OffloadChainAt returns the maximal run of consecutive offloadable nodes
+// beginning at the offloadable node head (following single output edges),
+// honouring the OffloadChaining option, and the node ID processing resumes
+// at afterwards. The chain is computed at Build and shared by every caller:
+// it must not be modified.
+//
+//nba:hotpath
 func (g *Graph) OffloadChainAt(head *Node) (chain []*Node, resume int) {
+	return head.chain, head.resume
+}
+
+func (g *Graph) offloadChain(head *Node) (chain []*Node, resume int) {
 	chain = []*Node{head}
 	cur := head
 	for {

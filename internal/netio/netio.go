@@ -7,6 +7,9 @@
 // packets have arrived since its last poll and materialises only the ones
 // actually delivered in a burst. Deterministic arrival timestamps
 // (k-th packet at start + (k+1)/rate) make latency measurements exact.
+// Materialisation is per burst, as the poll is: Poll takes and stamps the
+// burst's buffers, has the generator fill all of them in one call, and then
+// records their lengths.
 //
 // RSS is modelled as a uniform spread of flows over a port's RX queues,
 // which packet.FlowHash5's measured spread justifies; each queue owns
@@ -28,14 +31,45 @@ import (
 
 // Generator produces packet contents. Implementations live in internal/gen.
 type Generator interface {
-	// Fill writes the frame for the seq-th packet of the given port into p
-	// and sets any metadata it wants. It must be deterministic in
-	// (port, seq).
+	// Fill writes the frame for the seq-th packet of the given port into p.
+	// It must be deterministic in (port, seq) and must not write generator
+	// state: queues of concurrent runs may share one generator. The queue
+	// has stamped p's metadata (Seq, Arrival, InPort, annotations, Tenant)
+	// before the call.
 	Fill(p *packet.Packet, port int, seq uint64)
 	// MeanFrameLen returns the average frame length in bytes, used to
 	// convert offered Gbps to packets per second.
 	MeanFrameLen() float64
 }
+
+// BurstFiller is what a Generator may offer besides: FillBurst fills every
+// pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would, in any order it likes.
+// A queue whose generator has it materialises each RX burst with one call.
+type BurstFiller interface {
+	FillBurst(pkts []*packet.Packet, port int)
+}
+
+// perPacket adapts a plain Generator to the burst form.
+type perPacket struct{ gen Generator }
+
+//nba:hotpath
+func (a perPacket) FillBurst(pkts []*packet.Packet, port int) {
+	for _, p := range pkts {
+		a.gen.Fill(p, port, p.Seq)
+	}
+}
+
+// burstFillerOf resolves a generator into the one fill Poll calls.
+func burstFillerOf(gen Generator) BurstFiller {
+	if bf, ok := gen.(BurstFiller); ok {
+		return bf
+	}
+	return perPacket{gen}
+}
+
+// pollChunk is how many packets Poll materialises per fill call; a longer
+// poll is a sequence of such chunks. 64 is the paper's IO batch size.
+const pollChunk = 64
 
 // PacketPool is the mempool type RX queues draw buffers from.
 type PacketPool = mempool.Pool[packet.Packet]
@@ -55,8 +89,12 @@ type RxQueue struct {
 	// queue belongs to exactly one tenant and batches never mix tenants.
 	Tenant int32
 
-	gen      Generator
+	fill     BurstFiller // the generator, resolved once into its burst form
 	capacity int
+	// chunk holds the packets of a poll between stamping and filling. It is
+	// the queue's, not the caller's out: a slice of the worker's stack buffer
+	// handed to an interface method would move that buffer to the heap.
+	chunk [pollChunk]*packet.Packet
 
 	// Arrival process state. The rate may change (workload shifts); each
 	// segment accumulates arrivals from its base.
@@ -91,7 +129,7 @@ func NewRxQueue(port, queue int, gen Generator, ratePPS float64, capacity int) *
 	}
 	return &RxQueue{
 		Port: port, Queue: queue,
-		gen: gen, rate: ratePPS, capacity: capacity,
+		fill: burstFillerOf(gen), rate: ratePPS, capacity: capacity,
 	}
 }
 
@@ -107,7 +145,7 @@ func (q *RxQueue) SetStop(t simtime.Time) { q.stopTime = t }
 
 // SetGenerator swaps the traffic generator (workload-change experiments).
 // Sequence numbering continues, so determinism is preserved.
-func (q *RxQueue) SetGenerator(gen Generator) { q.gen = gen }
+func (q *RxQueue) SetGenerator(gen Generator) { q.fill = burstFillerOf(gen) }
 
 // SetDown flaps the queue (fault injection). While down, Poll delivers
 // nothing; arrivals keep accruing and overflow into the drop counters once
@@ -232,24 +270,33 @@ func (q *RxQueue) Poll(now simtime.Time, burst int, pool *PacketPool, out []*pac
 	if q.down {
 		n = 0 // overflow accounting (and its trace events) still run above
 	}
-	for i := uint64(0); i < n; i++ {
-		p, err := pool.Get()
-		if err != nil {
-			q.allocFailed++
-			q.dropped++ // the frame is lost, like an rx_nombuf drop
-			continue
+	for n > 0 {
+		// Take and stamp the buffers; Seq is what identifies a packet to the
+		// generator, and it skips the frames lost to pool exhaustion.
+		k := 0
+		for ; n > 0 && k < len(q.chunk); n-- {
+			p, err := pool.Get()
+			if err != nil {
+				q.allocFailed++
+				q.dropped++ // the frame is lost, like an rx_nombuf drop
+				continue
+			}
+			seq := q.delivered + q.dropped
+			p.Seq = seq
+			p.Arrival = q.arrivalTime(seq)
+			p.InPort = q.Port
+			p.Anno[packet.AnnoTimestamp] = uint64(p.Arrival)
+			p.Anno[packet.AnnoInPort] = uint64(q.Port)
+			p.Tenant = q.Tenant
+			q.chunk[k] = p
+			k++
+			q.delivered++
 		}
-		seq := q.delivered + q.dropped
-		q.gen.Fill(p, q.Port, seq)
-		p.OrigLen = p.Length()
-		p.Arrival = q.arrivalTime(seq)
-		p.InPort = q.Port
-		p.Seq = seq
-		p.Anno[packet.AnnoTimestamp] = uint64(p.Arrival)
-		p.Anno[packet.AnnoInPort] = uint64(q.Port)
-		p.Tenant = q.Tenant
-		out = append(out, p)
-		q.delivered++
+		q.fill.FillBurst(q.chunk[:k], q.Port)
+		for _, p := range q.chunk[:k] {
+			p.OrigLen = p.Length()
+		}
+		out = append(out, q.chunk[:k]...)
 	}
 	if q.Tracer != nil {
 		if q.dropped > q.tracedDrops {

@@ -273,3 +273,108 @@ func TestBacklogUnderflowGuard(t *testing.T) {
 	}()
 	q.Backlog(simtime.Millisecond)
 }
+
+// plainGen hides a generator's FillBurst, so the queue takes the per-packet
+// adapter for it.
+type plainGen struct{ Generator }
+
+// rxRecord is everything Poll decides about one delivered packet.
+type rxRecord struct {
+	seq     uint64
+	arrival simtime.Time
+	inPort  int
+	origLen int
+	tenant  int32
+	anno    [packet.NumAnnos]uint64
+	frame   string
+}
+
+// driveRxHistory runs one fixed queue history — full bursts, the pool
+// running dry in the middle of a burst, a poll longer than one fill chunk, a
+// flap with overflow, bursts shorter than the generator's lane width, and a
+// generator swap before the third and the sixth poll — and returns every
+// delivered packet and the final counters. gens(i) is the generator in force
+// from swap i on.
+func driveRxHistory(t *testing.T, gens func(i int) Generator) (recs []rxRecord, counters [4]uint64) {
+	t.Helper()
+	q := NewRxQueue(2, 1, gens(0), 2e6, 256)
+	q.Tenant = 3
+	pool := NewPacketPool("history", 100)
+	var held []*packet.Packet
+	poll := func(now simtime.Time, burst, want int) {
+		t.Helper()
+		out := q.Poll(now, burst, pool, nil)
+		if len(out) != want {
+			t.Fatalf("poll at %v delivered %d packets, want %d", now, len(out), want)
+		}
+		for _, p := range out {
+			recs = append(recs, rxRecord{p.Seq, p.Arrival, p.InPort, p.OrigLen, p.Tenant, p.Anno, string(p.Data())})
+		}
+		held = append(held, out...)
+	}
+	release := func() {
+		for _, p := range held {
+			pool.Put(p)
+		}
+		held = held[:0]
+	}
+	us := simtime.Microsecond
+	poll(100*us, 64, 64)
+	poll(110*us, 64, 36) // 36 buffers left: the other 28 frames are lost mid-burst
+	release()
+	q.SetGenerator(gens(1))
+	poll(120*us, 200, 100) // the whole backlog (112) wanted, the pool holds 100
+	release()
+	q.SetDown(true)
+	poll(400*us, 64, 0) // 560 more arrivals overflow the 256-slot ring
+	q.SetDown(false)
+	poll(410*us, 64, 64)
+	q.SetGenerator(gens(2))
+	poll(410*us, 3, 3)
+	poll(410*us, 1, 1)
+	poll(410*us, 4, 4)
+	release()
+	delivered, dropped, allocFailed := q.Stats()
+	if allocFailed != 28+12 || dropped <= allocFailed {
+		t.Fatalf("history did not exercise its drops: dropped %d, alloc failures %d", dropped, allocFailed)
+	}
+	return recs, [4]uint64{delivered, dropped, allocFailed, q.HighWatermark()}
+}
+
+// TestPollBurstEqualsPerPacket: a queue materialises the same packets — frame
+// bytes and every piece of metadata — and ends with the same counters
+// whether its generator fills bursts, is reached one packet at a time
+// through the adapter, or is swapped between the two mid-run.
+func TestPollBurstEqualsPerPacket(t *testing.T) {
+	for name, g := range map[string]Generator{
+		"UDP4 attack": &gen.UDP4{FrameLen: 96, Flows: 64, Seed: 5, AttackFrac: 0.5, AttackPattern: []byte("/etc/passwd")},
+		"CAIDA":       &gen.SyntheticCAIDA{Flows: 512, Seed: 6},
+	} {
+		if _, ok := g.(BurstFiller); !ok {
+			t.Fatalf("%s has no FillBurst", name)
+		}
+		if _, ok := Generator(plainGen{g}).(BurstFiller); ok {
+			t.Fatal("plainGen does not hide FillBurst")
+		}
+		want, wantCounters := driveRxHistory(t, func(int) Generator { return plainGen{g} })
+		for variant, gens := range map[string]func(i int) Generator{
+			"burst":                 func(int) Generator { return g },
+			"plain → burst → plain": func(i int) Generator { return []Generator{plainGen{g}, g, plainGen{g}}[i] },
+			"burst → plain → burst": func(i int) Generator { return []Generator{g, plainGen{g}, g}[i] },
+		} {
+			got, gotCounters := driveRxHistory(t, gens)
+			if gotCounters != wantCounters {
+				t.Errorf("%s, %s: counters %v, per-packet run %v", name, variant, gotCounters, wantCounters)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, %s: %d packets, per-packet run %d", name, variant, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, %s: packet %d (seq %d) differs from the per-packet run (seq %d)",
+						name, variant, i, got[i].seq, want[i].seq)
+				}
+			}
+		}
+	}
+}

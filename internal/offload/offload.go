@@ -62,6 +62,9 @@ type Aggregator struct {
 	cm      *sysinfo.CostModel
 	pending map[int]*Pending // keyed by head node ID
 	heads   []int            // deterministic iteration order
+	// taken is the slice Expired and TakeAll return, reused across calls:
+	// Expired runs every worker iteration and mostly has nothing due.
+	taken []*Pending
 
 	// AgeScale scales the aggregation age limit (MaxAggDelay). The overload
 	// governor shrinks it (e.g. 0.5) at LevelTrim and above so packets stop
@@ -153,33 +156,40 @@ func (a *Aggregator) account(p *Pending, b *batch.Batch) *Pending {
 }
 
 // Expired removes and returns aggregates older than MaxAggDelay (scaled by
-// AgeScale when the overload governor has trimmed it).
+// AgeScale when the overload governor has trimmed it), in the order they
+// were opened. The returned slice is the aggregator's and is valid until its
+// next Expired or TakeAll.
+//
+//nba:hotpath
 func (a *Aggregator) Expired(now simtime.Time) []*Pending {
 	maxAge := a.cm.MaxAggDelay
 	if a.AgeScale > 0 && a.AgeScale != 1 {
 		maxAge = simtime.Time(float64(maxAge) * a.AgeScale)
 	}
-	var out []*Pending
-	for _, id := range append([]int(nil), a.heads...) {
-		p := a.pending[id]
-		if p != nil && now-p.FirstAdd >= maxAge {
-			a.remove(id)
-			out = append(out, p)
+	// Compact heads in place: the survivors keep their order.
+	taken, kept := a.taken[:0], a.heads[:0]
+	for _, id := range a.heads {
+		if p := a.pending[id]; now-p.FirstAdd >= maxAge {
+			delete(a.pending, id)
+			taken = append(taken, p)
+		} else {
+			kept = append(kept, id)
 		}
 	}
-	return out
+	a.taken, a.heads = taken, kept
+	return taken
 }
 
-// TakeAll removes and returns every pending aggregate (idle flush).
+// TakeAll removes and returns every pending aggregate (idle flush), under
+// the same contract as Expired.
 func (a *Aggregator) TakeAll() []*Pending {
-	var out []*Pending
-	for _, id := range append([]int(nil), a.heads...) {
-		if p := a.pending[id]; p != nil {
-			a.remove(id)
-			out = append(out, p)
-		}
+	taken := a.taken[:0]
+	for _, id := range a.heads {
+		taken = append(taken, a.pending[id])
+		delete(a.pending, id)
 	}
-	return out
+	a.taken, a.heads = taken, a.heads[:0]
+	return taken
 }
 
 // PendingCount returns the number of open aggregates.

@@ -146,6 +146,85 @@ func TestAddToOpenAggregateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestExpiredDoesNotAllocate gates the call every worker iteration makes:
+// with nothing due it only walks the open heads, and a due aggregate is
+// returned in the aggregator's own reused slice.
+func TestExpiredDoesNotAllocate(t *testing.T) {
+	_, head, chain, resume := buildChain(t)
+	cm := sysinfo.Default()
+	agg := NewAggregator(cm)
+	b := mkDevBatch(64, 128)
+	if _, err := agg.Add(0, head, chain, resume, b); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if due := agg.Expired(cm.MaxAggDelay - 1); len(due) != 0 {
+			t.Fatalf("%d aggregates due before MaxAggDelay", len(due))
+		}
+	}); allocs != 0 {
+		t.Errorf("Expired with nothing due allocates %.1f times, want 0", allocs)
+	}
+	// Re-file the one aggregate after every Expired that takes it, so each
+	// run returns exactly one; the warm-up call sizes the reused slice.
+	taken := agg.Expired(cm.MaxAggDelay)[0]
+	refile := func() {
+		agg.pending[head.ID] = taken
+		agg.heads = append(agg.heads, head.ID)
+	}
+	refile()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if due := agg.Expired(cm.MaxAggDelay); len(due) != 1 || due[0] != taken {
+			t.Fatalf("Expired returned %d aggregates", len(due))
+		}
+		refile()
+	}); allocs != 0 {
+		t.Errorf("Expired returning one aggregate allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestExpiredKeepsOpeningOrder pins what the in-place compaction must keep:
+// due aggregates come back in the order they were opened, and the survivors
+// stay in that order for the next call.
+func TestExpiredKeepsOpeningOrder(t *testing.T) {
+	g, _, _, _ := buildChain(t)
+	cm := sysinfo.Default()
+	agg := NewAggregator(cm)
+	var heads []*graph.Node
+	for _, n := range g.Nodes {
+		if n.IsOffloadable() {
+			heads = append(heads, n)
+		}
+	}
+	if len(heads) < 2 {
+		t.Fatalf("test graph has %d offloadable nodes, want 2", len(heads))
+	}
+	// Open the second head first and make it the younger one.
+	ages := []simtime.Time{5, 0}
+	for i, h := range []*graph.Node{heads[1], heads[0]} {
+		chain, resume := g.OffloadChainAt(h)
+		if _, err := agg.Add(ages[i], h, chain, resume, mkDevBatch(2, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if due := agg.Expired(cm.MaxAggDelay + 1); len(due) != 1 || due[0].Head != heads[0] {
+		t.Fatalf("first Expired returned %d aggregates", len(due))
+	}
+	if agg.PendingCount() != 1 {
+		t.Fatalf("PendingCount = %d after one expiry", agg.PendingCount())
+	}
+	// Reopen the taken head behind the survivor: both due, survivor first.
+	chain, resume := g.OffloadChainAt(heads[0])
+	if _, err := agg.Add(6, heads[0], chain, resume, mkDevBatch(2, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if due := agg.Expired(2 * cm.MaxAggDelay); len(due) != 2 || due[0].Head != heads[1] || due[1].Head != heads[0] {
+		t.Fatalf("second Expired returned %d aggregates, or not in opening order", len(due))
+	}
+	if agg.PendingCount() != 0 || len(agg.TakeAll()) != 0 {
+		t.Error("aggregator not empty after all expired")
+	}
+}
+
 func TestAggregatorFullFlush(t *testing.T) {
 	_, head, chain, resume := buildChain(t)
 	cm := sysinfo.Default()

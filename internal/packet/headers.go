@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Wire-format sizes and offsets.
@@ -198,17 +199,34 @@ func UDPDstPort(h []byte) uint16 { return binary.BigEndian.Uint16(h[2:4]) }
 // InternetChecksum computes the RFC 1071 one's-complement checksum of b.
 // Computing it over a header that contains its checksum field yields zero
 // when the stored checksum is valid.
+//
+// It sums big-endian 64-bit words with end-around carry and folds at the
+// end: 2^16 is 1 modulo 2^16-1, so every 16-bit column of a wider word
+// weighs the same and the wide sum is congruent to the RFC's 16-bit one. A
+// non-zero sum stays non-zero through every carry and fold, so the result is
+// the same 16 bits for every input, 0xFFFF-versus-0 included.
 func InternetChecksum(b []byte) uint16 {
-	var sum uint32
-	n := len(b)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var sum uint64
+	for len(b) >= 8 {
+		var carry uint64
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), 0)
+		sum += carry // a sum that wrapped is at most 2^64-2
+		b = b[8:]
 	}
-	if n%2 == 1 {
-		sum += uint32(b[n-1]) << 8
+	sum = sum>>32 + sum&0xffffffff // room for the tails
+	if len(b) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
 	}
 	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
 }

@@ -46,7 +46,9 @@ type Packet struct {
 	Arrival simtime.Time
 	// InPort is the NIC port the packet arrived on.
 	InPort int
-	// Seq is a generator-assigned sequence number (diagnostics).
+	// Seq is the packet's sequence number on its RX queue. The queue stamps
+	// it before materialising the frame and it is the generator's input: the
+	// frame is a function of (seed, port, Seq).
 	Seq uint64
 	// OrigLen is the frame length at RX time. Throughput is accounted in
 	// terms of input traffic processed, so elements that grow frames (ESP

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"nba/internal/simtime"
@@ -235,15 +236,34 @@ var bucketBounds = func() [bucketCount]simtime.Time {
 	return b
 }()
 
+// bucketSeed gives bucketOf its starting bucket without a logarithm. It is
+// indexed by the bit length of t and the four bits below the leading one,
+// and holds the bucket of the smallest t with that index. Such a cell spans
+// at most a factor 17/16, less than histGrowth, so the true bucket is the
+// seed or the one after it.
+var bucketSeed = func() (seed [64 << 4]uint8) {
+	for l := 5; l < 64; l++ { // a positive Time has at most 63 bits
+		for m := 0; m < 16; m++ {
+			lo := simtime.Time(16+m) << (l - 5)
+			i := sort.Search(bucketCount, func(i int) bool { return bucketBounds[i] > lo })
+			if i > 0 {
+				i--
+			}
+			seed[l<<4|m] = uint8(i)
+		}
+	}
+	return seed
+}()
+
+// bucketOf returns the i with bucketBounds[i] <= t < bucketBounds[i+1],
+// clamped to the first and last bucket. The two loops define the result;
+// the seed only decides how far they walk.
 func bucketOf(t simtime.Time) int {
 	if t <= histBase {
 		return 0
 	}
-	i := int(math.Log(float64(t)/float64(histBase)) / math.Log(histGrowth))
-	if i >= bucketCount {
-		return bucketCount - 1
-	}
-	// Guard against fp rounding at bucket edges.
+	l := bits.Len64(uint64(t))
+	i := int(bucketSeed[l<<4|int(uint64(t)>>(l-5))&15])
 	for i > 0 && bucketBounds[i] > t {
 		i--
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nba/internal/rng"
 	"nba/internal/simtime"
 )
 
@@ -159,6 +160,71 @@ func TestHistBucketMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// bucketOfLog is the logarithm form bucketOf had before it was seeded from
+// a table, kept as the reference.
+func bucketOfLog(t simtime.Time) int {
+	if t <= histBase {
+		return 0
+	}
+	i := int(math.Log(float64(t)/float64(histBase)) / math.Log(histGrowth))
+	if i >= bucketCount {
+		return bucketCount - 1
+	}
+	for i > 0 && bucketBounds[i] > t {
+		i--
+	}
+	for i < bucketCount-1 && bucketBounds[i+1] <= t {
+		i++
+	}
+	return i
+}
+
+func TestBucketOfMatchesLogForm(t *testing.T) {
+	check := func(v simtime.Time) {
+		t.Helper()
+		if v < 0 {
+			v = 0 // Record clamps before it looks the bucket up
+		}
+		if got, want := bucketOf(v), bucketOfLog(v); got != want {
+			t.Fatalf("bucketOf(%d) = %d, log form %d", int64(v), got, want)
+		}
+	}
+	for i, b := range bucketBounds {
+		check(b - 1)
+		check(b)
+		check(b + 1)
+		if i > 0 && bucketOf(b) != i {
+			t.Fatalf("bucketOf(bucketBounds[%d]) = %d", i, bucketOf(b))
+		}
+	}
+	last := bucketBounds[bucketCount-1]
+	for _, v := range []simtime.Time{-5, 0, 1, histBase, last * 2, 1000 * simtime.Second, math.MaxInt64} {
+		check(v)
+	}
+	// Log-uniform draws over the whole positive range, so every bit length
+	// and every bucket is hit thousands of times.
+	r := rng.New(15)
+	for i := 0; i < 1_000_000; i++ {
+		check(simtime.Time(r.Uint64() >> (1 + r.Intn(63))))
+	}
+}
+
+func BenchmarkBucketOf(b *testing.B) {
+	r := rng.New(1)
+	ts := make([]simtime.Time, 1024)
+	for i := range ts {
+		ts[i] = simtime.Time(20+r.Intn(400)) * simtime.Microsecond
+	}
+	sum := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += bucketOf(ts[i&1023])
+	}
+	sinkBucket = sum
+}
+
+var sinkBucket int
 
 func TestHistZeroAndNegative(t *testing.T) {
 	var h Hist
