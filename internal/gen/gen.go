@@ -55,7 +55,7 @@ func (g *UDP4) MeanFrameLen() float64 { return float64(g.FrameLen) }
 // Fill implements netio.Generator.
 func (g *UDP4) Fill(p *packet.Packet, port int, seq uint64) {
 	r, off := g.header(p, port, seq)
-	fillOne(p, r, off, attack{g.AttackFrac, g.AttackPattern})
+	fillOne(p, &r, off, attack{g.AttackFrac, g.AttackPattern})
 }
 
 // FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
@@ -104,7 +104,7 @@ func (g *UDP6) MeanFrameLen() float64 { return float64(g.FrameLen) }
 // Fill implements netio.Generator.
 func (g *UDP6) Fill(p *packet.Packet, port int, seq uint64) {
 	r, off := g.header(p, port, seq)
-	fillOne(p, r, off, attack{})
+	fillOne(p, &r, off, attack{})
 }
 
 // FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
@@ -180,7 +180,7 @@ func (g *SyntheticCAIDA) MeanFrameLen() float64 { return caidaMean }
 // Fill implements netio.Generator.
 func (g *SyntheticCAIDA) Fill(p *packet.Packet, port int, seq uint64) {
 	r, off := g.header(p, port, seq)
-	fillOne(p, r, off, attack{})
+	fillOne(p, &r, off, attack{})
 }
 
 // FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
@@ -257,7 +257,7 @@ func (g *MixedL4) MeanFrameLen() float64 { return float64(g.FrameLen) }
 // Fill implements netio.Generator.
 func (g *MixedL4) Fill(p *packet.Packet, port int, seq uint64) {
 	r, off := g.header(p, port, seq)
-	fillOne(p, r, off, attack{g.AttackFrac, g.AttackPattern})
+	fillOne(p, &r, off, attack{g.AttackFrac, g.AttackPattern})
 }
 
 // FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.

@@ -32,7 +32,7 @@ type attack struct {
 
 // lane is one packet in flight through the payload kernel.
 type lane struct {
-	r       rng.Rand // the packet's stream; the attack draw follows the filler's
+	r       rng.Rand // the packet's stream, from which embed draws after the filler
 	x       uint64   // xorshift state of the filler
 	payload []byte   // nil: no packet in the lane
 	rest    []byte   // the part of payload not written yet
@@ -61,12 +61,13 @@ func (l *lane) load(h headerGen, pkts []*packet.Packet, i, port int) int {
 	return i
 }
 
-// finish applies the packet's attack draw once its filler is complete.
+// embed is the attack draw, which follows a packet's filler on its stream r:
+// with probability a.frac the payload carries the pattern, if it fits.
 //
 //nba:hotpath
-func (l *lane) finish(a attack) {
-	if len(a.pattern) > 0 && a.frac > 0 && l.r.Bool(a.frac) && len(l.payload) >= len(a.pattern) {
-		copy(l.payload[l.r.Intn(len(l.payload)-len(a.pattern)+1):], a.pattern)
+func embed(payload []byte, r *rng.Rand, a attack) {
+	if len(a.pattern) > 0 && a.frac > 0 && r.Bool(a.frac) && len(payload) >= len(a.pattern) {
+		copy(payload[r.Intn(len(payload)-len(a.pattern)+1):], a.pattern)
 	}
 }
 
@@ -118,18 +119,17 @@ func fillLockstep(ln *[fillWidth]lane, n int) {
 	}
 }
 
-// fillOne completes one packet whose header returned (r, off): the
+// fillOne completes one packet whose header returned (*r, off): the
 // per-packet path of Fill.
 //
 //nba:hotpath
-func fillOne(p *packet.Packet, r rng.Rand, off int, a attack) {
+func fillOne(p *packet.Packet, r *rng.Rand, off int, a attack) {
 	data := p.Data()
 	if off >= len(data) {
 		return
 	}
-	l := lane{r: r, payload: data[off:]}
-	fillStream(l.payload, l.r.Uint64()|1)
-	l.finish(a)
+	fillStream(data[off:], r.Uint64()|1)
+	embed(data[off:], r, a)
 }
 
 // fillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
@@ -143,6 +143,13 @@ func fillOne(p *packet.Packet, r rng.Rand, off int, a attack) {
 //
 //nba:hotpath
 func fillBurst(h headerGen, pkts []*packet.Packet, port int, a attack) {
+	if len(pkts) < fillWidth {
+		for _, p := range pkts {
+			r, off := h.header(p, port, p.Seq)
+			fillOne(p, &r, off, a)
+		}
+		return
+	}
 	var ln [fillWidth]lane
 	next, live := 0, 0
 	for k := range ln {
@@ -160,7 +167,7 @@ func fillBurst(h headerGen, pkts []*packet.Packet, port int, a attack) {
 		fillLockstep(&ln, n)
 		for k := range ln {
 			if len(ln[k].rest) == 0 {
-				ln[k].finish(a)
+				embed(ln[k].payload, &ln[k].r, a)
 				if next = ln[k].load(h, pkts, next, port); ln[k].payload == nil {
 					live--
 				}
@@ -170,7 +177,7 @@ func fillBurst(h headerGen, pkts []*packet.Packet, port int, a attack) {
 	for k := range ln {
 		if ln[k].payload != nil {
 			fillStream(ln[k].rest, ln[k].x)
-			ln[k].finish(a)
+			embed(ln[k].payload, &ln[k].r, a)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func (t *Trace) MeanFrameLen() float64 {
 // Fill implements netio.Generator by replaying records cyclically.
 func (t *Trace) Fill(p *packet.Packet, port int, seq uint64) {
 	r, off := t.header(p, port, seq)
-	fillOne(p, r, off, attack{})
+	fillOne(p, &r, off, attack{})
 }
 
 // FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.

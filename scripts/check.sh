@@ -18,9 +18,10 @@
 #   5. go test -race ...  full test suite under the race detector
 #   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
 #                         packet header parsing, IDS batch scan kernel vs its
-#                         single stream) to catch shallow regressions; then
-#                         one iteration of the IDS scan benchmarks, so the
-#                         kernels' benchmarks cannot rot
+#                         single stream, generator burst fill vs per-packet
+#                         fill) to catch shallow regressions; then one
+#                         iteration of the IDS scan and generator fill
+#                         benchmarks, so the kernels' benchmarks cannot rot
 #   7. nbatrace self-check the same config+seed recorded twice must diff to
 #                         zero divergence (dynamic determinism gate):
 #                         fault-free, with the canonical injected GPU outage
@@ -87,9 +88,11 @@ go test -fuzz='^FuzzParsePrint$' -fuzztime=5s -run '^$' ./internal/conflang
 go test -fuzz='^FuzzHeaderParse$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzScanBatchAgrees$' -fuzztime=5s -run '^$' ./internal/apps/ids
+go test -fuzz='^FuzzFillBurstAgrees$' -fuzztime=5s -run '^$' ./internal/gen
 
-echo "==> scan kernel benchmark smoke (one iteration each)"
+echo "==> scan and fill kernel benchmark smoke (one iteration each)"
 go test -run '^$' -bench 'Scan' -benchtime 1x ./internal/apps/ids
+go test -run '^$' -bench 'Fill' -benchtime 1x ./internal/gen
 
 echo "==> nbatrace determinism self-check"
 tracedir=$(mktemp -d)
