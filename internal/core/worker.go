@@ -139,6 +139,10 @@ type worker struct {
 
 	pktPool   *netio.PacketPool
 	batchPool *batch.Pool
+	// burst receives each RX poll. It is a field, not a local of iterate:
+	// Poll hands it to the generator's FillBurst, an interface method, which
+	// would move a stack array to the heap on every iteration.
+	burst []*packet.Packet
 
 	// sentinel is the integrity re-execution sampler, non-nil only when
 	// cfg.Integrity is set. Its RNG stream is seeded per worker so sampling
@@ -178,6 +182,7 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int, pk
 	}
 	w.pktPool = mempool.NewOver(fmt.Sprintf("pkt.w%d", id), pkts, nil)
 	w.batchPool = mempool.NewOver(fmt.Sprintf("batch.w%d", id), batches, nil)
+	w.burst = make([]*packet.Packet, 0, s.cfg.IOBatchSize)
 	w.completions = mempool.NewRing[completion](256)
 	if s.cfg.Integrity != nil {
 		w.sentinel = integrity.NewSentinel(s.cfg.Integrity, s.newSentinelRand(id))
@@ -293,7 +298,6 @@ func (w *worker) iterate() {
 		backpressured = true
 	}
 	if !backpressured {
-		var burst [batch.MaxBatchSize]*packet.Packet
 	polling:
 		for _, t := range w.wrr.Round() {
 			ln := w.lanes[t]
@@ -306,7 +310,7 @@ func (w *worker) iterate() {
 					break polling
 				}
 				w.cycles += cm.RxBurstFixed
-				pkts := q.Poll(w.iterStart, w.sys.cfg.IOBatchSize, w.pktPool, burst[:0])
+				pkts := q.Poll(w.iterStart, w.sys.cfg.IOBatchSize, w.pktPool, w.burst)
 				if len(pkts) == 0 {
 					continue
 				}

@@ -67,10 +67,6 @@ func burstFillerOf(gen Generator) BurstFiller {
 	return perPacket{gen}
 }
 
-// pollChunk is how many packets Poll materialises per fill call; a longer
-// poll is a sequence of such chunks. 64 is the paper's IO batch size.
-const pollChunk = 64
-
 // PacketPool is the mempool type RX queues draw buffers from.
 type PacketPool = mempool.Pool[packet.Packet]
 
@@ -91,10 +87,6 @@ type RxQueue struct {
 
 	fill     BurstFiller // the generator, resolved once into its burst form
 	capacity int
-	// chunk holds the packets of a poll between stamping and filling. It is
-	// the queue's, not the caller's out: a slice of the worker's stack buffer
-	// handed to an interface method would move that buffer to the heap.
-	chunk [pollChunk]*packet.Packet
 
 	// Arrival process state. The rate may change (workload shifts); each
 	// segment accumulates arrivals from its base.
@@ -256,7 +248,9 @@ func (q *RxQueue) SetCapacity(now simtime.Time, capacity int) {
 
 // Poll delivers up to burst packets into out, drawing buffers from pool.
 // It returns the packets received. Buffer-pool exhaustion drops packets
-// (and counts them in AllocFailed).
+// (and counts them in AllocFailed). The delivered tail of out is handed to
+// the generator through an interface, so out's backing array cannot live on
+// the caller's stack: a caller that polls in a loop keeps it in a field.
 //
 //nba:hotpath
 func (q *RxQueue) Poll(now simtime.Time, burst int, pool *PacketPool, out []*packet.Packet) []*packet.Packet {
@@ -270,33 +264,28 @@ func (q *RxQueue) Poll(now simtime.Time, burst int, pool *PacketPool, out []*pac
 	if q.down {
 		n = 0 // overflow accounting (and its trace events) still run above
 	}
-	for n > 0 {
-		// Take and stamp the buffers; Seq is what identifies a packet to the
-		// generator, and it skips the frames lost to pool exhaustion.
-		k := 0
-		for ; n > 0 && k < len(q.chunk); n-- {
-			p, err := pool.Get()
-			if err != nil {
-				q.allocFailed++
-				q.dropped++ // the frame is lost, like an rx_nombuf drop
-				continue
-			}
-			seq := q.delivered + q.dropped
-			p.Seq = seq
-			p.Arrival = q.arrivalTime(seq)
-			p.InPort = q.Port
-			p.Anno[packet.AnnoTimestamp] = uint64(p.Arrival)
-			p.Anno[packet.AnnoInPort] = uint64(q.Port)
-			p.Tenant = q.Tenant
-			q.chunk[k] = p
-			k++
-			q.delivered++
+	// Take and stamp the buffers; Seq is what identifies a packet to the
+	// generator, and it skips the frames lost to pool exhaustion.
+	for ; n > 0; n-- {
+		p, err := pool.Get()
+		if err != nil {
+			q.allocFailed++
+			q.dropped++ // the frame is lost, like an rx_nombuf drop
+			continue
 		}
-		q.fill.FillBurst(q.chunk[:k], q.Port)
-		for _, p := range q.chunk[:k] {
-			p.OrigLen = p.Length()
-		}
-		out = append(out, q.chunk[:k]...)
+		seq := q.delivered + q.dropped
+		p.Seq = seq
+		p.Arrival = q.arrivalTime(seq)
+		p.InPort = q.Port
+		p.Anno[packet.AnnoTimestamp] = uint64(p.Arrival)
+		p.Anno[packet.AnnoInPort] = uint64(q.Port)
+		p.Tenant = q.Tenant
+		out = append(out, p)
+		q.delivered++
+	}
+	q.fill.FillBurst(out[start:], q.Port)
+	for _, p := range out[start:] {
+		p.OrigLen = p.Length()
 	}
 	if q.Tracer != nil {
 		if q.dropped > q.tracedDrops {
