@@ -233,6 +233,23 @@ func InternetChecksum(b []byte) uint16 {
 
 // --- Frame builders (used by generators and tests) ---
 
+// putIPv4Header writes the option-less IPv4 header the frame builders use
+// (version 4, IHL 5, TOS, ID and fragment fields 0, TTL 64) with its
+// checksum. It composes the header as three big-endian words and sums those:
+// InternetChecksum's 8-byte loads over a header just written field by field
+// would each wait for the narrow stores to retire.
+func putIPv4Header(h []byte, totalLen int, proto uint8, src, dst uint32) {
+	w0 := 0x4500<<48 | uint64(uint16(totalLen))<<32
+	w1 := 64<<56 | uint64(proto)<<48 | uint64(src) // checksum field 0
+	sum := w0>>32 + w0&0xffffffff + w1>>32 + w1&0xffffffff + uint64(dst)
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	binary.BigEndian.PutUint64(h[0:8], w0)
+	binary.BigEndian.PutUint64(h[8:16], w1|uint64(^uint16(sum))<<32)
+	binary.BigEndian.PutUint32(h[16:20], dst)
+}
+
 // BuildUDP4 assembles an Ethernet+IPv4+UDP frame of exactly frameLen bytes
 // into buf and returns frameLen. The payload is left as-is in buf (callers
 // may pre-fill it). frameLen must be >= 42 (headers) and fit the buffer.
@@ -247,16 +264,7 @@ func BuildUDP4(buf []byte, srcMAC, dstMAC [6]byte, srcIP, dstIP uint32, sport, d
 
 	h := buf[EthHdrLen:]
 	ipLen := frameLen - EthHdrLen
-	h[0] = 0x45 // version 4, IHL 5
-	h[1] = 0
-	binary.BigEndian.PutUint16(h[2:4], uint16(ipLen))
-	binary.BigEndian.PutUint16(h[4:6], 0) // ID
-	binary.BigEndian.PutUint16(h[6:8], 0) // flags/frag
-	h[8] = 64                             // TTL
-	h[9] = ProtoUDP
-	SetIPv4Src(h, srcIP)
-	SetIPv4Dst(h, dstIP)
-	SetIPv4Checksum(h)
+	putIPv4Header(h, ipLen, ProtoUDP, srcIP, dstIP)
 
 	u := h[IPv4HdrLen:]
 	binary.BigEndian.PutUint16(u[0:2], sport)
@@ -360,16 +368,7 @@ func BuildTCP4(buf []byte, srcMAC, dstMAC [6]byte, srcIP, dstIP uint32, sport, d
 
 	h := buf[EthHdrLen:]
 	ipLen := frameLen - EthHdrLen
-	h[0] = 0x45
-	h[1] = 0
-	binary.BigEndian.PutUint16(h[2:4], uint16(ipLen))
-	binary.BigEndian.PutUint16(h[4:6], 0)
-	binary.BigEndian.PutUint16(h[6:8], 0)
-	h[8] = 64
-	h[9] = ProtoTCP
-	SetIPv4Src(h, srcIP)
-	SetIPv4Dst(h, dstIP)
-	SetIPv4Checksum(h)
+	putIPv4Header(h, ipLen, ProtoTCP, srcIP, dstIP)
 
 	tcp := h[IPv4HdrLen:]
 	binary.BigEndian.PutUint16(tcp[0:2], sport)
