@@ -11,8 +11,10 @@ import (
 )
 
 // CountTTL is a user-defined element: it histograms the IPv4 TTL of every
-// packet it forwards. It shows the minimal Element surface — everything
-// else (batching, branching, IO) is the framework's job.
+// packet it forwards. It shows the minimal surface — an element's identity
+// (Class, OutPorts, Configure) plus one compute form, here the per-packet
+// Process of nba.PacketElement; everything else (batching, branching, IO) is
+// the framework's job.
 type CountTTL struct {
 	Seen [256]uint64
 }

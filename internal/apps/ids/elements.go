@@ -2,7 +2,6 @@ package ids
 
 import (
 	"fmt"
-	"sync"
 
 	"nba/internal/batch"
 	"nba/internal/element"
@@ -10,9 +9,30 @@ import (
 )
 
 func init() {
-	element.Register("IDSMatchAC", func() element.Element { return &MatchAC{} })
-	element.Register("IDSMatchRE", func() element.Element { return &MatchRE{} })
+	element.Register("IDSMatchAC", func() element.Element {
+		return &Match{class: "IDSMatchAC", key: "ids.ac.default", compile: defaultAC}
+	})
+	// Regex rule IDs occupy the annotation above the AC signature space.
+	element.Register("IDSMatchRE", func() element.Element {
+		return &Match{class: "IDSMatchRE", key: "ids.re.default", compile: defaultDFA, idBase: uint64(len(DefaultSignatures))}
+	})
 	element.Register("IDSRuleMatch", func() element.Element { return &IDSRuleMatch{} })
+}
+
+func defaultAC() (*scanTable, error) {
+	a, err := BuildAC(DefaultSignatures)
+	if err != nil {
+		return nil, err
+	}
+	return &a.scanTable, nil
+}
+
+func defaultDFA() (*scanTable, error) {
+	d, err := CompileRules(DefaultRegexRules)
+	if err != nil {
+		return nil, err
+	}
+	return &d.scanTable, nil
 }
 
 // matchMode selects what happens to matched packets.
@@ -43,170 +63,67 @@ func payloadOf(pkt *packet.Packet) []byte {
 	return f[packet.EthHdrLen:]
 }
 
-// MatchAC is the offloadable Aho-Corasick signature matching element.
-// Parameter: "alert" (default) or "drop".
-type MatchAC struct {
-	ac   *AC
-	mode matchMode
+// Match is the offloadable signature-matching element. IDSMatchAC
+// (Aho-Corasick over DefaultSignatures) and IDSMatchRE (the regex DFA over
+// DefaultRegexRules) are this one element over a different scan table and ID
+// offset. Parameter: "alert" (default) or "drop".
+type Match struct {
+	class string
+	// key names the table in node-local storage; compile builds it. The
+	// automata are pure functions of the built-in rule sets, so one build
+	// serves every System in the process.
+	key     string
+	compile func() (*scanTable, error)
+	// idBase lifts the table's output IDs into the class's share of the
+	// AnnoMatchResult space.
+	idBase uint64
+	table  *scanTable
+	mode   matchMode
 	// Matches counts matched packets.
 	Matches uint64
 }
 
 // Class implements element.Element.
-func (*MatchAC) Class() string { return "IDSMatchAC" }
+func (e *Match) Class() string { return e.class }
 
 // OutPorts implements element.Element.
-func (*MatchAC) OutPorts() int { return 1 }
+func (*Match) OutPorts() int { return 1 }
 
 // Configure implements element.Element.
-func (e *MatchAC) Configure(ctx *element.ConfigContext, args []string) error {
+func (e *Match) Configure(ctx *element.ConfigContext, args []string) error {
 	mode, err := parseMode(args)
 	if err != nil {
-		return fmt.Errorf("IDSMatchAC: %w", err)
+		return fmt.Errorf("%s: %w", e.class, err)
 	}
 	e.mode = mode
-	var berr error
-	e.ac = element.GetOrCreate(ctx.NodeLocal, "ids.ac.default", func() *AC {
-		cacheMu.Lock()
-		defer cacheMu.Unlock()
-		if cachedAC != nil {
-			return cachedAC
-		}
-		a, err := BuildAC(DefaultSignatures)
-		if err != nil {
-			berr = err
-			return a
-		}
-		cachedAC = a
-		return a
-	})
-	return berr
-}
-
-// cachedAC/cachedDFA share the immutable default automata across Systems.
-// The mutex makes the lazy build safe for concurrent System construction
-// (internal/par sweeps); the automata are pure functions of the built-in
-// rule sets.
-var (
-	cacheMu   sync.Mutex
-	cachedAC  *AC
-	cachedDFA *DFA
-)
-
-func (e *MatchAC) handle(pkt *packet.Packet, id int) int {
-	if id < 0 {
-		return 0
-	}
-	e.Matches++
-	pkt.Anno[packet.AnnoMatchResult] = uint64(id) + 1
-	if e.mode == modeDrop {
-		return element.Drop
-	}
-	return 0
-}
-
-// Process implements the CPU-side function.
-func (e *MatchAC) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	return e.handle(pkt, e.ac.Match(payloadOf(pkt)))
+	e.table, err = element.GetOrCreateShared(ctx.NodeLocal, e.key, e.compile)
+	return err
 }
 
 // Datablocks implements element.Offloadable: payload in, 4-byte verdict out.
-func (e *MatchAC) Datablocks() []element.Datablock {
+// Both classes name the same payload block, so a chained offload uploads the
+// payload once.
+func (*Match) Datablocks() []element.Datablock {
 	return []element.Datablock{
 		{Name: "ids.payload", Kind: element.WholePacket, Offset: packet.EthHdrLen, H2D: true},
 		{Name: "ids.verdict", Kind: element.UserData, UserBytes: 4, D2H: true},
 	}
 }
 
-// ProcessOffloaded implements the device-side function: one batch kernel
-// over all live packets, then the per-packet verdicts in slot order.
+// Kernel implements element.Offloadable: one batch scan over all live
+// packets, then the per-packet verdicts in slot order.
 //
 //nba:hotpath
-func (e *MatchAC) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {
+func (e *Match) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 	var ids [batch.MaxBatchSize]int32
-	e.ac.matchBatch(b, &ids)
+	e.table.matchBatch(b, &ids)
 	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		if e.handle(pkt, int(ids[i])) == element.Drop {
-			b.SetResult(i, batch.ResultDrop)
+		if ids[i] < 0 {
+			return
 		}
-	})
-}
-
-// MatchRE is the offloadable regular-expression matching element.
-// Parameter: "alert" (default) or "drop".
-type MatchRE struct {
-	dfa  *DFA
-	mode matchMode
-	// Matches counts matched packets.
-	Matches uint64
-}
-
-// Class implements element.Element.
-func (*MatchRE) Class() string { return "IDSMatchRE" }
-
-// OutPorts implements element.Element.
-func (*MatchRE) OutPorts() int { return 1 }
-
-// Configure implements element.Element.
-func (e *MatchRE) Configure(ctx *element.ConfigContext, args []string) error {
-	mode, err := parseMode(args)
-	if err != nil {
-		return fmt.Errorf("IDSMatchRE: %w", err)
-	}
-	e.mode = mode
-	var berr error
-	e.dfa = element.GetOrCreate(ctx.NodeLocal, "ids.re.default", func() *DFA {
-		cacheMu.Lock()
-		defer cacheMu.Unlock()
-		if cachedDFA != nil {
-			return cachedDFA
-		}
-		d, err := CompileRules(DefaultRegexRules)
-		if err != nil {
-			berr = err
-			return d
-		}
-		cachedDFA = d
-		return d
-	})
-	return berr
-}
-
-func (e *MatchRE) handle(pkt *packet.Packet, id int) int {
-	if id < 0 {
-		return 0
-	}
-	e.Matches++
-	// Regex rule IDs occupy the annotation above the AC signature space.
-	pkt.Anno[packet.AnnoMatchResult] = uint64(id) + 1 + uint64(len(DefaultSignatures))
-	if e.mode == modeDrop {
-		return element.Drop
-	}
-	return 0
-}
-
-// Process implements the CPU-side function.
-func (e *MatchRE) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	return e.handle(pkt, e.dfa.Match(payloadOf(pkt)))
-}
-
-// Datablocks implements element.Offloadable (shares the payload block with
-// MatchAC so a chained offload uploads the payload once).
-func (e *MatchRE) Datablocks() []element.Datablock {
-	return []element.Datablock{
-		{Name: "ids.payload", Kind: element.WholePacket, Offset: packet.EthHdrLen, H2D: true},
-		{Name: "ids.verdict", Kind: element.UserData, UserBytes: 4, D2H: true},
-	}
-}
-
-// ProcessOffloaded implements the device-side function (see MatchAC).
-//
-//nba:hotpath
-func (e *MatchRE) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {
-	var ids [batch.MaxBatchSize]int32
-	e.dfa.matchBatch(b, &ids)
-	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		if e.handle(pkt, int(ids[i])) == element.Drop {
+		e.Matches++
+		pkt.Anno[packet.AnnoMatchResult] = uint64(ids[i]) + 1 + e.idBase
+		if e.mode == modeDrop {
 			b.SetResult(i, batch.ResultDrop)
 		}
 	})

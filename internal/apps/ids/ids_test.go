@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nba/internal/apps/apptest"
 	"nba/internal/batch"
 	"nba/internal/element"
 	"nba/internal/packet"
@@ -229,18 +230,28 @@ func elemCtx() (*element.ConfigContext, *element.ProcContext) {
 		&element.ProcContext{NodeLocal: nl, Rand: rng.New(2), CostScale: 1}
 }
 
+// newMatch instantiates one of the two registered matcher classes.
+func newMatch(t *testing.T, class string) *Match {
+	t.Helper()
+	e, err := element.NewByClass(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.(*Match)
+}
+
 func TestMatchACElementAlertAndDrop(t *testing.T) {
 	cc, pc := elemCtx()
-	e := &MatchAC{}
+	e := newMatch(t, "IDSMatchAC")
 	if err := e.Configure(cc, nil); err != nil {
 		t.Fatal(err)
 	}
 	clean := mkPayloadPkt(t, "totally benign content here")
-	if r := e.Process(pc, clean); r != 0 || clean.Anno[packet.AnnoMatchResult] != 0 {
+	if r := apptest.RunOne(e, pc, clean); r != 0 || clean.Anno[packet.AnnoMatchResult] != 0 {
 		t.Error("clean packet flagged")
 	}
 	evil := mkPayloadPkt(t, "try /bin/sh now")
-	if r := e.Process(pc, evil); r != 0 {
+	if r := apptest.RunOne(e, pc, evil); r != 0 {
 		t.Error("alert mode dropped packet")
 	}
 	if evil.Anno[packet.AnnoMatchResult] == 0 {
@@ -250,24 +261,24 @@ func TestMatchACElementAlertAndDrop(t *testing.T) {
 		t.Errorf("Matches = %d, want 1", e.Matches)
 	}
 
-	drop := &MatchAC{}
+	drop := newMatch(t, "IDSMatchAC")
 	if err := drop.Configure(cc, []string{"drop"}); err != nil {
 		t.Fatal(err)
 	}
 	evil2 := mkPayloadPkt(t, "try /bin/sh now")
-	if r := drop.Process(pc, evil2); r != element.Drop {
+	if r := apptest.RunOne(drop, pc, evil2); r != element.Drop {
 		t.Error("drop mode did not drop")
 	}
 }
 
 func TestMatchREElement(t *testing.T) {
 	cc, pc := elemCtx()
-	e := &MatchRE{}
+	e := newMatch(t, "IDSMatchRE")
 	if err := e.Configure(cc, []string{"alert"}); err != nil {
 		t.Fatal(err)
 	}
 	evil := mkPayloadPkt(t, "GET /a.php?id=123")
-	if e.Process(pc, evil); evil.Anno[packet.AnnoMatchResult] == 0 {
+	if apptest.RunOne(e, pc, evil); evil.Anno[packet.AnnoMatchResult] == 0 {
 		t.Error("regex match annotation not set")
 	}
 	// Regex IDs sit above the signature ID space.
@@ -278,29 +289,31 @@ func TestMatchREElement(t *testing.T) {
 
 func TestElementConfigErrors(t *testing.T) {
 	cc, _ := elemCtx()
-	if err := (&MatchAC{}).Configure(cc, []string{"explode"}); err == nil {
+	if err := newMatch(t, "IDSMatchAC").Configure(cc, []string{"explode"}); err == nil {
 		t.Error("bad mode accepted")
 	}
-	if err := (&MatchRE{}).Configure(cc, []string{"explode"}); err == nil {
+	if err := newMatch(t, "IDSMatchRE").Configure(cc, []string{"explode"}); err == nil {
 		t.Error("bad mode accepted")
 	}
 }
 
 func TestElementsShareCompiledAutomata(t *testing.T) {
 	cc, _ := elemCtx()
-	a, b := &MatchAC{}, &MatchAC{}
+	a, b := newMatch(t, "IDSMatchAC"), newMatch(t, "IDSMatchAC")
 	a.Configure(cc, nil)
 	b.Configure(cc, nil)
-	if a.ac != b.ac {
+	if a.table == nil || a.table != b.table {
 		t.Error("AC automaton rebuilt per replica")
 	}
 }
 
-// TestCPUAndGPUPathsAgree: for both matchers in both modes, the device-side
-// batch kernel leaves every packet with the annotation, the element with the
-// Matches count and, in drop mode, exactly the slots with ResultDrop that the
-// per-packet CPU path produces. The batch mixes sizes (so groups have ragged
-// tails), has masked slots and ends in a partial group.
+// TestCPUAndGPUPathsAgree: the CPU and the device run the one kernel, so the
+// check that is left is that it is right: for both matchers in both modes it
+// leaves every packet with the annotation, the element with the Matches count
+// and, in drop mode, exactly the slots with ResultDrop that the references
+// sharing no code with it say (NaiveMatch, stdlib regexp). The batch mixes
+// sizes (so groups have ragged tails), has masked slots and ends in a partial
+// group.
 func TestCPUAndGPUPathsAgree(t *testing.T) {
 	payloads := []string{
 		"innocuous", "/bin/sh", "xp_cmdshell", "fine", "DROP TABLE students",
@@ -309,42 +322,38 @@ func TestCPUAndGPUPathsAgree(t *testing.T) {
 		"uid=0(root)", strings.Repeat("z", 1400), "session=QUJD==", "ok",
 	}
 	masked := map[int]bool{0: true, 6: true, 13: true}
-	type matcher interface {
-		element.Offloadable
-		Configure(*element.ConfigContext, []string) error
+	var std []*regexp.Regexp
+	for _, r := range DefaultRegexRules {
+		std = append(std, regexp.MustCompile(r))
 	}
 	for _, c := range []struct {
-		name    string
-		mk      func() matcher
-		matches func(matcher) uint64
+		name string
+		// anno is the annotation the reference expects for a scan region.
+		anno func(data []byte) uint64
 	}{
-		{"IDSMatchAC", func() matcher { return &MatchAC{} }, func(m matcher) uint64 { return m.(*MatchAC).Matches }},
-		{"IDSMatchRE", func() matcher { return &MatchRE{} }, func(m matcher) uint64 { return m.(*MatchRE).Matches }},
+		{"IDSMatchAC", func(data []byte) uint64 { return uint64(NaiveMatch(DefaultSignatures, data) + 1) }},
+		{"IDSMatchRE", func(data []byte) uint64 {
+			if id := lowestRule(std, data); id >= 0 {
+				return uint64(id + 1 + len(DefaultSignatures))
+			}
+			return 0
+		}},
 	} {
 		for _, mode := range []string{"alert", "drop"} {
 			cc, pc := elemCtx()
-			cpu, gpu := c.mk(), c.mk()
-			for _, e := range []matcher{cpu, gpu} {
-				if err := e.Configure(cc, []string{mode}); err != nil {
-					t.Fatal(err)
-				}
+			e := newMatch(t, c.name)
+			if err := e.Configure(cc, []string{mode}); err != nil {
+				t.Fatal(err)
 			}
 			var bt batch.Batch
-			var want []*packet.Packet
-			var wantRes []int
 			for i, pl := range payloads {
 				bt.Add(mkPayloadPkt(t, pl))
 				if masked[i] {
 					bt.Mask(i)
-					want, wantRes = append(want, nil), append(wantRes, 0)
-					continue
 				}
-				p := mkPayloadPkt(t, pl)
-				wantRes = append(wantRes, cpu.Process(pc, p))
-				want = append(want, p)
 			}
-			gpu.ProcessOffloaded(pc, &bt)
-			hits := 0
+			e.Kernel(pc, &bt)
+			var matches uint64
 			for i, pl := range payloads {
 				got := bt.Packet(i)
 				if masked[i] {
@@ -353,22 +362,24 @@ func TestCPUAndGPUPathsAgree(t *testing.T) {
 					}
 					continue
 				}
-				if got.Anno[packet.AnnoMatchResult] != want[i].Anno[packet.AnnoMatchResult] {
-					t.Errorf("%s %s payload %.20q: CPU anno %d, GPU anno %d", c.name, mode, pl,
-						want[i].Anno[packet.AnnoMatchResult], got.Anno[packet.AnnoMatchResult])
+				want := c.anno(payloadOf(got))
+				if got.Anno[packet.AnnoMatchResult] != want {
+					t.Errorf("%s %s payload %.20q: anno %d, reference %d", c.name, mode, pl,
+						got.Anno[packet.AnnoMatchResult], want)
 				}
-				if (bt.Result(i) == batch.ResultDrop) != (wantRes[i] == element.Drop) {
-					t.Errorf("%s %s payload %.20q: CPU result %d, GPU result %d", c.name, mode, pl, wantRes[i], bt.Result(i))
+				wantRes := 0
+				if want != 0 {
+					matches++
+					if mode == "drop" {
+						wantRes = batch.ResultDrop
+					}
 				}
-				if wantRes[i] == element.Drop {
-					hits++
+				if bt.Result(i) != wantRes {
+					t.Errorf("%s %s payload %.20q: result %d, reference %d", c.name, mode, pl, bt.Result(i), wantRes)
 				}
 			}
-			if c.matches(gpu) != c.matches(cpu) || c.matches(cpu) == 0 {
-				t.Errorf("%s %s: CPU Matches %d, GPU Matches %d", c.name, mode, c.matches(cpu), c.matches(gpu))
-			}
-			if mode == "drop" && uint64(hits) != c.matches(cpu) {
-				t.Errorf("%s drop: %d slots dropped, %d matches", c.name, hits, c.matches(cpu))
+			if e.Matches != matches || matches == 0 {
+				t.Errorf("%s %s: Matches %d, reference %d", c.name, mode, e.Matches, matches)
 			}
 		}
 	}

@@ -344,41 +344,15 @@ func (e *IDSRuleMatch) Configure(ctx *element.ConfigContext, args []string) erro
 		}
 	}
 	key := "ids.ruleset." + text
-	var berr error
-	e.rs = element.GetOrCreate(ctx.NodeLocal, key, func() *RuleSet {
+	var err error
+	e.rs, err = element.GetOrCreate(ctx.NodeLocal, key, func() (*RuleSet, error) {
 		rules, err := ParseRules(text)
 		if err != nil {
-			berr = err
-			return nil
+			return nil, err
 		}
-		rs, err := CompileRuleSet(rules)
-		if err != nil {
-			berr = err
-			return nil
-		}
-		return rs
+		return CompileRuleSet(rules)
 	})
-	return berr
-}
-
-// Process implements element.Element.
-func (e *IDSRuleMatch) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	return e.evaluate(pkt)
-}
-
-func (e *IDSRuleMatch) evaluate(pkt *packet.Packet) int {
-	ri := e.rs.Match(pkt)
-	if ri < 0 {
-		return 0
-	}
-	rule := &e.rs.Rules[ri]
-	pkt.Anno[packet.AnnoMatchResult] = uint64(rule.SID)
-	if rule.Action == ActionDrop {
-		e.Drops++
-		return element.Drop
-	}
-	e.Alerts++
-	return 0
+	return err
 }
 
 // Datablocks implements element.Offloadable: the payload goes to the device
@@ -391,11 +365,23 @@ func (e *IDSRuleMatch) Datablocks() []element.Datablock {
 	}
 }
 
-// ProcessOffloaded implements the device-side function.
-func (e *IDSRuleMatch) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {
+// Kernel implements element.Offloadable: the first matching rule of each
+// live packet decides its verdict.
+//
+//nba:hotpath
+func (e *IDSRuleMatch) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		if e.evaluate(pkt) == element.Drop {
-			b.SetResult(i, batch.ResultDrop)
+		ri := e.rs.Match(pkt)
+		if ri < 0 {
+			return
 		}
+		rule := &e.rs.Rules[ri]
+		pkt.Anno[packet.AnnoMatchResult] = uint64(rule.SID)
+		if rule.Action == ActionDrop {
+			e.Drops++
+			b.SetResult(i, batch.ResultDrop)
+			return
+		}
+		e.Alerts++
 	})
 }

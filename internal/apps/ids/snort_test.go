@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nba/internal/apps/apptest"
 	"nba/internal/element"
 	"nba/internal/packet"
 	"nba/internal/rng"
@@ -131,12 +132,12 @@ func TestIDSRuleMatchElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := mkRulePkt(t, 80, "completely ordinary text")
-	if r := e.Process(pc, clean); r != 0 || clean.Anno[packet.AnnoMatchResult] != 0 {
+	if r := apptest.RunOne(e, pc, clean); r != 0 || clean.Anno[packet.AnnoMatchResult] != 0 {
 		t.Error("clean packet flagged")
 	}
 	// Built-in sid 2003 is a drop rule on "/bin/sh".
 	evil := mkRulePkt(t, 80, "run /bin/sh now")
-	if r := e.Process(pc, evil); r != element.Drop {
+	if r := apptest.RunOne(e, pc, evil); r != element.Drop {
 		t.Error("drop rule did not drop")
 	}
 	if evil.Anno[packet.AnnoMatchResult] != 2003 {
@@ -144,7 +145,7 @@ func TestIDSRuleMatchElement(t *testing.T) {
 	}
 	// Built-in sid 2004 is an alert rule needing both contents on udp.
 	alert := mkRulePkt(t, 80, "UNION SELECT pass FROM users")
-	if r := e.Process(pc, alert); r != 0 {
+	if r := apptest.RunOne(e, pc, alert); r != 0 {
 		t.Error("alert rule dropped")
 	}
 	if alert.Anno[packet.AnnoMatchResult] != 2004 {
@@ -165,7 +166,7 @@ func TestIDSRuleMatchCustomRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := mkRulePkt(t, 80, "this is FORBIDDEN content")
-	if r := e.Process(pc, p); r != element.Drop || p.Anno[packet.AnnoMatchResult] != 7777 {
+	if r := apptest.RunOne(e, pc, p); r != element.Drop || p.Anno[packet.AnnoMatchResult] != 7777 {
 		t.Errorf("custom rule not applied: r=%d anno=%d", r, p.Anno[packet.AnnoMatchResult])
 	}
 	if err := e.Configure(cc, []string{"bogus=1"}); err == nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nba/internal/apps/apptest"
 	"nba/internal/element"
 	"nba/internal/packet"
 	"nba/internal/rng"
@@ -90,7 +91,7 @@ func TestDecapElementRejectsReplays(t *testing.T) {
 	nl := element.NewNodeLocal()
 	cc := &element.ConfigContext{NodeLocal: nl, NumPorts: 4, Rand: rng.New(1)}
 	pc := &element.ProcContext{NodeLocal: nl, Rand: rng.New(2), CostScale: 1}
-	enc, aes, mac, dec := &ESPEncap{}, &AES{}, &HMAC{}, &ESPDecap{}
+	enc, aes, mac, dec := &ESPEncap{}, newStage(t, "IPsecAES"), newStage(t, "IPsecHMAC"), &ESPDecap{}
 	for _, e := range []element.Element{enc, aes, mac, dec} {
 		if err := e.Configure(cc, []string{"sas=8", "seed=3"}); err != nil {
 			t.Fatal(err)
@@ -99,7 +100,7 @@ func TestDecapElementRejectsReplays(t *testing.T) {
 	mkEncrypted := func() *packet.Packet {
 		p := mkPkt(t, 128)
 		for _, e := range []element.Element{enc, aes, mac} {
-			if r := e.Process(pc, p); r != 0 {
+			if r := apptest.RunOne(e, pc, p); r != 0 {
 				t.Fatalf("%s failed", e.Class())
 			}
 		}

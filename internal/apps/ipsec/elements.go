@@ -12,8 +12,8 @@ import (
 
 func init() {
 	element.Register("IPsecESPencap", func() element.Element { return &ESPEncap{} })
-	element.Register("IPsecAES", func() element.Element { return &AES{} })
-	element.Register("IPsecHMAC", func() element.Element { return &HMAC{} })
+	element.Register("IPsecAES", func() element.Element { return &Stage{class: "IPsecAES", apply: Encrypt} })
+	element.Register("IPsecHMAC", func() element.Element { return &Stage{class: "IPsecHMAC", apply: Authenticate} })
 	element.Register("IPsecESPdecap", func() element.Element { return &ESPDecap{} })
 }
 
@@ -40,15 +40,7 @@ func sadbFor(ctx *element.ConfigContext, args []string) (*SADB, error) {
 		}
 	}
 	key := fmt.Sprintf("ipsec.sadb.%d.%d", sas, seed)
-	var err error
-	db := element.GetOrCreate(ctx.NodeLocal, key, func() *SADB {
-		d, berr := NewSADB(sas, seed)
-		if berr != nil {
-			err = berr
-		}
-		return d
-	})
-	return db, err
+	return element.GetOrCreate(ctx.NodeLocal, key, func() (*SADB, error) { return NewSADB(sas, seed) })
 }
 
 // ESPEncap encapsulates packets into ESP tunnel mode and picks the output
@@ -85,95 +77,48 @@ func (e *ESPEncap) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
 	return 0
 }
 
-// AES is the offloadable AES-128-CTR encryption element.
-type AES struct {
-	db *SADB
+// Stage is the gateway's offloadable per-packet crypto stage. IPsecAES
+// (AES-128-CTR encryption) and IPsecHMAC (HMAC-SHA1 authentication) are this
+// one element over a different per-packet SA function.
+type Stage struct {
+	class string
+	apply func(*packet.Packet, *SADB) error
+	db    *SADB
 }
 
 // Class implements element.Element.
-func (*AES) Class() string { return "IPsecAES" }
+func (e *Stage) Class() string { return e.class }
 
 // OutPorts implements element.Element.
-func (*AES) OutPorts() int { return 1 }
+func (*Stage) OutPorts() int { return 1 }
 
 // Configure implements element.Element.
-func (e *AES) Configure(ctx *element.ConfigContext, args []string) error {
+func (e *Stage) Configure(ctx *element.ConfigContext, args []string) error {
 	db, err := sadbFor(ctx, args)
 	if err != nil {
-		return fmt.Errorf("IPsecAES: %w", err)
+		return fmt.Errorf("%s: %w", e.class, err)
 	}
 	e.db = db
 	return nil
 }
 
-// Process implements the CPU-side function.
-func (e *AES) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	if Encrypt(pkt, e.db) != nil {
-		return element.Drop
-	}
-	return 0
-}
-
-// Datablocks implements element.Offloadable. AES and HMAC share the
+// Datablocks implements element.Offloadable. Both stages name the
 // "ipsec.frame" whole-packet datablock, so a chained offload copies the
 // frame to the device once and back once (the paper's datablock reuse).
-func (e *AES) Datablocks() []element.Datablock {
+func (*Stage) Datablocks() []element.Datablock {
 	return []element.Datablock{
 		{Name: "ipsec.frame", Kind: element.WholePacket,
 			Offset: packet.EthHdrLen, H2D: true, D2H: true},
 	}
 }
 
-// ProcessOffloaded implements the device-side function.
-func (e *AES) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {
+// Kernel implements element.Offloadable: the stage's SA function over every
+// live packet; a packet it rejects is dropped.
+//
+//nba:hotpath
+func (e *Stage) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		if Encrypt(pkt, e.db) != nil {
-			b.SetResult(i, batch.ResultDrop)
-		}
-	})
-}
-
-// HMAC is the offloadable HMAC-SHA1 authentication element.
-type HMAC struct {
-	db *SADB
-}
-
-// Class implements element.Element.
-func (*HMAC) Class() string { return "IPsecHMAC" }
-
-// OutPorts implements element.Element.
-func (*HMAC) OutPorts() int { return 1 }
-
-// Configure implements element.Element.
-func (e *HMAC) Configure(ctx *element.ConfigContext, args []string) error {
-	db, err := sadbFor(ctx, args)
-	if err != nil {
-		return fmt.Errorf("IPsecHMAC: %w", err)
-	}
-	e.db = db
-	return nil
-}
-
-// Process implements the CPU-side function.
-func (e *HMAC) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	if Authenticate(pkt, e.db) != nil {
-		return element.Drop
-	}
-	return 0
-}
-
-// Datablocks implements element.Offloadable (shared with AES).
-func (e *HMAC) Datablocks() []element.Datablock {
-	return []element.Datablock{
-		{Name: "ipsec.frame", Kind: element.WholePacket,
-			Offset: packet.EthHdrLen, H2D: true, D2H: true},
-	}
-}
-
-// ProcessOffloaded implements the device-side function.
-func (e *HMAC) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {
-	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		if Authenticate(pkt, e.db) != nil {
+		if e.apply(pkt, e.db) != nil {
 			b.SetResult(i, batch.ResultDrop)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nba/internal/apps/apptest"
 	"nba/internal/element"
 	"nba/internal/packet"
 	"nba/internal/rng"
@@ -229,13 +230,23 @@ func TestEncapErrors(t *testing.T) {
 	}
 }
 
+// newStage instantiates one of the two registered crypto stages.
+func newStage(t *testing.T, class string) *Stage {
+	t.Helper()
+	e, err := element.NewByClass(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.(*Stage)
+}
+
 func TestElementsPipelineEquivalence(t *testing.T) {
 	// Driving the three elements must equal calling the library directly.
 	nl := element.NewNodeLocal()
 	cc := &element.ConfigContext{NodeLocal: nl, NumPorts: 4, Rand: rng.New(1)}
 	pc := &element.ProcContext{NodeLocal: nl, Rand: rng.New(2), CostScale: 1}
 
-	enc, aes, mac, dec := &ESPEncap{}, &AES{}, &HMAC{}, &ESPDecap{}
+	enc, aes, mac, dec := &ESPEncap{}, newStage(t, "IPsecAES"), newStage(t, "IPsecHMAC"), &ESPDecap{}
 	for _, e := range []element.Element{enc, aes, mac, dec} {
 		if err := e.Configure(cc, []string{"sas=32", "seed=5"}); err != nil {
 			t.Fatal(err)
@@ -248,7 +259,7 @@ func TestElementsPipelineEquivalence(t *testing.T) {
 	p := mkPkt(t, 200)
 	orig := append([]byte(nil), p.Data()...)
 	for _, e := range []element.Element{enc, aes, mac} {
-		if r := e.Process(pc, p); r != 0 {
+		if r := apptest.RunOne(e, pc, p); r != 0 {
 			t.Fatalf("%s returned %d", e.Class(), r)
 		}
 	}
@@ -274,8 +285,8 @@ func TestElementConfigErrors(t *testing.T) {
 }
 
 func TestSharedDatablockNames(t *testing.T) {
-	a := (&AES{}).Datablocks()
-	h := (&HMAC{}).Datablocks()
+	a := newStage(t, "IPsecAES").Datablocks()
+	h := newStage(t, "IPsecHMAC").Datablocks()
 	if a[0].Name != h[0].Name {
 		t.Error("AES and HMAC do not share the frame datablock (chained offload would copy twice)")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"nba/internal/batch"
 	"nba/internal/element"
@@ -52,44 +51,14 @@ func (e *LookupIP6Route) Configure(ctx *element.ConfigContext, args []string) er
 	}
 	key := fmt.Sprintf("ipv6.fib.%d.%d", entries, seed)
 	var err error
-	e.table = element.GetOrCreate(ctx.NodeLocal, key, func() *Table {
-		tableMu.Lock()
-		defer tableMu.Unlock()
-		if t, ok := tableCache[key]; ok {
-			return t
-		}
-		t, berr := NewTable(RandomRoutes(entries, 256, seed))
-		if berr != nil {
-			err = berr
-			return t
-		}
-		tableCache[key] = t
-		return t
+	e.table, err = element.GetOrCreateShared(ctx.NodeLocal, key, func() (*Table, error) {
+		return NewTable(RandomRoutes(entries, 256, seed))
 	})
 	if err != nil {
 		return err
 	}
 	e.numPorts = ctx.NumPorts
 	return nil
-}
-
-// tableCache shares immutable FIBs across Systems in one process. The mutex
-// makes the cache safe for concurrent System construction (internal/par
-// sweeps); the table content is a pure function of the key.
-var (
-	tableMu    sync.Mutex
-	tableCache = map[string]*Table{}
-)
-
-// Process implements the CPU-side function.
-func (e *LookupIP6Route) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	dst := packet.IPv6DstAddr(pkt.Data()[packet.EthHdrLen:])
-	nh := e.table.Lookup(dst)
-	if nh == MissNextHop {
-		return element.Drop
-	}
-	pkt.Anno[packet.AnnoOutPort] = uint64(int(nh) % e.numPorts)
-	return 0
 }
 
 // Datablocks implements element.Offloadable: 16-byte destination in, 4-byte
@@ -102,8 +71,10 @@ func (e *LookupIP6Route) Datablocks() []element.Datablock {
 	}
 }
 
-// ProcessOffloaded implements the device-side function.
-func (e *LookupIP6Route) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {
+// Kernel implements element.Offloadable: one lookup per live packet.
+//
+//nba:hotpath
+func (e *LookupIP6Route) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 	b.ForEachLive(func(i int, pkt *packet.Packet) {
 		dst := packet.IPv6DstAddr(pkt.Data()[packet.EthHdrLen:])
 		nh := e.table.Lookup(dst)

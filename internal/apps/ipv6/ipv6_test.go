@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nba/internal/apps/apptest"
 	"nba/internal/element"
 	"nba/internal/packet"
 	"nba/internal/rng"
@@ -127,8 +128,8 @@ func TestElementProcess(t *testing.T) {
 	n := packet.BuildUDP6(p.Buf(), [6]byte{2}, [6]byte{4},
 		addr(1, 2), addr(0x2001_0DB8, 99), 1, 2, 80)
 	p.SetLength(n)
-	if r := e.Process(pc, p); r != 0 {
-		t.Fatalf("Process = %d (default route should match)", r)
+	if r := apptest.RunOne(e, pc, p); r != 0 {
+		t.Fatalf("result = %d (default route should match)", r)
 	}
 	if p.Anno[packet.AnnoOutPort] >= 8 {
 		t.Errorf("out port %d out of range", p.Anno[packet.AnnoOutPort])

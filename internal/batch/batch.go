@@ -24,7 +24,7 @@ const NumAnnos = 7
 const (
 	// AnnoDevice is the load-balancer decision: the index of the
 	// computation device that should process offloadable elements for this
-	// batch, or CPUDevice for the CPU-side function (paper §3.4: "the load
+	// batch, or CPUDevice to run them on the CPU (paper §3.4: "the load
 	// balancing decision is stored as a batch-level annotation").
 	AnnoDevice = iota
 	AnnoUser0
@@ -35,7 +35,7 @@ const (
 	AnnoTenant
 )
 
-// CPUDevice is the AnnoDevice value selecting the CPU-side function.
+// CPUDevice is the AnnoDevice value that keeps offloadable elements on the CPU.
 const CPUDevice = 0
 
 // Result values stored per packet. Non-negative results are output-edge

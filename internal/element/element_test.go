@@ -1,6 +1,9 @@
 package element
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nba/internal/packet"
@@ -287,10 +290,14 @@ func TestNodeLocalSharing(t *testing.T) {
 	nl := NewNodeLocal()
 	builds := 0
 	get := func() []int {
-		return GetOrCreate(nl, "table", func() []int {
+		v, err := GetOrCreate(nl, "table", func() ([]int, error) {
 			builds++
-			return []int{1, 2, 3}
+			return []int{1, 2, 3}, nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 	a := get()
 	b := get()
@@ -306,6 +313,57 @@ func TestNodeLocalSharing(t *testing.T) {
 	}
 	if nl.Get("missing") != nil {
 		t.Error("missing key not nil")
+	}
+	// A failed build is reported and stores nothing, so a later build runs.
+	fail := errors.New("no table")
+	if _, err := GetOrCreate(nl, "late", func() (*int, error) { return nil, fail }); err != fail {
+		t.Errorf("failed build returned %v, want %v", err, fail)
+	}
+	if nl.Get("late") != nil {
+		t.Error("failed build was stored")
+	}
+	if v, err := GetOrCreate(nl, "late", func() (*int, error) { return new(int), nil }); err != nil || v == nil {
+		t.Errorf("build after a failed one: %v, %v", v, err)
+	}
+}
+
+// TestGetOrCreateShared: one build per process however many node-local
+// stores (sockets, Systems) ask and from however many goroutines
+// (internal/par builds Systems concurrently); a failed build is not kept.
+func TestGetOrCreateShared(t *testing.T) {
+	var builds atomic.Int32
+	got := make([]*int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := GetOrCreateShared(NewNodeLocal(), "test.shared", func() (*int, error) {
+				builds.Add(1)
+				return new(int), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = v
+		}(i)
+	}
+	wg.Wait()
+	if builds.Load() != 1 {
+		t.Errorf("built %d times, want 1", builds.Load())
+	}
+	for _, v := range got {
+		if v == nil || v != got[0] {
+			t.Fatal("stores did not share one value")
+		}
+	}
+	fail := errors.New("no table")
+	nl := NewNodeLocal()
+	if _, err := GetOrCreateShared(nl, "test.shared.fail", func() (*int, error) { return nil, fail }); err != fail {
+		t.Errorf("failed build returned %v, want %v", err, fail)
+	}
+	if v, err := GetOrCreateShared(nl, "test.shared.fail", func() (*int, error) { return new(int), nil }); err != nil || v == nil {
+		t.Errorf("build after a failed one: %v, %v", v, err)
 	}
 }
 

@@ -272,8 +272,6 @@ func (e *Queue) Configure(ctx *ConfigContext, args []string) error {
 	return nil
 }
 
-func (e *Queue) Process(ctx *ProcContext, pkt *packet.Packet) int { return 0 }
-
 // ProcessBatch forwards the batch as-is (per-batch element).
 func (e *Queue) ProcessBatch(ctx *ProcContext, b *batch.Batch) int { return 0 }
 

@@ -36,7 +36,9 @@ type Node struct {
 	// out maps output-port index to successor node ID (or unconnected).
 	out []int
 
-	// Cached interface upgrades.
+	// The element's one compute form (exactly one is non-nil), and cached
+	// interface upgrades.
+	pktElem     element.PacketElement
 	batchElem   element.BatchElement
 	offloadable element.Offloadable
 	sinkKind    element.SinkKind
@@ -66,12 +68,29 @@ type Node struct {
 // Successor returns the node ID connected to output port p.
 func (n *Node) Successor(p int) int { return n.out[p] }
 
-// IsOffloadable reports whether the node's element has a device-side
-// function.
+// IsOffloadable reports whether the node's element is an offloadable (a
+// batch kernel with datablocks) that the load balancer may send to a device.
 func (n *Node) IsOffloadable() bool { return n.offloadable != nil }
 
 // Offloadable returns the node's offloadable interface (nil if none).
 func (n *Node) Offloadable() element.Offloadable { return n.offloadable }
+
+// RunOnCPU runs offloadable node n's kernel over b on the CPU and returns
+// what that costs there: the node's per-packet CPU cost summed over b's live
+// packets, unscaled — the caller applies ProcContext.CostScale at its own
+// granularity. Every CPU execution of a kernel goes through here: the
+// pipeline's CPU path, the rescue of an aggregate the device never ran, and
+// the sentinel's re-execution.
+//
+//nba:hotpath
+func (n *Node) RunOnCPU(pctx *element.ProcContext, b *batch.Batch) simtime.Cycles {
+	var cycles simtime.Cycles
+	b.ForEachLive(func(i int, pkt *packet.Packet) {
+		cycles += n.cost.Cycles(pkt.Length())
+	})
+	n.offloadable.Kernel(pctx, b)
+	return cycles
+}
 
 // Options control graph execution behaviour.
 type Options struct {
@@ -168,11 +187,25 @@ func Build(cfg *conflang.Config, cctx *element.ConfigContext, cm *sysinfo.CostMo
 			n.out[i] = unconnected
 		}
 		n.predCount = make([]uint64, elem.OutPorts())
-		if be, ok := elem.(element.BatchElement); ok {
-			n.batchElem = be
+		forms := 0
+		if n.pktElem, _ = elem.(element.PacketElement); n.pktElem != nil {
+			forms++
 		}
-		if off, ok := elem.(element.Offloadable); ok {
-			n.offloadable = off
+		if n.batchElem, _ = elem.(element.BatchElement); n.batchElem != nil {
+			forms++
+		}
+		if n.offloadable, _ = elem.(element.Offloadable); n.offloadable != nil {
+			forms++
+		}
+		if forms != 1 {
+			return nil, fmt.Errorf("line %d: %s (%s) implements %d compute forms, want exactly one of Process, ProcessBatch and Kernel",
+				d.Line, d.Name, d.Class, forms)
+		}
+		if n.offloadable != nil && len(n.out) != 1 {
+			// The device path resumes an aggregate at the chain's single
+			// successor; any other shape has no defined resume point.
+			return nil, fmt.Errorf("line %d: offloadable %s (%s) has %d output ports, want 1",
+				d.Line, d.Name, d.Class, len(n.out))
 		}
 		if s, ok := elem.(element.Sink); ok {
 			n.isSink = true
@@ -316,10 +349,7 @@ func (g *Graph) offloadChain(head *Node) (chain []*Node, resume int) {
 	chain = []*Node{head}
 	cur := head
 	for {
-		if len(cur.out) != 1 {
-			return chain, unconnected
-		}
-		next := cur.out[0]
+		next := cur.out[0] // Build admits an offloadable only with one output
 		if next == unconnected {
 			return chain, unconnected
 		}
@@ -402,7 +432,7 @@ func (g *Graph) step(env Env, pctx *element.ProcContext, item workItem) {
 	// Per-batch elements run once per batch without decomposing it.
 	if n.batchElem != nil {
 		live := b.Live()
-		charged := scaled(n.cost.Fixed+simtime.Cycles(n.cost.PerByte*float64(b.TotalBytes())), pctx)
+		charged := pctx.Scaled(n.cost.Fixed + simtime.Cycles(n.cost.PerByte*float64(b.TotalBytes())))
 		env.Charge(charged)
 		if g.Tracer != nil {
 			g.Tracer.EmitT(g.TraceNow(), trace.KindBatch, g.TraceActor, g.TraceTenant, n.Name,
@@ -422,23 +452,31 @@ func (g *Graph) step(env Env, pctx *element.ProcContext, item workItem) {
 		return
 	}
 
-	// Per-packet elements: the framework runs the iteration loop (paper
-	// §3.2: "NBA runs an iteration loop over packets in the input batch at
-	// every element whereas elements expose only a per-packet interface").
 	var cycles simtime.Cycles
 	live := b.Live()
-	nOut := len(n.out)
-	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		pctx.ExtraCycles = 0
-		r := n.Elem.Process(pctx, pkt)
-		if r >= nOut && !n.isSink {
-			panic(fmt.Sprintf("graph: %s returned port %d of %d", n.Name, r, nOut))
-		}
-		b.SetResult(i, r)
-		cycles += n.cost.Cycles(pkt.Length()) + pctx.ExtraCycles
-		n.Processed++
-	})
-	charged := scaled(cycles, pctx)
+	if n.offloadable != nil {
+		// The CPU runs an offloadable's one kernel over the batch. A kernel
+		// only marks drops, so every other result is cleared for it.
+		b.ForEachLive(func(i int, _ *packet.Packet) { b.SetResult(i, 0) })
+		cycles = n.RunOnCPU(pctx, b)
+		n.Processed += uint64(live)
+	} else {
+		// Per-packet elements: the framework runs the iteration loop (paper
+		// §3.2: "NBA runs an iteration loop over packets in the input batch
+		// at every element whereas elements expose only a per-packet
+		// interface").
+		nOut := len(n.out)
+		b.ForEachLive(func(i int, pkt *packet.Packet) {
+			r := n.pktElem.Process(pctx, pkt)
+			if r >= nOut && !n.isSink {
+				panic(fmt.Sprintf("graph: %s returned port %d of %d", n.Name, r, nOut))
+			}
+			b.SetResult(i, r)
+			cycles += n.cost.Cycles(pkt.Length())
+			n.Processed++
+		})
+	}
+	charged := pctx.Scaled(cycles)
 	env.Charge(charged)
 	if g.Tracer != nil {
 		g.Tracer.EmitT(g.TraceNow(), trace.KindBatch, g.TraceActor, g.TraceTenant, n.Name,
@@ -451,17 +489,6 @@ func (g *Graph) step(env Env, pctx *element.ProcContext, item workItem) {
 	}
 
 	g.forward(env, n, b)
-}
-
-// scaled applies the worker's current cost scale (memory contention, NUMA
-// penalty) to a cycle count.
-//
-//nba:hotpath
-func scaled(c simtime.Cycles, pctx *element.ProcContext) simtime.Cycles {
-	if pctx.CostScale == 0 || pctx.CostScale == 1 {
-		return c
-	}
-	return simtime.Cycles(float64(c) * pctx.CostScale)
 }
 
 //nba:hotpath

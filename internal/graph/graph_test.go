@@ -51,17 +51,41 @@ type offloadableNoOp struct {
 }
 
 func (e *offloadableNoOp) Class() string { return e.class }
-func (e *offloadableNoOp) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	return 0
+func (e *offloadableNoOp) OutPorts() int {
+	if e.class == "TestOffloadTwoPorts" {
+		return 2
+	}
+	return 1
 }
 func (e *offloadableNoOp) Datablocks() []element.Datablock {
 	return []element.Datablock{{Name: "pkt", Kind: element.WholePacket, H2D: true, D2H: true}}
 }
-func (e *offloadableNoOp) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {}
+func (e *offloadableNoOp) Kernel(ctx *element.ProcContext, b *batch.Batch) {
+	if e.class == "TestOffloadDropOdd" {
+		b.ForEachLive(func(i int, _ *packet.Packet) {
+			if i%2 == 1 {
+				b.SetResult(i, batch.ResultDrop)
+			}
+		})
+	}
+}
+
+// formless has no compute form; twoForms has two.
+type formless struct{ element.Base }
+
+func (*formless) Class() string { return "TestFormless" }
+
+type twoForms struct{ element.NoOp }
+
+func (*twoForms) Class() string                                             { return "TestTwoForms" }
+func (*twoForms) ProcessBatch(ctx *element.ProcContext, b *batch.Batch) int { return 0 }
 
 func init() {
-	element.Register("TestOffloadA", func() element.Element { return &offloadableNoOp{class: "TestOffloadA"} })
-	element.Register("TestOffloadB", func() element.Element { return &offloadableNoOp{class: "TestOffloadB"} })
+	for _, class := range []string{"TestOffloadA", "TestOffloadB", "TestOffloadTwoPorts", "TestOffloadDropOdd"} {
+		element.Register(class, func() element.Element { return &offloadableNoOp{class: class} })
+	}
+	element.Register("TestFormless", func() element.Element { return &formless{} })
+	element.Register("TestTwoForms", func() element.Element { return &twoForms{} })
 }
 
 func buildGraph(t *testing.T, src string, opts Options) *Graph {
@@ -240,6 +264,38 @@ func TestOffloadInterception(t *testing.T) {
 	}
 }
 
+// TestOffloadableOnCPU: a CPU-routed batch runs the offloadable's kernel in
+// the pipeline. The packets it marks are dropped at the node and the rest go
+// on, whatever results the previous element left in the batch (here port 1 of
+// a branch), and the node's per-packet CPU cost is charged.
+func TestOffloadableOnCPU(t *testing.T) {
+	src := `
+		c :: Classifier("ip6", "ip");
+		k :: TestOffloadDropOdd();
+		FromInput() -> c;
+		c[0] -> Discard();
+		c[1] -> k -> ToOutput();
+	`
+	g := buildGraph(t, src, DefaultOptions())
+	env := newTestEnv()
+	g.Inject(env, pctx(), mkBatch(t, env, 8, 64))
+	k := g.NodeByName("k")
+	if len(env.transmitted) != 4 || len(env.released) != 4 || k.Processed != 8 || k.Dropped != 4 {
+		t.Fatalf("transmitted %d released %d, k processed %d dropped %d; want 4, 4, 8, 4",
+			len(env.transmitted), len(env.released), k.Processed, k.Dropped)
+	}
+	if len(env.offloads) != 0 {
+		t.Errorf("CPU-routed batch offloaded %d times", len(env.offloads))
+	}
+	var b batch.Batch
+	for _, p := range env.transmitted {
+		b.Add(p)
+	}
+	if got, want := k.RunOnCPU(pctx(), &b), 4*sysinfo.Default().ElementCostOf("TestOffloadDropOdd").Cycles(64); got != want {
+		t.Errorf("RunOnCPU cost %d cycles, want %d", got, want)
+	}
+}
+
 func TestOffloadChainingDisabled(t *testing.T) {
 	g := buildGraph(t, `FromInput() -> TestOffloadA() -> TestOffloadB() -> ToOutput();`,
 		Options{BranchPrediction: true, OffloadChaining: false})
@@ -308,6 +364,13 @@ func TestBuildErrors(t *testing.T) {
 		{`a :: NoOp(); FromInput() -> a; a[1] -> ToOutput();`, "no output port"},
 		{`a :: NoOp(); FromInput() -> a; a -> ToOutput(); a -> Discard();`, "connected twice"},
 		{`a :: FromInput(); NoOp() -> a;`, "into source"},
+		{`FromInput() -> TestFormless() -> ToOutput();`, "line 1: TestFormless@2 (TestFormless) implements 0 compute forms"},
+		{`FromInput() -> TestTwoForms() -> ToOutput();`, "line 1: TestTwoForms@2 (TestTwoForms) implements 2 compute forms"},
+		// The device path resumes at the chain's one successor; before this was
+		// rejected it resumed at "unconnected" and counted every packet as an
+		// unrouted drop, where the CPU path forwarded them.
+		{"a :: TestOffloadTwoPorts();\nFromInput() -> a;\na[0] -> ToOutput();\na[1] -> Discard();",
+			"line 1: offloadable a (TestOffloadTwoPorts) has 2 output ports, want 1"},
 	}
 	cctx := &element.ConfigContext{NodeLocal: element.NewNodeLocal(), NumPorts: 4, Rand: rng.New(1)}
 	for _, c := range cases {

@@ -6,7 +6,7 @@
 // returns wrong bytes (internal/fault's DeviceCorrupt events model it). The
 // framework cannot eyeball device results, but it *can* re-run the same
 // functional closure on the host — the simulation's device kernels are the
-// elements' ProcessOffloaded methods, which are pure over (packet bytes,
+// elements' Kernel methods, which are pure over (packet bytes,
 // annotations, results) — and compare digests. The sentinel does exactly
 // that for a configured fraction of aggregates:
 //
@@ -188,7 +188,7 @@ func (s *Sentinel) Snapshot(batches []*batch.Batch) *Shadow {
 }
 
 // Verify re-executes the offloaded chain on the shadow via rerun (the
-// caller runs its ProcessOffloaded chain over each shadow batch) and
+// caller runs its chain's kernels over each shadow batch) and
 // compares digests against the device's results. The shadow is released
 // either way. Returns true when the digests agree.
 func (s *Sentinel) Verify(sh *Shadow, rerun func(*batch.Batch)) bool {

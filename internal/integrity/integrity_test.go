@@ -104,7 +104,7 @@ func fill(n int) *batch.Batch {
 }
 
 // deviceExec is the stand-in offloaded kernel: a pure function over slot
-// state, the shape ProcessOffloaded has.
+// state, the shape an offloadable Kernel has.
 func deviceExec(b *batch.Batch) {
 	for i := 0; i < b.Count(); i++ {
 		if b.IsMasked(i) {

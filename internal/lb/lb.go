@@ -21,7 +21,6 @@ import (
 	"nba/internal/batch"
 	"nba/internal/element"
 	"nba/internal/invariant"
-	"nba/internal/packet"
 	"nba/internal/simtime"
 	"nba/internal/stats"
 	"nba/internal/trace"
@@ -43,14 +42,15 @@ type State struct {
 
 // SharedState fetches (or creates) the socket's shared state.
 func SharedState(nl *element.NodeLocal) *State {
-	return element.GetOrCreate(nl, StateKey, func() *State { return &State{} })
+	s, _ := element.GetOrCreate(nl, StateKey, func() (*State, error) { return &State{}, nil }) // this build cannot fail
+	return s
 }
 
 // Algorithm selects the balancing policy of a LoadBalance element.
 type Algorithm int
 
 const (
-	// CPUOnly processes everything with CPU-side functions.
+	// CPUOnly runs every offloadable on the CPU.
 	CPUOnly Algorithm = iota
 	// GPUOnly offloads every batch (other elements still run on the CPU).
 	GPUOnly
@@ -117,9 +117,6 @@ func (e *LoadBalance) Configure(ctx *element.ConfigContext, args []string) error
 	}
 	return nil
 }
-
-// Process implements element.Element (unused: batches take ProcessBatch).
-func (e *LoadBalance) Process(ctx *element.ProcContext, pkt *packet.Packet) int { return 0 }
 
 // ProcessBatch stamps the device decision on the batch.
 func (e *LoadBalance) ProcessBatch(ctx *element.ProcContext, b *batch.Batch) int {

@@ -21,10 +21,12 @@ const (
 	LinkTypeEthernet = 1
 )
 
-// CapturedPacket is one captured frame with its virtual timestamp.
+// CapturedPacket is one captured frame with its virtual timestamp and the
+// NIC port it left on (which a pcap file does not carry).
 type CapturedPacket struct {
 	Time simtime.Time
 	Data []byte
+	Port int
 }
 
 // WritePcap writes frames in libpcap format.

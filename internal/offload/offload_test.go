@@ -17,9 +17,8 @@ import (
 // a private header block.
 type offElemA struct{ element.Base }
 
-func (*offElemA) Class() string                                             { return "OffA" }
-func (*offElemA) Process(ctx *element.ProcContext, p *packet.Packet) int    { return 0 }
-func (*offElemA) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {}
+func (*offElemA) Class() string                                   { return "OffA" }
+func (*offElemA) Kernel(ctx *element.ProcContext, b *batch.Batch) {}
 func (*offElemA) Datablocks() []element.Datablock {
 	return []element.Datablock{
 		{Name: "payload", Kind: element.WholePacket, Offset: 14, H2D: true},
@@ -29,9 +28,8 @@ func (*offElemA) Datablocks() []element.Datablock {
 
 type offElemB struct{ element.Base }
 
-func (*offElemB) Class() string                                             { return "OffB" }
-func (*offElemB) Process(ctx *element.ProcContext, p *packet.Packet) int    { return 0 }
-func (*offElemB) ProcessOffloaded(ctx *element.ProcContext, b *batch.Batch) {}
+func (*offElemB) Class() string                                   { return "OffB" }
+func (*offElemB) Kernel(ctx *element.ProcContext, b *batch.Batch) {}
 func (*offElemB) Datablocks() []element.Datablock {
 	return []element.Datablock{
 		{Name: "payload", Kind: element.WholePacket, Offset: 14, H2D: true, D2H: true},

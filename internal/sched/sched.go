@@ -1,55 +1,9 @@
 // Package sched is the multi-tenant scheduler stage: it decides, under
 // contention, which tenant a worker serves next (batch priority via
-// deterministic weighted round-robin) and which local accelerator runs a
-// tenant's offloaded work (placement policy).
-//
-// The package deliberately separates mechanism from policy. Workers and the
-// offload path consume the two small interfaces below; policies are pure
-// functions of explicit state, so they inherit the framework's determinism
-// contract for free. Interference-aware placement in the Pythia sense —
-// predicting slowdown from co-runner profiles and steering tenants away from
-// contended devices — plugs in as just another PlacementPolicy; the
-// per-tenant utilisation inputs it needs are already in the per-tenant
-// Report sections.
+// deterministic weighted round-robin). The policy is a pure function of
+// explicit state, so it inherits the framework's determinism contract for
+// free.
 package sched
-
-// PlacementPolicy decides which same-socket device executes an offloaded
-// aggregate. anno is the batch's device annotation (>= 1 selects an
-// accelerator; the CPU case never reaches placement), n is the number of
-// local devices. Implementations return a local device index in [0, n), or
-// a value outside that range to signal "no such device" (the caller treats
-// it as a placement error, mirroring the classic anno-out-of-range case).
-//
-// Policies must be deterministic pure functions of their arguments: they run
-// on the worker hot path inside the simulation, so wall-clock, randomness
-// and hidden mutable state are all banned (nbalint enforces the usual sim
-// rules on this package).
-type PlacementPolicy interface {
-	DeviceFor(tenant, anno, n int) int
-}
-
-// Static is the classic single-tenant placement: annotation k selects local
-// device k-1 for every tenant. It is the default policy and the disarm
-// contract's identity case.
-type Static struct{}
-
-// DeviceFor maps annotation k to local device k-1 regardless of tenant.
-func (Static) DeviceFor(tenant, anno, n int) int { return anno - 1 }
-
-// TenantSpread offsets each tenant's device choice by its tenant index,
-// spreading co-resident tenants across a socket's accelerators. It is the
-// simplest interference-avoiding policy: with one device per socket it
-// degenerates to Static, with several it keeps heavy co-tenants off each
-// other's command queues.
-type TenantSpread struct{}
-
-// DeviceFor spreads tenants round-robin over the local device set.
-func (TenantSpread) DeviceFor(tenant, anno, n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return (anno - 1 + tenant) % n
-}
 
 // WRR is a deterministic smooth weighted round-robin over tenants. Each
 // worker owns one instance and asks it, once per scheduling round, for the

@@ -2,35 +2,6 @@ package sched
 
 import "testing"
 
-func TestStaticPlacementIsIdentity(t *testing.T) {
-	var p Static
-	for tenant := 0; tenant < 4; tenant++ {
-		for anno := 1; anno <= 3; anno++ {
-			if got := p.DeviceFor(tenant, anno, 3); got != anno-1 {
-				t.Fatalf("Static.DeviceFor(%d, %d, 3) = %d, want %d", tenant, anno, got, anno-1)
-			}
-		}
-	}
-}
-
-func TestTenantSpreadCoversAllDevices(t *testing.T) {
-	var p TenantSpread
-	seen := map[int]bool{}
-	for tenant := 0; tenant < 3; tenant++ {
-		d := p.DeviceFor(tenant, 1, 3)
-		if d < 0 || d >= 3 {
-			t.Fatalf("TenantSpread out of range: %d", d)
-		}
-		seen[d] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("TenantSpread with 3 tenants on 3 devices hit %d devices, want 3", len(seen))
-	}
-	if d := p.DeviceFor(0, 1, 0); d != -1 {
-		t.Fatalf("TenantSpread with no devices = %d, want -1", d)
-	}
-}
-
 func TestWRRSingleTenantIsIdentity(t *testing.T) {
 	w := NewWRR([]float64{1})
 	for i := 0; i < 100; i++ {

@@ -80,13 +80,19 @@ func DefaultCostModel() *CostModel { return sysinfo.Default() }
 
 // --- elements ---
 
-// Element is the Click-style packet-processing module interface.
+// Element is a Click-style packet-processing module's identity (class,
+// configuration, output ports). Its computation is exactly one of the three
+// forms below.
 type Element = element.Element
+
+// PacketElement handles one packet at a time; the framework runs the loop.
+type PacketElement = element.PacketElement
 
 // BatchElement processes whole batches without decomposing them.
 type BatchElement = element.BatchElement
 
-// Offloadable elements add a device-side function and datablocks.
+// Offloadable elements declare datablocks and one batch kernel, which the
+// framework runs on the CPU or on a device.
 type Offloadable = element.Offloadable
 
 // Datablock declares offload input/output data (paper Table 2).
@@ -95,7 +101,7 @@ type Datablock = element.Datablock
 // ConfigContext is passed to Element.Configure.
 type ConfigContext = element.ConfigContext
 
-// ProcContext is passed to Element.Process.
+// ProcContext is passed to an element's compute function.
 type ProcContext = element.ProcContext
 
 // Packet is one frame plus metadata.
@@ -107,7 +113,7 @@ type Batch = batch.Batch
 // GraphOptions toggles branch prediction and offload chaining.
 type GraphOptions = graph.Options
 
-// Drop is the Process result that discards a packet.
+// Drop is the result that discards a packet.
 const Drop = element.Drop
 
 // RegisterElement binds a class name usable in configurations to a factory.

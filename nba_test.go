@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nba"
+	"nba/internal/element"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -69,6 +70,31 @@ func TestFacadeCustomElement(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Error("custom element never invoked")
+	}
+}
+
+// TestEveryClassHasOneComputeForm: every registered class implements exactly
+// one of the three compute forms — the rule graph.Build enforces for each
+// configured element, checked here for the whole library at once.
+func TestEveryClassHasOneComputeForm(t *testing.T) {
+	for _, class := range element.Classes() {
+		e, err := element.NewByClass(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var forms []string
+		if _, ok := e.(nba.PacketElement); ok {
+			forms = append(forms, "Process")
+		}
+		if _, ok := e.(nba.BatchElement); ok {
+			forms = append(forms, "ProcessBatch")
+		}
+		if _, ok := e.(nba.Offloadable); ok {
+			forms = append(forms, "Kernel")
+		}
+		if len(forms) != 1 {
+			t.Errorf("%s (%T) has compute forms %v, want exactly one", class, e, forms)
+		}
 	}
 }
 
