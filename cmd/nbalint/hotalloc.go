@@ -24,6 +24,9 @@ import (
 //   - method values (x.M used as a value always allocates a closure)
 //   - string <-> []byte conversions
 //   - non-pointer values passed to interface parameters (boxing)
+//   - calls to the standard-library constructors in allocatingConstructors:
+//     the rule reads one function body and does not follow calls, so an
+//     object built per call behind a stdlib name is otherwise invisible
 //
 // Arguments of panic() are exempt: building the panic message allocates but
 // the path is already failing.
@@ -31,6 +34,17 @@ var hotallocAnalyzer = &modAnalyzer{
 	name: "hotalloc",
 	doc:  "forbid allocation constructs in //nba:hotpath-annotated functions",
 	run:  runHotalloc,
+}
+
+// allocatingConstructors are the standard-library constructors the data
+// path has a reason to call — the crypto contexts of the IPsec gateway —
+// each of which returns a fresh heap object per call. They belong in set-up
+// code; a hot function reuses what they returned.
+var allocatingConstructors = map[string]bool{
+	"crypto/aes.NewCipher": true,
+	"crypto/cipher.NewCTR": true,
+	"crypto/hmac.New":      true,
+	"crypto/sha1.New":      true,
 }
 
 func runHotalloc(m *module) []finding {
@@ -152,6 +166,12 @@ func checkHotallocCall(info *types.Info, call *ast.CallExpr, exempt func(token.P
 				report(call.Pos(), "new allocates on a //nba:hotpath function; reuse a pooled or preallocated value")
 			}
 			return
+		}
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
+			allocatingConstructors[fn.Pkg().Path()+"."+fn.Name()] {
+			report(call.Pos(), "allocating constructor call "+fn.Pkg().Path()+"."+fn.Name()+" on a //nba:hotpath function; build the object once and reuse it")
 		}
 	}
 	// Conversion?

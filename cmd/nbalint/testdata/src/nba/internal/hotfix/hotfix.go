@@ -3,7 +3,14 @@
 // functions are the negative cases.
 package hotfix
 
-import "fmt"
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha1"
+	"fmt"
+	"hash"
+)
 
 type ring struct {
 	data []int
@@ -86,4 +93,47 @@ func guarded(i int) int {
 		panic(fmt.Sprintf("hotfix: negative index %d", i))
 	}
 	return i
+}
+
+// perPacketStream builds a cipher stream object per call: the allocation is
+// inside the standard library, behind a constructor name.
+//
+//nba:hotpath
+func perPacketStream(b cipher.Block, iv, data []byte) {
+	cipher.NewCTR(b, iv).XORKeyStream(data, data) // want hotalloc
+}
+
+// perPacketContexts rebuilds the contexts a flow keeps for its lifetime.
+//
+//nba:hotpath
+func perPacketContexts(key []byte) (cipher.Block, hash.Hash) {
+	b, err := aes.NewCipher(key) // want hotalloc
+	if err != nil {
+		return nil, nil
+	}
+	return b, hmac.New(sha1.New, key) // want hotalloc
+}
+
+// perPacketHash: sha1.New as a value above is not a call; this one is.
+//
+//nba:hotpath
+func perPacketHash() hash.Hash {
+	return sha1.New() // want hotalloc
+}
+
+// setUp is where those constructors belong: not annotated, not flagged.
+func setUp(key, iv []byte) (cipher.Stream, hash.Hash) {
+	b, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, nil
+	}
+	return cipher.NewCTR(b, iv), sha1.New()
+}
+
+// longPayload keeps the stream for inputs where it pays, with the reason.
+//
+//nba:hotpath
+func longPayload(b cipher.Block, iv, data []byte) {
+	//nbalint:allow hotalloc fixture: the stream's bulk routine outruns its object on long inputs
+	cipher.NewCTR(b, iv).XORKeyStream(data, data)
 }

@@ -110,7 +110,6 @@ func TestDecapElementRejectsReplays(t *testing.T) {
 	// A byte-exact replay of p1.
 	replay := &packet.Packet{}
 	replay.CopyFrom(p1.Data())
-	replay.Anno = p1.Anno
 
 	if r := dec.Process(pc, p1); r != 0 {
 		t.Fatal("original frame rejected")

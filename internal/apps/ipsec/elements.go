@@ -12,8 +12,8 @@ import (
 
 func init() {
 	element.Register("IPsecESPencap", func() element.Element { return &ESPEncap{} })
-	element.Register("IPsecAES", func() element.Element { return &Stage{class: "IPsecAES", apply: Encrypt} })
-	element.Register("IPsecHMAC", func() element.Element { return &Stage{class: "IPsecHMAC", apply: Authenticate} })
+	element.Register("IPsecAES", func() element.Element { return &Stage{class: "IPsecAES", op: (*SADB).crypt} })
+	element.Register("IPsecHMAC", func() element.Element { return &Stage{class: "IPsecHMAC", op: (*SADB).sign} })
 	element.Register("IPsecESPdecap", func() element.Element { return &ESPDecap{} })
 }
 
@@ -79,10 +79,10 @@ func (e *ESPEncap) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
 
 // Stage is the gateway's offloadable per-packet crypto stage. IPsecAES
 // (AES-128-CTR encryption) and IPsecHMAC (HMAC-SHA1 authentication) are this
-// one element over a different per-packet SA function.
+// one element over a different frame operation.
 type Stage struct {
 	class string
-	apply func(*packet.Packet, *SADB) error
+	op    func(db *SADB, sa *SA, buf []byte, end int)
 	db    *SADB
 }
 
@@ -112,16 +112,25 @@ func (*Stage) Datablocks() []element.Datablock {
 	}
 }
 
-// Kernel implements element.Offloadable: the stage's SA function over every
-// live packet; a packet it rejects is dropped.
+// Kernel implements element.Offloadable: the stage's operation over every
+// live packet, each checked once; a frame that is not an ESP frame of this
+// SADB is dropped.
 //
 //nba:hotpath
 func (e *Stage) Kernel(ctx *element.ProcContext, b *batch.Batch) {
-	b.ForEachLive(func(i int, pkt *packet.Packet) {
-		if e.apply(pkt, e.db) != nil {
-			b.SetResult(i, batch.ResultDrop)
+	db, op := e.db, e.op
+	for i, n := 0, b.Count(); i < n; i++ {
+		if b.IsMasked(i) {
+			continue
 		}
-	})
+		pkt := b.Packet(i)
+		sa, end, err := db.sendSA(pkt)
+		if err != nil {
+			b.SetResult(i, batch.ResultDrop)
+			continue
+		}
+		op(db, sa, pkt.Buf(), end)
+	}
 }
 
 // ESPDecap verifies, decrypts and decapsulates ESP frames (the reverse
@@ -130,7 +139,7 @@ func (e *Stage) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 // so per-replica windows are correct.
 type ESPDecap struct {
 	db      *SADB
-	windows map[int]*ReplayWindow
+	windows []ReplayWindow // by SA index
 }
 
 // Class implements element.Element.
@@ -146,28 +155,25 @@ func (e *ESPDecap) Configure(ctx *element.ConfigContext, args []string) error {
 		return fmt.Errorf("IPsecESPdecap: %w", err)
 	}
 	e.db = db
-	e.windows = make(map[int]*ReplayWindow)
+	e.windows = make([]ReplayWindow, len(db.SAs))
 	return nil
 }
 
-// Process implements element.Element.
+// Process implements element.Element. The SA is the one the frame's SPI
+// names: a received frame is only bytes, whatever annotations it carries.
 func (e *ESPDecap) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	ok, err := Verify(pkt, e.db)
-	if err != nil || !ok {
+	idx, sa, end, err := e.db.recvSA(pkt)
+	if err != nil {
+		return element.Drop // not ESP, or an SPI this gateway does not hold
+	}
+	buf := pkt.Buf()
+	if !sa.verify(buf, end) {
 		return element.Drop
 	}
-	saIdx := int(pkt.Anno[packet.AnnoFlowID])
-	win := e.windows[saIdx]
-	if win == nil {
-		win = &ReplayWindow{}
-		e.windows[saIdx] = win
-	}
-	if !win.Check(SeqOf(pkt.Data())) {
+	if !e.windows[idx].Check(SeqOf(buf)) {
 		return element.Drop // replayed or stale sequence number
 	}
-	if Decrypt(pkt, e.db) != nil {
-		return element.Drop
-	}
+	e.db.crypt(sa, buf, end)
 	if Decap(pkt) != nil {
 		return element.Drop
 	}

@@ -111,9 +111,9 @@ func TestAuthenticateAndVerify(t *testing.T) {
 }
 
 // TestEncapAuthenticateVerifyDoNotAllocate gates the per-packet paths that
-// need no allocation: the IV stream is a stack Rand and the ICV is summed
-// into the SA's own buffer. (Encrypt keeps the stdlib CTR stream, one
-// allocation per packet.)
+// need no allocation at any length: the IV stream is a stack Rand and the ICV
+// is summed into the SA's own buffer. (TestCryptoKernelAllocFree covers
+// Encrypt, which is allocation-free up to ctrShortMax.)
 func TestEncapAuthenticateVerifyDoNotAllocate(t *testing.T) {
 	db := newDB(t)
 	p := mkPkt(t, 128)
@@ -274,6 +274,72 @@ func TestElementsPipelineEquivalence(t *testing.T) {
 	}
 }
 
+// TestDecapResolvesSAFromTheWire: the receiving gateway gets bytes — a pcap,
+// a CaptureTx copy, another box — not the sender's annotations, so the SA
+// must come from the ESP header's SPI.
+func TestDecapResolvesSAFromTheWire(t *testing.T) {
+	nl := element.NewNodeLocal()
+	cc := &element.ConfigContext{NodeLocal: nl, NumPorts: 4, Rand: rng.New(1)}
+	pc := &element.ProcContext{NodeLocal: nl, Rand: rng.New(2), CostScale: 1}
+	dec := &ESPDecap{}
+	if err := dec.Configure(cc, []string{"sas=32", "seed=5"}); err != nil {
+		t.Fatal(err)
+	}
+	db := dec.db
+
+	// A flow that does not hash to SA 0, which annotation 0 would pick.
+	var sent *packet.Packet
+	var orig []byte
+	for src := uint32(1); ; src++ {
+		p := &packet.Packet{}
+		p.SetLength(packet.BuildUDP4(p.Buf(), [6]byte{2}, [6]byte{4}, src, 0x08080808, 1234, 53, 200))
+		orig = append(orig[:0], p.Data()...)
+		idx, err := Encap(p, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx != 0 {
+			sent = p
+			break
+		}
+	}
+	if err := Encrypt(sent, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := Authenticate(sent, db); err != nil {
+		t.Fatal(err)
+	}
+
+	wire := &packet.Packet{}
+	wire.CopyFrom(sent.Data())
+	if wire.Anno[packet.AnnoFlowID] != 0 {
+		t.Fatal("CopyFrom carried an annotation")
+	}
+	if ok, err := Verify(wire, db); err != nil || !ok {
+		t.Fatalf("Verify of the bytes-only copy = %v, %v; want true", ok, err)
+	}
+	if r := dec.Process(pc, wire); r != 0 {
+		t.Fatalf("decap of the bytes-only copy returned %d", r)
+	}
+	if !bytes.Equal(wire.Data(), orig) {
+		t.Error("bytes-only copy did not decapsulate to the original frame")
+	}
+
+	// An SPI the gateway does not hold is dropped, not tried on some SA.
+	unknown := &packet.Packet{}
+	unknown.CopyFrom(sent.Data())
+	unknown.Buf()[ESPOff] ^= 0x40
+	if r := dec.Process(pc, unknown); r != element.Drop {
+		t.Errorf("frame with unknown SPI returned %d, want drop", r)
+	}
+	if _, _, ok := db.BySPI(db.SAs[31].SPI + 1); ok {
+		t.Error("BySPI resolved an SPI past the last SA")
+	}
+	if idx, sa, ok := db.BySPI(db.SAs[31].SPI); !ok || idx != 31 || sa != db.SAs[31] {
+		t.Errorf("BySPI(last) = %d, %p, %v", idx, sa, ok)
+	}
+}
+
 func TestElementConfigErrors(t *testing.T) {
 	nl := element.NewNodeLocal()
 	cc := &element.ConfigContext{NodeLocal: nl, NumPorts: 4, Rand: rng.New(1)}
@@ -292,31 +358,5 @@ func TestSharedDatablockNames(t *testing.T) {
 	}
 	if !a[0].H2D || !a[0].D2H {
 		t.Error("frame datablock must copy both directions")
-	}
-}
-
-func BenchmarkEncryptAuthenticate64(b *testing.B)   { benchCrypto(b, 64) }
-func BenchmarkEncryptAuthenticate1500(b *testing.B) { benchCrypto(b, 1500) }
-
-func benchCrypto(b *testing.B, size int) {
-	db, _ := NewSADB(64, 7)
-	p := &packet.Packet{}
-	n := packet.BuildUDP4(p.Buf(), [6]byte{2}, [6]byte{4}, 1, 2, 3, 4, size)
-	p.SetLength(n)
-	if _, err := Encap(p, db); err != nil {
-		b.Fatal(err)
-	}
-	encLen := p.Length()
-	b.SetBytes(int64(size))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.SetLength(encLen)
-		if err := Encrypt(p, db); err != nil {
-			b.Fatal(err)
-		}
-		if err := Authenticate(p, db); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -81,7 +81,6 @@ func recovered(t *testing.T, frames []netio.CapturedPacket) map[string]int {
 		p := &packet.Packet{}
 		p.CopyFrom(c.Data)
 		spi, seq := binary.BigEndian.Uint32(c.Data[ipsec.ESPOff:]), binary.BigEndian.Uint32(c.Data[ipsec.ESPOff+4:])
-		p.Anno[packet.AnnoFlowID] = uint64(spi - db.SAs[0].SPI)
 		if ok, err := ipsec.Verify(p, db); err != nil || !ok {
 			t.Fatalf("SPI %#x seq %d: ICV does not verify (%v)", spi, seq, err)
 		}

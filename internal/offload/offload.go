@@ -39,10 +39,15 @@ type Pending struct {
 
 	FirstAdd simtime.Time
 
-	// datablocks is the chain's deduplicated datablock set; kernelIn holds,
-	// per chain element, the H2D datablocks its kernel reads. Both are
-	// resolved once when the aggregate opens: Datablocks() returns a fresh
-	// slice per call, and account runs per packet.
+	plan *plan
+}
+
+// plan is what account needs to know about a chain: datablocks is the
+// chain's deduplicated datablock set and kernelIn holds, per chain element,
+// the H2D datablocks its kernel reads. It is resolved once per head
+// (Datablocks() returns a fresh slice per call, and account runs per packet)
+// and read-only afterwards, so every aggregate of the head shares it.
+type plan struct {
 	datablocks []element.Datablock
 	kernelIn   [][]element.Datablock
 }
@@ -61,6 +66,7 @@ func (p *Pending) KernelTime(cm *sysinfo.CostModel) simtime.Time {
 type Aggregator struct {
 	cm      *sysinfo.CostModel
 	pending map[int]*Pending // keyed by head node ID
+	plans   map[int]*plan    // keyed by head node ID
 	heads   []int            // deterministic iteration order
 	// taken is the slice Expired and TakeAll return, reused across calls:
 	// Expired runs every worker iteration and mostly has nothing due.
@@ -74,7 +80,7 @@ type Aggregator struct {
 
 // NewAggregator creates an empty aggregator.
 func NewAggregator(cm *sysinfo.CostModel) *Aggregator {
-	return &Aggregator{cm: cm, pending: map[int]*Pending{}}
+	return &Aggregator{cm: cm, pending: map[int]*Pending{}, plans: map[int]*plan{}}
 }
 
 // Add appends a batch to the aggregate for the given chain. It returns a
@@ -84,34 +90,15 @@ func (a *Aggregator) Add(now simtime.Time, head *graph.Node, chain []*graph.Node
 	dev := int(b.Anno[batch.AnnoDevice])
 	p := a.pending[head.ID]
 	if p == nil {
+		pl, err := a.planFor(head, chain)
+		if err != nil {
+			return nil, err
+		}
 		p = &Pending{
 			Head: head, Chain: chain, Resume: resume, Device: dev,
 			FirstAdd: now, KernelBytes: make([]int, len(chain)),
-			Batches:  make([]*batch.Batch, 0, a.cm.MaxAggBatches),
-			kernelIn: make([][]element.Datablock, len(chain)),
-		}
-		seen := map[string]element.Datablock{}
-		for i, n := range chain {
-			off := n.Offloadable()
-			if off == nil {
-				return nil, fmt.Errorf("offload: node %s in chain is not offloadable", n.Name)
-			}
-			for _, db := range off.Datablocks() {
-				if db.H2D {
-					p.kernelIn[i] = append(p.kernelIn[i], db)
-				}
-				if prev, dup := seen[db.Name]; dup {
-					// Shared datablock: widen directions, copy bytes once.
-					prev.H2D = prev.H2D || db.H2D
-					prev.D2H = prev.D2H || db.D2H
-					seen[db.Name] = prev
-					continue
-				}
-				seen[db.Name] = db
-			}
-		}
-		for _, name := range sortedNames(seen) {
-			p.datablocks = append(p.datablocks, seen[name])
+			Batches: make([]*batch.Batch, 0, a.cm.MaxAggBatches),
+			plan:    pl,
 		}
 		a.pending[head.ID] = p
 		a.heads = append(a.heads, head.ID)
@@ -127,13 +114,47 @@ func (a *Aggregator) Add(now simtime.Time, head *graph.Node, chain []*graph.Node
 	return a.account(p, b), nil
 }
 
+// planFor returns the datablock plan of head's chain, resolving it on the
+// head's first aggregate.
+func (a *Aggregator) planFor(head *graph.Node, chain []*graph.Node) (*plan, error) {
+	if pl := a.plans[head.ID]; pl != nil {
+		return pl, nil
+	}
+	pl := &plan{kernelIn: make([][]element.Datablock, len(chain))}
+	seen := map[string]element.Datablock{}
+	for i, n := range chain {
+		off := n.Offloadable()
+		if off == nil {
+			return nil, fmt.Errorf("offload: node %s in chain is not offloadable", n.Name)
+		}
+		for _, db := range off.Datablocks() {
+			if db.H2D {
+				pl.kernelIn[i] = append(pl.kernelIn[i], db)
+			}
+			if prev, dup := seen[db.Name]; dup {
+				// Shared datablock: widen directions, copy bytes once.
+				prev.H2D = prev.H2D || db.H2D
+				prev.D2H = prev.D2H || db.D2H
+				seen[db.Name] = prev
+				continue
+			}
+			seen[db.Name] = db
+		}
+	}
+	for _, name := range sortedNames(seen) {
+		pl.datablocks = append(pl.datablocks, seen[name])
+	}
+	a.plans[head.ID] = pl
+	return pl, nil
+}
+
 // account updates byte/packet tallies for a newly added batch and reports
 // the Pending if it is now full.
 func (a *Aggregator) account(p *Pending, b *batch.Batch) *Pending {
 	b.ForEachLive(func(i int, pkt *packet.Packet) {
 		frameLen := pkt.Length()
 		p.NPkts++
-		for _, db := range p.datablocks {
+		for _, db := range p.plan.datablocks {
 			n := db.BytesFor(frameLen)
 			if db.H2D {
 				p.H2DBytes += n
@@ -142,7 +163,7 @@ func (a *Aggregator) account(p *Pending, b *batch.Batch) *Pending {
 				p.D2HBytes += n
 			}
 		}
-		for i, in := range p.kernelIn {
+		for i, in := range p.plan.kernelIn {
 			for _, db := range in {
 				p.KernelBytes[i] += db.BytesFor(frameLen)
 			}

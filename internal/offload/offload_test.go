@@ -223,31 +223,46 @@ func TestExpiredKeepsOpeningOrder(t *testing.T) {
 	}
 }
 
+// TestAggregatorFullFlush feeds the aggregator two aggregates' worth of the
+// batch the benchmark's offload.add_ns_per_batch row uses (64 frames of
+// 64 B): each flushes at exactly MaxAggBatches with the same tallies, and the
+// second shares the first's datablock plan instead of resolving the chain
+// again.
 func TestAggregatorFullFlush(t *testing.T) {
 	_, head, chain, resume := buildChain(t)
 	cm := sysinfo.Default()
 	agg := NewAggregator(cm)
-	var flushed *Pending
-	for i := 0; i < cm.MaxAggBatches; i++ {
-		p, err := agg.Add(0, head, chain, resume, mkDevBatch(4, 64))
+	b := mkDevBatch(64, 64)
+	var flushed []*Pending
+	for i := 0; i < 2*cm.MaxAggBatches; i++ {
+		p, err := agg.Add(0, head, chain, resume, b)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if (p != nil) != (i%cm.MaxAggBatches == cm.MaxAggBatches-1) {
+			t.Fatalf("batch %d: flushed = %v, want a flush every %d batches", i, p != nil, cm.MaxAggBatches)
+		}
 		if p != nil {
-			if i != cm.MaxAggBatches-1 {
-				t.Fatalf("flushed at batch %d, want %d", i, cm.MaxAggBatches-1)
+			flushed = append(flushed, p)
+			if agg.PendingCount() != 0 {
+				t.Error("pending not cleared after flush")
 			}
-			flushed = p
 		}
 	}
-	if flushed == nil {
-		t.Fatal("aggregate never flushed at limit")
+	for _, p := range flushed {
+		if len(p.Batches) != cm.MaxAggBatches || p.NPkts != 64*cm.MaxAggBatches {
+			t.Errorf("flushed %d batches %d pkts", len(p.Batches), p.NPkts)
+		}
+		// payload 50 B/pkt both ways + hdr 20 B/pkt H2D, as in TestAggregatorByteAccounting.
+		if p.H2DBytes != p.NPkts*70 || p.D2HBytes != p.NPkts*50 {
+			t.Errorf("flushed H2D %d D2H %d bytes for %d pkts", p.H2DBytes, p.D2HBytes, p.NPkts)
+		}
 	}
-	if len(flushed.Batches) != cm.MaxAggBatches || flushed.NPkts != 4*cm.MaxAggBatches {
-		t.Errorf("flushed %d batches %d pkts", len(flushed.Batches), flushed.NPkts)
+	if flushed[0] == flushed[1] || flushed[0].plan != flushed[1].plan {
+		t.Error("successive aggregates of one head do not share one datablock plan")
 	}
-	if agg.PendingCount() != 0 {
-		t.Error("pending not cleared after flush")
+	if &flushed[0].KernelBytes[0] == &flushed[1].KernelBytes[0] {
+		t.Error("successive aggregates share their tallies")
 	}
 }
 

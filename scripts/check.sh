@@ -19,9 +19,10 @@
 #   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
 #                         packet header parsing, IDS batch scan kernel vs its
 #                         single stream, generator burst fill vs per-packet
-#                         fill) to catch shallow regressions; then one
-#                         iteration of the IDS scan and generator fill
-#                         benchmarks, so the kernels' benchmarks cannot rot
+#                         fill, the IPsec CTR vs the stdlib stream) to catch
+#                         shallow regressions; then one iteration of the IDS
+#                         scan, generator fill and ESP kernel benchmarks, so
+#                         the kernels' benchmarks cannot rot
 #   7. nbatrace self-check the same config+seed recorded twice must diff to
 #                         zero divergence (dynamic determinism gate):
 #                         fault-free, with the canonical injected GPU outage
@@ -89,10 +90,12 @@ go test -fuzz='^FuzzHeaderParse$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzScanBatchAgrees$' -fuzztime=5s -run '^$' ./internal/apps/ids
 go test -fuzz='^FuzzFillBurstAgrees$' -fuzztime=5s -run '^$' ./internal/gen
+go test -fuzz='^FuzzCTRMatchesStdlib$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
 
-echo "==> scan and fill kernel benchmark smoke (one iteration each)"
+echo "==> scan, fill and ESP kernel benchmark smoke (one iteration each)"
 go test -run '^$' -bench 'Scan' -benchtime 1x ./internal/apps/ids
 go test -run '^$' -bench 'Fill' -benchtime 1x ./internal/gen
+go test -run '^$' -bench 'ESPKernel' -benchtime 1x ./internal/apps/ipsec
 
 echo "==> nbatrace determinism self-check"
 tracedir=$(mktemp -d)
