@@ -12,8 +12,8 @@ import (
 
 func init() {
 	element.Register("IPsecESPencap", func() element.Element { return &ESPEncap{} })
-	element.Register("IPsecAES", func() element.Element { return &Stage{class: "IPsecAES", op: (*SADB).crypt} })
-	element.Register("IPsecHMAC", func() element.Element { return &Stage{class: "IPsecHMAC", op: (*SADB).sign} })
+	element.Register("IPsecAES", func() element.Element { return &Stage{class: "IPsecAES"} })
+	element.Register("IPsecHMAC", func() element.Element { return &Stage{class: "IPsecHMAC", mac: true} })
 	element.Register("IPsecESPdecap", func() element.Element { return &ESPDecap{} })
 }
 
@@ -79,10 +79,10 @@ func (e *ESPEncap) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
 
 // Stage is the gateway's offloadable per-packet crypto stage. IPsecAES
 // (AES-128-CTR encryption) and IPsecHMAC (HMAC-SHA1 authentication) are this
-// one element over a different frame operation.
+// one element; mac says which of the two it does to a frame.
 type Stage struct {
 	class string
-	op    func(db *SADB, sa *SA, buf []byte, end int)
+	mac   bool
 	db    *SADB
 }
 
@@ -118,7 +118,7 @@ func (*Stage) Datablocks() []element.Datablock {
 //
 //nba:hotpath
 func (e *Stage) Kernel(ctx *element.ProcContext, b *batch.Batch) {
-	db, op := e.db, e.op
+	db, mac := e.db, e.mac
 	for i, n := 0, b.Count(); i < n; i++ {
 		if b.IsMasked(i) {
 			continue
@@ -129,7 +129,11 @@ func (e *Stage) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 			b.SetResult(i, batch.ResultDrop)
 			continue
 		}
-		op(db, sa, pkt.Buf(), end)
+		if mac {
+			sa.sign(pkt.Buf(), end)
+		} else {
+			db.crypt(sa, pkt.Buf(), end)
+		}
 	}
 }
 

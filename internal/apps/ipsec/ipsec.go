@@ -9,8 +9,7 @@
 // and keystream blocks of the CTR mode, so a payload of up to ctrShortMax
 // bytes is encrypted and authenticated without allocating. Longer payloads
 // still take a fresh stdlib cipher.NewCTR stream per packet: only that type
-// reaches the 8-block AES-NI routine, which is worth more there than the
-// 512 B object costs (BenchmarkESPKernel times both ways per frame size).
+// reaches the 8-block AES-NI routine (see ctrShortMax).
 //
 // Packets are really encrypted and really authenticated; the encrypt →
 // decrypt → verify round-trip is exercised by tests.
@@ -57,13 +56,13 @@ type SA struct {
 const spiBase = 0x10000
 
 // ctrShortMax is the longest payload xorCTR encrypts block by block on the
-// SA's cipher.Block; a longer one is worth a stdlib stream object. One block
-// costs ≈ 23 ns either way it is reached, the stream object ≈ 180 ns plus
-// 512 B of garbage, and the stream's 8-block routine then runs ≈ 10 × faster
-// per byte (BenchmarkESPKernel's ctr-blocks and ctr-stdlib rows): in an
-// otherwise idle process the rows cross at 8–10 blocks, and the constant
-// sits at the first CAIDA bucket boundary above that, so the three small
-// buckets (64, 128, 256 B frames: 90 % of packets) leave nothing to collect.
+// SA's cipher.Block; a longer one is worth a stdlib stream object. A block
+// costs ≈ 23 ns here, the stream object ≈ 180 ns plus 512 B of garbage, and
+// the stream's 8-block routine is then ≈ 10 × faster per byte
+// (BenchmarkESPKernel's ctr-blocks and ctr-stdlib rows). In an idle process
+// the rows cross at 8–10 blocks; the constant is the first CAIDA bucket
+// boundary above that, so 64, 128 and 256 B frames (90 % of the mix) leave
+// nothing to collect.
 const ctrShortMax = 256
 
 // SADB is the security association database, shared per socket.
@@ -237,7 +236,7 @@ func (db *SADB) crypt(sa *SA, buf []byte, end int) {
 // sign writes the ICV of the frame buf[:end] to its trailer.
 //
 //nba:hotpath
-func (db *SADB) sign(sa *SA, buf []byte, end int) {
+func (sa *SA) sign(buf []byte, end int) {
 	copy(buf[end-ICVLen:end], sa.icv(buf[ESPOff:end-ICVLen]))
 }
 
@@ -271,7 +270,7 @@ func Authenticate(pkt *packet.Packet, db *SADB) error {
 	if err != nil {
 		return err
 	}
-	db.sign(sa, pkt.Buf(), end)
+	sa.sign(pkt.Buf(), end)
 	return nil
 }
 

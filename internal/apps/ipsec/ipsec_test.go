@@ -231,7 +231,7 @@ func TestEncapErrors(t *testing.T) {
 }
 
 // newStage instantiates one of the two registered crypto stages.
-func newStage(t *testing.T, class string) *Stage {
+func newStage(t testing.TB, class string) *Stage {
 	t.Helper()
 	e, err := element.NewByClass(class)
 	if err != nil {

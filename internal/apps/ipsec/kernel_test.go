@@ -62,9 +62,7 @@ func kernelBatch(tb testing.TB, n, frameLen int) (*batch.Batch, *Stage, *Stage) 
 	tb.Helper()
 	nl := element.NewNodeLocal()
 	cc := &element.ConfigContext{NodeLocal: nl, NumPorts: 4, Rand: rng.New(1)}
-	enc := &ESPEncap{}
-	aesStage := &Stage{class: "IPsecAES", op: (*SADB).crypt}
-	macStage := &Stage{class: "IPsecHMAC", op: (*SADB).sign}
+	enc, aesStage, macStage := &ESPEncap{}, newStage(tb, "IPsecAES"), newStage(tb, "IPsecHMAC")
 	for _, e := range []element.Element{enc, aesStage, macStage} {
 		if err := e.Configure(cc, []string{"sas=64", "seed=7"}); err != nil {
 			tb.Fatal(err)

@@ -39,7 +39,7 @@ type Pending struct {
 
 	FirstAdd simtime.Time
 
-	plan *plan
+	plan *plan // shared with the head's other aggregates
 }
 
 // plan is what account needs to know about a chain: datablocks is the
