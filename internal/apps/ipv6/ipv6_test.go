@@ -97,6 +97,13 @@ func TestLookupMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
+// hostBits returns the mask of the address bits below plen.
+func hostBits(plen int) packet.IPv6Addr {
+	ones := packet.IPv6Addr{Hi: ^uint64(0), Lo: ^uint64(0)}
+	m := ones.Mask(plen)
+	return packet.IPv6Addr{Hi: ^m.Hi, Lo: ^m.Lo}
+}
+
 func TestLookupMatchesNaiveOnRouteTargets(t *testing.T) {
 	// Addresses inside actual prefixes stress marker correctness far more
 	// than uniform random ones.
@@ -107,11 +114,55 @@ func TestLookupMatchesNaiveOnRouteTargets(t *testing.T) {
 	}
 	r := rng.New(8)
 	for _, rt := range routes {
+		// Randomise every bit below the prefix length, in both words.
+		host := hostBits(rt.PLen)
 		probe := rt.Prefix
-		// Set some bits below the prefix length.
-		probe.Lo |= r.Uint64() &^ 0 >> uint(rt.PLen%64)
+		probe.Hi |= r.Uint64() & host.Hi
+		probe.Lo |= r.Uint64() & host.Lo
+		if probe.Mask(rt.PLen) != rt.Prefix {
+			t.Fatalf("probe %v left its prefix %v/%d", probe, rt.Prefix, rt.PLen)
+		}
 		if got, want := table.Lookup(probe), table.NaiveLookup(probe); got != want {
 			t.Fatalf("Lookup(%v) = %d, want %d (route %+v)", probe, got, want, rt)
+		}
+	}
+}
+
+// fibDsts draws n destinations the way the standard traffic does
+// (bench.ipv6Dsts feeding gen.UDP6): a /16../64 prefix of the production FIB
+// with its low 32 bits randomised.
+func fibDsts(routes []Route, n int, seed uint64) []packet.IPv6Addr {
+	var prefixes []packet.IPv6Addr
+	for i, rt := range routes {
+		if rt.PLen >= 16 && rt.PLen <= 64 && i%4 == 0 {
+			prefixes = append(prefixes, rt.Prefix)
+		}
+	}
+	r := rng.New(seed)
+	dsts := make([]packet.IPv6Addr, n)
+	for i := range dsts {
+		dsts[i] = prefixes[r.Intn(len(prefixes))]
+		dsts[i].Lo |= r.Uint64() & 0xFFFFFFFF
+	}
+	return dsts
+}
+
+// TestLookupMatchesNaiveOnProductionFIB checks the lookup against the
+// linear oracle on the FIB every LookupIP6Route builds by default (65 536
+// routes, seed 42), at the destinations its traffic carries.
+func TestLookupMatchesNaiveOnProductionFIB(t *testing.T) {
+	routes := RandomRoutes(65536, 256, 42)
+	table, err := NewTable(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 1024
+	if testing.Short() {
+		n = 128
+	}
+	for _, dst := range fibDsts(routes, n, 9) {
+		if got, want := table.Lookup(dst), table.NaiveLookup(dst); got != want {
+			t.Fatalf("Lookup(%v) = %d, oracle %d", dst, got, want)
 		}
 	}
 }
@@ -153,19 +204,31 @@ func TestDatablocks(t *testing.T) {
 	}
 }
 
+// BenchmarkLookup times one lookup on the production FIB at uniform
+// addresses (what the apps.ipv6.lookup_ns layer row draws: most miss at the
+// first levels) and at FIB-drawn ones (what the ipv6 traffic carries).
 func BenchmarkLookup(b *testing.B) {
-	table, err := NewTable(RandomRoutes(100000, 256, 1))
+	routes := RandomRoutes(65536, 256, 42)
+	table, err := NewTable(routes)
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := rng.New(2)
-	addrs := make([]packet.IPv6Addr, 1024)
-	for i := range addrs {
-		addrs[i] = addr(r.Uint64(), r.Uint64())
+	uniform := make([]packet.IPv6Addr, 1024)
+	for i := range uniform {
+		uniform[i] = addr(r.Uint64(), r.Uint64())
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table.Lookup(addrs[i%1024])
+	for _, c := range []struct {
+		name  string
+		addrs []packet.IPv6Addr
+	}{{"uniform", uniform}, {"fib", fibDsts(routes, 1024, 3)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink uint16
+			for i := 0; i < b.N; i++ {
+				sink += table.Lookup(c.addrs[i&1023])
+			}
+			_ = sink
+		})
 	}
 }

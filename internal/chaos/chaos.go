@@ -320,7 +320,11 @@ func sameDigests(a, b *Outcome) bool {
 
 // RunTwice executes the case twice and cross-checks the trace digests: a
 // mismatch means the run is not a pure function of (config, seed, plan) and
-// is recorded as a determinism violation on the returned outcome.
+// is recorded as a determinism violation on the returned outcome. A drained
+// first run hands its mempool storage to the second (core recycles a
+// finished System's zone), so the pair also checks a run on recycled memory
+// against one on fresh memory — or, when the first itself inherited a zone,
+// against one on memory another case dirtied.
 func RunTwice(c Case) (*Outcome, error) {
 	a, err := Run(c)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"nba/internal/batch"
 	"nba/internal/conflang"
 	"nba/internal/element"
 	"nba/internal/fault"
@@ -16,7 +15,6 @@ import (
 	"nba/internal/lb"
 	"nba/internal/netio"
 	"nba/internal/overload"
-	"nba/internal/packet"
 	"nba/internal/reconfig"
 	"nba/internal/rng"
 	"nba/internal/simtime"
@@ -84,6 +82,11 @@ type System struct {
 	tailEndBytes  []uint64
 
 	captured []netio.CapturedPacket
+
+	// zone is the storage the workers' pools are carved from; a Run that
+	// drains them hands it to the next System, so a System runs once.
+	zone *zone
+	ran  bool
 }
 
 // tenantLifecycle is one tenant slot's runtime state under the epoch
@@ -106,18 +109,8 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The mempools' storage (hundreds of MB) is allocated first and in one
-	// piece per type, then carved per worker. A System is usually built
-	// right after its predecessor became garbage, when the Go scavenger is
-	// busy handing that free memory back to the OS top-down; pages of an
-	// allocated span are out of its reach, so one early allocation is
-	// zeroed in resident memory, where a sequence of per-worker ones would
-	// each fault theirs back in.
-	nw := cfg.Topology.Sockets * cfg.WorkersPerSocket
-	pktSlab := make([]packet.Packet, nw*cfg.PacketPoolPerWorker)
-	batchSlab := make([]batch.Batch, nw*cfg.BatchPoolPerWorker)
-
 	s := &System{cfg: cfg, eng: simtime.NewEngine()}
+	s.zone = takeZone(cfg.Topology.Sockets*cfg.WorkersPerSocket, cfg.PacketPoolPerWorker, cfg.BatchPoolPerWorker)
 	// Sized up front (for the capture depths in use) so the capture buffer's
 	// growth is not per-run garbage.
 	s.captured = make([]netio.CapturedPacket, 0, min(cfg.CaptureTx, 1024))
@@ -187,9 +180,7 @@ func NewSystem(cfg Config) (*System, error) {
 		for wi := 0; wi < cfg.WorkersPerSocket; wi++ {
 			id := len(s.workers)
 			s.workers = append(s.workers, newWorker(s, id, socket, wi,
-				top.PortsOnSocket(socket), top.DevicesOnSocket(socket),
-				pktSlab[id*cfg.PacketPoolPerWorker:(id+1)*cfg.PacketPoolPerWorker],
-				batchSlab[id*cfg.BatchPoolPerWorker:(id+1)*cfg.BatchPoolPerWorker]))
+				top.PortsOnSocket(socket), top.DevicesOnSocket(socket)))
 		}
 	}
 	s.nodeLocals = make([][]*element.NodeLocal, top.Sockets)
@@ -387,7 +378,12 @@ func (s *System) applyFault(ev fault.Event) {
 }
 
 // Run executes the configured workload and returns the measurement report.
+// A System runs once: a second call returns an error.
 func (s *System) Run() (*Report, error) {
+	if s.ran {
+		return nil, errors.New("core: System.Run called twice; build a new System per run")
+	}
+	s.ran = true
 	// Stagger worker start times by one cycle each so their first events
 	// interleave deterministically.
 	for i, w := range s.workers {
@@ -496,7 +492,9 @@ func (s *System) Run() (*Report, error) {
 
 	s.eng.Run()
 
-	return s.report(), nil
+	r := s.report()
+	s.zone.release(s.workers)
+	return r, nil
 }
 
 // startControlLoops arms the ALB and governor loops of tenants [from,

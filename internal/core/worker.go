@@ -167,7 +167,7 @@ type worker struct {
 
 // newWorker builds a lane-less worker; System.installTenant adds one lane per
 // tenant.
-func newWorker(s *System, id, socket, local int, localPorts, localDevs []int, pkts []packet.Packet, batches []batch.Batch) *worker {
+func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *worker {
 	w := &worker{
 		sys:        s,
 		id:         id,
@@ -180,8 +180,8 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int, pk
 	if len(localDevs) > 0 {
 		w.sockDev = s.devices[localDevs[0]]
 	}
-	w.pktPool = mempool.NewOver(fmt.Sprintf("pkt.w%d", id), pkts, nil)
-	w.batchPool = mempool.NewOver(fmt.Sprintf("batch.w%d", id), batches, nil)
+	w.pktPool = mempool.NewOver(fmt.Sprintf("pkt.w%d", id), s.zone.workerPkts(id), nil)
+	w.batchPool = mempool.NewOver(fmt.Sprintf("batch.w%d", id), s.zone.workerBatches(id), nil)
 	w.burst = make([]*packet.Packet, 0, s.cfg.IOBatchSize)
 	w.completions = mempool.NewRing[completion](256)
 	if s.cfg.Integrity != nil {

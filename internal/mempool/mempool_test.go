@@ -117,6 +117,45 @@ func TestPoolNeverHandsOutDuplicates(t *testing.T) {
 	}
 }
 
+// TestNewOverHandsOutHighWaterPrefix pins what recycling a drained pool's
+// storage relies on: under any Get/Put sequence, exhaustion included, the
+// objects a NewOver pool ever handed out are exactly backing[:HighWater].
+func TestNewOverHandsOutHighWaterPrefix(t *testing.T) {
+	f := func(ops []byte) bool {
+		backing := make([]thing, 8)
+		p := NewOver("t", backing, nil)
+		seen := map[*thing]bool{}
+		var out []*thing
+		for _, op := range ops {
+			if op%3 != 0 { // Get twice as often as Put, so runs hit exhaustion
+				obj, err := p.Get()
+				if err != nil {
+					continue
+				}
+				seen[obj] = true
+				out = append(out, obj)
+			} else if len(out) > 0 {
+				i := int(op) % len(out)
+				p.Put(out[i])
+				out = append(out[:i], out[i+1:]...)
+			}
+		}
+		hw := p.Stats().HighWater
+		if len(seen) != hw {
+			return false
+		}
+		for i := range backing[:hw] {
+			if !seen[&backing[i]] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRingFIFO(t *testing.T) {
 	r := NewRing[int](4)
 	for i := 1; i <= 4; i++ {
