@@ -185,7 +185,7 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *w
 	w.burst = make([]*packet.Packet, 0, s.cfg.IOBatchSize)
 	w.completions = mempool.NewRing[completion](256)
 	if s.cfg.Integrity != nil {
-		w.sentinel = integrity.NewSentinel(s.cfg.Integrity, s.newSentinelRand(id))
+		w.sentinel = integrity.NewSentinel(s.cfg.Integrity, s.newSentinelRand(id), &s.zone.shadows[id])
 	}
 	w.iterateFn = w.iterate
 	return w

@@ -4,15 +4,14 @@ import (
 	"testing"
 
 	"nba/internal/batch"
-	"nba/internal/rng"
 )
 
 // BenchmarkSentinelCompare measures the sentinel compare path — snapshot,
-// shadow re-execution, digest comparison, release — at steady state. The
-// free-lists make it allocation-free after the first iteration, which
-// ReportAllocs pins in review.
+// shadow re-execution, digest comparison, release — at steady state. A
+// released shadow keeps its arenas, so the path is allocation-free after the
+// first iteration, which ReportAllocs pins in review.
 func BenchmarkSentinelCompare(b *testing.B) {
-	s := NewSentinel((&Config{SampleRate: 1}).WithDefaults(), rng.New(3))
+	s := newSentinel(1, 3)
 	src := fill(32)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -22,13 +21,13 @@ func BenchmarkSentinelCompare(b *testing.B) {
 	}
 }
 
-// TestCompareSteadyStateAllocFree gates the benchmark's claim: once the
-// free-lists are warm, a full snapshot/verify/release cycle allocates
-// nothing.
+// TestCompareSteadyStateAllocFree gates the benchmark's claim: once a
+// shadow of the aggregate's size is on the free list, a full
+// snapshot/verify/release cycle allocates nothing.
 func TestCompareSteadyStateAllocFree(t *testing.T) {
-	s := NewSentinel((&Config{SampleRate: 1}).WithDefaults(), rng.New(3))
+	s := newSentinel(1, 3)
 	src := fill(32)
-	s.Release(s.Snapshot([]*batch.Batch{src})) // warm the free-lists
+	s.Release(s.Snapshot([]*batch.Batch{src})) // size a shadow's arenas
 	allocs := testing.AllocsPerRun(100, func() {
 		sh := s.Snapshot([]*batch.Batch{src})
 		s.Verify(sh, deviceExec)
@@ -42,7 +41,7 @@ func TestCompareSteadyStateAllocFree(t *testing.T) {
 // (rate 0) and on a nil sentinel, the per-aggregate hot-path coin must not
 // allocate at all.
 func TestDisarmedSampleAllocFree(t *testing.T) {
-	disarmed := NewSentinel((&Config{SampleRate: 0}).WithDefaults(), rng.New(3))
+	disarmed := newSentinel(0, 3)
 	var nilS *Sentinel
 	if allocs := testing.AllocsPerRun(1000, func() {
 		if disarmed.Sample() {

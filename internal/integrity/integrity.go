@@ -115,28 +115,40 @@ func (c *Config) Validate() error {
 }
 
 // Shadow is a byte-level snapshot of an aggregate's batches taken before
-// submission, re-executed on the CPU at completion time. Shadow packets and
-// batches come from the sentinel's private free-lists, not the run's
-// accounted mempools: shadows are observer state, invisible to pool-drain
-// accounting.
+// submission, re-executed on the CPU at completion time. A shadow owns its
+// storage, not the run's accounted mempools (shadows are observer state,
+// invisible to pool-drain accounting): a packet arena and a batch arena,
+// grown only when an aggregate is larger than any the shadow has held.
+// Released shadows wait on a free list that outlives the sentinel (core
+// keeps one per worker in the System's zone, so the next System of the same
+// shape reuses them). Every shadow in use is attached to an in-flight
+// aggregate of pool batches, so a drained batch pool means none is in use.
 type Shadow struct {
-	batches []*batch.Batch
+	pkts    []*packet.Packet // slots of the packet arena, in fill order
+	batches []*batch.Batch   // slots of the batch arena
 	srcs    []*batch.Batch
 }
 
-// Batches returns the shadow copies, parallel to the snapshotted sources.
-func (sh *Shadow) Batches() []*batch.Batch { return sh.batches }
+// grow extends an arena to n slots by one chunk of the shortfall. Slots
+// already there stay in place, so growing copies and discards nothing, and
+// a shadow that has held a larger aggregate allocates nothing.
+func grow[T any](slots []*T, n int) []*T {
+	if n > len(slots) {
+		chunk := make([]T, n-len(slots))
+		for i := range chunk {
+			slots = append(slots, &chunk[i])
+		}
+	}
+	return slots
+}
 
 // Sentinel is one worker's re-execution sampler. A nil *Sentinel is a valid
 // disarmed sentinel: every method is a cheap no-op, mirroring the
 // trace.Tracer contract, so worker call sites need no conditionals.
 type Sentinel struct {
-	cfg *Config
-	r   *rng.Rand
-
-	freeB  []*batch.Batch
-	freeP  []*packet.Packet
-	freeSh []*Shadow
+	cfg  *Config
+	r    *rng.Rand
+	free *[]*Shadow
 
 	// Checks / Mismatches count sentinel comparisons and digest
 	// disagreements for this worker.
@@ -145,9 +157,10 @@ type Sentinel struct {
 }
 
 // NewSentinel creates a sentinel drawing its sampling coins from r (a
-// seeded per-worker stream, so sampling is part of the run identity).
-func NewSentinel(cfg *Config, r *rng.Rand) *Sentinel {
-	return &Sentinel{cfg: cfg, r: r}
+// seeded per-worker stream, so sampling is part of the run identity) and
+// its shadows from free, to which Release returns them.
+func NewSentinel(cfg *Config, r *rng.Rand, free *[]*Shadow) *Sentinel {
+	return &Sentinel{cfg: cfg, r: r, free: free}
 }
 
 // Sample draws the per-aggregate sampling coin. Safe on a nil sentinel
@@ -162,16 +175,28 @@ func (s *Sentinel) Sample() bool {
 }
 
 // Snapshot copies the live slots of the aggregate's batches — payload,
-// length, annotations, results, mask pattern — into shadow batches. The
-// returned Shadow must be handed back via Verify or Release.
+// length, annotations, results, mask pattern — into a shadow from the free
+// list. The returned Shadow must be handed back via Verify or Release.
 func (s *Sentinel) Snapshot(batches []*batch.Batch) *Shadow {
-	sh := s.getShadow()
+	var sh *Shadow
+	if free := *s.free; len(free) > 0 {
+		sh, *s.free = free[len(free)-1], free[:len(free)-1]
+	} else {
+		sh = &Shadow{}
+	}
+	n := 0
 	for _, src := range batches {
-		cp := s.getBatch()
+		n += src.Count()
+	}
+	sh.pkts = grow(sh.pkts, n)
+	sh.batches = grow(sh.batches, len(batches))
+	n = 0
+	for k, src := range batches {
+		cp := sh.batches[k]
 		for i := 0; i < src.Count(); i++ {
-			p := s.getPacket()
-			orig := src.Packet(i)
-			if orig != nil {
+			p := sh.pkts[n]
+			n++
+			if orig := src.Packet(i); orig != nil {
 				p.CopyFrom(orig.Data())
 				p.Anno = orig.Anno
 			}
@@ -181,9 +206,8 @@ func (s *Sentinel) Snapshot(batches []*batch.Batch) *Shadow {
 				cp.Mask(i)
 			}
 		}
-		sh.batches = append(sh.batches, cp)
-		sh.srcs = append(sh.srcs, src)
 	}
+	sh.srcs = append(sh.srcs, batches...)
 	return sh
 }
 
@@ -193,12 +217,13 @@ func (s *Sentinel) Snapshot(batches []*batch.Batch) *Shadow {
 // either way. Returns true when the digests agree.
 func (s *Sentinel) Verify(sh *Shadow, rerun func(*batch.Batch)) bool {
 	s.Checks++ //nbalint:allow sharedstate stats counter; read happens-after the event loop drains
-	for _, b := range sh.batches {
+	shadows := sh.batches[:len(sh.srcs)]
+	for _, b := range shadows {
 		rerun(b)
 	}
 	match := true
-	for i, b := range sh.batches {
-		if digestBatch(sh.srcs[i]) != digestBatch(b) {
+	for i, src := range sh.srcs {
+		if digestBatch(src) != digestBatch(shadows[i]) {
 			match = false
 			break
 		}
@@ -210,52 +235,21 @@ func (s *Sentinel) Verify(sh *Shadow, rerun func(*batch.Batch)) bool {
 	return match
 }
 
-// Release returns a shadow's packets and batches to the free-lists without
-// verifying (used when the task never executed on the device: CPU fallback,
-// admission refusal, device failure).
+// Release resets the used prefix of a shadow's arenas and returns it to the
+// free list without verifying (used when the task never executed on the
+// device: CPU fallback, admission refusal, device failure).
 func (s *Sentinel) Release(sh *Shadow) {
 	if s == nil || sh == nil {
 		return
 	}
-	for _, b := range sh.batches {
-		for i := 0; i < b.Count(); i++ {
-			p := b.Packet(i)
-			p.Reset()
-			s.freeP = append(s.freeP, p) //nbalint:allow aliasflow shadow batches hold the sentinel's own heap packets (getPacket), never mempool ones; this is their free-list
+	for _, b := range sh.batches[:len(sh.srcs)] {
+		for j := 0; j < b.Count(); j++ {
+			b.Packet(j).Reset()
 		}
 		b.Reset()
-		s.freeB = append(s.freeB, b)
 	}
-	sh.batches = sh.batches[:0]
 	sh.srcs = sh.srcs[:0]
-	s.freeSh = append(s.freeSh, sh)
-}
-
-func (s *Sentinel) getShadow() *Shadow {
-	if n := len(s.freeSh); n > 0 {
-		sh := s.freeSh[n-1]
-		s.freeSh = s.freeSh[:n-1]
-		return sh
-	}
-	return &Shadow{}
-}
-
-func (s *Sentinel) getBatch() *batch.Batch {
-	if n := len(s.freeB); n > 0 {
-		b := s.freeB[n-1]
-		s.freeB = s.freeB[:n-1]
-		return b
-	}
-	return &batch.Batch{}
-}
-
-func (s *Sentinel) getPacket() *packet.Packet {
-	if n := len(s.freeP); n > 0 {
-		p := s.freeP[n-1]
-		s.freeP = s.freeP[:n-1]
-		return p
-	}
-	return &packet.Packet{}
+	*s.free = append(*s.free, sh)
 }
 
 // digestBatch folds one batch's observable processing state — per-slot mask

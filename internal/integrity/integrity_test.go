@@ -1,6 +1,7 @@
 package integrity
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,16 +62,16 @@ func TestConfigValidate(t *testing.T) {
 
 func TestSampleDeterministicAndNilSafe(t *testing.T) {
 	cfg := (&Config{SampleRate: 0.3}).WithDefaults()
-	a := NewSentinel(cfg, rng.New(7))
-	b := NewSentinel(cfg, rng.New(7))
+	a := NewSentinel(cfg, rng.New(7), nil)
+	b := NewSentinel(cfg, rng.New(7), nil)
 	for i := 0; i < 1000; i++ {
 		if a.Sample() != b.Sample() {
 			t.Fatalf("same seed diverged at coin %d", i)
 		}
 	}
 
-	always := NewSentinel((&Config{SampleRate: 1}).WithDefaults(), rng.New(1))
-	never := NewSentinel((&Config{SampleRate: 0}).WithDefaults(), rng.New(1))
+	always := newSentinel(1, 1)
+	never := newSentinel(0, 1)
 	var nilS *Sentinel
 	for i := 0; i < 100; i++ {
 		if !always.Sample() {
@@ -86,19 +87,28 @@ func TestSampleDeterministicAndNilSafe(t *testing.T) {
 	nilS.Release(nil) // must not panic
 }
 
+// newSentinel is a sentinel sampling at rate with a free list of its own.
+func newSentinel(rate float64, seed uint64) *Sentinel {
+	return NewSentinel((&Config{SampleRate: rate}).WithDefaults(), rng.New(seed), new([]*Shadow))
+}
+
 // fill builds a batch of n live packets with distinct payloads plus one
 // masked slot, mimicking a post-classification aggregate.
-func fill(n int) *batch.Batch {
+func fill(n int) *batch.Batch { return fillOver(packetAlloc[:n+1]) }
+
+// fillOver is fill over caller-owned packets: len(pkts)-1 live, the last masked.
+func fillOver(pkts []packet.Packet) *batch.Batch {
 	b := &batch.Batch{}
+	n := len(pkts) - 1
 	for i := 0; i < n; i++ {
-		p := &packetAlloc[i]
+		p := &pkts[i]
 		p.Reset()
 		p.CopyFrom([]byte{byte(i), 0x10, byte(i * 3), 0xff})
 		p.Anno[0] = uint64(i)
 		b.Add(p)
 		b.SetResult(i, i%3)
 	}
-	b.Add(&packetAlloc[n])
+	b.Add(&pkts[n])
 	b.Mask(n)
 	return b
 }
@@ -117,7 +127,7 @@ func deviceExec(b *batch.Batch) {
 }
 
 func TestSnapshotVerifyMatchAndMismatch(t *testing.T) {
-	s := NewSentinel((&Config{SampleRate: 1}).WithDefaults(), rng.New(3))
+	s := newSentinel(1, 3)
 
 	// Honest device: snapshot before execution, execute the source, rerun
 	// the same kernel on the shadow — digests must agree.
@@ -155,21 +165,99 @@ func TestSnapshotVerifyMatchAndMismatch(t *testing.T) {
 	}
 }
 
+// assertReleased checks that a released shadow is on the free list with the
+// used prefix of its arenas reset.
+func assertReleased(t *testing.T, s *Sentinel, sh *Shadow) {
+	t.Helper()
+	if free := *s.free; len(free) == 0 || free[len(free)-1] != sh {
+		t.Fatal("release did not put the shadow on the free list")
+	}
+	if len(sh.srcs) != 0 {
+		t.Fatal("release left sources attached to the shadow")
+	}
+	for i, b := range sh.batches {
+		if *b != (batch.Batch{}) {
+			t.Fatalf("shadow batch %d not reset", i)
+		}
+	}
+	for i, p := range sh.pkts {
+		if p.Length() != 0 || p.Anno != [packet.NumAnnos]uint64{} {
+			t.Fatalf("shadow packet %d not reset: length %d, anno %v", i, p.Length(), p.Anno)
+		}
+	}
+}
+
 func TestReleaseRecycles(t *testing.T) {
-	s := NewSentinel((&Config{SampleRate: 1}).WithDefaults(), rng.New(3))
+	s := newSentinel(1, 3)
 	src := fill(4)
 	sh := s.Snapshot([]*batch.Batch{src})
-	firstShadow := sh
-	firstBatch := sh.Batches()[0]
+	pkts, batches := slices.Clone(sh.pkts), slices.Clone(sh.batches)
 	s.Release(sh)
-	if len(sh.Batches()) != 0 {
-		t.Fatal("release left batches attached to the shadow")
-	}
+	assertReleased(t, s, sh)
 	sh2 := s.Snapshot([]*batch.Batch{src})
-	if sh2 != firstShadow || sh2.Batches()[0] != firstBatch {
-		t.Fatal("free-lists not recycled: snapshot allocated fresh objects")
+	if sh2 != sh || !slices.Equal(sh2.pkts, pkts) || !slices.Equal(sh2.batches, batches) {
+		t.Fatal("snapshot did not reuse the released shadow's arenas")
+	}
+	if len(*s.free) != 0 {
+		t.Fatal("a shadow in use is still on the free list")
 	}
 	s.Release(sh2)
+}
+
+// TestShadowArenaGrowth: an aggregate with more batches and slots than any
+// the shadow has held grows its arenas without moving the slots it had, and
+// the verdicts stay right on the grown shadow and on a smaller one after it.
+func TestShadowArenaGrowth(t *testing.T) {
+	s := newSentinel(1, 3)
+	var pkts [3][9]packet.Packet
+	aggregate := func(nb, n int) []*batch.Batch {
+		bs := make([]*batch.Batch, nb)
+		for k := range bs {
+			bs[k] = fillOver(pkts[k][:n+1])
+		}
+		return bs
+	}
+	check := func(name string, bs []*batch.Batch, corrupt bool) *Shadow {
+		t.Helper()
+		sh := s.Snapshot(bs)
+		for k, b := range bs {
+			if digestBatch(b) != digestBatch(sh.batches[k]) {
+				t.Fatalf("%s: shadow batch %d is not a copy of its source", name, k)
+			}
+		}
+		for _, b := range bs {
+			deviceExec(b)
+		}
+		if corrupt {
+			bs[len(bs)-1].Packet(0).Data()[0] ^= 0x01
+		}
+		if s.Verify(sh, deviceExec) == corrupt {
+			t.Fatalf("%s: verdict %v on a corrupt=%v aggregate", name, !corrupt, corrupt)
+		}
+		assertReleased(t, s, sh)
+		return sh
+	}
+
+	sh := check("small", aggregate(1, 2), false)
+	if len(sh.pkts) != 3 || len(sh.batches) != 1 {
+		t.Fatalf("small aggregate sized the arenas %d/%d, want 3/1", len(sh.pkts), len(sh.batches))
+	}
+	small := slices.Clone(sh.pkts)
+	if check("grown", aggregate(3, 8), true) != sh {
+		t.Fatal("growth replaced the shadow instead of its arenas")
+	}
+	if len(sh.pkts) != 27 || len(sh.batches) != 3 {
+		t.Fatalf("grown arenas %d/%d, want 27/3", len(sh.pkts), len(sh.batches))
+	}
+	if !slices.Equal(sh.pkts[:3], small) {
+		t.Fatal("growth moved the slots the shadow already had")
+	}
+	grown := slices.Clone(sh.pkts)
+	check("smaller after growth", aggregate(2, 5), false)
+	check("smaller after growth, corrupt", aggregate(2, 5), true)
+	if !slices.Equal(sh.pkts, grown) {
+		t.Fatal("a smaller aggregate grew the arena")
+	}
 }
 
 func TestDigestSensitivity(t *testing.T) {
