@@ -201,6 +201,16 @@ type Config struct {
 // finite rejects NaN and ±Inf, which pass every ordered comparison below.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
+// checkGenerator runs the parameter check a generator may offer (gen's
+// UDP4, UDP6 and MixedL4 do), so a bad frame length is an error here rather
+// than a panic inside Run. netio.Generator does not require the method.
+func checkGenerator(g netio.Generator) error {
+	if v, ok := g.(interface{ Validate() error }); ok {
+		return v.Validate()
+	}
+	return nil
+}
+
 // withDefaults validates and fills defaults, returning a copy.
 func (c Config) withDefaults() (Config, error) {
 	if c.Topology == nil {
@@ -214,6 +224,30 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if err := c.CostModel.Validate(); err != nil {
 		return c, err
+	}
+	// Zero selects a default below; a negative value has no meaning.
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"Warmup", int64(c.Warmup)},
+		{"Duration", int64(c.Duration)},
+		{"PacketPoolPerWorker", int64(c.PacketPoolPerWorker)},
+		{"BatchPoolPerWorker", int64(c.BatchPoolPerWorker)},
+		{"MaxInflightTasks", int64(c.MaxInflightTasks)},
+		{"CaptureTx", int64(c.CaptureTx)},
+	} {
+		if f.v < 0 {
+			return c, fmt.Errorf("core: %s must not be negative", f.name)
+		}
+	}
+	if err := checkGenerator(c.Generator); err != nil {
+		return c, fmt.Errorf("core: Generator: %w", err)
+	}
+	for i, gc := range c.GeneratorChanges {
+		if err := checkGenerator(gc.Generator); err != nil {
+			return c, fmt.Errorf("core: GeneratorChanges[%d]: %w", i, err)
+		}
 	}
 	if len(c.Tenants) > 0 {
 		if c.GraphConfig != "" {
@@ -254,6 +288,9 @@ func (c Config) withDefaults() (Config, error) {
 			}
 			if t.Generator == nil {
 				return fmt.Errorf("core: tenant %s: no Generator (set one on the tenant or on the Config)", t.Name)
+			}
+			if err := checkGenerator(t.Generator); err != nil {
+				return fmt.Errorf("core: tenant %s: Generator: %w", t.Name, err)
 			}
 			return nil
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	_ "nba/internal/apps/ids"
@@ -205,22 +206,40 @@ func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Config)
+		want string // in the error
 	}{
-		{"no graph", func(c *Config) { c.GraphConfig = "" }},
-		{"no generator", func(c *Config) { c.Generator = nil }},
-		{"too many workers", func(c *Config) { c.WorkersPerSocket = 99 }},
-		{"zero offered", func(c *Config) { c.OfferedBpsPerPort = 0 }},
-		{"NaN offered", func(c *Config) { c.OfferedBpsPerPort = math.NaN() }},
-		{"infinite offered", func(c *Config) { c.OfferedBpsPerPort = math.Inf(1) }},
-		{"huge batch", func(c *Config) { c.CompBatchSize = 10000 }},
-		{"bad graph", func(c *Config) { c.GraphConfig = "FromInput() -> Nope();" }},
-		{"parse error", func(c *Config) { c.GraphConfig = "@@@" }},
+		{"no graph", func(c *Config) { c.GraphConfig = "" }, "GraphConfig"},
+		{"no generator", func(c *Config) { c.Generator = nil }, "Generator"},
+		{"too many workers", func(c *Config) { c.WorkersPerSocket = 99 }, "WorkersPerSocket"},
+		{"zero offered", func(c *Config) { c.OfferedBpsPerPort = 0 }, "OfferedBpsPerPort"},
+		{"NaN offered", func(c *Config) { c.OfferedBpsPerPort = math.NaN() }, "OfferedBpsPerPort"},
+		{"infinite offered", func(c *Config) { c.OfferedBpsPerPort = math.Inf(1) }, "OfferedBpsPerPort"},
+		{"huge batch", func(c *Config) { c.CompBatchSize = 10000 }, "batch sizes"},
+		{"bad graph", func(c *Config) { c.GraphConfig = "FromInput() -> Nope();" }, "Nope"},
+		{"parse error", func(c *Config) { c.GraphConfig = "@@@" }, "@"},
+		{"UDP4 frame too short", func(c *Config) { c.Generator = &gen.UDP4{FrameLen: 30} }, "Generator: gen: UDP4 frame length 30"},
+		{"UDP4 frame too long", func(c *Config) { c.Generator = &gen.UDP4{FrameLen: 2000} }, "Generator: gen: UDP4 frame length 2000"},
+		{"UDP4 attack fraction", func(c *Config) { c.Generator = &gen.UDP4{FrameLen: 64, AttackFrac: 2} }, "Generator: gen: UDP4 attack fraction 2"},
+		{"UDP6 frame too short", func(c *Config) { c.Generator = &gen.UDP6{FrameLen: 50} }, "Generator: gen: UDP6 frame length 50"},
+		{"MixedL4 TCP frame too short", func(c *Config) { c.Generator = &gen.MixedL4{FrameLen: 50, TCPFrac: 0.5} }, "Generator: gen: MixedL4 frame length 50"},
+		{"MixedL4 NaN TCP fraction", func(c *Config) { c.Generator = &gen.MixedL4{FrameLen: 64, TCPFrac: math.NaN()} }, "Generator: gen: MixedL4 TCP fraction NaN"},
+		{"bad generator change", func(c *Config) {
+			c.GeneratorChanges = []GeneratorChange{{At: simtime.Millisecond, Generator: &gen.UDP4{FrameLen: 30}}}
+		}, "GeneratorChanges[0]: gen: UDP4"},
+		{"negative warmup", func(c *Config) { c.Warmup = -simtime.Millisecond }, "Warmup"},
+		{"negative duration", func(c *Config) { c.Duration = -simtime.Millisecond }, "Duration"},
+		{"negative packet pool", func(c *Config) { c.PacketPoolPerWorker = -1 }, "PacketPoolPerWorker"},
+		{"negative batch pool", func(c *Config) { c.BatchPoolPerWorker = -1 }, "BatchPoolPerWorker"},
+		{"negative inflight tasks", func(c *Config) { c.MaxInflightTasks = -1 }, "MaxInflightTasks"},
+		{"negative capture", func(c *Config) { c.CaptureTx = -1 }, "CaptureTx"},
 	}
 	for _, c := range cases {
 		cfg := base
 		c.mut(&cfg)
 		if _, err := NewSystem(cfg); err == nil {
 			t.Errorf("%s: NewSystem accepted invalid config", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"nba/internal/gen"
@@ -208,28 +209,41 @@ func TestTenantConfigValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // in the error
 	}{
-		{"both GraphConfig and Tenants", func(c *Config) { c.GraphConfig = ipv4Config }},
-		{"duplicate tenant names", func(c *Config) { c.Tenants[1].Name = "ipv4" }},
-		{"negative share", func(c *Config) { c.Tenants[0].Share = -1 }},
-		{"negative rate scale", func(c *Config) { c.Tenants[0].RateScale = -0.5 }},
-		{"NaN share", func(c *Config) { c.Tenants[0].Share = math.NaN() }},
-		{"infinite share", func(c *Config) { c.Tenants[0].Share = math.Inf(1) }},
-		{"NaN rate scale", func(c *Config) { c.Tenants[0].RateScale = math.NaN() }},
-		{"infinite rate scale", func(c *Config) { c.Tenants[0].RateScale = math.Inf(1) }},
+		{"both GraphConfig and Tenants", func(c *Config) { c.GraphConfig = ipv4Config }, "mutually exclusive"},
+		{"duplicate tenant names", func(c *Config) { c.Tenants[1].Name = "ipv4" }, "duplicate tenant name"},
+		{"negative share", func(c *Config) { c.Tenants[0].Share = -1 }, "tenant ipv4: Share"},
+		{"negative rate scale", func(c *Config) { c.Tenants[0].RateScale = -0.5 }, "tenant ipv4: RateScale"},
+		{"NaN share", func(c *Config) { c.Tenants[0].Share = math.NaN() }, "tenant ipv4: Share"},
+		{"infinite share", func(c *Config) { c.Tenants[0].Share = math.Inf(1) }, "tenant ipv4: Share"},
+		{"NaN rate scale", func(c *Config) { c.Tenants[0].RateScale = math.NaN() }, "tenant ipv4: RateScale"},
+		{"infinite rate scale", func(c *Config) { c.Tenants[0].RateScale = math.Inf(1) }, "tenant ipv4: RateScale"},
 		{"missing generator", func(c *Config) {
 			c.Tenants[2].Generator = nil
 			c.Generator = nil
-		}},
+		}, "tenant ipsec: no Generator"},
 		{"generator changes with tenants", func(c *Config) {
 			c.GeneratorChanges = []GeneratorChange{{At: simtime.Millisecond, Generator: &gen.UDP4{FrameLen: 64, Flows: 2, Seed: 9}}}
-		}},
+		}, "GeneratorChanges"},
+		{"tenant generator frame too short", func(c *Config) {
+			c.Tenants[0].Generator = &gen.UDP4{FrameLen: 30}
+		}, "tenant ipv4: Generator: gen: UDP4 frame length 30"},
+		{"inherited generator frame too long", func(c *Config) {
+			c.Tenants[2].Generator = nil
+			c.Generator = &gen.UDP4{FrameLen: 2000}
+		}, "Generator: gen: UDP4 frame length 2000"},
+		{"latent tenant generator frame too short", func(c *Config) {
+			c.LatentTenants = []Tenant{{Name: "late", GraphConfig: ipv6Config, Generator: &gen.UDP6{FrameLen: 50}}}
+		}, "tenant late: Generator: gen: UDP6 frame length 50"},
 	}
 	for _, tc := range cases {
 		cfg := base()
 		tc.mutate(&cfg)
 		if _, err := NewSystem(cfg); err == nil {
 			t.Errorf("%s: NewSystem accepted an invalid config", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 	// Tenants without an own generator inherit Config.Generator.

@@ -88,7 +88,7 @@ func FuzzFillBurstAgrees(f *testing.F) {
 		flows := int(knob) * int(seed%3)
 		within := func(lo int) int { return lo + int(size)%(packet.MaxFrameLen-lo+1) }
 		var g burstFiller
-		switch kind % 5 {
+		switch kind % 4 {
 		case 0:
 			g = &UDP4{FrameLen: within(42), Flows: flows, Seed: seed, AttackFrac: frac, AttackPattern: pattern}
 		case 1:
@@ -97,8 +97,6 @@ func FuzzFillBurstAgrees(f *testing.F) {
 			g = &SyntheticCAIDA{Flows: flows, Seed: seed}
 		case 3:
 			g = &MixedL4{FrameLen: within(54), Flows: flows, Seed: seed, TCPFrac: frac, AttackFrac: 1 - frac, AttackPattern: pattern}
-		case 4:
-			g = &Trace{Records: SynthesizeTrace(1+int(size)%50, seed), Seed: seed}
 		}
 		if err := checkBurst(g, int(seed%4), gappedSeqs(r, int(burst)%80)); err != nil {
 			t.Fatalf("%T %+v: %v", g, g, err)

@@ -1,6 +1,7 @@
 // Package gen provides deterministic workload generators: the fixed-size
 // random UDP traffic used in most of the paper's experiments, and a
 // synthetic stand-in for the CAIDA 2013 July trace used by Figures 2 and 13.
+// Traffic is always generated, never replayed from a file.
 //
 // Every generator is a pure, read-only function of (seed, port, seq), so any
 // run is reproducible, RX queues can materialise packets lazily and
@@ -216,25 +217,33 @@ func (g *SyntheticCAIDA) header(p *packet.Packet, port int, seq uint64) (rng.Ran
 	return r, udp4Payload
 }
 
-// Validate checks generator parameters.
-func (g *UDP4) Validate() error {
-	const minLen = packet.EthHdrLen + packet.IPv4HdrLen + packet.UDPHdrLen
-	if g.FrameLen < minLen || g.FrameLen > packet.MaxFrameLen {
-		return fmt.Errorf("gen: UDP4 frame length %d out of range [%d,%d]", g.FrameLen, minLen, packet.MaxFrameLen)
+// checkFrameLen rejects a frame length the header builders would panic on.
+func checkFrameLen(kind string, n, minLen int) error {
+	if n < minLen || n > packet.MaxFrameLen {
+		return fmt.Errorf("gen: %s frame length %d out of range [%d,%d]", kind, n, minLen, packet.MaxFrameLen)
 	}
-	if g.AttackFrac < 0 || g.AttackFrac > 1 {
-		return fmt.Errorf("gen: attack fraction %g out of [0,1]", g.AttackFrac)
+	return nil
+}
+
+// checkFrac rejects a fraction outside [0,1], NaN included.
+func checkFrac(kind, name string, f float64) error {
+	if !(f >= 0 && f <= 1) {
+		return fmt.Errorf("gen: %s %s %g out of [0,1]", kind, name, f)
 	}
 	return nil
 }
 
 // Validate checks generator parameters.
-func (g *UDP6) Validate() error {
-	const minLen = packet.EthHdrLen + packet.IPv6HdrLen + packet.UDPHdrLen
-	if g.FrameLen < minLen || g.FrameLen > packet.MaxFrameLen {
-		return fmt.Errorf("gen: UDP6 frame length %d out of range [%d,%d]", g.FrameLen, minLen, packet.MaxFrameLen)
+func (g *UDP4) Validate() error {
+	if err := checkFrameLen("UDP4", g.FrameLen, udp4Payload); err != nil {
+		return err
 	}
-	return nil
+	return checkFrac("UDP4", "attack fraction", g.AttackFrac)
+}
+
+// Validate checks generator parameters.
+func (g *UDP6) Validate() error {
+	return checkFrameLen("UDP6", g.FrameLen, packet.EthHdrLen+packet.IPv6HdrLen+packet.UDPHdrLen)
 }
 
 // MixedL4 wraps UDP4-style traffic with a configurable fraction of TCP
@@ -253,6 +262,22 @@ type MixedL4 struct {
 
 // MeanFrameLen implements netio.Generator.
 func (g *MixedL4) MeanFrameLen() float64 { return float64(g.FrameLen) }
+
+// Validate checks generator parameters: TCP frames need 12 B more header
+// than UDP ones.
+func (g *MixedL4) Validate() error {
+	minLen := udp4Payload
+	if g.TCPFrac > 0 {
+		minLen = packet.EthHdrLen + packet.IPv4HdrLen + packet.TCPHdrLen
+	}
+	if err := checkFrameLen("MixedL4", g.FrameLen, minLen); err != nil {
+		return err
+	}
+	if err := checkFrac("MixedL4", "TCP fraction", g.TCPFrac); err != nil {
+		return err
+	}
+	return checkFrac("MixedL4", "attack fraction", g.AttackFrac)
+}
 
 // Fill implements netio.Generator.
 func (g *MixedL4) Fill(p *packet.Packet, port int, seq uint64) {

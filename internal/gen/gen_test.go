@@ -90,6 +90,25 @@ func TestUDP4ValidateErrors(t *testing.T) {
 	}
 }
 
+func TestMixedL4Validate(t *testing.T) {
+	for _, c := range []struct {
+		g  MixedL4
+		ok bool
+	}{
+		{MixedL4{FrameLen: 42}, true},
+		{MixedL4{FrameLen: 53, TCPFrac: 0.1}, false}, // TCP needs 54 B
+		{MixedL4{FrameLen: 54, TCPFrac: 1, AttackFrac: 1}, true},
+		{MixedL4{FrameLen: packet.MaxFrameLen + 1}, false},
+		{MixedL4{FrameLen: 64, TCPFrac: 1.5}, false},
+		{MixedL4{FrameLen: 64, AttackFrac: -0.1}, false},
+		{MixedL4{FrameLen: 64, AttackFrac: math.NaN()}, false},
+	} {
+		if err := c.g.Validate(); (err == nil) != c.ok {
+			t.Errorf("%+v: Validate() = %v, want ok %v", c.g, err, c.ok)
+		}
+	}
+}
+
 func TestUDP6ValidFrames(t *testing.T) {
 	g := &UDP6{FrameLen: 80, Flows: 30, Seed: 5}
 	var p packet.Packet
@@ -154,69 +173,6 @@ func TestSyntheticCAIDAFlowSkew(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	records := SynthesizeTrace(500, 8)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Records) != 500 {
-		t.Fatalf("read %d records, want 500", len(tr.Records))
-	}
-	for i := range records {
-		if tr.Records[i] != records[i] {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, tr.Records[i], records[i])
-		}
-	}
-}
-
-func TestTraceReplay(t *testing.T) {
-	tr := &Trace{Records: SynthesizeTrace(100, 9), Seed: 9}
-	var p packet.Packet
-	tr.Fill(&p, 0, 0)
-	first := append([]byte(nil), p.Data()...)
-	tr.Fill(&p, 0, 100) // wraps around to record 0
-	ipA := first[packet.EthHdrLen:]
-	ipB := p.Data()[packet.EthHdrLen:]
-	if packet.IPv4Src(ipA) != packet.IPv4Src(ipB) || len(first) != p.Length() {
-		t.Error("replay did not wrap cyclically")
-	}
-	if tr.MeanFrameLen() <= 64 || tr.MeanFrameLen() >= 1500 {
-		t.Errorf("trace mean frame len = %v", tr.MeanFrameLen())
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("short header accepted")
-	}
-	var buf bytes.Buffer
-	WriteTrace(&buf, SynthesizeTrace(10, 1))
-	data := buf.Bytes()
-	data[0] ^= 0xff
-	if _, err := ReadTrace(bytes.NewReader(data)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	data[0] ^= 0xff
-	if _, err := ReadTrace(bytes.NewReader(data[:len(data)-5])); err == nil {
-		t.Error("truncated trace accepted")
-	}
-}
-
-func TestEmptyTraceReplayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty trace replay did not panic")
-		}
-	}()
-	var p packet.Packet
-	(&Trace{}).Fill(&p, 0, 0)
-}
-
 func TestMixedL4ProtocolFractions(t *testing.T) {
 	g := &MixedL4{FrameLen: 128, Flows: 256, Seed: 10, TCPFrac: 0.4}
 	var p packet.Packet
@@ -252,7 +208,6 @@ func TestFillDoesNotAllocate(t *testing.T) {
 		"UDP6":           &UDP6{FrameLen: 128, Seed: 2, Dsts: []packet.IPv6Addr{{Hi: 1}}},
 		"SyntheticCAIDA": &SyntheticCAIDA{Flows: 1000, Seed: 3},
 		"MixedL4":        &MixedL4{FrameLen: 256, Seed: 4, TCPFrac: 0.5},
-		"Trace":          &Trace{Records: SynthesizeTrace(16, 5), Seed: 5},
 	}
 	var p packet.Packet
 	for name, g := range gens {
@@ -269,67 +224,32 @@ func TestFillDoesNotAllocate(t *testing.T) {
 // TestSyntheticCAIDASharedAcrossGoroutines runs under -race in check.sh: a
 // generator is read-only after construction, so concurrent runs may share
 // it — through MeanFrameLen (which used to cache on first read), Fill and
-// FillBurst alike. The Trace literal has no precomputed mean.
+// FillBurst alike.
 func TestSyntheticCAIDASharedAcrossGoroutines(t *testing.T) {
-	records := SynthesizeTrace(64, 9)
-	shared := map[string]interface {
-		burstFiller
-		MeanFrameLen() float64
-	}{
-		"SyntheticCAIDA": &SyntheticCAIDA{Flows: 1000, Seed: 9},
-		"Trace literal":  &Trace{Records: records, Seed: 9},
-		"NewTrace":       NewTrace(records, 9),
-	}
-	for name, g := range shared {
-		var want packet.Packet
-		g.Fill(&want, 0, 7)
-		var wg sync.WaitGroup
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var p packet.Packet
-				burst := make([]*packet.Packet, 6)
-				for i := range burst {
-					burst[i] = &packet.Packet{Seq: uint64(2 + i)}
+	g := &SyntheticCAIDA{Flows: 1000, Seed: 9}
+	var want packet.Packet
+	g.Fill(&want, 0, 7)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var p packet.Packet
+			burst := make([]*packet.Packet, 6)
+			for i := range burst {
+				burst[i] = &packet.Packet{Seq: uint64(2 + i)}
+			}
+			for i := 0; i < 100; i++ {
+				if m := g.MeanFrameLen(); m < 64 || m > 1500 {
+					t.Errorf("mean frame length %g", m)
 				}
-				for i := 0; i < 100; i++ {
-					if m := g.MeanFrameLen(); m < 64 || m > 1500 {
-						t.Errorf("%s: mean frame length %g", name, m)
-					}
-					g.Fill(&p, 0, 7)
-					g.FillBurst(burst, 0)
-					if !bytes.Equal(p.Data(), want.Data()) || !bytes.Equal(burst[5].Data(), want.Data()) {
-						t.Errorf("%s: shared generator produced a different frame", name)
-					}
+				g.Fill(&p, 0, 7)
+				g.FillBurst(burst, 0)
+				if !bytes.Equal(p.Data(), want.Data()) || !bytes.Equal(burst[5].Data(), want.Data()) {
+					t.Error("shared generator produced a different frame")
 				}
-			}()
-		}
-		wg.Wait()
+			}
+		}()
 	}
-}
-
-func TestTraceMeanFrameLen(t *testing.T) {
-	records := []TraceRecord{{FrameLen: 64}, {FrameLen: 128}, {FrameLen: 1500}}
-	want := float64(64+128+1500) / 3
-	if got := NewTrace(records, 1).MeanFrameLen(); got != want {
-		t.Errorf("NewTrace mean = %v, want %v", got, want)
-	}
-	if got := (&Trace{Records: records}).MeanFrameLen(); got != want {
-		t.Errorf("literal mean = %v, want %v", got, want)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.MeanFrameLen(); got != want {
-		t.Errorf("ReadTrace mean = %v, want %v", got, want)
-	}
-	if got := (&Trace{}).MeanFrameLen(); got != 0 {
-		t.Errorf("empty trace mean = %v, want 0", got)
-	}
+	wg.Wait()
 }

@@ -135,14 +135,12 @@ type UDP4 = gen.UDP4
 // UDP6 generates fixed-size random IPv6/UDP traffic.
 type UDP6 = gen.UDP6
 
-// SyntheticCAIDA generates the CAIDA-2013-like size/flow mix.
+// SyntheticCAIDA generates the CAIDA-2013-like size/flow mix, the stand-in
+// for the paper's trace.
 type SyntheticCAIDA = gen.SyntheticCAIDA
 
 // MixedL4 generates traffic with a configurable UDP/TCP protocol mix.
 type MixedL4 = gen.MixedL4
-
-// Trace replays a recorded nbatrace workload.
-type Trace = gen.Trace
 
 // --- load balancing ---
 
