@@ -49,6 +49,7 @@ func TestExitCodes(t *testing.T) {
 		{"negative duration", []string{"-app", "ipv4", "-duration", "-1ms"}, 1},
 		{"unknown app", []string{"-app", "nope"}, 1},
 		{"NaN tenant share", []string{"-tenants", "ipv4=NaN"}, 1},
+		{"NaN offload fraction", []string{"-app", "ipv4", "-lb", "fixed=NaN"}, 1},
 		{"no config or app", nil, 2},
 		{"unknown flag", []string{"-trace", "x"}, 2},
 	} {

@@ -358,7 +358,6 @@ const MaxDFAStates = 65536
 // anywhere in data, or -1) come from the embedded table.
 type DFA struct {
 	scanTable
-	rules []string
 }
 
 // CompileRules builds one scanning DFA matching any of the rules anywhere
@@ -465,7 +464,7 @@ func CompileRules(rules []string) (*DFA, error) {
 			next[si][c] = id
 		}
 	}
-	return &DFA{scanTable: newScanTable(next, accept), rules: rules}, nil
+	return &DFA{scanTable: newScanTable(next, accept)}, nil
 }
 
 func acceptOf(n *nfa, set []int) int32 {
@@ -479,6 +478,3 @@ func acceptOf(n *nfa, set []int) int32 {
 	}
 	return best
 }
-
-// Rules returns the compiled rule set.
-func (d *DFA) Rules() []string { return d.rules }

@@ -91,10 +91,6 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
 
-func (l *lexer) errorf(format string, args ...any) *SyntaxError {
-	return &SyntaxError{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
-}
-
 func (l *lexer) peek() byte {
 	if l.pos >= len(l.src) {
 		return 0

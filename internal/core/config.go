@@ -202,8 +202,8 @@ type Config struct {
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // checkGenerator runs the parameter check a generator may offer (gen's
-// UDP4, UDP6 and MixedL4 do), so a bad frame length is an error here rather
-// than a panic inside Run. netio.Generator does not require the method.
+// UDP4 and UDP6 do), so a bad frame length is an error here rather than a
+// panic inside Run. netio.Generator does not require the method.
 func checkGenerator(g netio.Generator) error {
 	if v, ok := g.(interface{ Validate() error }); ok {
 		return v.Validate()

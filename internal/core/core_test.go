@@ -221,8 +221,6 @@ func TestConfigValidation(t *testing.T) {
 		{"UDP4 frame too long", func(c *Config) { c.Generator = &gen.UDP4{FrameLen: 2000} }, "Generator: gen: UDP4 frame length 2000"},
 		{"UDP4 attack fraction", func(c *Config) { c.Generator = &gen.UDP4{FrameLen: 64, AttackFrac: 2} }, "Generator: gen: UDP4 attack fraction 2"},
 		{"UDP6 frame too short", func(c *Config) { c.Generator = &gen.UDP6{FrameLen: 50} }, "Generator: gen: UDP6 frame length 50"},
-		{"MixedL4 TCP frame too short", func(c *Config) { c.Generator = &gen.MixedL4{FrameLen: 50, TCPFrac: 0.5} }, "Generator: gen: MixedL4 frame length 50"},
-		{"MixedL4 NaN TCP fraction", func(c *Config) { c.Generator = &gen.MixedL4{FrameLen: 64, TCPFrac: math.NaN()} }, "Generator: gen: MixedL4 TCP fraction NaN"},
 		{"bad generator change", func(c *Config) {
 			c.GeneratorChanges = []GeneratorChange{{At: simtime.Millisecond, Generator: &gen.UDP4{FrameLen: 30}}}
 		}, "GeneratorChanges[0]: gen: UDP4"},

@@ -283,13 +283,6 @@ func (s *System) overloadLevel(socket int, tenant int32) overload.Level {
 	return s.governors[socket][tenant].Level()
 }
 
-// Engine exposes the virtual clock (for tests and the bench harness).
-func (s *System) Engine() *simtime.Engine { return s.eng }
-
-// Controllers returns socket-major per-tenant adaptive controllers (nil
-// entries for (socket, tenant) pairs without LB state).
-func (s *System) Controllers() [][]*lb.Controller { return s.controllers }
-
 // deviceFor resolves a batch's device annotation on a worker's socket:
 // annotation k selects local device k-1.
 func (s *System) deviceFor(socket, anno int) (*gpu.Device, error) {

@@ -48,7 +48,7 @@ func TestRegistryKnowsStandardElements(t *testing.T) {
 	for _, class := range []string{
 		"FromInput", "ToOutput", "Discard", "NoOp", "L2Forward", "EchoBack",
 		"CheckIPHeader", "CheckIP6Header", "DecIPTTL", "DecIP6HLIM",
-		"DropBroadcasts", "Classifier", "RandomWeightedBranch", "Queue",
+		"Classifier", "RandomWeightedBranch",
 	} {
 		e, err := NewByClass(class)
 		if err != nil {
@@ -199,20 +199,6 @@ func TestDecIP6HLIM(t *testing.T) {
 	}
 }
 
-func TestDropBroadcasts(t *testing.T) {
-	e := &DropBroadcasts{}
-	configure(t, e)
-	_, pc := newCtx()
-	p := mkIPv4Packet(t, 64)
-	if r := e.Process(pc, p); r != 0 {
-		t.Errorf("unicast: result = %d, want 0", r)
-	}
-	copy(p.Data()[0:6], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	if r := e.Process(pc, p); r != Drop {
-		t.Errorf("broadcast: result = %d, want Drop", r)
-	}
-}
-
 func TestClassifier(t *testing.T) {
 	e := &Classifier{}
 	configure(t, e, "ip", "ip6", "-")
@@ -265,24 +251,10 @@ func TestRandomWeightedBranchDistribution(t *testing.T) {
 func TestRandomWeightedBranchConfigErrors(t *testing.T) {
 	cc, _ := newCtx()
 	e := &RandomWeightedBranch{}
-	for _, args := range [][]string{nil, {"1.5"}, {"x"}, {"0.1", "0.2"}} {
+	for _, args := range [][]string{nil, {"1.5"}, {"NaN"}, {"x"}, {"0.1", "0.2"}} {
 		if err := e.Configure(cc, args); err == nil {
 			t.Errorf("bad config %v accepted", args)
 		}
-	}
-}
-
-func TestQueueConfig(t *testing.T) {
-	cc, _ := newCtx()
-	q := &Queue{}
-	if err := q.Configure(cc, []string{"128"}); err != nil {
-		t.Errorf("Queue(128): %v", err)
-	}
-	if err := q.Configure(cc, []string{"-1"}); err == nil {
-		t.Error("Queue(-1) accepted")
-	}
-	if _, ok := any(q).(BatchElement); !ok {
-		t.Error("Queue is not a BatchElement")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"nba/internal/batch"
 	"nba/internal/packet"
 )
 
@@ -19,10 +18,8 @@ func init() {
 	Register("CheckIP6Header", func() Element { return &CheckIP6Header{} })
 	Register("DecIPTTL", func() Element { return &DecIPTTL{} })
 	Register("DecIP6HLIM", func() Element { return &DecIP6HLIM{} })
-	Register("DropBroadcasts", func() Element { return &DropBroadcasts{} })
 	Register("Classifier", func() Element { return &Classifier{} })
 	Register("RandomWeightedBranch", func() Element { return &RandomWeightedBranch{} })
-	Register("Queue", func() Element { return &Queue{} })
 }
 
 // Base provides default method implementations for simple elements.
@@ -166,17 +163,6 @@ func (*DecIP6HLIM) Process(ctx *ProcContext, pkt *packet.Packet) int {
 	return 0
 }
 
-// DropBroadcasts drops Ethernet broadcast frames.
-type DropBroadcasts struct{ Base }
-
-func (*DropBroadcasts) Class() string { return "DropBroadcasts" }
-func (*DropBroadcasts) Process(ctx *ProcContext, pkt *packet.Packet) int {
-	if packet.IsEthBroadcast(pkt.Data()) {
-		return Drop
-	}
-	return 0
-}
-
 // Classifier routes packets to output edges by EtherType. Parameters are a
 // list of "ip" / "ip6" / "-" (match-all) patterns, one per output edge.
 type Classifier struct {
@@ -230,7 +216,7 @@ func (e *RandomWeightedBranch) Configure(ctx *ConfigContext, args []string) erro
 		return fmt.Errorf("RandomWeightedBranch needs one parameter (minority fraction)")
 	}
 	f, err := strconv.ParseFloat(args[0], 64)
-	if err != nil || f < 0 || f > 1 {
+	if err != nil || !(f >= 0 && f <= 1) { // the negated form also rejects NaN
 		return fmt.Errorf("RandomWeightedBranch: bad fraction %q", args[0])
 	}
 	e.minorityFrac = f
@@ -245,35 +231,6 @@ func (e *RandomWeightedBranch) Process(ctx *ProcContext, pkt *packet.Packet) int
 	}
 	return 0
 }
-
-// Queue stores whole batches and releases them when scheduled. In the
-// run-to-completion model no queue is required by default (paper §3.2); it
-// exists for configurations that want explicit buffering. As a per-batch
-// element it forwards batches without decomposing them.
-type Queue struct {
-	Base
-	depth int
-}
-
-func (*Queue) Class() string { return "Queue" }
-
-func (e *Queue) Configure(ctx *ConfigContext, args []string) error {
-	if len(args) > 1 {
-		return fmt.Errorf("Queue takes at most one parameter (capacity)")
-	}
-	e.depth = 64
-	if len(args) == 1 {
-		d, err := strconv.Atoi(args[0])
-		if err != nil || d <= 0 {
-			return fmt.Errorf("Queue: bad capacity %q", args[0])
-		}
-		e.depth = d
-	}
-	return nil
-}
-
-// ProcessBatch forwards the batch as-is (per-batch element).
-func (e *Queue) ProcessBatch(ctx *ProcContext, b *batch.Batch) int { return 0 }
 
 // ClassicAdapter adapts a classic Click-style per-packet handler function
 // into an NBA element (paper §7: migration of existing Click elements). The

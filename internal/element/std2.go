@@ -9,11 +9,6 @@ import (
 
 func init() {
 	Register("Paint", func() Element { return &Paint{} })
-	Register("PaintSwitch", func() Element { return &PaintSwitch{} })
-	Register("RandomSample", func() Element { return &RandomSample{} })
-	Register("SetIPTTL", func() Element { return &SetIPTTL{} })
-	Register("CheckUDPHeader", func() Element { return &CheckUDPHeader{} })
-	Register("Counter", func() Element { return &Counter{} })
 }
 
 // Paint stamps a color into the packet's user annotation (Click's Paint).
@@ -42,150 +37,5 @@ func (e *Paint) Configure(ctx *ConfigContext, args []string) error {
 // Process implements Element.
 func (e *Paint) Process(ctx *ProcContext, pkt *packet.Packet) int {
 	pkt.Anno[packet.AnnoUser] = e.color
-	return 0
-}
-
-// PaintSwitch routes packets by their paint color: color k leaves on output
-// port k; colors >= the port count are dropped. Parameter: the number of
-// output ports.
-type PaintSwitch struct {
-	ports int
-}
-
-// Class implements Element.
-func (*PaintSwitch) Class() string { return "PaintSwitch" }
-
-// Configure implements Element.
-func (e *PaintSwitch) Configure(ctx *ConfigContext, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("PaintSwitch needs one parameter (port count)")
-	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 1 || n > 64 {
-		return fmt.Errorf("PaintSwitch: bad port count %q", args[0])
-	}
-	e.ports = n
-	return nil
-}
-
-// OutPorts implements Element.
-func (e *PaintSwitch) OutPorts() int { return e.ports }
-
-// Process implements Element.
-func (e *PaintSwitch) Process(ctx *ProcContext, pkt *packet.Packet) int {
-	c := int(pkt.Anno[packet.AnnoUser])
-	if c >= e.ports {
-		return Drop
-	}
-	return c
-}
-
-// RandomSample forwards each packet with the configured probability and
-// drops the rest (Click's RandomSample in drop mode).
-type RandomSample struct {
-	Base
-	keep float64
-}
-
-// Class implements Element.
-func (*RandomSample) Class() string { return "RandomSample" }
-
-// Configure implements Element.
-func (e *RandomSample) Configure(ctx *ConfigContext, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("RandomSample needs one parameter (keep probability)")
-	}
-	p, err := strconv.ParseFloat(args[0], 64)
-	if err != nil || p < 0 || p > 1 {
-		return fmt.Errorf("RandomSample: bad probability %q", args[0])
-	}
-	e.keep = p
-	return nil
-}
-
-// Process implements Element.
-func (e *RandomSample) Process(ctx *ProcContext, pkt *packet.Packet) int {
-	if ctx.Rand.Bool(e.keep) {
-		return 0
-	}
-	return Drop
-}
-
-// SetIPTTL overwrites the IPv4 TTL and fixes the checksum. Parameter: TTL.
-type SetIPTTL struct {
-	Base
-	ttl byte
-}
-
-// Class implements Element.
-func (*SetIPTTL) Class() string { return "SetIPTTL" }
-
-// Configure implements Element.
-func (e *SetIPTTL) Configure(ctx *ConfigContext, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("SetIPTTL needs one parameter")
-	}
-	v, err := strconv.Atoi(args[0])
-	if err != nil || v < 1 || v > 255 {
-		return fmt.Errorf("SetIPTTL: bad TTL %q", args[0])
-	}
-	e.ttl = byte(v)
-	return nil
-}
-
-// Process implements Element.
-func (e *SetIPTTL) Process(ctx *ProcContext, pkt *packet.Packet) int {
-	f := pkt.Data()
-	if len(f) < packet.EthHdrLen+packet.IPv4HdrLen {
-		return Drop
-	}
-	h := f[packet.EthHdrLen:]
-	h[8] = e.ttl
-	packet.SetIPv4Checksum(h)
-	return 0
-}
-
-// CheckUDPHeader validates that an IPv4 packet carries a structurally sane
-// UDP datagram (length field consistent with the IP payload).
-type CheckUDPHeader struct{ Base }
-
-// Class implements Element.
-func (*CheckUDPHeader) Class() string { return "CheckUDPHeader" }
-
-// Process implements Element.
-func (*CheckUDPHeader) Process(ctx *ProcContext, pkt *packet.Packet) int {
-	f := pkt.Data()
-	if len(f) < packet.EthHdrLen+packet.IPv4HdrLen+packet.UDPHdrLen {
-		return Drop
-	}
-	h := f[packet.EthHdrLen:]
-	if packet.IPv4Proto(h) != packet.ProtoUDP {
-		return Drop
-	}
-	ihl := packet.IPv4IHL(h)
-	if len(h) < ihl+packet.UDPHdrLen {
-		return Drop
-	}
-	udpLen := int(h[ihl+4])<<8 | int(h[ihl+5])
-	if udpLen < packet.UDPHdrLen || ihl+udpLen > packet.IPv4TotalLen(h) {
-		return Drop
-	}
-	return 0
-}
-
-// Counter counts packets and bytes passing through (Click's Counter).
-type Counter struct {
-	Base
-	Packets uint64
-	Bytes   uint64
-}
-
-// Class implements Element.
-func (*Counter) Class() string { return "Counter" }
-
-// Process implements Element.
-func (e *Counter) Process(ctx *ProcContext, pkt *packet.Packet) int {
-	e.Packets++
-	e.Bytes += uint64(pkt.Length())
 	return 0
 }

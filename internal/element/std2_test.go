@@ -77,23 +77,16 @@ func TestIPFilterConfigErrors(t *testing.T) {
 	}
 }
 
-func TestPaintAndPaintSwitch(t *testing.T) {
+func TestPaint(t *testing.T) {
 	paint := &Paint{}
 	configure(t, paint, "2")
-	sw := &PaintSwitch{}
-	configure(t, sw, "3")
-	if sw.OutPorts() != 3 {
-		t.Fatalf("OutPorts = %d", sw.OutPorts())
-	}
 	_, pc := newCtx()
 	p := mkIPv4Packet(t, 64)
-	paint.Process(pc, p)
-	if r := sw.Process(pc, p); r != 2 {
-		t.Errorf("painted 2, switched to %d", r)
+	if r := paint.Process(pc, p); r != 0 {
+		t.Fatalf("Process = %d, want 0", r)
 	}
-	p.Anno[packet.AnnoUser] = 7 // out of range
-	if r := sw.Process(pc, p); r != Drop {
-		t.Errorf("out-of-range paint -> %d, want Drop", r)
+	if c := p.Anno[packet.AnnoUser]; c != 2 {
+		t.Errorf("painted color %d, want 2", c)
 	}
 }
 
@@ -104,94 +97,10 @@ func TestPaintConfigErrors(t *testing.T) {
 			t.Errorf("Paint config %v accepted", args)
 		}
 	}
-	for _, args := range [][]string{nil, {"0"}, {"65"}, {"x"}} {
-		if err := (&PaintSwitch{}).Configure(cc, args); err == nil {
-			t.Errorf("PaintSwitch config %v accepted", args)
-		}
-	}
-}
-
-func TestRandomSample(t *testing.T) {
-	e := &RandomSample{}
-	configure(t, e, "0.25")
-	_, pc := newCtx()
-	p := mkIPv4Packet(t, 64)
-	kept := 0
-	const n = 40000
-	for i := 0; i < n; i++ {
-		if e.Process(pc, p) == 0 {
-			kept++
-		}
-	}
-	frac := float64(kept) / n
-	if frac < 0.23 || frac > 0.27 {
-		t.Errorf("kept fraction = %v, want ~0.25", frac)
-	}
-	cc, _ := newCtx()
-	if err := (&RandomSample{}).Configure(cc, []string{"1.5"}); err == nil {
-		t.Error("bad probability accepted")
-	}
-}
-
-func TestSetIPTTL(t *testing.T) {
-	e := &SetIPTTL{}
-	configure(t, e, "7")
-	_, pc := newCtx()
-	p := mkIPv4Packet(t, 64)
-	if r := e.Process(pc, p); r != 0 {
-		t.Fatalf("Process = %d", r)
-	}
-	h := p.Data()[packet.EthHdrLen:]
-	if packet.IPv4TTL(h) != 7 {
-		t.Errorf("TTL = %d, want 7", packet.IPv4TTL(h))
-	}
-	if packet.CheckIPv4(h) != nil {
-		t.Error("checksum broken after SetIPTTL")
-	}
-	cc, _ := newCtx()
-	if err := (&SetIPTTL{}).Configure(cc, []string{"0"}); err == nil {
-		t.Error("TTL 0 accepted")
-	}
-}
-
-func TestCheckUDPHeader(t *testing.T) {
-	e := &CheckUDPHeader{}
-	configure(t, e)
-	_, pc := newCtx()
-	good := mkIPv4Packet(t, 64)
-	if r := e.Process(pc, good); r != 0 {
-		t.Errorf("valid UDP rejected: %d", r)
-	}
-	// Corrupt the UDP length field beyond the IP payload.
-	bad := mkIPv4Packet(t, 64)
-	h := bad.Data()[packet.EthHdrLen:]
-	h[24], h[25] = 0xff, 0xff
-	if r := e.Process(pc, bad); r != Drop {
-		t.Error("oversized UDP length accepted")
-	}
-	// Non-UDP protocol.
-	esp := mkIPv4Packet(t, 64)
-	esp.Data()[packet.EthHdrLen+9] = packet.ProtoESP
-	packet.SetIPv4Checksum(esp.Data()[packet.EthHdrLen:])
-	if r := e.Process(pc, esp); r != Drop {
-		t.Error("non-UDP accepted")
-	}
-}
-
-func TestCounterElement(t *testing.T) {
-	e := &Counter{}
-	configure(t, e)
-	_, pc := newCtx()
-	for i := 0; i < 5; i++ {
-		e.Process(pc, mkIPv4Packet(t, 100))
-	}
-	if e.Packets != 5 || e.Bytes != 500 {
-		t.Errorf("Packets=%d Bytes=%d, want 5,500", e.Packets, e.Bytes)
-	}
 }
 
 func TestNewElementsRegistered(t *testing.T) {
-	for _, class := range []string{"IPFilter", "Paint", "PaintSwitch", "RandomSample", "SetIPTTL", "CheckUDPHeader", "Counter"} {
+	for _, class := range []string{"IPFilter", "Paint"} {
 		if _, err := NewByClass(class); err != nil {
 			t.Errorf("NewByClass(%q): %v", class, err)
 		}

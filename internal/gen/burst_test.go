@@ -88,15 +88,13 @@ func FuzzFillBurstAgrees(f *testing.F) {
 		flows := int(knob) * int(seed%3)
 		within := func(lo int) int { return lo + int(size)%(packet.MaxFrameLen-lo+1) }
 		var g burstFiller
-		switch kind % 4 {
+		switch kind % 3 {
 		case 0:
 			g = &UDP4{FrameLen: within(42), Flows: flows, Seed: seed, AttackFrac: frac, AttackPattern: pattern}
 		case 1:
 			g = &UDP6{FrameLen: within(62), Flows: flows, Seed: seed, Dsts: []packet.IPv6Addr{{Hi: seed}, {Lo: seed}}[:seed%3]}
 		case 2:
 			g = &SyntheticCAIDA{Flows: flows, Seed: seed}
-		case 3:
-			g = &MixedL4{FrameLen: within(54), Flows: flows, Seed: seed, TCPFrac: frac, AttackFrac: 1 - frac, AttackPattern: pattern}
 		}
 		if err := checkBurst(g, int(seed%4), gappedSeqs(r, int(burst)%80)); err != nil {
 			t.Fatalf("%T %+v: %v", g, g, err)

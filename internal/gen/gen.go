@@ -1,7 +1,8 @@
-// Package gen provides deterministic workload generators: the fixed-size
-// random UDP traffic used in most of the paper's experiments, and a
-// synthetic stand-in for the CAIDA 2013 July trace used by Figures 2 and 13.
-// Traffic is always generated, never replayed from a file.
+// Package gen provides the three deterministic workload generators: UDP4
+// and UDP6, the fixed-size random UDP traffic used in most of the paper's
+// experiments, and SyntheticCAIDA, a stand-in for the CAIDA 2013 July trace
+// used by Figures 2 and 13. Traffic is always generated, never replayed from
+// a file.
 //
 // Every generator is a pure, read-only function of (seed, port, seq), so any
 // run is reproducible, RX queues can materialise packets lazily and
@@ -244,72 +245,4 @@ func (g *UDP4) Validate() error {
 // Validate checks generator parameters.
 func (g *UDP6) Validate() error {
 	return checkFrameLen("UDP6", g.FrameLen, packet.EthHdrLen+packet.IPv6HdrLen+packet.UDPHdrLen)
-}
-
-// MixedL4 wraps UDP4-style traffic with a configurable fraction of TCP
-// segments (same sizes and flows), so proto-sensitive elements (IPFilter,
-// Snort-style tcp rules) see realistic protocol diversity.
-type MixedL4 struct {
-	FrameLen int
-	Flows    int
-	Seed     uint64
-	// TCPFrac is the fraction of frames built as TCP (default 0 = all UDP).
-	TCPFrac float64
-	// AttackFrac / AttackPattern as in UDP4.
-	AttackFrac    float64
-	AttackPattern []byte
-}
-
-// MeanFrameLen implements netio.Generator.
-func (g *MixedL4) MeanFrameLen() float64 { return float64(g.FrameLen) }
-
-// Validate checks generator parameters: TCP frames need 12 B more header
-// than UDP ones.
-func (g *MixedL4) Validate() error {
-	minLen := udp4Payload
-	if g.TCPFrac > 0 {
-		minLen = packet.EthHdrLen + packet.IPv4HdrLen + packet.TCPHdrLen
-	}
-	if err := checkFrameLen("MixedL4", g.FrameLen, minLen); err != nil {
-		return err
-	}
-	if err := checkFrac("MixedL4", "TCP fraction", g.TCPFrac); err != nil {
-		return err
-	}
-	return checkFrac("MixedL4", "attack fraction", g.AttackFrac)
-}
-
-// Fill implements netio.Generator.
-func (g *MixedL4) Fill(p *packet.Packet, port int, seq uint64) {
-	r, off := g.header(p, port, seq)
-	fillOne(p, &r, off, attack{g.AttackFrac, g.AttackPattern})
-}
-
-// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
-//
-//nba:hotpath
-func (g *MixedL4) FillBurst(pkts []*packet.Packet, port int) {
-	fillBurst(g, pkts, port, attack{g.AttackFrac, g.AttackPattern})
-}
-
-func (g *MixedL4) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {
-	r := perPacket(g.Seed^0x4D495845, port, seq)
-	flows := g.Flows
-	if flows <= 0 {
-		flows = 65536
-	}
-	flow := uint32(r.Intn(flows))
-	src := 0x0A000000 + flow
-	dst := flow * 2654435761
-	sport := uint16(1024 + flow%50000)
-	dport := uint16(53 + flow%7)
-	if r.Bool(g.TCPFrac) {
-		n := packet.BuildTCP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst, sport, 80,
-			uint32(seq), packet.TCPPsh|packet.TCPAck, g.FrameLen)
-		p.SetLength(n)
-		return r, packet.EthHdrLen + packet.IPv4HdrLen + packet.TCPHdrLen
-	}
-	n := packet.BuildUDP4(p.Buf(), GenSrcMAC, GenDstMAC, src, dst, sport, dport, g.FrameLen)
-	p.SetLength(n)
-	return r, udp4Payload
 }

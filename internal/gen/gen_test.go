@@ -90,25 +90,6 @@ func TestUDP4ValidateErrors(t *testing.T) {
 	}
 }
 
-func TestMixedL4Validate(t *testing.T) {
-	for _, c := range []struct {
-		g  MixedL4
-		ok bool
-	}{
-		{MixedL4{FrameLen: 42}, true},
-		{MixedL4{FrameLen: 53, TCPFrac: 0.1}, false}, // TCP needs 54 B
-		{MixedL4{FrameLen: 54, TCPFrac: 1, AttackFrac: 1}, true},
-		{MixedL4{FrameLen: packet.MaxFrameLen + 1}, false},
-		{MixedL4{FrameLen: 64, TCPFrac: 1.5}, false},
-		{MixedL4{FrameLen: 64, AttackFrac: -0.1}, false},
-		{MixedL4{FrameLen: 64, AttackFrac: math.NaN()}, false},
-	} {
-		if err := c.g.Validate(); (err == nil) != c.ok {
-			t.Errorf("%+v: Validate() = %v, want ok %v", c.g, err, c.ok)
-		}
-	}
-}
-
 func TestUDP6ValidFrames(t *testing.T) {
 	g := &UDP6{FrameLen: 80, Flows: 30, Seed: 5}
 	var p packet.Packet
@@ -173,31 +154,6 @@ func TestSyntheticCAIDAFlowSkew(t *testing.T) {
 	}
 }
 
-func TestMixedL4ProtocolFractions(t *testing.T) {
-	g := &MixedL4{FrameLen: 128, Flows: 256, Seed: 10, TCPFrac: 0.4}
-	var p packet.Packet
-	tcp := 0
-	const n = 10000
-	for seq := uint64(0); seq < n; seq++ {
-		g.Fill(&p, 0, seq)
-		ip := p.Data()[packet.EthHdrLen:]
-		if err := packet.CheckIPv4(ip); err != nil {
-			t.Fatalf("invalid frame: %v", err)
-		}
-		switch packet.IPv4Proto(ip) {
-		case packet.ProtoTCP:
-			tcp++
-		case packet.ProtoUDP:
-		default:
-			t.Fatalf("unexpected protocol %d", packet.IPv4Proto(ip))
-		}
-	}
-	frac := float64(tcp) / n
-	if frac < 0.37 || frac > 0.43 {
-		t.Errorf("tcp fraction = %v, want ~0.4", frac)
-	}
-}
-
 // TestFillDoesNotAllocate gates the per-packet path of every generator: the
 // per-packet PRNG lives on Fill's stack.
 func TestFillDoesNotAllocate(t *testing.T) {
@@ -207,7 +163,6 @@ func TestFillDoesNotAllocate(t *testing.T) {
 		"UDP4":           &UDP4{FrameLen: 64, Flows: 100, Seed: 1, AttackFrac: 0.5, AttackPattern: []byte("/bin/sh")},
 		"UDP6":           &UDP6{FrameLen: 128, Seed: 2, Dsts: []packet.IPv6Addr{{Hi: 1}}},
 		"SyntheticCAIDA": &SyntheticCAIDA{Flows: 1000, Seed: 3},
-		"MixedL4":        &MixedL4{FrameLen: 256, Seed: 4, TCPFrac: 0.5},
 	}
 	var p packet.Packet
 	for name, g := range gens {

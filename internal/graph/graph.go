@@ -65,9 +65,6 @@ type Node struct {
 	Reuses    uint64 // branch-predicted batch reuses
 }
 
-// Successor returns the node ID connected to output port p.
-func (n *Node) Successor(p int) int { return n.out[p] }
-
 // IsOffloadable reports whether the node's element is an offloadable (a
 // batch kernel with datablocks) that the load balancer may send to a device.
 func (n *Node) IsOffloadable() bool { return n.offloadable != nil }

@@ -80,12 +80,19 @@ type twoForms struct{ element.NoOp }
 func (*twoForms) Class() string                                             { return "TestTwoForms" }
 func (*twoForms) ProcessBatch(ctx *element.ProcContext, b *batch.Batch) int { return 0 }
 
+// batchOnly has only the per-batch form and forwards every batch whole.
+type batchOnly struct{ element.Base }
+
+func (*batchOnly) Class() string                                             { return "TestBatchOnly" }
+func (*batchOnly) ProcessBatch(ctx *element.ProcContext, b *batch.Batch) int { return 0 }
+
 func init() {
 	for _, class := range []string{"TestOffloadA", "TestOffloadB", "TestOffloadTwoPorts", "TestOffloadDropOdd"} {
 		element.Register(class, func() element.Element { return &offloadableNoOp{class: class} })
 	}
 	element.Register("TestFormless", func() element.Element { return &formless{} })
 	element.Register("TestTwoForms", func() element.Element { return &twoForms{} })
+	element.Register("TestBatchOnly", func() element.Element { return &batchOnly{} })
 }
 
 func buildGraph(t *testing.T, src string, opts Options) *Graph {
@@ -228,7 +235,7 @@ func TestBranchPredictionCheaperThanSplitting(t *testing.T) {
 }
 
 func TestPerBatchElement(t *testing.T) {
-	g := buildGraph(t, `FromInput() -> Queue("64") -> L2Forward() -> ToOutput();`, DefaultOptions())
+	g := buildGraph(t, `FromInput() -> TestBatchOnly() -> L2Forward() -> ToOutput();`, DefaultOptions())
 	env := newTestEnv()
 	g.Inject(env, pctx(), mkBatch(t, env, 16, 64))
 	if len(env.transmitted) != 16 {

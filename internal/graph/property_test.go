@@ -154,14 +154,10 @@ func TestElementCostsAllRegisteredClassesBuild(t *testing.T) {
 	// into a runnable graph.
 	noParam := []string{
 		"NoOp", "EchoBack", "L2Forward", "CheckIPHeader", "CheckIP6Header",
-		"DecIPTTL", "DecIP6HLIM", "DropBroadcasts", "Discard", "Queue",
-		"CheckUDPHeader", "Counter",
+		"DecIPTTL", "DecIP6HLIM", "Discard",
 	}
 	for _, class := range noParam {
 		src := fmt.Sprintf("FromInput() -> %s() -> ToOutput();", class)
-		if class == "Queue" {
-			src = "FromInput() -> Queue(\"8\") -> ToOutput();"
-		}
 		if class == "Discard" {
 			src = "FromInput() -> Discard();"
 		}

@@ -104,7 +104,7 @@ func (e *LoadBalance) Configure(ctx *element.ConfigContext, args []string) error
 		e.state.AdaptiveUsers++
 	case strings.HasPrefix(arg, "fixed="):
 		f, err := strconv.ParseFloat(strings.TrimPrefix(arg, "fixed="), 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) { // the negated form also rejects NaN
 			return fmt.Errorf("LoadBalance: bad fixed fraction %q", arg)
 		}
 		e.Alg = Fixed

@@ -92,7 +92,7 @@ func TestAdaptiveFollowsSharedState(t *testing.T) {
 
 func TestConfigureErrors(t *testing.T) {
 	cc, _ := newCtx(1)
-	for _, args := range [][]string{nil, {"a", "b"}, {"bogus"}, {"fixed=2"}, {"fixed=x"}} {
+	for _, args := range [][]string{nil, {"a", "b"}, {"bogus"}, {"fixed=2"}, {"fixed=x"}, {"fixed=NaN"}} {
 		if err := (&LoadBalance{}).Configure(cc, args); err == nil {
 			t.Errorf("config %v accepted", args)
 		}

@@ -229,9 +229,6 @@ func (q *RxQueue) advance(now simtime.Time) {
 // (after head-drop accounting, so it never exceeds the ring capacity).
 func (q *RxQueue) HighWatermark() uint64 { return q.hwm }
 
-// Capacity returns the queue's current ring capacity in packets.
-func (q *RxQueue) Capacity() int { return q.capacity }
-
 // SetCapacity re-sizes the ring at time now (runtime reconfiguration).
 // Arrival accounting is brought up to date under the old capacity first;
 // shrinking below the surviving backlog then head-drops the overflow,

@@ -39,7 +39,6 @@ func FuzzHeaderParse(f *testing.F) {
 		_ = FlowHash5(data)
 		if len(data) >= EthHdrLen {
 			_ = EthType(data)
-			_ = IsEthBroadcast(data)
 			dup := append([]byte(nil), data...)
 			SwapEthAddrs(dup)
 			SwapEthAddrs(dup)

@@ -53,16 +53,6 @@ func SwapEthAddrs(b []byte) {
 	copy(b[6:12], tmp[:])
 }
 
-// IsEthBroadcast reports whether the destination MAC is ff:ff:ff:ff:ff:ff.
-func IsEthBroadcast(b []byte) bool {
-	for _, v := range b[0:6] {
-		if v != 0xff {
-			return false
-		}
-	}
-	return true
-}
-
 // --- IPv4 ---
 
 // IPv4 field accessors operate on the IPv4 header slice (frame[14:]).
@@ -129,8 +119,6 @@ func IPv6Version(h []byte) int    { return int(h[0] >> 4) }
 func IPv6PayloadLen(h []byte) int { return int(binary.BigEndian.Uint16(h[4:6])) }
 func IPv6NextHeader(h []byte) int { return int(h[6]) }
 func IPv6HopLimit(h []byte) int   { return int(h[7]) }
-func IPv6Src(h []byte) []byte     { return h[8:24] }
-func IPv6Dst(h []byte) []byte     { return h[24:40] }
 
 // IPv6Addr is a 128-bit address as two big-endian words, convenient for
 // longest-prefix-match arithmetic.

@@ -187,12 +187,12 @@ func TestSwapEthAddrsAndBroadcast(t *testing.T) {
 	if [6]byte(EthDst(f)) != srcMAC || [6]byte(EthSrc(f)) != dstMAC {
 		t.Error("SwapEthAddrs did not exchange MACs")
 	}
-	if IsEthBroadcast(f) {
-		t.Error("unicast frame reported as broadcast")
-	}
-	copy(f[0:6], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	if !IsEthBroadcast(f) {
-		t.Error("broadcast frame not detected")
+	// A broadcast destination becomes the source, as an echo would send it.
+	bcast := [6]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	copy(f[0:6], bcast[:])
+	SwapEthAddrs(f)
+	if [6]byte(EthSrc(f)) != bcast || [6]byte(EthDst(f)) != dstMAC {
+		t.Error("SwapEthAddrs did not move the broadcast address to the source")
 	}
 }
 

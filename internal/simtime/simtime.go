@@ -206,7 +206,7 @@ func (e *Engine) After(d Time, fn func()) Timer {
 	return e.At(e.now+d, fn)
 }
 
-// Stop makes the current Run/RunUntil call return after the in-progress
+// Stop makes the current Run call return after the in-progress
 // event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -227,21 +227,6 @@ func (e *Engine) Run() {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
 		e.step()
-	}
-}
-
-// RunUntil executes all events with timestamp <= t and then advances the
-// clock to exactly t. It panics if t is in the past.
-func (e *Engine) RunUntil(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("simtime: RunUntil %v before now %v", t, e.now))
-	}
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped && e.events[0].at <= t {
-		e.step()
-	}
-	if !e.stopped && e.now < t {
-		e.now = t
 	}
 }
 

@@ -122,29 +122,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v, want events at 10,20", fired)
-	}
-	if e.Now() != 25 {
-		t.Errorf("Now = %v, want 25", e.Now())
-	}
-	e.RunUntil(100)
-	if len(fired) != 4 {
-		t.Errorf("fired = %v, want 4 events", fired)
-	}
-	if e.Now() != 100 {
-		t.Errorf("Now = %v, want 100", e.Now())
-	}
-}
-
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(50, func() {})

@@ -332,37 +332,6 @@ func (h *Hist) Percentile(p float64) simtime.Time {
 	return h.max
 }
 
-// CDFPoint is one point of a cumulative distribution dump.
-type CDFPoint struct {
-	Latency simtime.Time
-	Frac    float64
-}
-
-// CDF returns the cumulative distribution as (bucket upper bound, fraction)
-// points, skipping empty leading/trailing regions.
-func (h *Hist) CDF() []CDFPoint {
-	if h.count == 0 {
-		return nil
-	}
-	var pts []CDFPoint
-	var cum uint64
-	for i, c := range h.buckets {
-		if c == 0 && cum == 0 {
-			continue
-		}
-		cum += c
-		upper := h.max
-		if i+1 < bucketCount {
-			upper = bucketBounds[i+1]
-		}
-		pts = append(pts, CDFPoint{Latency: upper, Frac: float64(cum) / float64(h.count)})
-		if cum == h.count {
-			break
-		}
-	}
-	return pts
-}
-
 // Merge adds the contents of other into h.
 func (h *Hist) Merge(other *Hist) {
 	if other.count == 0 {
@@ -395,9 +364,6 @@ func (q *Quantiles) Add(v int64) {
 	q.sorted = false
 }
 
-// Count returns the number of samples.
-func (q *Quantiles) Count() int { return len(q.samples) }
-
 func (q *Quantiles) sort() {
 	if !q.sorted {
 		sort.Slice(q.samples, func(i, j int) bool { return q.samples[i] < q.samples[j] })
@@ -422,15 +388,6 @@ func (q *Quantiles) Percentile(p float64) int64 {
 	return q.samples[rank-1]
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (q *Quantiles) Min() int64 {
-	if len(q.samples) == 0 {
-		return 0
-	}
-	q.sort()
-	return q.samples[0]
-}
-
 // Max returns the largest sample, or 0 with no samples.
 func (q *Quantiles) Max() int64 {
 	if len(q.samples) == 0 {
@@ -438,18 +395,6 @@ func (q *Quantiles) Max() int64 {
 	}
 	q.sort()
 	return q.samples[len(q.samples)-1]
-}
-
-// Mean returns the sample mean, or 0 with no samples.
-func (q *Quantiles) Mean() float64 {
-	if len(q.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range q.samples {
-		sum += float64(v)
-	}
-	return sum / float64(len(q.samples))
 }
 
 // Gbps converts bits per second to Gbps for display.

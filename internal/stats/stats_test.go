@@ -105,27 +105,6 @@ func TestHistPercentileAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistCDFMonotone(t *testing.T) {
-	var h Hist
-	for i := 0; i < 500; i++ {
-		h.Record(simtime.Time(1+i*i) * simtime.Microsecond)
-	}
-	pts := h.CDF()
-	if len(pts) == 0 {
-		t.Fatal("empty CDF")
-	}
-	prev := 0.0
-	for _, p := range pts {
-		if p.Frac < prev {
-			t.Fatalf("CDF not monotone at %v: %v < %v", p.Latency, p.Frac, prev)
-		}
-		prev = p.Frac
-	}
-	if last := pts[len(pts)-1].Frac; last != 1.0 {
-		t.Errorf("CDF tail = %v, want 1.0", last)
-	}
-}
-
 func TestHistMerge(t *testing.T) {
 	var a, b Hist
 	a.Record(10 * simtime.Microsecond)

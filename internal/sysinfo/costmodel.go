@@ -207,11 +207,9 @@ func Default() *CostModel {
 			"L2Forward":      {Fixed: 120, PerByte: 0.5},
 			"CheckIPHeader":  {Fixed: 140, PerByte: 0.25},
 			"CheckIP6Header": {Fixed: 140, PerByte: 0.25},
-			"DropBroadcasts": {Fixed: 30},
 			"DecIPTTL":       {Fixed: 70},
 			"DecIP6HLIM":     {Fixed: 70},
 			"Classifier":     {Fixed: 90},
-			"Queue":          {Fixed: 60},
 			"Discard":        {Fixed: 10},
 			"EchoBack":       {Fixed: 45, PerByte: 0.4},
 			// The synthetic branch element itself must be nearly free so the

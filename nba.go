@@ -139,9 +139,6 @@ type UDP6 = gen.UDP6
 // for the paper's trace.
 type SyntheticCAIDA = gen.SyntheticCAIDA
 
-// MixedL4 generates traffic with a configurable UDP/TCP protocol mix.
-type MixedL4 = gen.MixedL4
-
 // --- load balancing ---
 
 // LBController is the adaptive load-balancing control loop (paper §3.4).

@@ -49,6 +49,9 @@
 #                         print byte-identical combined digests (internal/par
 #                         determinism contract; the tenant sweep also folds
 #                         every per-tenant sub-digest into the combined one)
+#  10. examples           every program under examples/ runs once and must
+#                         exit 0: they are the nba facade's only end-to-end
+#                         users
 #
 # The race run doubles as the regression tripwire for future parallel-worker
 # PRs: the engine is single-threaded by design, so any data race is new code
@@ -176,5 +179,11 @@ if [[ "$t1" != "$t8" ]]; then
     exit 1
 fi
 echo "tenant chaos digest stable at parallelism 1 and 8: $t1"
+
+echo "==> examples (each program under examples/ runs once and must exit 0)"
+for dir in examples/*/; do
+    echo "--- $dir"
+    go run "./$dir" >/dev/null
+done
 
 echo "check.sh: all gates passed"
