@@ -103,6 +103,7 @@ func TestAnalyzers(t *testing.T) {
 		{"hotalloc", []string{"nba/internal/hotfix"}},
 		{"sharedstate", []string{"nba/internal/core/sharedfix"}},
 		{"sharedstate-par", []string{"nba/internal/core/parfix"}},
+		{"sharedstate-executor", []string{"nba/internal/core/execfix", "nba/internal/core/execfix/reader"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -96,15 +96,17 @@ type callbackRoot struct {
 	pkg *lintPackage
 	// desc describes the registration for finding messages.
 	desc string
-	// par marks a par.Run/Map/MapErr job root. Par roots are scanned
+	// par marks a par.Run/Map/MapErr job root, or the RunJob method of a job
+	// submitted to the device executor (par.Executor). Par roots are scanned
 	// shallowly (the job body only, no transitive call-graph closure): a
 	// chaos job calls the whole simulator, and closing over it would drown
 	// the sharedstate rule in the entire single-threaded hot path. The
 	// discipline par enforces is local by design — a job may write only its
 	// own slot — so the body is where violations appear.
 	par bool
-	// slot is the job's slot-index parameter (par roots with a literal job
-	// only; named jobs resolve it from their declaration).
+	// slot is the job's slot-index parameter for par roots with a literal
+	// job, or the receiver of an executor job's RunJob; other named jobs
+	// resolve it from their declaration.
 	slot *types.Var
 }
 
@@ -386,6 +388,30 @@ func isParDispatch(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 	return nil, false
 }
 
+// executorJob reports whether the call hands a job to the device executor
+// ((*par.Executor).Submit) and returns the RunJob method of the job's static
+// type — the job's entry point, whose receiver is its slot. A job passed as
+// a par.Job interface value resolves to no module function.
+func (m *module) executorJob(info *types.Info, call *ast.CallExpr) *types.Func {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || len(call.Args) != 1 || !isMethodOn(info.Selections[sel], parPkgPath, "Executor", "Submit") {
+		return nil
+	}
+	t := info.TypeOf(call.Args[0])
+	if t == nil {
+		return nil
+	}
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "RunJob")
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	if _, known := m.funcs[fn.Origin()]; !known {
+		return nil
+	}
+	return fn.Origin()
+}
+
 // slotParamOf returns the first parameter of a function literal — a par
 // job's slot index.
 func slotParamOf(info *types.Info, lit *ast.FuncLit) *types.Var {
@@ -453,6 +479,12 @@ func (m *module) findCallbackRoots() {
 					addRoot(n.Pos(), arg, "scheduled on the engine", false)
 				} else if arg, ok := isParDispatch(info, n); ok {
 					addRoot(n.Pos(), arg, "dispatched as a par job", true)
+				} else if fn := m.executorJob(info, n); fn != nil {
+					m.callbackRoots = append(m.callbackRoots, callbackRoot{
+						pos: n.Pos(), fn: fn, pkg: fi.pkg, par: true,
+						slot: fn.Type().(*types.Signature).Recv(),
+						desc: "submitted to the device executor in " + fi.obj.Name(),
+					})
 				}
 			case *ast.AssignStmt:
 				if rhs, ok := isOnFireInstall(info, n); ok {

@@ -42,11 +42,12 @@ func runSharedstate(m *module) []finding {
 	fieldWrites := map[*types.Var][]site{}
 
 	// Writes in callback context. slot, when non-nil, is a par job's slot
-	// parameter: writes indexed by it are the runner's discipline and exempt.
+	// parameter or an executor job's receiver: writes to the slot are the
+	// runner's discipline and exempt.
 	scanWrites := func(pkg *lintPackage, body ast.Node, how string, slot *types.Var) {
 		info := pkg.Info
 		record := func(lhs ast.Expr, pos token.Pos) {
-			if isSlotIndexedWrite(info, lhs, slot) {
+			if isSlotWrite(info, lhs, slot) {
 				return
 			}
 			switch v := writtenVar(info, lhs).(type) {
@@ -114,7 +115,11 @@ func runSharedstate(m *module) []finding {
 		if fi == nil || fi.decl.Body == nil || usesLock(fi.pkg.Info, fi.decl.Body) {
 			continue
 		}
-		scanWrites(fi.pkg, fi.decl.Body, r.desc, firstParamOf(fi))
+		slot := r.slot
+		if slot == nil {
+			slot = firstParamOf(fi)
+		}
+		scanWrites(fi.pkg, fi.decl.Body, r.desc, slot)
 	}
 
 	// Accesses outside callback context. Callback-root literals are callback
@@ -338,23 +343,46 @@ func writesLocalValue(info *types.Info, lhs ast.Expr) bool {
 	}
 }
 
-// isSlotIndexedWrite reports whether lhs is an index expression whose index is
-// the par job's slot parameter (results[slot] = v). The runner guarantees each
-// job owns a distinct slot, so these writes are the sanctioned result channel.
-func isSlotIndexedWrite(info *types.Info, lhs ast.Expr, slot *types.Var) bool {
+// isSlotWrite reports whether lhs writes the par job's own slot: an index
+// expression whose index is the job's slot parameter (results[slot] = v), or,
+// for a device-executor job whose slot is its receiver, a field reached from
+// the receiver through no pointer, slice or map (j.out = v, j.sums[i] = v).
+// The runner gives each job a distinct slot and an executor job owns its
+// receiver until it is joined, so these writes are the sanctioned result
+// channels.
+func isSlotWrite(info *types.Info, lhs ast.Expr, slot *types.Var) bool {
 	if slot == nil {
 		return false
 	}
-	ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
-	if !ok {
-		return false
+	isSlot := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		v, ok := info.Uses[id].(*types.Var)
+		return ok && v.Origin() == slot.Origin()
 	}
-	id, ok := ast.Unparen(ix.Index).(*ast.Ident)
-	if !ok {
-		return false
+	x := ast.Unparen(lhs)
+	if ix, ok := x.(*ast.IndexExpr); ok && isSlot(ix.Index) {
+		return true
 	}
-	v, ok := info.Uses[id].(*types.Var)
-	return ok && v.Origin() == slot.Origin()
+	for {
+		switch cur := x.(type) {
+		case *ast.SelectorExpr:
+			x = ast.Unparen(cur.X)
+		case *ast.IndexExpr:
+			x = ast.Unparen(cur.X)
+		default:
+			return false
+		}
+		if _, ok := x.(*ast.Ident); ok {
+			return isSlot(x)
+		}
+		switch info.TypeOf(x).Underlying().(type) {
+		case *types.Pointer, *types.Slice, *types.Map:
+			return false // the write lands in storage the slot only points at
+		}
+	}
 }
 
 // firstParamOf resolves a named par job's slot parameter from its signature.

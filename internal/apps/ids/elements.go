@@ -79,8 +79,6 @@ type Match struct {
 	idBase uint64
 	table  *scanTable
 	mode   matchMode
-	// Matches counts matched packets.
-	Matches uint64
 }
 
 // Class implements element.Element.
@@ -121,7 +119,6 @@ func (e *Match) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 		if ids[i] < 0 {
 			return
 		}
-		e.Matches++
 		pkt.Anno[packet.AnnoMatchResult] = uint64(ids[i]) + 1 + e.idBase
 		if e.mode == modeDrop {
 			b.SetResult(i, batch.ResultDrop)

@@ -257,9 +257,6 @@ func TestMatchACElementAlertAndDrop(t *testing.T) {
 	if evil.Anno[packet.AnnoMatchResult] == 0 {
 		t.Error("match annotation not set")
 	}
-	if e.Matches != 1 {
-		t.Errorf("Matches = %d, want 1", e.Matches)
-	}
 
 	drop := newMatch(t, "IDSMatchAC")
 	if err := drop.Configure(cc, []string{"drop"}); err != nil {
@@ -309,8 +306,7 @@ func TestElementsShareCompiledAutomata(t *testing.T) {
 
 // TestCPUAndGPUPathsAgree: the CPU and the device run the one kernel, so the
 // check that is left is that it is right: for both matchers in both modes it
-// leaves every packet with the annotation, the element with the Matches count
-// and, in drop mode, exactly the slots with ResultDrop that the references
+// leaves every packet with the annotation and, in drop mode, exactly the slots with ResultDrop that the references
 // sharing no code with it say (NaiveMatch, stdlib regexp). The batch mixes
 // sizes (so groups have ragged tails), has masked slots and ends in a partial
 // group.
@@ -378,8 +374,8 @@ func TestCPUAndGPUPathsAgree(t *testing.T) {
 					t.Errorf("%s %s payload %.20q: result %d, reference %d", c.name, mode, pl, bt.Result(i), wantRes)
 				}
 			}
-			if e.Matches != matches || matches == 0 {
-				t.Errorf("%s %s: Matches %d, reference %d", c.name, mode, e.Matches, matches)
+			if matches == 0 {
+				t.Errorf("%s %s: the reference matched no payload; the test needs some", c.name, mode)
 			}
 		}
 	}

@@ -320,9 +320,6 @@ drop  ip  any any -> any any  (msg:"exfil beacon"; content:"exfil.begin"; pcre:"
 // CPU. Parameters: none (built-in rules) or "rules=<inline rule text>".
 type IDSRuleMatch struct {
 	rs *RuleSet
-	// Alerts / Drops count matched packets per action.
-	Alerts uint64
-	Drops  uint64
 }
 
 // Class implements element.Element.
@@ -378,10 +375,7 @@ func (e *IDSRuleMatch) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 		rule := &e.rs.Rules[ri]
 		pkt.Anno[packet.AnnoMatchResult] = uint64(rule.SID)
 		if rule.Action == ActionDrop {
-			e.Drops++
 			b.SetResult(i, batch.ResultDrop)
-			return
 		}
-		e.Alerts++
 	})
 }

@@ -114,11 +114,13 @@ func (*Stage) Datablocks() []element.Datablock {
 
 // Kernel implements element.Offloadable: the stage's operation over every
 // live packet, each checked once; a frame that is not an ESP frame of this
-// SADB is dropped.
+// SADB is dropped. It writes only the frames and the SADB's scratch of
+// ctx.Scratch.
 //
 //nba:hotpath
 func (e *Stage) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 	db, mac := e.db, e.mac
+	sc := &db.scratch[ctx.Scratch]
 	for i, n := 0, b.Count(); i < n; i++ {
 		if b.IsMasked(i) {
 			continue
@@ -130,9 +132,9 @@ func (e *Stage) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 			continue
 		}
 		if mac {
-			sa.sign(pkt.Buf(), end)
+			sc.sign(sa, pkt.Buf(), end)
 		} else {
-			db.crypt(sa, pkt.Buf(), end)
+			sc.crypt(sa, pkt.Buf(), end)
 		}
 	}
 }
@@ -171,13 +173,14 @@ func (e *ESPDecap) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
 		return element.Drop // not ESP, or an SPI this gateway does not hold
 	}
 	buf := pkt.Buf()
-	if !sa.verify(buf, end) {
+	sc := &e.db.scratch[ctx.Scratch]
+	if !sc.verify(sa, buf, end) {
 		return element.Drop
 	}
 	if !e.windows[idx].Check(SeqOf(buf)) {
 		return element.Drop // replayed or stale sequence number
 	}
-	e.db.crypt(sa, buf, end)
+	sc.crypt(sa, buf, end)
 	if Decap(pkt) != nil {
 		return element.Drop
 	}

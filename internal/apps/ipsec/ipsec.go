@@ -4,12 +4,13 @@
 // crypto contexts are initialised once at startup and reused — the paper's
 // envelope-reuse trick that keeps context setup off the data path.
 //
-// What is reused: each SA's expanded AES key (cipher.Block), its keyed HMAC
-// state (Reset + Sum into the SA's own buffer) and, per SADB, the counter
-// and keystream blocks of the CTR mode, so a payload of up to ctrShortMax
-// bytes is encrypted and authenticated without allocating. Longer payloads
-// still take a fresh stdlib cipher.NewCTR stream per packet: only that type
-// reaches the 8-block AES-NI routine (see ctrShortMax).
+// What is reused: each SA's expanded AES key (cipher.Block) and its keyed
+// HMAC states (the SHA-1 state after the inner and outer key pads, saved
+// once), and, per calling context, the CTR mode's counter and keystream
+// blocks and the two SHA-1 digests an ICV runs on, so a payload of up to
+// ctrShortMax bytes is encrypted and authenticated without allocating.
+// Longer payloads still take a fresh stdlib cipher.NewCTR stream per packet:
+// only that type reaches the 8-block AES-NI routine (see ctrShortMax).
 //
 // Packets are really encrypted and really authenticated; the encrypt →
 // decrypt → verify round-trip is exercised by tests.
@@ -20,11 +21,13 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha1"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 
+	"nba/internal/element"
 	"nba/internal/packet"
 	"nba/internal/rng"
 )
@@ -41,15 +44,17 @@ const (
 	espOverhead = PayloadOff - packet.EthHdrLen + trailerLen + ICVLen
 )
 
-// SA is one security association.
+// SA is one security association. Everything but Seq is read-only after
+// NewSADB, so the event loop and the device executor share it.
 type SA struct {
 	SPI    uint32
 	AESKey [16]byte
 	MACKey [20]byte
 	Seq    uint32
 	block  cipher.Block // created once, reused (AES-NI envelope trick)
-	mac    hash.Hash    // reused via Reset; single-threaded by design
-	sum    [sha1.Size]byte
+	// ipad and opad are the SHA-1 states after absorbing MACKey XOR the
+	// HMAC inner and outer pads, marshaled: every ICV starts from them.
+	ipad, opad []byte
 }
 
 // spiBase is the SPI of SA 0; SA i has SPI spiBase+i.
@@ -71,11 +76,27 @@ type SADB struct {
 	// TunnelSrc/TunnelDst are the outer header addresses.
 	TunnelSrc, TunnelDst uint32
 
-	// ctr and ks are xorBlocks' counter and keystream blocks. They are fields
-	// because cipher.Block.Encrypt is an interface call, which would move
-	// stack arrays to the heap per packet; one pair per SADB, not per SA,
-	// because a socket's workers share one simulation thread.
-	ctr, ks [aes.BlockSize]byte
+	// scratch is one working set per calling context (element.ProcContext's
+	// Scratch): a socket's workers share one event loop, and the device
+	// executor runs kernels beside it.
+	scratch [element.ScratchSets]scratch
+}
+
+// scratch is what one calling context writes while it encrypts and signs.
+// ctr and ks are xorBlocks' counter and keystream blocks; they are fields
+// because cipher.Block.Encrypt is an interface call, which would move stack
+// arrays to the heap per packet. inner and outer are the SHA-1 digests of
+// the ICV, restarted from an SA's saved states, and sum receives it.
+type scratch struct {
+	ctr, ks      [aes.BlockSize]byte
+	inner, outer digest
+	sum          [sha1.Size]byte
+}
+
+// digest is a SHA-1 hash that can restart from a saved state.
+type digest interface {
+	hash.Hash
+	encoding.BinaryUnmarshaler
 }
 
 // NewSADB creates n SAs with deterministic keys derived from seed.
@@ -85,6 +106,11 @@ func NewSADB(n int, seed uint64) (*SADB, error) {
 	}
 	r := rng.New(seed)
 	db := &SADB{TunnelSrc: 0xC0A80001, TunnelDst: 0xC0A80002}
+	for i := range db.scratch {
+		db.scratch[i].inner = sha1.New().(digest)
+		db.scratch[i].outer = sha1.New().(digest)
+	}
+	h := db.scratch[0].inner
 	for i := 0; i < n; i++ {
 		sa := &SA{SPI: uint32(spiBase + i)}
 		for j := 0; j < 16; j += 8 {
@@ -99,10 +125,32 @@ func NewSADB(n int, seed uint64) (*SADB, error) {
 			return nil, fmt.Errorf("ipsec: creating AES context: %w", err)
 		}
 		sa.block = block
-		sa.mac = hmac.New(sha1.New, sa.MACKey[:])
+		if sa.ipad, err = padState(h, sa.MACKey[:], 0x36); err != nil {
+			return nil, err
+		}
+		if sa.opad, err = padState(h, sa.MACKey[:], 0x5c); err != nil {
+			return nil, err
+		}
 		db.SAs = append(db.SAs, sa)
 	}
 	return db, nil
+}
+
+// padState returns h's marshaled state after absorbing one block of key XOR
+// pad (RFC 2104; the key is shorter than a block, so it is zero-padded).
+func padState(h hash.Hash, key []byte, pad byte) ([]byte, error) {
+	var block [sha1.BlockSize]byte
+	copy(block[:], key)
+	for i := range block {
+		block[i] ^= pad
+	}
+	h.Reset()
+	h.Write(block[:])
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("ipsec: saving HMAC state: %w", err)
+	}
+	return state, nil
 }
 
 // Select picks the SA for a flow hash.
@@ -190,9 +238,9 @@ func Encap(pkt *packet.Packet, db *SADB) (int, error) {
 // does. Which of the two ways it takes depends only on len(data).
 //
 //nba:hotpath
-func (db *SADB) xorCTR(sa *SA, iv, data []byte) {
+func (sc *scratch) xorCTR(sa *SA, iv, data []byte) {
 	if len(data) <= ctrShortMax {
-		db.xorBlocks(sa, iv, data)
+		sc.xorBlocks(sa, iv, data)
 		return
 	}
 	//nbalint:allow hotalloc payloads over ctrShortMax: the stdlib stream's 8-block AES-NI path outruns its 512 B object
@@ -204,9 +252,9 @@ func (db *SADB) xorCTR(sa *SA, iv, data []byte) {
 // block; a tail shorter than a block uses the front of its keystream block.
 //
 //nba:hotpath
-func (db *SADB) xorBlocks(sa *SA, iv, data []byte) {
+func (sc *scratch) xorBlocks(sa *SA, iv, data []byte) {
 	hi, lo := binary.BigEndian.Uint64(iv[:8]), binary.BigEndian.Uint64(iv[8:16])
-	ctr, ks := db.ctr[:], db.ks[:]
+	ctr, ks := sc.ctr[:], sc.ks[:]
 	for len(data) > 0 {
 		binary.BigEndian.PutUint64(ctr[:8], hi)
 		binary.BigEndian.PutUint64(ctr[8:], lo)
@@ -229,26 +277,44 @@ func (db *SADB) xorBlocks(sa *SA, iv, data []byte) {
 // crypt applies AES-128-CTR over the payload region of the frame buf[:end].
 //
 //nba:hotpath
-func (db *SADB) crypt(sa *SA, buf []byte, end int) {
-	db.xorCTR(sa, buf[IVOff:PayloadOff], buf[PayloadOff:end-ICVLen])
+func (sc *scratch) crypt(sa *SA, buf []byte, end int) {
+	sc.xorCTR(sa, buf[IVOff:PayloadOff], buf[PayloadOff:end-ICVLen])
 }
 
 // sign writes the ICV of the frame buf[:end] to its trailer.
 //
 //nba:hotpath
-func (sa *SA) sign(buf []byte, end int) {
-	copy(buf[end-ICVLen:end], sa.icv(buf[ESPOff:end-ICVLen]))
+func (sc *scratch) sign(sa *SA, buf []byte, end int) {
+	copy(buf[end-ICVLen:end], sc.icv(sa, buf[ESPOff:end-ICVLen]))
 }
 
 // icv computes the HMAC-SHA1-96 ICV over msg (ESP header + IV + ciphertext)
-// into the SA's own sum buffer (Sum appends, so no per-packet slice).
+// into the scratch's sum buffer (Sum appends, so no per-packet slice):
+// SHA-1 over the outer pad and the SHA-1 of the inner pad and msg, each
+// digest restarted from sa's saved pad state.
 //
 //nba:hotpath
-func (sa *SA) icv(msg []byte) []byte {
-	sa.mac.Reset()
-	sa.mac.Write(msg)
-	return sa.mac.Sum(sa.sum[:0])[:ICVLen]
+func (sc *scratch) icv(sa *SA, msg []byte) []byte {
+	if err := sc.inner.UnmarshalBinary(sa.ipad); err != nil {
+		panic(err)
+	}
+	sc.inner.Write(msg)
+	in := sc.inner.Sum(sc.sum[:0])
+	if err := sc.outer.UnmarshalBinary(sa.opad); err != nil {
+		panic(err)
+	}
+	sc.outer.Write(in)
+	return sc.outer.Sum(sc.sum[:0])[:ICVLen]
 }
+
+// verify reports whether the ICV in the frame buf[:end]'s trailer is sa's.
+func (sc *scratch) verify(sa *SA, buf []byte, end int) bool {
+	return hmac.Equal(sc.icv(sa, buf[ESPOff:end-ICVLen]), buf[end-ICVLen:end])
+}
+
+// loop is the event loop's scratch, which the per-packet functions below
+// use.
+func (db *SADB) loop() *scratch { return &db.scratch[element.ScratchLoop] }
 
 // Encrypt applies AES-128-CTR over the payload region in place.
 //
@@ -258,7 +324,7 @@ func Encrypt(pkt *packet.Packet, db *SADB) error {
 	if err != nil {
 		return err
 	}
-	db.crypt(sa, pkt.Buf(), end)
+	db.loop().crypt(sa, pkt.Buf(), end)
 	return nil
 }
 
@@ -270,7 +336,7 @@ func Authenticate(pkt *packet.Packet, db *SADB) error {
 	if err != nil {
 		return err
 	}
-	sa.sign(pkt.Buf(), end)
+	db.loop().sign(sa, pkt.Buf(), end)
 	return nil
 }
 
@@ -281,11 +347,7 @@ func Verify(pkt *packet.Packet, db *SADB) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return sa.verify(pkt.Buf(), end), nil
-}
-
-func (sa *SA) verify(buf []byte, end int) bool {
-	return hmac.Equal(sa.icv(buf[ESPOff:end-ICVLen]), buf[end-ICVLen:end])
+	return db.loop().verify(sa, pkt.Buf(), end), nil
 }
 
 // Decrypt removes the AES-128-CTR encryption of a received frame in place
@@ -295,7 +357,7 @@ func Decrypt(pkt *packet.Packet, db *SADB) error {
 	if err != nil {
 		return err
 	}
-	db.crypt(sa, pkt.Buf(), end)
+	db.loop().crypt(sa, pkt.Buf(), end)
 	return nil
 }
 

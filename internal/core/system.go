@@ -15,6 +15,7 @@ import (
 	"nba/internal/lb"
 	"nba/internal/netio"
 	"nba/internal/overload"
+	"nba/internal/par"
 	"nba/internal/reconfig"
 	"nba/internal/rng"
 	"nba/internal/simtime"
@@ -36,8 +37,12 @@ type System struct {
 	tenants   []Tenant
 	shareFrac []float64 // tenant Share normalised to fractions
 
-	ports      []*netio.Port
-	devices    []*gpu.Device          // parallel to cfg.Topology.Devices
+	ports   []*netio.Port
+	devices []*gpu.Device // parallel to cfg.Topology.Devices
+	// exec is the device executor: the devices' host core, which runs the
+	// kernels of every accepted device task from submit until the worker
+	// joins the task (DESIGN.md §13).
+	exec       par.Executor
 	workers    []*worker              // socket-major
 	nodeLocals [][]*element.NodeLocal // [socket][tenant]: isolates shared element state per tenant
 	// controllers / governors are per (socket, tenant): each tenant gets
@@ -485,6 +490,10 @@ func (s *System) Run() (*Report, error) {
 	}
 
 	s.eng.Run()
+	// After a watchdog stop, tasks never joined may still be queued: their
+	// kernels write pool packets, so they finish before the report and
+	// before the zone can pass to another System.
+	s.exec.Close()
 
 	r := s.report()
 	s.zone.release(s.workers)

@@ -36,9 +36,15 @@ type inflightTask struct {
 	// shadow is the sentinel's pre-execution copy of the aggregate, non-nil
 	// only when the integrity subsystem sampled this task for re-execution.
 	shadow *integrity.Shadow
-	// executed records that the device ran the aggregate's kernels, so
-	// a CPU fallback never re-runs it (re-encrypting IPsec packets would
-	// corrupt them).
+	// seq is the task's handle on the System's device executor, which runs
+	// the chain's kernels over the aggregate from submit on; 0 for an
+	// aggregate never handed to it (a synthetic epoch-rescue task).
+	seq uint64
+	// executed records that the device reached the task's kernel completion
+	// in virtual time. The executor computed the results of every submitted
+	// task whatever the device did, and a rescue never runs them again
+	// (re-encrypting IPsec packets would corrupt them): executed decides
+	// only whether the rescue charges the chain's CPU cycles.
 	executed bool
 	// done records that the aggregate was resumed (normally or via
 	// fallback); late completions of a rescued task must not touch the
@@ -63,6 +69,10 @@ type lane struct {
 	tenant int32
 	g      *graph.Graph
 	pctx   element.ProcContext
+	// kctx is the context the device executor runs the lane's kernels with:
+	// pctx at construction, on the device's scratch and without the lane's
+	// RNG. Nothing writes it afterwards.
+	kctx element.ProcContext
 
 	// active is cleared at evict commit: the lane stops being polled,
 	// flushed or counted toward retirement, but stays in place (tenant
@@ -229,6 +239,9 @@ func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 	if s.cfg.ForceRemoteMemory {
 		ln.pctx.CostScale *= s.cfg.CostModel.NUMAPenalty
 	}
+	ln.kctx = ln.pctx
+	ln.kctx.Rand = nil
+	ln.kctx.Scratch = element.ScratchDevice
 	// Tenant-major queue carve: tenant t's queue for this worker is
 	// index t*WorkersPerSocket+local on every local port.
 	for _, pid := range w.localPorts {
@@ -450,7 +463,7 @@ func (w *worker) flush(p *offload.Pending) {
 		// the CPU (the hitless path), not dropped — unplug is a planned
 		// reconfiguration, not a misconfiguration. The device never saw the
 		// task, so only the rescue is charged.
-		w.rescueOnCPU(ln, p, 0, rescueUnplugged, 0, false)
+		w.rescueOnCPU(ln, p, 0, rescueUnplugged, 0, false, false)
 		return
 	}
 	if err != nil {
@@ -474,32 +487,31 @@ func (w *worker) flush(p *offload.Pending) {
 	}
 	it := &inflightTask{ln: ln, pending: p, task: task, dev: dev}
 	task.Execute = func() {
-		// Device-side functional computation (timed by the kernel model).
-		// Guarded so a hung task rescheduled after recovery cannot run it a
-		// second time, and a timeout-rescued task cannot touch the recycled
-		// batches.
+		// The device reached kernel completion: the results the executor
+		// computed are now the device's. Guarded so a hung task rescheduled
+		// after recovery is not counted twice, and a rescued task's recycled
+		// batches are never touched.
 		if it.done || it.executed {
 			return
 		}
 		it.executed = true
-		for _, node := range p.Chain {
-			for _, b := range p.Batches {
-				node.Offloadable().Kernel(&it.ln.pctx, b)
-			}
-		}
-		if dev.Corrupting() && dev.CorruptCoin() {
+		if dev.Corrupting() {
 			// Silent data corruption (DeviceCorrupt fault window): flip one
-			// byte per live frame using the event's seeded pattern stream.
-			// The device reports success and the results stay plausible —
-			// only sentinel re-execution (or the chaos leak oracle) can tell.
-			for _, b := range p.Batches {
-				b.ForEachLive(func(i int, pkt *packet.Packet) {
-					if n := pkt.Length(); n > 0 {
-						off, pat := dev.CorruptByte(n)
-						pkt.Data()[off] ^= pat
-						pkt.Tainted = true
-					}
-				})
+			// byte per live frame using the event's seeded pattern stream,
+			// over the executor's finished results. The device reports
+			// success and the results stay plausible — only sentinel
+			// re-execution (or the chaos leak oracle) can tell.
+			w.sys.exec.Join(it.seq)
+			if dev.CorruptCoin() {
+				for _, b := range p.Batches {
+					b.ForEachLive(func(i int, pkt *packet.Packet) {
+						if n := pkt.Length(); n > 0 {
+							off, pat := dev.CorruptByte(n)
+							pkt.Data()[off] ^= pat
+							pkt.Tainted = true
+						}
+					})
+				}
 			}
 		}
 	}
@@ -529,7 +541,7 @@ func (w *worker) flush(p *offload.Pending) {
 				w.dropBatch(b, &ln.ctr.ShedPackets)
 			}
 		} else {
-			w.rescueOnCPU(ln, p, 0, rescueRejected, int64(lvl), false)
+			w.rescueOnCPU(ln, p, 0, rescueRejected, int64(lvl), false, false)
 		}
 		return
 	}
@@ -543,6 +555,22 @@ func (w *worker) flush(p *offload.Pending) {
 		// submissions never reach the device, so there is nothing to
 		// cross-check) and snapshots the aggregate's pre-execution state.
 		it.shadow = w.sentinel.Snapshot(p.Batches)
+	}
+	// The device's functional work starts now, on the executor: the
+	// snapshot above was the last event-loop read of the aggregate before
+	// the task is joined.
+	it.seq = w.sys.exec.Submit(it)
+}
+
+// RunJob implements par.Job: the chain's kernels over the aggregate, on the
+// System's device executor. It writes only the aggregate's batches and the
+// kernels' device scratch (element.Offloadable's contract), which nothing on
+// the event loop reads before it joins the task.
+func (it *inflightTask) RunJob() {
+	for _, node := range it.pending.Chain {
+		for _, b := range it.pending.Batches {
+			node.Offloadable().Kernel(&it.ln.kctx, b)
+		}
 	}
 }
 
@@ -648,6 +676,9 @@ func (w *worker) handleCompletion(c completion) {
 	if it.done {
 		return // duplicate: the task was already resumed via another path
 	}
+	// Verify, quarantine, rescue and resume all read the aggregate: wait for
+	// the executor's results first.
+	w.sys.exec.Join(it.seq)
 	it.done = true
 	it.timer.Cancel()
 	p := it.pending
@@ -669,9 +700,8 @@ func (w *worker) handleCompletion(c completion) {
 		sh := it.shadow
 		it.shadow = nil
 		if !it.executed {
-			// The device never ran the computation (failed/hung rescue):
-			// there is nothing to cross-check, and the CPU fallback below
-			// recomputes from scratch anyway.
+			// The device never reached kernel completion (failed/hung
+			// rescue): it delivered no result to cross-check.
 			w.sentinel.Release(sh)
 		} else if !w.verifyAggregate(it, sh) {
 			w.quarantineAggregate(it)
@@ -681,10 +711,10 @@ func (w *worker) handleCompletion(c completion) {
 	switch {
 	case c.timedOut:
 		it.ln.ctr.TimedOutTasks++
-		w.rescueOnCPU(it.ln, p, it.task.ID, rescueTimedOut, 0, it.executed)
+		w.rescueOnCPU(it.ln, p, it.task.ID, rescueTimedOut, 0, it.seq != 0, it.executed)
 	case it.task.Failed:
 		it.ln.ctr.FailedTasks++
-		w.rescueOnCPU(it.ln, p, it.task.ID, rescueFailed, 0, it.executed)
+		w.rescueOnCPU(it.ln, p, it.task.ID, rescueFailed, 0, it.seq != 0, it.executed)
 	default:
 		w.resumeAggregate(p)
 	}
@@ -762,33 +792,40 @@ const (
 
 // rescueOnCPU is the one CPU-rescue path: count the rescue, emit the
 // fallback event (taskID 0 when the device never saw a task; detail carries
-// the governor level for rejections), run the chain's kernels on the CPU,
-// and resume the aggregate in its lane's pipeline.
-// If the device already ran the computation (it failed after the kernel, or a
-// hung task's kernel had finished) the results are valid — executed skips
-// the re-run, which for IPsec would corrupt the packets — and only the rescue
-// is counted.
-func (w *worker) rescueOnCPU(ln *lane, p *offload.Pending, taskID uint64, reason, detail int64, executed bool) {
+// the governor level for rejections), charge the chain on the CPU, and
+// resume the aggregate in its lane's pipeline.
+// The kernels run here only for an aggregate the device executor never got
+// (submitted false: admission refusal, no plugged device, an epoch's
+// synthetic task); a submitted task's results are already computed and
+// running them again would, for IPsec, corrupt the packets. If the device
+// reached kernel completion (executed: it failed after the kernel, or a
+// hung task's kernel had finished) the CPU is not charged either, and only
+// the rescue is counted.
+func (w *worker) rescueOnCPU(ln *lane, p *offload.Pending, taskID uint64, reason, detail int64, submitted, executed bool) {
 	w.cur = ln
 	ln.ctr.FallbackPackets += uint64(p.NPkts)
 	w.sys.cfg.Tracer.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
 		int64(taskID), int64(p.NPkts), reason, detail)
 	if !executed {
-		w.execChainOnCPU(p)
+		w.execChainOnCPU(p, !submitted)
 	}
 	w.resumeAggregate(p)
 }
 
-// execChainOnCPU runs an aggregate's kernels on the CPU, charged at the
-// honest CPU per-packet element cost.
+// execChainOnCPU charges an aggregate's chain at the honest CPU per-packet
+// element cost and, with run, also runs its kernels there.
 //
 //nba:hotpath
-func (w *worker) execChainOnCPU(p *offload.Pending) {
+func (w *worker) execChainOnCPU(p *offload.Pending, run bool) {
 	pctx := &w.cur.pctx
 	for _, node := range p.Chain {
 		var cycles simtime.Cycles
 		for _, b := range p.Batches {
-			cycles += node.RunOnCPU(pctx, b)
+			if run {
+				cycles += node.RunOnCPU(pctx, b)
+			} else {
+				cycles += node.CPUCost(b)
+			}
 		}
 		w.cycles += pctx.Scaled(cycles)
 	}

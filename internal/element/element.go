@@ -115,7 +115,20 @@ type ProcContext struct {
 	// model memory-bandwidth contention and NUMA penalties. Zero is treated
 	// as 1.
 	CostScale float64
+	// Scratch selects which of an element's per-context scratch sets a call
+	// may use: ScratchLoop on the event loop, ScratchDevice in the context a
+	// System's device executor runs kernels with, on another core, beside
+	// event-loop calls to the same element.
+	Scratch int
 }
+
+// The scratch-set indices of ProcContext.Scratch; an element that keeps
+// scratch state keeps ScratchSets of it.
+const (
+	ScratchLoop = iota
+	ScratchDevice
+	ScratchSets
+)
 
 // Scaled applies the worker's current cost scale (memory contention, NUMA
 // penalty) to a cycle count.
@@ -200,6 +213,13 @@ type Offloadable interface {
 	// Kernel performs the element's computation for every live packet of the
 	// batch, marking a packet for release with b.SetResult(i, Drop) and
 	// leaving every other result as it found it.
+	//
+	// A kernel may run on a System's device executor at the same time as
+	// event-loop calls to the same element: the CPU path, a rescue, the
+	// integrity sentinel's re-execution. It therefore writes only its
+	// batch's packet bytes, annotations and results, plus scratch it keeps
+	// per ctx.Scratch; it never changes a packet's length or the batch's
+	// mask, and draws nothing from ctx.Rand (nil on the executor).
 	Kernel(ctx *ProcContext, b *batch.Batch)
 }
 

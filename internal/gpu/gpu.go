@@ -17,9 +17,10 @@
 // that becomes ready early (the next task's H2D) can slot into idle time
 // left before an already-reserved later transfer (an earlier task's D2H).
 // Throughput is set by the slowest stage; latency is the sum of stage times
-// plus queueing. "Kernels" also carry a functional closure that really
-// executes the element's device-side computation on the host, so offloaded
-// packets are still actually processed.
+// plus queueing. The device only times tasks: the element's device-side
+// computation really runs on the host, on the submitting System's device
+// executor (core), from submit on. A task's Execute callback marks the
+// moment that computation counts as done in virtual time.
 //
 // The device also has a health state driven by internal/fault: Fail voids
 // every reservation and completes tasks immediately with Task.Failed set
@@ -52,9 +53,9 @@ type Task struct {
 	// device's LaunchExtra).
 	Kernels int
 
-	// Execute performs the functional device-side computation. It runs at
-	// kernel completion time. It may run more than once for a task that is
-	// hung and rescheduled, so it must be idempotent.
+	// Execute is called at kernel completion time: the device has done the
+	// task's computation in virtual time. It may be called more than once
+	// for a task that is hung and rescheduled, so it must be idempotent.
 	Execute func()
 	// Complete is invoked when the task fully finishes (after D2H), or
 	// immediately with Failed set when the device fails.
@@ -142,7 +143,7 @@ type Device struct {
 	// Silent-corruption state (DeviceCorrupt/CorruptRecover faults). While
 	// corrupting, each completing aggregate is — with probability
 	// corruptProb, drawn from the per-event corruptRng stream — corrupted
-	// by the worker's Execute closure: flipPattern is XORed into one byte
+	// by the worker's Execute callback: flipPattern is XORed into one byte
 	// of every live packet at an offset drawn from the same stream.
 	corrupting  bool
 	corruptProb float64
@@ -361,8 +362,8 @@ func (d *Device) forget(it *inflight) {
 	}
 }
 
-// failTask completes a task immediately as failed. Execute is not run; the
-// submitting worker re-executes the aggregate on the CPU.
+// failTask completes a task immediately as failed. Execute is not called;
+// the submitting worker rescues the aggregate on the CPU.
 func (d *Device) failTask(t *Task) {
 	t.Failed = true
 	t.Finish = d.eng.Now()

@@ -81,11 +81,22 @@ func (n *Node) Offloadable() element.Offloadable { return n.offloadable }
 //
 //nba:hotpath
 func (n *Node) RunOnCPU(pctx *element.ProcContext, b *batch.Batch) simtime.Cycles {
+	cycles := n.CPUCost(b)
+	n.offloadable.Kernel(pctx, b)
+	return cycles
+}
+
+// CPUCost is what RunOnCPU charges for b without running the kernel: the
+// rescue of an aggregate whose kernels the device executor already ran. A
+// kernel changes no length and no mask, so the cost is the same before and
+// after it runs.
+//
+//nba:hotpath
+func (n *Node) CPUCost(b *batch.Batch) simtime.Cycles {
 	var cycles simtime.Cycles
 	b.ForEachLive(func(i int, pkt *packet.Packet) {
 		cycles += n.cost.Cycles(pkt.Length())
 	})
-	n.offloadable.Kernel(pctx, b)
 	return cycles
 }
 

@@ -20,10 +20,20 @@
 // completion callbacks: all of those reintroduce observable completion
 // order, which is exactly what a deterministic sweep must not depend on.
 //
+// The device executor (Executor) is the one handle that looks like a
+// future, and it keeps completion order unobservable the same way: a job is
+// joined, not awaited. The single submitting goroutine calls Join at a fixed
+// point of its own program — before it first reads anything the job wrote —
+// and Join returns the same results whether the job finished long before or
+// only while Join waited. Nothing ever asks which job finished first, and a
+// job writes only its own state, so the output is what running each job
+// inline at its join point would give.
+//
 // par is a simulation package for nbalint purposes: the goroutines below are
 // the single, audited exception to the no-goroutines rule, and the
 // sharedstate rule understands par jobs (writes from a job that are not
-// slot-indexed and escape the job are findings).
+// slot-indexed and escape the job are findings) and executor jobs (writes
+// outside the job's receiver are findings).
 package par
 
 import (

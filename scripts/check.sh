@@ -54,9 +54,9 @@
 #                         exit 0: they are the nba facade's only end-to-end
 #                         users
 #
-# The race run doubles as the regression tripwire for future parallel-worker
-# PRs: the engine is single-threaded by design, so any data race is new code
-# breaking the simulation contract.
+# The race run doubles as the regression tripwire for the simulation contract:
+# the engine is single-threaded by design and the device executor's kernels
+# share nothing they write with it, so any data race is new code breaking it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
