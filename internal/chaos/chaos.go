@@ -45,11 +45,12 @@ const (
 	caseWorkers  = 2
 	casePorts    = 2
 	// caseDrainGrace must cover the slowest legitimate drain, not just the
-	// rescue TaskTimeout (default 5 ms): an unrecovered hang makes every
-	// offload batch during drain pay the full rescue timeout before its CPU
-	// fallback, so draining full NIC rings of the most expensive app (IDS)
-	// can take over 100 virtual ms. Clean runs never pay this — the watchdog
-	// firing on a drained run is a free virtual-time jump.
+	// stall limit TaskTimeout (default 5 ms): an unrecovered hang makes every
+	// offload batch during drain wait out the stall limit before the
+	// device's queue fails back to the CPU, so draining full NIC rings of
+	// the most expensive app (IDS) can take over 100 virtual ms. Clean runs
+	// never pay this — the drain watchdog firing on a drained run is a free
+	// virtual-time jump.
 	caseDrainGrace = 200 * simtime.Millisecond
 )
 
@@ -61,7 +62,7 @@ func CaseHorizon() simtime.Time { return caseWarmup + caseDuration }
 // Case is one chaos run: an application (or a co-resident tenant mix), a
 // seed (driving the run's own randomness) and a fault plan. The zero
 // TaskTimeout selects the framework default; a negative value disables the
-// rescue timeout (used by tests to seed a genuine stuck-drain bug).
+// stall watchdog (used by tests to seed a genuine stuck-drain bug).
 type Case struct {
 	App  string
 	Seed uint64

@@ -20,7 +20,7 @@ type reproFile struct {
 	Tenants []string `json:"tenants,omitempty"`
 	// Seed drives the run's own randomness (LB coin flips, generator).
 	Seed uint64 `json:"seed"`
-	// TaskTimeoutPs overrides the rescue timeout; omitted = framework
+	// TaskTimeoutPs overrides the device stall limit; omitted = framework
 	// default, negative = disabled.
 	TaskTimeoutPs int64         `json:"task_timeout_ps,omitempty"`
 	Events        []fault.Event `json:"events"`

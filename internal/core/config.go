@@ -97,9 +97,8 @@ type Config struct {
 	// Seed drives all run randomness (LB coin flips, etc.).
 	Seed uint64
 
-	// PacketPoolPerWorker / BatchPoolPerWorker size the mempools.
+	// PacketPoolPerWorker sizes each worker's packet mempool.
 	PacketPoolPerWorker int
-	BatchPoolPerWorker  int
 
 	// MaxInflightTasks bounds outstanding device tasks per worker; beyond
 	// it the worker stops polling RX (backpressure → NIC drops), like a
@@ -185,10 +184,13 @@ type Config struct {
 	// unchanged.
 	Integrity *integrity.Config
 
-	// TaskTimeout is the worker-side completion timeout for offloaded
-	// tasks: a task not completed within it is re-executed on the CPU (the
-	// rescue path for hung devices). 0 selects the default (5 ms, far above
-	// any healthy completion latency); negative disables the timeout.
+	// TaskTimeout is the device stall limit: a device holding queued tasks
+	// that has finished none for this long is declared hung, and its whole
+	// queue fails back to the workers, which rescue the aggregates on the
+	// CPU. It measures the device's lack of progress, not a task's age, so a
+	// long queue on a healthy device never trips it. 0 selects the default
+	// (5 ms, far above any healthy task's service time); negative disables
+	// the watchdog.
 	TaskTimeout simtime.Time
 
 	// ForceRemoteMemory emulates placing packet buffers on the remote
@@ -233,7 +235,6 @@ func (c Config) withDefaults() (Config, error) {
 		{"Warmup", int64(c.Warmup)},
 		{"Duration", int64(c.Duration)},
 		{"PacketPoolPerWorker", int64(c.PacketPoolPerWorker)},
-		{"BatchPoolPerWorker", int64(c.BatchPoolPerWorker)},
 		{"MaxInflightTasks", int64(c.MaxInflightTasks)},
 		{"CaptureTx", int64(c.CaptureTx)},
 	} {
@@ -339,9 +340,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PacketPoolPerWorker == 0 {
 		c.PacketPoolPerWorker = 12288
-	}
-	if c.BatchPoolPerWorker == 0 {
-		c.BatchPoolPerWorker = 512
 	}
 	if c.MaxInflightTasks == 0 {
 		c.MaxInflightTasks = 2

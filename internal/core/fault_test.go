@@ -44,10 +44,11 @@ func TestGPUOutageFallsBackToCPU(t *testing.T) {
 }
 
 func TestDeviceHangTimeoutRescue(t *testing.T) {
-	// A hang (no completions, no failures) wedges in-flight tasks until the
-	// worker-side completion timeout rescues them on the CPU. The device
-	// recovers before the end so the run drains cleanly; rescued tasks'
-	// eventual device completions must be deduplicated, not double-freed.
+	// A hang (no completions, no failures) wedges the queued tasks until the
+	// stall watchdog sees no finish for the 1 ms limit and hands the queue
+	// back as failed tasks, which are rescued on the CPU. The device recovers
+	// before the end so the run drains cleanly; a rescued task must never
+	// reach the device again, so Recover finds nothing of it to reschedule.
 	cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "fixed=0.8"), 2e9, 64)
 	cfg.Duration = 12 * simtime.Millisecond
 	cfg.TaskTimeout = 1 * simtime.Millisecond
@@ -55,10 +56,15 @@ func TestDeviceHangTimeoutRescue(t *testing.T) {
 		{At: 4 * simtime.Millisecond, Kind: fault.DeviceHang, Device: 0},
 		{At: 8 * simtime.Millisecond, Kind: fault.DeviceRecover, Device: 0},
 	}}
+	cfg.Tracer = trace.New(trace.Options{Capacity: 1 << 16,
+		Mask: trace.MaskOf(trace.KindGPUSubmit, trace.KindFallback)})
 	r := run(t, cfg)
 
-	if r.TimedOutTasks == 0 {
-		t.Error("no timed-out tasks despite a 4 ms hang with a 1 ms timeout")
+	if r.FailedTasks == 0 {
+		t.Error("no failed tasks despite a 4 ms hang with a 1 ms stall limit")
+	}
+	if r.TimedOutTasks != 0 {
+		t.Errorf("%d tasks timed out; only an epoch force-rescue times tasks out", r.TimedOutTasks)
 	}
 	if r.FallbackPackets == 0 {
 		t.Error("no packets rescued onto the CPU")
@@ -68,6 +74,22 @@ func TestDeviceHangTimeoutRescue(t *testing.T) {
 	}
 	if r.TxGbps < 2.0 {
 		t.Errorf("TxGbps = %.2f, want over half of offered 4.0 despite the hang", r.TxGbps)
+	}
+	if cfg.Tracer.Dropped() != 0 {
+		t.Fatalf("trace ring overflowed (%d events dropped)", cfg.Tracer.Dropped())
+	}
+	// The device is the topology's only one, so task IDs are unique.
+	rescued := map[int64]bool{}
+	for _, ev := range cfg.Tracer.Events() {
+		switch {
+		case ev.Kind == trace.KindFallback && ev.A != 0:
+			rescued[ev.A] = true
+		case ev.Kind == trace.KindGPUSubmit && rescued[ev.A]:
+			t.Errorf("task %d reached the device again at %v after its CPU rescue", ev.A, ev.At)
+		}
+	}
+	if len(rescued) == 0 {
+		t.Error("trace holds no rescued device task")
 	}
 }
 

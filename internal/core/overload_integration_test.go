@@ -39,15 +39,19 @@ func tightOverload() *overload.Config {
 }
 
 func TestOverloadBoundsDeviceQueueDuringHang(t *testing.T) {
-	// A hung device stops completing tasks, but worker-side rescue frees the
-	// inflight slots every TaskTimeout, so without admission control the hung
-	// device's pending queue grows for as long as the hang lasts. With the
-	// bounded task queue armed, submissions beyond the depth are refused
-	// (and rescued or shed) and the queue high-watermark respects the bound.
+	// A hung device stops completing tasks. With the bounded task queue
+	// armed, submissions beyond the depth are refused (and rescued or shed)
+	// and the queue high-watermark respects the bound. Without it, the stall
+	// watchdog is what bounds the queue: it hands every parked task back, so
+	// nothing a worker has given up on stays queued, and the queue never
+	// holds more than the workers' outstanding tasks.
+	const workers, maxInflight = 3, 2
 	mk := func() Config {
 		cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "fixed=0.8"), 2e9, 64)
 		cfg.Duration = 12 * simtime.Millisecond
 		cfg.TaskTimeout = 500 * simtime.Microsecond
+		cfg.WorkersPerSocket = workers
+		cfg.MaxInflightTasks = maxInflight
 		cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
 			{At: 3 * simtime.Millisecond, Kind: fault.DeviceHang, Device: 0},
 			{At: 9 * simtime.Millisecond, Kind: fault.DeviceRecover, Device: 0},
@@ -55,7 +59,9 @@ func TestOverloadBoundsDeviceQueueDuringHang(t *testing.T) {
 		return cfg
 	}
 
-	const depth = 8
+	// The fault-free run's queue peaks at this depth, so only the hang
+	// fills it.
+	const depth = 3
 	bounded := mk()
 	bounded.Overload = &overload.Config{DeviceQueueDepth: depth}
 	rb := run(t, bounded)
@@ -71,12 +77,18 @@ func TestOverloadBoundsDeviceQueueDuringHang(t *testing.T) {
 
 	unbounded := mk()
 	ru := run(t, unbounded)
-	if ru.DeviceQueueHWM <= depth {
-		t.Errorf("unbounded run's device queue HWM %d never exceeded %d: hang regression not exercised",
-			ru.DeviceQueueHWM, depth)
+	if ru.FailedTasks == 0 {
+		t.Error("unbounded run failed no tasks: the hang was never detected")
+	}
+	if ru.DeviceQueueHWM > workers*maxInflight {
+		t.Errorf("unbounded run's device queue HWM %d exceeds the workers' %d outstanding tasks",
+			ru.DeviceQueueHWM, workers*maxInflight)
 	}
 	if ru.RejectedTasks != 0 {
 		t.Errorf("unbounded run refused %d submissions", ru.RejectedTasks)
+	}
+	if ru.PoolOutstanding != 0 {
+		t.Errorf("unbounded run leaked %d packets", ru.PoolOutstanding)
 	}
 }
 

@@ -115,7 +115,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, eng: simtime.NewEngine()}
-	s.zone = takeZone(cfg.Topology.Sockets*cfg.WorkersPerSocket, cfg.PacketPoolPerWorker, cfg.BatchPoolPerWorker)
+	s.zone = takeZone(cfg.Topology.Sockets*cfg.WorkersPerSocket, cfg.PacketPoolPerWorker)
 	// Sized up front (for the capture depths in use) so the capture buffer's
 	// growth is not per-run garbage.
 	s.captured = make([]netio.CapturedPacket, 0, min(cfg.CaptureTx, 1024))
@@ -469,7 +469,7 @@ func (s *System) Run() (*Report, error) {
 
 	// Drain watchdog: after arrivals stop, the run should drain within the
 	// grace window. A worker that can never retire (a hung device with the
-	// rescue timeout disabled, say) would otherwise idle-poll forever and
+	// stall watchdog disabled, say) would otherwise idle-poll forever and
 	// Run would never return. Armed only when a checker is attached or a
 	// grace is set explicitly, so untracked runs keep their exact event
 	// timeline (and their golden trace digests).
@@ -690,7 +690,7 @@ func (s *System) epochDrained(now simtime.Time) bool {
 
 // forceRescue evacuates the epoch's remaining in-flight work at the grace
 // deadline: evict epochs route every outstanding task and pending aggregate
-// of the tenant's lanes through the completion-timeout path; unplug epochs
+// of the tenant's lanes through the timed-out rescue path; unplug epochs
 // abort the device's queue so its tasks fail back to their workers. Either
 // way the work drains through the existing CPU-fallback path with its normal
 // accounting — nothing is silently dropped.

@@ -22,14 +22,13 @@ import (
 )
 
 // inflightTask tracks one submitted device task on the worker side, so the
-// completion path, the completion-timeout path and a device-failure path
-// can race without double-processing: whichever fires first sets done, the
-// rest become no-ops.
+// device's completion (normal or failed) and an epoch force-rescue can race
+// without double-processing: whichever fires first sets done, the other
+// becomes a no-op.
 type inflightTask struct {
 	ln      *lane // the tenant lane the aggregate belongs to
 	pending *offload.Pending
 	task    *gpu.Task
-	timer   simtime.Timer // completion timeout, zero when disabled
 	// dev is the device the task was submitted to (nil for synthetic
 	// epoch-rescue tasks, which are never sampled).
 	dev *gpu.Device
@@ -52,7 +51,7 @@ type inflightTask struct {
 	done bool
 }
 
-// completion carries a finished (or timed-out) device task back to its
+// completion carries a finished (or force-rescued) device task back to its
 // worker's IO loop, where it is processed inside iterate's cycle
 // accounting.
 type completion struct {
@@ -137,7 +136,7 @@ type worker struct {
 	lanes []*lane
 	// tasks tracks the outstanding submitted device tasks (bounded by
 	// MaxInflightTasks), so an epoch force-rescue can route them through the
-	// completion-timeout path without waiting for the device.
+	// rescue path without waiting for the device.
 	tasks []*inflightTask
 	// cur is the lane whose graph is executing; the Env callbacks attribute
 	// transmissions, drops and offloads to it. Set before any pipeline entry
@@ -263,15 +262,25 @@ func (w *worker) now() simtime.Time {
 	return w.iterStart + simtime.CyclesToTime(w.cycles, w.sys.cfg.Topology.CoreFreqHz)
 }
 
-// iterate is one run-to-completion IO loop pass: drain offload completions,
-// poll each lane's RX queues in share-weighted order, run batches through
-// that lane's pipeline, flush aged offload aggregates, then reschedule after
-// the consumed virtual time.
+// iterate is one run-to-completion IO loop pass: evacuate stalled local
+// devices, drain offload completions, poll each lane's RX queues in
+// share-weighted order, run batches through that lane's pipeline, flush aged
+// offload aggregates, then reschedule after the consumed virtual time.
 //
 //nba:hotpath
 func (w *worker) iterate() {
 	if w.stopped {
 		return
+	}
+	if limit := w.sys.cfg.TaskTimeout; limit > 0 {
+		// The hang watchdog: a local device with queued work and no finish
+		// for the limit hands its whole queue back as failed tasks, which
+		// the submitting workers rescue on the CPU.
+		for _, di := range w.localDevs {
+			if d := w.sys.devices[di]; d.Stalled(limit) {
+				d.AbortAll()
+			}
+		}
 	}
 	cm := w.sys.cfg.CostModel
 	w.iterStart = w.sys.eng.Now()
@@ -518,16 +527,10 @@ func (w *worker) flush(p *offload.Pending) {
 	task.Complete = func(finish simtime.Time, t *gpu.Task) {
 		w.pushCompletion(it, false)
 	}
-	if tt := w.sys.cfg.TaskTimeout; tt > 0 {
-		// The timeout only enqueues a rescue completion: the fallback runs
-		// inside the next iterate, where cycle accounting lives.
-		it.timer = w.sys.eng.After(tt, func() { w.pushCompletion(it, true) })
-	}
 	if !dev.Submit(task) {
 		// Admission control refused the task (bounded queue full). Undo the
 		// submission accounting; below LevelShed the aggregate is rescued on
 		// the CPU right here, at LevelShed it is dropped and counted as shed.
-		it.timer.Cancel()
 		it.done = true
 		w.inflight--
 		w.inflightPkts -= p.NPkts
@@ -574,7 +577,7 @@ func (it *inflightTask) RunJob() {
 	}
 }
 
-// pushCompletion hands a finished (or, with timedOut, a to-be-rescued) task
+// pushCompletion hands a finished (or, with timedOut, a force-rescued) task
 // to the worker's IO loop; the postprocessing runs inside the next iterate,
 // where cycle accounting lives. A task already resumed through another path
 // is left alone.
@@ -588,7 +591,7 @@ func (w *worker) pushCompletion(it *inflightTask, timedOut bool) {
 }
 
 // rescueLane force-drains one lane at the epoch grace deadline: every
-// outstanding submitted task is routed through the completion-timeout path,
+// outstanding submitted task is routed through the timed-out rescue path,
 // and every pending (unsubmitted) aggregate is wrapped in a synthetic task
 // and routed the same way, so the whole rescue flows through the one
 // CPU-fallback path with its normal accounting. Returns the number of tasks
@@ -607,7 +610,7 @@ func (w *worker) rescueLane(ln *lane) int {
 		rescued++
 		// Synthetic in-flight accounting so handleCompletion's decrements
 		// balance: the aggregate was never submitted, but it drains through
-		// the same path as a timed-out task.
+		// the same path as a force-rescued task.
 		it := &inflightTask{ln: ln, pending: p, task: &gpu.Task{NPkts: p.NPkts}}
 		w.inflight++
 		w.inflightPkts += p.NPkts
@@ -666,7 +669,7 @@ func (w *worker) shedSojourn(pkts []*packet.Packet) []*packet.Packet {
 	return kept
 }
 
-// handleCompletion postprocesses a finished, failed or timed-out device
+// handleCompletion postprocesses a finished, failed or force-rescued device
 // task and resumes the batches in its lane's pipeline (after a CPU fallback
 // when the device never ran them).
 //
@@ -680,7 +683,6 @@ func (w *worker) handleCompletion(c completion) {
 	// the executor's results first.
 	w.sys.exec.Join(it.seq)
 	it.done = true
-	it.timer.Cancel()
 	p := it.pending
 	w.cur = it.ln
 	w.inflight--
@@ -785,7 +787,7 @@ func (w *worker) resumeAggregate(p *offload.Pending) {
 // Reason codes carried by KindFallback trace events.
 const (
 	rescueFailed    = 0 // the device completed the task as failed
-	rescueTimedOut  = 1 // the completion timeout (or an epoch force-rescue) fired
+	rescueTimedOut  = 1 // an epoch force-rescue reached its grace deadline
 	rescueRejected  = 2 // admission control refused the submission
 	rescueUnplugged = 3 // the socket has no plugged device left
 )

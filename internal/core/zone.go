@@ -16,10 +16,9 @@ import (
 // back, and the next System of the same shape takes it instead of
 // allocating and zeroing tens of MB again.
 type zone struct {
-	pkts     []packet.Packet
-	batches  []batch.Batch
-	perPkt   int // packets per worker
-	perBatch int // batches per worker
+	pkts    []packet.Packet
+	batches []batch.Batch
+	perPkt  int // packets per worker
 	// used is each worker's (packet, batch) pool HighWater at release. A
 	// NewOver pool writes only that prefix of its carve, so clearing it
 	// makes a recycled zone byte-identical to a fresh one.
@@ -33,6 +32,11 @@ type zone struct {
 	self weak.Pointer[zone]
 }
 
+// batchPoolPerWorker sizes each worker's batch mempool. The deepest use
+// measured is 104 batches (IDS at 1024 B, GPU-only, 32 outstanding tasks
+// per worker); a Get beyond it drops the burst as a graph drop.
+const batchPoolPerWorker = 512
+
 // spare is the zone of the last System whose Run drained every pool. The
 // reference is weak: nothing may ever build another System of that shape,
 // and a strong one would keep the whole zone live across GC cycles. Once
@@ -45,10 +49,10 @@ var spare struct {
 // takeZone returns storage for nw workers' pools: the spare when it has this
 // shape and the GC has not reclaimed it, cleared where its last owner wrote;
 // a fresh allocation otherwise.
-func takeZone(nw, perPkt, perBatch int) *zone {
+func takeZone(nw, perPkt int) *zone {
 	spare.mu.Lock()
 	z := spare.z.Value()
-	if z != nil && len(z.used) == nw && z.perPkt == perPkt && z.perBatch == perBatch {
+	if z != nil && len(z.used) == nw && z.perPkt == perPkt {
 		spare.z = weak.Pointer[zone]{}
 	} else {
 		z = nil
@@ -60,12 +64,11 @@ func takeZone(nw, perPkt, perBatch int) *zone {
 		// scavenger returns that memory to the OS, and one early span is
 		// zeroed in resident pages where per-worker ones would fault theirs in.
 		z = &zone{
-			pkts:     make([]packet.Packet, nw*perPkt),
-			batches:  make([]batch.Batch, nw*perBatch),
-			perPkt:   perPkt,
-			perBatch: perBatch,
-			used:     make([][2]int, nw),
-			shadows:  make([][]*integrity.Shadow, nw),
+			pkts:    make([]packet.Packet, nw*perPkt),
+			batches: make([]batch.Batch, nw*batchPoolPerWorker),
+			perPkt:  perPkt,
+			used:    make([][2]int, nw),
+			shadows: make([][]*integrity.Shadow, nw),
 		}
 		z.self = weak.Make(z)
 		return z
@@ -83,7 +86,7 @@ func (z *zone) workerPkts(i int) []packet.Packet {
 }
 
 func (z *zone) workerBatches(i int) []batch.Batch {
-	return z.batches[i*z.perBatch : (i+1)*z.perBatch]
+	return z.batches[i*batchPoolPerWorker : (i+1)*batchPoolPerWorker]
 }
 
 // release makes z the spare, shadows included, if every worker pool is

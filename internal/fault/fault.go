@@ -19,8 +19,9 @@
 //	DeviceSlowdown — thermal throttling or PCIe contention: kernel times
 //	    and copy times are scaled by per-event factors.
 //	DeviceHang — the device stops completing tasks (TDR-style wedge) until
-//	    recovery; the workers' task-completion timeout rescues the stuck
-//	    aggregates on the CPU.
+//	    recovery; once it has finished nothing for the stall limit, the
+//	    workers' watchdog fails its queue and rescues the aggregates on the
+//	    CPU.
 //	RxQueueDown / RxQueueUp — a NIC queue flaps: arrivals keep accruing and
 //	    overflow into drop counters, but no packets are delivered.
 //	RateBurst — the offered load is scaled by a factor (use a second event

@@ -111,7 +111,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 			}
 			plan.Events = append(plan.Events, Event{At: end, Kind: DeviceRecover, Device: dev})
 			devCursor[dev] = end + timeGrid
-		case 1: // hang → recover (open-ended hangs rely on the task timeout)
+		case 1: // hang → recover (open-ended hangs rely on the stall watchdog)
 			dev := r.Intn(prof.Devices)
 			start, end, ok := window(devCursor[dev])
 			if !ok {

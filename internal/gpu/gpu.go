@@ -25,8 +25,12 @@
 // The device also has a health state driven by internal/fault: Fail voids
 // every reservation and completes tasks immediately with Task.Failed set
 // (workers re-execute them on the CPU); Hang freezes completion until
-// Recover (the workers' task timeout rescues the stuck tasks); SetSlowdown
-// scales kernel and copy times for subsequently scheduled tasks.
+// Recover; SetSlowdown scales kernel and copy times for subsequently
+// scheduled tasks. A device is judged hung by its lack of progress, not by
+// any task's age: Stalled reports queued work with no task finished for a
+// limit, and the workers then hand the whole queue back with AbortAll. A
+// slowed or copy-saturated device that still finishes tasks is never
+// stalled, however long its queue.
 package gpu
 
 import (
@@ -54,8 +58,9 @@ type Task struct {
 	Kernels int
 
 	// Execute is called at kernel completion time: the device has done the
-	// task's computation in virtual time. It may be called more than once
-	// for a task that is hung and rescheduled, so it must be idempotent.
+	// task's computation in virtual time. A hang that parks the task after
+	// its kernel finished and a Recover that schedules it again call it a
+	// second time, so it must be idempotent.
 	Execute func()
 	// Complete is invoked when the task fully finishes (after D2H), or
 	// immediately with Failed set when the device fails.
@@ -154,6 +159,9 @@ type Device struct {
 	// pending holds tasks accepted while hung; Recover reschedules them in
 	// submission order.
 	pending []*Task
+	// progress is when the task queue last started from empty or a task
+	// last finished: the stall clock Stalled reads.
+	progress simtime.Time
 
 	nextID uint64
 	stats  Stats
@@ -206,6 +214,9 @@ func (d *Device) Submit(t *Task) bool {
 	d.nextID++
 	t.ID = d.nextID
 	t.Submitted = d.eng.Now()
+	if d.Queued() == 0 {
+		d.progress = t.Submitted
+	}
 
 	d.stats.Tasks++
 	d.stats.Packets += uint64(t.NPkts)
@@ -230,6 +241,14 @@ func (d *Device) Submit(t *Task) bool {
 // Queued returns the current task-queue occupancy: scheduled (inflight)
 // plus parked (pending) tasks.
 func (d *Device) Queued() int { return len(d.inflight) + len(d.pending) }
+
+// Stalled reports whether the device holds queued work and has made no
+// progress for at least limit: no task finished, and the queue did not
+// start from empty, within the last limit. A hang stalls a device; a
+// slowdown or a long queue does not, as long as tasks keep finishing.
+func (d *Device) Stalled(limit simtime.Time) bool {
+	return d.Queued() > 0 && d.eng.Now()-d.progress >= limit
+}
 
 // Saturated reports whether a bounded queue is at capacity, i.e. the next
 // Submit would be refused. A failed device is never saturated — submissions
@@ -310,6 +329,7 @@ func (d *Device) schedule(t *Task) {
 	})
 	it.comp = d.eng.At(t.Finish, func() {
 		d.forget(it)
+		d.progress = t.Finish
 		if t.Complete != nil {
 			t.Complete(t.Finish, t)
 		}
@@ -406,23 +426,18 @@ func (d *Device) Fail() {
 	}
 	d.failed = true
 	d.hung = false
-	tasks := append(d.abortScheduled(), d.pending...)
-	d.pending = nil
-	d.resetTimelines()
-	for _, t := range tasks {
-		d.failTask(t)
-	}
+	d.AbortAll()
 }
 
-// AbortAll evacuates the device for hot-unplug: every scheduled and parked
-// task — including tasks parked by an active Hang — completes immediately
-// with Failed set so the submitting workers rescue the aggregates on the
-// CPU, and all engine reservations are voided. Unlike Fail it does NOT
-// touch the health state: the fault plan's device automaton (failed / hung
-// / slowed, and its pending Recover events) stays consistent, so unplugging
-// a hung device cannot strand its pending tasks and a later plug sees the
-// health the fault timeline says it should. Returns the number of tasks
-// evacuated.
+// AbortAll evacuates the device for hot-unplug or after a stall: every
+// scheduled and parked task — including tasks parked by an active Hang —
+// completes immediately with Failed set so the submitting workers rescue the
+// aggregates on the CPU, and all engine reservations are voided. Unlike Fail
+// it does NOT touch the health state: the fault plan's device automaton
+// (failed / hung / slowed, and its pending Recover events) stays consistent,
+// so evacuating a hung device cannot strand its pending tasks and a later
+// plug or Recover sees the health the fault timeline says it should.
+// Returns the number of tasks evacuated.
 func (d *Device) AbortAll() int {
 	tasks := append(d.abortScheduled(), d.pending...)
 	d.pending = nil
@@ -434,8 +449,8 @@ func (d *Device) AbortAll() int {
 }
 
 // Hang freezes the device: in-flight tasks are unscheduled and parked, and
-// new submissions park too. Nothing completes (or fails) until Recover —
-// the workers' completion timeout is what rescues the parked aggregates.
+// new submissions park too. Nothing completes (or fails) until Recover, or
+// until the device is Stalled and a worker evacuates it with AbortAll.
 func (d *Device) Hang() {
 	if d.failed || d.hung {
 		return
@@ -513,7 +528,7 @@ func (d *Device) copyTime(bytes int) simtime.Time {
 // the future — the queue-depth signal used for submission admission and by
 // load balancers. A failed device reports zero (submissions fail fast); a
 // hung device's backlog decays as the clock advances, so hang detection is
-// the workers' completion timeout, not admission control.
+// Stalled, not admission control.
 func (d *Device) Backlog() simtime.Time {
 	if d.failed {
 		return 0

@@ -357,3 +357,61 @@ func TestSlowdownScalesStages(t *testing.T) {
 		t.Errorf("kernel after Recover = %v, want nominal %v", got, want)
 	}
 }
+
+// TestStalledMeasuresProgressNotAge pins the hang detector's clock: a queue
+// far longer than the limit is not stalled while tasks keep finishing, and a
+// hung device is stalled exactly limit after its queue started from empty.
+func TestStalledMeasuresProgressNotAge(t *testing.T) {
+	const limit = 500 * simtime.Microsecond
+	d, eng := newDevice(t, 1)
+	if d.Stalled(0) {
+		t.Error("empty device reports stalled")
+	}
+	var lastFinish simtime.Time
+	mk := func() *Task {
+		return &Task{
+			NPkts: 64, H2DBytes: 8192, D2HBytes: 8192,
+			KernelTime: 100 * simtime.Microsecond, Kernels: 1,
+			Complete: func(f simtime.Time, tk *Task) {
+				if !tk.Failed {
+					lastFinish = f
+				}
+			},
+		}
+	}
+	// Twenty tasks queue about 2 ms of kernel time, four times the limit.
+	eng.After(0, func() {
+		for range 20 {
+			d.Submit(mk())
+		}
+	})
+	for at := simtime.Microsecond; at < 2*simtime.Millisecond; at += 50 * simtime.Microsecond {
+		eng.At(at, func() {
+			if d.Stalled(limit) {
+				t.Errorf("busy device with %d queued tasks reports stalled at %v", d.Queued(), at)
+			}
+		})
+	}
+	hangAt := 3 * simtime.Millisecond
+	eng.At(hangAt, func() {
+		d.Submit(mk())
+		d.Hang()
+	})
+	eng.At(hangAt+limit-simtime.Microsecond, func() {
+		if d.Stalled(limit) {
+			t.Error("hung device stalled before the limit elapsed")
+		}
+	})
+	eng.At(hangAt+limit, func() {
+		if !d.Stalled(limit) {
+			t.Errorf("hung device with %d queued tasks not stalled %v after its queue started", d.Queued(), limit)
+		}
+		if n := d.AbortAll(); n != 1 || d.Stalled(limit) {
+			t.Errorf("AbortAll evacuated %d tasks, stalled after = %v", n, d.Stalled(limit))
+		}
+	})
+	eng.Run()
+	if lastFinish < 3*limit {
+		t.Errorf("the busy queue finished at %v, want a queue several limits long", lastFinish)
+	}
+}

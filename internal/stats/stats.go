@@ -56,9 +56,10 @@ type Counters struct {
 	// failed, timed out, was refused or found its device unplugged.
 	OffloadedPackets uint64
 	FallbackPackets  uint64
-	// FailedTasks / TimedOutTasks count the worker-observed offload-task
-	// failures behind those rescues; RejectedTasks counts device submissions
-	// refused by admission control, whether rescued or shed.
+	// FailedTasks counts tasks a failed, stalled or unplugged device handed
+	// back; TimedOutTasks counts tasks an epoch force-rescue took back;
+	// RejectedTasks counts device submissions refused by admission control,
+	// whether rescued or shed.
 	FailedTasks   uint64
 	TimedOutTasks uint64
 	RejectedTasks uint64

@@ -79,9 +79,10 @@ const (
 	// recover, RX queue up). Payload as KindFaultInject.
 	KindFaultRecover
 	// KindFallback is a worker re-executing an offloaded aggregate on the
-	// CPU after a device failure or completion timeout. Actor = worker.
+	// CPU after a device failure (a stalled device's tasks fail too), an
+	// epoch force-rescue, an admission refusal or an unplug. Actor = worker.
 	// A = task ID (0 when the task was refused before getting one),
-	// B = packets, C = reason (0 = device failed, 1 = timeout,
+	// B = packets, C = reason (0 = device failed, 1 = epoch force-rescue,
 	// 2 = admission rejected, 3 = socket has no plugged device),
 	// D = governor level (admission rescues only).
 	KindFallback
