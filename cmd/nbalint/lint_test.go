@@ -104,6 +104,7 @@ func TestAnalyzers(t *testing.T) {
 		{"sharedstate", []string{"nba/internal/core/sharedfix"}},
 		{"sharedstate-par", []string{"nba/internal/core/parfix"}},
 		{"sharedstate-executor", []string{"nba/internal/core/execfix", "nba/internal/core/execfix/reader"}},
+		{"sharedstate-besteffort", []string{"nba/internal/core/sparefix", "nba/internal/core/sparefix/reader"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -389,15 +389,25 @@ func isParDispatch(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 }
 
 // executorJob reports whether the call hands a job to the device executor
-// ((*par.Executor).Submit) and returns the RunJob method of the job's static
-// type — the job's entry point, whose receiver is its slot. A job passed as
-// a par.Job interface value resolves to no module function.
+// ((*par.Executor).Submit, or SubmitBestEffort with the job after its
+// handle) and returns the RunJob method of the job's static type — the
+// job's entry point, whose receiver is its slot. A job passed as a par.Job
+// interface value resolves to no module function.
 func (m *module) executorJob(info *types.Info, call *ast.CallExpr) *types.Func {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 1 || !isMethodOn(info.Selections[sel], parPkgPath, "Executor", "Submit") {
+	if !ok {
 		return nil
 	}
-	t := info.TypeOf(call.Args[0])
+	var job ast.Expr
+	switch {
+	case len(call.Args) == 1 && isMethodOn(info.Selections[sel], parPkgPath, "Executor", "Submit"):
+		job = call.Args[0]
+	case len(call.Args) == 2 && isMethodOn(info.Selections[sel], parPkgPath, "Executor", "SubmitBestEffort"):
+		job = call.Args[1]
+	default:
+		return nil
+	}
+	t := info.TypeOf(job)
 	if t == nil {
 		return nil
 	}

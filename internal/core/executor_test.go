@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -8,6 +12,7 @@ import (
 	"nba/internal/fault"
 	"nba/internal/gen"
 	"nba/internal/integrity"
+	"nba/internal/reconfig"
 	"nba/internal/simtime"
 	"nba/internal/trace"
 )
@@ -80,18 +85,147 @@ func TestWatchdogStopLeavesNoExecutor(t *testing.T) {
 	}
 }
 
+// stageChaosCfg is a tenants + reconfig + faults case in which every
+// queue-state change the RX stages must survive lands between a worker
+// arming its stages and polling them: rate bursts (SetRate), queue flaps
+// (SetDown), ring resizes (SetCapacity) and a generator swap
+// (SetGenerator), beside a tenant admit, retune and evict.
+func stageChaosCfg() Config {
+	ms := simtime.Millisecond
+	cfg := churnCfg("ipsec")
+	cfg.Reconfig.Events = append(cfg.Reconfig.Events,
+		reconfig.Event{At: 3 * ms, Kind: reconfig.QueueResize, Port: -1, Capacity: 96},
+		reconfig.Event{At: 5 * ms, Kind: reconfig.QueueResize, Port: 1, Capacity: 2048})
+	cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
+		{At: 2500 * simtime.Microsecond, Kind: fault.RateBurst, RateFactor: 3},
+		{At: 3500 * simtime.Microsecond, Kind: fault.RxQueueDown, Port: 0, Queue: -1},
+		{At: 4 * ms, Kind: fault.RateBurst, RateFactor: 1},
+		{At: 4500 * simtime.Microsecond, Kind: fault.RxQueueUp, Port: 0, Queue: -1},
+		{At: 6500 * simtime.Microsecond, Kind: fault.RxQueueDown, Port: 1, Queue: 1},
+		{At: 7 * ms, Kind: fault.RxQueueUp, Port: 1, Queue: 1},
+	}}
+	cfg.GeneratorChanges = []GeneratorChange{
+		{At: 5500 * simtime.Microsecond, Generator: &gen.SyntheticCAIDA{Flows: 512, Seed: 3}},
+	}
+	return cfg
+}
+
+// stageMode says how a test run's workers use their RX stages.
+type stageMode int
+
+const (
+	stagesOff    stageMode = iota // no stages to arm: every poll fills its burst itself
+	stagesOn                      // as in production, backing off after withdrawn jobs
+	stagesAlways                  // armed after every pass that polled, no backoff
+)
+
+// capturedRun runs cfg at the given GOMAXPROCS and stage mode with every TX
+// frame captured and returns the report dump, the trace digest and a digest
+// of the captured frames. probe, when non-nil, is scheduled on the engine at
+// each of the given times before the run starts.
+func capturedRun(t *testing.T, cfg Config, procs int, mode stageMode, probeAt []simtime.Time, probe func(s *System)) (string, string, string) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	cfg.CaptureTx = math.MaxInt32
+	cfg.Tracer = trace.New(trace.Options{Capacity: 1, CheckpointInterval: -1})
+	s := newSystem(t, cfg)
+	for _, w := range s.workers {
+		switch mode {
+		case stagesOff:
+			w.stage.stages = nil
+		case stagesAlways:
+			w.stage.maxBackoff = 0
+		}
+	}
+	for _, at := range probeAt {
+		s.eng.At(at, func() { probe(s) })
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, c := range r.Capture {
+		fmt.Fprintf(h, "%d %x\n", c.Time, c.Data)
+	}
+	if len(r.Capture) == 0 {
+		t.Fatal("no frame captured")
+	}
+	return goldenDump(r, ""), cfg.Tracer.Digest(), hex.EncodeToString(h.Sum(nil))
+}
+
+// stagesArmed counts the stages attached to a queue and not yet polled.
+func stagesArmed(s *System) int {
+	n := 0
+	for _, w := range s.workers {
+		for i := range w.stage.armed {
+			if w.stage.stages[i].Armed() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestIDSDigestIndependentOfGOMAXPROCS: with one OS thread the executor and
-// the event loop share a core, and the run reports and traces exactly what
-// it does with the default thread count.
+// the event loop share a core, and a run reports, traces and transmits
+// exactly what it does on two, and what it does with no RX stages at all or
+// with stages armed after every pass.
+// Each case keeps the executor busy its own way: IDS kernels only; ipsec kernels beside the CPU share and the RX
+// stages; ipv4 on the CPU, so the executor fills RX stages only; and the
+// chaos case, whose queue-state changes land between arming stages and
+// polling them.
 func TestIDSDigestIndependentOfGOMAXPROCS(t *testing.T) {
-	cfg := quickCfg(sprintfConfig(idsLBConfigTpl, "gpu"), 3e9, 1024)
-	cfg.Duration = 3 * simtime.Millisecond
-	cfg.Generator = &gen.UDP4{FrameLen: 1024, Flows: 1024, Seed: 1,
+	ids := quickCfg(sprintfConfig(idsLBConfigTpl, "gpu"), 3e9, 1024)
+	ids.Duration = 3 * simtime.Millisecond
+	ids.Generator = &gen.UDP4{FrameLen: 1024, Flows: 1024, Seed: 1,
 		AttackFrac: 0.05, AttackPattern: []byte("/bin/sh")}
-	dump, digest := tracedRun(t, cfg)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	dump1, digest1 := tracedRun(t, cfg)
-	if dump1 != dump || digest1 != digest {
-		t.Errorf("GOMAXPROCS=1 run differs:\n%s %s\nwant\n%s %s", dump1, digest1, dump, digest)
+	ipsec := quickCfg(sprintfConfig(ipsecConfigTpl, "adaptive"), 4e9, 0)
+	ipsec.Generator = &gen.SyntheticCAIDA{Flows: 1024, Seed: 2}
+	ipsec.Duration = 4 * simtime.Millisecond
+	ipv4 := quickCfg(sprintfConfig(ipv4LBConfigTpl, "cpu"), 10e9, 64)
+	ipv4.Duration = 4 * simtime.Millisecond
+	chaos := stageChaosCfg()
+	var changes []simtime.Time
+	for _, ev := range chaos.FaultPlan.Events {
+		changes = append(changes, ev.At)
+	}
+	for _, ev := range chaos.Reconfig.Events {
+		changes = append(changes, ev.At)
+	}
+	for _, gc := range chaos.GeneratorChanges {
+		changes = append(changes, gc.At)
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		probeAt []simtime.Time
+	}{
+		{"ids", ids, nil},
+		{"ipsec", ipsec, nil},
+		{"ipv4", ipv4, nil},
+		{"chaos", chaos, changes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			noProbe := func(*System) {}
+			dump, digest, tx := capturedRun(t, tc.cfg, 2, stagesOff, tc.probeAt, noProbe)
+			for _, run := range []struct {
+				procs int
+				mode  stageMode
+			}{{2, stagesAlways}, {1, stagesOn}, {2, stagesOn}} {
+				armed := make([]int, 0, len(tc.probeAt))
+				probe := func(s *System) { armed = append(armed, stagesArmed(s)) }
+				d, dg, x := capturedRun(t, tc.cfg, run.procs, run.mode, tc.probeAt, probe)
+				if d != dump || dg != digest || x != tx {
+					t.Errorf("GOMAXPROCS=%d, stage mode %d: the run differs from one without RX stages:\n%s %s %s\nwant\n%s %s %s",
+						run.procs, run.mode, d, dg, x, dump, digest, tx)
+				}
+				for i, n := range armed {
+					if n == 0 && run.mode == stagesAlways {
+						t.Errorf("no stage armed at the change at %v", tc.probeAt[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -39,9 +39,10 @@ type System struct {
 
 	ports   []*netio.Port
 	devices []*gpu.Device // parallel to cfg.Topology.Devices
-	// exec is the device executor: the devices' host core, which runs the
+	// exec is the System executor: the devices' host core, which runs the
 	// kernels of every accepted device task from submit until the worker
-	// joins the task (DESIGN.md §13).
+	// joins the task, and in its idle time fills the workers' RX stages
+	// (DESIGN.md §13).
 	exec       par.Executor
 	workers    []*worker              // socket-major
 	nodeLocals [][]*element.NodeLocal // [socket][tenant]: isolates shared element state per tenant
@@ -116,6 +117,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, eng: simtime.NewEngine()}
 	s.zone = takeZone(cfg.Topology.Sockets*cfg.WorkersPerSocket, cfg.PacketPoolPerWorker)
+	s.exec.Prepare() // every run that polls starts it; Run allocates nothing for it
 	// Sized up front (for the capture depths in use) so the capture buffer's
 	// growth is not per-run garbage.
 	s.captured = make([]netio.CapturedPacket, 0, min(cfg.CaptureTx, 1024))

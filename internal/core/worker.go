@@ -148,6 +148,8 @@ type worker struct {
 
 	pktPool   *netio.PacketPool
 	batchPool *batch.Pool
+	// stage materialises the next pass's RX bursts on the executor.
+	stage stager
 	// burst receives each RX poll. It is a field, not a local of iterate:
 	// Poll hands it to the generator's FillBurst, an interface method, which
 	// would move a stack array to the heap on every iteration.
@@ -191,6 +193,8 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *w
 	}
 	w.pktPool = mempool.NewOver(fmt.Sprintf("pkt.w%d", id), s.zone.workerPkts(id), nil)
 	w.batchPool = mempool.NewOver(fmt.Sprintf("batch.w%d", id), s.zone.workerBatches(id), nil)
+	w.stage = s.zone.workerStager(id)
+	w.stage.exec, w.stage.maxBackoff = &s.exec, maxStageBackoff
 	w.burst = make([]*packet.Packet, 0, s.cfg.IOBatchSize)
 	w.completions = mempool.NewRing[completion](256)
 	if s.cfg.Integrity != nil {
@@ -308,18 +312,9 @@ func (w *worker) iterate() {
 	// the WRR round's order, so when the budget cuts a round short, the
 	// front position — and with it the loss — rotates by tenant share.
 	iterBudget := simtime.TimeToCycles(cm.MaxIterTime, w.sys.cfg.Topology.CoreFreqHz)
-	backpressured := w.inflight >= w.sys.cfg.MaxInflightTasks
-	if !backpressured && w.sockDev != nil && cm.MaxDeviceBacklog > 0 &&
-		w.inflight > 0 && w.sockDev.Backlog() > cm.MaxDeviceBacklog {
-		backpressured = true
-	}
-	// Backpressure propagation: a saturated bounded device queue throttles
-	// RX polling, so overflow accrues in the NIC ring's head-drop accounting
-	// instead of hidden interior queues.
-	if !backpressured && w.sockDev != nil && w.sockDev.Saturated() {
-		backpressured = true
-	}
-	if !backpressured {
+	polled := !w.backpressured()
+	if polled {
+		w.settleStages()
 	polling:
 		for _, t := range w.wrr.Round() {
 			ln := w.lanes[t]
@@ -389,7 +384,28 @@ func (w *worker) iterate() {
 		w.stopped = true
 		return
 	}
+	if polled && !w.backpressured() {
+		w.armStages(w.iterStart + next)
+	}
 	w.sys.eng.After(next, w.iterateFn)
+}
+
+// backpressured reports whether outstanding device tasks hold RX polling
+// back: the task cap, the device backlog bound, or a saturated bounded
+// device queue. Backpressure propagation: the overflow then accrues in the
+// NIC ring's head-drop accounting instead of hidden interior queues.
+//
+//nba:hotpath
+func (w *worker) backpressured() bool {
+	cm := w.sys.cfg.CostModel
+	if w.inflight >= w.sys.cfg.MaxInflightTasks {
+		return true
+	}
+	if w.sockDev == nil {
+		return false
+	}
+	return cm.MaxDeviceBacklog > 0 && w.inflight > 0 && w.sockDev.Backlog() > cm.MaxDeviceBacklog ||
+		w.sockDev.Saturated()
 }
 
 // laneDrained is the drain predicate for one lane, shared by worker

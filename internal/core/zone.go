@@ -6,15 +6,16 @@ import (
 
 	"nba/internal/batch"
 	"nba/internal/integrity"
+	"nba/internal/netio"
 	"nba/internal/packet"
 )
 
 // zone is a System's mempool storage: one packet slab and one batch slab,
 // carved per worker (DPDK's one memzone, many mempools), plus each worker's
-// released integrity shadows. Its life is carve → drain → recycle: NewSystem
-// carves the workers' pools from it, a Run that drains every pool hands it
-// back, and the next System of the same shape takes it instead of
-// allocating and zeroing tens of MB again.
+// released integrity shadows and RX stage set (stage.go). Its life is
+// carve → drain → recycle: NewSystem carves the workers' pools from it, a
+// Run that drains every pool hands it back, and the next System of the same
+// shape takes it instead of allocating and zeroing tens of MB again.
 type zone struct {
 	pkts    []packet.Packet
 	batches []batch.Batch
@@ -28,6 +29,14 @@ type zone struct {
 	// shadows are reset, not cleared: Snapshot rewrites all a kernel reads
 	// (frame, annotations, results, mask), as for one reused within a run.
 	shadows [][]*integrity.Shadow
+	// stages, stageArena and stageEnds are the workers' RX stage sets
+	// (stage.go), carved per worker; fill is the executor's fill scratch.
+	// Stale bytes in them are never read: a stage holds only frames its own
+	// fill wrote.
+	stages     []netio.Stage
+	stageArena []byte
+	stageEnds  []int32
+	fill       []*packet.Packet
 	// self is made with the zone, so handing it back allocates nothing.
 	self weak.Pointer[zone]
 }
@@ -64,11 +73,19 @@ func takeZone(nw, perPkt int) *zone {
 		// scavenger returns that memory to the OS, and one early span is
 		// zeroed in resident pages where per-worker ones would fault theirs in.
 		z = &zone{
-			pkts:    make([]packet.Packet, nw*perPkt),
-			batches: make([]batch.Batch, nw*batchPoolPerWorker),
-			perPkt:  perPkt,
-			used:    make([][2]int, nw),
-			shadows: make([][]*integrity.Shadow, nw),
+			pkts:       make([]packet.Packet, nw*perPkt),
+			batches:    make([]batch.Batch, nw*batchPoolPerWorker),
+			perPkt:     perPkt,
+			used:       make([][2]int, nw),
+			shadows:    make([][]*integrity.Shadow, nw),
+			stages:     make([]netio.Stage, nw*stagesPerWorker),
+			stageArena: make([]byte, nw*stageArenaPerWorker),
+			stageEnds:  make([]int32, nw*stageFramesPerWorker),
+			fill:       make([]*packet.Packet, fillChunk),
+		}
+		fill := make([]packet.Packet, fillChunk)
+		for i := range fill {
+			z.fill[i] = &fill[i]
 		}
 		z.self = weak.Make(z)
 		return z
@@ -89,6 +106,16 @@ func (z *zone) workerBatches(i int) []batch.Batch {
 	return z.batches[i*batchPoolPerWorker : (i+1)*batchPoolPerWorker]
 }
 
+// workerStager is worker i's RX stage set over its carve.
+func (z *zone) workerStager(i int) stager {
+	return stager{
+		stages:  z.stages[i*stagesPerWorker : (i+1)*stagesPerWorker],
+		arena:   z.stageArena[i*stageArenaPerWorker : (i+1)*stageArenaPerWorker],
+		ends:    z.stageEnds[i*stageFramesPerWorker : (i+1)*stageFramesPerWorker],
+		scratch: z.fill,
+	}
+}
+
 // release makes z the spare, shadows included, if every worker pool is
 // drained; with any object still outstanding (a watchdog-stopped run) it
 // keeps z out of circulation.
@@ -100,6 +127,7 @@ func (z *zone) release(workers []*worker) {
 		}
 		z.used[i] = [2]int{ps.HighWater, bs.HighWater}
 	}
+	clear(z.stages) // they point into this run's queues and generators
 	setSpare(z)
 }
 

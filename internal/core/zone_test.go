@@ -72,6 +72,43 @@ func TestZoneRecycledIntoNextSystem(t *testing.T) {
 	}
 }
 
+// TestStagesRecycledIntoNextSystem: the next System of a shape takes its
+// workers' RX stage sets and the executor's fill scratch from the drained
+// run's zone, allocating no stage storage, and the stages it gets point at
+// nothing of the old run.
+func TestStagesRecycledIntoNextSystem(t *testing.T) {
+	cfg := quickCfg(sprintfConfig(ipv4LBConfigTpl, "cpu"), 10e9, 64)
+	cfg.Duration = 2 * simtime.Millisecond
+	s1 := newSystem(t, cfg)
+	for _, w := range s1.workers {
+		w.stage.maxBackoff = 0
+	}
+	armed := 0
+	s1.eng.At(cfg.Warmup, func() { armed = stagesArmed(s1) })
+	if _, err := s1.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if armed == 0 {
+		t.Fatal("the saturated run armed no stage")
+	}
+	s2 := newSystem(t, cfg)
+	if s2.zone != s1.zone {
+		t.Fatal("the next System of the same shape did not recycle the zone")
+	}
+	for i, w := range s2.workers {
+		old, sg := &s1.workers[i].stage, &w.stage
+		if &sg.stages[0] != &old.stages[0] || &sg.arena[0] != &old.arena[0] ||
+			&sg.ends[0] != &old.ends[0] || sg.scratch[0] != old.scratch[0] {
+			t.Fatalf("worker %d: the next System allocated new stage storage", i)
+		}
+		for k := range sg.stages {
+			if !reflect.ValueOf(sg.stages[k]).IsZero() {
+				t.Fatalf("worker %d: recycled stage %d still holds the old run's queue", i, k)
+			}
+		}
+	}
+}
+
 // TestShadowsRecycledIntoNextSystem: the next System's sentinels take the
 // integrity shadows a drained run released, and snapshotting into them
 // allocates nothing.

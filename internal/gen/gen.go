@@ -6,9 +6,13 @@
 //
 // Every generator is a pure, read-only function of (seed, port, seq), so any
 // run is reproducible, RX queues can materialise packets lazily and
-// concurrent runs may share one generator. Each has two faces over the same
-// bytes: Fill for one packet, and FillBurst for the packets of one RX burst,
-// which interleaves their payload fillers (payload.go).
+// concurrent runs may share one generator. Within one run too: FillBurst may
+// run on a System's executor goroutine, staging a worker's next RX bursts,
+// while the same run's event loop fills other bursts from the same
+// generator. A fill reads only a packet's Seq and writes only its frame
+// bytes and length. Each generator has two faces over the same bytes: Fill
+// for one packet, and FillBurst for the packets of one RX burst, which
+// interleaves their payload fillers (payload.go).
 package gen
 
 import (

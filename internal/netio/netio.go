@@ -11,6 +11,13 @@
 // burst's buffers, has the generator fill all of them in one call, and then
 // records their lengths.
 //
+// A burst may also be materialised ahead of its poll (stage.go): Predict
+// says which seqs Poll(t, burst) will deliver, a Stage armed on the queue
+// holds those frames, filled by FillBurst on another goroutine (a System's
+// executor) while the event loop goes on, and Poll copies each staged frame
+// instead of filling it. A frame is a pure function of (generator, port,
+// seq), so a staged frame and a filled one are the same bytes.
+//
 // RSS is modelled as a uniform spread of flows over a port's RX queues,
 // which packet.FlowHash5's measured spread justifies; each queue owns
 // 1/nqueues of the port's offered rate.
@@ -31,11 +38,12 @@ import (
 
 // Generator produces packet contents. Implementations live in internal/gen.
 type Generator interface {
-	// Fill writes the frame for the seq-th packet of the given port into p.
-	// It must be deterministic in (port, seq) and must not write generator
-	// state: queues of concurrent runs may share one generator. The queue
-	// has stamped p's metadata (Seq, Arrival, InPort, annotations, Tenant)
-	// before the call.
+	// Fill writes the frame for the seq-th packet of the given port into p:
+	// its bytes and its length, nothing else. It must be deterministic in
+	// (port, seq), must not read p's other metadata and must not write
+	// generator state: queues of concurrent runs may share one generator,
+	// and a stage's fill may run on a System's executor goroutine while the
+	// same run's event loop fills other bursts from the same generator.
 	Fill(p *packet.Packet, port int, seq uint64)
 	// MeanFrameLen returns the average frame length in bytes, used to
 	// convert offered Gbps to packets per second.
@@ -43,8 +51,9 @@ type Generator interface {
 }
 
 // BurstFiller is what a Generator may offer besides: FillBurst fills every
-// pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would, in any order it likes.
-// A queue whose generator has it materialises each RX burst with one call.
+// pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would, in any order it likes,
+// under Fill's contract. A queue whose generator has it materialises each RX
+// burst with one call.
 type BurstFiller interface {
 	FillBurst(pkts []*packet.Packet, port int)
 }
@@ -102,6 +111,12 @@ type RxQueue struct {
 	hwm          uint64 // backlog high watermark (post-drop, so ≤ capacity)
 	down         bool   // fault-injected flap: no delivery, arrivals overflow
 
+	// stage is the burst materialised ahead of the next poll, nil when none
+	// is armed; genEpoch counts SetGenerator calls, so a stage filled from
+	// a generator the queue no longer has is never used.
+	stage    *Stage
+	genEpoch uint64
+
 	// Tracer, when non-nil, receives rx / rx.drop events from Poll. Drops
 	// are accounted delta-wise (overflow drops happen lazily in advance, so
 	// each poll reports the drops accumulated since the previous one).
@@ -137,7 +152,10 @@ func (q *RxQueue) SetStop(t simtime.Time) { q.stopTime = t }
 
 // SetGenerator swaps the traffic generator (workload-change experiments).
 // Sequence numbering continues, so determinism is preserved.
-func (q *RxQueue) SetGenerator(gen Generator) { q.fill = burstFillerOf(gen) }
+func (q *RxQueue) SetGenerator(gen Generator) {
+	q.fill = burstFillerOf(gen)
+	q.genEpoch++
+}
 
 // SetDown flaps the queue (fault injection). While down, Poll delivers
 // nothing; arrivals keep accruing and overflow into the drop counters once
@@ -225,6 +243,29 @@ func (q *RxQueue) advance(now simtime.Time) {
 	}
 }
 
+// Predict returns the seqs Poll(t, burst) would deliver, [first, first+n),
+// if no buffer allocation failed, without side effects: the arrival and
+// head-drop accounting of advance runs on copies. A queue that is down
+// delivers nothing, so n is 0. A failed allocation consumes its seq, so the
+// seqs Poll does deliver at t are always inside the range.
+//
+//nba:hotpath
+func (q *RxQueue) Predict(t simtime.Time, burst int) (first uint64, n int) {
+	dropped := q.dropped
+	var backlog uint64
+	if arrivals := q.totalArrivals(t); arrivals > q.delivered+dropped {
+		backlog = arrivals - q.delivered - dropped
+	}
+	if backlog > uint64(q.capacity) {
+		dropped += backlog - uint64(q.capacity)
+		backlog = uint64(q.capacity)
+	}
+	if q.down || burst <= 0 {
+		return q.delivered + dropped, 0
+	}
+	return q.delivered + dropped, int(min(uint64(burst), backlog))
+}
+
 // HighWatermark returns the deepest backlog ever observed on the queue
 // (after head-drop accounting, so it never exceeds the ring capacity).
 func (q *RxQueue) HighWatermark() uint64 { return q.hwm }
@@ -249,6 +290,12 @@ func (q *RxQueue) SetCapacity(now simtime.Time, capacity int) {
 // the generator through an interface, so out's backing array cannot live on
 // the caller's stack: a caller that polls in a loop keeps it in a field.
 //
+// Poll consumes the queue's armed stage, if any: a packet whose seq the
+// stage holds, filled from the generator and for the port the queue still
+// has, gets the staged frame copied; every other packet is filled as
+// without a stage. The stage's fill must have finished, or never start,
+// before Poll is called.
+//
 //nba:hotpath
 func (q *RxQueue) Poll(now simtime.Time, burst int, pool *PacketPool, out []*packet.Packet) []*packet.Packet {
 	start := len(out)
@@ -271,16 +318,16 @@ func (q *RxQueue) Poll(now simtime.Time, burst int, pool *PacketPool, out []*pac
 			continue
 		}
 		seq := q.delivered + q.dropped
-		p.Seq = seq
-		p.Arrival = q.arrivalTime(seq)
-		p.InPort = q.Port
-		p.Anno[packet.AnnoTimestamp] = uint64(p.Arrival)
-		p.Anno[packet.AnnoInPort] = uint64(q.Port)
-		p.Tenant = q.Tenant
+		p.Stamp(seq, q.arrivalTime(seq), q.Port, q.Tenant)
 		out = append(out, p)
 		q.delivered++
 	}
-	q.fill.FillBurst(out[start:], q.Port)
+	if st := q.stage; st != nil {
+		q.stage = nil
+		q.fillStaged(st, out[start:])
+	} else {
+		q.fill.FillBurst(out[start:], q.Port)
+	}
 	for _, p := range out[start:] {
 		p.OrigLen = p.Length()
 	}

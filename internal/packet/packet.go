@@ -80,6 +80,18 @@ func (p *Packet) Reset() {
 	p.Tainted = false
 }
 
+// Stamp sets a received packet's RX metadata: its sequence number on its
+// queue (the generator's input), its arrival time and input port (also as
+// annotations) and its tenant.
+func (p *Packet) Stamp(seq uint64, arrival simtime.Time, inPort int, tenant int32) {
+	p.Seq = seq
+	p.Arrival = arrival
+	p.InPort = inPort
+	p.Anno[AnnoTimestamp] = uint64(arrival)
+	p.Anno[AnnoInPort] = uint64(inPort)
+	p.Tenant = tenant
+}
+
 // Data returns the frame contents.
 func (p *Packet) Data() []byte { return p.buf[:p.length] }
 

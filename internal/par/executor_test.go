@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -158,5 +159,190 @@ func TestExecutorSteadyStateAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { e.Join(e.Submit(j)) }); allocs != 0 {
 		t.Errorf("Submit+Join allocates %.2f times, want 0", allocs)
+	}
+}
+
+// gateJob blocks on its gate until the test opens it, so the test can hold
+// the executor busy; started is closed when it begins.
+type gateJob struct {
+	started, gate chan struct{}
+	ran           atomic.Int32
+}
+
+func newGateJob() *gateJob {
+	return &gateJob{started: make(chan struct{}), gate: make(chan struct{})}
+}
+
+func (j *gateJob) RunJob() {
+	close(j.started)
+	<-j.gate
+	j.ran.Add(1)
+}
+
+// countJob counts its runs.
+type countJob struct{ ran atomic.Int32 }
+
+func (j *countJob) RunJob() { j.ran.Add(1) }
+
+// orderJob appends its name to a log shared by the executor's jobs; the
+// test reads it only after Close.
+type orderJob struct {
+	name string
+	log  *[]string
+}
+
+func (j *orderJob) RunJob() { *j.log = append(*j.log, j.name) }
+
+// TestBestEffortYieldsToJoinedJobs: a best-effort job never runs while a
+// joined job is queued: queued before two joined jobs, it runs after both.
+func TestBestEffortYieldsToJoinedJobs(t *testing.T) {
+	var e Executor
+	var log []string
+	gate := newGateJob()
+	e.Submit(gate)
+	<-gate.started
+	var h BestEffort
+	e.SubmitBestEffort(&h, &orderJob{"spare", &log})
+	e.Submit(&orderJob{"joined-1", &log})
+	e.Submit(&orderJob{"joined-2", &log})
+	close(gate.gate)
+	e.Join(3)
+	for i := 0; h.state.Load() != beIdle; i++ {
+		if i == 1000 {
+			t.Fatal("the best-effort job never ran on an idle executor")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if e.Claim(&h) {
+		t.Fatal("Claim withdrew a job that ran")
+	}
+	e.Close()
+	want := "joined-1 joined-2 spare"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("run order %q, want %q", got, want)
+	}
+}
+
+// TestBestEffortRunsAtMostOnce: a job is either withdrawn by Claim, and
+// then the caller runs it, or run by the executor — never both, never
+// neither — and Claim returns only once it is not running.
+func TestBestEffortRunsAtMostOnce(t *testing.T) {
+	var e Executor
+	defer e.Close()
+	hs := make([]BestEffort, 4)
+	jobs := make([]countJob, 4000)
+	for i := range jobs {
+		h := &hs[i%len(hs)]
+		e.SubmitBestEffort(h, &jobs[i])
+		if i%len(hs) == len(hs)-1 {
+			for k := range hs {
+				j := &jobs[i-len(hs)+1+k]
+				if e.Claim(&hs[k]) {
+					j.RunJob() // withdrawn: the caller's to run
+				}
+				if n := j.ran.Load(); n != 1 {
+					t.Fatalf("job %d ran %d times after its claim", i-len(hs)+1+k, n)
+				}
+			}
+		}
+	}
+	if e.Claim(&BestEffort{}) {
+		t.Error("Claim withdrew a job from a handle never submitted")
+	}
+}
+
+// TestCloseDropsQueuedBestEffort: Close returns with best-effort jobs still
+// queued without running them; a later Claim withdraws them.
+func TestCloseDropsQueuedBestEffort(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var e Executor
+	gate := newGateJob()
+	e.Submit(gate)
+	<-gate.started
+	var h BestEffort
+	spare := &countJob{}
+	e.SubmitBestEffort(&h, spare)
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	for {
+		e.mu.Lock()
+		closing := e.closing
+		e.mu.Unlock()
+		if closing {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.gate)
+	<-closed
+	if n := spare.ran.Load(); n != 0 {
+		t.Errorf("the queued best-effort job ran %d times during Close", n)
+	}
+	if !e.Claim(&h) {
+		t.Error("Claim after Close did not withdraw the dropped job")
+	}
+	goroutinesBack(t, before)
+}
+
+// TestCloseWaitsForRunningBestEffort: Close waits for a best-effort job that
+// has started.
+func TestCloseWaitsForRunningBestEffort(t *testing.T) {
+	var e Executor
+	var h BestEffort
+	job := newGateJob()
+	e.SubmitBestEffort(&h, job)
+	<-job.started
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a best-effort job was running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(job.gate)
+	<-closed
+	if job.ran.Load() != 1 {
+		t.Error("the running best-effort job did not finish before Close returned")
+	}
+}
+
+// TestBestEffortPanicSurfaces: a best-effort job's panic is re-raised at the
+// next Join and at Close.
+func TestBestEffortPanicSurfaces(t *testing.T) {
+	expectPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "best-effort job panicked: kaput") {
+				t.Errorf("%s: panic %q, want best-effort job / kaput", what, msg)
+			}
+		}()
+		f()
+	}
+	var e Executor
+	var h BestEffort
+	e.SubmitBestEffort(&h, panicJob{})
+	for e.Claim(&h) {
+		e.SubmitBestEffort(&h, panicJob{}) // withdrawn before it ran: offer it again
+		runtime.Gosched()
+	}
+	expectPanic("Join", func() { e.Join(e.Submit(&squareJob{in: 2})) })
+	expectPanic("Close", e.Close)
+}
+
+// TestBestEffortAllocFree: submitting a best-effort job and claiming it
+// allocate nothing.
+func TestBestEffortAllocFree(t *testing.T) {
+	var e Executor
+	defer e.Close()
+	var h BestEffort
+	j := &countJob{}
+	e.SubmitBestEffort(&h, j)
+	e.Claim(&h)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.SubmitBestEffort(&h, j)
+		e.Claim(&h)
+	}); allocs != 0 {
+		t.Errorf("SubmitBestEffort+Claim allocates %.2f times, want 0", allocs)
 	}
 }

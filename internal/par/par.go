@@ -20,7 +20,7 @@
 // completion callbacks: all of those reintroduce observable completion
 // order, which is exactly what a deterministic sweep must not depend on.
 //
-// The device executor (Executor) is the one handle that looks like a
+// The System executor (Executor) is the one handle that looks like a
 // future, and it keeps completion order unobservable the same way: a job is
 // joined, not awaited. The single submitting goroutine calls Join at a fixed
 // point of its own program — before it first reads anything the job wrote —
@@ -29,11 +29,19 @@
 // job writes only its own state, so the output is what running each job
 // inline at its join point would give.
 //
+// A best-effort job is the one place where the submitter does learn how far
+// a job got: Claim reports whether it withdrew the job before it started.
+// That answer may steer only work whose result does not depend on who did
+// it. The simulator's RX stages are that: a withdrawn fill, or the rest of
+// one stopped part-way, is left to the poll, and every frame is the
+// generator's pure function of (port, seq), so which side made a frame, and
+// when, shows in no output.
+//
 // par is a simulation package for nbalint purposes: the goroutines below are
 // the single, audited exception to the no-goroutines rule, and the
 // sharedstate rule understands par jobs (writes from a job that are not
-// slot-indexed and escape the job are findings) and executor jobs (writes
-// outside the job's receiver are findings).
+// slot-indexed and escape the job are findings) and executor jobs, joined
+// or best-effort (writes outside the job's receiver are findings).
 package par
 
 import (
