@@ -5,12 +5,19 @@
 // envelope-reuse trick that keeps context setup off the data path.
 //
 // What is reused: each SA's expanded AES key (cipher.Block) and its keyed
-// HMAC states (the SHA-1 state after the inner and outer key pads, saved
-// once), and, per calling context, the CTR mode's counter and keystream
-// blocks and the two SHA-1 digests an ICV runs on, so a payload of up to
-// ctrShortMax bytes is encrypted and authenticated without allocating.
-// Longer payloads still take a fresh stdlib cipher.NewCTR stream per packet:
-// only that type reaches the 8-block AES-NI routine (see ctrShortMax).
+// HMAC states (the SHA-1 chaining words after the inner and outer key pads,
+// computed once), and, per calling context, the CTR mode's counter and
+// keystream blocks and the SHA-1 state and padding block an ICV runs on, so
+// a payload of up to ctrShortMax bytes is encrypted, and a frame of any
+// size authenticated, without allocating. Longer payloads still take a
+// fresh stdlib cipher.NewCTR stream per packet: only that type reaches the
+// 8-block AES-NI routine (see ctrShortMax).
+//
+// The ICV is HMAC-SHA1-96 on the package's own SHA-1 compression. It is
+// picked once, at package init, from the host CPU: on amd64 with the SHA
+// extensions (and SSSE3 and SSE4.1) an assembly routine on SHA1RNDS4, and
+// otherwise, and on every other GOARCH, the FIPS 180-4 block in plain Go.
+// Both produce the same bytes, so the choice never shows in a frame.
 //
 // Packets are really encrypted and really authenticated; the encrypt →
 // decrypt → verify round-trip is exercised by tests.
@@ -19,13 +26,10 @@ package ipsec
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha1"
-	"encoding"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 
 	"nba/internal/element"
 	"nba/internal/packet"
@@ -52,9 +56,9 @@ type SA struct {
 	MACKey [20]byte
 	Seq    uint32
 	block  cipher.Block // created once, reused (AES-NI envelope trick)
-	// ipad and opad are the SHA-1 states after absorbing MACKey XOR the
-	// HMAC inner and outer pads, marshaled: every ICV starts from them.
-	ipad, opad []byte
+	// ipad and opad are the SHA-1 chaining words after one block of MACKey
+	// XOR the HMAC inner and outer pad: every ICV starts from them.
+	ipad, opad [5]uint32
 }
 
 // spiBase is the SPI of SA 0; SA i has SPI spiBase+i.
@@ -85,32 +89,33 @@ type SADB struct {
 // scratch is what one calling context writes while it encrypts and signs.
 // ctr and ks are xorBlocks' counter and keystream blocks; they are fields
 // because cipher.Block.Encrypt is an interface call, which would move stack
-// arrays to the heap per packet. inner and outer are the SHA-1 digests of
-// the ICV, restarted from an SA's saved states, and sum receives it.
+// arrays to the heap per packet. block is the SHA-1 compression icv runs
+// (hostBlock's, outside tests), h the chaining words it runs on, pad the
+// message tail with SHA-1's padding, and sum the inner digest, then the
+// ICV. They are fields for the same reason: block is called through a func
+// value.
 type scratch struct {
-	ctr, ks      [aes.BlockSize]byte
-	inner, outer digest
-	sum          [sha1.Size]byte
-}
-
-// digest is a SHA-1 hash that can restart from a saved state.
-type digest interface {
-	hash.Hash
-	encoding.BinaryUnmarshaler
+	ctr, ks [aes.BlockSize]byte
+	block   blockFunc
+	h       [5]uint32
+	pad     [2 * sha1BlockSize]byte
+	sum     [sha1Size]byte
 }
 
 // NewSADB creates n SAs with deterministic keys derived from seed.
-func NewSADB(n int, seed uint64) (*SADB, error) {
+func NewSADB(n int, seed uint64) (*SADB, error) { return newSADB(n, seed, hostBlock()) }
+
+// newSADB is NewSADB with its ICVs computed on block.
+func newSADB(n int, seed uint64, block blockFunc) (*SADB, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ipsec: SADB needs at least one SA, got %d", n)
 	}
 	r := rng.New(seed)
 	db := &SADB{TunnelSrc: 0xC0A80001, TunnelDst: 0xC0A80002}
 	for i := range db.scratch {
-		db.scratch[i].inner = sha1.New().(digest)
-		db.scratch[i].outer = sha1.New().(digest)
+		db.scratch[i].block = block
 	}
-	h := db.scratch[0].inner
+	sc := db.loop()
 	for i := 0; i < n; i++ {
 		sa := &SA{SPI: uint32(spiBase + i)}
 		for j := 0; j < 16; j += 8 {
@@ -120,37 +125,32 @@ func NewSADB(n int, seed uint64) (*SADB, error) {
 			binary.LittleEndian.PutUint64(sa.MACKey[j:], r.Uint64())
 		}
 		binary.LittleEndian.PutUint32(sa.MACKey[16:], r.Uint32())
-		block, err := aes.NewCipher(sa.AESKey[:])
+		aesBlock, err := aes.NewCipher(sa.AESKey[:])
 		if err != nil {
 			return nil, fmt.Errorf("ipsec: creating AES context: %w", err)
 		}
-		sa.block = block
-		if sa.ipad, err = padState(h, sa.MACKey[:], 0x36); err != nil {
-			return nil, err
-		}
-		if sa.opad, err = padState(h, sa.MACKey[:], 0x5c); err != nil {
-			return nil, err
-		}
+		sa.block = aesBlock
+		sa.ipad = sc.padState(sa.MACKey[:], 0x36)
+		sa.opad = sc.padState(sa.MACKey[:], 0x5c)
 		db.SAs = append(db.SAs, sa)
 	}
 	return db, nil
 }
 
-// padState returns h's marshaled state after absorbing one block of key XOR
-// pad (RFC 2104; the key is shorter than a block, so it is zero-padded).
-func padState(h hash.Hash, key []byte, pad byte) ([]byte, error) {
-	var block [sha1.BlockSize]byte
-	copy(block[:], key)
-	for i := range block {
-		block[i] ^= pad
+// padState returns SHA-1's chaining words after one block of key XOR pad
+// (RFC 2104; the key is shorter than a block, so it is zero-padded). The
+// block is built in sc, as a local array passed through sc.block would be
+// allocated per call.
+func (sc *scratch) padState(key []byte, pad byte) [5]uint32 {
+	b := sc.pad[:sha1BlockSize]
+	clear(b)
+	copy(b, key)
+	for i := range b {
+		b[i] ^= pad
 	}
-	h.Reset()
-	h.Write(block[:])
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("ipsec: saving HMAC state: %w", err)
-	}
-	return state, nil
+	sc.h = sha1Init
+	sc.block(&sc.h, b)
+	return sc.h
 }
 
 // Select picks the SA for a flow hash.
@@ -289,27 +289,50 @@ func (sc *scratch) sign(sa *SA, buf []byte, end int) {
 }
 
 // icv computes the HMAC-SHA1-96 ICV over msg (ESP header + IV + ciphertext)
-// into the scratch's sum buffer (Sum appends, so no per-packet slice):
-// SHA-1 over the outer pad and the SHA-1 of the inner pad and msg, each
-// digest restarted from sa's saved pad state.
+// into the scratch's sum buffer: SHA-1 over the outer pad and the SHA-1 of
+// the inner pad and msg, each started from sa's pad words, so only msg's
+// blocks, its padded tail and one outer block are compressed.
 //
 //nba:hotpath
 func (sc *scratch) icv(sa *SA, msg []byte) []byte {
-	if err := sc.inner.UnmarshalBinary(sa.ipad); err != nil {
-		panic(err)
+	full := len(msg) &^ (sha1BlockSize - 1)
+	sc.h = sa.ipad
+	if full > 0 {
+		sc.block(&sc.h, msg[:full])
 	}
-	sc.inner.Write(msg)
-	in := sc.inner.Sum(sc.sum[:0])
-	if err := sc.outer.UnmarshalBinary(sa.opad); err != nil {
-		panic(err)
+	sc.finish(msg[full:], sha1BlockSize+len(msg))
+	for i, w := range sc.h {
+		binary.BigEndian.PutUint32(sc.sum[4*i:], w)
 	}
-	sc.outer.Write(in)
-	return sc.outer.Sum(sc.sum[:0])[:ICVLen]
+	sc.h = sa.opad
+	sc.finish(sc.sum[:], sha1BlockSize+sha1Size)
+	for i := 0; i < ICVLen/4; i++ {
+		binary.BigEndian.PutUint32(sc.sum[4*i:], sc.h[i])
+	}
+	return sc.sum[:ICVLen]
+}
+
+// finish compresses tail, the last len(tail) < sha1BlockSize bytes of an
+// n-byte message, with SHA-1's padding (a 1 bit, zeros, the bit length) into
+// sc.h: one block, or two where the length does not fit behind the tail.
+//
+//nba:hotpath
+func (sc *scratch) finish(tail []byte, n int) {
+	k := copy(sc.pad[:], tail)
+	end := sha1BlockSize
+	if k >= sha1BlockSize-8 {
+		end = 2 * sha1BlockSize
+	}
+	b := sc.pad[:end]
+	b[k] = 0x80
+	clear(b[k+1 : end-8])
+	binary.BigEndian.PutUint64(b[end-8:], uint64(n)<<3)
+	sc.block(&sc.h, b)
 }
 
 // verify reports whether the ICV in the frame buf[:end]'s trailer is sa's.
 func (sc *scratch) verify(sa *SA, buf []byte, end int) bool {
-	return hmac.Equal(sc.icv(sa, buf[ESPOff:end-ICVLen]), buf[end-ICVLen:end])
+	return subtle.ConstantTimeCompare(sc.icv(sa, buf[ESPOff:end-ICVLen]), buf[end-ICVLen:end]) == 1
 }
 
 // loop is the event loop's scratch, which the per-packet functions below

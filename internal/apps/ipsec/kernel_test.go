@@ -84,9 +84,23 @@ func kernelBatch(tb testing.TB, n, frameLen int) (*batch.Batch, *Stage, *Stage) 
 // TestCryptoKernelAllocFree gates the claim of the allocation-free kernel:
 // on a warmed SA a payload of up to ctrShortMax bytes is encrypted and
 // authenticated without allocating, through the exported per-packet
-// functions and through Stage.Kernel over a batch.
+// functions and through Stage.Kernel over a batch, and a frame of any size
+// is authenticated without allocating.
 func TestCryptoKernelAllocFree(t *testing.T) {
 	db := newDB(t)
+	for _, size := range []int{512, 1500} {
+		p := mkPkt(t, size)
+		if _, err := Encap(p, db); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := Authenticate(p, db); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%d B: Authenticate allocates %.1f times per packet, want 0", size, allocs)
+		}
+	}
 	for _, size := range []int{64, 128, 256} {
 		p := mkPkt(t, size)
 		if _, err := Encap(p, db); err != nil {
@@ -123,9 +137,9 @@ func TestCryptoKernelAllocFree(t *testing.T) {
 }
 
 // BenchmarkESPKernel times, per frame size, the two stage kernels over a
-// 64-packet batch (ns/op is per packet) and the two ways of doing that
-// frame's CTR. ctrShortMax sits where the ctr-blocks and ctr-stdlib rows
-// cross.
+// 64-packet batch (ns/op is per packet), the two ways of doing that frame's
+// CTR, and its ICV on the host's SHA-1 block. ctrShortMax sits where the
+// ctr-blocks and ctr-stdlib rows cross.
 func BenchmarkESPKernel(b *testing.B) {
 	for _, size := range []int{64, 256, 512, 1500} {
 		bt, aesStage, macStage := kernelBatch(b, 64, size)
@@ -152,6 +166,12 @@ func BenchmarkESPKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("%d/ctr-stdlib", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cipher.NewCTR(sa.block, iv).XORKeyStream(payload, payload)
+			}
+		})
+		msg := pkt.Buf()[ESPOff : end-ICVLen]
+		b.Run(fmt.Sprintf("%d/icv", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				db.loop().icv(sa, msg)
 			}
 		})
 	}

@@ -147,9 +147,6 @@ func (t *Table) NaiveLookup(addr uint32) uint16 {
 	return nh
 }
 
-// Size returns (TBL24 entries, TBLlong blocks) for diagnostics.
-func (t *Table) Size() (int, int) { return len(t.tbl24), len(t.tblLong) / 256 }
-
 // RandomRoutes generates a synthetic FIB: a default route plus n random
 // prefixes with an Internet-like length mix (mostly /16-/24, some longer).
 func RandomRoutes(n int, numNextHops int, seed uint64) []Route {

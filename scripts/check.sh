@@ -3,7 +3,10 @@
 #
 # Runs, in order:
 #   1. gofmt -l           formatting (whole tree, fixtures included)
-#   2. go vet ./...       stdlib vet analyzers
+#   2. go vet ./...       stdlib vet analyzers (asmdecl checks the assembly
+#                         against its Go declarations), then again with
+#                         GOARCH=arm64 so the build without amd64 assembly
+#                         (the IPsec ICV's generic SHA-1 block) cannot rot
 #   3. go build ./...     everything compiles
 #   4. nbalint ./...      framework determinism & invariant lint (cmd/nbalint):
 #                         the per-file rules (nondeterminism, maprange,
@@ -19,10 +22,12 @@
 #   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
 #                         packet header parsing, IDS batch scan kernel vs its
 #                         single stream, generator burst fill vs per-packet
-#                         fill, the IPsec CTR vs the stdlib stream) to catch
+#                         fill, the IPsec CTR vs the stdlib stream, the IPsec
+#                         ICV on each SHA-1 block vs crypto/hmac) to catch
 #                         shallow regressions; then one iteration of the IDS
-#                         scan, generator fill, ESP kernel and IPv6 lookup
-#                         benchmarks, so the kernels' benchmarks cannot rot
+#                         scan, generator fill, ESP kernel, SHA-1 block and
+#                         IPv6 lookup benchmarks, so the kernels' benchmarks
+#                         cannot rot
 #   7. trace self-check  the same config+seed recorded twice with the built
 #                         nba binary (-record) must diff to zero divergence
 #                         under nbatrace diff (dynamic determinism gate):
@@ -70,6 +75,8 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+echo "==> GOARCH=arm64 go vet ./... (the portable build)"
+GOARCH=arm64 go vet ./...
 
 echo "==> go build ./..."
 go build ./...
@@ -95,11 +102,12 @@ go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzScanBatchAgrees$' -fuzztime=5s -run '^$' ./internal/apps/ids
 go test -fuzz='^FuzzFillBurstAgrees$' -fuzztime=5s -run '^$' ./internal/gen
 go test -fuzz='^FuzzCTRMatchesStdlib$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
+go test -fuzz='^FuzzICVMatchesHMAC$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
 
-echo "==> scan, fill, ESP kernel and IPv6 lookup benchmark smoke (one iteration each)"
+echo "==> scan, fill, ESP kernel, SHA-1 block and IPv6 lookup benchmark smoke (one iteration each)"
 go test -run '^$' -bench 'Scan' -benchtime 1x ./internal/apps/ids
 go test -run '^$' -bench 'Fill' -benchtime 1x ./internal/gen
-go test -run '^$' -bench 'ESPKernel' -benchtime 1x ./internal/apps/ipsec
+go test -run '^$' -bench 'ESPKernel|SHA1Block' -benchtime 1x ./internal/apps/ipsec
 go test -run '^$' -bench 'Lookup' -benchtime 1x ./internal/apps/ipv6
 
 echo "==> trace determinism self-check (nba -record twice, nbatrace diff)"
