@@ -49,9 +49,6 @@ func (w *ReplayWindow) Check(seq uint32) bool {
 	}
 }
 
-// Highest returns the highest accepted sequence number.
-func (w *ReplayWindow) Highest() uint32 { return w.highest }
-
 // SeqOf extracts the ESP sequence number of an encapsulated frame.
 func SeqOf(frame []byte) uint32 {
 	return binary.BigEndian.Uint32(frame[ESPOff+4 : ESPOff+8])

@@ -19,17 +19,20 @@ var goldenSizes = []int{64, 128, 256, 512, 1024, 1500, 1601, 1602, 1603, 1604}
 // 4 100 length-prefixed frames after Encap → Encrypt → Authenticate, spread
 // over all 64 SAs of the database so sequence numbers (and with them the
 // IVs) advance. The digest was recorded before the crypto kernel was
-// rewritten; a kernel change must reproduce it exactly, on the generic
-// SHA-1 block and on the one NewSADB picks for this host.
+// rewritten; a kernel change must reproduce it exactly, on each CTR routine
+// with each SHA-1 block: the generic ones and the ones NewSADB picks for
+// this host.
 func TestESPFramesGolden(t *testing.T) {
 	const want = "b84de1b1340703e4f7608ce8232ff17f2cb6e494f7a756c8311d2568012df47d"
-	for _, b := range testBlocks() {
-		db, err := newSADB(64, 7, b.block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := espFramesDigest(t, db); got != want {
-			t.Errorf("%s: ESP frame digest = %s, want %s", b.name, got, want)
+	for _, c := range testCTRs() {
+		for _, b := range testBlocks() {
+			db, err := newSADB(64, 7, c.ctr, b.block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := espFramesDigest(t, db); got != want {
+				t.Errorf("ctr %s, block %s: ESP frame digest = %s, want %s", c.name, b.name, got, want)
+			}
 		}
 	}
 }

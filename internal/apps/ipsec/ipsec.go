@@ -4,28 +4,28 @@
 // crypto contexts are initialised once at startup and reused — the paper's
 // envelope-reuse trick that keeps context setup off the data path.
 //
-// What is reused: each SA's expanded AES key (cipher.Block) and its keyed
-// HMAC states (the SHA-1 chaining words after the inner and outer key pads,
-// computed once), and, per calling context, the CTR mode's counter and
-// keystream blocks and the SHA-1 state and padding block an ICV runs on, so
-// a payload of up to ctrShortMax bytes is encrypted, and a frame of any
-// size authenticated, without allocating. Longer payloads still take a
-// fresh stdlib cipher.NewCTR stream per packet: only that type reaches the
-// 8-block AES-NI routine (see ctrShortMax).
+// What is reused: each SA's AES-128 round keys (the FIPS 197 key
+// expansion, run once) and its keyed HMAC states (the SHA-1 chaining words
+// after the inner and outer key pads, computed once), all values inside one
+// slab of SAs, and, per calling context, the SHA-1 state and padding block
+// an ICV runs on. So a frame of any size is encrypted and authenticated
+// without allocating.
 //
-// The ICV is HMAC-SHA1-96 on the package's own SHA-1 compression. It is
-// picked once, at package init, from the host CPU: on amd64 with the SHA
-// extensions (and SSSE3 and SSE4.1) an assembly routine on SHA1RNDS4, and
-// otherwise, and on every other GOARCH, the FIPS 180-4 block in plain Go.
-// Both produce the same bytes, so the choice never shows in a frame.
+// Both primitives are the package's own, picked once, at package init,
+// from the host CPU. AES-CTR runs on amd64 with the AES instructions (and
+// SSSE3 and SSE4.1) as an assembly loop on AESENC, eight counter blocks at
+// a time, and otherwise, and on every other GOARCH, as the FIPS 197 block
+// in plain Go. The ICV is HMAC-SHA1-96: on amd64 with the SHA extensions
+// (and SSSE3 and SSE4.1) an assembly routine on SHA1RNDS4, and otherwise
+// the FIPS 180-4 block in plain Go. Each pair produces the same bytes, so
+// the choice never shows in a frame; crypto/aes, crypto/cipher,
+// crypto/sha1 and crypto/hmac are the tests' oracles only.
 //
 // Packets are really encrypted and really authenticated; the encrypt →
 // decrypt → verify round-trip is exercised by tests.
 package ipsec
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -55,7 +55,9 @@ type SA struct {
 	AESKey [16]byte
 	MACKey [20]byte
 	Seq    uint32
-	block  cipher.Block // created once, reused (AES-NI envelope trick)
+	// rk is AESKey's key schedule, expanded once: every payload's CTR
+	// keystream is computed from it.
+	rk roundKeys
 	// ipad and opad are the SHA-1 chaining words after one block of MACKey
 	// XOR the HMAC inner and outer pad: every ICV starts from them.
 	ipad, opad [5]uint32
@@ -63,16 +65,6 @@ type SA struct {
 
 // spiBase is the SPI of SA 0; SA i has SPI spiBase+i.
 const spiBase = 0x10000
-
-// ctrShortMax is the longest payload xorCTR encrypts block by block on the
-// SA's cipher.Block; a longer one is worth a stdlib stream object. A block
-// costs ≈ 23 ns here, the stream object ≈ 180 ns plus 512 B of garbage, and
-// the stream's 8-block routine is then ≈ 10 × faster per byte
-// (BenchmarkESPKernel's ctr-blocks and ctr-stdlib rows). In an idle process
-// the rows cross at 8–10 blocks; the constant is the first CAIDA bucket
-// boundary above that, so 64, 128 and 256 B frames (90 % of the mix) leave
-// nothing to collect.
-const ctrShortMax = 256
 
 // SADB is the security association database, shared per socket.
 type SADB struct {
@@ -87,37 +79,42 @@ type SADB struct {
 }
 
 // scratch is what one calling context writes while it encrypts and signs.
-// ctr and ks are xorBlocks' counter and keystream blocks; they are fields
-// because cipher.Block.Encrypt is an interface call, which would move stack
-// arrays to the heap per packet. block is the SHA-1 compression icv runs
-// (hostBlock's, outside tests), h the chaining words it runs on, pad the
-// message tail with SHA-1's padding, and sum the inner digest, then the
-// ICV. They are fields for the same reason: block is called through a func
-// value.
+// ctr is the CTR routine xorCTR runs (hostCTR's, outside tests). block is
+// the SHA-1 compression icv runs (hostBlock's, outside tests), h the
+// chaining words it runs on, pad the message tail with SHA-1's padding, and
+// sum the inner digest, then the ICV. These are fields, not locals, because
+// block is called through a func value, which would move stack arrays to
+// the heap per packet.
 type scratch struct {
-	ctr, ks [aes.BlockSize]byte
-	block   blockFunc
-	h       [5]uint32
-	pad     [2 * sha1BlockSize]byte
-	sum     [sha1Size]byte
+	ctr   ctrFunc
+	block blockFunc
+	h     [5]uint32
+	pad   [2 * sha1BlockSize]byte
+	sum   [sha1Size]byte
 }
 
 // NewSADB creates n SAs with deterministic keys derived from seed.
-func NewSADB(n int, seed uint64) (*SADB, error) { return newSADB(n, seed, hostBlock()) }
+func NewSADB(n int, seed uint64) (*SADB, error) {
+	return newSADB(n, seed, hostCTR(), hostBlock())
+}
 
-// newSADB is NewSADB with its ICVs computed on block.
-func newSADB(n int, seed uint64, block blockFunc) (*SADB, error) {
+// newSADB is NewSADB with its payloads encrypted by ctr and its ICVs
+// computed on block.
+func newSADB(n int, seed uint64, ctr ctrFunc, block blockFunc) (*SADB, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ipsec: SADB needs at least one SA, got %d", n)
 	}
 	r := rng.New(seed)
-	db := &SADB{TunnelSrc: 0xC0A80001, TunnelDst: 0xC0A80002}
+	db := &SADB{TunnelSrc: 0xC0A80001, TunnelDst: 0xC0A80002, SAs: make([]*SA, n)}
 	for i := range db.scratch {
+		db.scratch[i].ctr = ctr
 		db.scratch[i].block = block
 	}
 	sc := db.loop()
-	for i := 0; i < n; i++ {
-		sa := &SA{SPI: uint32(spiBase + i)}
+	sas := make([]SA, n)
+	for i := range sas {
+		sa := &sas[i]
+		sa.SPI = uint32(spiBase + i)
 		for j := 0; j < 16; j += 8 {
 			binary.LittleEndian.PutUint64(sa.AESKey[j:], r.Uint64())
 		}
@@ -125,14 +122,10 @@ func newSADB(n int, seed uint64, block blockFunc) (*SADB, error) {
 			binary.LittleEndian.PutUint64(sa.MACKey[j:], r.Uint64())
 		}
 		binary.LittleEndian.PutUint32(sa.MACKey[16:], r.Uint32())
-		aesBlock, err := aes.NewCipher(sa.AESKey[:])
-		if err != nil {
-			return nil, fmt.Errorf("ipsec: creating AES context: %w", err)
-		}
-		sa.block = aesBlock
+		sa.rk = expandKey(&sa.AESKey)
 		sa.ipad = sc.padState(sa.MACKey[:], 0x36)
 		sa.opad = sc.padState(sa.MACKey[:], 0x5c)
-		db.SAs = append(db.SAs, sa)
+		db.SAs[i] = sa
 	}
 	return db, nil
 }
@@ -234,44 +227,12 @@ func Encap(pkt *packet.Packet, db *SADB) (int, error) {
 }
 
 // xorCTR applies sa's AES-CTR keystream for the 16-byte iv to data in place,
-// byte for byte what cipher.NewCTR(sa.block, iv).XORKeyStream(data, data)
-// does. Which of the two ways it takes depends only on len(data).
+// byte for byte what cipher.NewCTR on sa.AESKey and iv produces: the counter
+// is the IV as one big-endian 128-bit number, incremented per block.
 //
 //nba:hotpath
 func (sc *scratch) xorCTR(sa *SA, iv, data []byte) {
-	if len(data) <= ctrShortMax {
-		sc.xorBlocks(sa, iv, data)
-		return
-	}
-	//nbalint:allow hotalloc payloads over ctrShortMax: the stdlib stream's 8-block AES-NI path outruns its 512 B object
-	cipher.NewCTR(sa.block, iv).XORKeyStream(data, data)
-}
-
-// xorBlocks is CTR mode one block at a time on the SA's own cipher.Block:
-// the counter is the IV as one big-endian 128-bit number, incremented per
-// block; a tail shorter than a block uses the front of its keystream block.
-//
-//nba:hotpath
-func (sc *scratch) xorBlocks(sa *SA, iv, data []byte) {
-	hi, lo := binary.BigEndian.Uint64(iv[:8]), binary.BigEndian.Uint64(iv[8:16])
-	ctr, ks := sc.ctr[:], sc.ks[:]
-	for len(data) > 0 {
-		binary.BigEndian.PutUint64(ctr[:8], hi)
-		binary.BigEndian.PutUint64(ctr[8:], lo)
-		sa.block.Encrypt(ks, ctr)
-		if lo++; lo == 0 {
-			hi++
-		}
-		if len(data) < aes.BlockSize {
-			for i := range data {
-				data[i] ^= ks[i]
-			}
-			return
-		}
-		binary.LittleEndian.PutUint64(data, binary.LittleEndian.Uint64(data)^binary.LittleEndian.Uint64(ks))
-		binary.LittleEndian.PutUint64(data[8:], binary.LittleEndian.Uint64(data[8:])^binary.LittleEndian.Uint64(ks[8:]))
-		data = data[aes.BlockSize:]
-	}
+	sc.ctr(&sa.rk, binary.BigEndian.Uint64(iv[:8]), binary.BigEndian.Uint64(iv[8:16]), data)
 }
 
 // crypt applies AES-128-CTR over the payload region of the frame buf[:end].

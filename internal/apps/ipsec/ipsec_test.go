@@ -113,7 +113,7 @@ func TestAuthenticateAndVerify(t *testing.T) {
 // TestEncapAuthenticateVerifyDoNotAllocate gates the per-packet paths that
 // need no allocation at any length: the IV stream is a stack Rand and the ICV
 // is summed into the SA's own buffer. (TestCryptoKernelAllocFree covers
-// Encrypt, which is allocation-free up to ctrShortMax.)
+// Encrypt.)
 func TestEncapAuthenticateVerifyDoNotAllocate(t *testing.T) {
 	db := newDB(t)
 	p := mkPkt(t, 128)
@@ -189,6 +189,19 @@ func TestSADBDeterministicAndDistinct(t *testing.T) {
 	}
 	if _, err := NewSADB(0, 1); err == nil {
 		t.Error("empty SADB accepted")
+	}
+}
+
+// TestNewSADBAllocatesOneSlab gates the set-up cost every System with an
+// IPsec graph pays: the SAs come from one slab and their crypto contexts
+// are values inside it, so the allocations do not grow with the SA count.
+func TestNewSADBAllocatesOneSlab(t *testing.T) {
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewSADB(1024, 7); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 8 {
+		t.Errorf("NewSADB(1024) allocates %.0f times, want at most 8", allocs)
 	}
 }
 

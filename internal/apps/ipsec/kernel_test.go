@@ -1,9 +1,7 @@
 package ipsec
 
 import (
-	"bytes"
-	"crypto/aes"
-	"crypto/cipher"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -13,52 +11,10 @@ import (
 	"nba/internal/rng"
 )
 
-// FuzzCTRMatchesStdlib is the differential test of the package's own CTR:
-// for any key, IV and length, xorBlocks (at every length, not only those
-// xorCTR sends it) and xorCTR produce in place what cipher.NewCTR produces,
-// and touch nothing outside data.
-func FuzzCTRMatchesStdlib(f *testing.F) {
-	ones := bytes.Repeat([]byte{0xff}, 16)
-	carry32 := append(bytes.Repeat([]byte{0x11}, 12), 0xff, 0xff, 0xff, 0xfe)
-	carry64 := append(bytes.Repeat([]byte{0x22}, 8), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe)
-	carry128 := append(bytes.Repeat([]byte{0xff}, 15), 0xfe)
-	for _, iv := range [][]byte{make([]byte, 16), ones, carry32, carry64, carry128} {
-		for _, n := range []uint16{0, 1, 15, 16, 17, 52, 244, ctrShortMax - 1, ctrShortMax, ctrShortMax + 1, 500, 1600} {
-			f.Add([]byte("0123456789abcdef"), iv, n)
-		}
-	}
-	f.Fuzz(func(t *testing.T, key, iv []byte, n uint16) {
-		var k, v [16]byte
-		copy(k[:], key)
-		copy(v[:], iv)
-		block, err := aes.NewCipher(k[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, sa := &scratch{}, &SA{block: block}
-		const guard = 16
-		size := int(n % 1601)
-		plain := make([]byte, guard+size+guard)
-		r := rng.New(uint64(n)<<32 | uint64(v[15]))
-		for i := range plain {
-			plain[i] = byte(r.Uint64())
-		}
-		want := append([]byte(nil), plain...)
-		cipher.NewCTR(block, v[:]).XORKeyStream(want[guard:guard+size], want[guard:guard+size])
-
-		for name, xor := range map[string]func(sa *SA, iv, data []byte){"xorBlocks": sc.xorBlocks, "xorCTR": sc.xorCTR} {
-			got := append([]byte(nil), plain...)
-			xor(sa, v[:], got[guard:guard+size])
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: key %x iv %x len %d differs from cipher.NewCTR", name, k, v, size)
-			}
-		}
-	})
-}
-
-// kernelBatch returns n frames of frameLen bytes, encapsulated, in a batch,
-// and the two crypto stages configured on one SADB with the encapsulator.
-func kernelBatch(tb testing.TB, n, frameLen int) (*batch.Batch, *Stage, *Stage) {
+// kernelBatch returns n frames, encapsulated, in a batch, and the two crypto
+// stages configured on one SADB with the encapsulator. Frame i is
+// frameLens[i % len(frameLens)] bytes long.
+func kernelBatch(tb testing.TB, n int, frameLens ...int) (*batch.Batch, *Stage, *Stage) {
 	tb.Helper()
 	nl := element.NewNodeLocal()
 	cc := &element.ConfigContext{NodeLocal: nl, NumPorts: 4, Rand: rng.New(1)}
@@ -71,7 +27,7 @@ func kernelBatch(tb testing.TB, n, frameLen int) (*batch.Batch, *Stage, *Stage) 
 	b := &batch.Batch{}
 	for i := 0; i < n; i++ {
 		p := &packet.Packet{}
-		ln := packet.BuildUDP4(p.Buf(), [6]byte{2}, [6]byte{4}, uint32(i), uint32(i*7), 1, 2, frameLen)
+		ln := packet.BuildUDP4(p.Buf(), [6]byte{2}, [6]byte{4}, uint32(i), uint32(i*7), 1, 2, frameLens[i%len(frameLens)])
 		p.SetLength(ln)
 		if _, err := Encap(p, enc.db); err != nil {
 			tb.Fatal(err)
@@ -81,34 +37,38 @@ func kernelBatch(tb testing.TB, n, frameLen int) (*batch.Batch, *Stage, *Stage) 
 	return b, aesStage, macStage
 }
 
-// TestCryptoKernelAllocFree gates the claim of the allocation-free kernel:
-// on a warmed SA a payload of up to ctrShortMax bytes is encrypted and
-// authenticated without allocating, through the exported per-packet
-// functions and through Stage.Kernel over a batch, and a frame of any size
-// is authenticated without allocating.
-func TestCryptoKernelAllocFree(t *testing.T) {
-	db := newDB(t)
-	for _, size := range []int{512, 1500} {
+// caidaSizes are the frame lengths of gen's CAIDA size buckets.
+var caidaSizes = goldenSizes[:6]
+
+// largestEncap returns the longest frame Encap accepts, encapsulated.
+func largestEncap(t *testing.T, db *SADB) *packet.Packet {
+	t.Helper()
+	for size := packet.MaxFrameLen - espOverhead; size > 0; size-- {
 		p := mkPkt(t, size)
-		if _, err := Encap(p, db); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			if err := Authenticate(p, db); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%d B: Authenticate allocates %.1f times per packet, want 0", size, allocs)
+		if _, err := Encap(p, db); err == nil {
+			return p
 		}
 	}
-	for _, size := range []int{64, 128, 256} {
+	t.Fatal("Encap accepts no frame")
+	return nil
+}
+
+// TestCryptoKernelAllocFree gates the claim of the allocation-free kernel:
+// on a warmed SA a frame of any size is encrypted and authenticated without
+// allocating, through the exported per-packet functions and through
+// Stage.Kernel over a batch of the CAIDA mix's sizes.
+func TestCryptoKernelAllocFree(t *testing.T) {
+	db := newDB(t)
+	var frames []*packet.Packet
+	for _, size := range caidaSizes {
 		p := mkPkt(t, size)
 		if _, err := Encap(p, db); err != nil {
 			t.Fatal(err)
 		}
-		if p.Length()-PayloadOff-ICVLen > ctrShortMax {
-			t.Fatalf("%d B frame has a %d B payload, beyond ctrShortMax", size, p.Length()-PayloadOff-ICVLen)
-		}
+		frames = append(frames, p)
+	}
+	frames = append(frames, largestEncap(t, db))
+	for _, p := range frames {
 		if allocs := testing.AllocsPerRun(100, func() {
 			if err := Encrypt(p, db); err != nil {
 				t.Fatal(err)
@@ -117,11 +77,11 @@ func TestCryptoKernelAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%d B: Encrypt+Authenticate allocate %.1f times per packet, want 0", size, allocs)
+			t.Errorf("%d B encapsulated frame: Encrypt+Authenticate allocate %.1f times per packet, want 0", p.Length(), allocs)
 		}
 	}
 
-	b, aesStage, macStage := kernelBatch(t, 64, 128)
+	b, aesStage, macStage := kernelBatch(t, 64, caidaSizes...)
 	pc := &element.ProcContext{Rand: rng.New(2), CostScale: 1}
 	if allocs := testing.AllocsPerRun(20, func() {
 		aesStage.Kernel(pc, b)
@@ -137,9 +97,8 @@ func TestCryptoKernelAllocFree(t *testing.T) {
 }
 
 // BenchmarkESPKernel times, per frame size, the two stage kernels over a
-// 64-packet batch (ns/op is per packet), the two ways of doing that frame's
-// CTR, and its ICV on the host's SHA-1 block. ctrShortMax sits where the
-// ctr-blocks and ctr-stdlib rows cross.
+// 64-packet batch (ns/op is per packet), the frame's CTR on the host's
+// routine and on the generic one, and its ICV on the host's SHA-1 block.
 func BenchmarkESPKernel(b *testing.B) {
 	for _, size := range []int{64, 256, 512, 1500} {
 		bt, aesStage, macStage := kernelBatch(b, 64, size)
@@ -158,14 +117,15 @@ func BenchmarkESPKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 		iv, payload := pkt.Buf()[IVOff:PayloadOff], pkt.Buf()[PayloadOff:end-ICVLen]
-		b.Run(fmt.Sprintf("%d/ctr-blocks", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%d/ctr", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				db.loop().xorBlocks(sa, iv, payload)
+				db.loop().xorCTR(sa, iv, payload)
 			}
 		})
-		b.Run(fmt.Sprintf("%d/ctr-stdlib", size), func(b *testing.B) {
+		hi, lo := binary.BigEndian.Uint64(iv[:8]), binary.BigEndian.Uint64(iv[8:])
+		b.Run(fmt.Sprintf("%d/ctr-generic", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cipher.NewCTR(sa.block, iv).XORKeyStream(payload, payload)
+				ctrGeneric(&sa.rk, hi, lo, payload)
 			}
 		})
 		msg := pkt.Buf()[ESPOff : end-ICVLen]

@@ -6,7 +6,8 @@
 #   2. go vet ./...       stdlib vet analyzers (asmdecl checks the assembly
 #                         against its Go declarations), then again with
 #                         GOARCH=arm64 so the build without amd64 assembly
-#                         (the IPsec ICV's generic SHA-1 block) cannot rot
+#                         (the IPsec CTR's generic AES block and the ICV's
+#                         generic SHA-1 block) cannot rot
 #   3. go build ./...     everything compiles
 #   4. nbalint ./...      framework determinism & invariant lint (cmd/nbalint):
 #                         the per-file rules (nondeterminism, maprange,
@@ -22,8 +23,9 @@
 #   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
 #                         packet header parsing, IDS batch scan kernel vs its
 #                         single stream, generator burst fill vs per-packet
-#                         fill, the IPsec CTR vs the stdlib stream, the IPsec
-#                         ICV on each SHA-1 block vs crypto/hmac) to catch
+#                         fill, the IPsec CTR on each AES routine vs the
+#                         stdlib stream, the IPsec ICV on each SHA-1 block vs
+#                         crypto/hmac) to catch
 #                         shallow regressions; then one iteration of the IDS
 #                         scan, generator fill, ESP kernel, SHA-1 block and
 #                         IPv6 lookup benchmarks, so the kernels' benchmarks
