@@ -426,7 +426,8 @@ func BenchmarkDFAScan1500(b *testing.B) {
 }
 
 // BenchmarkScanBatch64x1024 is the device-side form: 64 live 1024 B frames
-// through both batch kernels, as one ids-1024B-gpu aggregate member sees it.
+// through both tables on each batch kernel, as one ids-1024B-gpu aggregate
+// member sees them.
 func BenchmarkScanBatch64x1024(b *testing.B) {
 	ac, _ := BuildAC(DefaultSignatures)
 	d, err := CompileRules(DefaultRegexRules)
@@ -442,16 +443,18 @@ func BenchmarkScanBatch64x1024(b *testing.B) {
 		bt.Add(p)
 	}
 	var ids [batch.MaxBatchSize]int32
-	for _, k := range []struct {
+	for _, tab := range []struct {
 		name string
 		t    *scanTable
 	}{{"AC", &ac.scanTable}, {"DFA", &d.scanTable}} {
-		b.Run(k.name, func(b *testing.B) {
-			b.SetBytes(64 * (1024 - packet.EthHdrLen))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k.t.matchBatch(&bt, &ids)
-			}
-		})
+		for _, k := range testKernels() {
+			b.Run(tab.name+"/"+k.name, func(b *testing.B) {
+				b.SetBytes(64 * (1024 - packet.EthHdrLen))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.kernel(tab.t, &bt, &ids)
+				}
+			})
+		}
 	}
 }

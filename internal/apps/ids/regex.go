@@ -354,8 +354,8 @@ func (n *nfa) build(node reNode) (int, int) {
 const MaxDFAStates = 65536
 
 // DFA is a scanning automaton over rules: a state's output is the lowest
-// rule ID accepted there, or -1. States and Match (lowest rule ID matching
-// anywhere in data, or -1) come from the embedded table.
+// rule ID accepted there, or -1. Match (lowest rule ID matching anywhere in
+// data, or -1) comes from the embedded table.
 type DFA struct {
 	scanTable
 }

@@ -10,14 +10,16 @@ import "nba/internal/batch"
 // output. The per-byte loop therefore touches nothing but next; first is
 // read only on the rare flagged entry.
 type scanTable struct {
-	next  []uint32 // next[s<<8|c] = s'<<8 | hasOutput(s')
-	first []int32  // lowest output ID of each state, -1 for none
+	next   []uint32 // next[s<<8|c] = s'<<8 | hasOutput(s')
+	first  []int32  // lowest output ID of each state, -1 for none
+	gather bool     // matchBatch runs matchGather, not matchGo (hostGather's answer)
 }
 
 // newScanTable flattens a construction-time transition table. The caller
 // does not retain rows.
 func newScanTable(rows [][256]int32, first []int32) scanTable {
 	t := scanTable{next: make([]uint32, len(rows)<<8), first: first}
+	t.gather = hostGather(len(t.next))
 	for s := range rows {
 		for c, to := range rows[s] {
 			t.next[s<<8|c] = t.entry(to)
@@ -35,9 +37,6 @@ func (t *scanTable) entry(s int32) uint32 {
 	}
 	return e
 }
-
-// States returns the automaton size.
-func (t *scanTable) States() int { return len(t.first) }
 
 // lower folds the output of flagged entry e into best (lowest ID wins).
 func (t *scanTable) lower(best int32, e uint32) int32 {
@@ -68,26 +67,48 @@ func (t *scanTable) Match(data []byte) int {
 	return int(t.scan(t.entry(0), t.first[0], data))
 }
 
-// scanWidth is the number of packets the batch kernel advances in lockstep.
-// Each stream is a serial load chain (the next index depends on the loaded
-// entry), so one stream leaves the load ports idle for the whole L1/L2
-// latency; independent streams overlap. Four fits the amd64 register file
-// (4 entries + 4 data pointers + table + index); eight spills the entries
-// into the chains and measured no faster (64 x 1010 B: 0.6 ns/B either way,
-// against 2.2 ns/B single-stream).
+// scanWidth is the number of packets the portable batch kernel advances in
+// lockstep. Each stream is a serial load chain (the next index depends on
+// the loaded entry), so one stream leaves the load ports idle for the whole
+// L1/L2 latency; independent streams overlap. Four fits the amd64 register
+// file (4 entries + 4 data pointers + table + index): 64 x 1010 B scan at
+// ~0.9 ns/B per table this way, against ~2.9 ns/B single-stream (Sapphire
+// Rapids). Wider needs the lanes in vector registers, which is the gather
+// kernel's job (scan_amd64.go).
 const scanWidth = 4
 
 // matchBatch is the batch kernel: for every live slot i of b it stores in
-// ids[i] what Match would return for the packet's payload. Live packets are
-// taken scanWidth at a time in slot order; a trailing partial group goes
-// through the single stream.
+// ids[i] what Match would return for the packet's payload, and it leaves
+// every other slot of ids alone. It has two forms, which differ in speed
+// only: matchGather where hostGather allows, matchGo elsewhere. The tests
+// hold each to the same answers.
 //
 //nba:hotpath
 func (t *scanTable) matchBatch(b *batch.Batch, ids *[batch.MaxBatchSize]int32) {
+	if t.gather {
+		matchGather(t, b, ids)
+		return
+	}
+	matchGo(t, b, ids)
+}
+
+// matchGo is the portable form of matchBatch.
+//
+//nba:hotpath
+func matchGo(t *scanTable, b *batch.Batch, ids *[batch.MaxBatchSize]int32) {
+	t.matchFrom(b, ids, 0)
+}
+
+// matchFrom is the portable kernel over the live slots of b from slot from
+// on. Live packets are taken scanWidth at a time in slot order; a trailing
+// partial group goes through the single stream.
+//
+//nba:hotpath
+func (t *scanTable) matchFrom(b *batch.Batch, ids *[batch.MaxBatchSize]int32, from int) {
 	var slot [scanWidth]int
 	var data [scanWidth][]byte
 	n := 0
-	for i := 0; i < b.Count(); i++ {
+	for i := from; i < b.Count(); i++ {
 		if b.IsMasked(i) {
 			continue
 		}

@@ -114,17 +114,6 @@ loop:
 done:
 	RET
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
 // shufMask reverses all sixteen bytes of a register (PSHUFB).
 DATA shufMask<>+0(SB)/8, $0x08090a0b0c0d0e0f
 DATA shufMask<>+8(SB)/8, $0x0001020304050607

@@ -7,12 +7,25 @@ import (
 
 // The payload filler is a xorshift chain: six dependent ALU operations per
 // byte, so one packet alone keeps a fraction of the core busy. A burst holds
-// many packets whose chains are independent; interleaving fillWidth of them
-// in one loop lets the core overlap the chains. The width is measured, on
-// amd64 over 982 B payloads: one chain writes 420 MB/s, two 650, four 800,
-// six and eight no more than four (the loop is issue-bound by then), and a
-// narrower width stays full over more of a burst.
+// many packets whose chains are independent; interleaving them lets the core
+// overlap the chains. In Go, fillWidth of them share one loop. The width is
+// measured, on amd64 over 982 B payloads: one chain writes 420 MB/s, two
+// 650, four 800, six and eight no more than four (the loop is bound by
+// throughput by then), and a narrower width stays full over more of a
+// burst. Where the host has a vector routine (fillVector, payload_amd64.go)
+// vecWidth chains share one register instead.
 const fillWidth = 4
+
+// vecWidth is the lane count of fillVector: eight xorshift64 states in one
+// 512-bit register.
+const vecWidth = 8
+
+// vecMinPayload is the shortest payload a burst must start with to take
+// fillVector. It writes eight bytes per lane per step, and a lane's last
+// len%8 bytes, its attack draw and its reload are scalar, so on short
+// payloads (22 B at 64 B frames) the lane bookkeeping outweighs the vector
+// step.
+const vecMinPayload = 64
 
 // headerGen is the per-packet half of a generator: header builds the frame
 // of the seq-th packet of port into p up to its payload, sets the length and
@@ -132,28 +145,38 @@ func fillOne(p *packet.Packet, r *rng.Rand, off int, a attack) {
 	embed(data[off:], r, a)
 }
 
-// fillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
-// While at least fillWidth packets with payload remain it keeps that many in
-// flight: a lane whose packet completes takes its attack draw and is loaded
-// with the next packet, so a burst of mixed sizes stays full width. Every
-// packet's bytes depend only on its own (seed, port, seq) stream and land in
-// its own buffer, so the order in which lanes advance cannot show in the
-// result. The lanes live on this frame: generators are shared by concurrent
-// runs and stay read-only.
+// fillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would:
+// on fillVector if vec is set (hostVec(), outside tests) and the burst's
+// first payload is at least vecMinPayload long, in fillWidth lanes of Go
+// otherwise. Every packet's bytes depend only on its own (seed, port, seq)
+// stream and land in its own buffer, so the order in which lanes advance
+// cannot show in the result. The lanes live on this frame: generators are
+// shared by concurrent runs and stay read-only.
 //
 //nba:hotpath
-func fillBurst(h headerGen, pkts []*packet.Packet, port int, a attack) {
-	if len(pkts) < fillWidth {
-		for _, p := range pkts {
-			r, off := h.header(p, port, p.Seq)
-			fillOne(p, &r, off, a)
-		}
+func fillBurst(h headerGen, pkts []*packet.Packet, port int, a attack, vec bool) {
+	var ln [vecWidth]lane
+	next := ln[0].load(h, pkts, 0, port)
+	if vec && len(ln[0].payload) >= vecMinPayload {
+		fillVec(h, pkts, port, a, &ln, next)
 		return
 	}
-	var ln [fillWidth]lane
-	next, live := 0, 0
+	fillLanes(h, pkts, port, a, (*[fillWidth]lane)(ln[:fillWidth]), next)
+}
+
+// fillLanes is the Go form of fillBurst, with ln[0] loaded and pkts[next:]
+// still to load. While fillWidth packets with payload remain it keeps that
+// many in flight: a lane whose packet completes takes its attack draw and is
+// loaded with the next packet, so a burst of mixed sizes stays full width.
+//
+//nba:hotpath
+func fillLanes(h headerGen, pkts []*packet.Packet, port int, a attack, ln *[fillWidth]lane, next int) {
+	live := 0
 	for k := range ln {
-		if next = ln[k].load(h, pkts, next, port); ln[k].payload != nil {
+		if k > 0 {
+			next = ln[k].load(h, pkts, next, port)
+		}
+		if ln[k].payload != nil {
 			live++
 		}
 	}
@@ -164,7 +187,7 @@ func fillBurst(h headerGen, pkts []*packet.Packet, port int, a attack) {
 				n = len(ln[k].rest)
 			}
 		}
-		fillLockstep(&ln, n)
+		fillLockstep(ln, n)
 		for k := range ln {
 			if len(ln[k].rest) == 0 {
 				embed(ln[k].payload, &ln[k].r, a)
@@ -179,5 +202,68 @@ func fillBurst(h headerGen, pkts []*packet.Packet, port int, a attack) {
 			fillStream(ln[k].rest, ln[k].x)
 			embed(ln[k].payload, &ln[k].r, a)
 		}
+	}
+}
+
+// fillVec is the fillVector form of fillBurst, with ln[0] loaded and
+// pkts[next:] still to load. Each step advances every live lane by the
+// shortest remainder rounded down to eight bytes; a lane with fewer than
+// eight bytes left finishes them on fillStream, takes its attack draw and
+// is loaded with the next packet (loadLong). Lanes stay in the routine until
+// the burst runs out: an empty lane costs fillVector nothing extra, and a
+// lone Go stream is several times slower than a vector step.
+//
+//nba:hotpath
+func fillVec(h headerGen, pkts []*packet.Packet, port int, a attack, ln *[vecWidth]lane, next int) {
+	live := 1
+	for k := 1; k < vecWidth; k++ {
+		if next = ln[k].loadLong(h, pkts, next, port, a); ln[k].payload != nil {
+			live++
+		}
+	}
+	var x [vecWidth]uint64
+	var p [vecWidth]*byte
+	for live > 0 {
+		// Every live lane has at least eight bytes left here.
+		n := packet.MaxFrameLen
+		for k := range ln {
+			x[k], p[k] = ln[k].x, nil
+			if ln[k].payload != nil {
+				p[k] = &ln[k].rest[0]
+				n = min(n, len(ln[k].rest))
+			}
+		}
+		n &^= 7
+		fillVector(&x, &p, n)
+		for k := range ln {
+			if ln[k].payload == nil {
+				continue
+			}
+			ln[k].x, ln[k].rest = x[k], ln[k].rest[n:]
+			if len(ln[k].rest) < 8 {
+				fillStream(ln[k].rest, ln[k].x)
+				embed(ln[k].payload, &ln[k].r, a)
+				if next = ln[k].loadLong(h, pkts, next, port, a); ln[k].payload == nil {
+					live--
+				}
+			}
+		}
+	}
+}
+
+// loadLong is load for fillVec: a packet whose payload is shorter than
+// vecMinPayload is filled on fillStream in passing, so every lane it
+// leaves loaded has a vector step's worth of bytes. On a mixed-size burst
+// the short packets would otherwise cut every step to a few bytes.
+//
+//nba:hotpath
+func (l *lane) loadLong(h headerGen, pkts []*packet.Packet, i, port int, a attack) int {
+	for {
+		i = l.load(h, pkts, i, port)
+		if l.payload == nil || len(l.payload) >= vecMinPayload {
+			return i
+		}
+		fillStream(l.rest, l.x)
+		embed(l.payload, &l.r, a)
 	}
 }
