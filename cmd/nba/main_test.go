@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"nba/internal/golden"
 	"nba/internal/trace"
 )
 
@@ -22,17 +24,11 @@ func TestGoldenStdout(t *testing.T) {
 		{"tenants.golden", []string{"-tenants", "ipv4,ipsec", "-duration", "2ms", "-warmup", "1ms"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
 			var stdout, stderr bytes.Buffer
 			if code := run(tc.args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 			}
-			if got := stdout.String(); got != string(want) {
-				t.Errorf("stdout differs from %s:\n got:\n%s\nwant:\n%s", tc.golden, got, want)
-			}
+			golden.Check(t, filepath.Join("testdata", tc.golden), stdout.String())
 		})
 	}
 }
@@ -75,28 +71,27 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestRecordPinned runs the six flag sets scripts/check.sh records and pins
-// each recording's digest and event total: a change to how nba assembles
+// each recording's event total and digest (testdata/record): a change to how nba assembles
 // its run (tenants, plans, seeds) moves a digest here before it reaches the
 // gate's record-twice diff, which only proves self-consistency. The run
 // shape flags come first so a case's own -gbps wins.
 func TestRecordPinned(t *testing.T) {
 	const shape = "-gbps 1 -workers 1 -duration 2ms -warmup 200us"
-	cases := []struct {
-		flags  string
-		total  uint64
-		digest string
-	}{
-		{"-app ipv4 -lb fixed=0.8", 2730, "sha256:7f07cb3a68f4558ae29a7eb383657eb3de612591f7a77929280473e1cb7a87e8"},
-		{"-app ipsec -lb fixed=0.8 -faults", 2826, "sha256:468cd4685237dec1a9a001da1b66b190447290bd98454bf2e4f03c824570c2a1"},
-		{"-app ipsec -lb fixed=0.8 -gbps 3 -overload", 4538, "sha256:bbadca5bed276c08417cbe416bba145f97fa9192fa8c03cd5252f094ff9b79d3"},
-		{"-app ipsec -lb fixed=0.8 -corrupt", 2828, "sha256:bf000fe22ebeceed156e20f5b80f68dc39e6a70c7ba4eefe9a182e945f176dc0"},
-		{"-tenants ipv4,ipsec", 3065, "sha256:550c05050afcd616834073af058a599ea1f0f34c904b834c244aa63da09d24e5"},
-		{"-tenants ipv4,ids -reconfig", 3565, "sha256:90363f95b827e4ed87cdf4ce9b75a7b62bb42a3c201d61de6e0450cedfcbb5df"},
+	flagSets := []string{
+		"-app ipv4 -lb fixed=0.8",
+		"-app ipsec -lb fixed=0.8 -faults",
+		"-app ipsec -lb fixed=0.8 -gbps 3 -overload",
+		"-app ipsec -lb fixed=0.8 -corrupt",
+		"-tenants ipv4,ipsec",
+		"-tenants ipv4,ids -reconfig",
 	}
-	for _, c := range cases {
-		t.Run(c.flags, func(t *testing.T) {
+	// One file per flag set, named after the flags: "-app ipv4 -lb
+	// fixed=0.8" pins testdata/record/app_ipv4_lb_fixed=0.8.golden.
+	name := strings.NewReplacer(" -", "_", "-", "", " ", "_").Replace
+	for _, flags := range flagSets {
+		t.Run(flags, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "run.jsonl")
-			args := append(strings.Fields(shape+" "+c.flags), "-record", out)
+			args := append(strings.Fields(shape+" "+flags), "-record", out)
 			var stdout, stderr bytes.Buffer
 			if code := run(args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
@@ -110,10 +105,8 @@ func TestRecordPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tf.Meta.Total != c.total || tf.Meta.Digest != c.digest {
-				t.Errorf("recorded %d events, digest %s; want %d, %s",
-					tf.Meta.Total, tf.Meta.Digest, c.total, c.digest)
-			}
+			golden.Check(t, filepath.Join("testdata", "record", name(flags)+".golden"),
+				fmt.Sprintf("%d %s\n", tf.Meta.Total, tf.Meta.Digest))
 		})
 	}
 }

@@ -2,10 +2,11 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"nba/internal/golden"
 )
 
 // wallLine matches the per-experiment wall-clock line, the only output that
@@ -25,17 +26,11 @@ func TestGoldenStdout(t *testing.T) {
 		{"tab3.golden", []string{"-exp", "tab3"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
 			var stdout, stderr bytes.Buffer
 			if code := run(tc.args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 			}
-			if got := wallLine.ReplaceAllString(stdout.String(), ""); got != string(want) {
-				t.Errorf("stdout differs from %s:\n got:\n%s\nwant:\n%s", tc.golden, got, want)
-			}
+			golden.Check(t, filepath.Join("testdata", tc.golden), wallLine.ReplaceAllString(stdout.String(), ""))
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nba/internal/bench"
+	"nba/internal/golden"
 	"nba/internal/simtime"
 	"nba/internal/trace"
 )
@@ -44,17 +45,11 @@ func record(t *testing.T, dir string, seed uint64) string {
 // TestSummaryGolden pins the summary report byte for byte. The golden file
 // was recorded from the binary before run was factored out of main.
 func TestSummaryGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "summary.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"summary", record(t, t.TempDir(), 42)}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
-	if got := stdout.String(); got != string(want) {
-		t.Errorf("stdout differs from summary.golden:\n got:\n%s\nwant:\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "summary.golden"), stdout.String())
 }
 
 // TestExitCodes pins the exit contract: 0 for identical traces, 1 for a

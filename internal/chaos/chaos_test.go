@@ -1,13 +1,15 @@
 package chaos
 
 import (
-	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nba/internal/fault"
+	"nba/internal/golden"
 	"nba/internal/invariant"
 	"nba/internal/reconfig"
 	"nba/internal/simtime"
@@ -232,11 +234,7 @@ func TestReproGolden(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		golden := filepath.Join("testdata", tc.file)
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
+		file := filepath.Join("testdata", tc.file)
 		path := filepath.Join(t.TempDir(), tc.file)
 		if err := WriteRepro(path, tc.c); err != nil {
 			t.Fatal(err)
@@ -245,10 +243,8 @@ func TestReproGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: WriteRepro wrote\n%s\nwant\n%s", tc.file, got, want)
-		}
-		back, err := ReadRepro(golden)
+		golden.Check(t, file, string(got))
+		back, err := ReadRepro(file)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,6 +479,30 @@ func TestSweepCleanAndDeterministic(t *testing.T) {
 	if a.Digest != b.Digest {
 		t.Fatalf("sweep digest not reproducible: %s vs %s", a.Digest, b.Digest)
 	}
+}
+
+// TestSweepGolden pins the combined digests of the sweeps scripts/check.sh
+// runs (nbachaos sweep -seeds 2 -base 1, plain, with -tenants 2 and with
+// -reconfig) in testdata/sweep.golden. Each digest folds every case's
+// trace digest, so it moves with the engine's event timeline.
+func TestSweepGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, v := range []struct {
+		name string
+		opts SweepOptions
+	}{
+		{"plain", SweepOptions{}},
+		{"tenants", SweepOptions{TenantCount: 2}},
+		{"reconfig", SweepOptions{Reconfig: true}},
+	} {
+		v.opts.Seeds, v.opts.BaseSeed, v.opts.Parallelism = 2, 1, 2
+		res, err := Sweep(v.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%s %s\n", v.name, res.Digest)
+	}
+	golden.Check(t, "testdata/sweep.golden", sb.String())
 }
 
 // TestSweepParallelEquivalence is the tentpole contract: the same sweep at

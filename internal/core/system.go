@@ -109,8 +109,16 @@ type tenantLifecycle struct {
 // device is hot-unplugged; the caller rescues the aggregate on the CPU.
 var errNoPluggedDevice = errors.New("core: no plugged device on socket")
 
+// observeRun, when non-nil, sees every run twice: with a nil report before
+// NewSystem applies the defaults (it may attach a tracer), and with the
+// report when Run returns. Only tests set it (export_test.go).
+var observeRun func(cfg *Config, r *Report)
+
 // NewSystem builds a system from the configuration.
 func NewSystem(cfg Config) (*System, error) {
+	if observeRun != nil {
+		observeRun(&cfg, nil)
+	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -171,6 +179,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if cfg.Overload != nil {
 			dev.QueueDepth = cfg.Overload.DeviceQueueDepth
 		}
+		dev.Watcher = s
 		s.devices = append(s.devices, dev)
 	}
 	s.devPlugged = make([]bool, len(s.devices))
@@ -334,8 +343,26 @@ func (s *System) applyRate() {
 	}
 }
 
+// wakeSocket unparks the socket's workers (socket < 0: every worker) after
+// an event that can change what their next pass sees.
+func (s *System) wakeSocket(socket int) {
+	for _, w := range s.workers {
+		if socket < 0 || w.socket == socket {
+			w.unpark()
+		}
+	}
+}
+
+// DeviceChanged implements gpu.Watcher: a device's queue or health changed.
+// A finished task can lift any of the socket's workers' backpressure (a
+// full device queue), not only its submitter's.
+func (s *System) DeviceChanged(d *gpu.Device) {
+	s.wakeSocket(s.cfg.Topology.Devices[d.TraceActor].Socket)
+}
+
 // applyFault executes one fault-plan event and emits its trace record.
 func (s *System) applyFault(ev fault.Event) {
+	defer s.wakeSocket(-1)
 	switch ev.Kind {
 	case fault.DeviceFail:
 		s.devices[ev.Device].Fail()
@@ -499,6 +526,9 @@ func (s *System) Run() (*Report, error) {
 
 	r := s.report()
 	s.zone.release(s.workers)
+	if observeRun != nil {
+		observeRun(&s.cfg, r)
+	}
 	return r, nil
 }
 
@@ -637,6 +667,7 @@ func (s *System) beginEpoch(ev reconfig.Event) {
 	}
 	s.cfg.Tracer.EmitT(now, trace.KindReconfigBegin, -1, tenant, ev.Kind.String(),
 		int64(s.rcEpoch), int64(ev.Kind), target, payload)
+	s.wakeSocket(-1) // quiesced lanes, queues and devices
 	s.pollEpochDrain()
 }
 
@@ -794,6 +825,7 @@ func (s *System) commitEpoch() {
 		}
 	}
 	s.rcActive = false
+	s.wakeSocket(-1) // re-seated lanes, queues and devices
 	if s.rcNext < len(s.rcEvents) {
 		if next := s.rcEvents[s.rcNext]; next.At <= now {
 			// Its time passed while this epoch drained: begin immediately,
@@ -968,6 +1000,7 @@ func (s *System) governorTick(socket, tenant int, prev *stats.Counters) {
 		}
 		s.cfg.Tracer.EmitT(now, trace.KindOverloadLevel, int32(socket), int32(tenant), lvl.String(),
 			int64(lvl), int64(old), b2i(devSat), b2i(cpuSat))
+		s.wakeSocket(socket)
 	}
 	// Bias ratchet: each saturated window at LevelBias and above with an
 	// unambiguous direction moves the weight bound one step toward the

@@ -173,8 +173,25 @@ type worker struct {
 
 	// iterateFn is the method value w.iterate, bound once at construction so
 	// rescheduling the IO loop every iteration does not allocate a closure.
+	// A parked worker's wake event runs it too.
 	iterateFn func()
+
+	// Parking (DESIGN.md §3). A pass that did no work and could not poll
+	// leaves the worker parked instead of rescheduling it IdlePoll later:
+	// its next pass runs on the same grid, parkBase + k·IdlePoll, at the
+	// first grid point at or after a deadline computed at park time
+	// (wakeAt, armed as wake), or earlier if an event wakes it (unpark).
+	// wakeAt is 0 when no wake is armed.
+	parked   bool
+	parkBase simtime.Time
+	wakeAt   simtime.Time
+	wake     simtime.Timer
 }
+
+// parkingOff makes every worker poll on its IdlePoll grid again instead of
+// parking: a switch for tests only (export_test.go), which check that
+// parking changes no output.
+var parkingOff bool
 
 // newWorker builds a lane-less worker; System.installTenant adds one lane per
 // tenant.
@@ -263,6 +280,9 @@ func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 //
 //nba:hotpath
 func (w *worker) now() simtime.Time {
+	if w.parked {
+		w.catchUp()
+	}
 	return w.iterStart + simtime.CyclesToTime(w.cycles, w.sys.cfg.Topology.CoreFreqHz)
 }
 
@@ -276,6 +296,7 @@ func (w *worker) iterate() {
 	if w.stopped {
 		return
 	}
+	w.parked, w.wakeAt = false, 0
 	if limit := w.sys.cfg.TaskTimeout; limit > 0 {
 		// The hang watchdog: a local device with queued work and no finish
 		// for the limit hands its whole queue back as failed tasks, which
@@ -374,7 +395,9 @@ func (w *worker) iterate() {
 		didWork = true
 	}
 
-	// 4. Reschedule.
+	// 4. Reschedule, or park a pass that was held back and found nothing:
+	// only an event or a deadline can make the next one differ. The state
+	// a step 3 flush changed is in place by now.
 	elapsed := simtime.CyclesToTime(w.cycles, w.sys.cfg.Topology.CoreFreqHz)
 	next := elapsed
 	if !didWork || elapsed == 0 {
@@ -384,10 +407,140 @@ func (w *worker) iterate() {
 		w.stopped = true
 		return
 	}
+	if !didWork && !polled && !parkingOff {
+		w.park()
+		return
+	}
 	if polled && !w.backpressured() {
 		w.armStages(w.iterStart + next)
 	}
 	w.sys.eng.After(next, w.iterateFn)
+}
+
+// park parks the worker at the end of a pass that did no work and did not
+// poll. Each pass it skips would have been the same: backpressure holds RX
+// polling back, nothing completes, no aggregate expires, no device stalls
+// and the worker cannot retire, until an event changes one of these (the
+// System then calls unpark) or a deadline passes. The wake is armed for the
+// first grid point at or after the earliest deadline; with none, the
+// worker waits for an event. A wake that comes early runs an idle pass, as
+// the skipped pass at that instant would have, and parks again.
+//
+//nba:hotpath
+func (w *worker) park() {
+	w.parked, w.parkBase = true, w.iterStart
+	at, ok := w.parkDeadline()
+	if !ok {
+		return
+	}
+	idle := w.sys.cfg.CostModel.IdlePoll
+	k := max(1, (at-w.parkBase+idle-1)/idle)
+	w.wakeAt = w.parkBase + k*idle
+	// Ordered as the skipped pass there would have been: as of the grid
+	// point before it, which scheduled it. For k = 1 that is now.
+	w.wake = w.sys.eng.AtAsOf(w.wakeAt, w.wakeAt-idle, w.iterateFn)
+}
+
+// parkDeadline returns the earliest instant at which a parked worker's
+// pass could differ from the parking pass without an event: the device
+// backlog decaying below MaxDeviceBacklog, an aggregate expiring, a local
+// device's stall watchdog firing, or the arrivals stopping while the worker
+// has no task out (done can then hold).
+func (w *worker) parkDeadline() (simtime.Time, bool) {
+	s := w.sys
+	cm := s.cfg.CostModel
+	now := s.eng.Now()
+	var at simtime.Time
+	ok := false
+	earliest := func(t simtime.Time) {
+		if !ok || t < at {
+			at, ok = t, true
+		}
+	}
+	// The backlog bound only holds the worker back alone when neither the
+	// task cap nor a full queue does; those lift by events.
+	if d := w.sockDev; d != nil && cm.MaxDeviceBacklog > 0 && w.inflight > 0 &&
+		w.inflight < s.cfg.MaxInflightTasks && !d.Saturated() {
+		if b := d.Backlog(); b > cm.MaxDeviceBacklog {
+			earliest(now + b - cm.MaxDeviceBacklog)
+		}
+	}
+	for _, ln := range w.lanes {
+		if !ln.active {
+			continue
+		}
+		if t, pending := ln.agg.NextExpiry(); pending {
+			earliest(t)
+		}
+	}
+	if limit := s.cfg.TaskTimeout; limit > 0 {
+		for _, di := range w.localDevs {
+			if t, queued := s.devices[di].StallDeadline(limit); queued {
+				earliest(t)
+			}
+		}
+	}
+	if w.inflight == 0 && now < s.stopTime {
+		earliest(s.stopTime)
+	}
+	return at, ok
+}
+
+// unpark tells a parked worker that an event may have changed what its
+// next pass sees. Its next pass moves to the first grid point whose skipped
+// pass would have come after this event: the first at or after now, or the
+// one after it if the pass at now already ran this instant (it was
+// scheduled a whole IdlePoll before the running event). An armed wake is
+// moved in place; a later one is left alone. A worker that is not parked
+// is left alone too.
+//
+//nba:hotpath
+func (w *worker) unpark() {
+	if !w.parked {
+		return
+	}
+	eng := w.sys.eng
+	idle := w.sys.cfg.CostModel.IdlePoll
+	now := eng.Now()
+	at := w.parkBase + idle
+	if now > at {
+		at += (now - at + idle - 1) / idle * idle
+	}
+	if at == now && eng.RunningAsOf() > at-idle {
+		at += idle
+	}
+	switch {
+	case w.wakeAt == 0:
+		w.wake = eng.AtAsOf(at, at-idle, w.iterateFn)
+	case at < w.wakeAt:
+		eng.Move(w.wake, at, at-idle)
+	default:
+		return
+	}
+	w.wakeAt = at
+}
+
+// catchUp brings a parked worker's clock to where the last pass it skipped
+// would have left it, for readers outside a pass (w.now): that pass's start,
+// the last grid point not after now, and its CompletionPoll cycles. A grid
+// point equal to now counts if its pass would already have run this
+// instant, as in unpark.
+func (w *worker) catchUp() {
+	idle := w.sys.cfg.CostModel.IdlePoll
+	eng := w.sys.eng
+	now := eng.Now()
+	k := (now - w.parkBase) / idle
+	if k > 0 && w.parkBase+k*idle == now && eng.RunningAsOf() <= now-idle {
+		k--
+	}
+	start := w.parkBase + k*idle
+	if k == 0 || start == w.iterStart {
+		return
+	}
+	w.iterStart, w.cycles = start, w.sys.cfg.CostModel.CompletionPoll
+	for _, ln := range w.lanes {
+		ln.pctx.Now = start
+	}
 }
 
 // backpressured reports whether outstanding device tasks hold RX polling
@@ -604,6 +757,7 @@ func (w *worker) pushCompletion(it *inflightTask, timedOut bool) {
 	if !w.completions.Push(completion{it: it, timedOut: timedOut}) {
 		panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
 	}
+	w.unpark()
 }
 
 // rescueLane force-drains one lane at the epoch grace deadline: every

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
+	"nba/internal/golden"
 	"nba/internal/packet"
 )
 
@@ -50,34 +52,13 @@ func goldenSeq(i int) (port int, seq uint64) {
 	return i % 3, uint64(i)*7 + uint64(i/50)*1_000_003
 }
 
-// fillGolden pins Fill: sha256 over 256 frames (length-prefixed) per case,
-// recorded at the commit before the payload kernel was shared and burst
-// filling was added. Every generated byte is part of every run's identity
-// (trace digests, TX fingerprints), so a change here is never a refactor.
-var fillGolden = map[string]string{
-	"UDP4/42":                     "9f56e49e6786be2a8d91c35b03c1093653ccdd15033f29686d171dcad7a3670d",
-	"UDP4/42/flows":               "3cce9852cb465815831ec10ddaf8ed5da9b53357bb2edfb3c5a8ac557a51b00e",
-	"UDP4/43":                     "345a757f22d3ef24b1209de0fd86e6900569471dbfbd020e32c59d13fd9282de",
-	"UDP4/43/flows":               "4485bb3e61637f3b053bd50cb0c3b36ba982ade82443d7cb865d18f4a2e57164",
-	"UDP4/60":                     "6f9eb6cf964c323c8fd8f0732c658aff311ab006e8283f9d2d33a1481dd20fdf",
-	"UDP4/60/flows":               "a498d6a4b5921c2154afcdaf170ee0a56943fbeba9923a145bddd36c9bc1ee86",
-	"UDP4/64":                     "f8f2e3bce29f336d5f121319dabf3dd8b0cb609bcee192ff0037eabe1c9fd49a",
-	"UDP4/64/flows":               "c52c20ff515d71e7d27acc31a2a211ca2eaa9fce684cd7aecc74196eeb3b510d",
-	"UDP4/1024":                   "ae3a8d7b459aaa794a0f9bd71088ba26117a4c4fec91babe56bb8decc73c4d10",
-	"UDP4/1024/flows":             "17e1e4a02e0843df952049e33af3f2c8b6ba5765921ae42f7d943134d8703507",
-	"UDP4/1514":                   "19ba7ccf8a63928ee3480428c41b8d461d5530c1e37678f834a6a83171be6880",
-	"UDP4/1514/flows":             "df433a6eb82f4e742dbc46086d11aebb183078c80bf4e65c853a476a6cef1314",
-	"UDP4/50/attack":              "1507798ab444ed759058b66cef9593fa2a3f627904806193b9e52da5f423a2af",
-	"UDP4/64/attack":              "7a663c13b06aaad2feb8b8721f3e2ceab907fee98a982937798661e3f0f73ac7",
-	"UDP4/1024/attack":            "b7de814054737799a8f91adc3e0a3374927664164d0a8218ff9e36e50e64f2ab",
-	"UDP6/62":                     "647a88ab31306bbabafbb36afb9a18af0cf4c69d2920bc65d91eb65edad051a8",
-	"UDP6/128/flows":              "760a9ba79ba384fa92f965081356dfa1bff273c9f97efd87d01231f7a14ad462",
-	"UDP6/256/dsts":               "c798150c1a2fe421340e9e098edd1e9c666c34326e8ed50c276f3b837bd84259",
-	"SyntheticCAIDA":              "1f712963c9b5a3532b7cb6d4f46f97d547b4f3f1359fa3240581902675b1c6c7",
-	"SyntheticCAIDA/defaultflows": "9de462f730e74373ea0430fb0baeb8c7aa7281eaf4f30454cbcf4097def8e430",
-}
-
+// TestFillGolden pins Fill: sha256 over 256 frames (length-prefixed) per
+// case, in testdata/fill.golden, recorded at the commit before the payload
+// kernel was shared and burst filling was added. Every generated byte is
+// part of every run's identity (trace digests, TX fingerprints), so a
+// change here is never a refactor.
 func TestFillGolden(t *testing.T) {
+	var sb strings.Builder
 	for _, c := range fillCases() {
 		h := sha256.New()
 		var p packet.Packet
@@ -88,11 +69,7 @@ func TestFillGolden(t *testing.T) {
 			h.Write([]byte{byte(p.Length() >> 8), byte(p.Length())})
 			h.Write(p.Data())
 		}
-		got := hex.EncodeToString(h.Sum(nil))
-		if want, ok := fillGolden[c.name]; !ok {
-			t.Errorf("no golden digest for %q (got %s)", c.name, got)
-		} else if got != want {
-			t.Errorf("%s: Fill digest %s, want %s", c.name, got, want)
-		}
+		fmt.Fprintf(&sb, "%s %s\n", c.name, hex.EncodeToString(h.Sum(nil)))
 	}
+	golden.Check(t, "testdata/fill.golden", sb.String())
 }

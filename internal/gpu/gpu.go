@@ -175,6 +175,20 @@ type Device struct {
 	// Checker, when non-nil, verifies every scheduled task's phase ordering
 	// (the gpu.phase invariant).
 	Checker *invariant.Checker
+
+	// Watcher, when non-nil, is told after every change to the queue or the
+	// health that can let a held-back submitter proceed or start the stall
+	// clock: a task finishing, Fail, Hang, Recover, AbortAll, and a Submit
+	// into an empty queue.
+	Watcher Watcher
+}
+
+// Watcher is told about a device's queue and health changes (core's System,
+// which wakes the socket's parked workers). An interface, not a func field:
+// a closure over the device's socket would be one allocation per device and
+// run.
+type Watcher interface {
+	DeviceChanged(d *Device)
 }
 
 // New creates a device on the given engine.
@@ -214,7 +228,8 @@ func (d *Device) Submit(t *Task) bool {
 	d.nextID++
 	t.ID = d.nextID
 	t.Submitted = d.eng.Now()
-	if d.Queued() == 0 {
+	fromEmpty := d.Queued() == 0
+	if fromEmpty {
 		d.progress = t.Submitted
 	}
 
@@ -235,7 +250,17 @@ func (d *Device) Submit(t *Task) bool {
 		d.stats.MaxQueued = q //nbalint:allow sharedstate stats counter; read happens-after the event loop drains
 	}
 	d.Checker.DeviceQueue(d.eng.Now(), d.Name, d.Queued(), d.QueueDepth)
+	if fromEmpty {
+		d.changed()
+	}
 	return true
+}
+
+// changed tells the Watcher, if set.
+func (d *Device) changed() {
+	if d.Watcher != nil {
+		d.Watcher.DeviceChanged(d)
+	}
 }
 
 // Queued returns the current task-queue occupancy: scheduled (inflight)
@@ -248,6 +273,12 @@ func (d *Device) Queued() int { return len(d.inflight) + len(d.pending) }
 // slowdown or a long queue does not, as long as tasks keep finishing.
 func (d *Device) Stalled(limit simtime.Time) bool {
 	return d.Queued() > 0 && d.eng.Now()-d.progress >= limit
+}
+
+// StallDeadline returns the instant Stalled(limit) turns true if nothing
+// changes before it: limit after the last progress, when work is queued.
+func (d *Device) StallDeadline(limit simtime.Time) (simtime.Time, bool) {
+	return d.progress + limit, d.Queued() > 0
 }
 
 // Saturated reports whether a bounded queue is at capacity, i.e. the next
@@ -333,6 +364,7 @@ func (d *Device) schedule(t *Task) {
 		if t.Complete != nil {
 			t.Complete(t.Finish, t)
 		}
+		d.changed()
 	})
 	d.inflight = append(d.inflight, it)
 }
@@ -445,6 +477,7 @@ func (d *Device) AbortAll() int {
 	for _, t := range tasks {
 		d.failTask(t)
 	}
+	d.changed()
 	return len(tasks)
 }
 
@@ -458,6 +491,7 @@ func (d *Device) Hang() {
 	d.hung = true
 	d.pending = append(d.abortScheduled(), d.pending...)
 	d.resetTimelines()
+	d.changed()
 }
 
 // SetSlowdown scales kernel and copy times for subsequently scheduled
@@ -482,6 +516,7 @@ func (d *Device) Recover() {
 	for _, t := range pending {
 		d.schedule(t)
 	}
+	d.changed()
 }
 
 // Healthy reports whether the device is neither failed nor hung.

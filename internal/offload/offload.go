@@ -183,10 +183,7 @@ func (a *Aggregator) account(p *Pending, b *batch.Batch) *Pending {
 //
 //nba:hotpath
 func (a *Aggregator) Expired(now simtime.Time) []*Pending {
-	maxAge := a.cm.MaxAggDelay
-	if a.AgeScale > 0 && a.AgeScale != 1 {
-		maxAge = simtime.Time(float64(maxAge) * a.AgeScale)
-	}
+	maxAge := a.maxAge()
 	// Compact heads in place: the survivors keep their order.
 	taken, kept := a.taken[:0], a.heads[:0]
 	for _, id := range a.heads {
@@ -199,6 +196,24 @@ func (a *Aggregator) Expired(now simtime.Time) []*Pending {
 	}
 	a.taken, a.heads = taken, kept
 	return taken
+}
+
+// NextExpiry returns the instant the oldest pending aggregate expires
+// (Expired at that time takes it) if AgeScale does not change first.
+// Aggregates open in time order, so the oldest is the first head.
+func (a *Aggregator) NextExpiry() (simtime.Time, bool) {
+	if len(a.heads) == 0 {
+		return 0, false
+	}
+	return a.pending[a.heads[0]].FirstAdd + a.maxAge(), true
+}
+
+// maxAge is MaxAggDelay scaled by AgeScale.
+func (a *Aggregator) maxAge() simtime.Time {
+	if a.AgeScale > 0 && a.AgeScale != 1 {
+		return simtime.Time(float64(a.cm.MaxAggDelay) * a.AgeScale)
+	}
+	return a.cm.MaxAggDelay
 }
 
 // TakeAll removes and returns every pending aggregate (idle flush), under

@@ -3,10 +3,11 @@
 //
 // All performance-sensitive behaviour in this reproduction (worker IO loops,
 // GPU command queues, NIC arrival processes, load-balancer update timers) is
-// expressed as events on a single virtual clock. Ties are broken by schedule
-// order, so a run is a pure function of its inputs: the same configuration
-// and seed always produce bit-identical results, independent of the host
-// machine, the Go scheduler, and the garbage collector.
+// expressed as events on a single virtual clock. Ties are broken by the
+// virtual time an event was scheduled at (AtAsOf can set it), then by
+// schedule order, so a run is a pure function of its inputs: the same
+// configuration and seed always produce bit-identical results, independent
+// of the host machine, the Go scheduler, and the garbage collector.
 package simtime
 
 import (
@@ -84,12 +85,20 @@ func TimeToCycles(t Time, hz float64) Cycles {
 // free list once fired or cancelled; gen disambiguates a recycled slot from
 // the event a stale Timer still points at.
 type event struct {
-	at   Time
-	seq  uint64 // schedule order; breaks ties deterministically
+	at Time
+	// asOf and seq order events of equal time: by the virtual time they
+	// were scheduled at, then by schedule order. For an event scheduled
+	// with At, asOf is the clock at the call, which never decreases as seq
+	// grows, so the order is plain schedule order; AtAsOf and Move place an
+	// event as if it had been scheduled at an earlier or later instant.
+	asOf Time
+	seq  uint64
 	fn   func()
-	dead bool   // cancelled
-	idx  int    // heap index, maintained by eventHeap
 	gen  uint64 // bumped on every reuse; Timers carry the gen they were issued
+	// idx is the heap index, maintained by eventHeap. An int32 beside dead
+	// keeps the event at 48 bytes, its size class before asOf.
+	idx  int32
+	dead bool // cancelled
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. It is a
@@ -121,16 +130,19 @@ func (h eventHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
+	if h[i].asOf != h[j].asOf {
+		return h[i].asOf < h[j].asOf
+	}
 	return h[i].seq < h[j].seq
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+	h[i].idx = int32(i)
+	h[j].idx = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	ev := x.(*event)
-	ev.idx = len(*h)
+	ev.idx = int32(len(*h))
 	*h = append(*h, ev)
 }
 func (h *eventHeap) Pop() any {
@@ -149,6 +161,8 @@ type Engine struct {
 	seq     uint64
 	events  eventHeap
 	stopped bool
+	// asOf is the running event's asOf (RunningAsOf).
+	asOf Time
 	// free recycles event structs: the steady-state schedule/fire cycle of
 	// the worker and device loops allocates nothing once the free list is
 	// warm (the hotalloc lint gate and TestScheduleSteadyStateAllocs pin
@@ -177,9 +191,20 @@ func (e *Engine) Now() Time { return e.now }
 //
 //nba:hotpath
 func (e *Engine) At(t Time, fn func()) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("simtime: schedule at %v before now %v", t, e.now))
-	}
+	return e.AtAsOf(t, e.now, fn)
+}
+
+// AtAsOf schedules fn to run at t, ordered among the events at t as if it
+// had been scheduled at virtual time asOf: after every event at t
+// scheduled before asOf, before every one scheduled after it, and after
+// those scheduled at asOf itself before this call. A periodic actor that
+// skips some of its firings uses it to keep the place its next firing
+// would have taken (core's parked workers). asOf may lie in the past or the
+// future but not after t.
+//
+//nba:hotpath
+func (e *Engine) AtAsOf(t, asOf Time, fn func()) Timer {
+	e.checkAt(t, asOf)
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -189,10 +214,43 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	} else {
 		ev = &event{} //nbalint:allow hotalloc free-list warm-up; steady state reuses fired events
 	}
-	ev.at, ev.seq, ev.fn, ev.dead = t, e.seq, fn, false
+	ev.at, ev.asOf, ev.seq, ev.fn, ev.dead = t, asOf, e.seq, fn, false
 	e.seq++
 	heap.Push(&e.events, ev)
 	return Timer{ev: ev, gen: ev.gen}
+}
+
+// Move re-times the pending event behind tm to t, ordered as AtAsOf(t, asOf)
+// would order a new event, and reports whether tm was pending. The event is
+// fixed in place in the heap and keeps its callback and its Timer, so
+// moving it leaves no cancelled event behind and allocates nothing:
+// Move(tm, t, Now()) fires exactly where Cancel followed by At(t) would.
+//
+//nba:hotpath
+func (e *Engine) Move(tm Timer, t, asOf Time) bool {
+	ev := tm.ev
+	if ev == nil || ev.gen != tm.gen || ev.dead {
+		return false
+	}
+	e.checkAt(t, asOf)
+	ev.at, ev.asOf, ev.seq = t, asOf, e.seq
+	e.seq++
+	heap.Fix(&e.events, int(ev.idx))
+	return true
+}
+
+// RunningAsOf returns the asOf of the event whose callback is running: the
+// virtual time it was scheduled at, or the asOf it was scheduled or moved
+// with.
+func (e *Engine) RunningAsOf() Time { return e.asOf }
+
+func (e *Engine) checkAt(t, asOf Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("simtime: schedule at %v before now %v", t, e.now))
+	}
+	if asOf > t {
+		panic(fmt.Sprintf("simtime: schedule at %v as of the later %v", t, asOf))
+	}
 }
 
 // After schedules fn to run d after the current time. Negative d is treated
@@ -237,7 +295,7 @@ func (e *Engine) step() {
 		e.free = append(e.free, ev) //nbalint:allow hotalloc free-list growth is bounded by peak pending events
 		return
 	}
-	e.now = ev.at
+	e.now, e.asOf = ev.at, ev.asOf
 	fn := ev.fn
 	ev.fn = nil
 	ev.dead = true

@@ -242,3 +242,85 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	}
 	e.Run()
 }
+
+// TestMoveOrdersLikeCancelAndAt moves a timer onto a time shared with
+// events scheduled before and after it, and checks the firing order is the
+// one Cancel followed by At produces, with no cancelled event left behind.
+func TestMoveOrdersLikeCancelAndAt(t *testing.T) {
+	run := func(move bool) (string, int) {
+		e := NewEngine()
+		var order string
+		mark := func(s string) func() { return func() { order += s } }
+		e.At(5, mark("a"))
+		tm := e.At(9, mark("m"))
+		e.At(5, mark("b"))
+		e.At(1, func() {
+			e.At(5, mark("c"))
+			if move {
+				e.Move(tm, 5, e.Now())
+			} else {
+				tm.Cancel()
+				e.At(5, mark("m"))
+			}
+			e.At(5, mark("d"))
+		})
+		e.Run()
+		return order, len(e.free)
+	}
+	moved, movedFree := run(true)
+	want, wantFree := run(false)
+	if moved != want || moved != "abcmd" {
+		t.Errorf("Move order %q, cancel+At order %q, want abcmd", moved, want)
+	}
+	if movedFree != wantFree-1 {
+		t.Errorf("Move left %d events on the free list, cancel+At %d: want one fewer", movedFree, wantFree)
+	}
+}
+
+// TestAtAsOfOrdersByScheduleTime: an event scheduled as of an earlier
+// instant orders after the equal-time events scheduled before that instant
+// and before those scheduled after it; RunningAsOf reports its asOf.
+func TestAtAsOfOrdersByScheduleTime(t *testing.T) {
+	e := NewEngine()
+	var order string
+	var asOf Time
+	e.At(10, func() { order += "early" }) // scheduled at 0
+	e.At(4, func() {
+		e.At(10, func() { order += "late" }) // scheduled at 4
+	})
+	e.At(2, func() {
+		e.AtAsOf(10, 3, func() { order += "asof"; asOf = e.RunningAsOf() })
+	})
+	e.Run()
+	if order != "earlyasoflate" || asOf != 3 {
+		t.Errorf("order %q, RunningAsOf %v; want earlyasoflate, 3ps", order, asOf)
+	}
+}
+
+func TestMoveStaleOrFiredTimerIsNoOp(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	tm := e.At(1, func() { fired++ })
+	e.Run()
+	if e.Move(tm, 5, e.Now()) || e.Move(Timer{}, 5, 0) {
+		t.Fatal("Move of a fired or zero timer reported success")
+	}
+	e.Run()
+	if fired != 1 {
+		t.Fatalf("fired %d times, want 1", fired)
+	}
+}
+
+func TestMoveAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	tm := e.At(Second, fn)
+	at := Second
+	allocs := testing.AllocsPerRun(1000, func() {
+		at--
+		e.Move(tm, at, e.Now())
+	})
+	if allocs != 0 {
+		t.Fatalf("Move allocates %v per call, want 0", allocs)
+	}
+}

@@ -66,7 +66,10 @@ type CostModel struct {
 	CompletionPoll simtime.Cycles // per IO-loop check of the offload completion queue
 
 	// IdlePoll is how long a worker waits before re-polling when an IO loop
-	// iteration found no work at all.
+	// iteration found no work at all. It sets the grid a parked worker's
+	// passes keep: a worker held back from polling skips the passes that
+	// would find nothing and wakes on the first grid point after an event
+	// or deadline could change that (core's worker.park).
 	IdlePoll simtime.Time
 	// MaxIterTime bounds one IO-loop iteration in virtual time: the worker
 	// stops pulling more RX bursts once it has this much work queued. Keeps

@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,13 +9,12 @@ import (
 
 	"nba/internal/bench"
 	"nba/internal/core"
+	"nba/internal/golden"
 	"nba/internal/reconfig"
 	"nba/internal/simtime"
 	"nba/internal/sysinfo"
 	"nba/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite golden trace digests from the current code")
 
 // goldenSpec returns the canonical short run every golden trace pins: small
 // frame, one worker, modest load, fixed seed. Short enough that all eight
@@ -44,8 +42,8 @@ func runTraced(t *testing.T, spec core.Config) *trace.Tracer {
 	return tr
 }
 
-// golden is the pinned state of one canonical run.
-type golden struct {
+// pinned is the pinned state of one canonical run.
+type pinned struct {
 	Digest      string
 	Total       uint64
 	Checkpoints []trace.Checkpoint
@@ -73,13 +71,13 @@ func writeGolden(t *testing.T, name string, tr *trace.Tracer) {
 	}
 }
 
-func readGolden(t *testing.T, name string) golden {
+func readGolden(t *testing.T, name string) pinned {
 	t.Helper()
 	data, err := os.ReadFile(goldenPath(name))
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	var g golden
+	var g pinned
 	for _, line := range strings.Split(string(data), "\n") {
 		f := strings.Fields(line)
 		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
@@ -129,7 +127,7 @@ func TestGoldenTraces(t *testing.T) {
 		t.Run(caseName(c.app, c.lb), func(t *testing.T) {
 			tr := runTraced(t, goldenSpec(t, c.app, c.lb))
 			name := caseName(c.app, c.lb)
-			if *update {
+			if golden.Updating() {
 				writeGolden(t, name, tr)
 				return
 			}

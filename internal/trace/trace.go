@@ -37,7 +37,8 @@ type Kind uint8
 
 const (
 	// KindDispatch is one simtime engine event firing. A = engine sequence
-	// number of the fired event.
+	// number of the fired event. A parked worker's skipped IO-loop passes
+	// are not events, so they leave no record.
 	KindDispatch Kind = iota
 	// KindBatch is one element processing one batch. Name = element
 	// instance, Actor = worker. A = live packets, B = cycles charged,

@@ -28,7 +28,8 @@
 #                         form vs per-packet fill, the vector payload routine
 #                         vs the single-stream filler, the IPsec CTR on each
 #                         AES routine vs the stdlib stream, the IPsec ICV on
-#                         each SHA-1 block vs crypto/hmac) to catch
+#                         each SHA-1 block vs crypto/hmac, a run with worker
+#                         parking on vs off: FuzzParkingAgrees) to catch
 #                         shallow regressions; then one iteration of the IDS
 #                         scan (one row per kernel), generator fill (one
 #                         burst row per form), ESP kernel, SHA-1 block and
@@ -64,6 +65,9 @@
 #  10. examples           every program under examples/ runs once and must
 #                         exit 0: they are the nba facade's only end-to-end
 #                         users
+#  11. regolden dry run   scripts/regolden.sh -n re-records every golden
+#                         file (and the quick figure grid) and must find
+#                         nothing moved on the committed tree
 #
 # The race run doubles as the regression tripwire for the simulation contract:
 # the engine is single-threaded by design and the device executor's kernels
@@ -110,6 +114,7 @@ go test -fuzz='^FuzzFillBurstAgrees$' -fuzztime=5s -run '^$' ./internal/gen
 go test -fuzz='^FuzzFillRoutineAgrees$' -fuzztime=5s -run '^$' ./internal/gen
 go test -fuzz='^FuzzCTRMatchesStdlib$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
 go test -fuzz='^FuzzICVMatchesHMAC$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
+go test -fuzz='^FuzzParkingAgrees$' -fuzztime=5s -run '^$' ./internal/core
 
 echo "==> scan, fill, ESP kernel, SHA-1 block and IPv6 lookup benchmark smoke (one iteration each)"
 go test -run '^$' -bench 'Scan' -benchtime 1x ./internal/apps/ids
@@ -204,5 +209,8 @@ for dir in examples/*/; do
     echo "--- $dir"
     go run "./$dir" >/dev/null
 done
+
+echo "==> regolden dry run (every golden re-recorded, none may move)"
+scripts/regolden.sh -n
 
 echo "check.sh: all gates passed"
