@@ -51,3 +51,11 @@ func ChurnCfg(app string) Config { return churnCfg(app) }
 
 // WorkerStopped reports whether worker i retired.
 func WorkerStopped(s *System, i int) bool { return s.workers[i].stopped }
+
+// WorkerWake returns the time worker i's armed wake fires at, 0 if none.
+func WorkerWake(s *System, i int) simtime.Time { return s.workers[i].wakeAt }
+
+// ParkDeadline returns the deadline a pass of worker i ending now would
+// park until (worker.parkDeadline), from state that is the same whether
+// parking is on or off.
+func ParkDeadline(s *System, i int) (simtime.Time, bool) { return s.workers[i].parkDeadline() }

@@ -281,32 +281,98 @@ func TestParkedWakeOrdersLikeSkippedPass(t *testing.T) {
 	}
 }
 
-// TestParkedWorkerRetiresAtStop: a worker whose RX queues are down has
-// nothing to do but is held back by its peer's tasks on a hung, two-task
-// device queue. It can retire once arrivals stop, and must do so at the
-// same pass as the polling worker, although nothing wakes it: the hang
-// outlasts the run and the watchdog is off, so the DrainGrace watchdog
-// ends the run with the peer stuck.
-func TestParkedWorkerRetiresAtStop(t *testing.T) {
-	cfg := appCfg(t, "ipsec", "gpu", 1024, 2, 5e9)
-	cfg.TaskTimeout = -1
-	cfg.DrainGrace = 300 * us
-	cfg.Overload = &overload.Config{CoDelInterval: 100 * us, DeviceQueueDepth: 2}
-	cm := *sysinfo.Default()
-	cm.MaxDeviceBacklog = 0
-	cfg.CostModel = &cm
-	cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
-		{At: 0, Kind: fault.RxQueueDown, Port: 0, Queue: 1},
-		{At: 0, Kind: fault.RxQueueDown, Port: 1, Queue: 1},
-		{At: 2 * simtime.Millisecond, Kind: fault.DeviceHang},
-	}}
-	var stopped []string
+// TestParkedDeadlineWakeOrdersLikeSkippedPass forces an event onto the
+// grid point where a parked worker's deadline wake fires (with the task cap
+// out of reach, mostly the device backlog decaying to MaxDeviceBacklog).
+// The event takes the worker's RX queues down; it is scheduled before the
+// skipped pass one grid point earlier, so the pass on the grid point must
+// come after it and find nothing to poll, as the polling run's does.
+func TestParkedDeadlineWakeOrdersLikeSkippedPass(t *testing.T) {
+	cfg := appCfg(t, "ids", "gpu", 1024, 2, 10e9)
+	cfg.MaxInflightTasks = 64
+	const idle = simtime.Microsecond
+	ties := 0
 	agree(t, false, func() {
-		sys := runCfg(t, cfg)
-		stopped = append(stopped, fmt.Sprint(core.WorkerStopped(sys, 0), core.WorkerStopped(sys, 1)))
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sys.Engine()
+		queues := func(kind fault.Kind) func() {
+			return func() {
+				for port := range 2 {
+					core.ApplyFault(sys, fault.Event{Kind: kind, Port: port, Queue: 0})
+				}
+			}
+		}
+		for at := 800 * us; at < cfg.Warmup+cfg.Duration; at += 37300 * simtime.Nanosecond {
+			eng.At(at, func() {
+				start, _, parked := core.WorkerClock(sys, 0)
+				deadline, ok := core.ParkDeadline(sys, 0)
+				if !ok {
+					return
+				}
+				tie := start + (deadline-start+idle-1)/idle*idle
+				if tie-idle <= eng.Now() {
+					return // the pass before the tie is already scheduled
+				}
+				if parked && core.WorkerWake(sys, 0) == tie {
+					ties++
+				}
+				eng.At(tie, queues(fault.RxQueueDown))
+				eng.At(tie+30*us, queues(fault.RxQueueUp))
+			})
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if stopped[0] != "false true" || stopped[1] != stopped[0] {
-		t.Errorf("workers stopped (0, 1): parked %s, polling %s; want false true", stopped[0], stopped[1])
+	t.Logf("events on a parked worker's deadline wake: %d", ties)
+	if ties == 0 {
+		t.Fatal("no event landed on a parked worker's deadline wake")
+	}
+}
+
+// TestParkedWorkerRetiresAtStop: worker 1 is held back by worker 0's
+// tasks on a hung, two-task device queue, with no task of its own out. It
+// can retire once arrivals stop and its RX queues hold nothing it must
+// poll, and must do so at the same pass as the polling worker, though no
+// device event comes: the hang outlasts the run and the watchdog is off,
+// so the DrainGrace watchdog ends the run with worker 0 stuck. Either its
+// queues are down all along (the stopTime deadline wakes it), or they
+// come up with a backlog before the stop and go down after it (the fault
+// event wakes it).
+func TestParkedWorkerRetiresAtStop(t *testing.T) {
+	down := func(at simtime.Time, kind fault.Kind) []fault.Event {
+		return []fault.Event{{At: at, Kind: kind, Port: 0, Queue: 1}, {At: at, Kind: kind, Port: 1, Queue: 1}}
+	}
+	for _, c := range []struct {
+		name   string
+		events []fault.Event
+	}{
+		{"queues-down-throughout", down(0, fault.RxQueueDown)},
+		{"queues-down-after-stop", slices.Concat(down(0, fault.RxQueueDown),
+			down(1900*us, fault.RxQueueUp), down(3200*us, fault.RxQueueDown))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := appCfg(t, "ipsec", "gpu", 1024, 2, 5e9)
+			cfg.TaskTimeout = -1
+			cfg.DrainGrace = 500 * us
+			cfg.Overload = &overload.Config{CoDelInterval: 100 * us, DeviceQueueDepth: 2}
+			cm := *sysinfo.Default()
+			cm.MaxDeviceBacklog = 0
+			cfg.CostModel = &cm
+			cfg.FaultPlan = &fault.Plan{Events: append(c.events,
+				fault.Event{At: 1500 * us, Kind: fault.DeviceHang})}
+			var stopped []string
+			agree(t, false, func() {
+				sys := runCfg(t, cfg)
+				stopped = append(stopped, fmt.Sprint(core.WorkerStopped(sys, 0), core.WorkerStopped(sys, 1)))
+			})
+			if stopped[0] != "false true" || stopped[1] != stopped[0] {
+				t.Errorf("workers stopped (0, 1): parked %s, polling %s; want false true", stopped[0], stopped[1])
+			}
+		})
 	}
 }
 
