@@ -16,7 +16,7 @@ const (
 	stagesPerWorker      = 16       // queues staged per pass: local ports × active lanes, cut here
 	stageArenaPerWorker  = 32 << 10 // bytes of staged frames
 	stageFramesPerWorker = 512      // staged frames
-	fillChunk            = 4        // frames filled per FillBurst call: one 4-packet lockstep round
+	fillChunk            = 4        // frames filled between checks of the executor's yield
 	maxStageBackoff      = 32       // passes a worker stops arming after withdrawals in a row
 )
 

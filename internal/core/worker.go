@@ -151,8 +151,8 @@ type worker struct {
 	// stage materialises the next pass's RX bursts on the executor.
 	stage stager
 	// burst receives each RX poll. It is a field, not a local of iterate:
-	// Poll hands it to the generator's FillBurst, an interface method, which
-	// would move a stack array to the heap on every iteration.
+	// its capacity is the run's IOBatchSize, so a local would be a heap
+	// allocation on every pass.
 	burst []*packet.Packet
 
 	// sentinel is the integrity re-execution sampler, non-nil only when

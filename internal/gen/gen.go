@@ -6,14 +6,13 @@
 //
 // Every generator is a pure, read-only function of (seed, port, seq), so any
 // run is reproducible, RX queues can materialise packets lazily and
-// concurrent runs may share one generator. Within one run too: FillBurst may
-// run on a System's executor goroutine, staging a worker's next RX bursts,
-// while the same run's event loop fills other bursts from the same
-// generator. A fill reads only a packet's Seq and writes only its frame
-// bytes and length. Each generator has two faces over the same bytes: Fill
-// for one packet, and FillBurst for the packets of one RX burst, which
-// interleaves their payload fillers (payload.go): four per loop in Go, or
-// eight per register on an amd64 CPU with AVX-512 (payload_amd64.s).
+// concurrent runs may share one generator. Within one run too: Fill may run
+// on a System's executor goroutine, staging a worker's next RX bursts,
+// while the same run's event loop fills other packets from the same
+// generator. A fill writes only a packet's frame bytes and length. Each
+// packet's stream draws its header fields and then the key of its
+// counter-based payload filler (payload.go), one plain-Go loop on every
+// host.
 package gen
 
 import (
@@ -65,13 +64,6 @@ func (g *UDP4) Fill(p *packet.Packet, port int, seq uint64) {
 	fillOne(p, &r, off, attack{g.AttackFrac, g.AttackPattern})
 }
 
-// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
-//
-//nba:hotpath
-func (g *UDP4) FillBurst(pkts []*packet.Packet, port int) {
-	fillBurst(g, pkts, port, attack{g.AttackFrac, g.AttackPattern}, hostVec())
-}
-
 func (g *UDP4) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {
 	r := perPacket(g.Seed, port, seq)
 	src, dst, sport, dport := g.tuple(&r)
@@ -112,13 +104,6 @@ func (g *UDP6) MeanFrameLen() float64 { return float64(g.FrameLen) }
 func (g *UDP6) Fill(p *packet.Packet, port int, seq uint64) {
 	r, off := g.header(p, port, seq)
 	fillOne(p, &r, off, attack{})
-}
-
-// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
-//
-//nba:hotpath
-func (g *UDP6) FillBurst(pkts []*packet.Packet, port int) {
-	fillBurst(g, pkts, port, attack{}, hostVec())
 }
 
 func (g *UDP6) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {
@@ -188,13 +173,6 @@ func (g *SyntheticCAIDA) MeanFrameLen() float64 { return caidaMean }
 func (g *SyntheticCAIDA) Fill(p *packet.Packet, port int, seq uint64) {
 	r, off := g.header(p, port, seq)
 	fillOne(p, &r, off, attack{})
-}
-
-// FillBurst fills every pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would.
-//
-//nba:hotpath
-func (g *SyntheticCAIDA) FillBurst(pkts []*packet.Packet, port int) {
-	fillBurst(g, pkts, port, attack{}, hostVec())
 }
 
 func (g *SyntheticCAIDA) header(p *packet.Packet, port int, seq uint64) (rng.Rand, int) {

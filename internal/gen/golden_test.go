@@ -11,7 +11,7 @@ import (
 	"nba/internal/packet"
 )
 
-// filler is the per-packet face every generator has.
+// filler is the fill half of netio.Generator, which every generator is.
 type filler interface {
 	Fill(p *packet.Packet, port int, seq uint64)
 }
@@ -21,7 +21,7 @@ type fillCase struct {
 	g    filler
 }
 
-// fillCases is the generator matrix the byte-identity tests share: every
+// fillCases is the generator matrix TestFillGolden pins: every
 // generator, frame lengths around the header boundary (42 B has no payload),
 // bounded and unbounded flows, and attack patterns longer than some payloads.
 func fillCases() []fillCase {
@@ -53,10 +53,9 @@ func goldenSeq(i int) (port int, seq uint64) {
 }
 
 // TestFillGolden pins Fill: sha256 over 256 frames (length-prefixed) per
-// case, in testdata/fill.golden, recorded at the commit before the payload
-// kernel was shared and burst filling was added. Every generated byte is
-// part of every run's identity (trace digests, TX fingerprints), so a
-// change here is never a refactor.
+// case, in testdata/fill.golden. Every generated byte is part of every run's
+// identity (trace digests, TX fingerprints), so a change here is never a
+// refactor.
 func TestFillGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, c := range fillCases() {

@@ -7,16 +7,16 @@
 // packets have arrived since its last poll and materialises only the ones
 // actually delivered in a burst. Deterministic arrival timestamps
 // (k-th packet at start + (k+1)/rate) make latency measurements exact.
-// Materialisation is per burst, as the poll is: Poll takes and stamps the
-// burst's buffers, has the generator fill all of them in one call, and then
-// records their lengths.
+// Poll takes and stamps the burst's buffers, has the generator fill each of
+// them, and then records their lengths.
 //
 // A burst may also be materialised ahead of its poll (stage.go): Predict
 // says which seqs Poll(t, burst) will deliver, a Stage armed on the queue
-// holds those frames, filled by FillBurst on another goroutine (a System's
-// executor) while the event loop goes on, and Poll copies each staged frame
-// instead of filling it. A frame is a pure function of (generator, port,
-// seq), so a staged frame and a filled one are the same bytes.
+// holds those frames, filled by the generator on another goroutine (a
+// System's executor) while the event loop goes on, and Poll copies each
+// staged frame instead of filling it. A frame is a pure function of
+// (generator, port, seq), so a staged frame and a filled one are the same
+// bytes.
 //
 // RSS is modelled as a uniform spread of flows over a port's RX queues,
 // which packet.FlowHash5's measured spread justifies; each queue owns
@@ -36,44 +36,19 @@ import (
 	"nba/internal/trace"
 )
 
-// Generator produces packet contents. Implementations live in internal/gen.
+// Generator produces packet contents; Poll and a stage's fill call Fill
+// once per packet. Implementations live in internal/gen.
 type Generator interface {
 	// Fill writes the frame for the seq-th packet of the given port into p:
 	// its bytes and its length, nothing else. It must be deterministic in
 	// (port, seq), must not read p's other metadata and must not write
 	// generator state: queues of concurrent runs may share one generator,
 	// and a stage's fill may run on a System's executor goroutine while the
-	// same run's event loop fills other bursts from the same generator.
+	// same run's event loop fills other packets from the same generator.
 	Fill(p *packet.Packet, port int, seq uint64)
 	// MeanFrameLen returns the average frame length in bytes, used to
 	// convert offered Gbps to packets per second.
 	MeanFrameLen() float64
-}
-
-// BurstFiller is what a Generator may offer besides: FillBurst fills every
-// pkts[i] as Fill(pkts[i], port, pkts[i].Seq) would, in any order it likes,
-// under Fill's contract. A queue whose generator has it materialises each RX
-// burst with one call.
-type BurstFiller interface {
-	FillBurst(pkts []*packet.Packet, port int)
-}
-
-// perPacket adapts a plain Generator to the burst form.
-type perPacket struct{ gen Generator }
-
-//nba:hotpath
-func (a perPacket) FillBurst(pkts []*packet.Packet, port int) {
-	for _, p := range pkts {
-		a.gen.Fill(p, port, p.Seq)
-	}
-}
-
-// burstFillerOf resolves a generator into the one fill Poll calls.
-func burstFillerOf(gen Generator) BurstFiller {
-	if bf, ok := gen.(BurstFiller); ok {
-		return bf
-	}
-	return perPacket{gen}
 }
 
 // PacketPool is the mempool type RX queues draw buffers from.
@@ -94,7 +69,7 @@ type RxQueue struct {
 	// queue belongs to exactly one tenant and batches never mix tenants.
 	Tenant int32
 
-	fill     BurstFiller // the generator, resolved once into its burst form
+	gen      Generator
 	capacity int
 
 	// Arrival process state. The rate may change (workload shifts); each
@@ -136,7 +111,7 @@ func NewRxQueue(port, queue int, gen Generator, ratePPS float64, capacity int) *
 	}
 	return &RxQueue{
 		Port: port, Queue: queue,
-		fill: burstFillerOf(gen), rate: ratePPS, capacity: capacity,
+		gen: gen, rate: ratePPS, capacity: capacity,
 	}
 }
 
@@ -153,7 +128,7 @@ func (q *RxQueue) SetStop(t simtime.Time) { q.stopTime = t }
 // SetGenerator swaps the traffic generator (workload-change experiments).
 // Sequence numbering continues, so determinism is preserved.
 func (q *RxQueue) SetGenerator(gen Generator) {
-	q.fill = burstFillerOf(gen)
+	q.gen = gen
 	q.genEpoch++
 }
 
@@ -286,9 +261,7 @@ func (q *RxQueue) SetCapacity(now simtime.Time, capacity int) {
 
 // Poll delivers up to burst packets into out, drawing buffers from pool.
 // It returns the packets received. Buffer-pool exhaustion drops packets
-// (and counts them in AllocFailed). The delivered tail of out is handed to
-// the generator through an interface, so out's backing array cannot live on
-// the caller's stack: a caller that polls in a loop keeps it in a field.
+// (and counts them in AllocFailed).
 //
 // Poll consumes the queue's armed stage, if any: a packet whose seq the
 // stage holds, filled from the generator and for the port the queue still
@@ -326,7 +299,7 @@ func (q *RxQueue) Poll(now simtime.Time, burst int, pool *PacketPool, out []*pac
 		q.stage = nil
 		q.fillStaged(st, out[start:])
 	} else {
-		q.fill.FillBurst(out[start:], q.Port)
+		q.fill(out[start:])
 	}
 	for _, p := range out[start:] {
 		p.OrigLen = p.Length()
@@ -345,6 +318,15 @@ func (q *RxQueue) Poll(now simtime.Time, burst int, pool *PacketPool, out []*pac
 	}
 	q.Checker.RxQueue(now, q.Port, q.Queue, q.arrivalsSeen, q.delivered, q.dropped, q.capacity)
 	return out
+}
+
+// fill has the generator fill each of pkts.
+//
+//nba:hotpath
+func (q *RxQueue) fill(pkts []*packet.Packet) {
+	for _, p := range pkts {
+		q.gen.Fill(p, q.Port, p.Seq)
+	}
 }
 
 // Down reports whether the queue is currently flapped down.

@@ -45,20 +45,19 @@ func TestPollEmitsRxAndDropEvents(t *testing.T) {
 	}
 }
 
-// flatGen is a plain Generator that writes nothing, so the queue reaches it
-// through the per-packet adapter and AllocsPerRun isolates Poll itself.
+// flatGen is a Generator that writes nothing, so AllocsPerRun isolates Poll
+// itself.
 type flatGen struct{}
 
 func (flatGen) Fill(p *packet.Packet, port int, seq uint64) { p.SetLength(64) }
 func (flatGen) MeanFrameLen() float64                       { return 64 }
 
-// TestPollNoAllocsWithNilTracer gates both materialisation routes: the
-// adapter around a plain generator, and a real gen.UDP4 filling the burst
-// (its lanes must stay on the stack).
+// TestPollNoAllocsWithNilTracer gates Poll alone, and with a real gen.UDP4
+// filling the burst.
 func TestPollNoAllocsWithNilTracer(t *testing.T) {
 	for name, g := range map[string]Generator{
-		"plain": flatGen{},
-		"burst": &gen.UDP4{FrameLen: 128, Flows: 64, Seed: 1},
+		"flat": flatGen{},
+		"UDP4": &gen.UDP4{FrameLen: 128, Flows: 64, Seed: 1},
 	} {
 		q := NewRxQueue(0, 0, g, 1e9, 1<<20) // plenty of backlog every poll
 		pool := NewPacketPool("test", 8192)

@@ -17,7 +17,7 @@ import (
 // stage between Arm and the end of its fill.
 type Stage struct {
 	q     *RxQueue // the queue the stage is armed on, nil when disarmed
-	fill  BurstFiller
+	gen   Generator
 	epoch uint64 // the queue's generator epoch at Arm
 	port  int
 	first uint64 // seq of the first frame
@@ -37,7 +37,7 @@ func (q *RxQueue) Arm(st *Stage, t simtime.Time, burst int) bool {
 	if n == 0 {
 		return false
 	}
-	*st = Stage{q: q, fill: q.fill, epoch: q.genEpoch, port: q.Port, first: first, want: n}
+	*st = Stage{q: q, gen: q.gen, epoch: q.genEpoch, port: q.Port, first: first, want: n}
 	q.stage = st
 	return true
 }
@@ -55,22 +55,18 @@ func (st *Stage) Disarm() {
 func (st *Stage) Armed() bool { return st.q != nil && st.q.stage == st }
 
 // Fill materialises the armed frames, packed into arena with frame i ending
-// at ends[i], using scratch as the generator's buffers, up to len(scratch)
-// at a time. It stops early when arena or ends runs out, or when stop, if
-// not nil, says so before a round of scratch. It returns how much of arena
-// and of ends it used; the stage holds the frames filled.
+// at ends[i], filling each into a packet of scratch before copying it, in
+// rounds of len(scratch) frames. It stops early when arena or ends runs
+// out, or when stop, if not nil, says so before a round. It returns how
+// much of arena and of ends it used; the stage holds the frames filled.
 //
 //nba:hotpath
 func (st *Stage) Fill(arena []byte, ends []int32, scratch []*packet.Packet, stop func() bool) (used, n int) {
 	want := min(st.want, len(ends))
 fill:
 	for n < want && (stop == nil || !stop()) {
-		chunk := scratch[:min(len(scratch), want-n)]
-		for i, p := range chunk {
-			p.Stamp(st.first+uint64(n+i), 0, st.port, 0) // a fill reads only the seq
-		}
-		st.fill.FillBurst(chunk, st.port)
-		for _, p := range chunk {
+		for _, p := range scratch[:min(len(scratch), want-n)] {
+			st.gen.Fill(p, st.port, st.first+uint64(n))
 			frame := p.Data()
 			if len(frame) > len(arena)-used {
 				break fill
@@ -92,7 +88,7 @@ fill:
 //nba:hotpath
 func (q *RxQueue) fillStaged(st *Stage, pkts []*packet.Packet) {
 	if st.q != q || st.epoch != q.genEpoch || st.port != q.Port || st.n == 0 {
-		q.fill.FillBurst(pkts, q.Port)
+		q.fill(pkts)
 		return
 	}
 	lo, hi := st.first, st.first+uint64(st.n)
@@ -109,10 +105,6 @@ func (q *RxQueue) fillStaged(st *Stage, pkts []*packet.Packet) {
 		}
 		pkts[j].CopyFrom(st.arena[from:st.ends[k]])
 	}
-	if i > 0 {
-		q.fill.FillBurst(pkts[:i], q.Port)
-	}
-	if j < len(pkts) {
-		q.fill.FillBurst(pkts[j:], q.Port)
-	}
+	q.fill(pkts[:i])
+	q.fill(pkts[j:])
 }

@@ -97,8 +97,9 @@ type stagedCase struct {
 // TestStagedPollMatchesFill: a poll served from a stage filled on this
 // goroutine delivers the same bytes, lengths and metadata as a poll of an
 // identical queue without one — with the stage covering the whole burst,
-// part of it (arena full, or the fill stopped part-way), seqs shifted by pool exhaustion or a later poll, after a
-// generator swap, and for a stage armed on another port's queue.
+// part of it (arena full, or the fill stopped part-way), seqs shifted by
+// pool exhaustion or a later or earlier poll, after a generator swap, and
+// for a stage armed on another port's queue.
 func TestStagedPollMatchesFill(t *testing.T) {
 	us := simtime.Microsecond
 	gens := map[string]Generator{
@@ -120,6 +121,10 @@ func TestStagedPollMatchesFill(t *testing.T) {
 		// armed at 40 us: the burst's tail comes from the stage.
 		{name: "polled later", armAt: 40 * us, at: 75 * us, burst: 64, arena: 1 << 20, pool: 4096,
 			wantStaged: true, wantUnstaged: true},
+		// Armed for 75 us, polled at 40 us: the burst's head, seqs the
+		// ring would have head-dropped by 75 us, comes before the stage.
+		{name: "polled earlier", armAt: 75 * us, at: 40 * us, burst: 64, arena: 1 << 20, pool: 4096,
+			wantStaged: true, wantUnstaged: true},
 		{name: "generator swapped", armAt: 40 * us, at: 40 * us, burst: 64, arena: 1 << 20, pool: 4096,
 			afterArm: func(plain, staged *RxQueue, _ *Stage) {
 				plain.SetGenerator(other)
@@ -129,7 +134,7 @@ func TestStagedPollMatchesFill(t *testing.T) {
 			afterArm: func(_, staged *RxQueue, st *Stage) {
 				// Arm the stage on port 3's queue, which has the same
 				// arrivals, and hand it to this one.
-				q3 := NewRxQueue(3, 0, staged.fill.(Generator), 4e6, 256)
+				q3 := NewRxQueue(3, 0, staged.gen, 4e6, 256)
 				q3.Arm(st, 40*simtime.Microsecond, 64)
 				st.Fill(make([]byte, 1<<20), make([]int32, 256), scratchPkts(16), nil)
 				staged.stage = st

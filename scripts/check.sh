@@ -7,9 +7,8 @@
 #                         against its Go declarations), then again with
 #                         GOARCH=arm64 so the build without amd64 assembly
 #                         (the IPsec CTR's generic AES block, the ICV's
-#                         generic SHA-1 block, the IDS scan's portable batch
-#                         kernel and the generator's Go payload lanes) cannot
-#                         rot
+#                         generic SHA-1 block and the IDS scan's portable
+#                         batch kernel) cannot rot
 #   3. go build ./...     everything compiles
 #   4. nbalint ./...      framework determinism & invariant lint (cmd/nbalint):
 #                         the per-file rules (nondeterminism, maprange,
@@ -24,15 +23,15 @@
 #   5. go test -race ...  full test suite under the race detector
 #   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
 #                         packet header parsing, each IDS batch scan kernel vs
-#                         the single stream, generator burst fill on each
-#                         form vs per-packet fill, the vector payload routine
-#                         vs the single-stream filler, the IPsec CTR on each
-#                         AES routine vs the stdlib stream, the IPsec ICV on
-#                         each SHA-1 block vs crypto/hmac, a run with worker
+#                         the single stream, every generator's fill over a
+#                         dirty buffer vs a clean one (FuzzFillContract), the
+#                         IPsec CTR on each AES routine vs the stdlib stream,
+#                         the IPsec ICV on each SHA-1 block vs crypto/hmac,
+#                         a run with worker
 #                         parking on vs off: FuzzParkingAgrees) to catch
 #                         shallow regressions; then one iteration of the IDS
-#                         scan (one row per kernel), generator fill (one
-#                         burst row per form), ESP kernel, SHA-1 block and
+#                         scan (one row per kernel), generator fill (one row
+#                         per workload), ESP kernel, SHA-1 block and
 #                         IPv6 lookup benchmarks, so the kernels' benchmarks
 #                         cannot rot
 #   7. trace self-check  the same config+seed recorded twice with the built
@@ -110,8 +109,7 @@ go test -fuzz='^FuzzParsePrint$' -fuzztime=5s -run '^$' ./internal/conflang
 go test -fuzz='^FuzzHeaderParse$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzScanBatchAgrees$' -fuzztime=5s -run '^$' ./internal/apps/ids
-go test -fuzz='^FuzzFillBurstAgrees$' -fuzztime=5s -run '^$' ./internal/gen
-go test -fuzz='^FuzzFillRoutineAgrees$' -fuzztime=5s -run '^$' ./internal/gen
+go test -fuzz='^FuzzFillContract$' -fuzztime=5s -run '^$' ./internal/gen
 go test -fuzz='^FuzzCTRMatchesStdlib$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
 go test -fuzz='^FuzzICVMatchesHMAC$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
 go test -fuzz='^FuzzParkingAgrees$' -fuzztime=5s -run '^$' ./internal/core
