@@ -22,10 +22,10 @@ const NumAnnos = 7
 
 // Batch-level annotation slots.
 const (
-	// AnnoDevice is the load-balancer decision: the index of the
-	// computation device that should process offloadable elements for this
-	// batch, or CPUDevice to run them on the CPU (paper §3.4: "the load
-	// balancing decision is stored as a batch-level annotation").
+	// AnnoDevice is the load-balancer decision: CPUDevice runs the batch's
+	// offloadable elements on the CPU, any other value (LoadBalance stamps
+	// 1) on the socket's device, of which there is at most one (paper §3.4:
+	// "the load balancing decision is stored as a batch-level annotation").
 	AnnoDevice = iota
 	AnnoUser0
 	AnnoUser1

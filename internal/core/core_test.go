@@ -9,10 +9,13 @@ import (
 	_ "nba/internal/apps/ipsec"
 	_ "nba/internal/apps/ipv4"
 	_ "nba/internal/apps/ipv6"
+	"nba/internal/batch"
+	"nba/internal/element"
 	"nba/internal/fault"
 	"nba/internal/gen"
 	"nba/internal/graph"
 	"nba/internal/integrity"
+	"nba/internal/invariant"
 	"nba/internal/simtime"
 	"nba/internal/sysinfo"
 )
@@ -234,6 +237,10 @@ func TestConfigValidation(t *testing.T) {
 		{"NaN burst factor", func(c *Config) {
 			c.FaultPlan = &fault.Plan{Events: []fault.Event{{At: simtime.Millisecond, Kind: fault.RateBurst, RateFactor: math.NaN()}}}
 		}, "rate factor"},
+		{"two devices on a socket", func(c *Config) {
+			c.Topology = sysinfo.SingleSocketTopology(4, 2)
+			c.Topology.Devices = append(c.Topology.Devices, sysinfo.Device{Kind: sysinfo.DevicePhi, Name: "phi0", Socket: 0})
+		}, "devices gpu0 and phi0 share socket 0"},
 	}
 	for _, c := range cases {
 		cfg := base
@@ -244,6 +251,79 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
+}
+
+// stampDevice annotates every batch for the device without asking whether
+// the socket has one, as LoadBalance("gpu") would if it did not check.
+type stampDevice struct{ element.Base }
+
+func (*stampDevice) Class() string { return "StampDevice" }
+
+func (*stampDevice) ProcessBatch(ctx *element.ProcContext, b *batch.Batch) int {
+	b.Anno[batch.AnnoDevice] = 1
+	return 0
+}
+
+func init() {
+	element.Register("StampDevice", func() element.Element { return &stampDevice{} })
+}
+
+// TestSocketWithoutDevice runs a two-socket machine whose second socket has
+// no device. CPU-only balancing runs there and conserves every packet; a
+// balancer that needs the device refuses the graph at construction; and a
+// graph that annotates offloads anyway has the device-less socket's
+// aggregates dropped as graph drops while the other socket offloads.
+func TestSocketWithoutDevice(t *testing.T) {
+	cfgFor := func(graphCfg string) Config {
+		cfg := quickCfg(graphCfg, 2e9, 64)
+		top := sysinfo.SingleSocketTopology(4, 2)
+		top.Sockets = 2
+		top.Ports = append(top.Ports,
+			sysinfo.Port{ID: 2, Socket: 1, LineRateBps: 10e9},
+			sysinfo.Port{ID: 3, Socket: 1, LineRateBps: 10e9})
+		cfg.Topology = top
+		cfg.Duration = 4 * simtime.Millisecond
+		cfg.Checker = invariant.New()
+		return cfg
+	}
+	check := func(t *testing.T, cfg Config) *Report {
+		t.Helper()
+		r := run(t, cfg)
+		if r.TxPackets == 0 {
+			t.Error("nothing transmitted")
+		}
+		if !r.Conserved() {
+			t.Errorf("conservation broken: %+v", r.Counters)
+		}
+		if r.PoolOutstanding != 0 {
+			t.Errorf("leak: %d packets outstanding", r.PoolOutstanding)
+		}
+		for _, v := range cfg.Checker.Violations() {
+			t.Errorf("invariant violation: %+v", v)
+		}
+		return r
+	}
+	t.Run("lb=cpu", func(t *testing.T) {
+		r := check(t, cfgFor(sprintfConfig(ipv4LBConfigTpl, "cpu")))
+		if r.OffloadedPackets != 0 || r.GraphDrops != 0 {
+			t.Errorf("CPU-only run offloaded %d and graph-dropped %d packets", r.OffloadedPackets, r.GraphDrops)
+		}
+	})
+	t.Run("lb=gpu", func(t *testing.T) {
+		_, err := NewSystem(cfgFor(sprintfConfig(ipv4LBConfigTpl, "gpu")))
+		if err == nil || !strings.Contains(err.Error(), "requires an accelerator") {
+			t.Fatalf("NewSystem: %v, want LoadBalance's missing-accelerator error", err)
+		}
+	})
+	t.Run("stamped offload", func(t *testing.T) {
+		r := check(t, cfgFor(strings.Replace(ipv4LBConfigTpl, `LoadBalance("%s")`, "StampDevice()", 1)))
+		if r.OffloadedPackets == 0 {
+			t.Error("the socket with a device offloaded nothing")
+		}
+		if r.GraphDrops == 0 {
+			t.Error("the device-less socket's offloads were not dropped")
+		}
+	})
 }
 
 func TestDualSocketDefaultTopology(t *testing.T) {

@@ -30,12 +30,12 @@ const (
 // frame is the one the generator makes for its (port, seq), so nothing the
 // run outputs depends on which side filled it (DESIGN.md §13).
 type stager struct {
-	stages  []netio.Stage    // the worker's zone carve
-	arena   []byte           // the worker's zone carve
-	ends    []int32          // the worker's zone carve
-	scratch []*packet.Packet // the generator's buffers, shared by the System's stagers
-	armed   int              // stages armed for the job
-	queued  bool             // the job was submitted and not claimed yet
+	stages  []netio.Stage  // the worker's zone carve
+	arena   []byte         // the worker's zone carve
+	ends    []int32        // the worker's zone carve
+	scratch *packet.Packet // the generator's buffer, shared by the System's stagers
+	armed   int            // stages armed for the job
+	queued  bool           // the job was submitted and not claimed yet
 	h       par.BestEffort
 	// backoff and skip: a withdrawn job was pure overhead (arming, a wake of
 	// the executor, a claim), so after one the worker skips the next 1, 3,
@@ -51,13 +51,13 @@ type stager struct {
 // worker's arena, until it runs out. Only the executor's goroutine runs it,
 // one job at a time, so the System's stagers share one scratch.
 func (sg *stager) RunJob() {
-	// A fill stops between rounds of scratch once a device job is queued
-	// behind it or the worker waits for it: the frames not staged yet are
-	// filled at the poll.
+	// A fill stops between rounds of fillChunk frames once a device job is
+	// queued behind it or the worker waits for it: the frames not staged
+	// yet are filled at the poll.
 	yield := func() bool { return sg.exec.Yield(&sg.h) }
 	arena, ends := sg.arena, sg.ends
 	for i := range sg.armed {
-		used, n := sg.stages[i].Fill(arena, ends, sg.scratch, yield)
+		used, n := sg.stages[i].Fill(arena, ends, sg.scratch, fillChunk, yield)
 		arena, ends = arena[used:], ends[n:]
 	}
 }

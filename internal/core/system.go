@@ -105,10 +105,6 @@ type tenantLifecycle struct {
 	evictedAt simtime.Time
 }
 
-// errNoPluggedDevice reports that placement resolved to a socket whose every
-// device is hot-unplugged; the caller rescues the aggregate on the CPU.
-var errNoPluggedDevice = errors.New("core: no plugged device on socket")
-
 // observeRun, when non-nil, sees every run twice: with a nil report before
 // NewSystem applies the defaults (it may attach a tracer), and with the
 // report when Run returns. Only tests set it (export_test.go).
@@ -193,10 +189,13 @@ func NewSystem(cfg Config) (*System, error) {
 		s.ports = append(s.ports, &netio.Port{HW: hw})
 	}
 	for socket := 0; socket < top.Sockets; socket++ {
+		var dev *gpu.Device
+		if di, ok := top.DeviceOnSocket(socket); ok {
+			dev = s.devices[di]
+		}
 		for wi := 0; wi < cfg.WorkersPerSocket; wi++ {
 			id := len(s.workers)
-			s.workers = append(s.workers, newWorker(s, id, socket, wi,
-				top.PortsOnSocket(socket), top.DevicesOnSocket(socket)))
+			s.workers = append(s.workers, newWorker(s, id, socket, wi, top.PortsOnSocket(socket), dev))
 		}
 	}
 	s.nodeLocals = make([][]*element.NodeLocal, top.Sockets)
@@ -298,30 +297,6 @@ func (s *System) overloadLevel(socket int, tenant int32) overload.Level {
 		return overload.LevelNormal
 	}
 	return s.governors[socket][tenant].Level()
-}
-
-// deviceFor resolves a batch's device annotation on a worker's socket:
-// annotation k selects local device k-1.
-func (s *System) deviceFor(socket, anno int) (*gpu.Device, error) {
-	local := s.cfg.Topology.DevicesOnSocket(socket)
-	idx := anno - 1
-	if idx < 0 || idx >= len(local) {
-		return nil, fmt.Errorf("core: socket %d has no device for annotation %d", socket, anno)
-	}
-	// Hot-unplug re-route: a device removed from service stops taking new
-	// submissions the moment its epoch begins. The choice falls to the next
-	// plugged local device in index order; with none left the caller rescues
-	// the aggregate on the CPU.
-	if !s.devPlugged[local[idx]] {
-		for off := 1; off < len(local); off++ {
-			j := (idx + off) % len(local)
-			if s.devPlugged[local[j]] {
-				return s.devices[local[j]], nil
-			}
-		}
-		return nil, errNoPluggedDevice
-	}
-	return s.devices[local[idx]], nil
 }
 
 // applyRate pushes the current composed offered load (nominal rate × burst
@@ -656,8 +631,8 @@ func (s *System) beginEpoch(ev reconfig.Event) {
 		payload = int64(math.Float64bits(ev.Share))
 	case reconfig.DeviceUnplug:
 		target = int64(ev.Device)
-		// Quiesce: new submissions re-route from the begin instant; queued
-		// tasks keep draining on the device.
+		// Quiesce: from the begin instant the socket's new offloads are
+		// rescued on the CPU; queued tasks keep draining on the device.
 		s.devPlugged[ev.Device] = false
 	case reconfig.DevicePlug:
 		target = int64(ev.Device)
@@ -780,12 +755,10 @@ func (s *System) commitEpoch() {
 		s.applyRate()
 	case reconfig.DeviceUnplug:
 		target = int64(ev.Device)
-		// With the socket's last device gone its controllers collapse to
-		// the CPU; the unplugged-rescue path covers aggregates already
+		// With the socket's device gone its controllers collapse to the
+		// CPU; the unplugged-rescue path covers aggregates already
 		// annotated for offload.
-		if socket := s.cfg.Topology.Devices[ev.Device].Socket; !s.socketHasPluggedDevice(socket) {
-			reseated = s.releaseWBounds(socket, 0)
-		}
+		reseated = s.releaseWBounds(s.cfg.Topology.Devices[ev.Device].Socket, 0)
 	case reconfig.DevicePlug:
 		target = int64(ev.Device)
 		s.devPlugged[ev.Device] = true
@@ -890,20 +863,9 @@ func (s *System) recomputeShares() {
 	}
 }
 
-// socketHasPluggedDevice reports whether any of the socket's devices is in
-// service.
-func (s *System) socketHasPluggedDevice(socket int) bool {
-	for _, di := range s.cfg.Topology.DevicesOnSocket(socket) {
-		if s.devPlugged[di] {
-			return true
-		}
-	}
-	return false
-}
-
 // wCeiling is the weight ceiling a controller on socket is released to: at
 // a tenant's install, at a device plug, at an integrity probe and when the
-// governor leaves Bias. It is 1 even when every device on the socket is
+// governor leaves Bias. It is 1 even when the socket's device is
 // unplugged, so those paths re-open the balancer toward the missing device
 // and each batch it sends there is rescued on the CPU
 // (TestAdmitAfterUnplugKeepsBalancerOnCPU, skipped). Returning 0 there
@@ -960,15 +922,10 @@ func (s *System) governorTick(socket, tenant int, prev *stats.Counters) {
 
 	devSat := false
 	cm := s.cfg.CostModel
-	for _, di := range s.cfg.Topology.DevicesOnSocket(socket) {
-		if !s.devPlugged[di] {
-			continue // hot-unplugged: no longer a saturation signal
-		}
+	// A hot-unplugged device is no longer a saturation signal.
+	if di, ok := s.cfg.Topology.DeviceOnSocket(socket); ok && s.devPlugged[di] {
 		d := s.devices[di]
-		if d.Saturated() || (cm.MaxDeviceBacklog > 0 && d.Backlog() > cm.MaxDeviceBacklog) {
-			devSat = true
-			break
-		}
+		devSat = d.Saturated() || (cm.MaxDeviceBacklog > 0 && d.Backlog() > cm.MaxDeviceBacklog)
 	}
 	cur := s.tenantCounters(socket, tenant)
 	cpuSat := cur.RxDropped > prev.RxDropped ||

@@ -129,9 +129,11 @@ type worker struct {
 	id     int // global worker ID
 	socket int
 	local  int // index among the socket's workers (selects RX queues)
-	// localPorts / localDevs are the socket's port and device index sets.
+	// localPorts is the socket's port index set.
 	localPorts []int
-	localDevs  []int
+	// dev is the socket's device, nil when the socket has none: every
+	// offload, the backpressure signal and the stall watchdog use it.
+	dev *gpu.Device
 
 	lanes []*lane
 	// tasks tracks the outstanding submitted device tasks (bounded by
@@ -160,11 +162,9 @@ type worker struct {
 	// decisions are deterministic and independent of other workers.
 	sentinel *integrity.Sentinel
 
-	completions  *mempool.Ring[completion]
-	sockDev      *gpu.Device // first local device (admission signal), may be nil
-	inflight     int         // outstanding device tasks
-	inflightPkts int
-	inflightHWM  int // high watermark of outstanding device tasks
+	completions *mempool.Ring[completion]
+	inflight    int // outstanding device tasks
+	inflightHWM int // high watermark of outstanding device tasks
 
 	// cycles accumulates cost within the current IO-loop iteration.
 	cycles    simtime.Cycles
@@ -195,19 +195,16 @@ var parkingOff bool
 
 // newWorker builds a lane-less worker; System.installTenant adds one lane per
 // tenant.
-func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *worker {
+func newWorker(s *System, id, socket, local int, localPorts []int, dev *gpu.Device) *worker {
 	w := &worker{
 		sys:        s,
 		id:         id,
 		socket:     socket,
 		local:      local,
 		localPorts: localPorts,
-		localDevs:  localDevs,
+		dev:        dev,
 	}
 	w.wrr = sched.NewWRR(nil) // installTenant re-splits it as lanes arrive
-	if len(localDevs) > 0 {
-		w.sockDev = s.devices[localDevs[0]]
-	}
 	w.pktPool = mempool.NewOver(fmt.Sprintf("pkt.w%d", id), s.zone.workerPkts(id), nil)
 	w.batchPool = mempool.NewOver(fmt.Sprintf("batch.w%d", id), s.zone.workerBatches(id), nil)
 	w.stage = s.zone.workerStager(id)
@@ -227,12 +224,16 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *w
 func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 	s := w.sys
 	ln := &lane{tenant: int32(t), active: true}
+	ndev := 0
+	if w.dev != nil {
+		ndev = 1
+	}
 	cctx := &element.ConfigContext{
 		Socket:     w.socket,
 		Worker:     w.id,
 		NodeLocal:  s.nodeLocals[w.socket][t],
 		NumPorts:   len(s.cfg.Topology.Ports),
-		NumDevices: len(w.localDevs),
+		NumDevices: ndev,
 		Rand:       s.newLaneRand(w.id, int32(t)),
 	}
 	g, err := graph.Build(parsed, cctx, s.cfg.CostModel, *s.cfg.GraphOpts)
@@ -286,8 +287,8 @@ func (w *worker) now() simtime.Time {
 	return w.iterStart + simtime.CyclesToTime(w.cycles, w.sys.cfg.Topology.CoreFreqHz)
 }
 
-// iterate is one run-to-completion IO loop pass: evacuate stalled local
-// devices, drain offload completions, poll each lane's RX queues in
+// iterate is one run-to-completion IO loop pass: evacuate a stalled socket
+// device, drain offload completions, poll each lane's RX queues in
 // share-weighted order, run batches through that lane's pipeline, flush aged
 // offload aggregates, then reschedule after the consumed virtual time.
 //
@@ -297,15 +298,11 @@ func (w *worker) iterate() {
 		return
 	}
 	w.parked, w.wakeAt = false, 0
-	if limit := w.sys.cfg.TaskTimeout; limit > 0 {
-		// The hang watchdog: a local device with queued work and no finish
-		// for the limit hands its whole queue back as failed tasks, which
-		// the submitting workers rescue on the CPU.
-		for _, di := range w.localDevs {
-			if d := w.sys.devices[di]; d.Stalled(limit) {
-				d.AbortAll()
-			}
-		}
+	if limit := w.sys.cfg.TaskTimeout; limit > 0 && w.dev != nil && w.dev.Stalled(limit) {
+		// The hang watchdog: the socket's device with queued work and no
+		// finish for the limit hands its whole queue back as failed tasks,
+		// which the submitting workers rescue on the CPU.
+		w.dev.AbortAll()
 	}
 	cm := w.sys.cfg.CostModel
 	w.iterStart = w.sys.eng.Now()
@@ -443,7 +440,7 @@ func (w *worker) park() {
 
 // parkDeadline returns the earliest instant at which a parked worker's
 // pass could differ from the parking pass without an event: the device
-// backlog decaying below MaxDeviceBacklog, an aggregate expiring, a local
+// backlog decaying below MaxDeviceBacklog, an aggregate expiring, the
 // device's stall watchdog firing, or the arrivals stopping while the worker
 // has no task out (done can then hold).
 func (w *worker) parkDeadline() (simtime.Time, bool) {
@@ -459,7 +456,7 @@ func (w *worker) parkDeadline() (simtime.Time, bool) {
 	}
 	// The backlog bound only holds the worker back alone when neither the
 	// task cap nor a full queue does; those lift by events.
-	if d := w.sockDev; d != nil && cm.MaxDeviceBacklog > 0 && w.inflight > 0 &&
+	if d := w.dev; d != nil && cm.MaxDeviceBacklog > 0 && w.inflight > 0 &&
 		w.inflight < s.cfg.MaxInflightTasks && !d.Saturated() {
 		if b := d.Backlog(); b > cm.MaxDeviceBacklog {
 			earliest(now + b - cm.MaxDeviceBacklog)
@@ -473,11 +470,9 @@ func (w *worker) parkDeadline() (simtime.Time, bool) {
 			earliest(t)
 		}
 	}
-	if limit := s.cfg.TaskTimeout; limit > 0 {
-		for _, di := range w.localDevs {
-			if t, queued := s.devices[di].StallDeadline(limit); queued {
-				earliest(t)
-			}
+	if limit := s.cfg.TaskTimeout; limit > 0 && w.dev != nil {
+		if t, queued := w.dev.StallDeadline(limit); queued {
+			earliest(t)
 		}
 	}
 	if w.inflight == 0 && now < s.stopTime {
@@ -554,11 +549,11 @@ func (w *worker) backpressured() bool {
 	if w.inflight >= w.sys.cfg.MaxInflightTasks {
 		return true
 	}
-	if w.sockDev == nil {
+	if w.dev == nil {
 		return false
 	}
-	return cm.MaxDeviceBacklog > 0 && w.inflight > 0 && w.sockDev.Backlog() > cm.MaxDeviceBacklog ||
-		w.sockDev.Saturated()
+	return cm.MaxDeviceBacklog > 0 && w.inflight > 0 && w.dev.Backlog() > cm.MaxDeviceBacklog ||
+		w.dev.Saturated()
 }
 
 // laneDrained is the drain predicate for one lane, shared by worker
@@ -635,25 +630,25 @@ func (w *worker) flush(p *offload.Pending) {
 	cm := w.sys.cfg.CostModel
 	ln := w.cur
 	w.cycles += cm.OffloadEnqueue + cm.OffloadPrePerPacket*simtime.Cycles(p.NPkts)
-	dev, err := w.sys.deviceFor(w.socket, p.Device)
-	if err == errNoPluggedDevice {
-		// Every local device is hot-unplugged: the aggregate is rescued on
-		// the CPU (the hitless path), not dropped — unplug is a planned
-		// reconfiguration, not a misconfiguration. The device never saw the
-		// task, so only the rescue is charged.
-		w.rescueOnCPU(ln, p, 0, rescueUnplugged, 0, false, false)
-		return
-	}
-	if err != nil {
-		// No such device: treat as a misconfiguration drop of the whole
-		// aggregate (exercised by failure-injection tests).
+	dev := w.dev
+	if dev == nil {
+		// The socket has no device: a misconfiguration drop of the whole
+		// aggregate. LoadBalance refuses to offload on such a socket, so
+		// only a graph that stamps the annotation itself gets here.
 		for _, b := range p.Batches {
 			w.dropBatch(b, &ln.ctr.GraphDrops)
 		}
 		return
 	}
+	if !w.sys.devPlugged[dev.TraceActor] {
+		// The device is hot-unplugged: the aggregate is rescued on the CPU
+		// (the hitless path), not dropped — unplug is a planned
+		// reconfiguration, not a misconfiguration. The device never saw the
+		// task, so only the rescue is charged.
+		w.rescueOnCPU(ln, p, 0, rescueUnplugged, 0, false, false)
+		return
+	}
 	w.inflight++
-	w.inflightPkts += p.NPkts
 	ln.ctr.OffloadedPackets += uint64(p.NPkts)
 	task := &gpu.Task{
 		Worker:     w.id,
@@ -702,7 +697,6 @@ func (w *worker) flush(p *offload.Pending) {
 		// the CPU right here, at LevelShed it is dropped and counted as shed.
 		it.done = true
 		w.inflight--
-		w.inflightPkts -= p.NPkts
 		ln.ctr.OffloadedPackets -= uint64(p.NPkts)
 		ln.ctr.RejectedTasks++
 		lvl := w.sys.overloadLevel(w.socket, ln.tenant)
@@ -783,7 +777,6 @@ func (w *worker) rescueLane(ln *lane) int {
 		// the same path as a force-rescued task.
 		it := &inflightTask{ln: ln, pending: p, task: &gpu.Task{NPkts: p.NPkts}}
 		w.inflight++
-		w.inflightPkts += p.NPkts
 		ln.inflightTasks++
 		w.pushCompletion(it, true)
 	}
@@ -856,7 +849,6 @@ func (w *worker) handleCompletion(c completion) {
 	p := it.pending
 	w.cur = it.ln
 	w.inflight--
-	w.inflightPkts -= p.NPkts
 	it.ln.inflightTasks--
 	// Drop the task from the tracked set (swap-delete; the set is bounded
 	// by MaxInflightTasks). Synthetic rescue tasks are never in it.
@@ -959,7 +951,7 @@ const (
 	rescueFailed    = 0 // the device completed the task as failed
 	rescueTimedOut  = 1 // an epoch force-rescue reached its grace deadline
 	rescueRejected  = 2 // admission control refused the submission
-	rescueUnplugged = 3 // the socket has no plugged device left
+	rescueUnplugged = 3 // the socket's device is unplugged
 )
 
 // rescueOnCPU is the one CPU-rescue path: count the rescue, emit the
@@ -967,7 +959,7 @@ const (
 // the governor level for rejections), charge the chain on the CPU, and
 // resume the aggregate in its lane's pipeline.
 // The kernels run here only for an aggregate the device executor never got
-// (submitted false: admission refusal, no plugged device, an epoch's
+// (submitted false: admission refusal, an unplugged device, an epoch's
 // synthetic task); a submitted task's results are already computed and
 // running them again would, for IPsec, corrupt the packets. If the device
 // reached kernel completion (executed: it failed after the kernel, or a
@@ -1078,8 +1070,8 @@ func (w *worker) Offload(head *graph.Node, chain []*graph.Node, resume int, b *b
 	ln := w.cur
 	full, err := ln.agg.Add(w.iterStart, head, chain, resume, b)
 	if err != nil {
-		// Inconsistent aggregate (mixed devices): drop the batch, counted as
-		// a framework graph drop so conservation still balances.
+		// Inconsistent aggregate (mixed resume points): drop the batch,
+		// counted as a framework graph drop so conservation still balances.
 		w.dropBatch(b, &ln.ctr.GraphDrops)
 		return
 	}

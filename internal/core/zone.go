@@ -30,13 +30,14 @@ type zone struct {
 	// (frame, annotations, results, mask), as for one reused within a run.
 	shadows [][]*integrity.Shadow
 	// stages, stageArena and stageEnds are the workers' RX stage sets
-	// (stage.go), carved per worker; fill is the executor's fill scratch.
+	// (stage.go), carved per worker; fill is the executor's fill scratch,
+	// one packet, since Stage.Fill copies each frame out before the next.
 	// Stale bytes in them are never read: a stage holds only frames its own
 	// fill wrote.
 	stages     []netio.Stage
 	stageArena []byte
 	stageEnds  []int32
-	fill       []*packet.Packet
+	fill       *packet.Packet
 	// self is made with the zone, so handing it back allocates nothing.
 	self weak.Pointer[zone]
 }
@@ -81,11 +82,7 @@ func takeZone(nw, perPkt int) *zone {
 			stages:     make([]netio.Stage, nw*stagesPerWorker),
 			stageArena: make([]byte, nw*stageArenaPerWorker),
 			stageEnds:  make([]int32, nw*stageFramesPerWorker),
-			fill:       make([]*packet.Packet, fillChunk),
-		}
-		fill := make([]packet.Packet, fillChunk)
-		for i := range fill {
-			z.fill[i] = &fill[i]
+			fill:       new(packet.Packet),
 		}
 		z.self = weak.Make(z)
 		return z

@@ -98,7 +98,7 @@ func TestStagesRecycledIntoNextSystem(t *testing.T) {
 	for i, w := range s2.workers {
 		old, sg := &s1.workers[i].stage, &w.stage
 		if &sg.stages[0] != &old.stages[0] || &sg.arena[0] != &old.arena[0] ||
-			&sg.ends[0] != &old.ends[0] || sg.scratch[0] != old.scratch[0] {
+			&sg.ends[0] != &old.ends[0] || sg.scratch != old.scratch {
 			t.Fatalf("worker %d: the next System allocated new stage storage", i)
 		}
 		for k := range sg.stages {

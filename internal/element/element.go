@@ -93,7 +93,8 @@ type ConfigContext struct {
 	NodeLocal *NodeLocal
 	// NumPorts is the number of NIC ports in the topology.
 	NumPorts int
-	// NumDevices is the number of accelerator devices on this socket.
+	// NumDevices is the number of accelerator devices on this socket: 0 or
+	// 1, since a socket has at most one.
 	NumDevices int
 	// Rand is a deterministic per-worker PRNG.
 	Rand *rng.Rand

@@ -55,25 +55,24 @@ func (st *Stage) Disarm() {
 func (st *Stage) Armed() bool { return st.q != nil && st.q.stage == st }
 
 // Fill materialises the armed frames, packed into arena with frame i ending
-// at ends[i], filling each into a packet of scratch before copying it, in
-// rounds of len(scratch) frames. It stops early when arena or ends runs
-// out, or when stop, if not nil, says so before a round. It returns how
-// much of arena and of ends it used; the stage holds the frames filled.
+// at ends[i], filling each into scratch before copying it, in rounds of
+// round (> 0) frames. It stops early when arena or ends runs out, or when
+// stop, if not nil, says so before a round. It returns how much of arena
+// and of ends it used; the stage holds the frames filled.
 //
 //nba:hotpath
-func (st *Stage) Fill(arena []byte, ends []int32, scratch []*packet.Packet, stop func() bool) (used, n int) {
+func (st *Stage) Fill(arena []byte, ends []int32, scratch *packet.Packet, round int, stop func() bool) (used, n int) {
 	want := min(st.want, len(ends))
 fill:
 	for n < want && (stop == nil || !stop()) {
-		for _, p := range scratch[:min(len(scratch), want-n)] {
-			st.gen.Fill(p, st.port, st.first+uint64(n))
-			frame := p.Data()
+		for end := min(n+round, want); n < end; n++ {
+			st.gen.Fill(scratch, st.port, st.first+uint64(n))
+			frame := scratch.Data()
 			if len(frame) > len(arena)-used {
 				break fill
 			}
 			used += copy(arena[used:], frame)
 			ends[n] = int32(used)
-			n++
 		}
 	}
 	st.arena, st.ends, st.n = arena[:used], ends[:n], n

@@ -79,6 +79,9 @@ func TestPredictMatchesPoll(t *testing.T) {
 	}
 }
 
+// fillRound is the number of frames Fill fills between checks of its stop.
+const fillRound = 5
+
 // stagedCase is one history of TestStagedPollMatchesFill: the poll burst
 // and time, the arena the stage may fill, the pool size, and a change made
 // between arming (at armAt) and polling.
@@ -87,7 +90,7 @@ type stagedCase struct {
 	armAt, at    simtime.Time
 	burst        int
 	arena        int // bytes; the frames table is always large enough
-	rounds       int // rounds of scratch Fill may fill before it is stopped; 0: all
+	rounds       int // rounds of fillRound frames Fill may fill before it is stopped; 0: all
 	pool         int
 	afterArm     func(plain, staged *RxQueue, st *Stage)
 	wantStaged   bool // some packet must come from the stage
@@ -136,7 +139,7 @@ func TestStagedPollMatchesFill(t *testing.T) {
 				// arrivals, and hand it to this one.
 				q3 := NewRxQueue(3, 0, staged.gen, 4e6, 256)
 				q3.Arm(st, 40*simtime.Microsecond, 64)
-				st.Fill(make([]byte, 1<<20), make([]int32, 256), scratchPkts(16), nil)
+				st.Fill(make([]byte, 1<<20), make([]int32, 256), new(packet.Packet), 16, nil)
 				staged.stage = st
 			}},
 	}
@@ -161,7 +164,10 @@ func TestStagedPollMatchesFill(t *testing.T) {
 				if tc.rounds > 0 {
 					stop = stopAfter(tc.rounds)
 				}
-				st.Fill(make([]byte, tc.arena), make([]int32, tc.burst), scratchPkts(5), stop)
+				st.Fill(make([]byte, tc.arena), make([]int32, tc.burst), new(packet.Packet), fillRound, stop)
+				if tc.rounds > 0 && st.n != tc.rounds*fillRound {
+					t.Fatalf("%d rounds of %d filled %d frames", tc.rounds, fillRound, st.n)
+				}
 				if tc.afterArm != nil {
 					tc.afterArm(plain, staged, &st)
 				}
@@ -205,19 +211,10 @@ func TestStagedPollMatchesFill(t *testing.T) {
 	}
 }
 
-// stopAfter returns a Fill stop that lets n rounds of scratch through.
+// stopAfter returns a Fill stop that lets n rounds through.
 func stopAfter(n int) func() bool {
 	return func() bool {
 		n--
 		return n < 0
 	}
-}
-
-// scratchPkts returns n fill buffers.
-func scratchPkts(n int) []*packet.Packet {
-	out := make([]*packet.Packet, n)
-	for i := range out {
-		out[i] = new(packet.Packet)
-	}
-	return out
 }

@@ -27,7 +27,6 @@ type Pending struct {
 	Head   *graph.Node
 	Chain  []*graph.Node
 	Resume int
-	Device int // device annotation value (device index + 1)
 
 	Batches  []*batch.Batch
 	NPkts    int
@@ -87,7 +86,6 @@ func NewAggregator(cm *sysinfo.CostModel) *Aggregator {
 // non-nil Pending when the aggregate reached the configured limit and must
 // be flushed now.
 func (a *Aggregator) Add(now simtime.Time, head *graph.Node, chain []*graph.Node, resume int, b *batch.Batch) (*Pending, error) {
-	dev := int(b.Anno[batch.AnnoDevice])
 	p := a.pending[head.ID]
 	if p == nil {
 		pl, err := a.planFor(head, chain)
@@ -95,16 +93,13 @@ func (a *Aggregator) Add(now simtime.Time, head *graph.Node, chain []*graph.Node
 			return nil, err
 		}
 		p = &Pending{
-			Head: head, Chain: chain, Resume: resume, Device: dev,
+			Head: head, Chain: chain, Resume: resume,
 			FirstAdd: now, KernelBytes: make([]int, len(chain)),
 			Batches: make([]*batch.Batch, 0, a.cm.MaxAggBatches),
 			plan:    pl,
 		}
 		a.pending[head.ID] = p
 		a.heads = append(a.heads, head.ID)
-	}
-	if p.Device != dev {
-		return nil, fmt.Errorf("offload: aggregate for %s mixes devices %d and %d", head.Name, p.Device, dev)
 	}
 	if p.Resume != resume {
 		return nil, fmt.Errorf("offload: aggregate for %s mixes resume points %d and %d", head.Name, p.Resume, resume)

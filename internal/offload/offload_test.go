@@ -285,20 +285,6 @@ func TestAggregatorExpiry(t *testing.T) {
 	}
 }
 
-func TestAggregatorRejectsMixedDevices(t *testing.T) {
-	_, head, chain, resume := buildChain(t)
-	agg := NewAggregator(sysinfo.Default())
-	b1 := mkDevBatch(2, 64)
-	if _, err := agg.Add(0, head, chain, resume, b1); err != nil {
-		t.Fatal(err)
-	}
-	b2 := mkDevBatch(2, 64)
-	b2.Anno[batch.AnnoDevice] = 2
-	if _, err := agg.Add(0, head, chain, resume, b2); err == nil {
-		t.Error("mixed-device aggregate accepted")
-	}
-}
-
 func TestKernelTimeScalesWithPackets(t *testing.T) {
 	_, head, chain, resume := buildChain(t)
 	cm := sysinfo.Default()

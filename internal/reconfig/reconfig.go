@@ -47,9 +47,9 @@ const (
 	// ShareRetune changes the named tenant's traffic share; the WRR split
 	// and per-queue arrival rates re-balance at commit.
 	ShareRetune
-	// DeviceUnplug removes a device from service: new submissions re-route
-	// (to another plugged device or the CPU path) at begin, queued tasks
-	// drain or are force-rescued, and the socket's ALB controllers re-seat
+	// DeviceUnplug removes a device from service: from begin its socket's
+	// new offloads are rescued on the CPU, queued tasks drain or are
+	// force-rescued, and the socket's ALB controllers collapse to the CPU
 	// at commit.
 	DeviceUnplug
 	// DevicePlug returns an unplugged device to service and re-seats the

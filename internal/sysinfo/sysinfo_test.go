@@ -2,6 +2,7 @@ package sysinfo
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"nba/internal/simtime"
@@ -42,8 +43,8 @@ func TestPortAndDeviceLocality(t *testing.T) {
 		t.Errorf("socket 1 ports = %v, want 4 ports", got)
 	}
 	for s := 0; s < 2; s++ {
-		if got := top.DevicesOnSocket(s); len(got) != 1 {
-			t.Errorf("socket %d devices = %v, want 1", s, got)
+		if got, ok := top.DeviceOnSocket(s); !ok || top.Devices[got].Socket != s {
+			t.Errorf("socket %d device = %d, %v; want its own", s, got, ok)
 		}
 	}
 }
@@ -52,21 +53,32 @@ func TestTopologyValidateRejectsBadConfigs(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Topology)
+		want []string // substrings the error must contain
 	}{
-		{"no sockets", func(t *Topology) { t.Sockets = 0 }},
-		{"one core", func(t *Topology) { t.CoresPerSocket = 1 }},
-		{"zero freq", func(t *Topology) { t.CoreFreqHz = 0 }},
-		{"no ports", func(t *Topology) { t.Ports = nil }},
-		{"port bad socket", func(t *Topology) { t.Ports[0].Socket = 9 }},
-		{"port zero rate", func(t *Topology) { t.Ports[0].LineRateBps = 0 }},
-		{"device bad socket", func(t *Topology) { t.Devices[0].Socket = -1 }},
-		{"zero rxq", func(t *Topology) { t.RxQueueCapacity = 0 }},
+		{"no sockets", func(t *Topology) { t.Sockets = 0 }, nil},
+		{"one core", func(t *Topology) { t.CoresPerSocket = 1 }, nil},
+		{"zero freq", func(t *Topology) { t.CoreFreqHz = 0 }, nil},
+		{"no ports", func(t *Topology) { t.Ports = nil }, nil},
+		{"port bad socket", func(t *Topology) { t.Ports[0].Socket = 9 }, nil},
+		{"port zero rate", func(t *Topology) { t.Ports[0].LineRateBps = 0 }, nil},
+		{"device bad socket", func(t *Topology) { t.Devices[0].Socket = -1 }, nil},
+		{"two devices on a socket", func(t *Topology) {
+			t.Devices = append(t.Devices, Device{Kind: DevicePhi, Name: "phi1", Socket: 1})
+		}, []string{"gpu1", "phi1", "socket 1"}},
+		{"zero rxq", func(t *Topology) { t.RxQueueCapacity = 0 }, nil},
 	}
 	for _, c := range cases {
 		top := DefaultTopology()
 		c.mut(top)
-		if err := top.Validate(); err == nil {
+		err := top.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate accepted invalid topology", c.name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", c.name, err, w)
+			}
 		}
 	}
 }

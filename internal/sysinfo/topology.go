@@ -56,7 +56,10 @@ type Topology struct {
 	CoresPerSocket int
 	CoreFreqHz     float64
 	Ports          []Port
-	Devices        []Device
+	// Devices holds at most one accelerator per socket (paper §3.2: each
+	// socket's GPU gets that socket's last core as its device thread).
+	// Fault and reconfiguration plans name a device by its index here.
+	Devices []Device
 	// RxQueueCapacity is the per-HW-RX-queue capacity in packets.
 	RxQueueCapacity int
 }
@@ -119,9 +122,13 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("sysinfo: port %d has non-positive line rate", p.ID)
 		}
 	}
-	for _, d := range t.Devices {
+	for i, d := range t.Devices {
 		if d.Socket < 0 || d.Socket >= t.Sockets {
 			return fmt.Errorf("sysinfo: device %s on invalid socket %d", d.Name, d.Socket)
+		}
+		if j, _ := t.DeviceOnSocket(d.Socket); j != i {
+			return fmt.Errorf("sysinfo: devices %s and %s share socket %d; a socket has at most one",
+				t.Devices[j].Name, d.Name, d.Socket)
 		}
 	}
 	if t.RxQueueCapacity <= 0 {
@@ -141,15 +148,15 @@ func (t *Topology) PortsOnSocket(s int) []int {
 	return ids
 }
 
-// DevicesOnSocket returns indices into Devices for the given socket.
-func (t *Topology) DevicesOnSocket(s int) []int {
-	var ids []int
+// DeviceOnSocket returns the index into Devices of the given socket's
+// device, and false when the socket has none.
+func (t *Topology) DeviceOnSocket(s int) (int, bool) {
 	for i, d := range t.Devices {
 		if d.Socket == s {
-			ids = append(ids, i)
+			return i, true
 		}
 	}
-	return ids
+	return -1, false
 }
 
 // MaxWorkersPerSocket is the number of cores available for worker threads

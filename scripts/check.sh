@@ -21,7 +21,12 @@
 #                         allow counts / timings land in an artifact file
 #                         ($NBALINT_JSON, default nbalint.json under mktemp)
 #   5. go test -race ...  full test suite under the race detector
-#   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
+#   6. debugChecks        the build with every mempool in checked mode
+#                         (mempool/debug.go, netio/debug_on.go): vet it, test
+#                         the two packages the tag compiles code into, and
+#                         run core's TestReportGolden under it, since tagged
+#                         runs must report what untagged runs do
+#   7. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
 #                         packet header parsing, each IDS batch scan kernel vs
 #                         the single stream, every generator's fill over a
 #                         dirty buffer vs a clean one (FuzzFillContract), the
@@ -34,7 +39,7 @@
 #                         per workload), ESP kernel, SHA-1 block and
 #                         IPv6 lookup benchmarks, so the kernels' benchmarks
 #                         cannot rot
-#   7. trace self-check  the same config+seed recorded twice with the built
+#   8. trace self-check  the same config+seed recorded twice with the built
 #                         nba binary (-record) must diff to zero divergence
 #                         under nbatrace diff (dynamic determinism gate):
 #                         fault-free, with the canonical injected GPU outage
@@ -47,7 +52,7 @@
 #                         and with the canonical tenant-churn reconfiguration
 #                         armed (-reconfig: epoch drain-and-handoff events are
 #                         part of the run identity too)
-#   8. chaos smoke        fixed-seed nbachaos sweeps (every app, a couple of
+#   9. chaos smoke        fixed-seed nbachaos sweeps (every app, a couple of
 #                         seeds; then 2-tenant co-residency with
 #                         tenant-targeted fault plans; then -reconfig cases
 #                         layering random control-plane churn over the fault
@@ -57,14 +62,14 @@
 #                         both contained (sentinel sampling) and leaking
 #                         (sampling disarmed), exercising the replay
 #                         exit-code contract (0/1/2)
-#   9. parallel equiv     the same sweeps at -parallel 1 and -parallel 8 must
+#  10. parallel equiv     the same sweeps at -parallel 1 and -parallel 8 must
 #                         print byte-identical combined digests (internal/par
 #                         determinism contract; the tenant sweep also folds
 #                         every per-tenant sub-digest into the combined one)
-#  10. examples           every program under examples/ runs once and must
+#  11. examples           every program under examples/ runs once and must
 #                         exit 0: they are the nba facade's only end-to-end
 #                         users
-#  11. regolden dry run   scripts/regolden.sh -n re-records every golden
+#  12. regolden dry run   scripts/regolden.sh -n re-records every golden
 #                         file (and the quick figure grid) and must find
 #                         nothing moved on the committed tree
 #
@@ -102,6 +107,11 @@ echo "nbalint: json artifact at $lint_json"
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> debugChecks build (checked mempools: vet, the tagged packages, the report goldens)"
+go vet -tags debugChecks ./...
+go test -tags debugChecks ./internal/mempool ./internal/netio
+go test -tags debugChecks -run TestReportGolden ./internal/core
 
 echo "==> fuzz smoke (a few seconds per target)"
 # Each -fuzz invocation takes exactly one target, so one run per regex.
