@@ -97,9 +97,6 @@ type Config struct {
 	// Seed drives all run randomness (LB coin flips, etc.).
 	Seed uint64
 
-	// PacketPoolPerWorker sizes each worker's packet mempool.
-	PacketPoolPerWorker int
-
 	// MaxInflightTasks bounds outstanding device tasks per worker; beyond
 	// it the worker stops polling RX (backpressure → NIC drops), like a
 	// real system out of pinned buffers.
@@ -234,7 +231,6 @@ func (c Config) withDefaults() (Config, error) {
 	}{
 		{"Warmup", int64(c.Warmup)},
 		{"Duration", int64(c.Duration)},
-		{"PacketPoolPerWorker", int64(c.PacketPoolPerWorker)},
 		{"MaxInflightTasks", int64(c.MaxInflightTasks)},
 		{"CaptureTx", int64(c.CaptureTx)},
 	} {
@@ -338,9 +334,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Warmup == 0 {
 		c.Warmup = 10 * simtime.Millisecond
 	}
-	if c.PacketPoolPerWorker == 0 {
-		c.PacketPoolPerWorker = 12288
-	}
 	if c.MaxInflightTasks == 0 {
 		c.MaxInflightTasks = 2
 	}
@@ -374,9 +367,6 @@ func (c Config) withDefaults() (Config, error) {
 		ic := *c.Integrity
 		c.Integrity = &ic
 	}
-	if c.DrainGrace == 0 && c.Checker != nil {
-		c.DrainGrace = simtime.Second
-	}
 	if c.FaultPlan != nil {
 		nqueues := c.WorkersPerSocket
 		if len(c.Tenants) > 0 {
@@ -387,7 +377,8 @@ func (c Config) withDefaults() (Config, error) {
 			return c, err
 		}
 	}
-	if c.Reconfig != nil && len(c.Reconfig.Events) > 0 {
+	reconfigArmed := c.Reconfig != nil && len(c.Reconfig.Events) > 0
+	if reconfigArmed {
 		if len(c.Tenants) == 0 {
 			return c, fmt.Errorf("core: Reconfig requires explicit-tenant mode (set Tenants)")
 		}
@@ -402,13 +393,13 @@ func (c Config) withDefaults() (Config, error) {
 		if err := c.Reconfig.Validate(initial, latent, len(c.Topology.Devices), len(c.Topology.Ports)); err != nil {
 			return c, err
 		}
-		if c.DrainGrace == 0 {
-			// An armed reconfig plan needs bounded epoch drains even in
-			// checkerless record runs; default to the watchdog's grace.
-			c.DrainGrace = simtime.Second
-		}
 	} else if len(c.LatentTenants) > 0 {
 		return c, fmt.Errorf("core: LatentTenants without a Reconfig plan to admit them")
+	}
+	if c.DrainGrace == 0 && (c.Checker != nil || reconfigArmed) {
+		// The watchdog's grace, which an armed reconfig plan also needs for
+		// bounded epoch drains, even in checkerless record runs.
+		c.DrainGrace = simtime.Second
 	}
 	return c, nil
 }

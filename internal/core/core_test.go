@@ -230,7 +230,6 @@ func TestConfigValidation(t *testing.T) {
 		}, "GeneratorChanges[0]: gen: UDP4"},
 		{"negative warmup", func(c *Config) { c.Warmup = -simtime.Millisecond }, "Warmup"},
 		{"negative duration", func(c *Config) { c.Duration = -simtime.Millisecond }, "Duration"},
-		{"negative packet pool", func(c *Config) { c.PacketPoolPerWorker = -1 }, "PacketPoolPerWorker"},
 		{"negative inflight tasks", func(c *Config) { c.MaxInflightTasks = -1 }, "MaxInflightTasks"},
 		{"negative capture", func(c *Config) { c.CaptureTx = -1 }, "CaptureTx"},
 		{"NaN integrity sample rate", func(c *Config) { c.Integrity = &integrity.Config{SampleRate: math.NaN()} }, "Integrity: integrity: sample rate"},

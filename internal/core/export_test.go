@@ -14,6 +14,17 @@ func SetParking(on bool) (restore func()) {
 	return func() { parkingOff = old }
 }
 
+// SetPacketPool sizes each worker's packet mempool (n = 0 keeps the current
+// size) for the Systems built until the returned function restores the
+// previous size.
+func SetPacketPool(n int) (restore func()) {
+	old := packetPoolPerWorker
+	if n > 0 {
+		packetPoolPerWorker = n
+	}
+	return func() { packetPoolPerWorker = old }
+}
+
 // ObserveRuns installs fn as the run observer (see observeRun) until the
 // returned function removes it.
 func ObserveRuns(fn func(cfg *Config, r *Report)) (restore func()) {
@@ -22,13 +33,15 @@ func ObserveRuns(fn func(cfg *Config, r *Report)) (restore func()) {
 	return func() { observeRun = old }
 }
 
-// ReportGoldenCases returns TestReportGolden's configurations by name.
-func ReportGoldenCases() (names []string, cfgs []func() Config) {
+// ReportGoldenCases returns TestReportGolden's configurations by name, with
+// each case's packet pool size (0: the default; see SetPacketPool).
+func ReportGoldenCases() (names []string, pools []int, cfgs []func() Config) {
 	for _, c := range reportGoldenCases() {
 		names = append(names, c.name)
+		pools = append(pools, c.pool)
 		cfgs = append(cfgs, c.cfg)
 	}
-	return names, cfgs
+	return names, pools, cfgs
 }
 
 // Engine exposes the System's event engine, so a test can schedule its own
@@ -44,7 +57,7 @@ func WorkerClock(s *System, i int) (start, now simtime.Time, parked bool) {
 }
 
 // ApplyFault applies one fault-plan event at the current instant.
-func ApplyFault(s *System, ev fault.Event) { s.applyFault(ev) }
+func ApplyFault(s *System, ev fault.Event) { s.faults.apply(s, ev) }
 
 // ChurnCfg is the canonical admit, retune and evict scenario (churnCfg).
 func ChurnCfg(app string) Config { return churnCfg(app) }

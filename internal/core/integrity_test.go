@@ -47,6 +47,15 @@ func TestCorruptionSentinelQuarantinesAndEscalates(t *testing.T) {
 	if r.FirstMismatchAt < 3*simtime.Millisecond {
 		t.Errorf("first mismatch at %v, before the corruption window opened", r.FirstMismatchAt)
 	}
+	// It is the first mismatch's time, not a later one's.
+	for _, ev := range cfg.Tracer.Events() {
+		if ev.Kind == trace.KindIntegrityMismatch {
+			if ev.At != r.FirstMismatchAt {
+				t.Errorf("FirstMismatchAt = %v, first integrity.mismatch event at %v", r.FirstMismatchAt, ev.At)
+			}
+			break
+		}
+	}
 	for _, v := range ck.Violations() {
 		t.Errorf("invariant violated: %s", v)
 	}

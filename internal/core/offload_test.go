@@ -52,13 +52,19 @@ func (e *espVerifier) Process(ctx *element.ProcContext, pkt *packet.Packet) int 
 	return 0
 }
 
-func TestOffloadedIPsecFramesAreCryptographicallyValid(t *testing.T) {
-	var verifiers []*espVerifier
+// espVerifiers collects every ESPVerifier the registry builds.
+var espVerifiers []*espVerifier
+
+func init() {
 	element.Register("ESPVerifier", func() element.Element {
 		v := &espVerifier{}
-		verifiers = append(verifiers, v)
+		espVerifiers = append(espVerifiers, v)
 		return v
 	})
+}
+
+func TestOffloadedIPsecFramesAreCryptographicallyValid(t *testing.T) {
+	espVerifiers = nil
 	cfg := Config{
 		Topology: sysinfo.SingleSocketTopology(4, 2),
 		GraphConfig: `
@@ -77,7 +83,7 @@ func TestOffloadedIPsecFramesAreCryptographicallyValid(t *testing.T) {
 		t.Fatal("nothing offloaded")
 	}
 	var checked, bad uint64
-	for _, v := range verifiers {
+	for _, v := range espVerifiers {
 		checked += v.Checked
 		bad += v.Bad
 	}
@@ -213,6 +219,37 @@ func TestBoundedLatencyBalancerAvoidsGPU(t *testing.T) {
 	}
 	if len(rB.LBTrace) == 0 {
 		t.Error("bounded controller produced no trace")
+	}
+}
+
+// TestControlCellWindowCoversOneUpdate: a bounded controller's lanes record
+// into their control cell's window, and each ALB update reads the window
+// and empties it, so an update sees only the latency since the last one.
+func TestControlCellWindowCoversOneUpdate(t *testing.T) {
+	cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "adaptive"), 0.5e9, 64)
+	cfg.ALBLatencyBound = 100 * simtime.Microsecond
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.cells[0][0]
+	for _, w := range s.workers {
+		if got := w.lanes[0].recent; (w.socket == 0) != (got == &c.window) {
+			t.Fatalf("worker %d (socket %d) records into %p, cell window %p", w.id, w.socket, got, &c.window)
+		}
+		if w.socket == 0 {
+			w.lanes[0].recent.Record(simtime.Millisecond)
+		}
+	}
+	c.update(s) // p99 over the bound: the latency step
+	c.update(s) // the step's wait
+	c.update(s) // an empty window: the throughput hill-climb
+	tr := c.ctl.Trace
+	if len(tr) != 2 || tr[0].Throughput >= 0 || tr[1].Throughput < 0 {
+		t.Errorf("control steps %+v, want a latency step (negative p99) then a hill-climb step", tr)
+	}
+	if n := c.window.Count(); n != 0 {
+		t.Errorf("window holds %d samples after an update", n)
 	}
 }
 

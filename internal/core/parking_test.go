@@ -105,9 +105,10 @@ func runCfg(t *testing.T, cfg core.Config) *core.System {
 // TestParkingAgreesOnReportGolden: every TestReportGolden case reports and
 // traces the same with parking on and off.
 func TestParkingAgreesOnReportGolden(t *testing.T) {
-	names, cfgs := core.ReportGoldenCases()
+	names, pools, cfgs := core.ReportGoldenCases()
 	for i, name := range names {
 		t.Run(name, func(t *testing.T) {
+			defer core.SetPacketPool(pools[i])()
 			agree(t, false, func() { runCfg(t, cfgs[i]()) })
 		})
 	}

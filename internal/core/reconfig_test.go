@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"nba/internal/fault"
@@ -159,6 +160,35 @@ func TestReconfigEmptyPlanGoldensUnchanged(t *testing.T) {
 		if nilR.Tenants[i].Digest != emptyR.Tenants[i].Digest {
 			t.Errorf("tenant %d sub-digest perturbed by empty plan", i)
 		}
+	}
+}
+
+// TestFaultEmptyPlanGoldensUnchanged is the fault plane's disarm contract:
+// for every TestReportGolden case without a fault plan, an armed but empty
+// plan must report and trace exactly what a nil plan does.
+func TestFaultEmptyPlanGoldensUnchanged(t *testing.T) {
+	for _, c := range reportGoldenCases() {
+		if c.cfg().FaultPlan != nil {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			defer SetPacketPool(c.pool)()
+			var r [2]*Report
+			var digest [2]string
+			for i, plan := range []*fault.Plan{nil, {}} {
+				cfg := c.cfg()
+				cfg.FaultPlan = plan
+				cfg.Tracer = trace.New(trace.Options{Capacity: 1, CheckpointInterval: -1})
+				r[i], digest[i] = run(t, cfg), cfg.Tracer.Digest()
+			}
+			if !reflect.DeepEqual(r[0], r[1]) {
+				t.Errorf("empty fault plan perturbed the report:\nnil   %s\nempty %s",
+					goldenDump(r[0], digest[0]), goldenDump(r[1], digest[1]))
+			}
+			if digest[0] != digest[1] {
+				t.Errorf("empty fault plan perturbed the trace digest:\nnil   %s\nempty %s", digest[0], digest[1])
+			}
+		})
 	}
 }
 

@@ -52,6 +52,7 @@ func goldenDump(r *Report, digest string) string {
 func TestReportGolden(t *testing.T) {
 	for _, c := range reportGoldenCases() {
 		t.Run(c.name, func(t *testing.T) {
+			defer SetPacketPool(c.pool)()
 			cfg := c.cfg()
 			cfg.Tracer = trace.New(trace.Options{Capacity: 1, CheckpointInterval: -1})
 			r := run(t, cfg)
@@ -60,27 +61,26 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
-// reportGoldenCase is one TestReportGolden run.
+// reportGoldenCase is one TestReportGolden run. pool, when non-zero, sizes
+// each worker's packet mempool (SetPacketPool).
 type reportGoldenCase struct {
 	name string
+	pool int
 	cfg  func() Config
 }
 
 // reportGoldenCases returns TestReportGolden's runs, in file order.
 func reportGoldenCases() []reportGoldenCase {
 	return []reportGoldenCase{
-		{"ipv4-cpu", func() Config {
-			cfg := quickCfg(ipv4Config, 10e9, 64)
-			cfg.PacketPoolPerWorker = 48 // below one RX burst: every full poll hits rx_nombuf
-			return cfg
-		}},
-		{"ipsec-adaptive", func() Config {
+		// A pool below one RX burst: every full poll hits rx_nombuf.
+		{"ipv4-cpu", 48, func() Config { return quickCfg(ipv4Config, 10e9, 64) }},
+		{"ipsec-adaptive", 0, func() Config {
 			cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "adaptive"), 3e9, 256)
 			cfg.ALBObserve = 200 * simtime.Microsecond
 			cfg.ALBUpdate = simtime.Millisecond
 			return cfg
 		}},
-		{"ids-gpu", func() Config {
+		{"ids-gpu", 0, func() Config {
 			const dropMode = `
 				FromInput() -> CheckIPHeader() -> LoadBalance("gpu")
 					-> IDSMatchAC("drop") -> IDSMatchRE("drop") -> EchoBack() -> ToOutput();`
@@ -89,7 +89,7 @@ func reportGoldenCases() []reportGoldenCase {
 				AttackFrac: 0.05, AttackPattern: []byte("/bin/sh")}
 			return cfg
 		}},
-		{"ipsec-device-faults", func() Config {
+		{"ipsec-device-faults", 0, func() Config {
 			cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "fixed=0.8"), 2e9, 64)
 			cfg.TaskTimeout = 500 * simtime.Microsecond
 			cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
@@ -100,7 +100,7 @@ func reportGoldenCases() []reportGoldenCase {
 			}}
 			return cfg
 		}},
-		{"two-tenants-overload", func() Config {
+		{"two-tenants-overload", 0, func() Config {
 			cfg := quickCfg("", 6e9, 64)
 			cfg.Generator = nil
 			cfg.Tenants = []Tenant{
@@ -119,7 +119,7 @@ func reportGoldenCases() []reportGoldenCase {
 			}}
 			return cfg
 		}},
-		{"churn", func() Config {
+		{"churn", 0, func() Config {
 			// The admitted tenant gets an adaptive controller and a governor,
 			// so the admit commit exercises every per-tenant control plane.
 			cfg := churnCfg("ipsec")
@@ -129,6 +129,6 @@ func reportGoldenCases() []reportGoldenCase {
 			cfg.ALBUpdate = 500 * simtime.Microsecond
 			return cfg
 		}},
-		{"corruption-window", corruptionCfg},
+		{"corruption-window", 0, corruptionCfg},
 	}
 }

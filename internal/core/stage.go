@@ -95,7 +95,7 @@ func (w *worker) armStages(at simtime.Time) {
 	}
 arming:
 	for _, ln := range w.lanes {
-		if !ln.active {
+		if !w.active(ln) {
 			continue
 		}
 		for _, q := range ln.rxqs {

@@ -73,10 +73,6 @@ type lane struct {
 	// RNG. Nothing writes it afterwards.
 	kctx element.ProcContext
 
-	// active is cleared at evict commit: the lane stops being polled,
-	// flushed or counted toward retirement, but stays in place (tenant
-	// slots are grow-only so tenant-major queue indexing never shifts).
-	active bool
 	// inflightTasks counts this lane's outstanding device tasks — the
 	// lane-granular side of worker.inflight, read by the epoch drain
 	// predicate.
@@ -85,9 +81,9 @@ type lane struct {
 	rxqs []*netio.RxQueue
 	agg  *offload.Aggregator
 
-	// Overload control (armed only when cfg.Overload is set).
-	codel   overload.CoDel
-	codelOn bool
+	// Overload control: CoDel runs when its Interval is set, which
+	// cfg.Overload's defaults always do.
+	codel overload.CoDel
 
 	// ctr is the lane's own slice of the accounting table: everything except
 	// the RX-queue statistics and the per-node drop counts, which counters()
@@ -96,8 +92,10 @@ type lane struct {
 	ctr                 stats.Counters
 	txWireBytesMeasured uint64 // wire bytes transmitted inside the measurement window
 	latency             stats.Hist
-	recentLat           stats.Hist // since the last ALB update (bounded-latency LB)
-	latencySkip         int
+	// recent is the lane's control cell's latency window (controlCell),
+	// nil unless the tenant's socket controller is bounded.
+	recent      *stats.Hist
+	latencySkip int
 }
 
 // counters returns the lane's full accounting view: its own table plus its
@@ -118,6 +116,12 @@ func (ln *lane) counters() stats.Counters {
 	}
 	return c
 }
+
+// active reports whether the lane's tenant is in service. An evicted
+// tenant's lane stops being polled, flushed or counted toward retirement,
+// but stays in place (tenant slots are grow-only so tenant-major queue
+// indexing never shifts).
+func (w *worker) active(ln *lane) bool { return w.sys.tstate[ln.tenant].active }
 
 // worker is one worker thread: a replicated pipeline per tenant on its own
 // core, polling its RSS RX queues in a run-to-completion IO loop (paper
@@ -223,7 +227,7 @@ func newWorker(s *System, id, socket, local int, localPorts []int, dev *gpu.Devi
 // already be in place at index t.
 func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 	s := w.sys
-	ln := &lane{tenant: int32(t), active: true}
+	ln := &lane{tenant: int32(t)}
 	ndev := 0
 	if w.dev != nil {
 		ndev = 1
@@ -252,7 +256,6 @@ func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 		Socket:    w.socket,
 		NodeLocal: s.nodeLocals[w.socket][t],
 		Rand:      cctx.Rand,
-		CostScale: 1,
 	}
 	// Memory-bandwidth contention: mild per-extra-worker inflation
 	// (paper Figure 11a's per-core droop).
@@ -271,7 +274,6 @@ func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 	ln.agg = offload.NewAggregator(s.cfg.CostModel)
 	if oc := s.cfg.Overload; oc != nil {
 		ln.codel = overload.CoDel{Interval: oc.CoDelInterval}
-		ln.codelOn = true
 	}
 	return ln, nil
 }
@@ -336,7 +338,7 @@ func (w *worker) iterate() {
 	polling:
 		for _, t := range w.wrr.Round() {
 			ln := w.lanes[t]
-			if !ln.active {
+			if !w.active(ln) {
 				continue
 			}
 			w.cur = ln
@@ -351,7 +353,7 @@ func (w *worker) iterate() {
 				}
 				didWork = true
 				w.cycles += cm.RxPerPacket * simtime.Cycles(len(pkts))
-				if ln.codelOn {
+				if ln.codel.Interval > 0 {
 					pkts = w.shedSojourn(pkts)
 					if len(pkts) == 0 {
 						continue
@@ -370,7 +372,7 @@ func (w *worker) iterate() {
 	// sequence deterministic regardless of the WRR phase.
 	pending := 0
 	for _, ln := range w.lanes {
-		if !ln.active {
+		if !w.active(ln) {
 			continue
 		}
 		w.cur = ln
@@ -381,7 +383,7 @@ func (w *worker) iterate() {
 	}
 	if !didWork && w.inflight == 0 && pending > 0 {
 		for _, ln := range w.lanes {
-			if !ln.active {
+			if !w.active(ln) {
 				continue
 			}
 			w.cur = ln
@@ -463,7 +465,7 @@ func (w *worker) parkDeadline() (simtime.Time, bool) {
 		}
 	}
 	for _, ln := range w.lanes {
-		if !ln.active {
+		if !w.active(ln) {
 			continue
 		}
 		if t, pending := ln.agg.NextExpiry(); pending {
@@ -588,7 +590,7 @@ func (w *worker) done() bool {
 		// An evicted lane was drained by its epoch; stranded backlog on its
 		// zero-rated queues is finalized into drop accounting at report time
 		// and must not keep the worker alive.
-		if ln.active && !w.laneDrained(t, now) {
+		if w.active(ln) && !w.laneDrained(t, now) {
 			return false
 		}
 	}
@@ -640,7 +642,7 @@ func (w *worker) flush(p *offload.Pending) {
 		}
 		return
 	}
-	if !w.sys.devPlugged[dev.TraceActor] {
+	if !w.sys.epochs.plugged(int(dev.TraceActor)) {
 		// The device is hot-unplugged: the aggregate is rescued on the CPU
 		// (the hitless path), not dropped — unplug is a planned
 		// reconfiguration, not a misconfiguration. The device never saw the
@@ -824,10 +826,8 @@ func (w *worker) shedSojourn(pkts []*packet.Packet) []*packet.Packet {
 		kept = append(kept, p)
 	}
 	if shed > 0 {
-		if tr := w.sys.cfg.Tracer; tr != nil {
-			tr.EmitT(now, trace.KindOverloadShed, int32(w.id), ln.tenant, "codel",
-				shed, 0, int64(maxSojourn), int64(w.sys.overloadLevel(w.socket, ln.tenant)))
-		}
+		w.sys.cfg.Tracer.EmitT(now, trace.KindOverloadShed, int32(w.id), ln.tenant, "codel",
+			shed, 0, int64(maxSojourn), int64(w.sys.overloadLevel(w.socket, ln.tenant)))
 	}
 	return kept
 }
@@ -899,7 +899,7 @@ func (w *worker) verifyAggregate(it *inflightTask, sh *integrity.Shadow) bool {
 		}
 	})
 	w.cycles += pctx.Scaled(cycles)
-	w.sys.noteIntegrity(w, it, match)
+	w.sys.escalation.note(w.sys, w, it, !match)
 	return match
 }
 
@@ -1035,8 +1035,8 @@ func (w *worker) Transmit(pkt *packet.Packet) {
 			ln.latencySkip = 0
 			lat := w.now() - pkt.Arrival + w.sys.cfg.CostModel.ExternalRTT
 			ln.latency.Record(lat)
-			if w.sys.cfg.ALBLatencyBound > 0 {
-				ln.recentLat.Record(lat)
+			if ln.recent != nil {
+				ln.recent.Record(lat)
 			}
 		}
 	}

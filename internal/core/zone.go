@@ -42,6 +42,10 @@ type zone struct {
 	self weak.Pointer[zone]
 }
 
+// packetPoolPerWorker sizes each worker's packet mempool. Only tests change
+// it (SetPacketPool, export_test.go).
+var packetPoolPerWorker = 12288
+
 // batchPoolPerWorker sizes each worker's batch mempool. The deepest use
 // measured is 104 batches (IDS at 1024 B, GPU-only, 32 outstanding tasks
 // per worker); a Get beyond it drops the burst as a graph drop.
@@ -59,7 +63,8 @@ var spare struct {
 // takeZone returns storage for nw workers' pools: the spare when it has this
 // shape and the GC has not reclaimed it, cleared where its last owner wrote;
 // a fresh allocation otherwise.
-func takeZone(nw, perPkt int) *zone {
+func takeZone(nw int) *zone {
+	perPkt := packetPoolPerWorker
 	spare.mu.Lock()
 	z := spare.z.Value()
 	if z != nil && len(z.used) == nw && z.perPkt == perPkt {

@@ -268,62 +268,56 @@ const (
 // Tracker keeps the per-device EWMA corruption scores and decides
 // escalation. One tracker serves the whole run (device indices are global).
 type Tracker struct {
-	scores  []float64
-	consec  []int
-	demoted []bool
-	failed  []bool
+	devs []deviceScore
+}
+
+// deviceScore is one device's corruption state.
+type deviceScore struct {
+	score   float64
+	consec  int  // consecutive mismatches
+	demoted bool // ActionDemote was returned since the last readmit
+	failed  bool // ActionFailStop was returned since the last readmit
 }
 
 // NewTracker creates a tracker for ndev devices.
-func NewTracker(ndev int) *Tracker {
-	return &Tracker{
-		scores:  make([]float64, ndev),
-		consec:  make([]int, ndev),
-		demoted: make([]bool, ndev),
-		failed:  make([]bool, ndev),
-	}
-}
+func NewTracker(ndev int) *Tracker { return &Tracker{devs: make([]deviceScore, ndev)} }
 
 // Observe folds one sentinel check result into dev's score and returns the
 // escalation the system must apply. Observations against a fail-stopped
 // device (completions already in flight when it was stopped) are ignored.
 func (t *Tracker) Observe(dev int, mismatch bool) Action {
-	if t.failed[dev] {
+	d := &t.devs[dev]
+	if d.failed {
 		return ActionNone
 	}
 	x := 0.0
 	if mismatch {
 		x = 1.0
-		t.consec[dev]++
+		d.consec++
 	} else {
-		t.consec[dev] = 0
+		d.consec = 0
 	}
-	t.scores[dev] = alpha*x + (1-alpha)*t.scores[dev]
+	d.score = alpha*x + (1-alpha)*d.score
 	switch {
-	case t.scores[dev] >= failScore:
-		t.failed[dev] = true
+	case d.score >= failScore:
+		d.failed = true
 		return ActionFailStop
-	case t.scores[dev] >= demoteScore && !t.demoted[dev]:
-		t.demoted[dev] = true
+	case d.score >= demoteScore && !d.demoted:
+		d.demoted = true
 		return ActionDemote
 	}
 	return ActionNone
 }
 
 // Score returns dev's current EWMA corruption score.
-func (t *Tracker) Score(dev int) float64 { return t.scores[dev] }
+func (t *Tracker) Score(dev int) float64 { return t.devs[dev].score }
 
 // Consecutive returns dev's current run of consecutive mismatches.
-func (t *Tracker) Consecutive(dev int) int { return t.consec[dev] }
+func (t *Tracker) Consecutive(dev int) int { return t.devs[dev].consec }
 
 // FailStopped reports whether dev is currently fail-stopped by the tracker.
-func (t *Tracker) FailStopped(dev int) bool { return t.failed[dev] }
+func (t *Tracker) FailStopped(dev int) bool { return t.devs[dev].failed }
 
 // Readmit clears dev's state after a recovery probe: the device starts over
 // with a clean score and its weight bounds restored by the caller.
-func (t *Tracker) Readmit(dev int) {
-	t.scores[dev] = 0
-	t.consec[dev] = 0
-	t.demoted[dev] = false
-	t.failed[dev] = false
-}
+func (t *Tracker) Readmit(dev int) { t.devs[dev] = deviceScore{} }

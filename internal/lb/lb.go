@@ -160,10 +160,8 @@ type Controller struct {
 	wait    int
 	bounces int // consecutive rejected perturbations at a boundary
 	// Externally-imposed bounds on W (the overload governor's bias
-	// mechanism). Inactive until SetWBounds is called, so the zero value
-	// keeps the classic unconstrained hill-climb.
+	// mechanism), [0, 1] until SetWBounds narrows them.
 	wmin, wmax float64
-	hasBounds  bool
 	// recentFails counts failed/timed-out offload completions reported via
 	// NoteTaskFailures since the last control step.
 	recentFails int
@@ -220,8 +218,9 @@ func NewController(state *State) *Controller {
 		// The paper smooths over a 16384-sample history of per-10K-cycle
 		// counts; we sample throughput per observation interval, so a much
 		// smaller window gives the same smoothing span.
-		avg: stats.NewMovingAverage(16),
-		dir: +1,
+		avg:  stats.NewMovingAverage(16),
+		dir:  +1,
+		wmax: 1,
 	}
 }
 
@@ -238,7 +237,7 @@ func (c *Controller) SetWBounds(lo, hi float64) {
 	if hi < lo {
 		hi = lo
 	}
-	c.wmin, c.wmax, c.hasBounds = lo, hi, true
+	c.wmin, c.wmax = lo, hi
 	if w := c.clampW(c.state.W); w != c.state.W {
 		c.state.W = w
 		c.Checker.LBUpdated(c.now(), w)
@@ -246,18 +245,10 @@ func (c *Controller) SetWBounds(lo, hi float64) {
 }
 
 // WBounds returns the active bounds on W, (0, 1) when unconstrained.
-func (c *Controller) WBounds() (lo, hi float64) {
-	if !c.hasBounds {
-		return 0, 1
-	}
-	return c.wmin, c.wmax
-}
+func (c *Controller) WBounds() (lo, hi float64) { return c.wmin, c.wmax }
 
-// clampW applies the external bounds; identity until SetWBounds is called.
+// clampW applies the external bounds.
 func (c *Controller) clampW(w float64) float64 {
-	if !c.hasBounds {
-		return w
-	}
 	return math.Max(c.wmin, math.Min(c.wmax, w))
 }
 
@@ -290,7 +281,7 @@ func (c *Controller) reactToFailures() bool {
 	}
 	// Honour only the ceiling here: a bias floor must never hold W up
 	// against a failing device's collapse.
-	if c.hasBounds && w > c.wmax {
+	if w > c.wmax {
 		w = c.wmax
 	}
 	c.state.W = w
@@ -305,15 +296,44 @@ func (c *Controller) reactToFailures() bool {
 	return true
 }
 
-// Update runs one control step: move w by ±δ in the direction that last
-// improved smoothed throughput, honouring the waiting-interval ramp.
-func (c *Controller) Update() {
+// Update runs one control step of the throughput hill-climb: move w by ±δ
+// in the direction that last improved smoothed throughput, honouring the
+// waiting-interval ramp.
+func (c *Controller) Update() { c.UpdateWithLatency(0) }
+
+// UpdateWithLatency is the control step of the bounded-latency variant:
+// while the observed p99 latency exceeds Bound, the offloading fraction is
+// pushed down (accelerators add latency through aggregation, copies and
+// kernel time); once within the bound, or with no Bound set, the step is
+// Update's throughput hill-climb.
+//
+// Limitation, documented deliberately: when the CPU alone cannot carry the
+// load, reducing w inflates NIC-queue latency instead — there is no feasible
+// point, and the controller parks at w=0 shedding load, which is the
+// conservative choice.
+func (c *Controller) UpdateWithLatency(p99 simtime.Time) {
 	c.Checker.LBStep(c.now(), c.state.W, c.recentFails)
 	if c.reactToFailures() {
 		return
 	}
 	if c.wait > 0 {
 		c.wait--
+		return
+	}
+	if c.Bound > 0 && p99 > c.Bound {
+		c.avg.Reset()
+		c.last = 0 // force re-learning of the throughput slope afterwards
+		w := c.state.W - delta
+		if w < 0 {
+			w = 0
+		}
+		c.state.W = w
+		c.Checker.LBUpdated(c.now(), w)
+		c.dir = -1
+		c.bounces = 0
+		c.Trace = append(c.Trace, TracePoint{At: c.now(), W: w, Throughput: -p99.Micros()})
+		c.wait = minWait
+		c.emitTrace(w, -p99.Micros())
 		return
 	}
 	cur := c.avg.Mean()
@@ -394,41 +414,4 @@ func (c *Controller) emitTrace(w, throughput float64) {
 	c.Tracer.EmitT(now, trace.KindLBUpdate, c.TraceActor, c.TraceTenant, "alb",
 		int64(math.Float64bits(w)), int64(math.Float64bits(throughput)),
 		int64(c.dir), int64(c.wait))
-}
-
-// UpdateWithLatency is the bounded-latency control step: while the observed
-// p99 latency exceeds Bound, the offloading fraction is pushed down
-// (accelerators add latency through aggregation, copies and kernel time);
-// once within the bound, the ordinary throughput hill-climb resumes.
-//
-// Limitation, documented deliberately: when the CPU alone cannot carry the
-// load, reducing w inflates NIC-queue latency instead — there is no feasible
-// point, and the controller parks at w=0 shedding load, which is the
-// conservative choice.
-func (c *Controller) UpdateWithLatency(p99 simtime.Time) {
-	if c.Bound <= 0 || p99 <= c.Bound {
-		c.Update()
-		return
-	}
-	c.Checker.LBStep(c.now(), c.state.W, c.recentFails)
-	if c.reactToFailures() {
-		return
-	}
-	if c.wait > 0 {
-		c.wait--
-		return
-	}
-	c.avg.Reset()
-	c.last = 0 // force re-learning of the throughput slope afterwards
-	w := c.state.W - delta
-	if w < 0 {
-		w = 0
-	}
-	c.state.W = w
-	c.Checker.LBUpdated(c.now(), w)
-	c.dir = -1
-	c.bounces = 0
-	c.Trace = append(c.Trace, TracePoint{At: c.now(), W: w, Throughput: -p99.Micros()})
-	c.wait = minWait
-	c.emitTrace(w, -p99.Micros())
 }

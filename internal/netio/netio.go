@@ -132,6 +132,9 @@ func (q *RxQueue) SetGenerator(gen Generator) {
 	q.genEpoch++
 }
 
+// Generator returns the queue's traffic generator.
+func (q *RxQueue) Generator() Generator { return q.gen }
+
 // SetDown flaps the queue (fault injection). While down, Poll delivers
 // nothing; arrivals keep accruing and overflow into the drop counters once
 // the queue fills, exactly as a dead link's ring behaves. Coming back up

@@ -121,16 +121,14 @@ func (l Level) String() string {
 // after stepDown consecutive saturated windows and recovers one level after
 // stepUp consecutive clear windows; either streak resets on the opposite
 // observation, so an alternating signal at the boundary holds the level
-// steady instead of oscillating.
+// steady instead of oscillating. The zero value is a governor at
+// LevelNormal.
 type Governor struct {
 	level       Level
 	peak        Level
 	satStreak   int
 	clearStreak int
 }
-
-// NewGovernor creates a governor at LevelNormal.
-func NewGovernor() *Governor { return &Governor{} }
 
 // Level returns the current degradation level.
 func (g *Governor) Level() Level { return g.level }

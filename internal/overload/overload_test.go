@@ -32,7 +32,7 @@ func TestLevelStrings(t *testing.T) {
 // Property: under sustained saturation the governor steps down monotonically,
 // one level per stepDown windows, and parks at LevelShed.
 func TestGovernorMonotoneStepDown(t *testing.T) {
-	g := NewGovernor()
+	g := new(Governor)
 	prev := g.Level()
 	changes := 0
 	for i := 0; i < 10*stepDown; i++ {
@@ -64,7 +64,7 @@ func TestGovernorMonotoneStepDown(t *testing.T) {
 // Property: after full degradation, sustained recovery steps all the way back
 // up to LevelNormal, one level per stepUp windows.
 func TestGovernorFullStepUp(t *testing.T) {
-	g := NewGovernor()
+	g := new(Governor)
 	for g.Level() != LevelShed {
 		g.Observe(true)
 	}
@@ -97,7 +97,7 @@ func TestGovernorFullStepUp(t *testing.T) {
 // neither threshold is ever reached (mirrors the ALB boundary-dwell tests).
 func TestGovernorNoOscillationAtBoundary(t *testing.T) {
 	for _, start := range []int{2 * stepDown, 4 * stepDown} { // LevelTrim.. boundaries
-		g := NewGovernor()
+		g := new(Governor)
 		for i := 0; i < start; i++ {
 			g.Observe(true)
 		}
@@ -114,7 +114,7 @@ func TestGovernorNoOscillationAtBoundary(t *testing.T) {
 // Property: a recovery streak is voided by a single saturated window (and
 // vice versa) — hysteresis counts consecutive windows only.
 func TestGovernorStreaksReset(t *testing.T) {
-	g := NewGovernor()
+	g := new(Governor)
 	for g.Level() != LevelBias {
 		g.Observe(true)
 	}

@@ -141,6 +141,9 @@ func (m *Meter) End(now simtime.Time) {
 	m.endBytes = m.Counter.WireBytes
 }
 
+// EndBytes returns the wire bytes counted when End froze the window.
+func (m *Meter) EndBytes() uint64 { return m.endBytes }
+
 // RateWindow returns (pps, bps) over the Mark..End window. It requires both
 // Mark and End to have been called.
 func (m *Meter) RateWindow() (pps, bps float64) {
