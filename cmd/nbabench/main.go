@@ -9,6 +9,9 @@
 //	nbabench -all                  # everything
 //	nbabench -all -quick           # fast smoke pass
 //
+// Stdout holds the experiments' output only, so it is the same on every run
+// with the same flags; each experiment's wall time goes to stderr.
+//
 // Exit codes: 0 after a run, 1 for an unknown or failed experiment, 2 for a
 // usage error (no mode, or a stray positional argument).
 package main
@@ -81,21 +84,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	for _, e := range exps {
-		if err := runOne(e, opts, stdout); err != nil {
+		start := time.Now()
+		if err := e.Print(opts, stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
+		fmt.Fprintf(stderr, "%s (%.1fs wall)\n", e.ID, time.Since(start).Seconds())
 	}
 	return 0
-}
-
-func runOne(e bench.Experiment, opts bench.Options, w io.Writer) error {
-	fmt.Fprintf(w, "=== %s: %s\n", e.ID, e.Title)
-	fmt.Fprintf(w, "    paper: %s\n\n", e.Paper)
-	start := time.Now()
-	if err := e.Run(opts, w); err != nil {
-		return fmt.Errorf("%s: %w", e.ID, err)
-	}
-	fmt.Fprintf(w, "\n    (%.1fs wall)\n\n", time.Since(start).Seconds())
-	return nil
 }

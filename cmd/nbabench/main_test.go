@@ -4,33 +4,42 @@ import (
 	"bytes"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"nba/internal/golden"
 )
 
-// wallLine matches the per-experiment wall-clock line, the only output that
-// differs between two runs with the same flags.
-var wallLine = regexp.MustCompile(`(?m)^    \(\d+\.\ds wall\)\n`)
+// wallNote matches the wall-time note nbabench writes to stderr after each
+// experiment.
+var wallNote = regexp.MustCompile(`(?m)^\S+ \(\d+\.\ds wall\)$`)
 
 // TestGoldenStdout pins the output of -list and of the two table experiments
-// byte for byte, wall-clock lines removed. The golden files were recorded
-// from the binary before run was factored out of main.
+// byte for byte (the quick figure grid's golden is checked by internal/core's
+// TestParkingAgreesOnFigureGrid). Stdout holds no wall time: each experiment
+// run writes exactly one wall-time note, to stderr.
 func TestGoldenStdout(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
 		args   []string
+		runs   int
 	}{
-		{"list.golden", []string{"-list"}},
-		{"tab1.golden", []string{"-exp", "tab1"}},
-		{"tab3.golden", []string{"-exp", "tab3"}},
+		{"list.golden", []string{"-list"}, 0},
+		{"tab1.golden", []string{"-exp", "tab1"}, 1},
+		{"tab3.golden", []string{"-exp", "tab3"}, 1},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(tc.args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 			}
-			golden.Check(t, filepath.Join("testdata", tc.golden), wallLine.ReplaceAllString(stdout.String(), ""))
+			if strings.Contains(stdout.String(), "wall)") {
+				t.Errorf("stdout holds a wall-time line:\n%s", stdout.String())
+			}
+			if n := len(wallNote.FindAllString(stderr.String(), -1)); n != tc.runs {
+				t.Errorf("stderr holds %d wall-time notes, want %d:\n%s", n, tc.runs, stderr.String())
+			}
+			golden.Check(t, filepath.Join("testdata", tc.golden), stdout.String())
 		})
 	}
 }

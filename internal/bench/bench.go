@@ -54,6 +54,20 @@ type Experiment struct {
 	Run   func(o Options, w io.Writer) error
 }
 
+// Print runs e and writes its output framed as one section of the figure
+// grid: a header with the ID, title and paper summary, the output, then two
+// blank lines. nbabench prints these sections, and
+// cmd/nbabench/testdata/quick-all.golden is the quick grid's.
+func (e Experiment) Print(o Options, w io.Writer) error {
+	fmt.Fprintf(w, "=== %s: %s\n", e.ID, e.Title)
+	fmt.Fprintf(w, "    paper: %s\n\n", e.Paper)
+	if err := e.Run(o, w); err != nil {
+		return fmt.Errorf("%s: %w", e.ID, err)
+	}
+	fmt.Fprint(w, "\n\n")
+	return nil
+}
+
 var experiments []Experiment
 
 func register(e Experiment) { experiments = append(experiments, e) }

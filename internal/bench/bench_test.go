@@ -177,6 +177,28 @@ func TestFaultsScenario(t *testing.T) {
 	}
 }
 
+// TestOverloadDeterministic: the overload experiment's 2x armed run, the one
+// making the most shedding decisions, records the same non-empty event
+// stream twice.
+func TestOverloadDeterministic(t *testing.T) {
+	mk := func() *trace.Tracer {
+		spec := overloadSpec(Options{Quick: true, Seed: 42}, 2, true)
+		spec.Tracer = trace.New(trace.Options{Capacity: 1, CheckpointInterval: -1})
+		if _, err := Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		return spec.Tracer
+	}
+	t1, t2 := mk(), mk()
+	if t1.Total() == 0 {
+		t.Fatal("the 2x armed run recorded no events")
+	}
+	if d1, d2 := t1.Digest(), t2.Digest(); d1 != d2 || t1.Total() != t2.Total() {
+		t.Errorf("2x armed run not deterministic: %s (%d events) vs %s (%d events)",
+			d1, t1.Total(), d2, t2.Total())
+	}
+}
+
 func TestCloneCostModelIsolated(t *testing.T) {
 	a := cloneCostModel()
 	b := cloneCostModel()

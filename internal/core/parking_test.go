@@ -11,6 +11,7 @@ import (
 	"nba/internal/bench"
 	"nba/internal/chaos"
 	"nba/internal/core"
+	"nba/internal/golden"
 	"nba/internal/trace"
 )
 
@@ -22,6 +23,9 @@ type observedRun struct {
 	report string // sha256 of the report's Go-syntax rendering
 	trace  string // digest of the trace without KindDispatch records
 	events uint64 // the records in that trace
+	// impure sums the report's FallbackPackets, FailedTasks and
+	// TimedOutTasks, for the purity rows; the report hash covers them too.
+	impure uint64
 }
 
 func (o observedRun) String() string {
@@ -45,7 +49,8 @@ func observe(t *testing.T, parking bool, fn func()) []observedRun {
 			return
 		}
 		sum := sha256.Sum256(fmt.Appendf(nil, "%#v", *r))
-		run := observedRun{fmt.Sprintf("%x", sum), cfg.Tracer.Digest(), cfg.Tracer.Total()}
+		run := observedRun{fmt.Sprintf("%x", sum), cfg.Tracer.Digest(), cfg.Tracer.Total(),
+			r.FallbackPackets + r.FailedTasks + r.TimedOutTasks}
 		mu.Lock()
 		runs = append(runs, run)
 		mu.Unlock()
@@ -54,10 +59,11 @@ func observe(t *testing.T, parking bool, fn func()) []observedRun {
 	return runs
 }
 
-// agree checks fn's runs are the same with parking on and off. With
-// sorted, runs that finish in a nondeterministic order (a parallel grid)
-// are compared as multisets. The tables of the figure grid make no runs.
-func agree(t *testing.T, sorted bool, fn func()) {
+// agree checks fn's runs are the same with parking on and off, and returns
+// the parked runs. With sorted, runs that finish in a nondeterministic order
+// (a parallel grid) are compared as multisets. The tables of the figure grid
+// make no runs.
+func agree(t *testing.T, sorted bool, fn func()) []observedRun {
 	t.Helper()
 	on, off := observe(t, true, fn), observe(t, false, fn)
 	if sorted {
@@ -87,6 +93,7 @@ func agree(t *testing.T, sorted bool, fn func()) {
 			t.Errorf("run %d differs:\n parked  %v\n polling %v", i, on[i], off[i])
 		}
 	}
+	return on
 }
 
 // runCfg builds and runs one configuration.
@@ -143,21 +150,31 @@ func TestParkingAgreesOnChaos(t *testing.T) {
 	}
 }
 
+// pureFigures are the figure-grid experiments whose every run must keep
+// its work where the configuration put it: no packet rescued onto the CPU,
+// no task failed or timed out (ROADMAP item 3's purity rows).
+var pureFigures = []string{"fig11", "fig12", "fig14"}
+
 // TestParkingAgreesOnFigureGrid runs every quick figure and table of
 // internal/bench with parking on and off: the printed output and every
-// cell's report and trace must agree. It takes about a minute, so -short
-// and the race detector skip it.
+// cell's report and trace must agree. The parked text of the whole grid is
+// cmd/nbabench/testdata/quick-all.golden (with -update, it re-records the
+// file; a -run subset of the experiments skips only that comparison), and
+// every parked run of pureFigures must be pure. The two passes take about
+// a minute and a half, so -short and the race detector skip it.
 func TestParkingAgreesOnFigureGrid(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("the quick figure grid takes about a minute")
+		t.Skip("the quick figure grid takes about a minute and a half")
 	}
-	for _, e := range bench.All() {
+	all := bench.All()
+	grid := make([]string, 0, len(all))
+	for _, e := range all {
 		t.Run(e.ID, func(t *testing.T) {
 			o := bench.Options{Quick: true, Seed: 42, Parallelism: 2}
 			var text [2]string
-			agree(t, true, func() {
+			parked := agree(t, true, func() {
 				var sb strings.Builder
-				if err := e.Run(o, &sb); err != nil {
+				if err := e.Print(o, &sb); err != nil {
 					t.Fatal(err)
 				}
 				text[0], text[1] = text[1], sb.String()
@@ -165,6 +182,20 @@ func TestParkingAgreesOnFigureGrid(t *testing.T) {
 			if text[0] != text[1] {
 				t.Errorf("printed output differs:\nparked:\n%s\npolling:\n%s", text[0], text[1])
 			}
+			if slices.Contains(pureFigures, e.ID) {
+				if len(parked) == 0 {
+					t.Error("no runs observed for the purity rows")
+				}
+				for _, r := range parked {
+					if r.impure != 0 {
+						t.Errorf("%v: %d packets rescued, tasks failed or timed out", r, r.impure)
+					}
+				}
+			}
+			grid = append(grid, text[0])
 		})
+	}
+	if len(grid) == len(all) {
+		golden.Check(t, "../../cmd/nbabench/testdata/quick-all.golden", strings.Join(grid, ""))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"nba/internal/conflang"
 	"nba/internal/element"
@@ -80,12 +81,9 @@ func (m *epochMachine) parseLatent(cfg *Config) error {
 // (engine same-tick order is registration order); reconfig events
 // themselves serialize in plan order through the pump.
 func (m *epochMachine) arm(s *System) {
-	if plan := s.cfg.Reconfig; plan != nil && len(plan.Events) > 0 {
-		for _, ev := range plan.Sorted() {
-			if ev.At <= s.stopTime {
-				m.events = append(m.events, ev)
-			}
-		}
+	if plan := s.cfg.Reconfig; plan != nil {
+		evs := plan.Sorted()
+		m.events = evs[:sort.Search(len(evs), func(i int) bool { return evs[i].At > s.stopTime })]
 	}
 	if len(m.events) == 0 {
 		return

@@ -74,8 +74,10 @@
 #                         exit 0: they are the nba facade's only end-to-end
 #                         users
 #  13. regolden dry run   scripts/regolden.sh -n re-records every golden
-#                         file (and the quick figure grid) and must find
-#                         nothing moved on the committed tree
+#                         file through its test's -update flag (the quick
+#                         figure grid's through core's parking A/B, which
+#                         the race run skips) and must find nothing moved on
+#                         the committed tree
 #
 # The race run doubles as the regression tripwire for the simulation contract:
 # the engine is single-threaded by design and the device executor's kernels

@@ -8,11 +8,14 @@
 #                              this on the committed tree, where it must
 #                              report no change)
 #
-# Each golden has one update path. For the test goldens it is the test's
-# -update flag (internal/golden.Check; internal/trace's golden test reads the
-# same flag):
+# Every golden has one update path, its test's -update flag
+# (internal/golden.Check; internal/trace's golden test reads the same flag):
 #   internal/trace          TestGoldenTraces           trace digests and checkpoints
 #   internal/core           TestReportGolden           report counters and digests
+#                           TestParkingAgreesOnFigureGrid
+#                                                      the quick figure grid
+#                                                      (cmd/nbabench's
+#                                                      quick-all.golden, ~2 min)
 #   internal/gen            TestFillGolden             generator frames
 #   internal/apps/ipsec     TestESPFramesGolden        ESP frames
 #   internal/apps/ids       TestDefaultAutomataGolden  AC and DFA tables
@@ -22,10 +25,6 @@
 #   cmd/nbabench            TestGoldenStdout           -list, tab1, tab3 stdout
 #   internal/chaos          TestReproGolden            reproducer file format
 #                           TestSweepGolden            check.sh's sweep digests
-# The quick figure grid has no test (it takes a minute): its update path is
-# this script, which keeps `nbabench -all -quick` without the wall-clock
-# lines in cmd/nbabench/testdata/quick-all.golden and prints its sha256.
-#
 # A digest moves only in a change that runs this script and says why in
 # CHANGES.md, with this script's output.
 set -euo pipefail
@@ -73,7 +72,7 @@ fi
 
 echo "==> re-recording (go test -update)" >&2
 go test -count=1 ./internal/trace -run '^TestGoldenTraces$' -update >&2
-go test -count=1 ./internal/core -run '^TestReportGolden$' -update >&2
+go test -count=1 ./internal/core -run '^(TestReportGolden|TestParkingAgreesOnFigureGrid)$' -update >&2
 go test -count=1 ./internal/gen -run '^TestFillGolden$' -update >&2
 go test -count=1 ./internal/apps/ipsec -run '^TestESPFramesGolden$' -update >&2
 go test -count=1 ./internal/apps/ids -run '^TestDefaultAutomataGolden$' -update >&2
@@ -81,9 +80,6 @@ go test -count=1 ./cmd/nba -run '^(TestGoldenStdout|TestRecordPinned)$' -update 
 go test -count=1 ./cmd/nbatrace -run '^TestSummaryGolden$' -update >&2
 go test -count=1 ./cmd/nbabench -run '^TestGoldenStdout$' -update >&2
 go test -count=1 ./internal/chaos -run '^(TestReproGolden|TestSweepGolden)$' -update >&2
-echo "==> re-recording the quick figure grid (nbabench -all -quick)" >&2
-go run ./cmd/nbabench -all -quick | grep -Ev '^    \([0-9]+\.[0-9]s wall\)$' \
-    > cmd/nbabench/testdata/quick-all.golden
 
 moved=0
 while read -r f; do
@@ -97,9 +93,6 @@ while read -r f; do
     fi
     moved=1
     echo "$f:"
-    if [[ $f == cmd/nbabench/testdata/quick-all.golden ]]; then
-        echo "  sha256 $(sha256sum < "$old/$f" | cut -d' ' -f1) → $(sha256sum < "$f" | cut -d' ' -f1)"
-    fi
     # The changed lines, old then new.
     diff -U0 "$old/$f" "$f" | grep -E '^[-+][^-+]' | sed -e 's/^-/  old /' -e 's/^+/  new /' || true
 done < <(goldens)
