@@ -234,10 +234,9 @@ func Run(c Case) (*Outcome, error) {
 		DrainGrace:        caseDrainGrace,
 		FaultPlan:         c.Plan,
 		TaskTimeout:       c.TaskTimeout,
-		// Chaos always runs with overload control armed: bounded queues,
-		// backpressure, shedding and the governor are themselves searched
-		// (queue.bound, conservation-with-shed, determinism of the shed
-		// decisions across the doubled runs).
+		// Chaos always runs with overload control armed: shedding and the
+		// governor are themselves searched (conservation-with-shed,
+		// determinism of the shed decisions across the doubled runs).
 		Overload: overload.Defaults(),
 		// And with the integrity sentinel at full sampling: every DeviceCorrupt
 		// window a random plan opens must be detected and quarantined, so a

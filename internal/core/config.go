@@ -165,9 +165,8 @@ type Config struct {
 	DrainGrace simtime.Time
 
 	// Overload, when non-nil, arms the end-to-end overload-control
-	// subsystem: the bounded device task queue (admission → CPU rescue or
-	// shed), saturation backpressure on RX polling, the CoDel sojourn
-	// shedder and the per-socket degradation governor. Nil disables all of
+	// subsystem: the CoDel sojourn shedder and the per-socket degradation
+	// governor. Nil disables all of
 	// it — no extra engine events, no behavioural change — so pre-overload
 	// event timelines and golden trace digests are unchanged.
 	Overload *overload.Config

@@ -195,9 +195,9 @@ const (
 )
 
 // govern runs one overload-governor window for the cell: observe saturation
-// (bounded device queue full or backlogged = device-side, shared across
-// tenants; the tenant's RX drops or sheds still accruing = CPU-side) and
-// apply the resulting degradation level to the tenant alone.
+// (device backlogged = device-side, shared across tenants; the tenant's RX
+// drops or sheds still accruing = CPU-side) and apply the resulting
+// degradation level to the tenant alone.
 func (c *controlCell) govern(s *System) {
 	now := s.eng.Now()
 
@@ -206,11 +206,11 @@ func (c *controlCell) govern(s *System) {
 	// A hot-unplugged device is no longer a saturation signal.
 	if di, ok := s.cfg.Topology.DeviceOnSocket(c.socket); ok && s.epochs.plugged(di) {
 		d := s.devices[di]
-		devSat = d.Saturated() || (cm.MaxDeviceBacklog > 0 && d.Backlog() > cm.MaxDeviceBacklog)
+		devSat = cm.MaxDeviceBacklog > 0 && d.Backlog() > cm.MaxDeviceBacklog
 	}
 	cur := s.tenantCounters(c.socket, c.tenant)
 	cpuSat := cur.RxDropped > c.prev.RxDropped ||
-		cur.ShedPackets+cur.RejectedTasks > c.prev.ShedPackets+c.prev.RejectedTasks
+		cur.ShedPackets > c.prev.ShedPackets
 	c.prev = cur
 
 	old := c.gov.Level()

@@ -62,8 +62,11 @@ func ApplyFault(s *System, ev fault.Event) { s.faults.apply(s, ev) }
 // ChurnCfg is the canonical admit, retune and evict scenario (churnCfg).
 func ChurnCfg(app string) Config { return churnCfg(app) }
 
-// WorkerStopped reports whether worker i retired.
-func WorkerStopped(s *System, i int) bool { return s.workers[i].stopped }
+// WorkerTasks reports whether worker i is parked and how many device tasks
+// it has out.
+func WorkerTasks(s *System, i int) (parked bool, tasks int) {
+	return s.workers[i].parked, s.workers[i].inflight
+}
 
 // WorkerWake returns the time worker i's armed wake fires at, 0 if none.
 func WorkerWake(s *System, i int) simtime.Time { return s.workers[i].wakeAt }

@@ -1,10 +1,10 @@
 package core
 
 // End-to-end tests for the overload-control subsystem (internal/overload
-// threaded through device admission, worker shedding and the governor):
-// bounded device queues under a hung device, the conservation identity with
-// shedding over every sample application, the tail-latency bound under 2x
-// offered load, and determinism of the shedding decisions.
+// threaded through worker shedding and the governor) and the backpressure
+// beside it: the device queue under a hung device, the conservation
+// identity with shedding over every sample application, the tail-latency
+// bound under 2x offered load, and determinism of the shedding decisions.
 
 import (
 	"testing"
@@ -38,57 +38,32 @@ func tightOverload() *overload.Config {
 	return &overload.Config{CoDelInterval: 100 * simtime.Microsecond}
 }
 
-func TestOverloadBoundsDeviceQueueDuringHang(t *testing.T) {
-	// A hung device stops completing tasks. With the bounded task queue
-	// armed, submissions beyond the depth are refused (and rescued or shed)
-	// and the queue high-watermark respects the bound. Without it, the stall
-	// watchdog is what bounds the queue: it hands every parked task back, so
-	// nothing a worker has given up on stays queued, and the queue never
-	// holds more than the workers' outstanding tasks.
+func TestTaskCapBoundsDeviceQueueDuringHang(t *testing.T) {
+	// A hung device stops completing tasks. The device queue has no bound
+	// of its own: the workers' task cap holds RX polling back, and the stall
+	// watchdog hands every parked task back, so nothing a worker has given
+	// up on stays queued, and the queue never holds more than the workers'
+	// outstanding tasks.
 	const workers, maxInflight = 3, 2
-	mk := func() Config {
-		cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "fixed=0.8"), 2e9, 64)
-		cfg.Duration = 12 * simtime.Millisecond
-		cfg.TaskTimeout = 500 * simtime.Microsecond
-		cfg.WorkersPerSocket = workers
-		cfg.MaxInflightTasks = maxInflight
-		cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
-			{At: 3 * simtime.Millisecond, Kind: fault.DeviceHang, Device: 0},
-			{At: 9 * simtime.Millisecond, Kind: fault.DeviceRecover, Device: 0},
-		}}
-		return cfg
+	cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "fixed=0.8"), 2e9, 64)
+	cfg.Duration = 12 * simtime.Millisecond
+	cfg.TaskTimeout = 500 * simtime.Microsecond
+	cfg.WorkersPerSocket = workers
+	cfg.MaxInflightTasks = maxInflight
+	cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
+		{At: 3 * simtime.Millisecond, Kind: fault.DeviceHang, Device: 0},
+		{At: 9 * simtime.Millisecond, Kind: fault.DeviceRecover, Device: 0},
+	}}
+	r := run(t, cfg)
+	if r.FailedTasks == 0 {
+		t.Error("the run failed no tasks: the hang was never detected")
 	}
-
-	// The fault-free run's queue peaks at this depth, so only the hang
-	// fills it.
-	const depth = 3
-	bounded := mk()
-	bounded.Overload = &overload.Config{DeviceQueueDepth: depth}
-	rb := run(t, bounded)
-	if rb.RejectedTasks == 0 {
-		t.Error("bounded run refused no submissions during the hang")
+	if r.DeviceQueueHWM > workers*maxInflight {
+		t.Errorf("device queue HWM %d exceeds the workers' %d outstanding tasks",
+			r.DeviceQueueHWM, workers*maxInflight)
 	}
-	if rb.DeviceQueueHWM > depth {
-		t.Errorf("device queue HWM %d exceeds configured depth %d", rb.DeviceQueueHWM, depth)
-	}
-	if rb.PoolOutstanding != 0 {
-		t.Errorf("bounded run leaked %d packets", rb.PoolOutstanding)
-	}
-
-	unbounded := mk()
-	ru := run(t, unbounded)
-	if ru.FailedTasks == 0 {
-		t.Error("unbounded run failed no tasks: the hang was never detected")
-	}
-	if ru.DeviceQueueHWM > workers*maxInflight {
-		t.Errorf("unbounded run's device queue HWM %d exceeds the workers' %d outstanding tasks",
-			ru.DeviceQueueHWM, workers*maxInflight)
-	}
-	if ru.RejectedTasks != 0 {
-		t.Errorf("unbounded run refused %d submissions", ru.RejectedTasks)
-	}
-	if ru.PoolOutstanding != 0 {
-		t.Errorf("unbounded run leaked %d packets", ru.PoolOutstanding)
+	if r.PoolOutstanding != 0 {
+		t.Errorf("the run leaked %d packets", r.PoolOutstanding)
 	}
 }
 

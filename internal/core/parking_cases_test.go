@@ -51,32 +51,27 @@ func firedBoth(t *testing.T, cfg core.Config) (on, off uint64) {
 // TestParkingWakeSources runs one case per way a parked worker's next pass
 // can come to differ from its last: the report and the dispatch-free trace
 // must agree with the polling run, and parking must have skipped passes.
+// Probes between passes check that every parked worker has a task out:
+// only its completion, a deadline or a control-plane event may wake it,
+// and parkDeadline has no term for a worker that could retire.
 func TestParkingWakeSources(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  func(t *testing.T) core.Config
+		// minPeak is the governor level the case must reach.
+		minPeak overload.Level
 	}{
 		// Held back by the task cap alone: only its own completion frees it.
 		{"completion", func(t *testing.T) core.Config {
 			cfg := appCfg(t, "ids", "gpu", 1024, 1, 10e9)
 			cfg.MaxInflightTasks = 1
 			return cfg
-		}},
-		// A two-task device queue and no backlog bound: a worker is held
-		// back by its peers' tasks and freed when one of them finishes.
-		{"saturation-lifted-by-peer", func(t *testing.T) core.Config {
-			cfg := appCfg(t, "ipsec", "gpu", 1024, 3, 5e9)
-			cfg.Overload = &overload.Config{CoDelInterval: 100 * us, DeviceQueueDepth: 2}
-			cm := *sysinfo.Default()
-			cm.MaxDeviceBacklog = 0
-			cfg.CostModel = &cm
-			return cfg
-		}},
+		}, 0},
 		// The default shape of the ids benchmark: the device backlog bound
 		// holds every worker back until the backlog decays.
 		{"backlog-decay", func(t *testing.T) core.Config {
 			return appCfg(t, "ids", "gpu", 1024, 3, 10e9)
-		}},
+		}, 0},
 		// One task out per worker at a load that leaves aggregates partial:
 		// they expire while the worker is held back, and the overload
 		// governor halves their age when the RX rings overflow.
@@ -88,21 +83,31 @@ func TestParkingWakeSources(t *testing.T) {
 			cm.MaxAggBatches = 64
 			cfg.CostModel = &cm
 			return cfg
-		}},
-		// A hung device with the watchdog off fills its two-task queue:
-		// nothing completes, and the full queue trims the aggregation age,
-		// so only the governor's wake tells a parked worker its aggregate
-		// has expired.
+		}, overload.LevelTrim},
+		// A hung device with the watchdog off. Worker 0 reaches its task
+		// cap with a partial aggregate left over (an odd aggregate size),
+		// while worker 1, whose queues are down, keeps polling and finds
+		// their small rings overflowing: the governor trims the
+		// aggregation age during the hang, and only its wake tells the
+		// parked worker 0 that its aggregate has expired. The device
+		// recovers between the trimmed and the untrimmed expiry, so the
+		// flush's time shows in the device's schedule.
 		{"governor-trim-during-hang", func(t *testing.T) core.Config {
 			cfg := appCfg(t, "ipsec", "gpu", 1024, 2, 4e9)
 			cfg.TaskTimeout = -1
-			cfg.Overload = &overload.Config{CoDelInterval: 100 * us, DeviceQueueDepth: 2}
+			cfg.Overload = &overload.Config{CoDelInterval: 100 * us}
+			cfg.Topology.RxQueueCapacity = 128
+			cm := *sysinfo.Default()
+			cm.MaxAggBatches = 7
+			cfg.CostModel = &cm
 			cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
-				{At: 400 * us, Kind: fault.DeviceHang},
-				{At: 2 * simtime.Millisecond, Kind: fault.DeviceRecover},
+				{At: 0, Kind: fault.RxQueueDown, Port: 0, Queue: 1},
+				{At: 0, Kind: fault.RxQueueDown, Port: 1, Queue: 1},
+				{At: 900 * us, Kind: fault.DeviceHang},
+				{At: 1400 * us, Kind: fault.DeviceRecover},
 			}}
 			return cfg
-		}},
+		}, overload.LevelTrim},
 		// A hang with the stall watchdog armed: the parked workers wake at
 		// its deadline and hand the queue back.
 		{"watchdog-deadline", func(t *testing.T) core.Config {
@@ -113,7 +118,7 @@ func TestParkingWakeSources(t *testing.T) {
 				{At: 2500 * us, Kind: fault.DeviceRecover},
 			}}
 			return cfg
-		}},
+		}, 0},
 		// A hang with the watchdog off and nothing to wake anyone: the run
 		// ends at the DrainGrace watchdog's stop, as the polling run does.
 		{"hang-without-watchdog", func(t *testing.T) core.Config {
@@ -124,12 +129,12 @@ func TestParkingWakeSources(t *testing.T) {
 				{At: 1500 * us, Kind: fault.DeviceHang},
 			}}
 			return cfg
-		}},
+		}, 0},
 		{"device-fail-and-recover", func(t *testing.T) core.Config {
 			cfg := appCfg(t, "ids", "gpu", 1024, 2, 10e9)
 			cfg.FaultPlan = fault.GPUOutage(1*simtime.Millisecond, 1700*us, 0)
 			return cfg
-		}},
+		}, 0},
 		{"device-unplug-and-plug", func(t *testing.T) core.Config {
 			cfg := appCfg(t, "ids", "gpu", 1024, 2, 10e9)
 			tn, err := bench.AppTenant("ids", "ids", "gpu", 1024, 8)
@@ -143,14 +148,49 @@ func TestParkingWakeSources(t *testing.T) {
 				{At: 2 * simtime.Millisecond, Kind: reconfig.DevicePlug},
 			}}
 			return cfg
-		}},
+		}, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg(t)
-			agree(t, false, func() { runCfg(t, cfg) })
+			var peak overload.Level // the same on both sides: agree compares the reports
+			agree(t, false, func() {
+				sys, err := core.NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var idle []string
+				taskProbes(sys, cfg.WorkersPerSocket, cfg.Warmup+cfg.Duration+simtime.Millisecond, &idle)
+				r, err := sys.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range idle[:min(len(idle), 5)] {
+					t.Errorf("parked with no task out: %s", p)
+				}
+				peak = r.OverloadPeak
+			})
+			if peak < c.minPeak {
+				t.Errorf("governor peaked at %v, want at least %v", peak, c.minPeak)
+			}
 			if on, off := firedBoth(t, cfg); on >= off {
 				t.Errorf("parked run fired %d events, polling run %d: nothing parked", on, off)
+			}
+		})
+	}
+}
+
+// taskProbes schedules reads, at the instants clockProbes uses, of whether
+// each worker is parked and how many tasks it has out, and appends to idle
+// every parked worker found with none.
+func taskProbes(sys *core.System, workers int, horizon simtime.Time, idle *[]string) {
+	eng := sys.Engine()
+	for at := simtime.Time(0); at < horizon; at += 2900 * simtime.Nanosecond {
+		eng.At(at, func() {
+			for i := range workers {
+				if parked, tasks := core.WorkerTasks(sys, i); parked && tasks == 0 {
+					*idle = append(*idle, fmt.Sprintf("worker %d at %v", i, at))
+				}
 			}
 		})
 	}
@@ -330,49 +370,6 @@ func TestParkedDeadlineWakeOrdersLikeSkippedPass(t *testing.T) {
 	t.Logf("events on a parked worker's deadline wake: %d", ties)
 	if ties == 0 {
 		t.Fatal("no event landed on a parked worker's deadline wake")
-	}
-}
-
-// TestParkedWorkerRetiresAtStop: worker 1 is held back by worker 0's
-// tasks on a hung, two-task device queue, with no task of its own out. It
-// can retire once arrivals stop and its RX queues hold nothing it must
-// poll, and must do so at the same pass as the polling worker, though no
-// device event comes: the hang outlasts the run and the watchdog is off,
-// so the DrainGrace watchdog ends the run with worker 0 stuck. Either its
-// queues are down all along (the stopTime deadline wakes it), or they
-// come up with a backlog before the stop and go down after it (the fault
-// event wakes it).
-func TestParkedWorkerRetiresAtStop(t *testing.T) {
-	down := func(at simtime.Time, kind fault.Kind) []fault.Event {
-		return []fault.Event{{At: at, Kind: kind, Port: 0, Queue: 1}, {At: at, Kind: kind, Port: 1, Queue: 1}}
-	}
-	for _, c := range []struct {
-		name   string
-		events []fault.Event
-	}{
-		{"queues-down-throughout", down(0, fault.RxQueueDown)},
-		{"queues-down-after-stop", slices.Concat(down(0, fault.RxQueueDown),
-			down(1900*us, fault.RxQueueUp), down(3200*us, fault.RxQueueDown))},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := appCfg(t, "ipsec", "gpu", 1024, 2, 5e9)
-			cfg.TaskTimeout = -1
-			cfg.DrainGrace = 500 * us
-			cfg.Overload = &overload.Config{CoDelInterval: 100 * us, DeviceQueueDepth: 2}
-			cm := *sysinfo.Default()
-			cm.MaxDeviceBacklog = 0
-			cfg.CostModel = &cm
-			cfg.FaultPlan = &fault.Plan{Events: append(c.events,
-				fault.Event{At: 1500 * us, Kind: fault.DeviceHang})}
-			var stopped []string
-			agree(t, false, func() {
-				sys := runCfg(t, cfg)
-				stopped = append(stopped, fmt.Sprint(core.WorkerStopped(sys, 0), core.WorkerStopped(sys, 1)))
-			})
-			if stopped[0] != "false true" || stopped[1] != stopped[0] {
-				t.Errorf("workers stopped (0, 1): parked %s, polling %s; want false true", stopped[0], stopped[1])
-			}
-		})
 	}
 }
 

@@ -84,8 +84,7 @@ type Report struct {
 	// WorkerInflightHWM is the most outstanding device tasks any worker had.
 	WorkerInflightHWM int
 	// DeviceQueueHWM is the deepest task-queue occupancy observed on any
-	// device — with overload control armed it never exceeds the configured
-	// DeviceQueueDepth (the queue.bound invariant).
+	// device; the workers' outstanding tasks bound it.
 	DeviceQueueHWM int
 	// OverloadPeak / OverloadFinal are the most severe and final governor
 	// levels across sockets and tenants (always normal when overload

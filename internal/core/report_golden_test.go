@@ -13,13 +13,13 @@ import (
 )
 
 // goldenRow renders one report section's packet accounting as a single
-// comparable line: the twelve counters, the latency sample count, the final
+// comparable line: the eleven counters, the latency sample count, the final
 // offloading fraction and the section's trace digest.
 func goldenRow(name string, rxDelivered, rxDropped, allocFailed, tx, graphDrops, shed, quarantined,
-	offloaded, fallback, failed, timedOut, rejected, latCount uint64, finalW float64, digest string) string {
-	return fmt.Sprintf("%s rx=%d rxdrop=%d allocfail=%d tx=%d gdrop=%d shed=%d quar=%d off=%d fb=%d failed=%d timedout=%d rejected=%d lat=%d w=%.6f digest=%q",
+	offloaded, fallback, failed, timedOut, latCount uint64, finalW float64, digest string) string {
+	return fmt.Sprintf("%s rx=%d rxdrop=%d allocfail=%d tx=%d gdrop=%d shed=%d quar=%d off=%d fb=%d failed=%d timedout=%d lat=%d w=%.6f digest=%q",
 		name, rxDelivered, rxDropped, allocFailed, tx, graphDrops, shed, quarantined,
-		offloaded, fallback, failed, timedOut, rejected, latCount, finalW, digest)
+		offloaded, fallback, failed, timedOut, latCount, finalW, digest)
 }
 
 // goldenDump renders a whole report: the run-level row followed by one row
@@ -27,12 +27,12 @@ func goldenRow(name string, rxDelivered, rxDropped, allocFailed, tx, graphDrops,
 func goldenDump(r *Report, digest string) string {
 	rows := []string{goldenRow("run", r.RxDelivered, r.RxDropped, r.AllocFailed, r.TxPackets, r.GraphDrops,
 		r.ShedPackets, r.QuarantinedPackets, r.OffloadedPackets, r.FallbackPackets, r.FailedTasks,
-		r.TimedOutTasks, r.RejectedTasks, r.Latency.Count(), r.FinalW, digest)}
+		r.TimedOutTasks, r.Latency.Count(), r.FinalW, digest)}
 	for i := range r.Tenants {
 		tr := &r.Tenants[i]
 		rows = append(rows, goldenRow(fmt.Sprintf("tenant[%d]=%q", i, tr.Name), tr.RxDelivered, tr.RxDropped,
 			tr.AllocFailed, tr.TxPackets, tr.GraphDrops, tr.ShedPackets, tr.QuarantinedPackets,
-			tr.OffloadedPackets, tr.FallbackPackets, tr.FailedTasks, tr.TimedOutTasks, tr.RejectedTasks,
+			tr.OffloadedPackets, tr.FallbackPackets, tr.FailedTasks, tr.TimedOutTasks,
 			tr.Latency.Count(), tr.FinalW, tr.Digest))
 	}
 	return strings.Join(rows, "\n")
@@ -42,13 +42,10 @@ func goldenDump(r *Report, digest string) string {
 // count, the final offloading fraction and the trace digest of seven short
 // runs that between them exercise every counter but TimedOutTasks, which
 // only an evict epoch's force-rescue sets (NIC overflow, graph drops,
-// offload, CPU rescue after a device failure or stall and after admission
-// rejection, CoDel and admission shedding, quarantine) in single-app,
-// two-tenant and admit/evict-churn hosting. The values, in testdata/report,
-// were recorded before the accounting and tenant-install refactors; the
-// counters have not moved since, and a counter that moves means behaviour
-// changed. The trace digests move with the engine's event timeline
-// (scripts/regolden.sh re-records them).
+// offload, CPU rescue after a device failure or stall, CoDel shedding,
+// quarantine) in single-app, two-tenant and admit/evict-churn hosting. A
+// counter that moves means behaviour changed. The trace digests move with
+// the engine's event timeline (scripts/regolden.sh re-records them).
 func TestReportGolden(t *testing.T) {
 	for _, c := range reportGoldenCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -110,7 +107,6 @@ func reportGoldenCases() []reportGoldenCase {
 					Generator: &gen.UDP4{FrameLen: 64, Flows: 1024, Seed: 3}},
 			}
 			cfg.Overload = tightOverload()
-			cfg.Overload.DeviceQueueDepth = 4
 			cfg.ALBUpdate = simtime.Millisecond
 			cfg.TaskTimeout = 500 * simtime.Microsecond
 			cfg.FaultPlan = &fault.Plan{Events: []fault.Event{

@@ -126,9 +126,6 @@ func NewSystem(cfg Config) (*System, error) {
 		dev.Tracer = cfg.Tracer
 		dev.TraceActor = int32(i)
 		dev.Checker = cfg.Checker
-		if cfg.Overload != nil {
-			dev.QueueDepth = cfg.Overload.DeviceQueueDepth
-		}
 		dev.Watcher = s
 		s.devices = append(s.devices, dev)
 	}
@@ -254,8 +251,9 @@ func (s *System) wakeSocket(socket int) {
 }
 
 // DeviceChanged implements gpu.Watcher: a device's queue or health changed.
-// A finished task can lift any of the socket's workers' backpressure (a
-// full device queue), not only its submitter's.
+// The wake is socket-wide, though a finished task can lift backpressure
+// only for a worker with a task on the device: waking fewer workers would
+// change the dispatch order the trace digests record.
 func (s *System) DeviceChanged(d *gpu.Device) {
 	s.wakeSocket(s.cfg.Topology.Devices[d.TraceActor].Socket)
 }

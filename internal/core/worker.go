@@ -442,9 +442,10 @@ func (w *worker) park() {
 
 // parkDeadline returns the earliest instant at which a parked worker's
 // pass could differ from the parking pass without an event: the device
-// backlog decaying below MaxDeviceBacklog, an aggregate expiring, the
-// device's stall watchdog firing, or the arrivals stopping while the worker
-// has no task out (done can then hold).
+// backlog decaying below MaxDeviceBacklog, an aggregate expiring or the
+// device's stall watchdog firing. Backpressure needs a task out, so a
+// parked worker cannot retire before its completion arrives, which wakes
+// it: the end of arrivals is no deadline.
 func (w *worker) parkDeadline() (simtime.Time, bool) {
 	s := w.sys
 	cm := s.cfg.CostModel
@@ -456,10 +457,10 @@ func (w *worker) parkDeadline() (simtime.Time, bool) {
 			at, ok = t, true
 		}
 	}
-	// The backlog bound only holds the worker back alone when neither the
-	// task cap nor a full queue does; those lift by events.
+	// The backlog bound only holds the worker back alone when the task cap
+	// does not; that lifts by an event.
 	if d := w.dev; d != nil && cm.MaxDeviceBacklog > 0 && w.inflight > 0 &&
-		w.inflight < s.cfg.MaxInflightTasks && !d.Saturated() {
+		w.inflight < s.cfg.MaxInflightTasks {
 		if b := d.Backlog(); b > cm.MaxDeviceBacklog {
 			earliest(now + b - cm.MaxDeviceBacklog)
 		}
@@ -476,9 +477,6 @@ func (w *worker) parkDeadline() (simtime.Time, bool) {
 		if t, queued := w.dev.StallDeadline(limit); queued {
 			earliest(t)
 		}
-	}
-	if w.inflight == 0 && now < s.stopTime {
-		earliest(s.stopTime)
 	}
 	return at, ok
 }
@@ -541,9 +539,10 @@ func (w *worker) catchUp() {
 }
 
 // backpressured reports whether outstanding device tasks hold RX polling
-// back: the task cap, the device backlog bound, or a saturated bounded
-// device queue. Backpressure propagation: the overflow then accrues in the
-// NIC ring's head-drop accounting instead of hidden interior queues.
+// back: the task cap, or the device backlog bound while the worker has a
+// task out. Backpressure propagation: the overflow then accrues in the NIC
+// ring's head-drop accounting instead of hidden interior queues.
+// Either way the worker has a task out, so its completion can lift it.
 //
 //nba:hotpath
 func (w *worker) backpressured() bool {
@@ -551,11 +550,7 @@ func (w *worker) backpressured() bool {
 	if w.inflight >= w.sys.cfg.MaxInflightTasks {
 		return true
 	}
-	if w.dev == nil {
-		return false
-	}
-	return cm.MaxDeviceBacklog > 0 && w.inflight > 0 && w.dev.Backlog() > cm.MaxDeviceBacklog ||
-		w.dev.Saturated()
+	return w.dev != nil && cm.MaxDeviceBacklog > 0 && w.inflight > 0 && w.dev.Backlog() > cm.MaxDeviceBacklog
 }
 
 // laneDrained is the drain predicate for one lane, shared by worker
@@ -647,7 +642,7 @@ func (w *worker) flush(p *offload.Pending) {
 		// (the hitless path), not dropped — unplug is a planned
 		// reconfiguration, not a misconfiguration. The device never saw the
 		// task, so only the rescue is charged.
-		w.rescueOnCPU(ln, p, 0, rescueUnplugged, 0, false, false)
+		w.rescueOnCPU(ln, p, 0, rescueUnplugged, false, false)
 		return
 	}
 	w.inflight++
@@ -693,35 +688,16 @@ func (w *worker) flush(p *offload.Pending) {
 	task.Complete = func(finish simtime.Time, t *gpu.Task) {
 		w.pushCompletion(it, false)
 	}
-	if !dev.Submit(task) {
-		// Admission control refused the task (bounded queue full). Undo the
-		// submission accounting; below LevelShed the aggregate is rescued on
-		// the CPU right here, at LevelShed it is dropped and counted as shed.
-		it.done = true
-		w.inflight--
-		ln.ctr.OffloadedPackets -= uint64(p.NPkts)
-		ln.ctr.RejectedTasks++
-		lvl := w.sys.overloadLevel(w.socket, ln.tenant)
-		if lvl >= overload.LevelShed {
-			w.sys.cfg.Tracer.EmitT(w.now(), trace.KindOverloadShed, int32(w.id), ln.tenant, "admission",
-				int64(p.NPkts), 1, int64(dev.Queued()), int64(lvl))
-			for _, b := range p.Batches {
-				w.dropBatch(b, &ln.ctr.ShedPackets)
-			}
-		} else {
-			w.rescueOnCPU(ln, p, 0, rescueRejected, int64(lvl), false, false)
-		}
-		return
-	}
+	dev.Submit(task)
 	ln.inflightTasks++
 	w.tasks = append(w.tasks, it)
 	if w.inflight > w.inflightHWM {
 		w.inflightHWM = w.inflight
 	}
 	if w.sentinel.Sample() {
-		// Sentinel sampling draws one coin per *accepted* task (refused
-		// submissions never reach the device, so there is nothing to
-		// cross-check) and snapshots the aggregate's pre-execution state.
+		// Sentinel sampling draws one coin per submitted task (a rescue of
+		// an aggregate the device never saw has nothing to cross-check) and
+		// snapshots the aggregate's pre-execution state.
 		it.shadow = w.sentinel.Snapshot(p.Batches)
 	}
 	// The device's functional work starts now, on the executor: the
@@ -785,8 +761,8 @@ func (w *worker) rescueLane(ln *lane) int {
 	return rescued
 }
 
-// dropBatch is the one framework drop path (offload misconfiguration,
-// admission shed at LevelShed, quarantine): every live packet of b returns to
+// dropBatch is the one framework drop path (offload misconfiguration, an
+// inconsistent aggregate, quarantine): every live packet of b returns to
 // the pool charged to the drop class counter, and the batch is recycled.
 //
 //nba:hotpath
@@ -875,10 +851,10 @@ func (w *worker) handleCompletion(c completion) {
 	switch {
 	case c.timedOut:
 		it.ln.ctr.TimedOutTasks++
-		w.rescueOnCPU(it.ln, p, it.task.ID, rescueTimedOut, 0, it.seq != 0, it.executed)
+		w.rescueOnCPU(it.ln, p, it.task.ID, rescueTimedOut, it.seq != 0, it.executed)
 	case it.task.Failed:
 		it.ln.ctr.FailedTasks++
-		w.rescueOnCPU(it.ln, p, it.task.ID, rescueFailed, 0, it.seq != 0, it.executed)
+		w.rescueOnCPU(it.ln, p, it.task.ID, rescueFailed, it.seq != 0, it.executed)
 	default:
 		w.resumeAggregate(p)
 	}
@@ -946,30 +922,29 @@ func (w *worker) resumeAggregate(p *offload.Pending) {
 	}
 }
 
-// Reason codes carried by KindFallback trace events.
+// Reason codes carried by KindFallback trace events. 2 is retired, not
+// reused, so older recordings keep their meaning.
 const (
 	rescueFailed    = 0 // the device completed the task as failed
 	rescueTimedOut  = 1 // an epoch force-rescue reached its grace deadline
-	rescueRejected  = 2 // admission control refused the submission
 	rescueUnplugged = 3 // the socket's device is unplugged
 )
 
 // rescueOnCPU is the one CPU-rescue path: count the rescue, emit the
-// fallback event (taskID 0 when the device never saw a task; detail carries
-// the governor level for rejections), charge the chain on the CPU, and
-// resume the aggregate in its lane's pipeline.
+// fallback event (taskID 0 when the device never saw a task), charge the
+// chain on the CPU, and resume the aggregate in its lane's pipeline.
 // The kernels run here only for an aggregate the device executor never got
-// (submitted false: admission refusal, an unplugged device, an epoch's
-// synthetic task); a submitted task's results are already computed and
-// running them again would, for IPsec, corrupt the packets. If the device
+// (submitted false: an unplugged device, an epoch's synthetic task); a
+// submitted task's results are already computed and running them again
+// would, for IPsec, corrupt the packets. If the device
 // reached kernel completion (executed: it failed after the kernel, or a
 // hung task's kernel had finished) the CPU is not charged either, and only
 // the rescue is counted.
-func (w *worker) rescueOnCPU(ln *lane, p *offload.Pending, taskID uint64, reason, detail int64, submitted, executed bool) {
+func (w *worker) rescueOnCPU(ln *lane, p *offload.Pending, taskID uint64, reason int64, submitted, executed bool) {
 	w.cur = ln
 	ln.ctr.FallbackPackets += uint64(p.NPkts)
 	w.sys.cfg.Tracer.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
-		int64(taskID), int64(p.NPkts), reason, detail)
+		int64(taskID), int64(p.NPkts), reason, 0)
 	if !executed {
 		w.execChainOnCPU(p, !submitted)
 	}

@@ -6,8 +6,11 @@ package golden
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -33,7 +36,41 @@ func Check(t testing.TB, path, got string) {
 	if err != nil {
 		t.Fatalf("%v (record it with go test -update)", err)
 	}
-	if got != string(want) {
-		t.Errorf("%s moved:\n got:\n%s\nwant:\n%s", path, got, want)
+	if d := firstDiff(got, string(want)); d != "" {
+		t.Errorf("%s moved: %s", path, d)
 	}
+}
+
+// firstDiff describes where got first departs from want: the line number,
+// both versions of that line (quoted, so a missing final newline shows)
+// and both line counts. It returns "" when the texts are equal.
+func firstDiff(got, want string) string {
+	if got == want {
+		return ""
+	}
+	g, w := strings.SplitAfter(got, "\n"), strings.SplitAfter(want, "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	return fmt.Sprintf("line %d differs\n got: %s\nwant: %s\n(got %d lines, want %d)",
+		i+1, lineAt(g, i), lineAt(w, i), lineCount(got), lineCount(want))
+}
+
+// lineAt quotes line i of a text split after each newline; the empty last
+// piece, and any index past it, is the end of the text.
+func lineAt(lines []string, i int) string {
+	if i >= len(lines) || lines[i] == "" {
+		return "(end of text)"
+	}
+	return strconv.Quote(lines[i])
+}
+
+// lineCount counts s's lines, a last line without a newline included.
+func lineCount(s string) int {
+	n := strings.Count(s, "\n")
+	if s != "" && !strings.HasSuffix(s, "\n") {
+		n++
+	}
+	return n
 }

@@ -92,12 +92,8 @@ type Stats struct {
 	HostBusy     simtime.Time
 	LastFinish   simtime.Time
 	MaxQueueWait simtime.Time
-	// RejectedTasks counts submissions refused by admission control (the
-	// bounded task queue was full). Rejected tasks appear in no other
-	// counter: the refusal happens before any accounting.
-	RejectedTasks uint64
 	// MaxQueued is the task-queue high watermark (scheduled + parked tasks
-	// observed after each accepted submission).
+	// observed after each submission).
 	MaxQueued int
 }
 
@@ -117,12 +113,6 @@ type inflight struct {
 type Device struct {
 	Name string
 	Kind sysinfo.DeviceKind
-
-	// QueueDepth, when positive, bounds the task queue (scheduled plus
-	// parked tasks): Submit refuses tasks that would exceed it, before any
-	// accounting, and the submitter rescues or sheds the aggregate. Zero
-	// leaves the queue unbounded (the pre-overload-control behaviour).
-	QueueDepth int
 
 	eng    *simtime.Engine
 	params sysinfo.DeviceParams
@@ -208,23 +198,13 @@ func New(name string, kind sysinfo.DeviceKind, eng *simtime.Engine, cm *sysinfo.
 	}, nil
 }
 
-// Submit enqueues a task at the current virtual time and reports whether it
-// was admitted. On a healthy device the full pipeline schedule is computed
-// immediately (all stage timelines are known) and Execute/Complete callbacks
-// are scheduled. On a failed device the task completes immediately with
-// Failed set; on a hung device it is parked until Recover.
-//
-// With a positive QueueDepth, a task that would push the queue (inflight +
-// parked) beyond the depth is refused before any accounting — no ID, no
-// stats, no callbacks — and Submit returns false; the caller keeps ownership
-// of the task and its packets. This is what bounds pending growth during a
-// hang: once the queue is full, further submissions bounce back to the
-// workers instead of accumulating against the frozen device.
-func (d *Device) Submit(t *Task) bool {
-	if d.Saturated() {
-		d.stats.RejectedTasks++
-		return false
-	}
+// Submit enqueues a task at the current virtual time. On a healthy device
+// the full pipeline schedule is computed immediately (all stage timelines
+// are known) and Execute/Complete callbacks are scheduled. On a failed
+// device the task completes immediately with Failed set; on a hung device
+// it is parked until Recover. The queue has no bound of its own: each
+// submitting worker's outstanding tasks (core's MaxInflightTasks) bound it.
+func (d *Device) Submit(t *Task) {
 	d.nextID++
 	t.ID = d.nextID
 	t.Submitted = d.eng.Now()
@@ -249,11 +229,9 @@ func (d *Device) Submit(t *Task) bool {
 	if q := d.Queued(); q > d.stats.MaxQueued {
 		d.stats.MaxQueued = q //nbalint:allow sharedstate stats counter; read happens-after the event loop drains
 	}
-	d.Checker.DeviceQueue(d.eng.Now(), d.Name, d.Queued(), d.QueueDepth)
 	if fromEmpty {
 		d.changed()
 	}
-	return true
 }
 
 // changed tells the Watcher, if set.
@@ -279,13 +257,6 @@ func (d *Device) Stalled(limit simtime.Time) bool {
 // changes before it: limit after the last progress, when work is queued.
 func (d *Device) StallDeadline(limit simtime.Time) (simtime.Time, bool) {
 	return d.progress + limit, d.Queued() > 0
-}
-
-// Saturated reports whether a bounded queue is at capacity, i.e. the next
-// Submit would be refused. A failed device is never saturated — submissions
-// there fail fast and carry no queue occupancy.
-func (d *Device) Saturated() bool {
-	return d.QueueDepth > 0 && !d.failed && d.Queued() >= d.QueueDepth
 }
 
 // schedule computes the task's pipeline timeline and registers callbacks.
@@ -560,10 +531,10 @@ func (d *Device) copyTime(bytes int) simtime.Time {
 }
 
 // Backlog returns how far the device's busiest engine is scheduled into
-// the future — the queue-depth signal used for submission admission and by
-// load balancers. A failed device reports zero (submissions fail fast); a
-// hung device's backlog decays as the clock advances, so hang detection is
-// Stalled, not admission control.
+// the future — the signal core's backlog bound (MaxDeviceBacklog) and the
+// load balancers read. A failed device reports zero (submissions fail
+// fast); a hung device's backlog decays as the clock advances, so hang
+// detection is Stalled, not the backlog bound.
 func (d *Device) Backlog() simtime.Time {
 	if d.failed {
 		return 0

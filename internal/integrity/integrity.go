@@ -193,7 +193,7 @@ func (s *Sentinel) Verify(sh *Shadow, rerun func(*batch.Batch)) bool {
 
 // Release resets the used prefix of a shadow's arenas and returns it to the
 // free list without verifying (used when the task never executed on the
-// device: CPU fallback, admission refusal, device failure).
+// device: CPU fallback, device failure).
 func (s *Sentinel) Release(sh *Shadow) {
 	if s == nil || sh == nil {
 		return

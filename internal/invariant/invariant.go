@@ -29,11 +29,9 @@
 //	rxq.accounting  — delivered + dropped ≤ arrivals; backlog ≤ capacity
 //	pool.drained    — every mempool has Outstanding == 0 after the drain
 //	conservation    — every delivered packet is exactly once TX'd, dropped,
-//	                  shed (dropped by overload control: CoDel or admission
-//	                  rejection at LevelShed) or quarantined (dropped by the
-//	                  integrity sentinel after a corruption mismatch)
-//	queue.bound     — a bounded interior queue (device task queue) never
-//	                  exceeds its configured depth
+//	                  shed (dropped by overload control's CoDel shedder) or
+//	                  quarantined (dropped by the integrity sentinel after a
+//	                  corruption mismatch)
 //	drain.stuck     — the run drained within the post-stop grace window
 //	conservation.epoch — the conservation identity holds at every
 //	                  reconfiguration epoch boundary (evict seal)
@@ -66,7 +64,6 @@ const (
 	// tenant's loss can hide behind a co-tenant's surplus in the global sum.
 	CheckTenantConservation = "conservation.tenant"
 	CheckDrainStuck         = "drain.stuck"
-	CheckQueueBound         = "queue.bound"
 	// CheckEpochConservation is the conservation identity evaluated at a
 	// reconfiguration epoch boundary (tenant evict commit): everything the
 	// evicted tenant's lanes were ever handed must be fully accounted before
@@ -113,7 +110,7 @@ const maxPerCheck = 16
 // is a cheap no-op, mirroring the trace.Tracer contract.
 type Checker struct {
 	violations []Violation
-	perCheck   [15]int // indexed by checkIndex; counts all breaches
+	perCheck   [14]int // indexed by checkIndex; counts all breaches
 	suppressed int
 
 	lastDispatch simtime.Time
@@ -149,18 +146,16 @@ func checkIndex(check string) int {
 		return 7
 	case CheckDrainStuck:
 		return 8
-	case CheckQueueBound:
-		return 9
 	case CheckTenantConservation:
-		return 10
+		return 9
 	case CheckEpochConservation:
-		return 11
+		return 10
 	case CheckReconfigOrphan:
-		return 12
+		return 11
 	case CheckCorruptLeak:
-		return 13
+		return 12
 	default:
-		return 14
+		return 13
 	}
 }
 
@@ -385,20 +380,6 @@ func (c *Checker) CorruptLeak(at simtime.Time, worker int, seq uint64) {
 	}
 	c.Violatef(at, CheckCorruptLeak,
 		"worker %d transmitted corrupted packet seq %d with the sentinel armed", worker, seq)
-}
-
-// DeviceQueue observes a bounded device task queue's occupancy after an
-// accepted submission: admission control must keep the queue at or below its
-// configured depth. A non-positive depth means the queue is unbounded and
-// nothing is checked.
-func (c *Checker) DeviceQueue(at simtime.Time, dev string, queued, depth int) {
-	if c == nil || depth <= 0 {
-		return
-	}
-	if queued > depth {
-		c.Violatef(at, CheckQueueBound,
-			"device %s task queue at %d, over configured depth %d", dev, queued, depth)
-	}
 }
 
 // StuckDrain records that the run failed to drain within the watchdog grace

@@ -39,7 +39,6 @@ func TestNilCheckerIsSafe(t *testing.T) {
 	c.PoolDrained(ms, nil)
 	c.Conservation(ms, CheckConservation, "", stats.Counters{RxDelivered: 1})
 	c.CorruptLeak(ms, 0, 1)
-	c.DeviceQueue(ms, "g", 5, 4)
 	c.StuckDrain(ms, 1)
 	c.EndOfRun(ms)
 	c.Violatef(ms, CheckConservation, "x")
@@ -173,17 +172,6 @@ func TestCorruptLeak(t *testing.T) {
 	c := New()
 	c.CorruptLeak(ms, 3, 42)
 	wantCheck(t, c, CheckCorruptLeak, "worker 3 transmitted corrupted packet seq 42")
-}
-
-func TestDeviceQueueBound(t *testing.T) {
-	c := New()
-	c.DeviceQueue(ms, "gpu0", 64, 64) // exactly at depth is legal
-	c.DeviceQueue(ms, "gpu0", 12, 64)
-	c.DeviceQueue(ms, "gpu0", 999, 0)  // unbounded queue: skipped
-	c.DeviceQueue(ms, "gpu0", 999, -1) // ditto
-	wantClean(t, c)
-	c.DeviceQueue(2*ms, "gpu0", 65, 64)
-	wantCheck(t, c, CheckQueueBound, "task queue at 65, over configured depth 64")
 }
 
 func TestPerCheckCapAndErr(t *testing.T) {

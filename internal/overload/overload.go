@@ -8,11 +8,11 @@
 // gracefully. This package provides the three mechanisms the framework
 // composes into graceful degradation:
 //
-//   - Config — the two knobs runs set: a device task-queue depth
-//     (admission control at gpu.Device.Submit; rejected tasks are rescued
-//     on the CPU or shed) and the CoDel interval of the worker-side sojourn
-//     shedder. The sojourn target and the governor's hysteresis are
-//     constants.
+//   - Config — the one knob runs set: the CoDel interval of the
+//     worker-side sojourn shedder. The sojourn target and the governor's
+//     hysteresis are constants. The device task queue has no bound of its
+//     own: core's per-worker task cap and device backlog bound hold RX
+//     polling back before it grows.
 //   - CoDel — a deterministic CoDel-style shedder driven entirely by the
 //     virtual clock: packets whose RX-ring sojourn stays above the target
 //     for a full interval are dropped at increasing rate (the classic
@@ -21,12 +21,11 @@
 //   - Governor — a per-socket state machine reacting to sustained
 //     saturation with stepwise graceful degradation: Normal → Trim (shrink
 //     the offload aggregation age) → Bias (clamp the ALB weight toward the
-//     uncongested processor) → Shed (admission rejections are dropped
-//     instead of rescued), stepping back up after sustained recovery.
+//     uncongested processor) → Shed (the deepest level, which adds no
+//     action of its own), stepping back up after sustained recovery.
 //
 // Everything here is pure state-machine logic; the wiring lives in
-// internal/core (worker/system), internal/gpu (admission) and internal/lb
-// (weight bounds).
+// internal/core (worker/system) and internal/lb (weight bounds).
 package overload
 
 import (
@@ -36,14 +35,8 @@ import (
 )
 
 // Config arms the overload-control subsystem for a run. The zero value of
-// each field selects its default; a negative DeviceQueueDepth leaves the
-// device queue unbounded.
+// each field selects its default.
 type Config struct {
-	// DeviceQueueDepth bounds a device's task queue (scheduled + parked
-	// tasks). Submissions beyond it are refused before any accounting;
-	// the worker rescues the aggregate on the CPU, or sheds it when the
-	// governor has reached LevelShed. Default 64; negative = unbounded.
-	DeviceQueueDepth int
 	// CoDelInterval is the CoDel control interval. Default 10 × the 50 µs
 	// sojourn target.
 	CoDelInterval simtime.Time
@@ -67,12 +60,6 @@ const (
 
 // WithDefaults fills unset fields, returning a copy.
 func (c Config) WithDefaults() Config {
-	if c.DeviceQueueDepth == 0 {
-		c.DeviceQueueDepth = 64
-	}
-	if c.DeviceQueueDepth < 0 {
-		c.DeviceQueueDepth = 0 // unbounded
-	}
 	if c.CoDelInterval <= 0 {
 		c.CoDelInterval = 10 * codelTarget
 	}
@@ -97,8 +84,8 @@ const (
 	// LevelBias: additionally, the ALB weight bounds ratchet toward the
 	// uncongested processor each saturated window.
 	LevelBias
-	// LevelShed: additionally, admission-rejected aggregates are dropped
-	// (accounted as shed) instead of rescued on the CPU.
+	// LevelShed: the deepest level. It adds no action beyond Bias; it
+	// stays because its value appears in overload traces and reports.
 	LevelShed
 )
 

@@ -10,13 +10,8 @@ const us = simtime.Microsecond
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.DeviceQueueDepth != 64 || c.CoDelInterval != 500*us {
+	if c.CoDelInterval != 500*us {
 		t.Fatalf("unexpected defaults: %+v", c)
-	}
-	// A negative depth means "unbounded", normalised to zero.
-	d := Config{DeviceQueueDepth: -1}.WithDefaults()
-	if d.DeviceQueueDepth != 0 {
-		t.Fatalf("unbounded depth not normalised: %+v", d)
 	}
 }
 

@@ -45,7 +45,7 @@ type Counters struct {
 	// unrouted, or by the framework outside any element).
 	GraphDrops uint64
 	// ShedPackets counts packets dropped by overload control (CoDel sojourn
-	// shedding plus admission-rejected aggregates at LevelShed).
+	// shedding).
 	ShedPackets uint64
 	// QuarantinedPackets counts packets discarded because sentinel
 	// re-execution disagreed with the device's results (never transmitted,
@@ -53,16 +53,13 @@ type Counters struct {
 	QuarantinedPackets uint64
 	// OffloadedPackets counts packets submitted to accelerators;
 	// FallbackPackets counts packets rescued onto the CPU because their task
-	// failed, timed out, was refused or found its device unplugged.
+	// failed, timed out or found its device unplugged.
 	OffloadedPackets uint64
 	FallbackPackets  uint64
 	// FailedTasks counts tasks a failed, stalled or unplugged device handed
-	// back; TimedOutTasks counts tasks an epoch force-rescue took back;
-	// RejectedTasks counts device submissions refused by admission control,
-	// whether rescued or shed.
+	// back; TimedOutTasks counts tasks an epoch force-rescue took back.
 	FailedTasks   uint64
 	TimedOutTasks uint64
-	RejectedTasks uint64
 }
 
 // Add accumulates o into c.
@@ -78,7 +75,6 @@ func (c *Counters) Add(o Counters) {
 	c.FallbackPackets += o.FallbackPackets
 	c.FailedTasks += o.FailedTasks
 	c.TimedOutTasks += o.TimedOutTasks
-	c.RejectedTasks += o.RejectedTasks
 }
 
 // Accounted returns how many delivered packets have met their disposition:

@@ -48,10 +48,10 @@ type LBProfile struct {
 	FinalW  float64
 }
 
-// ShedProfile aggregates overload-control sheds per (worker, mechanism).
+// ShedProfile aggregates overload-control sheds per worker.
 type ShedProfile struct {
 	Worker    int32
-	Mechanism string // "codel" or "admission"
+	Mechanism string // "codel", the one shedding mechanism
 	Events    uint64
 	Packets   uint64
 }
@@ -129,7 +129,7 @@ func Summarize(events []Event) *Summary {
 	queues := map[[2]int64]*QueueProfile{}
 	devs := map[string]*DeviceProfile{}
 	lbs := map[int32]*LBProfile{}
-	sheds := map[[2]int64]*ShedProfile{}
+	sheds := map[int32]*ShedProfile{}
 	ovls := map[int32]*OverloadProfile{}
 	ints := map[string]*IntegrityProfile{}
 	integ := func(name string) *IntegrityProfile {
@@ -148,12 +148,6 @@ func Summarize(events []Event) *Summary {
 			epochs[n] = re
 		}
 		return re
-	}
-	mechIdx := func(name string) int64 {
-		if name == "admission" {
-			return 1
-		}
-		return 0
 	}
 	ovl := func(actor int32) *OverloadProfile {
 		op := ovls[actor]
@@ -217,11 +211,10 @@ func Summarize(events []Event) *Summary {
 			lp.Updates++
 			lp.FinalW = math.Float64frombits(uint64(ev.A))
 		case KindOverloadShed:
-			key := [2]int64{int64(ev.Actor), mechIdx(ev.Name)}
-			sp := sheds[key]
+			sp := sheds[ev.Actor]
 			if sp == nil {
 				sp = &ShedProfile{Worker: ev.Actor, Mechanism: ev.Name}
-				sheds[key] = sp
+				sheds[ev.Actor] = sp
 			}
 			sp.Events++
 			sp.Packets += uint64(ev.A)
@@ -298,18 +291,13 @@ func Summarize(events []Event) *Summary {
 	for _, k := range skeys {
 		s.Balancers = append(s.Balancers, lbs[int32(k)])
 	}
-	shkeys := make([][2]int64, 0, len(sheds))
+	shkeys := make([]int, 0, len(sheds))
 	for k := range sheds {
-		shkeys = append(shkeys, k)
+		shkeys = append(shkeys, int(k))
 	}
-	sort.Slice(shkeys, func(i, j int) bool {
-		if shkeys[i][0] != shkeys[j][0] {
-			return shkeys[i][0] < shkeys[j][0]
-		}
-		return shkeys[i][1] < shkeys[j][1]
-	})
+	sort.Ints(shkeys)
 	for _, k := range shkeys {
-		s.Sheds = append(s.Sheds, sheds[k])
+		s.Sheds = append(s.Sheds, sheds[int32(k)])
 	}
 	okeys := make([]int, 0, len(ovls))
 	for k := range ovls {

@@ -81,17 +81,15 @@ const (
 	KindFaultRecover
 	// KindFallback is a worker re-executing an offloaded aggregate on the
 	// CPU after a device failure (a stalled device's tasks fail too), an
-	// epoch force-rescue, an admission refusal or an unplug. Actor = worker.
-	// A = task ID (0 when the task was refused before getting one),
-	// B = packets, C = reason (0 = device failed, 1 = epoch force-rescue,
-	// 2 = admission rejected, 3 = socket has no plugged device),
-	// D = governor level (admission rescues only).
+	// epoch force-rescue or an unplug. Actor = worker. A = task ID (0 when
+	// the device never saw the aggregate), B = packets, C = reason (0 =
+	// device failed, 1 = epoch force-rescue, 3 = socket has no plugged
+	// device; 2, an admission refusal, is retired), D = 0.
 	KindFallback
 	// KindOverloadShed is overload control dropping packets. Actor = worker,
-	// Name = mechanism ("codel" or "admission"). A = packets shed, B =
-	// reason (0 = CoDel sojourn, 1 = admission rejection), C = max observed
-	// sojourn (ps) for CoDel or device queue occupancy for admission,
-	// D = governor level at the time.
+	// Name = mechanism ("codel"). A = packets shed, B = reason (0 = CoDel
+	// sojourn; 1, an admission rejection, is retired), C = max observed
+	// sojourn (ps), D = governor level at the time.
 	KindOverloadShed
 	// KindOverloadLevel is a governor level transition. Actor = socket,
 	// Name = new level. A = new level, B = old level, C = device-saturation
