@@ -29,6 +29,12 @@ const (
 		FromInput() -> CheckIPHeader() -> IPsecESPencap("sas=256")
 			-> LoadBalance("%s")
 			-> IPsecAES("sas=256") -> IPsecHMAC("sas=256") -> ToOutput();`
+	// ipsecGPUConfig is bench.AppConfig("ipsec", "gpu"), which this
+	// package's own tests cannot import.
+	ipsecGPUConfig = `
+		FromInput() -> CheckIPHeader() -> IPsecESPencap("sas=1024")
+			-> LoadBalance("gpu")
+			-> IPsecAES("sas=1024") -> IPsecHMAC("sas=1024") -> ToOutput();`
 )
 
 func quickCfg(graphCfg string, bpsPerPort float64, frameLen int) Config {

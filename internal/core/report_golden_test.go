@@ -39,44 +39,56 @@ func goldenDump(r *Report, digest string) string {
 }
 
 // TestReportGolden pins every packet-accounting counter, the latency sample
-// count, the final offloading fraction and the trace digest of seven short
-// runs that between them exercise every counter but TimedOutTasks, which
-// only an evict epoch's force-rescue sets (NIC overflow, graph drops,
-// offload, CPU rescue after a device failure or stall, CoDel shedding,
-// quarantine) in single-app, two-tenant and admit/evict-churn hosting. A
-// counter that moves means behaviour changed. The trace digests move with
-// the engine's event timeline (scripts/regolden.sh re-records them).
+// count, the final offloading fraction and the trace digest of eight short
+// runs that between them exercise every counter (NIC overflow, graph drops,
+// offload, CPU rescue after a device failure or stall, an evict epoch's
+// force-rescue, CoDel shedding, quarantine) in single-app, two-tenant and
+// admit/evict-churn hosting. A counter that moves means behaviour changed.
+// The trace digests move with the engine's event timeline
+// (scripts/regolden.sh re-records them).
 func TestReportGolden(t *testing.T) {
 	for _, c := range reportGoldenCases() {
 		t.Run(c.name, func(t *testing.T) {
 			defer SetPacketPool(c.pool)()
 			cfg := c.cfg()
-			cfg.Tracer = trace.New(trace.Options{Capacity: 1, CheckpointInterval: -1})
+			capacity := 1
+			if c.check != nil {
+				capacity = 1 << 14
+			}
+			cfg.Tracer = trace.New(trace.Options{Capacity: capacity, CheckpointInterval: -1})
 			r := run(t, cfg)
 			golden.Check(t, "testdata/report/"+c.name+".golden", goldenDump(r, cfg.Tracer.Digest())+"\n")
+			if c.check != nil {
+				if n := cfg.Tracer.Dropped(); n != 0 {
+					t.Fatalf("trace ring overflowed (%d events dropped)", n)
+				}
+				c.check(t, cfg.Tracer.Events())
+			}
 		})
 	}
 }
 
 // reportGoldenCase is one TestReportGolden run. pool, when non-zero, sizes
-// each worker's packet mempool (SetPacketPool).
+// each worker's packet mempool (SetPacketPool). check, when set, also
+// reads the run's whole trace.
 type reportGoldenCase struct {
-	name string
-	pool int
-	cfg  func() Config
+	name  string
+	pool  int
+	cfg   func() Config
+	check func(t *testing.T, evs []trace.Event)
 }
 
 // reportGoldenCases returns TestReportGolden's runs, in file order.
 func reportGoldenCases() []reportGoldenCase {
 	return []reportGoldenCase{
 		// A pool below one RX burst: every full poll hits rx_nombuf.
-		{"ipv4-cpu", 48, func() Config { return quickCfg(ipv4Config, 10e9, 64) }},
+		{"ipv4-cpu", 48, func() Config { return quickCfg(ipv4Config, 10e9, 64) }, nil},
 		{"ipsec-adaptive", 0, func() Config {
 			cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "adaptive"), 3e9, 256)
 			cfg.ALBObserve = 200 * simtime.Microsecond
 			cfg.ALBUpdate = simtime.Millisecond
 			return cfg
-		}},
+		}, nil},
 		{"ids-gpu", 0, func() Config {
 			const dropMode = `
 				FromInput() -> CheckIPHeader() -> LoadBalance("gpu")
@@ -85,7 +97,7 @@ func reportGoldenCases() []reportGoldenCase {
 			cfg.Generator = &gen.UDP4{FrameLen: 256, Flows: 1024, Seed: 1,
 				AttackFrac: 0.05, AttackPattern: []byte("/bin/sh")}
 			return cfg
-		}},
+		}, nil},
 		{"ipsec-device-faults", 0, func() Config {
 			cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "fixed=0.8"), 2e9, 64)
 			cfg.TaskTimeout = 500 * simtime.Microsecond
@@ -96,7 +108,7 @@ func reportGoldenCases() []reportGoldenCase {
 				{At: 8 * simtime.Millisecond, Kind: fault.DeviceRecover, Device: 0},
 			}}
 			return cfg
-		}},
+		}, nil},
 		{"two-tenants-overload", 0, func() Config {
 			cfg := quickCfg("", 6e9, 64)
 			cfg.Generator = nil
@@ -114,7 +126,7 @@ func reportGoldenCases() []reportGoldenCase {
 				{At: 7 * simtime.Millisecond, Kind: fault.DeviceRecover, Device: 0},
 			}}
 			return cfg
-		}},
+		}, nil},
 		{"churn", 0, func() Config {
 			// The admitted tenant gets an adaptive controller and a governor,
 			// so the admit commit exercises every per-tenant control plane.
@@ -124,7 +136,32 @@ func reportGoldenCases() []reportGoldenCase {
 			cfg.ALBObserve = 200 * simtime.Microsecond
 			cfg.ALBUpdate = 500 * simtime.Microsecond
 			return cfg
+		}, nil},
+		{"corruption-window", 0, corruptionCfg, nil},
+		// Both tenants offload every packet, and the evict epoch's grace
+		// ends while the churn tenant still has work out: the force-rescue
+		// takes both a submitted task and pending aggregates.
+		{"churn-forced-evict", 0, func() Config {
+			cfg := churnCfg("ipsec")
+			cfg.Tenants[0].GraphConfig = ipsecGPUConfig
+			cfg.LatentTenants[0].GraphConfig = ipsecGPUConfig
+			cfg.DrainGrace = 200 * simtime.Microsecond
+			return cfg
+		}, func(t *testing.T, evs []trace.Event) {
+			var submitted, pending int
+			for _, ev := range evs {
+				if ev.Kind != trace.KindFallback || ev.C != rescueTimedOut {
+					continue
+				}
+				if ev.A != 0 {
+					submitted++
+				} else {
+					pending++
+				}
+			}
+			if submitted == 0 || pending == 0 {
+				t.Errorf("force-rescued %d submitted tasks and %d pending aggregates; want both", submitted, pending)
+			}
 		}},
-		{"corruption-window", 0, corruptionCfg},
 	}
 }
