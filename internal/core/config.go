@@ -97,9 +97,10 @@ type Config struct {
 	// Seed drives all run randomness (LB coin flips, etc.).
 	Seed uint64
 
-	// MaxInflightTasks bounds outstanding device tasks per worker; beyond
-	// it the worker stops polling RX (backpressure → NIC drops), like a
-	// real system out of pinned buffers.
+	// MaxInflightTasks is the task cap: a worker with this many device
+	// tasks out stops polling RX (backpressure → NIC drops), like a real
+	// system out of pinned buffers. Aggregates it already holds still
+	// flush past the cap.
 	MaxInflightTasks int
 
 	// ALBObserve / ALBUpdate control the adaptive load balancer cadence

@@ -202,11 +202,9 @@ func (c *controlCell) govern(s *System) {
 	now := s.eng.Now()
 
 	devSat := false
-	cm := s.cfg.CostModel
 	// A hot-unplugged device is no longer a saturation signal.
 	if di, ok := s.cfg.Topology.DeviceOnSocket(c.socket); ok && s.epochs.plugged(di) {
-		d := s.devices[di]
-		devSat = cm.MaxDeviceBacklog > 0 && d.Backlog() > cm.MaxDeviceBacklog
+		devSat = backlogged(s, s.devices[di])
 	}
 	cur := s.tenantCounters(c.socket, c.tenant)
 	cpuSat := cur.RxDropped > c.prev.RxDropped ||

@@ -68,7 +68,7 @@ func TestWatchdogStopLeavesNoExecutor(t *testing.T) {
 	}
 	unjoined := 0
 	for _, w := range s.workers {
-		for _, it := range w.tasks {
+		for _, it := range w.dev.tasks {
 			if it.seq != 0 && !it.done {
 				unjoined++
 			}

@@ -65,7 +65,7 @@ func ChurnCfg(app string) Config { return churnCfg(app) }
 // WorkerTasks reports whether worker i is parked and how many device tasks
 // it has out.
 func WorkerTasks(s *System, i int) (parked bool, tasks int) {
-	return s.workers[i].parked, s.workers[i].inflight
+	return s.workers[i].parked, len(s.workers[i].dev.tasks)
 }
 
 // WorkerWake returns the time worker i's armed wake fires at, 0 if none.

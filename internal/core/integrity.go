@@ -36,7 +36,7 @@ const (
 // worker's completion path, on the serial engine.
 func (e *escalation) note(s *System, w *worker, it *inflightTask, mismatch bool) {
 	now := w.now()
-	dev := it.dev
+	dev := w.dev.device
 	devIdx := int(dev.TraceActor)
 	s.cfg.Tracer.EmitT(now, trace.KindIntegrityCheck, int32(w.id), it.ln.tenant, dev.Name,
 		int64(it.task.ID), int64(it.pending.NPkts), b2i(mismatch), int64(devIdx))

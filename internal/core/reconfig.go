@@ -221,7 +221,7 @@ func (m *epochMachine) forceRescue(s *System) int {
 	switch m.ev.Kind {
 	case reconfig.TenantEvict:
 		for _, w := range s.workers {
-			rescued += w.rescueLane(w.lanes[m.target])
+			rescued += w.dev.rescueLane(w, w.lanes[m.target])
 		}
 	case reconfig.DeviceUnplug:
 		rescued += s.devices[m.ev.Device].AbortAll()

@@ -84,7 +84,8 @@ type Report struct {
 	// WorkerInflightHWM is the most outstanding device tasks any worker had.
 	WorkerInflightHWM int
 	// DeviceQueueHWM is the deepest task-queue occupancy observed on any
-	// device; the workers' outstanding tasks bound it.
+	// device. The workers' outstanding tasks make it up, and their batch
+	// pools bound those: MaxInflightTasks stops only RX polling.
 	DeviceQueueHWM int
 	// OverloadPeak / OverloadFinal are the most severe and final governor
 	// levels across sockets and tenants (always normal when overload
@@ -134,13 +135,11 @@ func (s *System) report() *Report {
 	}
 	s.tenantReports(r)
 	for _, w := range s.workers {
-		if w.sentinel != nil {
-			r.IntegrityChecks += w.sentinel.Checks
-			r.CorruptionDetected += w.sentinel.Mismatches
+		if sn := w.dev.sentinel; sn != nil {
+			r.IntegrityChecks += sn.Checks
+			r.CorruptionDetected += sn.Mismatches
 		}
-		if w.inflightHWM > r.WorkerInflightHWM {
-			r.WorkerInflightHWM = w.inflightHWM
-		}
+		r.WorkerInflightHWM = max(r.WorkerInflightHWM, w.dev.hwm)
 		r.PoolOutstanding += w.pktPool.Stats().Outstanding
 	}
 	s.escalation.report(r, len(s.devices))

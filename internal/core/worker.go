@@ -8,7 +8,6 @@ import (
 	"nba/internal/element"
 	"nba/internal/gpu"
 	"nba/internal/graph"
-	"nba/internal/integrity"
 	"nba/internal/mempool"
 	"nba/internal/netio"
 	"nba/internal/offload"
@@ -20,44 +19,6 @@ import (
 	"nba/internal/sysinfo"
 	"nba/internal/trace"
 )
-
-// inflightTask tracks one submitted device task on the worker side, so the
-// device's completion (normal or failed) and an epoch force-rescue can race
-// without double-processing: whichever fires first sets done, the other
-// becomes a no-op.
-type inflightTask struct {
-	ln      *lane // the tenant lane the aggregate belongs to
-	pending *offload.Pending
-	task    *gpu.Task
-	// dev is the device the task was submitted to (nil for synthetic
-	// epoch-rescue tasks, which are never sampled).
-	dev *gpu.Device
-	// shadow is the sentinel's pre-execution copy of the aggregate, non-nil
-	// only when the integrity subsystem sampled this task for re-execution.
-	shadow *integrity.Shadow
-	// seq is the task's handle on the System's device executor, which runs
-	// the chain's kernels over the aggregate from submit on; 0 for an
-	// aggregate never handed to it (a synthetic epoch-rescue task).
-	seq uint64
-	// executed records that the device reached the task's kernel completion
-	// in virtual time. The executor computed the results of every submitted
-	// task whatever the device did, and a rescue never runs them again
-	// (re-encrypting IPsec packets would corrupt them): executed decides
-	// only whether the rescue charges the chain's CPU cycles.
-	executed bool
-	// done records that the aggregate was resumed (normally or via
-	// fallback); late completions of a rescued task must not touch the
-	// recycled batches.
-	done bool
-}
-
-// completion carries a finished (or force-rescued) device task back to its
-// worker's IO loop, where it is processed inside iterate's cycle
-// accounting.
-type completion struct {
-	it       *inflightTask
-	timedOut bool
-}
 
 // lane is one tenant's slice of a worker: its pipeline replica, its RX
 // queues on the local ports, its offload aggregator and CoDel state, and
@@ -72,11 +33,6 @@ type lane struct {
 	// pctx at construction, on the device's scratch and without the lane's
 	// RNG. Nothing writes it afterwards.
 	kctx element.ProcContext
-
-	// inflightTasks counts this lane's outstanding device tasks — the
-	// lane-granular side of worker.inflight, read by the epoch drain
-	// predicate.
-	inflightTasks int
 
 	rxqs []*netio.RxQueue
 	agg  *offload.Aggregator
@@ -135,15 +91,11 @@ type worker struct {
 	local  int // index among the socket's workers (selects RX queues)
 	// localPorts is the socket's port index set.
 	localPorts []int
-	// dev is the socket's device, nil when the socket has none: every
-	// offload, the backpressure signal and the stall watchdog use it.
-	dev *gpu.Device
+	// dev is the worker's device path: its offloads, the tasks it has out
+	// and their completions.
+	dev devicePath
 
 	lanes []*lane
-	// tasks tracks the outstanding submitted device tasks (bounded by
-	// MaxInflightTasks), so an epoch force-rescue can route them through the
-	// rescue path without waiting for the device.
-	tasks []*inflightTask
 	// cur is the lane whose graph is executing; the Env callbacks attribute
 	// transmissions, drops and offloads to it. Set before any pipeline entry
 	// (injection, flush, resume).
@@ -160,15 +112,6 @@ type worker struct {
 	// its capacity is the run's IOBatchSize, so a local would be a heap
 	// allocation on every pass.
 	burst []*packet.Packet
-
-	// sentinel is the integrity re-execution sampler, non-nil only when
-	// cfg.Integrity is set. Its RNG stream is seeded per worker so sampling
-	// decisions are deterministic and independent of other workers.
-	sentinel *integrity.Sentinel
-
-	completions *mempool.Ring[completion]
-	inflight    int // outstanding device tasks
-	inflightHWM int // high watermark of outstanding device tasks
 
 	// cycles accumulates cost within the current IO-loop iteration.
 	cycles    simtime.Cycles
@@ -206,7 +149,7 @@ func newWorker(s *System, id, socket, local int, localPorts []int, dev *gpu.Devi
 		socket:     socket,
 		local:      local,
 		localPorts: localPorts,
-		dev:        dev,
+		dev:        newDevicePath(s, id, dev),
 	}
 	w.wrr = sched.NewWRR(nil) // installTenant re-splits it as lanes arrive
 	w.pktPool = mempool.NewOver(fmt.Sprintf("pkt.w%d", id), s.zone.workerPkts(id), nil)
@@ -214,10 +157,6 @@ func newWorker(s *System, id, socket, local int, localPorts []int, dev *gpu.Devi
 	w.stage = s.zone.workerStager(id)
 	w.stage.exec, w.stage.maxBackoff = &s.exec, maxStageBackoff
 	w.burst = make([]*packet.Packet, 0, s.cfg.IOBatchSize)
-	w.completions = mempool.NewRing[completion](256)
-	if s.cfg.Integrity != nil {
-		w.sentinel = integrity.NewSentinel(s.cfg.Integrity, s.newSentinelRand(id), &s.zone.shadows[id])
-	}
 	w.iterateFn = w.iterate
 	return w
 }
@@ -229,7 +168,7 @@ func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 	s := w.sys
 	ln := &lane{tenant: int32(t)}
 	ndev := 0
-	if w.dev != nil {
+	if w.dev.device != nil {
 		ndev = 1
 	}
 	cctx := &element.ConfigContext{
@@ -300,30 +239,17 @@ func (w *worker) iterate() {
 		return
 	}
 	w.parked, w.wakeAt = false, 0
-	if limit := w.sys.cfg.TaskTimeout; limit > 0 && w.dev != nil && w.dev.Stalled(limit) {
-		// The hang watchdog: the socket's device with queued work and no
-		// finish for the limit hands its whole queue back as failed tasks,
-		// which the submitting workers rescue on the CPU.
-		w.dev.AbortAll()
-	}
+	w.dev.watchdog(w.sys.cfg.TaskTimeout)
 	cm := w.sys.cfg.CostModel
 	w.iterStart = w.sys.eng.Now()
 	w.cycles = 0
 	for _, ln := range w.lanes {
 		ln.pctx.Now = w.iterStart
 	}
-	didWork := false
 
 	// 1. Offload completions.
 	w.cycles += cm.CompletionPoll
-	for {
-		c, ok := w.completions.Pop()
-		if !ok {
-			break
-		}
-		didWork = true
-		w.handleCompletion(c)
-	}
+	didWork := w.dev.drain(w)
 
 	// 2. RX polling, unless backpressured by outstanding device tasks.
 	// Iterations are bounded in virtual time so that very expensive
@@ -332,7 +258,7 @@ func (w *worker) iterate() {
 	// the WRR round's order, so when the budget cuts a round short, the
 	// front position — and with it the loss — rotates by tenant share.
 	iterBudget := simtime.TimeToCycles(cm.MaxIterTime, w.sys.cfg.Topology.CoreFreqHz)
-	polled := !w.backpressured()
+	polled := !w.dev.backpressured(w.sys)
 	if polled {
 		w.settleStages()
 	polling:
@@ -377,18 +303,18 @@ func (w *worker) iterate() {
 		}
 		w.cur = ln
 		for _, p := range ln.agg.Expired(w.iterStart) {
-			w.flush(p)
+			w.dev.flush(w, p)
 		}
 		pending += ln.agg.PendingCount()
 	}
-	if !didWork && w.inflight == 0 && pending > 0 {
+	if !didWork && len(w.dev.tasks) == 0 && pending > 0 {
 		for _, ln := range w.lanes {
 			if !w.active(ln) {
 				continue
 			}
 			w.cur = ln
 			for _, p := range ln.agg.TakeAll() {
-				w.flush(p)
+				w.dev.flush(w, p)
 			}
 		}
 		didWork = true
@@ -410,7 +336,7 @@ func (w *worker) iterate() {
 		w.park()
 		return
 	}
-	if polled && !w.backpressured() {
+	if polled && !w.dev.backpressured(w.sys) {
 		w.armStages(w.iterStart + next)
 	}
 	w.sys.eng.After(next, w.iterateFn)
@@ -441,41 +367,19 @@ func (w *worker) park() {
 }
 
 // parkDeadline returns the earliest instant at which a parked worker's
-// pass could differ from the parking pass without an event: the device
-// backlog decaying below MaxDeviceBacklog, an aggregate expiring or the
-// device's stall watchdog firing. Backpressure needs a task out, so a
-// parked worker cannot retire before its completion arrives, which wakes
-// it: the end of arrivals is no deadline.
+// pass could differ from the parking pass without an event: an aggregate
+// expiring, or one of the device path's deadlines (its backlog decaying or
+// its stall watchdog firing). Backpressure needs a task out, so a parked
+// worker cannot retire before its completion arrives, which wakes it: the
+// end of arrivals is no deadline.
 func (w *worker) parkDeadline() (simtime.Time, bool) {
-	s := w.sys
-	cm := s.cfg.CostModel
-	now := s.eng.Now()
-	var at simtime.Time
-	ok := false
-	earliest := func(t simtime.Time) {
-		if !ok || t < at {
-			at, ok = t, true
-		}
-	}
-	// The backlog bound only holds the worker back alone when the task cap
-	// does not; that lifts by an event.
-	if d := w.dev; d != nil && cm.MaxDeviceBacklog > 0 && w.inflight > 0 &&
-		w.inflight < s.cfg.MaxInflightTasks {
-		if b := d.Backlog(); b > cm.MaxDeviceBacklog {
-			earliest(now + b - cm.MaxDeviceBacklog)
-		}
-	}
+	at, ok := w.dev.deadline(w.sys, w.sys.eng.Now())
 	for _, ln := range w.lanes {
 		if !w.active(ln) {
 			continue
 		}
-		if t, pending := ln.agg.NextExpiry(); pending {
-			earliest(t)
-		}
-	}
-	if limit := s.cfg.TaskTimeout; limit > 0 && w.dev != nil {
-		if t, queued := w.dev.StallDeadline(limit); queued {
-			earliest(t)
+		if t, pending := ln.agg.NextExpiry(); pending && (!ok || t < at) {
+			at, ok = t, true
 		}
 	}
 	return at, ok
@@ -538,28 +442,18 @@ func (w *worker) catchUp() {
 	}
 }
 
-// backpressured reports whether outstanding device tasks hold RX polling
-// back: the task cap, or the device backlog bound while the worker has a
-// task out. Backpressure propagation: the overflow then accrues in the NIC
-// ring's head-drop accounting instead of hidden interior queues.
-// Either way the worker has a task out, so its completion can lift it.
-//
-//nba:hotpath
-func (w *worker) backpressured() bool {
-	cm := w.sys.cfg.CostModel
-	if w.inflight >= w.sys.cfg.MaxInflightTasks {
-		return true
-	}
-	return w.dev != nil && cm.MaxDeviceBacklog > 0 && w.inflight > 0 && w.dev.Backlog() > cm.MaxDeviceBacklog
-}
-
 // laneDrained is the drain predicate for one lane, shared by worker
 // retirement and the evict epoch: no outstanding device tasks, no pending
 // aggregates, and every live RX queue empty.
 func (w *worker) laneDrained(t int, now simtime.Time) bool {
 	ln := w.lanes[t]
-	if ln.inflightTasks > 0 || ln.agg.PendingCount() > 0 {
+	if ln.agg.PendingCount() > 0 {
 		return false
+	}
+	for _, it := range w.dev.tasks {
+		if it.ln == ln {
+			return false
+		}
 	}
 	for _, q := range ln.rxqs {
 		// A queue still flapped down can never drain; its backlog is stranded
@@ -578,7 +472,7 @@ func (w *worker) laneDrained(t int, now simtime.Time) bool {
 // outstanding tasks or unprocessed completions, every active lane drained.
 func (w *worker) done() bool {
 	now := w.sys.eng.Now()
-	if now < w.sys.stopTime || w.inflight > 0 || w.completions.Len() > 0 {
+	if now < w.sys.stopTime || len(w.dev.tasks) > 0 || w.dev.completions.Len() > 0 {
 		return false
 	}
 	for t, ln := range w.lanes {
@@ -620,145 +514,6 @@ func (w *worker) injectPackets(pkts []*packet.Packet) {
 		}
 		ln.g.Inject(w, &ln.pctx, b)
 	}
-}
-
-// flush submits a pending aggregate of the current lane as one device task.
-func (w *worker) flush(p *offload.Pending) {
-	cm := w.sys.cfg.CostModel
-	ln := w.cur
-	w.cycles += cm.OffloadEnqueue + cm.OffloadPrePerPacket*simtime.Cycles(p.NPkts)
-	dev := w.dev
-	if dev == nil {
-		// The socket has no device: a misconfiguration drop of the whole
-		// aggregate. LoadBalance refuses to offload on such a socket, so
-		// only a graph that stamps the annotation itself gets here.
-		for _, b := range p.Batches {
-			w.dropBatch(b, &ln.ctr.GraphDrops)
-		}
-		return
-	}
-	if !w.sys.epochs.plugged(int(dev.TraceActor)) {
-		// The device is hot-unplugged: the aggregate is rescued on the CPU
-		// (the hitless path), not dropped — unplug is a planned
-		// reconfiguration, not a misconfiguration. The device never saw the
-		// task, so only the rescue is charged.
-		w.rescueOnCPU(ln, p, 0, rescueUnplugged, false, false)
-		return
-	}
-	w.inflight++
-	ln.ctr.OffloadedPackets += uint64(p.NPkts)
-	task := &gpu.Task{
-		Worker:     w.id,
-		NPkts:      p.NPkts,
-		H2DBytes:   p.H2DBytes,
-		D2HBytes:   p.D2HBytes,
-		KernelTime: p.KernelTime(cm),
-		Kernels:    len(p.Chain),
-	}
-	it := &inflightTask{ln: ln, pending: p, task: task, dev: dev}
-	task.Execute = func() {
-		// The device reached kernel completion: the results the executor
-		// computed are now the device's. Guarded so a hung task rescheduled
-		// after recovery is not counted twice, and a rescued task's recycled
-		// batches are never touched.
-		if it.done || it.executed {
-			return
-		}
-		it.executed = true
-		if dev.Corrupting() {
-			// Silent data corruption (DeviceCorrupt fault window): flip one
-			// byte per live frame using the event's seeded pattern stream,
-			// over the executor's finished results. The device reports
-			// success and the results stay plausible — only sentinel
-			// re-execution (or the chaos leak oracle) can tell.
-			w.sys.exec.Join(it.seq)
-			if dev.CorruptCoin() {
-				for _, b := range p.Batches {
-					b.ForEachLive(func(i int, pkt *packet.Packet) {
-						if n := pkt.Length(); n > 0 {
-							off, pat := dev.CorruptByte(n)
-							pkt.Data()[off] ^= pat
-							pkt.Tainted = true
-						}
-					})
-				}
-			}
-		}
-	}
-	task.Complete = func(finish simtime.Time, t *gpu.Task) {
-		w.pushCompletion(it, false)
-	}
-	dev.Submit(task)
-	ln.inflightTasks++
-	w.tasks = append(w.tasks, it)
-	if w.inflight > w.inflightHWM {
-		w.inflightHWM = w.inflight
-	}
-	if w.sentinel.Sample() {
-		// Sentinel sampling draws one coin per submitted task (a rescue of
-		// an aggregate the device never saw has nothing to cross-check) and
-		// snapshots the aggregate's pre-execution state.
-		it.shadow = w.sentinel.Snapshot(p.Batches)
-	}
-	// The device's functional work starts now, on the executor: the
-	// snapshot above was the last event-loop read of the aggregate before
-	// the task is joined.
-	it.seq = w.sys.exec.Submit(it)
-}
-
-// RunJob implements par.Job: the chain's kernels over the aggregate, on the
-// System's device executor. It writes only the aggregate's batches and the
-// kernels' device scratch (element.Offloadable's contract), which nothing on
-// the event loop reads before it joins the task.
-func (it *inflightTask) RunJob() {
-	for _, node := range it.pending.Chain {
-		for _, b := range it.pending.Batches {
-			node.Offloadable().Kernel(&it.ln.kctx, b)
-		}
-	}
-}
-
-// pushCompletion hands a finished (or, with timedOut, a force-rescued) task
-// to the worker's IO loop; the postprocessing runs inside the next iterate,
-// where cycle accounting lives. A task already resumed through another path
-// is left alone.
-func (w *worker) pushCompletion(it *inflightTask, timedOut bool) {
-	if it.done {
-		return
-	}
-	if !w.completions.Push(completion{it: it, timedOut: timedOut}) {
-		panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-	}
-	w.unpark()
-}
-
-// rescueLane force-drains one lane at the epoch grace deadline: every
-// outstanding submitted task is routed through the timed-out rescue path,
-// and every pending (unsubmitted) aggregate is wrapped in a synthetic task
-// and routed the same way, so the whole rescue flows through the one
-// CPU-fallback path with its normal accounting. Returns the number of tasks
-// and aggregates rescued; the completions drain on the worker's next
-// iteration.
-func (w *worker) rescueLane(ln *lane) int {
-	rescued := 0
-	for _, it := range w.tasks {
-		if it.ln != ln || it.done {
-			continue
-		}
-		rescued++
-		w.pushCompletion(it, true)
-	}
-	for _, p := range ln.agg.TakeAll() {
-		rescued++
-		// Synthetic in-flight accounting so handleCompletion's decrements
-		// balance: the aggregate was never submitted, but it drains through
-		// the same path as a force-rescued task.
-		it := &inflightTask{ln: ln, pending: p, task: &gpu.Task{NPkts: p.NPkts}}
-		w.inflight++
-		ln.inflightTasks++
-		w.pushCompletion(it, true)
-	}
-	return rescued
 }
 
 // dropBatch is the one framework drop path (offload misconfiguration, an
@@ -808,168 +563,6 @@ func (w *worker) shedSojourn(pkts []*packet.Packet) []*packet.Packet {
 	return kept
 }
 
-// handleCompletion postprocesses a finished, failed or force-rescued device
-// task and resumes the batches in its lane's pipeline (after a CPU fallback
-// when the device never ran them).
-//
-//nba:hotpath
-func (w *worker) handleCompletion(c completion) {
-	it := c.it
-	if it.done {
-		return // duplicate: the task was already resumed via another path
-	}
-	// Verify, quarantine, rescue and resume all read the aggregate: wait for
-	// the executor's results first.
-	w.sys.exec.Join(it.seq)
-	it.done = true
-	p := it.pending
-	w.cur = it.ln
-	w.inflight--
-	it.ln.inflightTasks--
-	// Drop the task from the tracked set (swap-delete; the set is bounded
-	// by MaxInflightTasks). Synthetic rescue tasks are never in it.
-	for i, t := range w.tasks {
-		if t == it {
-			w.tasks[i] = w.tasks[len(w.tasks)-1]
-			w.tasks[len(w.tasks)-1] = nil
-			w.tasks = w.tasks[:len(w.tasks)-1]
-			break
-		}
-	}
-	if it.shadow != nil {
-		sh := it.shadow
-		it.shadow = nil
-		if !it.executed {
-			// The device never reached kernel completion (failed/hung
-			// rescue): it delivered no result to cross-check.
-			w.sentinel.Release(sh)
-		} else if !w.verifyAggregate(it, sh) {
-			w.quarantineAggregate(it)
-			return
-		}
-	}
-	switch {
-	case c.timedOut:
-		it.ln.ctr.TimedOutTasks++
-		w.rescueOnCPU(it.ln, p, it.task.ID, rescueTimedOut, it.seq != 0, it.executed)
-	case it.task.Failed:
-		it.ln.ctr.FailedTasks++
-		w.rescueOnCPU(it.ln, p, it.task.ID, rescueFailed, it.seq != 0, it.executed)
-	default:
-		w.resumeAggregate(p)
-	}
-}
-
-// verifyAggregate re-executes a sampled aggregate's kernels on the CPU over
-// the sentinel's pre-execution shadow copy and compares result digests
-// against what the device produced. The re-execution is charged at the honest
-// CPU element cost, so sentinel sampling carries a real throughput price. The
-// observation (and any escalation it triggers) is reported to the system's
-// per-device corruption tracker.
-func (w *worker) verifyAggregate(it *inflightTask, sh *integrity.Shadow) bool {
-	pctx := &it.ln.pctx
-	var cycles simtime.Cycles
-	match := w.sentinel.Verify(sh, func(b *batch.Batch) {
-		for _, node := range it.pending.Chain {
-			cycles += node.RunOnCPU(pctx, b)
-		}
-	})
-	w.cycles += pctx.Scaled(cycles)
-	w.sys.escalation.note(w.sys, w, it, !match)
-	return match
-}
-
-// quarantineAggregate discards every live packet of an aggregate whose
-// sentinel re-execution disagreed with the device's results: nothing from it
-// may reach TX or the resumed pipeline. The packets land in a dedicated
-// counted drop class so end-to-end conservation still balances.
-func (w *worker) quarantineAggregate(it *inflightTask) {
-	ln := it.ln
-	before := ln.ctr.QuarantinedPackets
-	for _, b := range it.pending.Batches {
-		w.dropBatch(b, &ln.ctr.QuarantinedPackets)
-	}
-	w.sys.cfg.Tracer.EmitT(w.now(), trace.KindIntegrityQuarantine, int32(w.id), ln.tenant, it.dev.Name,
-		int64(it.task.ID), int64(ln.ctr.QuarantinedPackets-before), 0, int64(it.dev.TraceActor))
-}
-
-// resumeAggregate postprocesses a completed aggregate and resumes its
-// batches in the current lane's pipeline (shared by the normal completion,
-// fallback and admission-rescue paths).
-//
-//nba:hotpath
-func (w *worker) resumeAggregate(p *offload.Pending) {
-	cm := w.sys.cfg.CostModel
-	ln := w.cur
-	w.cycles += cm.OffloadPostPerPacket * simtime.Cycles(p.NPkts)
-	head := p.Head
-	for _, b := range p.Batches {
-		// Release packets the kernels marked for drop, then
-		// clear results for the resumed pipeline segment.
-		for i := 0; i < b.Count(); i++ {
-			if b.IsMasked(i) {
-				continue
-			}
-			if b.Result(i) == batch.ResultDrop {
-				w.pktPool.Put(b.Packet(i))
-				b.Mask(i)
-				head.Dropped++ //nbalint:allow sharedstate stats counter; read happens-after the event loop drains
-				continue
-			}
-			b.SetResult(i, 0)
-		}
-		ln.g.RunFrom(w, &ln.pctx, p.Resume, b)
-	}
-}
-
-// Reason codes carried by KindFallback trace events. 2 is retired, not
-// reused, so older recordings keep their meaning.
-const (
-	rescueFailed    = 0 // the device completed the task as failed
-	rescueTimedOut  = 1 // an epoch force-rescue reached its grace deadline
-	rescueUnplugged = 3 // the socket's device is unplugged
-)
-
-// rescueOnCPU is the one CPU-rescue path: count the rescue, emit the
-// fallback event (taskID 0 when the device never saw a task), charge the
-// chain on the CPU, and resume the aggregate in its lane's pipeline.
-// The kernels run here only for an aggregate the device executor never got
-// (submitted false: an unplugged device, an epoch's synthetic task); a
-// submitted task's results are already computed and running them again
-// would, for IPsec, corrupt the packets. If the device
-// reached kernel completion (executed: it failed after the kernel, or a
-// hung task's kernel had finished) the CPU is not charged either, and only
-// the rescue is counted.
-func (w *worker) rescueOnCPU(ln *lane, p *offload.Pending, taskID uint64, reason int64, submitted, executed bool) {
-	w.cur = ln
-	ln.ctr.FallbackPackets += uint64(p.NPkts)
-	w.sys.cfg.Tracer.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
-		int64(taskID), int64(p.NPkts), reason, 0)
-	if !executed {
-		w.execChainOnCPU(p, !submitted)
-	}
-	w.resumeAggregate(p)
-}
-
-// execChainOnCPU charges an aggregate's chain at the honest CPU per-packet
-// element cost and, with run, also runs its kernels there.
-//
-//nba:hotpath
-func (w *worker) execChainOnCPU(p *offload.Pending, run bool) {
-	pctx := &w.cur.pctx
-	for _, node := range p.Chain {
-		var cycles simtime.Cycles
-		for _, b := range p.Batches {
-			if run {
-				cycles += node.RunOnCPU(pctx, b)
-			} else {
-				cycles += node.CPUCost(b)
-			}
-		}
-		w.cycles += pctx.Scaled(cycles)
-	}
-}
-
 // --- graph.Env implementation ---
 
 // Transmit implements graph.Env, attributing the transmission to the
@@ -978,7 +571,7 @@ func (w *worker) execChainOnCPU(p *offload.Pending, run bool) {
 //nba:hotpath
 func (w *worker) Transmit(pkt *packet.Packet) {
 	ln := w.cur
-	if pkt.Tainted && w.sentinel != nil {
+	if pkt.Tainted && w.dev.sentinel != nil {
 		// Oracle, not behaviour: a corrupted frame reaching TX while the
 		// sentinel is armed means quarantine failed to contain it.
 		w.sys.cfg.Checker.CorruptLeak(w.now(), w.id, pkt.Seq)
@@ -1051,7 +644,7 @@ func (w *worker) Offload(head *graph.Node, chain []*graph.Node, resume int, b *b
 		return
 	}
 	if full != nil {
-		w.flush(full)
+		w.dev.flush(w, full)
 	}
 }
 

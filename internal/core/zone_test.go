@@ -137,13 +137,13 @@ func TestShadowsRecycledIntoNextSystem(t *testing.T) {
 			continue
 		}
 		reused++
-		sh := w.sentinel.Snapshot(agg)
+		sh := w.dev.sentinel.Snapshot(agg)
 		if sh != released[i][len(released[i])-1] {
 			t.Fatalf("worker %d's sentinel did not take the shadow its predecessor released last", i)
 		}
-		w.sentinel.Release(sh)
+		w.dev.sentinel.Release(sh)
 		if n := testing.AllocsPerRun(10, func() {
-			w.sentinel.Verify(w.sentinel.Snapshot(agg), func(*batch.Batch) {})
+			w.dev.sentinel.Verify(w.dev.sentinel.Snapshot(agg), func(*batch.Batch) {})
 		}); n != 0 {
 			t.Errorf("worker %d: snapshot/verify on a recycled shadow allocates %.0f objects, want 0", i, n)
 		}
@@ -324,7 +324,7 @@ func TestStuckRunKeepsItsZone(t *testing.T) {
 	live := 0
 	for i, w := range s.workers {
 		held := 0
-		for _, it := range w.tasks {
+		for _, it := range w.dev.tasks {
 			if it.shadow != nil {
 				live++
 				held += len(it.pending.Batches)

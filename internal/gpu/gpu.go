@@ -202,8 +202,10 @@ func New(name string, kind sysinfo.DeviceKind, eng *simtime.Engine, cm *sysinfo.
 // the full pipeline schedule is computed immediately (all stage timelines
 // are known) and Execute/Complete callbacks are scheduled. On a failed
 // device the task completes immediately with Failed set; on a hung device
-// it is parked until Recover. The queue has no bound of its own: each
-// submitting worker's outstanding tasks (core's MaxInflightTasks) bound it.
+// it is parked until Recover. The queue has no bound of its own. The
+// submitting workers' outstanding tasks make it up, and each of those holds
+// at least one of its worker's batches; core's MaxInflightTasks stops a
+// worker polling RX, not submitting what it already holds.
 func (d *Device) Submit(t *Task) {
 	d.nextID++
 	t.ID = d.nextID

@@ -9,8 +9,9 @@
 #   - nbachaos sweeps: single-app, two-tenant and reconfig (about 300 cases);
 #   - an nba flag matrix: every app under every balancer, the .click
 #     configs, the canonical fault, overload, corruption, tenant and churn
-#     runs, the trace writers, and the usage and build errors;
-#   - nbatrace summary and diff of a recording;
+#     runs (each recorded), the trace writers, and the usage and build
+#     errors;
+#   - nbatrace summary of every recording, and diff of two;
 #   - every program under examples/.
 #
 # A report, not a gate: check.sh does not run it. A range it prints is code
@@ -63,12 +64,20 @@ done
 for cfg in configs/*.click; do
     run "$bin/nba" $shape -config "$cfg" -v
 done
+# The canonical runs are recorded, so nbatrace summary reads each section
+# of its report (faults, overload, integrity, tenants, reconfig).
+i=0
 for flags in \
     "-app ipsec -lb fixed=0.8 -faults" \
     "-app ipsec -lb fixed=0.8 -gbps 3 -overload" \
     "-app ipsec -lb fixed=0.8 -corrupt" \
     "-tenants ipv4,ipsec" \
-    "-tenants ipv4=2,ids -reconfig" \
+    "-tenants ipv4=2,ids -reconfig"
+do
+    i=$((i + 1))
+    run "$bin/nba" $shape $flags -record "$tmp/canon$i.jsonl"
+done
+for flags in \
     "-app ipv4 -size 1500 -gbps 10" \
     "-app ipv4 -size 30" \
     "-app nosuch" \
@@ -81,7 +90,9 @@ run "$bin/nba" $shape -app ipsec -lb adaptive -record "$tmp/a.jsonl" \
 run "$bin/nba" $shape -app ipsec -lb adaptive -seed 7 -record "$tmp/b.jsonl"
 
 echo "==> nbatrace" >&2
-run "$bin/nbatrace" summary "$tmp/a.jsonl"
+for f in "$tmp/a.jsonl" "$tmp"/canon*.jsonl; do
+    run "$bin/nbatrace" summary "$f"
+done
 run "$bin/nbatrace" diff "$tmp/a.jsonl" "$tmp/a.jsonl"
 run "$bin/nbatrace" diff "$tmp/a.jsonl" "$tmp/b.jsonl"
 
