@@ -8,6 +8,7 @@ import (
 	"nba/internal/fault"
 	"nba/internal/gen"
 	"nba/internal/golden"
+	"nba/internal/reconfig"
 	"nba/internal/simtime"
 	"nba/internal/trace"
 )
@@ -41,8 +42,8 @@ func goldenDump(r *Report, digest string) string {
 // TestReportGolden pins every packet-accounting counter, the latency sample
 // count, the final offloading fraction and the trace digest of eight short
 // runs that between them exercise every counter (NIC overflow, graph drops,
-// offload, CPU rescue after a device failure or stall, an evict epoch's
-// force-rescue, CoDel shedding, quarantine) in single-app, two-tenant and
+// offload, CPU rescue after a device failure or stall, an evict epoch over
+// a hung device, CoDel shedding, quarantine) in single-app, two-tenant and
 // admit/evict-churn hosting. A counter that moves means behaviour changed.
 // The trace digests move with the engine's event timeline
 // (scripts/regolden.sh re-records them).
@@ -62,7 +63,7 @@ func TestReportGolden(t *testing.T) {
 				if n := cfg.Tracer.Dropped(); n != 0 {
 					t.Fatalf("trace ring overflowed (%d events dropped)", n)
 				}
-				c.check(t, cfg.Tracer.Events())
+				c.check(t, r, cfg.Tracer.Events())
 			}
 		})
 	}
@@ -70,12 +71,12 @@ func TestReportGolden(t *testing.T) {
 
 // reportGoldenCase is one TestReportGolden run. pool, when non-zero, sizes
 // each worker's packet mempool (SetPacketPool). check, when set, also
-// reads the run's whole trace.
+// reads the run's report and whole trace.
 type reportGoldenCase struct {
 	name  string
 	pool  int
 	cfg   func() Config
-	check func(t *testing.T, evs []trace.Event)
+	check func(t *testing.T, r *Report, evs []trace.Event)
 }
 
 // reportGoldenCases returns TestReportGolden's runs, in file order.
@@ -138,29 +139,46 @@ func reportGoldenCases() []reportGoldenCase {
 			return cfg
 		}, nil},
 		{"corruption-window", 0, corruptionCfg, nil},
-		// Both tenants offload every packet, and the evict epoch's grace
-		// ends while the churn tenant still has work out: the force-rescue
-		// takes both a submitted task and pending aggregates.
-		{"churn-forced-evict", 0, func() Config {
+		// Both tenants offload every packet, and the device hangs just
+		// before the evict epoch begins: the stall watchdog hands the hung
+		// queue back, the churn tenant's tasks are rescued on the CPU, and
+		// the lanes drain well inside the default grace.
+		{"churn-hung-evict", 0, func() Config {
 			cfg := churnCfg("ipsec")
 			cfg.Tenants[0].GraphConfig = ipsecGPUConfig
 			cfg.LatentTenants[0].GraphConfig = ipsecGPUConfig
-			cfg.DrainGrace = 200 * simtime.Microsecond
+			cfg.TaskTimeout = 500 * simtime.Microsecond
+			cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
+				{At: 5900 * simtime.Microsecond, Kind: fault.DeviceHang, Device: 0},
+			}}
 			return cfg
-		}, func(t *testing.T, evs []trace.Event) {
-			var submitted, pending int
+		}, func(t *testing.T, r *Report, evs []trace.Event) {
+			if r.PoolOutstanding != 0 {
+				t.Errorf("%d packets outstanding at the end of the run", r.PoolOutstanding)
+			}
+			var inEpoch bool
+			var rescued, drains int
 			for _, ev := range evs {
-				if ev.Kind != trace.KindFallback || ev.C != rescueTimedOut {
-					continue
-				}
-				if ev.A != 0 {
-					submitted++
-				} else {
-					pending++
+				switch {
+				case ev.Kind == trace.KindReconfigBegin && ev.B == int64(reconfig.TenantEvict):
+					inEpoch = true
+				case ev.Kind == trace.KindReconfigDrain && inEpoch:
+					inEpoch = false
+					drains++
+					if ev.D != 0 {
+						t.Errorf("the evict's drain hit the grace (D = %d)", ev.D)
+					}
+				case ev.Kind == trace.KindFallback && ev.C != rescueFailed:
+					t.Errorf("fallback with reason %d, want only reason %d", ev.C, rescueFailed)
+				case ev.Kind == trace.KindFallback && inEpoch && ev.Tenant == 1 && ev.A != 0:
+					rescued++
 				}
 			}
-			if submitted == 0 || pending == 0 {
-				t.Errorf("force-rescued %d submitted tasks and %d pending aggregates; want both", submitted, pending)
+			if drains != 1 {
+				t.Errorf("%d evict drains, want 1", drains)
+			}
+			if rescued == 0 {
+				t.Error("no task of the churn tenant was rescued on the CPU during the evict epoch")
 			}
 		}},
 	}
