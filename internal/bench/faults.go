@@ -77,8 +77,8 @@ func runFaults(o Options, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%-10v %-8.3f %-8.2f%s\n", pt.At, pt.W, pt.Throughput/1e6, mark)
 	}
-	fmt.Fprintf(w, "\nfailed tasks: %d   timed out: %d   packets rescued on CPU: %d\n",
-		faulted.FailedTasks, faulted.TimedOutTasks, faulted.FallbackPackets)
+	fmt.Fprintf(w, "\nfailed tasks: %d   packets rescued on CPU: %d\n",
+		faulted.FailedTasks, faulted.FallbackPackets)
 	fmt.Fprintf(w, "final W: %.3f faulted vs %.3f fault-free (re-climb target)\n",
 		faulted.FinalW, baseline.FinalW)
 	fmt.Fprintf(w, "throughput: %s Gbps faulted vs %s fault-free (outage window included)\n",

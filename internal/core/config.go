@@ -158,11 +158,13 @@ type Config struct {
 	// must not attach one.
 	Checker *invariant.Checker
 
-	// DrainGrace bounds how long past the end of arrivals the run may keep
-	// draining before the watchdog declares it stuck, records a drain.stuck
-	// violation and force-stops the engine. 0 selects the default (1 virtual
-	// second) when a Checker is attached; negative disables the watchdog.
-	// Without a Checker the watchdog is armed only when DrainGrace > 0.
+	// DrainGrace is how long a drain may take before it is declared stuck.
+	// Past the end of arrivals, the drain watchdog then records a
+	// drain.stuck violation and force-stops the engine; past a reconfig
+	// epoch's begin, the epoch records a reconfig.orphan violation and
+	// commits undrained. 0 selects the default (1 virtual second) when a
+	// Checker is attached or a reconfig plan is armed; negative disables
+	// both. Without either the watchdog is armed only when DrainGrace > 0.
 	DrainGrace simtime.Time
 
 	// Overload, when non-nil, arms the end-to-end overload-control

@@ -126,9 +126,8 @@ func (c *controlCell) observe(s *System) {
 // step when the controller is bounded (lb.Controller.UpdateWithLatency).
 func (c *controlCell) update(s *System) {
 	ctr := s.tenantCounters(c.socket, c.tenant)
-	fails := ctr.FailedTasks + ctr.TimedOutTasks
-	c.ctl.NoteTaskFailures(int(fails - c.last.fails))
-	c.last.fails = fails
+	c.ctl.NoteTaskFailures(int(ctr.FailedTasks - c.last.fails))
+	c.last.fails = ctr.FailedTasks
 	c.ctl.UpdateWithLatency(c.window.Percentile(99))
 	c.window.Reset()
 }

@@ -18,22 +18,22 @@ import (
 // DESIGN.md §3): it hands the worker's aggregates to the socket's device
 // as tasks, keeps the one record of what is in flight, and resumes each
 // aggregate in its lane's pipeline when the device completes it, or rescues
-// it on the CPU when the device fails it or an epoch force-rescues it. The
-// worker holds it by value; the methods that need the worker's clock, pools
-// or lane graphs take the worker as an argument.
+// it on the CPU when the device fails it (the stall watchdog fails a hung
+// device's whole queue). The worker holds it by value; the methods that
+// need the worker's clock, pools or lane graphs take the worker as an
+// argument.
 type devicePath struct {
 	// device is the socket's device, nil when the socket has none.
 	device *gpu.Device
-	// tasks is every task the worker has out, submitted or synthetic (an
-	// epoch's rescue of a pending aggregate), until its completion is
-	// handled. MaxInflightTasks caps its length only for RX polling:
+	// tasks is every task the worker has submitted, until its completion
+	// is handled. MaxInflightTasks caps its length only for RX polling:
 	// flushes of expired aggregates and flushes during a resume still
 	// submit past it. Each task holds at least one batch, so the worker's
 	// batch pool is what bounds it.
 	tasks []*inflightTask
-	// completions carries finished and force-rescued tasks to the worker's
-	// next pass, where cycle accounting lives.
-	completions *mempool.Ring[completion]
+	// completions carries finished and failed tasks to the worker's next
+	// pass, where cycle accounting lives.
+	completions *mempool.Ring[*inflightTask]
 	hwm         int // high watermark of len(tasks) at a submit
 	// sentinel is the integrity re-execution sampler, non-nil only when
 	// cfg.Integrity is set. Its RNG stream is seeded per worker so sampling
@@ -41,22 +41,17 @@ type devicePath struct {
 	sentinel *integrity.Sentinel
 }
 
-// inflightTask tracks one device task on the worker side, so the device's
-// completion (normal or failed) and an epoch force-rescue can race without
-// double-processing: whichever fires first sets done, the other becomes a
-// no-op.
+// inflightTask tracks one device task on the worker side, from submit to
+// the handling of its one completion (normal or failed).
 type inflightTask struct {
 	ln      *lane // the tenant lane the aggregate belongs to
 	pending *offload.Pending
-	// task is what the device was handed; the zero Task for a synthetic
-	// epoch-rescue task, which no device saw.
-	task gpu.Task
+	task    gpu.Task // what the device was handed
 	// shadow is the sentinel's pre-execution copy of the aggregate, non-nil
 	// only when the integrity subsystem sampled this task for re-execution.
 	shadow *integrity.Shadow
 	// seq is the task's handle on the System's device executor, which runs
-	// the chain's kernels over the aggregate from submit on; 0 for an
-	// aggregate never handed to it (a synthetic epoch-rescue task).
+	// the chain's kernels over the aggregate from submit on.
 	seq uint64
 	// executed records that the device reached the task's kernel completion
 	// in virtual time. The executor computed the results of every submitted
@@ -64,24 +59,12 @@ type inflightTask struct {
 	// (re-encrypting IPsec packets would corrupt them): executed decides
 	// only whether the rescue charges the chain's CPU cycles.
 	executed bool
-	// done records that the aggregate was resumed (normally or via
-	// fallback); late completions of a rescued task must not touch the
-	// recycled batches.
-	done bool
-}
-
-// completion carries a finished (or force-rescued) device task back to its
-// worker's IO loop, where it is processed inside iterate's cycle
-// accounting.
-type completion struct {
-	it       *inflightTask
-	timedOut bool
 }
 
 // newDevicePath builds worker id's device path on the socket's device (nil
 // when the socket has none).
 func newDevicePath(s *System, id int, dev *gpu.Device) devicePath {
-	dp := devicePath{device: dev, completions: mempool.NewRing[completion](256)}
+	dp := devicePath{device: dev, completions: mempool.NewRing[*inflightTask](256)}
 	if s.cfg.Integrity != nil {
 		dp.sentinel = integrity.NewSentinel(s.cfg.Integrity, s.newSentinelRand(id), &s.zone.shadows[id])
 	}
@@ -155,7 +138,7 @@ func (dp *devicePath) flush(w *worker, p *offload.Pending) {
 		// (the hitless path), not dropped — unplug is a planned
 		// reconfiguration, not a misconfiguration. The device never saw the
 		// task, so only the rescue is charged.
-		dp.rescueOnCPU(w, ln, p, 0, rescueUnplugged, false, false)
+		dp.rescueOnCPU(w, ln, p, 0, rescueUnplugged, false)
 		return
 	}
 	ln.ctr.OffloadedPackets += uint64(p.NPkts)
@@ -170,9 +153,10 @@ func (dp *devicePath) flush(w *worker, p *offload.Pending) {
 	it.task.Execute = func() {
 		// The device reached kernel completion: the results the executor
 		// computed are now the device's. Guarded so a hung task rescheduled
-		// after recovery is not counted twice, and a rescued task's recycled
-		// batches are never touched.
-		if it.done || it.executed {
+		// after recovery is not counted twice. The device cancels this
+		// callback when it fails or aborts the task, so it never runs after
+		// the completion.
+		if it.executed {
 			return
 		}
 		it.executed = true
@@ -196,7 +180,7 @@ func (dp *devicePath) flush(w *worker, p *offload.Pending) {
 			}
 		}
 	}
-	it.task.Complete = func(simtime.Time, *gpu.Task) { w.dev.pushCompletion(w, it, false) }
+	it.task.Complete = func(simtime.Time, *gpu.Task) { w.dev.pushCompletion(w, it) }
 	dp.tasks = append(dp.tasks, it)
 	dev.Submit(&it.task)
 	dp.hwm = max(dp.hwm, len(dp.tasks))
@@ -224,38 +208,15 @@ func (it *inflightTask) RunJob() {
 	}
 }
 
-// pushCompletion hands a finished (or, with timedOut, a force-rescued) task
-// to the worker's IO loop; the postprocessing runs inside the next pass,
-// where cycle accounting lives. A task already resumed through another path
-// is left alone.
-func (dp *devicePath) pushCompletion(w *worker, it *inflightTask, timedOut bool) {
-	if it.done {
-		return
-	}
-	if !dp.completions.Push(completion{it: it, timedOut: timedOut}) {
+// pushCompletion hands a finished or failed task to the worker's IO loop;
+// the postprocessing runs inside the next pass, where cycle accounting
+// lives. The device completes each task once: a normal completion leaves
+// its queue, and a failure takes the task out of it.
+func (dp *devicePath) pushCompletion(w *worker, it *inflightTask) {
+	if !dp.completions.Push(it) {
 		panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
 	}
 	w.unpark()
-}
-
-// rescueLane force-drains one lane at the epoch grace deadline: every
-// pending (unsubmitted) aggregate is wrapped in a synthetic task that joins
-// the list, and then each of the lane's tasks is routed through the
-// timed-out rescue path, so the whole rescue flows through the one
-// CPU-fallback path with its normal accounting. Returns the number of tasks
-// and aggregates rescued; the completions drain on the worker's next pass.
-func (dp *devicePath) rescueLane(w *worker, ln *lane) int {
-	for _, p := range ln.agg.TakeAll() {
-		dp.tasks = append(dp.tasks, &inflightTask{ln: ln, pending: p})
-	}
-	rescued := 0
-	for _, it := range dp.tasks {
-		if it.ln == ln {
-			rescued++
-			dp.pushCompletion(w, it, true)
-		}
-	}
-	return rescued
 }
 
 // drain handles every completion pushed since the worker's last pass and
@@ -263,27 +224,22 @@ func (dp *devicePath) rescueLane(w *worker, ln *lane) int {
 //
 //nba:hotpath
 func (dp *devicePath) drain(w *worker) (did bool) {
-	for c, ok := dp.completions.Pop(); ok; c, ok = dp.completions.Pop() {
+	for it, ok := dp.completions.Pop(); ok; it, ok = dp.completions.Pop() {
 		did = true
-		dp.handleCompletion(w, c)
+		dp.handleCompletion(w, it)
 	}
 	return did
 }
 
-// handleCompletion postprocesses a finished, failed or force-rescued device
-// task and resumes the batches in its lane's pipeline (after a CPU fallback
-// when the device never ran them).
+// handleCompletion postprocesses a finished or failed device task and
+// resumes the batches in its lane's pipeline (after a CPU fallback when the
+// device failed it).
 //
 //nba:hotpath
-func (dp *devicePath) handleCompletion(w *worker, c completion) {
-	it := c.it
-	if it.done {
-		return // duplicate: the task was already resumed via another path
-	}
+func (dp *devicePath) handleCompletion(w *worker, it *inflightTask) {
 	// Verify, quarantine, rescue and resume all read the aggregate: wait for
 	// the executor's results first.
 	w.sys.exec.Join(it.seq)
-	it.done = true
 	p := it.pending
 	w.cur = it.ln
 	dp.drop(it)
@@ -298,35 +254,21 @@ func (dp *devicePath) handleCompletion(w *worker, c completion) {
 			return
 		}
 	}
-	switch {
-	case c.timedOut:
-		it.ln.ctr.TimedOutTasks++
-		dp.rescueOnCPU(w, it.ln, p, it.task.ID, rescueTimedOut, it.seq != 0, it.executed)
-	case it.task.Failed:
+	if it.task.Failed {
 		it.ln.ctr.FailedTasks++
-		dp.rescueOnCPU(w, it.ln, p, it.task.ID, rescueFailed, it.seq != 0, it.executed)
-	default:
-		dp.resumeAggregate(w, p)
+		dp.rescueOnCPU(w, it.ln, p, it.task.ID, rescueFailed, it.executed)
+		return
 	}
+	dp.resumeAggregate(w, p)
 }
 
-// drop removes a handled task from the list. The submitted tasks keep the
-// order a swap-delete over them alone gives (a submitted task's slot takes
-// the last submitted one), and a synthetic task is shifted out, so the
-// order rescueLane pushes completions in does not depend on whether an
-// epoch's synthetic tasks were out. The list is short: past
-// MaxInflightTasks the worker polls no RX, so only packets it already
-// holds add tasks.
+// drop removes a handled task from the list by a swap-delete that clears
+// the vacated slot. The list is short: past MaxInflightTasks the worker
+// polls no RX, so only packets it already holds add tasks.
 func (dp *devicePath) drop(it *inflightTask) {
-	i := slices.Index(dp.tasks, it)
-	if it.seq != 0 {
-		j := len(dp.tasks) - 1
-		for dp.tasks[j].seq == 0 {
-			j--
-		}
-		dp.tasks[i], i = dp.tasks[j], j
-	}
-	dp.tasks = slices.Delete(dp.tasks, i, i+1)
+	i, last := slices.Index(dp.tasks, it), len(dp.tasks)-1
+	dp.tasks[i], dp.tasks[last] = dp.tasks[last], nil
+	dp.tasks = dp.tasks[:last]
 }
 
 // verifyAggregate re-executes a sampled aggregate's kernels on the CPU over
@@ -391,31 +333,29 @@ func (dp *devicePath) resumeAggregate(w *worker, p *offload.Pending) {
 	}
 }
 
-// Reason codes carried by KindFallback trace events. 2 is retired, not
-// reused, so older recordings keep their meaning.
+// Reason codes carried by KindFallback trace events. 1 and 2 are retired,
+// not reused, so older recordings keep their meaning.
 const (
 	rescueFailed    = 0 // the device completed the task as failed
-	rescueTimedOut  = 1 // an epoch force-rescue reached its grace deadline
 	rescueUnplugged = 3 // the socket's device is unplugged
 )
 
 // rescueOnCPU is the one CPU-rescue path: count the rescue, emit the
 // fallback event (taskID 0 when the device never saw a task), charge the
 // chain on the CPU, and resume the aggregate in its lane's pipeline.
-// The kernels run here only for an aggregate the device executor never got
-// (submitted false: an unplugged device, an epoch's synthetic task); a
-// submitted task's results are already computed and running them again
-// would, for IPsec, corrupt the packets. If the device
-// reached kernel completion (executed: it failed after the kernel, or a
-// hung task's kernel had finished) the CPU is not charged either, and only
-// the rescue is counted.
-func (dp *devicePath) rescueOnCPU(w *worker, ln *lane, p *offload.Pending, taskID uint64, reason int64, submitted, executed bool) {
+// The kernels run here only for an aggregate the device never saw (an
+// unplugged device's): the device executor got every submitted task, whose
+// results are already computed, and running them again would, for IPsec,
+// corrupt the packets. If the device reached kernel completion (executed:
+// it failed after the kernel, or a hung task's kernel had finished) the
+// CPU is not charged either, and only the rescue is counted.
+func (dp *devicePath) rescueOnCPU(w *worker, ln *lane, p *offload.Pending, taskID uint64, reason int64, executed bool) {
 	w.cur = ln
 	ln.ctr.FallbackPackets += uint64(p.NPkts)
 	w.sys.cfg.Tracer.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
 		int64(taskID), int64(p.NPkts), reason, 0)
 	if !executed {
-		dp.execChainOnCPU(w, p, !submitted)
+		dp.execChainOnCPU(w, p, taskID == 0)
 	}
 	dp.resumeAggregate(w, p)
 }

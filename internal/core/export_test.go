@@ -48,12 +48,27 @@ func ReportGoldenCases() (names []string, pools []int, cfgs []func() Config) {
 // events against the workers'.
 func (s *System) Engine() *simtime.Engine { return s.eng }
 
-// WorkerClock reads worker i's clock as a callback outside a pass does:
-// its pass start and w.now(). parked reports whether the worker is parked.
+// WorkerClock reads worker i's clock as a callback outside a pass would:
+// its pass start and its position in virtual time. A parked worker reads
+// as the last pass it skipped would have left it: that pass's start, the
+// last grid point not after now, and its CompletionPoll cycles. A grid
+// point equal to now counts if its pass would already have run this
+// instant, as in unpark. parked reports whether the worker is parked.
 func WorkerClock(s *System, i int) (start, now simtime.Time, parked bool) {
 	w := s.workers[i]
-	now = w.now()
-	return w.iterStart, now, w.parked
+	start, cycles := w.iterStart, w.cycles
+	if w.parked {
+		idle := s.cfg.CostModel.IdlePoll
+		t := s.eng.Now()
+		k := (t - w.parkBase) / idle
+		if k > 0 && w.parkBase+k*idle == t && s.eng.RunningAsOf() <= t-idle {
+			k--
+		}
+		if k > 0 {
+			start, cycles = w.parkBase+k*idle, s.cfg.CostModel.CompletionPoll
+		}
+	}
+	return start, start + simtime.CyclesToTime(cycles, s.cfg.Topology.CoreFreqHz), w.parked
 }
 
 // ApplyFault applies one fault-plan event at the current instant.

@@ -25,9 +25,6 @@ func TestGPUOutageFallsBackToCPU(t *testing.T) {
 	if r.FallbackPackets == 0 {
 		t.Error("no packets rescued onto the CPU")
 	}
-	if r.TimedOutTasks != 0 {
-		t.Errorf("fail-fast outage produced %d timeouts, want 0", r.TimedOutTasks)
-	}
 	// Fallback packets were still processed and transmitted. The CPU alone
 	// cannot carry the full IPsec load, so some backpressure shedding is
 	// expected during the outage — but well over half the offered 4.0 Gbps
@@ -63,9 +60,6 @@ func TestDeviceHangTimeoutRescue(t *testing.T) {
 	if r.FailedTasks == 0 {
 		t.Error("no failed tasks despite a 4 ms hang with a 1 ms stall limit")
 	}
-	if r.TimedOutTasks != 0 {
-		t.Errorf("%d tasks timed out; only an epoch force-rescue times tasks out", r.TimedOutTasks)
-	}
 	if r.FallbackPackets == 0 {
 		t.Error("no packets rescued onto the CPU")
 	}
@@ -95,7 +89,7 @@ func TestDeviceHangTimeoutRescue(t *testing.T) {
 
 func TestDeviceSlowdownDegradesNotWedges(t *testing.T) {
 	// A 4x-slower device is degraded capacity, not a fault: tasks still
-	// complete (no failures, no timeouts at the default 5 ms), the run
+	// complete (no failures at the default 5 ms stall limit), the run
 	// drains, and nothing leaks.
 	cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "fixed=0.8"), 2e9, 64)
 	cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
@@ -105,9 +99,8 @@ func TestDeviceSlowdownDegradesNotWedges(t *testing.T) {
 	}}
 	r := run(t, cfg)
 
-	if r.FailedTasks != 0 || r.TimedOutTasks != 0 {
-		t.Errorf("slowdown caused %d failures / %d timeouts, want none",
-			r.FailedTasks, r.TimedOutTasks)
+	if r.FailedTasks != 0 {
+		t.Errorf("slowdown caused %d failures, want none", r.FailedTasks)
 	}
 	if r.PoolOutstanding != 0 {
 		t.Errorf("leak: %d packets outstanding", r.PoolOutstanding)

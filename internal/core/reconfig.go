@@ -29,9 +29,7 @@ type epochMachine struct {
 	ev       reconfig.Event   // the current epoch's event
 	tenant   int32            // its tenant slot, trace.NoTenant if none
 	target   int64            // its target: tenant slot, device or port
-	rescued  int              // work force-rescued at the grace deadline
-	forced   bool             // the grace deadline passed
-	orphaned bool             // twice the grace passed: committed undrained
+	orphaned bool             // the grace passed: committed undrained
 	// sys is the System the plan is armed on; pump and poll are pumpNext
 	// and pollDrain, bound once.
 	sys        *System
@@ -123,7 +121,7 @@ func (m *epochMachine) beginEpoch(s *System, ev reconfig.Event) {
 	m.epoch++
 	m.begin = now
 	m.ev = ev
-	m.rescued, m.forced, m.orphaned = 0, false, false
+	m.orphaned = false
 
 	m.tenant, m.target = trace.NoTenant, 0
 	var payload int64
@@ -161,10 +159,12 @@ func (m *epochMachine) beginEpoch(s *System, ev reconfig.Event) {
 	m.pollDrain()
 }
 
-// pollDrain drives the drain phase: commit as soon as the predicate holds;
-// at the DrainGrace deadline force-rescue the remaining work through the
-// CPU-fallback path; at twice the grace declare the lane orphaned
-// (invariant violation) and commit anyway so the run can finish and report.
+// pollDrain drives the drain phase: commit as soon as the predicate holds.
+// The work drains through the datapath's own paths (aggregates flush as
+// they age out, the stall watchdog fails a hung device's queue back to the
+// CPU); at the DrainGrace deadline the epoch is declared orphaned
+// (invariant violation) and commits anyway so the run can finish and
+// report.
 func (m *epochMachine) pollDrain() {
 	if !m.active {
 		return
@@ -175,19 +175,13 @@ func (m *epochMachine) pollDrain() {
 		m.commitEpoch(s)
 		return
 	}
-	if grace := s.cfg.DrainGrace; grace > 0 {
-		if !m.forced && now >= m.begin+grace {
-			m.forced = true
-			m.rescued += m.forceRescue(s)
-		}
-		if now >= m.begin+2*grace {
-			m.orphaned = true
-			s.cfg.Checker.OrphanLane(now, m.epoch, fmt.Sprintf(
-				"epoch %d (%s) still undrained %v past begin (grace %v); committing with work stranded",
-				m.epoch, m.ev.Kind, now-m.begin, grace))
-			m.commitEpoch(s)
-			return
-		}
+	if grace := s.cfg.DrainGrace; grace > 0 && now >= m.begin+grace {
+		m.orphaned = true
+		s.cfg.Checker.OrphanLane(now, m.epoch, fmt.Sprintf(
+			"epoch %d (%s) still undrained %v past begin (grace %v); committing with work stranded",
+			m.epoch, m.ev.Kind, now-m.begin, grace))
+		m.commitEpoch(s)
+		return
 	}
 	s.eng.After(reconfigDrainPoll, m.poll)
 }
@@ -208,25 +202,6 @@ func (m *epochMachine) drained(s *System, now simtime.Time) bool {
 	default:
 		return true
 	}
-}
-
-// forceRescue evacuates the epoch's remaining in-flight work at the grace
-// deadline: evict epochs route every outstanding task and pending aggregate
-// of the tenant's lanes through the timed-out rescue path; unplug epochs
-// abort the device's queue so its tasks fail back to their workers. Either
-// way the work drains through the existing CPU-fallback path with its normal
-// accounting — nothing is silently dropped.
-func (m *epochMachine) forceRescue(s *System) int {
-	rescued := 0
-	switch m.ev.Kind {
-	case reconfig.TenantEvict:
-		for _, w := range s.workers {
-			rescued += w.dev.rescueLane(w, w.lanes[m.target])
-		}
-	case reconfig.DeviceUnplug:
-		rescued += s.devices[m.ev.Device].AbortAll()
-	}
-	return rescued
 }
 
 // commitEpoch applies the epoch's change — re-split shares and queue maps,
@@ -277,7 +252,7 @@ func (m *epochMachine) commitEpoch(s *System) {
 	}
 
 	s.cfg.Tracer.Emit(now, trace.KindReconfigDrain, -1, ev.Kind.String(),
-		int64(m.epoch), int64(now-m.begin), int64(m.rescued), b2i(m.forced))
+		int64(m.epoch), int64(now-m.begin), 0, b2i(m.orphaned))
 	s.cfg.Tracer.EmitT(now, trace.KindReconfigCommit, -1, m.tenant, ev.Kind.String(),
 		int64(m.epoch), int64(ev.Kind), m.target, int64(reseated))
 	if ev.Kind == reconfig.TenantEvict {

@@ -193,10 +193,12 @@ func TestFaultEmptyPlanGoldensUnchanged(t *testing.T) {
 }
 
 // TestHotUnplugWhileHungRescue unplugs a device that is mid-Hang with tasks
-// parked on it: the epoch's force-rescue (Device.AbortAll at the drain-grace
-// deadline) must evacuate every parked task through the CPU-fallback path —
-// no strand, no leak, and nothing counted as timed out (the abort fails the
-// tasks; only an evict epoch's force-rescue times tasks out).
+// parked on it: the stall watchdog (Device.AbortAll once the device has
+// finished nothing for TaskTimeout) must evacuate every parked task through
+// the CPU-fallback path, so the epoch drains — no strand, no leak. Every
+// submitted task comes back as a device failure (reason 0); only aggregates
+// the device never saw, offloaded after the unplug began, are rescued as
+// unplugged (reason 3).
 func TestHotUnplugWhileHungRescue(t *testing.T) {
 	ck := invariant.New()
 	cfg := Config{
@@ -212,7 +214,7 @@ func TestHotUnplugWhileHungRescue(t *testing.T) {
 		Duration:          10 * simtime.Millisecond,
 		Seed:              7,
 		Checker:           ck,
-		DrainGrace:        500 * simtime.Microsecond,
+		Tracer:            trace.New(trace.Options{Capacity: 1 << 16, Mask: trace.MaskOf(trace.KindFallback)}),
 		FaultPlan: &fault.Plan{Events: []fault.Event{
 			{At: 4 * simtime.Millisecond, Kind: fault.DeviceHang, Device: 0},
 		}},
@@ -228,8 +230,17 @@ func TestHotUnplugWhileHungRescue(t *testing.T) {
 	if r.FallbackPackets == 0 {
 		t.Error("no packets rescued onto the CPU by the unplug epoch")
 	}
-	if r.TimedOutTasks != 0 {
-		t.Errorf("%d timeouts; the abort fails parked tasks, it does not time them out", r.TimedOutTasks)
+	if n := cfg.Tracer.Dropped(); n != 0 {
+		t.Fatalf("trace ring overflowed (%d events dropped)", n)
+	}
+	for _, ev := range cfg.Tracer.Events() {
+		want := int64(rescueFailed)
+		if ev.A == 0 {
+			want = rescueUnplugged
+		}
+		if ev.C != want {
+			t.Errorf("fallback of task %d with reason %d, want %d", ev.A, ev.C, want)
+		}
 	}
 	if r.PoolOutstanding != 0 {
 		t.Errorf("strand: %d packets outstanding after hot-unplug", r.PoolOutstanding)

@@ -14,13 +14,13 @@ import (
 )
 
 // goldenRow renders one report section's packet accounting as a single
-// comparable line: the eleven counters, the latency sample count, the final
+// comparable line: the ten counters, the latency sample count, the final
 // offloading fraction and the section's trace digest.
 func goldenRow(name string, rxDelivered, rxDropped, allocFailed, tx, graphDrops, shed, quarantined,
-	offloaded, fallback, failed, timedOut, latCount uint64, finalW float64, digest string) string {
-	return fmt.Sprintf("%s rx=%d rxdrop=%d allocfail=%d tx=%d gdrop=%d shed=%d quar=%d off=%d fb=%d failed=%d timedout=%d lat=%d w=%.6f digest=%q",
+	offloaded, fallback, failed, latCount uint64, finalW float64, digest string) string {
+	return fmt.Sprintf("%s rx=%d rxdrop=%d allocfail=%d tx=%d gdrop=%d shed=%d quar=%d off=%d fb=%d failed=%d lat=%d w=%.6f digest=%q",
 		name, rxDelivered, rxDropped, allocFailed, tx, graphDrops, shed, quarantined,
-		offloaded, fallback, failed, timedOut, latCount, finalW, digest)
+		offloaded, fallback, failed, latCount, finalW, digest)
 }
 
 // goldenDump renders a whole report: the run-level row followed by one row
@@ -28,12 +28,12 @@ func goldenRow(name string, rxDelivered, rxDropped, allocFailed, tx, graphDrops,
 func goldenDump(r *Report, digest string) string {
 	rows := []string{goldenRow("run", r.RxDelivered, r.RxDropped, r.AllocFailed, r.TxPackets, r.GraphDrops,
 		r.ShedPackets, r.QuarantinedPackets, r.OffloadedPackets, r.FallbackPackets, r.FailedTasks,
-		r.TimedOutTasks, r.Latency.Count(), r.FinalW, digest)}
+		r.Latency.Count(), r.FinalW, digest)}
 	for i := range r.Tenants {
 		tr := &r.Tenants[i]
 		rows = append(rows, goldenRow(fmt.Sprintf("tenant[%d]=%q", i, tr.Name), tr.RxDelivered, tr.RxDropped,
 			tr.AllocFailed, tr.TxPackets, tr.GraphDrops, tr.ShedPackets, tr.QuarantinedPackets,
-			tr.OffloadedPackets, tr.FallbackPackets, tr.FailedTasks, tr.TimedOutTasks,
+			tr.OffloadedPackets, tr.FallbackPackets, tr.FailedTasks,
 			tr.Latency.Count(), tr.FinalW, tr.Digest))
 	}
 	return strings.Join(rows, "\n")

@@ -222,9 +222,6 @@ func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 //
 //nba:hotpath
 func (w *worker) now() simtime.Time {
-	if w.parked {
-		w.catchUp()
-	}
 	return w.iterStart + simtime.CyclesToTime(w.cycles, w.sys.cfg.Topology.CoreFreqHz)
 }
 
@@ -417,29 +414,6 @@ func (w *worker) unpark() {
 		return
 	}
 	w.wakeAt = at
-}
-
-// catchUp brings a parked worker's clock to where the last pass it skipped
-// would have left it, for readers outside a pass (w.now): that pass's start,
-// the last grid point not after now, and its CompletionPoll cycles. A grid
-// point equal to now counts if its pass would already have run this
-// instant, as in unpark.
-func (w *worker) catchUp() {
-	idle := w.sys.cfg.CostModel.IdlePoll
-	eng := w.sys.eng
-	now := eng.Now()
-	k := (now - w.parkBase) / idle
-	if k > 0 && w.parkBase+k*idle == now && eng.RunningAsOf() <= now-idle {
-		k--
-	}
-	start := w.parkBase + k*idle
-	if k == 0 || start == w.iterStart {
-		return
-	}
-	w.iterStart, w.cycles = start, w.sys.cfg.CostModel.CompletionPoll
-	for _, ln := range w.lanes {
-		ln.pctx.Now = start
-	}
 }
 
 // laneDrained is the drain predicate for one lane, shared by worker

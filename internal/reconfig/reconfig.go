@@ -11,10 +11,11 @@
 //
 //	begin  — quiesce the affected (worker,tenant) lanes or device: stop new
 //	         arrivals / submissions, leave in-flight work running.
-//	drain  — wait (bounded by DrainGrace) for in-flight aggregates, device
-//	         tasks and ring backlogs to empty; at the grace deadline the
-//	         remaining tasks are force-rescued through the existing
-//	         CPU-fallback path.
+//	drain  — wait for in-flight aggregates, device tasks and ring backlogs
+//	         to empty through the datapath's own paths (a hung device's
+//	         queue fails back to the CPU at its stall watchdog); an epoch
+//	         still undrained at the DrainGrace deadline is orphaned and
+//	         commits anyway.
 //	commit — apply the change (re-split sched.WRR shares and tenant-major
 //	         queue maps, re-seat ALB controllers and governors, seal or open
 //	         per-tenant digests), then resume.
@@ -41,16 +42,17 @@ const (
 	// ALB controller and a governor slot are created and shares re-split.
 	TenantAdmit Kind = iota
 	// TenantEvict drains and removes the named tenant: arrivals stop at
-	// begin, the lanes drain (bounded by DrainGrace), the pooled packets
-	// return, and the tenant's trace digest is sealed at commit.
+	// begin, the lanes drain (an epoch undrained at DrainGrace is
+	// orphaned), the pooled packets return, and the tenant's trace digest
+	// is sealed at commit.
 	TenantEvict
 	// ShareRetune changes the named tenant's traffic share; the WRR split
 	// and per-queue arrival rates re-balance at commit.
 	ShareRetune
 	// DeviceUnplug removes a device from service: from begin its socket's
-	// new offloads are rescued on the CPU, queued tasks drain or are
-	// force-rescued, and the socket's ALB controllers collapse to the CPU
-	// at commit.
+	// new offloads are rescued on the CPU, queued tasks drain (a hung
+	// device's fail back at its stall watchdog), and the socket's ALB
+	// controllers collapse to the CPU at commit.
 	DeviceUnplug
 	// DevicePlug returns an unplugged device to service and re-seats the
 	// socket's ALB controllers.

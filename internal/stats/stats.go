@@ -53,13 +53,11 @@ type Counters struct {
 	QuarantinedPackets uint64
 	// OffloadedPackets counts packets submitted to accelerators;
 	// FallbackPackets counts packets rescued onto the CPU because their task
-	// failed, timed out or found its device unplugged.
+	// failed or found its device unplugged.
 	OffloadedPackets uint64
 	FallbackPackets  uint64
-	// FailedTasks counts tasks a failed, stalled or unplugged device handed
-	// back; TimedOutTasks counts tasks an epoch force-rescue took back.
-	FailedTasks   uint64
-	TimedOutTasks uint64
+	// FailedTasks counts tasks a failed or stalled device handed back.
+	FailedTasks uint64
 }
 
 // Add accumulates o into c.
@@ -74,7 +72,6 @@ func (c *Counters) Add(o Counters) {
 	c.OffloadedPackets += o.OffloadedPackets
 	c.FallbackPackets += o.FallbackPackets
 	c.FailedTasks += o.FailedTasks
-	c.TimedOutTasks += o.TimedOutTasks
 }
 
 // Accounted returns how many delivered packets have met their disposition:

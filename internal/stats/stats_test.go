@@ -239,7 +239,7 @@ func BenchmarkHistRecord(b *testing.B) {
 func TestCountersAddAccountedConserved(t *testing.T) {
 	a := Counters{RxDelivered: 100, RxDropped: 7, AllocFailed: 2, TxPackets: 80, GraphDrops: 10,
 		ShedPackets: 6, QuarantinedPackets: 4, OffloadedPackets: 50, FallbackPackets: 5,
-		FailedTasks: 1, TimedOutTasks: 2}
+		FailedTasks: 1}
 	if got := a.Accounted(); got != 100 {
 		t.Errorf("Accounted = %d, want 80+10+6+4 = 100", got)
 	}
@@ -265,13 +265,13 @@ func TestCountersAddAccountedConserved(t *testing.T) {
 	}
 
 	// Add is field-wise: the sum of two scopes is conserved when both are,
-	// and every one of the eleven fields doubles when a table is added to
+	// and every one of the ten fields doubles when a table is added to
 	// itself.
 	sum := a
 	sum.Add(a)
 	want := Counters{RxDelivered: 200, RxDropped: 14, AllocFailed: 4, TxPackets: 160, GraphDrops: 20,
 		ShedPackets: 12, QuarantinedPackets: 8, OffloadedPackets: 100, FallbackPackets: 10,
-		FailedTasks: 2, TimedOutTasks: 4}
+		FailedTasks: 2}
 	if sum != want {
 		t.Errorf("a+a = %+v, want %+v", sum, want)
 	}

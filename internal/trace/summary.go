@@ -90,8 +90,7 @@ type ReconfigEpoch struct {
 	Target   int64        // tenant index, device or port (kind-dependent)
 	Begin    simtime.Time // when the epoch opened (quiesce instant)
 	Drain    simtime.Time // drain-phase duration
-	Rescued  int64        // tasks/aggregates force-rescued via CPU fallback
-	Forced   bool         // drain hit the DrainGrace deadline
+	Forced   bool         // drain hit the DrainGrace deadline (orphaned)
 	Reseated int64        // lanes / controllers / rings re-seated at commit
 }
 
@@ -235,7 +234,6 @@ func Summarize(events []Event) *Summary {
 		case KindReconfigDrain:
 			re := epoch(ev.A)
 			re.Drain = simtime.Time(ev.B)
-			re.Rescued = ev.C
 			re.Forced = ev.D != 0
 		case KindReconfigCommit:
 			re := epoch(ev.A)
@@ -388,15 +386,15 @@ func (s *Summary) Write(w io.Writer) error {
 	}
 	if len(s.Reconfigs) > 0 {
 		fmt.Fprintf(w, "\nreconfig epochs:\n")
-		fmt.Fprintf(w, "  %-6s %-16s %7s %14s %14s %8s %7s %9s\n",
-			"epoch", "kind", "target", "begin", "drain", "rescued", "forced", "reseated")
+		fmt.Fprintf(w, "  %-6s %-16s %7s %14s %14s %7s %9s\n",
+			"epoch", "kind", "target", "begin", "drain", "forced", "reseated")
 		for _, r := range s.Reconfigs {
 			forced := "-"
 			if r.Forced {
 				forced = "yes"
 			}
-			fmt.Fprintf(w, "  %-6d %-16s %7d %14v %14v %8d %7s %9d\n",
-				r.Epoch, r.Kind, r.Target, r.Begin, r.Drain, r.Rescued, forced, r.Reseated)
+			fmt.Fprintf(w, "  %-6d %-16s %7d %14v %14v %7s %9d\n",
+				r.Epoch, r.Kind, r.Target, r.Begin, r.Drain, forced, r.Reseated)
 		}
 	}
 	if len(s.Integrities) > 0 {

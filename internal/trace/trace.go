@@ -80,11 +80,11 @@ const (
 	// recover, RX queue up). Payload as KindFaultInject.
 	KindFaultRecover
 	// KindFallback is a worker re-executing an offloaded aggregate on the
-	// CPU after a device failure (a stalled device's tasks fail too), an
-	// epoch force-rescue or an unplug. Actor = worker. A = task ID (0 when
-	// the device never saw the aggregate), B = packets, C = reason (0 =
-	// device failed, 1 = epoch force-rescue, 3 = socket has no plugged
-	// device; 2, an admission refusal, is retired), D = 0.
+	// CPU after a device failure (a stalled device's tasks fail too) or an
+	// unplug. Actor = worker. A = task ID (0 when the device never saw the
+	// aggregate), B = packets, C = reason (0 = device failed, 3 = socket has
+	// no plugged device; 1, an epoch force-rescue, and 2, an admission
+	// refusal, are retired), D = 0.
 	KindFallback
 	// KindOverloadShed is overload control dropping packets. Actor = worker,
 	// Name = mechanism ("codel"). A = packets shed, B = reason (0 = CoDel
@@ -108,9 +108,9 @@ const (
 	// capacity for resizes).
 	KindReconfigBegin
 	// KindReconfigDrain closes the drain phase of an epoch. Name = reconfig
-	// event kind. A = epoch number, B = drain duration (ps), C = tasks and
-	// aggregates force-rescued through the CPU-fallback path, D = 1 when
-	// the drain hit the DrainGrace deadline (0 = drained naturally).
+	// event kind. A = epoch number, B = drain duration (ps), C = 0 (retired:
+	// it counted an epoch force-rescue's work), D = 1 when the drain hit the
+	// DrainGrace deadline and the epoch committed orphaned (0 = drained).
 	KindReconfigDrain
 	// KindReconfigCommit is the epoch's handoff completing: shares
 	// re-split, queues re-mapped, controllers and governors re-seated, the
