@@ -30,13 +30,16 @@
 #                         the two packages the tag compiles code into, and
 #                         run core's TestReportGolden under it, since tagged
 #                         runs must report what untagged runs do
-#   8. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
-#                         packet header parsing, each IDS batch scan kernel vs
-#                         the single stream, every generator's fill over a
-#                         dirty buffer vs a clean one (FuzzFillContract), the
-#                         IPsec CTR on each AES routine vs the stdlib stream,
-#                         the IPsec ICV on each SHA-1 block vs crypto/hmac,
-#                         a run with worker
+#   8. fuzz smoke         a few seconds per fuzz target, all eleven
+#                         (conflang round-trip, packet header parsing, each
+#                         IDS batch scan kernel vs the single stream, every
+#                         generator's fill over a dirty buffer vs a clean one
+#                         (FuzzFillContract) and a burst fill vs per-packet
+#                         fills (FuzzFillBurstAgrees), the IPsec CTR on each
+#                         AES routine vs the stdlib stream, the IPsec ICV on
+#                         each SHA-1 block vs crypto/hmac, fault-plan JSON
+#                         (FuzzPlanJSON), the chaos reproducer round-trip
+#                         (FuzzReproRoundTrip), a run with worker
 #                         parking on vs off: FuzzParkingAgrees) to catch
 #                         shallow regressions; then one iteration of the IDS
 #                         scan (one row per kernel), generator fill (one row
@@ -129,8 +132,11 @@ go test -fuzz='^FuzzHeaderParse$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzScanBatchAgrees$' -fuzztime=5s -run '^$' ./internal/apps/ids
 go test -fuzz='^FuzzFillContract$' -fuzztime=5s -run '^$' ./internal/gen
+go test -fuzz='^FuzzFillBurstAgrees$' -fuzztime=5s -run '^$' ./internal/gen
 go test -fuzz='^FuzzCTRMatchesStdlib$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
 go test -fuzz='^FuzzICVMatchesHMAC$' -fuzztime=5s -run '^$' ./internal/apps/ipsec
+go test -fuzz='^FuzzPlanJSON$' -fuzztime=5s -run '^$' ./internal/fault
+go test -fuzz='^FuzzReproRoundTrip$' -fuzztime=5s -run '^$' ./internal/chaos
 go test -fuzz='^FuzzParkingAgrees$' -fuzztime=5s -run '^$' ./internal/core
 
 echo "==> scan, fill, ESP kernel, SHA-1 block and IPv6 lookup benchmark smoke (one iteration each)"
