@@ -255,6 +255,56 @@ func TestHotUnplugWhileHungRescue(t *testing.T) {
 	}
 }
 
+// TestEvictOrphanedAtGrace evicts a tenant whose tasks sit on a device hung
+// for good with the stall watchdog off: nothing can drain the lanes, so the
+// epoch must be declared orphaned exactly DrainGrace after it began (a
+// multiple of the drain poll), with a reconfig.orphan violation and the
+// drain event's D set, and commit so the run still ends.
+func TestEvictOrphanedAtGrace(t *testing.T) {
+	ck := invariant.New()
+	cfg := churnCfg("ipsec")
+	cfg.Tenants[0].GraphConfig = ipsecGPUConfig
+	cfg.LatentTenants[0].GraphConfig = ipsecGPUConfig
+	cfg.TaskTimeout = -1
+	cfg.DrainGrace = 500 * simtime.Microsecond
+	cfg.Checker = ck
+	cfg.Tracer = trace.New(trace.Options{Capacity: 64,
+		Mask: trace.MaskOf(trace.KindReconfigBegin, trace.KindReconfigDrain)})
+	cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
+		{At: 5900 * simtime.Microsecond, Kind: fault.DeviceHang, Device: 0},
+	}}
+	run(t, cfg)
+
+	var begin simtime.Time
+	var drains int
+	for _, ev := range cfg.Tracer.Events() {
+		switch {
+		case ev.Kind == trace.KindReconfigBegin && ev.B == int64(reconfig.TenantEvict):
+			begin = ev.At
+		case ev.Kind == trace.KindReconfigDrain && ev.Name == reconfig.TenantEvict.String():
+			drains++
+			if ev.D != 1 || simtime.Time(ev.B) != cfg.DrainGrace {
+				t.Errorf("evict drain D = %d after %v, want D = 1 after the %v grace", ev.D, simtime.Time(ev.B), cfg.DrainGrace)
+			}
+		}
+	}
+	if drains != 1 {
+		t.Fatalf("%d evict drain events, want 1", drains)
+	}
+	orphans := 0
+	for _, v := range ck.Violations() {
+		if v.Check == invariant.CheckReconfigOrphan {
+			orphans++
+			if v.At != begin+cfg.DrainGrace {
+				t.Errorf("orphan declared at %v, want begin %v + grace %v", v.At, begin, cfg.DrainGrace)
+			}
+		}
+	}
+	if orphans != 1 {
+		t.Errorf("%d reconfig.orphan violations, want 1: %v", orphans, ck.Violations())
+	}
+}
+
 // TestReconfigSameTickAsFaultDigestStable pins the tie-break when a fault
 // event and a reconfig epoch land on the same virtual tick: faults apply
 // first (Run registers the fault timeline before the reconfig pump), the
