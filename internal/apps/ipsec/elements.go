@@ -14,7 +14,6 @@ func init() {
 	element.Register("IPsecESPencap", func() element.Element { return &ESPEncap{} })
 	element.Register("IPsecAES", func() element.Element { return &Stage{class: "IPsecAES"} })
 	element.Register("IPsecHMAC", func() element.Element { return &Stage{class: "IPsecHMAC", mac: true} })
-	element.Register("IPsecESPdecap", func() element.Element { return &ESPDecap{} })
 }
 
 // sadbFor fetches (or builds) the socket-shared SADB.
@@ -137,52 +136,4 @@ func (e *Stage) Kernel(ctx *element.ProcContext, b *batch.Batch) {
 			sc.crypt(sa, pkt.Buf(), end)
 		}
 	}
-}
-
-// ESPDecap verifies, decrypts and decapsulates ESP frames (the reverse
-// gateway direction). It enforces the RFC 4303 anti-replay window per
-// security association; with RSS a flow always lands on the same worker,
-// so per-replica windows are correct.
-type ESPDecap struct {
-	db      *SADB
-	windows []ReplayWindow // by SA index
-}
-
-// Class implements element.Element.
-func (*ESPDecap) Class() string { return "IPsecESPdecap" }
-
-// OutPorts implements element.Element.
-func (*ESPDecap) OutPorts() int { return 1 }
-
-// Configure implements element.Element.
-func (e *ESPDecap) Configure(ctx *element.ConfigContext, args []string) error {
-	db, err := sadbFor(ctx, args)
-	if err != nil {
-		return fmt.Errorf("IPsecESPdecap: %w", err)
-	}
-	e.db = db
-	e.windows = make([]ReplayWindow, len(db.SAs))
-	return nil
-}
-
-// Process implements element.Element. The SA is the one the frame's SPI
-// names: a received frame is only bytes, whatever annotations it carries.
-func (e *ESPDecap) Process(ctx *element.ProcContext, pkt *packet.Packet) int {
-	idx, sa, end, err := e.db.recvSA(pkt)
-	if err != nil {
-		return element.Drop // not ESP, or an SPI this gateway does not hold
-	}
-	buf := pkt.Buf()
-	sc := &e.db.scratch[ctx.Scratch]
-	if !sc.verify(sa, buf, end) {
-		return element.Drop
-	}
-	if !e.windows[idx].Check(SeqOf(buf)) {
-		return element.Drop // replayed or stale sequence number
-	}
-	sc.crypt(sa, buf, end)
-	if Decap(pkt) != nil {
-		return element.Drop
-	}
-	return 0
 }

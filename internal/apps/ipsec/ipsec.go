@@ -327,7 +327,7 @@ func Authenticate(pkt *packet.Packet, db *SADB) error {
 // Verify recomputes the ICV of a received frame under the SA its ESP header
 // names and reports whether it matches.
 func Verify(pkt *packet.Packet, db *SADB) (bool, error) {
-	_, sa, end, err := db.recvSA(pkt)
+	sa, end, err := db.recvSA(pkt)
 	if err != nil {
 		return false, err
 	}
@@ -337,7 +337,7 @@ func Verify(pkt *packet.Packet, db *SADB) (bool, error) {
 // Decrypt removes the AES-128-CTR encryption of a received frame in place
 // (CTR mode is symmetric) under the SA its ESP header names.
 func Decrypt(pkt *packet.Packet, db *SADB) error {
-	_, sa, end, err := db.recvSA(pkt)
+	sa, end, err := db.recvSA(pkt)
 	if err != nil {
 		return err
 	}
@@ -385,15 +385,15 @@ func (db *SADB) sendSA(pkt *packet.Packet) (*SA, int, error) {
 
 // recvSA is sendSA for the receiving gateway, which has only the bytes: the
 // SA is the one the frame's SPI names.
-func (db *SADB) recvSA(pkt *packet.Packet) (int, *SA, int, error) {
+func (db *SADB) recvSA(pkt *packet.Packet) (*SA, int, error) {
 	end := pkt.Length()
 	if end < PayloadOff+ICVLen {
-		return 0, nil, 0, errNotESP
+		return nil, 0, errNotESP
 	}
 	spi := binary.BigEndian.Uint32(pkt.Buf()[ESPOff:])
-	idx, sa, ok := db.BySPI(spi)
+	_, sa, ok := db.BySPI(spi)
 	if !ok {
-		return 0, nil, 0, fmt.Errorf("ipsec: unknown SPI %#x", spi)
+		return nil, 0, fmt.Errorf("ipsec: unknown SPI %#x", spi)
 	}
-	return idx, sa, end, nil
+	return sa, end, nil
 }

@@ -254,18 +254,19 @@ func newStage(t testing.TB, class string) *Stage {
 }
 
 func TestElementsPipelineEquivalence(t *testing.T) {
-	// Driving the three elements must equal calling the library directly.
+	// Driving the three elements must equal calling the library directly:
+	// the far gateway's Verify, Decrypt and Decap restore the frame.
 	nl := element.NewNodeLocal()
 	cc := &element.ConfigContext{NodeLocal: nl, NumPorts: 4, Rand: rng.New(1)}
 	pc := &element.ProcContext{NodeLocal: nl, Rand: rng.New(2), CostScale: 1}
 
-	enc, aes, mac, dec := &ESPEncap{}, newStage(t, "IPsecAES"), newStage(t, "IPsecHMAC"), &ESPDecap{}
-	for _, e := range []element.Element{enc, aes, mac, dec} {
+	enc, aes, mac := &ESPEncap{}, newStage(t, "IPsecAES"), newStage(t, "IPsecHMAC")
+	for _, e := range []element.Element{enc, aes, mac} {
 		if err := e.Configure(cc, []string{"sas=32", "seed=5"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if enc.db != aes.db || aes.db != mac.db || mac.db != dec.db {
+	if enc.db != aes.db || aes.db != mac.db {
 		t.Fatal("elements did not share the SADB")
 	}
 
@@ -279,11 +280,24 @@ func TestElementsPipelineEquivalence(t *testing.T) {
 	if p.Anno[packet.AnnoOutPort] >= 4 {
 		t.Error("out port annotation out of range")
 	}
-	if r := dec.Process(pc, p); r != 0 {
-		t.Fatalf("decap returned %d", r)
-	}
+	receive(t, p, enc.db)
 	if !bytes.Equal(p.Data(), orig) {
 		t.Error("element pipeline did not round-trip the frame")
+	}
+}
+
+// receive is the far gateway: it verifies, decrypts and decapsulates p
+// under the SA its ESP header names.
+func receive(t *testing.T, p *packet.Packet, db *SADB) {
+	t.Helper()
+	if ok, err := Verify(p, db); err != nil || !ok {
+		t.Fatalf("Verify = %v, %v; want true", ok, err)
+	}
+	if err := Decrypt(p, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := Decap(p); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -291,14 +305,10 @@ func TestElementsPipelineEquivalence(t *testing.T) {
 // a CaptureTx copy, another box — not the sender's annotations, so the SA
 // must come from the ESP header's SPI.
 func TestDecapResolvesSAFromTheWire(t *testing.T) {
-	nl := element.NewNodeLocal()
-	cc := &element.ConfigContext{NodeLocal: nl, NumPorts: 4, Rand: rng.New(1)}
-	pc := &element.ProcContext{NodeLocal: nl, Rand: rng.New(2), CostScale: 1}
-	dec := &ESPDecap{}
-	if err := dec.Configure(cc, []string{"sas=32", "seed=5"}); err != nil {
+	db, err := NewSADB(32, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	db := dec.db
 
 	// A flow that does not hash to SA 0, which annotation 0 would pick.
 	var sent *packet.Packet
@@ -328,22 +338,20 @@ func TestDecapResolvesSAFromTheWire(t *testing.T) {
 	if wire.Anno[packet.AnnoFlowID] != 0 {
 		t.Fatal("CopyFrom carried an annotation")
 	}
-	if ok, err := Verify(wire, db); err != nil || !ok {
-		t.Fatalf("Verify of the bytes-only copy = %v, %v; want true", ok, err)
-	}
-	if r := dec.Process(pc, wire); r != 0 {
-		t.Fatalf("decap of the bytes-only copy returned %d", r)
-	}
+	receive(t, wire, db)
 	if !bytes.Equal(wire.Data(), orig) {
 		t.Error("bytes-only copy did not decapsulate to the original frame")
 	}
 
-	// An SPI the gateway does not hold is dropped, not tried on some SA.
+	// An SPI the gateway does not hold is refused, not tried on some SA.
 	unknown := &packet.Packet{}
 	unknown.CopyFrom(sent.Data())
 	unknown.Buf()[ESPOff] ^= 0x40
-	if r := dec.Process(pc, unknown); r != element.Drop {
-		t.Errorf("frame with unknown SPI returned %d, want drop", r)
+	if _, err := Verify(unknown, db); err == nil {
+		t.Error("Verify accepted a frame with an unknown SPI")
+	}
+	if err := Decrypt(unknown, db); err == nil {
+		t.Error("Decrypt accepted a frame with an unknown SPI")
 	}
 	if _, _, ok := db.BySPI(db.SAs[31].SPI + 1); ok {
 		t.Error("BySPI resolved an SPI past the last SA")
