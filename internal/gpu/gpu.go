@@ -442,8 +442,7 @@ func (d *Device) Fail() {
 // (failed / hung / slowed, and its pending Recover events) stays consistent,
 // so evacuating a hung device cannot strand its pending tasks and a later
 // plug or Recover sees the health the fault timeline says it should.
-// Returns the number of tasks evacuated.
-func (d *Device) AbortAll() int {
+func (d *Device) AbortAll() {
 	tasks := append(d.abortScheduled(), d.pending...)
 	d.pending = nil
 	d.resetTimelines()
@@ -451,7 +450,6 @@ func (d *Device) AbortAll() int {
 		d.failTask(t)
 	}
 	d.changed()
-	return len(tasks)
 }
 
 // Hang freezes the device: in-flight tasks are unscheduled and parked, and

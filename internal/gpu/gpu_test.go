@@ -406,8 +406,12 @@ func TestStalledMeasuresProgressNotAge(t *testing.T) {
 		if !d.Stalled(limit) {
 			t.Errorf("hung device with %d queued tasks not stalled %v after its queue started", d.Queued(), limit)
 		}
-		if n := d.AbortAll(); n != 1 || d.Stalled(limit) {
-			t.Errorf("AbortAll evacuated %d tasks, stalled after = %v", n, d.Stalled(limit))
+		if q := d.Queued(); q != 1 {
+			t.Errorf("hung device holds %d tasks before AbortAll, want 1", q)
+		}
+		d.AbortAll()
+		if q := d.Queued(); q != 0 || d.Stalled(limit) {
+			t.Errorf("AbortAll left %d tasks queued, stalled after = %v", q, d.Stalled(limit))
 		}
 	})
 	eng.Run()
