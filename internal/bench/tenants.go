@@ -15,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID:    "tenants",
 		Title: "Multi-tenant co-residency: scaling 1-4 app graphs and noisy-neighbour isolation",
-		Paper: "Consolidation extension beyond the paper (the Pythia direction): several NBA app graphs share one machine's workers, NIC queues and GPU under share-weighted scheduling; the per-tenant governor (trim -> bias -> shed) is expected to contain a misbehaving co-tenant's latency damage to that tenant",
+		Paper: "Consolidation extension beyond the paper (the Pythia direction): several NBA app graphs share one machine's workers, NIC queues and GPU under share-weighted scheduling; the per-tenant governor (trim -> bias) is expected to contain a misbehaving co-tenant's latency damage to that tenant",
 		Run:   runTenants,
 	})
 }

@@ -12,8 +12,8 @@ import (
 
 // controlCells is the balancing control plane, indexed [socket][tenant]:
 // each tenant gets its own ALB control loop and degradation governor on
-// every socket, so one tenant's congestion escalates trim → bias → shed for
-// that tenant alone. installTenant appends a tenant's column; start arms its
+// every socket, so one tenant's congestion escalates trim → bias for that
+// tenant alone. installTenant appends a tenant's column; start arms its
 // loops. A System without sockets has no rows and schedules nothing.
 type controlCells [][]*controlCell
 
@@ -157,8 +157,7 @@ func (cc controlCells) release(s *System, socket int, hi float64) int {
 }
 
 // report fills the run's final W and socket 0's first-tenant controller
-// trace, each tenant's final W, and the most severe and final governor
-// levels.
+// trace, each tenant's final W, and the most severe governor level.
 func (cc controlCells) report(r *Report) {
 	if ctl := cc[0][0].ctl; ctl != nil {
 		r.FinalW = ctl.W()
@@ -173,9 +172,6 @@ func (cc controlCells) report(r *Report) {
 		for _, c := range row {
 			if c.gov.Peak() > r.OverloadPeak {
 				r.OverloadPeak = c.gov.Peak()
-			}
-			if c.gov.Level() > r.OverloadFinal {
-				r.OverloadFinal = c.gov.Level()
 			}
 		}
 	}
@@ -204,6 +200,16 @@ func (c *controlCell) govern(s *System) {
 	// A hot-unplugged device is no longer a saturation signal.
 	if di, ok := s.cfg.Topology.DeviceOnSocket(c.socket); ok && s.epochs.plugged(di) {
 		devSat = backlogged(s, s.devices[di])
+	}
+	// Count the tenant's ring overflow up to now, not to each queue's last
+	// poll: while every worker on the socket is held back, its rings still
+	// overflow, and the window must see those drops.
+	for _, w := range s.workers {
+		if w.socket == c.socket {
+			for _, q := range w.lanes[c.tenant].rxqs {
+				q.AccountTo(now)
+			}
+		}
 	}
 	cur := s.tenantCounters(c.socket, c.tenant)
 	cpuSat := cur.RxDropped > c.prev.RxDropped ||
@@ -235,11 +241,11 @@ func (c *controlCell) govern(s *System) {
 			int64(lvl), int64(old), b2i(devSat), b2i(cpuSat))
 		s.wakeSocket(c.socket)
 	}
-	// Bias ratchet: each saturated window at LevelBias and above with an
+	// Bias ratchet: each saturated window at LevelBias with an
 	// unambiguous direction moves the weight bound one step toward the
 	// uncongested processor (device congested → ceiling down toward the CPU,
 	// CPU congested → floor up toward the device).
-	if lvl >= overload.LevelBias && devSat != cpuSat && c.ctl != nil {
+	if lvl == overload.LevelBias && devSat != cpuSat && c.ctl != nil {
 		lo, hi := c.ctl.WBounds()
 		if devSat {
 			hi = math.Max(lo, hi-biasStep)

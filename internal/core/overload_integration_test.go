@@ -152,9 +152,6 @@ func TestOverloadGovernorEscalatesUnderSustainedLoad(t *testing.T) {
 	if r.OverloadPeak < overload.LevelTrim {
 		t.Errorf("governor peak %v never left normal under 3x load", r.OverloadPeak)
 	}
-	if r.OverloadFinal > r.OverloadPeak {
-		t.Errorf("final level %v above peak %v", r.OverloadFinal, r.OverloadPeak)
-	}
 }
 
 func TestOverloadShedDeterministic(t *testing.T) {

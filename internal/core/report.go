@@ -87,11 +87,9 @@ type Report struct {
 	// device. The workers' outstanding tasks make it up, and their batch
 	// pools bound those: MaxInflightTasks stops only RX polling.
 	DeviceQueueHWM int
-	// OverloadPeak / OverloadFinal are the most severe and final governor
-	// levels across sockets and tenants (always normal when overload
-	// control is off).
-	OverloadPeak  overload.Level
-	OverloadFinal overload.Level
+	// OverloadPeak is the most severe governor level reached across
+	// sockets and tenants (always normal when overload control is off).
+	OverloadPeak overload.Level
 	// TailGbps is the throughput over the last quarter of the measurement
 	// window — the converged state of adaptive runs.
 	TailGbps float64
@@ -127,7 +125,7 @@ func (s *System) report() *Report {
 			// drop counters instead of vanishing between the last poll and
 			// the end of the run. No trace events are emitted — the engine
 			// has stopped, digests are sealed.
-			q.FinalizeAccounting(now)
+			q.AccountTo(now)
 			if h := q.HighWatermark(); h > r.RxBacklogHWM {
 				r.RxBacklogHWM = h
 			}

@@ -203,7 +203,7 @@ func (s *System) installTenant(tn Tenant, parsed *conflang.Config, now simtime.T
 		w.lanes = append(w.lanes, ln)
 	}
 	// One control cell per socket, so the tenant balances and degrades
-	// (trim → bias → shed) on its own signals.
+	// (trim → bias) on its own signals.
 	s.cells.install(s, t)
 	if len(s.cfg.Tenants) > 0 {
 		// Per-tenant trace digests exist only for explicit tenant

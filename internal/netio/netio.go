@@ -143,18 +143,22 @@ func (q *RxQueue) Generator() Generator { return q.gen }
 // Offered load is NOT re-steered away from a down queue: the NIC's RSS hash
 // does not know a ring died, so the queue keeps receiving its share of the
 // port rate and sheds it by head-drop once the ring is full. Runs that end
-// with a queue still down must call FinalizeAccounting so arrivals since the
-// last poll land in the drop counters instead of vanishing.
+// with a queue still down must call AccountTo so arrivals since the last
+// poll land in the drop counters instead of vanishing.
 func (q *RxQueue) SetDown(down bool) { q.down = down }
 
-// FinalizeAccounting advances arrival and head-drop overflow accounting to
-// now without delivering or emitting trace events. Core calls it once per
-// queue at end of run so that load offered to a flapped-down (or simply
-// unpolled) queue is accounted as overflow drops rather than lost silently
-// between the last poll and the end of the run. Backlog still within
-// capacity is stranded — arrived but never delivered — and stays out of both
-// the drop counters and the conservation identity.
-func (q *RxQueue) FinalizeAccounting(now simtime.Time) { q.advance(now) }
+// AccountTo brings arrival and head-drop overflow accounting up to now,
+// which must not precede the queue's last Poll or AccountTo, without
+// delivering or emitting trace events, so Stats counts the ring's overflow
+// since the last poll: the overload governor calls it each window,
+// so it sees a ring overflow that no worker polls, and the end-of-run report
+// once per queue, so load offered to a flapped-down (or simply unpolled)
+// queue is not lost between the last poll and the end of the run. Backlog
+// still within capacity is stranded — arrived but never delivered — and
+// stays out of both the drop counters and the conservation identity. A call
+// changes no later poll: head-drop counts the same drops whenever it runs,
+// and the next drop trace event still reports them.
+func (q *RxQueue) AccountTo(now simtime.Time) { q.advance(now) }
 
 // totalArrivals returns how many packets have arrived by time now.
 //

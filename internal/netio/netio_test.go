@@ -73,6 +73,47 @@ func TestRxQueueOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestAccountToChangesNoPoll: accounting a queue up to a time between its
+// polls counts the overflow at that time, and every poll afterwards delivers
+// the same seqs and leaves the same counters as on a queue never accounted
+// early.
+func TestAccountToChangesNoPoll(t *testing.T) {
+	us := simtime.Microsecond
+	plain, pool := newQueue(5e6, 128)
+	early, _ := newQueue(5e6, 128)
+	// 5 Mpps fills a 128-frame ring in 25.6 µs, so the ring overflows by
+	// the midpoint of every gap of 60 µs or more.
+	prev := simtime.Time(0)
+	for i, at := range []simtime.Time{40 * us, 45 * us, 200 * us, 201 * us, 400 * us} {
+		mid := (prev + at) / 2
+		gap := at - prev
+		prev = at
+		_, before, _ := early.Stats()
+		early.AccountTo(mid)
+		if _, dropped, _ := early.Stats(); gap >= 60*us && dropped == before {
+			t.Fatalf("step %d: AccountTo(%v) counted no overflow", i, mid)
+		}
+		a := plain.Poll(at, 64, pool, nil)
+		b := early.Poll(at, 64, pool, nil)
+		if len(a) != len(b) {
+			t.Fatalf("step %d: %d packets after AccountTo, %d without", i, len(b), len(a))
+		}
+		for k := range a {
+			if a[k].Seq != b[k].Seq {
+				t.Fatalf("step %d: packet %d has seq %d after AccountTo, %d without", i, k, b[k].Seq, a[k].Seq)
+			}
+			pool.Put(a[k])
+			pool.Put(b[k])
+		}
+		d0, dr0, af0 := plain.Stats()
+		d1, dr1, af1 := early.Stats()
+		if d0 != d1 || dr0 != dr1 || af0 != af1 || plain.HighWatermark() != early.HighWatermark() {
+			t.Fatalf("step %d: counters (%d %d %d %d) after AccountTo, (%d %d %d %d) without",
+				i, d1, dr1, af1, early.HighWatermark(), d0, dr0, af0, plain.HighWatermark())
+		}
+	}
+}
+
 func TestRxQueuePoolExhaustion(t *testing.T) {
 	g := &gen.UDP4{FrameLen: 64, Seed: 1}
 	q := NewRxQueue(0, 0, g, 1e6, 4096)

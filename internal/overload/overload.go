@@ -21,8 +21,8 @@
 //   - Governor — a per-socket state machine reacting to sustained
 //     saturation with stepwise graceful degradation: Normal → Trim (shrink
 //     the offload aggregation age) → Bias (clamp the ALB weight toward the
-//     uncongested processor) → Shed (the deepest level, which adds no
-//     action of its own), stepping back up after sustained recovery.
+//     uncongested processor), stepping back up after sustained recovery.
+//     Trim and Bias each act; Bias is the deepest.
 //
 // Everything here is pure state-machine logic; the wiring lives in
 // internal/core (worker/system) and internal/lb (weight bounds).
@@ -72,7 +72,8 @@ func Defaults() *Config {
 	return &c
 }
 
-// Level is the governor's degradation state, ordered by severity.
+// Level is the governor's degradation state, ordered by severity. String
+// is the one place a level is named: traces carry that name.
 type Level int
 
 const (
@@ -82,11 +83,8 @@ const (
 	// their nominal age), so packets stop maturing behind a congested device.
 	LevelTrim
 	// LevelBias: additionally, the ALB weight bounds ratchet toward the
-	// uncongested processor each saturated window.
+	// uncongested processor each saturated window. The deepest level.
 	LevelBias
-	// LevelShed: the deepest level. It adds no action beyond Bias; it
-	// stays because its value appears in overload traces and reports.
-	LevelShed
 )
 
 func (l Level) String() string {
@@ -97,8 +95,6 @@ func (l Level) String() string {
 		return "trim"
 	case LevelBias:
 		return "bias"
-	case LevelShed:
-		return "shed"
 	default:
 		return "unknown"
 	}
@@ -129,7 +125,7 @@ func (g *Governor) Observe(saturated bool) (Level, bool) {
 	if saturated {
 		g.clearStreak = 0
 		g.satStreak++
-		if g.satStreak >= stepDown && g.level < LevelShed {
+		if g.satStreak >= stepDown && g.level < LevelBias {
 			g.satStreak = 0
 			g.level++
 			if g.level > g.peak {

@@ -16,7 +16,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestLevelStrings(t *testing.T) {
-	want := map[Level]string{LevelNormal: "normal", LevelTrim: "trim", LevelBias: "bias", LevelShed: "shed", Level(9): "unknown"}
+	want := map[Level]string{LevelNormal: "normal", LevelTrim: "trim", LevelBias: "bias", LevelBias + 1: "unknown"}
 	for l, s := range want {
 		if l.String() != s {
 			t.Errorf("Level(%d).String() = %q, want %q", l, l.String(), s)
@@ -25,7 +25,7 @@ func TestLevelStrings(t *testing.T) {
 }
 
 // Property: under sustained saturation the governor steps down monotonically,
-// one level per stepDown windows, and parks at LevelShed.
+// one level per stepDown windows, and parks at LevelBias.
 func TestGovernorMonotoneStepDown(t *testing.T) {
 	g := new(Governor)
 	prev := g.Level()
@@ -47,11 +47,14 @@ func TestGovernorMonotoneStepDown(t *testing.T) {
 		}
 		prev = lvl
 	}
-	if g.Level() != LevelShed || g.Peak() != LevelShed {
-		t.Fatalf("level %v peak %v after sustained saturation, want shed", g.Level(), g.Peak())
+	if changes != int(LevelBias) {
+		t.Fatalf("%d steps under sustained saturation, want %d", changes, LevelBias)
+	}
+	if g.Level() != LevelBias || g.Peak() != LevelBias {
+		t.Fatalf("level %v peak %v after sustained saturation, want bias", g.Level(), g.Peak())
 	}
 	// Further saturation holds the floor.
-	if lvl, changed := g.Observe(true); lvl != LevelShed || changed {
+	if lvl, changed := g.Observe(true); lvl != LevelBias || changed {
 		t.Fatalf("parked level moved: %v changed=%v", lvl, changed)
 	}
 }
@@ -60,8 +63,11 @@ func TestGovernorMonotoneStepDown(t *testing.T) {
 // up to LevelNormal, one level per stepUp windows.
 func TestGovernorFullStepUp(t *testing.T) {
 	g := new(Governor)
-	for g.Level() != LevelShed {
+	for i := 0; i < int(LevelBias)*stepDown; i++ {
 		g.Observe(true)
+	}
+	if g.Level() != LevelBias {
+		t.Fatalf("level %v after %d saturated windows, want bias", g.Level(), int(LevelBias)*stepDown)
 	}
 	windows := 0
 	for g.Level() != LevelNormal {
@@ -75,10 +81,10 @@ func TestGovernorFullStepUp(t *testing.T) {
 			t.Fatal("governor never recovered")
 		}
 	}
-	if windows != 3*stepUp {
-		t.Fatalf("full recovery took %d windows, want %d", windows, 3*stepUp)
+	if windows != int(LevelBias)*stepUp {
+		t.Fatalf("full recovery took %d windows, want %d", windows, int(LevelBias)*stepUp)
 	}
-	if g.Peak() != LevelShed {
+	if g.Peak() != LevelBias {
 		t.Fatalf("peak %v lost across recovery", g.Peak())
 	}
 	// Clear windows at LevelNormal are a no-op.
@@ -91,7 +97,7 @@ func TestGovernorFullStepUp(t *testing.T) {
 // oscillates — both streak counters reset on the opposite observation, so
 // neither threshold is ever reached (mirrors the ALB boundary-dwell tests).
 func TestGovernorNoOscillationAtBoundary(t *testing.T) {
-	for _, start := range []int{2 * stepDown, 4 * stepDown} { // LevelTrim.. boundaries
+	for _, start := range []int{stepDown, 2 * stepDown} { // at LevelTrim, then LevelBias
 		g := new(Governor)
 		for i := 0; i < start; i++ {
 			g.Observe(true)
@@ -110,8 +116,11 @@ func TestGovernorNoOscillationAtBoundary(t *testing.T) {
 // vice versa) — hysteresis counts consecutive windows only.
 func TestGovernorStreaksReset(t *testing.T) {
 	g := new(Governor)
-	for g.Level() != LevelBias {
+	for i := 0; i < stepDown; i++ {
 		g.Observe(true)
+	}
+	if g.Level() != LevelTrim {
+		t.Fatalf("level %v after %d saturated windows, want trim", g.Level(), stepDown)
 	}
 	// stepUp-1 clear windows, then one saturated: no recovery may fire.
 	for i := 0; i < stepUp-1; i++ {
@@ -119,8 +128,8 @@ func TestGovernorStreaksReset(t *testing.T) {
 			t.Fatal("recovered before stepUp consecutive clear windows")
 		}
 	}
-	if lvl, _ := g.Observe(true); lvl != LevelBias {
-		t.Fatalf("level %v after voided recovery streak, want bias", lvl)
+	if lvl, _ := g.Observe(true); lvl != LevelTrim {
+		t.Fatalf("level %v after voided recovery streak, want trim", lvl)
 	}
 	// The saturated window above also restarts the degradation streak.
 	if _, changed := g.Observe(true); !changed {

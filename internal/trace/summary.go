@@ -56,29 +56,15 @@ type ShedProfile struct {
 	Packets   uint64
 }
 
-// levelName renders a governor degradation level carried in an event payload
-// (trace cannot import internal/overload, so the mapping is mirrored here).
-func levelName(l int64) string {
-	switch l {
-	case 0:
-		return "normal"
-	case 1:
-		return "trim"
-	case 2:
-		return "bias"
-	case 3:
-		return "shed"
-	default:
-		return fmt.Sprintf("level(%d)", l)
-	}
-}
-
-// OverloadProfile aggregates governor activity per socket.
+// OverloadProfile aggregates governor activity per socket. A level event
+// carries the level as a number, which orders levels by severity, and by
+// name, which is what the summary prints.
 type OverloadProfile struct {
 	Socket      int32
 	Transitions uint64
 	PeakLevel   int64
-	FinalLevel  int64
+	PeakName    string
+	FinalName   string
 	BiasUpdates uint64
 }
 
@@ -220,9 +206,9 @@ func Summarize(events []Event) *Summary {
 		case KindOverloadLevel:
 			op := ovl(ev.Actor)
 			op.Transitions++
-			op.FinalLevel = ev.A
-			if ev.A > op.PeakLevel {
-				op.PeakLevel = ev.A
+			op.FinalName = ev.Name
+			if op.PeakName == "" || ev.A > op.PeakLevel {
+				op.PeakLevel, op.PeakName = ev.A, ev.Name
 			}
 		case KindOverloadBias:
 			ovl(ev.Actor).BiasUpdates++
@@ -381,7 +367,7 @@ func (s *Summary) Write(w io.Writer) error {
 		fmt.Fprintf(w, "\noverload governors:\n")
 		for _, o := range s.Overloads {
 			fmt.Fprintf(w, "  socket %d: %d level transitions, peak %s, final %s, %d bias updates\n",
-				o.Socket, o.Transitions, levelName(o.PeakLevel), levelName(o.FinalLevel), o.BiasUpdates)
+				o.Socket, o.Transitions, o.PeakName, o.FinalName, o.BiasUpdates)
 		}
 	}
 	if len(s.Reconfigs) > 0 {

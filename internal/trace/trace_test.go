@@ -255,6 +255,28 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeOverloadGovernor: the governors section prints the level
+// names the events carried, the peak by severity and the last one seen.
+func TestSummarizeOverloadGovernor(t *testing.T) {
+	tr := New(Options{})
+	bias := func(at simtime.Time) { tr.EmitT(at, KindOverloadBias, 0, 1, "bias", 0, 0, 1, 0) }
+	tr.EmitT(500, KindOverloadLevel, 0, 1, "trim", 1, 0, 1, 0)
+	tr.EmitT(1000, KindOverloadLevel, 0, 1, "bias", 2, 1, 1, 0)
+	bias(1000)
+	bias(1250)
+	bias(3250) // the release on leaving bias
+	tr.EmitT(3250, KindOverloadLevel, 0, 1, "trim", 1, 2, 0, 0)
+
+	var buf bytes.Buffer
+	if err := Summarize(tr.Events()).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "\noverload governors:\n  socket 0: 3 level transitions, peak bias, final trim, 3 bias updates\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("summary lacks %q:\n%s", want, buf.String())
+	}
+}
+
 func TestEmitDoesNotAllocate(t *testing.T) {
 	tr := New(Options{Capacity: 1024, CheckpointInterval: -1})
 	var i int64

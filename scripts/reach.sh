@@ -9,8 +9,8 @@
 #   - nbachaos sweeps: single-app, two-tenant and reconfig (about 300 cases);
 #   - an nba flag matrix: every app under every balancer, the .click
 #     configs, the canonical fault, overload, corruption, tenant and churn
-#     runs (each recorded), the trace writers, and the usage and build
-#     errors;
+#     runs and an adaptive overload run (each recorded), the trace writers,
+#     and the usage and build errors;
 #   - nbatrace summary of every recording, and diff of two;
 #   - every program under examples/.
 #
@@ -65,11 +65,14 @@ for cfg in configs/*.click; do
     run "$bin/nba" $shape -config "$cfg" -v
 done
 # The canonical runs are recorded, so nbatrace summary reads each section
-# of its report (faults, overload, integrity, tenants, reconfig).
+# of its report (faults, overload, integrity, tenants, reconfig). The
+# adaptive overload run saturates the device alone at the governor's Bias
+# level, so it takes the step that lowers the weight ceiling toward the CPU.
 i=0
 for flags in \
     "-app ipsec -lb fixed=0.8 -faults" \
     "-app ipsec -lb fixed=0.8 -gbps 3 -overload" \
+    "-app ipsec -lb adaptive -size 1024 -gbps 3 -duration 10ms -warmup 1ms -overload" \
     "-app ipsec -lb fixed=0.8 -corrupt" \
     "-tenants ipv4,ipsec" \
     "-tenants ipv4=2,ids -reconfig"
