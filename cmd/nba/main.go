@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -51,6 +50,7 @@ import (
 	"nba/internal/overload"
 	"nba/internal/reconfig"
 	"nba/internal/simtime"
+	"nba/internal/stats"
 	"nba/internal/trace"
 )
 
@@ -196,12 +196,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verbose {
 		fmt.Fprintln(stdout, "per-element statistics:")
-		names := make([]string, 0, len(r.NodeStats))
-		for n := range r.NodeStats {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range stats.SortedKeys(r.NodeStats) {
 			st := r.NodeStats[n]
 			fmt.Fprintf(stdout, "  %-28s processed=%-10d dropped=%-8d splits=%-6d reuses=%d\n",
 				n, st.Processed, st.Dropped, st.Splits, st.Reuses)

@@ -85,8 +85,6 @@ type Config struct {
 	// generator and a global swap would be ambiguous.
 	GeneratorChanges []GeneratorChange
 
-	// IOBatchSize is the RX burst size (paper default 64).
-	IOBatchSize int
 	// CompBatchSize is the computation batch size (paper default 64).
 	CompBatchSize int
 
@@ -96,12 +94,6 @@ type Config struct {
 
 	// Seed drives all run randomness (LB coin flips, etc.).
 	Seed uint64
-
-	// MaxInflightTasks is the task cap: a worker with this many device
-	// tasks out stops polling RX (backpressure → NIC drops), like a real
-	// system out of pinned buffers. Aggregates it already holds still
-	// flush past the cap.
-	MaxInflightTasks int
 
 	// ALBObserve / ALBUpdate control the adaptive load balancer cadence
 	// (paper: 0.2 s updates over smoothed throughput).
@@ -163,8 +155,8 @@ type Config struct {
 	// drain.stuck violation and force-stops the engine; past a reconfig
 	// epoch's begin, the epoch records a reconfig.orphan violation and
 	// commits undrained. 0 selects the default (1 virtual second) when a
-	// Checker is attached or a reconfig plan is armed; negative disables
-	// both. Without either the watchdog is armed only when DrainGrace > 0.
+	// Checker is attached or a reconfig plan is armed, and otherwise leaves
+	// the watchdog unarmed; a negative value is an error.
 	DrainGrace simtime.Time
 
 	// Overload, when non-nil, arms the end-to-end overload-control
@@ -233,8 +225,8 @@ func (c Config) withDefaults() (Config, error) {
 	}{
 		{"Warmup", int64(c.Warmup)},
 		{"Duration", int64(c.Duration)},
-		{"MaxInflightTasks", int64(c.MaxInflightTasks)},
 		{"CaptureTx", int64(c.CaptureTx)},
+		{"DrainGrace", int64(c.DrainGrace)},
 	} {
 		if f.v < 0 {
 			return c, fmt.Errorf("core: %s must not be negative", f.name)
@@ -318,26 +310,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.WorkersPerSocket < 1 || c.WorkersPerSocket > max {
 		return c, fmt.Errorf("core: WorkersPerSocket %d out of [1,%d]", c.WorkersPerSocket, max)
 	}
-	if c.IOBatchSize == 0 {
-		c.IOBatchSize = 64
-	}
 	if c.CompBatchSize == 0 {
 		c.CompBatchSize = 64
 	}
-	if c.CompBatchSize > batch.MaxBatchSize || c.IOBatchSize > batch.MaxBatchSize {
-		return c, fmt.Errorf("core: batch sizes exceed %d", batch.MaxBatchSize)
-	}
-	if c.CompBatchSize < 1 || c.IOBatchSize < 1 {
-		return c, fmt.Errorf("core: batch sizes must be positive")
+	if c.CompBatchSize < 1 || c.CompBatchSize > batch.MaxBatchSize {
+		return c, fmt.Errorf("core: CompBatchSize %d out of [1,%d]", c.CompBatchSize, batch.MaxBatchSize)
 	}
 	if c.Duration == 0 {
 		c.Duration = 50 * simtime.Millisecond
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 10 * simtime.Millisecond
-	}
-	if c.MaxInflightTasks == 0 {
-		c.MaxInflightTasks = 2
 	}
 	if c.ALBObserve == 0 {
 		c.ALBObserve = 2 * simtime.Millisecond

@@ -224,7 +224,7 @@ func TestConfigValidation(t *testing.T) {
 		{"zero offered", func(c *Config) { c.OfferedBpsPerPort = 0 }, "OfferedBpsPerPort"},
 		{"NaN offered", func(c *Config) { c.OfferedBpsPerPort = math.NaN() }, "OfferedBpsPerPort"},
 		{"infinite offered", func(c *Config) { c.OfferedBpsPerPort = math.Inf(1) }, "OfferedBpsPerPort"},
-		{"huge batch", func(c *Config) { c.CompBatchSize = 10000 }, "batch sizes"},
+		{"huge batch", func(c *Config) { c.CompBatchSize = 10000 }, "CompBatchSize"},
 		{"bad graph", func(c *Config) { c.GraphConfig = "FromInput() -> Nope();" }, "Nope"},
 		{"parse error", func(c *Config) { c.GraphConfig = "@@@" }, "@"},
 		{"UDP4 frame too short", func(c *Config) { c.Generator = &gen.UDP4{FrameLen: 30} }, "Generator: gen: UDP4 frame length 30"},
@@ -236,7 +236,7 @@ func TestConfigValidation(t *testing.T) {
 		}, "GeneratorChanges[0]: gen: UDP4"},
 		{"negative warmup", func(c *Config) { c.Warmup = -simtime.Millisecond }, "Warmup"},
 		{"negative duration", func(c *Config) { c.Duration = -simtime.Millisecond }, "Duration"},
-		{"negative inflight tasks", func(c *Config) { c.MaxInflightTasks = -1 }, "MaxInflightTasks"},
+		{"negative drain grace", func(c *Config) { c.DrainGrace = -simtime.Millisecond }, "DrainGrace"},
 		{"negative capture", func(c *Config) { c.CaptureTx = -1 }, "CaptureTx"},
 		{"NaN integrity sample rate", func(c *Config) { c.Integrity = &integrity.Config{SampleRate: math.NaN()} }, "Integrity: integrity: sample rate"},
 		{"NaN burst factor", func(c *Config) {

@@ -26,15 +26,14 @@ type devicePath struct {
 	// device is the socket's device, nil when the socket has none.
 	device *gpu.Device
 	// tasks is every task the worker has submitted, until its completion
-	// is handled. MaxInflightTasks caps its length only for RX polling:
-	// flushes of expired aggregates and flushes during a resume still
-	// submit past it. Each task holds at least one batch, so the worker's
-	// batch pool is what bounds it.
+	// is handled. The cost model's task cap bounds its length only for RX
+	// polling: flushes of expired aggregates and flushes during a resume
+	// still submit past it. Each task holds at least one batch, so the
+	// worker's batch pool is what bounds it.
 	tasks []*inflightTask
 	// completions carries finished and failed tasks to the worker's next
 	// pass, where cycle accounting lives.
 	completions *mempool.Ring[*inflightTask]
-	hwm         int // high watermark of len(tasks) at a submit
 	// sentinel is the integrity re-execution sampler, non-nil only when
 	// cfg.Integrity is set. Its RNG stream is seeded per worker so sampling
 	// decisions are deterministic and independent of other workers.
@@ -98,7 +97,7 @@ func backlogged(s *System, d *gpu.Device) bool {
 //nba:hotpath
 func (dp *devicePath) backpressured(s *System) bool {
 	n := len(dp.tasks)
-	return n >= s.cfg.MaxInflightTasks || n > 0 && backlogged(s, dp.device)
+	return n >= s.cfg.CostModel.MaxInflightTasks || n > 0 && backlogged(s, dp.device)
 }
 
 // deadline returns the earliest instant at which the device side of a
@@ -106,8 +105,9 @@ func (dp *devicePath) backpressured(s *System) bool {
 // to MaxDeviceBacklog, where that bound alone holds the worker back (the
 // task cap lifts by an event), or the device's stall watchdog firing.
 func (dp *devicePath) deadline(s *System, now simtime.Time) (at simtime.Time, ok bool) {
-	if n := len(dp.tasks); n > 0 && n < s.cfg.MaxInflightTasks && backlogged(s, dp.device) {
-		at, ok = now+dp.device.Backlog()-s.cfg.CostModel.MaxDeviceBacklog, true
+	cm := s.cfg.CostModel
+	if n := len(dp.tasks); n > 0 && n < cm.MaxInflightTasks && backlogged(s, dp.device) {
+		at, ok = now+dp.device.Backlog()-cm.MaxDeviceBacklog, true
 	}
 	if limit := s.cfg.TaskTimeout; limit > 0 && dp.device != nil {
 		if t, queued := dp.device.StallDeadline(limit); queued && (!ok || t < at) {
@@ -183,7 +183,6 @@ func (dp *devicePath) flush(w *worker, p *offload.Pending) {
 	it.task.Complete = func(simtime.Time, *gpu.Task) { w.dev.pushCompletion(w, it) }
 	dp.tasks = append(dp.tasks, it)
 	dev.Submit(&it.task)
-	dp.hwm = max(dp.hwm, len(dp.tasks))
 	if dp.sentinel.Sample() {
 		// Sentinel sampling draws one coin per submitted task (a rescue of
 		// an aggregate the device never saw has nothing to cross-check) and
@@ -263,8 +262,8 @@ func (dp *devicePath) handleCompletion(w *worker, it *inflightTask) {
 }
 
 // drop removes a handled task from the list by a swap-delete that clears
-// the vacated slot. The list is short: past MaxInflightTasks the worker
-// polls no RX, so only packets it already holds add tasks.
+// the vacated slot. The list is short: at the task cap the worker polls
+// no RX, so only packets it already holds add tasks.
 func (dp *devicePath) drop(it *inflightTask) {
 	i, last := slices.Index(dp.tasks, it), len(dp.tasks)-1
 	dp.tasks[i], dp.tasks[last] = dp.tasks[last], nil

@@ -14,6 +14,7 @@ import (
 	"nba/internal/invariant"
 	"nba/internal/overload"
 	"nba/internal/simtime"
+	"nba/internal/sysinfo"
 	"nba/internal/trace"
 )
 
@@ -44,12 +45,12 @@ func TestTaskCapBoundsDeviceQueueDuringHang(t *testing.T) {
 	// watchdog hands every parked task back, so nothing a worker has given
 	// up on stays queued, and the queue never holds more than the workers'
 	// outstanding tasks.
-	const workers, maxInflight = 3, 2
+	const workers = 3
+	maxInflight := sysinfo.Default().MaxInflightTasks
 	cfg := quickCfg(sprintfConfig(ipsecConfigTpl, "fixed=0.8"), 2e9, 64)
 	cfg.Duration = 12 * simtime.Millisecond
 	cfg.TaskTimeout = 500 * simtime.Microsecond
 	cfg.WorkersPerSocket = workers
-	cfg.MaxInflightTasks = maxInflight
 	cfg.FaultPlan = &fault.Plan{Events: []fault.Event{
 		{At: 3 * simtime.Millisecond, Kind: fault.DeviceHang, Device: 0},
 		{At: 9 * simtime.Millisecond, Kind: fault.DeviceRecover, Device: 0},
@@ -137,9 +138,9 @@ func TestOverloadShedBoundsTailLatency(t *testing.T) {
 	if shedOn.ShedPackets == 0 {
 		t.Error("2x overload shed nothing: the shedder never engaged")
 	}
-	if shedOn.RxBacklogHWM == 0 || shedOn.WorkerInflightHWM == 0 {
-		t.Errorf("high-watermark stats missing: rx %d, inflight %d",
-			shedOn.RxBacklogHWM, shedOn.WorkerInflightHWM)
+	if shedOn.RxBacklogHWM == 0 || shedOn.DeviceQueueHWM == 0 {
+		t.Errorf("high-watermark stats missing: rx %d, device queue %d",
+			shedOn.RxBacklogHWM, shedOn.DeviceQueueHWM)
 	}
 }
 

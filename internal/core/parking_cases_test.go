@@ -31,6 +31,13 @@ func appCfg(t *testing.T, app, lb string, size, workers int, bpsPerPort float64)
 	return cfg
 }
 
+// taskCap returns the default cost model with the task cap set to n.
+func taskCap(n int) *sysinfo.CostModel {
+	cm := *sysinfo.Default()
+	cm.MaxInflightTasks = n
+	return &cm
+}
+
 // firedBoth runs cfg with parking on and off and returns the engine events
 // each side fired.
 func firedBoth(t *testing.T, cfg core.Config) (on, off uint64) {
@@ -64,7 +71,7 @@ func TestParkingWakeSources(t *testing.T) {
 		// Held back by the task cap alone: only its own completion frees it.
 		{"completion", func(t *testing.T) core.Config {
 			cfg := appCfg(t, "ids", "gpu", 1024, 1, 10e9)
-			cfg.MaxInflightTasks = 1
+			cfg.CostModel = taskCap(1)
 			return cfg
 		}, 0},
 		// The default shape of the ids benchmark: the device backlog bound
@@ -77,11 +84,9 @@ func TestParkingWakeSources(t *testing.T) {
 		// governor halves their age when the RX rings overflow.
 		{"aggregate-expiry-and-governor", func(t *testing.T) core.Config {
 			cfg := appCfg(t, "ipsec", "gpu", 1024, 2, 4e9)
-			cfg.MaxInflightTasks = 1
 			cfg.Overload = &overload.Config{CoDelInterval: 100 * us}
-			cm := *sysinfo.Default()
-			cm.MaxAggBatches = 64
-			cfg.CostModel = &cm
+			cfg.CostModel = taskCap(1)
+			cfg.CostModel.MaxAggBatches = 64
 			return cfg
 		}, overload.LevelTrim},
 		// A hung device with the watchdog off. Worker 0 reaches its task
@@ -261,7 +266,7 @@ func mustAppConfig(t *testing.T, app, lb string) string {
 // must agree with the polling run.
 func TestParkedWakeOrdersLikeSkippedPass(t *testing.T) {
 	cfg := appCfg(t, "ids", "gpu", 1024, 2, 10e9)
-	cfg.MaxInflightTasks = 64
+	cfg.CostModel = taskCap(64)
 	const idle = simtime.Microsecond
 	var parkedTies [2]int
 	var reads [][]string
@@ -321,7 +326,7 @@ func TestParkedWakeOrdersLikeSkippedPass(t *testing.T) {
 // come after it and find nothing to poll, as the polling run's does.
 func TestParkedDeadlineWakeOrdersLikeSkippedPass(t *testing.T) {
 	cfg := appCfg(t, "ids", "gpu", 1024, 2, 10e9)
-	cfg.MaxInflightTasks = 64
+	cfg.CostModel = taskCap(64)
 	const idle = simtime.Microsecond
 	ties := 0
 	agree(t, false, func() {

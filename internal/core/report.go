@@ -81,11 +81,9 @@ type Report struct {
 	FirstMismatchAt simtime.Time
 	// RxBacklogHWM is the deepest RX-ring backlog observed on any queue.
 	RxBacklogHWM uint64
-	// WorkerInflightHWM is the most outstanding device tasks any worker had.
-	WorkerInflightHWM int
 	// DeviceQueueHWM is the deepest task-queue occupancy observed on any
 	// device. The workers' outstanding tasks make it up, and their batch
-	// pools bound those: MaxInflightTasks stops only RX polling.
+	// pools bound those: the cost model's task cap stops only RX polling.
 	DeviceQueueHWM int
 	// OverloadPeak is the most severe governor level reached across
 	// sockets and tenants (always normal when overload control is off).
@@ -137,7 +135,6 @@ func (s *System) report() *Report {
 			r.IntegrityChecks += sn.Checks
 			r.CorruptionDetected += sn.Mismatches
 		}
-		r.WorkerInflightHWM = max(r.WorkerInflightHWM, w.dev.hwm)
 		r.PoolOutstanding += w.pktPool.Stats().Outstanding
 	}
 	s.escalation.report(r, len(s.devices))

@@ -102,7 +102,7 @@ arming:
 			if sg.armed == len(sg.stages) {
 				break arming
 			}
-			if q.Arm(&sg.stages[sg.armed], at, w.sys.cfg.IOBatchSize) {
+			if q.Arm(&sg.stages[sg.armed], at, ioBatchSize) {
 				sg.armed++
 			}
 		}

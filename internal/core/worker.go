@@ -108,9 +108,8 @@ type worker struct {
 	batchPool *batch.Pool
 	// stage materialises the next pass's RX bursts on the executor.
 	stage stager
-	// burst receives each RX poll. It is a field, not a local of iterate:
-	// its capacity is the run's IOBatchSize, so a local would be a heap
-	// allocation on every pass.
+	// burst receives each RX poll. It is a field, so that iterate does not
+	// allocate it on every pass.
 	burst []*packet.Packet
 
 	// cycles accumulates cost within the current IO-loop iteration.
@@ -135,6 +134,10 @@ type worker struct {
 	wake     simtime.Timer
 }
 
+// ioBatchSize is the RX burst size: the paper's and its configuration's
+// IO batch of 64 packets.
+const ioBatchSize = 64
+
 // parkingOff makes every worker poll on its IdlePoll grid again instead of
 // parking: a switch for tests only (export_test.go), which check that
 // parking changes no output.
@@ -156,7 +159,7 @@ func newWorker(s *System, id, socket, local int, localPorts []int, dev *gpu.Devi
 	w.batchPool = mempool.NewOver(fmt.Sprintf("batch.w%d", id), s.zone.workerBatches(id), nil)
 	w.stage = s.zone.workerStager(id)
 	w.stage.exec, w.stage.maxBackoff = &s.exec, maxStageBackoff
-	w.burst = make([]*packet.Packet, 0, s.cfg.IOBatchSize)
+	w.burst = make([]*packet.Packet, 0, ioBatchSize)
 	w.iterateFn = w.iterate
 	return w
 }
@@ -270,7 +273,7 @@ func (w *worker) iterate() {
 					break polling
 				}
 				w.cycles += cm.RxBurstFixed
-				pkts := q.Poll(w.iterStart, w.sys.cfg.IOBatchSize, w.pktPool, w.burst)
+				pkts := q.Poll(w.iterStart, ioBatchSize, w.pktPool, w.burst)
 				if len(pkts) == 0 {
 					continue
 				}

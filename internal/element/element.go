@@ -13,13 +13,13 @@ package element
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"nba/internal/batch"
 	"nba/internal/packet"
 	"nba/internal/rng"
 	"nba/internal/simtime"
+	"nba/internal/stats"
 )
 
 // Drop is the Process result that discards the packet.
@@ -320,10 +320,5 @@ func NewByClass(class string) (Element, error) {
 
 // Classes returns the registered class names (for diagnostics).
 func Classes() []string {
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return stats.SortedKeys(registry)
 }

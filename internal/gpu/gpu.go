@@ -204,8 +204,9 @@ func New(name string, kind sysinfo.DeviceKind, eng *simtime.Engine, cm *sysinfo.
 // device the task completes immediately with Failed set; on a hung device
 // it is parked until Recover. The queue has no bound of its own. The
 // submitting workers' outstanding tasks make it up, and each of those holds
-// at least one of its worker's batches; core's MaxInflightTasks stops a
-// worker polling RX, not submitting what it already holds.
+// at least one of its worker's batches; the cost model's task cap
+// (MaxInflightTasks) stops a worker polling RX, not submitting what it
+// already holds.
 func (d *Device) Submit(t *Task) {
 	d.nextID++
 	t.ID = d.nextID

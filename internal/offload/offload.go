@@ -12,13 +12,13 @@ package offload
 
 import (
 	"fmt"
-	"sort"
 
 	"nba/internal/batch"
 	"nba/internal/element"
 	"nba/internal/graph"
 	"nba/internal/packet"
 	"nba/internal/simtime"
+	"nba/internal/stats"
 	"nba/internal/sysinfo"
 )
 
@@ -136,7 +136,7 @@ func (a *Aggregator) planFor(head *graph.Node, chain []*graph.Node) (*plan, erro
 			seen[db.Name] = db
 		}
 	}
-	for _, name := range sortedNames(seen) {
+	for _, name := range stats.SortedKeys(seen) {
 		pl.datablocks = append(pl.datablocks, seen[name])
 	}
 	a.plans[head.ID] = pl
@@ -234,13 +234,4 @@ func (a *Aggregator) remove(id int) {
 			break
 		}
 	}
-}
-
-func sortedNames(m map[string]element.Datablock) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

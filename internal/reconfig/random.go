@@ -20,20 +20,13 @@ type Profile struct {
 	// Devices / Ports mirror the run topology the plan targets.
 	Devices, Ports int
 	// QueueCapacity is the configured RX-ring capacity; resizes pick from
-	// [max(8, cap/4), 2*cap]. Default 256.
+	// [max(8, cap/4), 2*cap]. Must be positive.
 	QueueCapacity int
 }
 
 // maxEpochs caps the number of generated epochs, matching the fault
 // generator's episode cap so the two plans of a chaos case are of a size.
 const maxEpochs = 4
-
-func (p Profile) withDefaults() Profile {
-	if p.QueueCapacity <= 0 {
-		p.QueueCapacity = 256
-	}
-	return p
-}
 
 // timeGrid quantises generated epoch times so plans are stable, diffable
 // and shrink to tidy reproducers. It matches the fault generator's grid, so
@@ -51,9 +44,11 @@ const timeGrid = 10 * simtime.Microsecond
 // The same (rng state, profile) always yields the same plan, so a chaos
 // case is fully identified by its seed.
 func RandomPlan(r *rng.Rand, prof Profile) *Plan {
-	prof = prof.withDefaults()
 	if prof.Horizon <= 0 {
 		panic(fmt.Sprintf("reconfig: RandomPlan horizon %v", prof.Horizon))
+	}
+	if prof.QueueCapacity <= 0 {
+		panic(fmt.Sprintf("reconfig: RandomPlan queue capacity %d", prof.QueueCapacity))
 	}
 
 	quant := func(t simtime.Time) simtime.Time {

@@ -186,11 +186,12 @@ func TestKindStringRoundTrip(t *testing.T) {
 // from the same seed — a chaos case is fully identified by its seed.
 func TestRandomPlanValidAndDeterministic(t *testing.T) {
 	prof := Profile{
-		Horizon: 3 * simtime.Millisecond,
-		Initial: []string{"a", "b"},
-		Latent:  []string{"l1", "l2"},
-		Devices: 1,
-		Ports:   2,
+		Horizon:       3 * simtime.Millisecond,
+		Initial:       []string{"a", "b"},
+		Latent:        []string{"l1", "l2"},
+		Devices:       1,
+		Ports:         2,
+		QueueCapacity: 256,
 	}
 	var nonEmpty int
 	for seed := int64(1); seed <= 200; seed++ {

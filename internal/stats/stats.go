@@ -5,9 +5,12 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"nba/internal/simtime"
@@ -397,13 +400,12 @@ func (q *Quantiles) Max() int64 {
 // Gbps converts bits per second to Gbps for display.
 func Gbps(bps float64) float64 { return bps / 1e9 }
 
-// SortedKeys returns the sorted keys of a string-keyed map, for stable
-// report output.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// SortedKeys returns the sorted keys of a map, for stable report output.
+// The keys go into one slice of the map's size: slices.Sorted(maps.Keys(m))
+// grows its slice from empty, which costs the per-System callers (the
+// offload plans, CostModel.Validate) extra allocations.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := slices.AppendSeq(make([]K, 0, len(m)), maps.Keys(m))
+	slices.Sort(keys)
 	return keys
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -225,6 +226,9 @@ func TestSortedKeys(t *testing.T) {
 	keys := SortedKeys(m)
 	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
 		t.Errorf("SortedKeys = %v", keys)
+	}
+	if ints := SortedKeys(map[int32]bool{3: true, -1: true, 2: true}); !slices.Equal(ints, []int32{-1, 2, 3}) {
+		t.Errorf("SortedKeys of int32 keys = %v", ints)
 	}
 }
 

@@ -2,9 +2,9 @@ package sysinfo
 
 import (
 	"fmt"
-	"sort"
 
 	"nba/internal/simtime"
+	"nba/internal/stats"
 )
 
 // ElementCost is the CPU-side execution cost of one element, charged per
@@ -123,10 +123,15 @@ type CostModel struct {
 	// MaxAggDelay bounds how long a pending aggregate may wait before being
 	// flushed to the device even if not full.
 	MaxAggDelay simtime.Time
-	// MaxDeviceBacklog is the admission threshold: a worker stops pulling
-	// RX while its socket's device is scheduled busier than this, bounding
-	// offload queueing latency (the real system's pinned-buffer limit).
+	// MaxDeviceBacklog and MaxInflightTasks are the two RX admission
+	// limits (DESIGN.md §11). MaxDeviceBacklog is the backlog bound: a
+	// worker with a task out stops pulling RX while its socket's device is
+	// scheduled busier than this, bounding offload queueing latency.
 	MaxDeviceBacklog simtime.Time
+	// MaxInflightTasks is the task cap: a worker with this many device
+	// tasks out stops pulling RX, like a real system out of pinned buffers.
+	// Aggregates it already holds still flush past the cap.
+	MaxInflightTasks int
 
 	// ---- Scaling imperfections ----
 
@@ -194,6 +199,7 @@ func Default() *CostModel {
 		MaxAggBatches:        32,
 		MaxAggDelay:          600 * simtime.Microsecond,
 		MaxDeviceBacklog:     400 * simtime.Microsecond,
+		MaxInflightTasks:     2,
 
 		MemContentionPerWorker: 0.012,
 		NUMAPenalty:            1.30,
@@ -302,18 +308,15 @@ func (m *CostModel) Validate() error {
 	if m.MaxAggBatches <= 0 {
 		return fmt.Errorf("sysinfo: MaxAggBatches must be positive, have %d", m.MaxAggBatches)
 	}
+	if m.MaxInflightTasks <= 0 {
+		return fmt.Errorf("sysinfo: MaxInflightTasks must be positive, have %d", m.MaxInflightTasks)
+	}
 	if m.IdlePoll <= 0 {
 		return fmt.Errorf("sysinfo: IdlePoll must be positive, have %v", m.IdlePoll)
 	}
 	// Iterate device kinds in sorted order so the first-reported error is
 	// stable across runs (map order would make it flap).
-	kinds := make([]int, 0, len(m.Devices))
-	for k := range m.Devices {
-		kinds = append(kinds, int(k))
-	}
-	sort.Ints(kinds)
-	for _, ki := range kinds {
-		k := DeviceKind(ki)
+	for _, k := range stats.SortedKeys(m.Devices) {
 		d := m.Devices[k]
 		if d.CopyBytesPerSec <= 0 {
 			return fmt.Errorf("sysinfo: device %v has non-positive copy bandwidth", k)

@@ -147,6 +147,30 @@ func TestDefaultCostModelValid(t *testing.T) {
 	}
 }
 
+func TestCostModelValidateRejectsBadModels(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*CostModel)
+		want string // in the error
+	}{
+		{"zero aggregate", func(m *CostModel) { m.MaxAggBatches = 0 }, "MaxAggBatches"},
+		{"zero task cap", func(m *CostModel) { m.MaxInflightTasks = 0 }, "MaxInflightTasks"},
+		{"negative task cap", func(m *CostModel) { m.MaxInflightTasks = -1 }, "MaxInflightTasks"},
+		{"zero idle poll", func(m *CostModel) { m.IdlePoll = 0 }, "IdlePoll"},
+		{"zero copy bandwidth", func(m *CostModel) {
+			m.Devices[DevicePhi] = DeviceParams{KernelScale: 1}
+		}, "copy bandwidth"},
+	}
+	for _, c := range cases {
+		m := Default()
+		c.mut(m)
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestCostModelFallbacks(t *testing.T) {
 	m := Default()
 	if got := m.ElementCostOf("NoSuchElement"); got != m.DefaultElementCost {

@@ -267,36 +267,16 @@ func Summarize(events []Event) *Summary {
 	for _, name := range stats.SortedKeys(devs) {
 		s.Devices = append(s.Devices, devs[name])
 	}
-	skeys := make([]int, 0, len(lbs))
-	for k := range lbs {
-		skeys = append(skeys, int(k))
+	for _, k := range stats.SortedKeys(lbs) {
+		s.Balancers = append(s.Balancers, lbs[k])
 	}
-	sort.Ints(skeys)
-	for _, k := range skeys {
-		s.Balancers = append(s.Balancers, lbs[int32(k)])
+	for _, k := range stats.SortedKeys(sheds) {
+		s.Sheds = append(s.Sheds, sheds[k])
 	}
-	shkeys := make([]int, 0, len(sheds))
-	for k := range sheds {
-		shkeys = append(shkeys, int(k))
+	for _, k := range stats.SortedKeys(ovls) {
+		s.Overloads = append(s.Overloads, ovls[k])
 	}
-	sort.Ints(shkeys)
-	for _, k := range shkeys {
-		s.Sheds = append(s.Sheds, sheds[int32(k)])
-	}
-	okeys := make([]int, 0, len(ovls))
-	for k := range ovls {
-		okeys = append(okeys, int(k))
-	}
-	sort.Ints(okeys)
-	for _, k := range okeys {
-		s.Overloads = append(s.Overloads, ovls[int32(k)])
-	}
-	ekeys := make([]int64, 0, len(epochs))
-	for k := range epochs {
-		ekeys = append(ekeys, k)
-	}
-	sort.Slice(ekeys, func(i, j int) bool { return ekeys[i] < ekeys[j] })
-	for _, k := range ekeys {
+	for _, k := range stats.SortedKeys(epochs) {
 		s.Reconfigs = append(s.Reconfigs, epochs[k])
 	}
 	for _, name := range stats.SortedKeys(ints) {
